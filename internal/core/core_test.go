@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -427,5 +428,17 @@ func TestClusterRegistryWired(t *testing.T) {
 	snap := cl.Reg.Snapshot()
 	if len(snap) != cl.Reg.Len() {
 		t.Fatalf("snapshot %d entries, registry %d", len(snap), cl.Reg.Len())
+	}
+}
+
+func TestDrainWithoutRunLeaksNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	cl, err := NewClusterE(Config{Mode: ModeIOctopus})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl.Drain()
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("goroutines = %d after NewClusterE+Drain, want at most %d", n, before)
 	}
 }

@@ -1,0 +1,235 @@
+package kernel
+
+import (
+	"runtime"
+	"testing"
+	"time"
+
+	"ioctopus/internal/sim"
+)
+
+// The core dispatcher is an event-driven state machine that must keep
+// the event schedule of the blocking loop it replaced, event for event
+// (DESIGN.md §2, "Execution model"): these tests pin that schedule.
+
+// idleKernel returns a kernel whose start events have all run, so
+// every core is idle and the engine's queue is empty.
+func idleKernel(t *testing.T) (*sim.Engine, *Kernel) {
+	t.Helper()
+	e, k := newKernel(t)
+	if e.Pending() != k.NumCores() {
+		t.Fatalf("pending = %d after New, want one start event per core (%d)", e.Pending(), k.NumCores())
+	}
+	e.RunUntilIdle()
+	if e.Executed != uint64(k.NumCores()) {
+		t.Fatalf("executed = %d after boot, want %d start events", e.Executed, k.NumCores())
+	}
+	return e, k
+}
+
+func TestNewStartsNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	e, _ := newKernel(t)
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("goroutines = %d after kernel.New, want at most %d", n, before)
+	}
+	e.RunUntilIdle()
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("goroutines = %d after boot, want at most %d", n, before)
+	}
+}
+
+func TestIdleCoreWakesThroughOneZeroDelayEvent(t *testing.T) {
+	e, k := idleKernel(t)
+	const at = sim.Time(5 * time.Microsecond)
+	const d = 2 * time.Microsecond
+	var submitN, runN, doneN uint64
+	var runAt, doneAt sim.Time
+	e.At(at, func() {
+		submitN = e.Executed
+		k.Core(3).Submit("w", func() time.Duration {
+			runN, runAt = e.Executed, e.Now()
+			return d
+		}, func() {
+			doneN, doneAt = e.Executed, e.Now()
+		})
+	})
+	e.RunUntilIdle()
+	if runN != submitN+1 || runAt != at {
+		t.Fatalf("item ran in event %d at %v, want the wake event %d at %v", runN, runAt, submitN+1, at)
+	}
+	// Completion is event submitN+2; done gets an event of its own.
+	if doneN != submitN+3 || doneAt != at.Add(d) {
+		t.Fatalf("done fired in event %d at %v, want event %d at %v", doneN, doneAt, submitN+3, at.Add(d))
+	}
+	if e.Executed != submitN+3 {
+		t.Fatalf("executed = %d, want %d: submit, wake, completion, done", e.Executed, submitN+3)
+	}
+}
+
+func TestDoneFiresInItsOwnEventAfterNextItemStarts(t *testing.T) {
+	e, k := idleKernel(t)
+	c := k.Core(1)
+	var log []string
+	var aDoneN, bRunN uint64
+	e.At(e.Now(), func() {
+		c.Submit("a", func() time.Duration {
+			log = append(log, "run a")
+			return time.Microsecond
+		}, func() {
+			aDoneN = e.Executed
+			log = append(log, "done a")
+		})
+		c.Submit("b", func() time.Duration {
+			bRunN = e.Executed
+			log = append(log, "run b")
+			return time.Microsecond
+		}, nil)
+	})
+	e.RunUntilIdle()
+	want := []string{"run a", "run b", "done a"}
+	if len(log) != len(want) {
+		t.Fatalf("log = %v, want %v", log, want)
+	}
+	for i := range want {
+		if log[i] != want[i] {
+			t.Fatalf("log = %v, want %v", log, want)
+		}
+	}
+	// b starts inside a's completion event; a's done is the next event.
+	if aDoneN != bRunN+1 {
+		t.Fatalf("done a in event %d, b started in event %d: want done one event later", aDoneN, bRunN)
+	}
+}
+
+func TestWorkQueuedBeforeStartRunsAtStart(t *testing.T) {
+	e, k := newKernel(t)
+	var runN uint64
+	runAt := sim.Time(-1)
+	k.Core(0).Submit("early", func() time.Duration {
+		runN, runAt = e.Executed, e.Now()
+		return time.Microsecond
+	}, nil)
+	if e.Pending() != k.NumCores() {
+		t.Fatalf("pending = %d, want only the %d start events: no wake before start", e.Pending(), k.NumCores())
+	}
+	e.RunUntilIdle()
+	// Core 0's start event is the first event of the run.
+	if runN != 1 || runAt != 0 {
+		t.Fatalf("early item ran in event %d at %v, want core 0's start event (1) at 0", runN, runAt)
+	}
+	if want := uint64(k.NumCores() + 1); e.Executed != want {
+		t.Fatalf("executed = %d, want %d start events + 1 completion", e.Executed, want)
+	}
+}
+
+func TestIRQPollerAndThreadItemsKeepFIFOOrder(t *testing.T) {
+	e, k := newKernel(t)
+	c := k.Core(0)
+	const at = sim.Time(10 * time.Microsecond)
+	var log []string
+	line := c.NewIRQLine("nic", func() time.Duration {
+		log = append(log, "irq")
+		return time.Microsecond
+	})
+	polls := 0
+	e.At(at, func() {
+		line.Raise()
+		var p *Poller
+		p = c.StartPoller("q", func() time.Duration {
+			polls++
+			log = append(log, "poll")
+			if polls == 2 {
+				p.Stop()
+			}
+			return time.Microsecond
+		})
+		c.Submit("fixed", func() time.Duration {
+			log = append(log, "fixed")
+			return time.Microsecond
+		}, nil)
+	})
+	// The thread's wakeup at `at` was scheduled after the event above,
+	// so its Exec queues behind the IRQ, the first poll and the item.
+	k.Spawn("t", 0, func(th *Thread) {
+		th.Sleep(time.Duration(at))
+		th.ExecFn(func() time.Duration {
+			log = append(log, "thread")
+			return time.Microsecond
+		})
+	})
+	e.RunUntilIdle()
+	// The first poll's resubmission lands behind the thread's Exec.
+	want := []string{"irq", "poll", "fixed", "thread", "poll"}
+	if len(log) != len(want) {
+		t.Fatalf("log = %v, want %v", log, want)
+	}
+	for i := range want {
+		if log[i] != want[i] {
+			t.Fatalf("log = %v, want %v", log, want)
+		}
+	}
+	e.Drain()
+}
+
+func TestExecutedDeltasPerItem(t *testing.T) {
+	cases := []struct {
+		name   string
+		submit func(e *sim.Engine, k *Kernel)
+		want   uint64
+	}{
+		// wake + completion
+		{"fixed item", func(e *sim.Engine, k *Kernel) { k.Core(2).SubmitFixed("w", time.Microsecond, nil) }, 2},
+		// wake + completion + done
+		{"fixed item with done", func(e *sim.Engine, k *Kernel) { k.Core(2).SubmitFixed("w", time.Microsecond, func() {}) }, 3},
+		// a zero-length item still completes in an event of its own
+		{"zero-length item", func(e *sim.Engine, k *Kernel) { k.Core(2).SubmitFixed("w", 0, func() {}) }, 3},
+		{"irq", func(e *sim.Engine, k *Kernel) {
+			k.Core(2).IRQ("x", func() time.Duration { return time.Microsecond })
+		}, 2},
+		{"irq line", func(e *sim.Engine, k *Kernel) {
+			k.Core(2).NewIRQLine("x", func() time.Duration { return time.Microsecond }).Raise()
+		}, 2},
+		{"stall", func(e *sim.Engine, k *Kernel) { k.Core(2).Stall(time.Microsecond) }, 2},
+		// one wake, then back to back: completion + done per item
+		{"two queued items", func(e *sim.Engine, k *Kernel) {
+			k.Core(2).SubmitFixed("a", time.Microsecond, func() {})
+			k.Core(2).SubmitFixed("b", time.Microsecond, func() {})
+		}, 5},
+		// three events per iteration: wake, completion, resubmitting done
+		{"poller, four iterations", func(e *sim.Engine, k *Kernel) {
+			n := 0
+			var p *Poller
+			p = k.Core(2).StartPoller("q", func() time.Duration {
+				if n++; n == 4 {
+					p.Stop()
+				}
+				return time.Microsecond
+			})
+		}, 12},
+		// the thread's start and its wake from s, then wake + completion
+		// + resume per Exec
+		{"thread, two Execs", func(e *sim.Engine, k *Kernel) {
+			s := sim.NewSignal(e)
+			k.Spawn("t", 2, func(th *Thread) {
+				th.Wait(s)
+				th.Exec(time.Microsecond)
+				th.Exec(time.Microsecond)
+			})
+			e.RunUntilIdle() // the thread starts and parks on s
+			s.Broadcast()
+		}, 1 + 1 + 3 + 3},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			e, k := idleKernel(t)
+			base := e.Executed
+			tc.submit(e, k)
+			e.RunUntilIdle()
+			if got := e.Executed - base; got != tc.want {
+				t.Fatalf("executed %d events, want %d", got, tc.want)
+			}
+			e.Drain()
+		})
+	}
+}

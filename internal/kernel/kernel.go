@@ -58,8 +58,12 @@ func New(e *sim.Engine, topo *topology.Server, mem *memsys.System, params Params
 			node: topo.NodeOf(topology.CoreID(i)),
 		}
 		c.queue = sim.NewQueue[coreWork](e, 0)
+		c.dispatchFn = c.dispatch
+		c.completeFn = c.complete
 		k.cores = append(k.cores, c)
-		c.start()
+		// The start event: work submitted before it runs at start,
+		// with no wake of its own.
+		e.After(0, c.dispatchFn)
 	}
 	return k
 }
@@ -112,12 +116,38 @@ type coreWork struct {
 // Interleaving threads, softirq and worker items by FIFO approximates
 // the preemptive scheduler closely enough for throughput accounting
 // while keeping the model deterministic.
+//
+// The dispatch loop is an engine-context state machine, not a process:
+// no coroutine switch or goroutine hand-off sits between a work item
+// and the core. It schedules, event for event, what the blocking-style
+// loop "Get an item, run it, Sleep(d), schedule done" would as a
+// process:
+//
+//   - a start event at boot (kernel.New);
+//   - a zero-delay wake when work reaches an idle core (work arriving
+//     while the core is starting, waking or running just queues);
+//   - a completion event d after an item starts, where d is what its
+//     run returned; the next queued item starts inside it;
+//   - a zero-delay event for the item's done callback, scheduled at
+//     completion before the next item runs.
+//
+// Keeping every one of those events (rather than, say, calling done
+// inline) keeps the engine's dispatch order, Engine.Executed and so
+// every simulated result the same as that loop's.
 type Core struct {
 	k     *Kernel
 	id    topology.CoreID
 	node  topology.NodeID
 	queue *sim.Queue[coreWork]
 	busy  time.Duration
+
+	// idle is set when the queue ran dry with no event pending; any
+	// other time a start, wake or completion event will dispatch the
+	// queue, so new work just queues.
+	idle       bool
+	done       func() // in-flight item's completion callback
+	dispatchFn func() // cached c.dispatch: the start and wake events
+	completeFn func() // cached c.complete: the completion event
 }
 
 // ID returns the core id.
@@ -135,34 +165,50 @@ func (c *Core) ResetBusy() { c.busy = 0 }
 // QueueLen returns the number of work items waiting.
 func (c *Core) QueueLen() int { return c.queue.Len() }
 
-// start launches the core's dispatch loop.
-func (c *Core) start() {
-	c.k.eng.Go(fmt.Sprintf("core%d", c.id), func(p *sim.Proc) {
-		for {
-			w, ok := c.queue.Get(p)
-			if !ok {
-				return
-			}
-			d := w.run()
-			if d < 0 {
-				d = 0
-			}
-			c.busy += d
-			p.Sleep(d)
-			if w.done != nil {
-				// Fire completions from engine context so they can
-				// resume other processes without nesting handoffs.
-				c.k.eng.After(0, w.done)
-			}
-		}
-	})
+// enqueue appends an item to the run queue, waking the core through a
+// zero-delay event if it is idle. Every submission path goes through it.
+func (c *Core) enqueue(w coreWork) {
+	c.queue.ForcePut(w)
+	if c.idle {
+		c.idle = false
+		c.k.eng.After(0, c.dispatchFn)
+	}
+}
+
+// dispatch starts the next queued item, or idles the core when there
+// is none. It runs as the start and wake events and at the end of each
+// completion.
+func (c *Core) dispatch() {
+	w, ok := c.queue.TryGet()
+	if !ok {
+		c.idle = true
+		return
+	}
+	d := w.run()
+	if d < 0 {
+		d = 0
+	}
+	c.busy += d
+	c.done = w.done
+	c.k.eng.After(d, c.completeFn)
+}
+
+// complete ends the running item: its done callback gets its own
+// zero-delay event, so it runs from engine context after the core has
+// moved on, and the next item starts now.
+func (c *Core) complete() {
+	if done := c.done; done != nil {
+		c.done = nil
+		c.k.eng.After(0, done)
+	}
+	c.dispatch()
 }
 
 // Submit enqueues work whose duration is computed when it starts
 // running (so memory-system charges happen at execution time). done
 // fires when it completes.
 func (c *Core) Submit(name string, run func() time.Duration, done func()) {
-	c.queue.ForcePut(coreWork{name: name, run: run, done: done})
+	c.enqueue(coreWork{name: name, run: run, done: done})
 }
 
 // SubmitFixed enqueues work of a known duration.
@@ -212,5 +258,5 @@ func (c *Core) NewIRQLine(name string, handler func() time.Duration) *IRQLine {
 
 // Raise delivers the interrupt (equivalent to Core.IRQ, allocation-free).
 func (l *IRQLine) Raise() {
-	l.c.queue.ForcePut(coreWork{name: l.name, run: l.run})
+	l.c.enqueue(coreWork{name: l.name, run: l.run})
 }

@@ -15,10 +15,13 @@ import (
 // injection) FIFO-interleaves with the poll iterations instead of
 // starving.
 //
-// The loop self-resubmits through the iteration's completion callback
-// rather than running as a Thread: three events per iteration (queue
-// put, sleep, completion), all allocation-free (coreWork is a value
-// type and the run/resubmit closures are built once here).
+// The loop self-resubmits through the iteration's done callback rather
+// than running as a Thread, so no process switch is involved. An
+// iteration on an otherwise idle core costs three events — the core's
+// completion, the done event that resubmits, and the wake that starts
+// the next iteration — all in engine context and allocation-free
+// (coreWork is a value type and the run/resubmit closures are built
+// once here).
 type Poller struct {
 	c       *Core
 	name    string
@@ -65,7 +68,7 @@ func (c *Core) StartPoller(name string, body func() time.Duration) *Poller {
 		if p.stopped {
 			return
 		}
-		c.queue.ForcePut(coreWork{name: p.name, run: p.run, done: p.resub})
+		c.enqueue(coreWork{name: p.name, run: p.run, done: p.resub})
 	}
 	p.resub()
 	return p

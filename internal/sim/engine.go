@@ -6,9 +6,13 @@
 // fixed seed is exactly reproducible.
 //
 // Two programming styles are supported: plain event callbacks
-// (Engine.At/After) and blocking processes (Engine.Go) that execute on
-// goroutines but are resumed one at a time by the engine, SimPy style, so
-// determinism is preserved.
+// (Engine.At/After) and blocking processes (Engine.Go), SimPy style.
+// A process is a coroutine (iter.Pull), not a free-running goroutine:
+// an event callback switches into it and gets control back when it
+// blocks, so only one piece of model code ever runs at a time and
+// determinism is preserved without locks or channel hand-offs. Hot
+// components that need no blocking style (the kernel's per-core
+// dispatch loop, for one) are plain event-driven state machines.
 //
 // The event queue is an inlined value-based 4-ary min-heap ordered by
 // (at, sub, seq): events at the same instant dispatch in the order they
@@ -112,7 +116,7 @@ type Engine struct {
 	live     int   // scheduled and not cancelled
 	running  bool
 	stopped  bool
-	// Parked-process registry, insertion-ordered so Drain kills in a
+	// Live-process registry, insertion-ordered so Drain kills in a
 	// deterministic sequence (map-order iteration would leak here).
 	// procs maps each live process to its procList index; finish
 	// swap-removes, which keeps the order a pure function of the run.
@@ -414,14 +418,20 @@ func (e *Engine) Stop() { e.stopped = true }
 // Pending returns the number of events waiting in the queue.
 func (e *Engine) Pending() int { return e.live }
 
-// Drain terminates all parked processes. Call when a run is finished so
-// process goroutines do not leak; after Drain the engine must not be used.
+// Drain terminates every live process, synchronously and in a
+// deterministic order: a parked process unwinds from its blocking call
+// before Drain returns, and one whose start event never ran is freed
+// without running its body. Call when a run is finished so process coroutines do not
+// leak; after Drain the engine must not be used.
 func (e *Engine) Drain() {
-	for _, p := range e.procList {
-		p.kill()
-	}
+	procs := e.procList
+	// Detach the registry first: an unwinding process that swallows
+	// the kill and returns must not reshuffle the list being walked.
 	e.procs = make(map[*Proc]int)
 	e.procList = nil
+	for _, p := range procs {
+		p.stop()
+	}
 }
 
 // ShardGroup returns the Group this engine belongs to, nil for a

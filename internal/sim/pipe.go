@@ -295,7 +295,7 @@ func (pp *Pipe) Charge(bytes int64) {
 // TransferProc performs a discrete transfer and blocks the calling
 // process until it completes.
 func (pp *Pipe) TransferProc(p *Proc, bytes int64) {
-	pp.Transfer(bytes, p.resume)
+	pp.Transfer(bytes, p.resumeFn)
 	p.yield()
 }
 

@@ -2,21 +2,42 @@ package sim
 
 import (
 	"fmt"
+	"iter"
 	"time"
 )
 
 // Proc is a simulated process: model code written in a blocking style
-// (Sleep, Wait, queue Get/Put) that runs on its own goroutine. The engine
-// resumes exactly one process at a time, so process code needs no locking
-// and runs deterministically.
+// (Sleep, Wait, queue Get/Put) that runs as a coroutine (iter.Pull)
+// rather than a free-running goroutine. The engine resumes a process by
+// switching into its coroutine from an event callback and gets control
+// back when the process yields or returns, so exactly one piece of
+// model code runs at a time: process code needs no locking and runs
+// deterministically, and a resume costs a coroutine switch, not a
+// channel hand-off between goroutines.
+//
+// Contract:
+//   - Resume (and the ResumeFunc callback) must run in engine context:
+//     an event callback, or code such a callback calls. A process that
+//     resumes itself panics ("next called again before yield").
+//   - A panic in process code other than the engine's own kill unwinds
+//     the process and re-raises, with the same value, from the resume
+//     that was running it — i.e. out of Engine.Run/RunUntilIdle on the
+//     caller's goroutine, where a deferred recover can catch it. The
+//     process is dead afterwards: later resumes and Drain skip it.
+//   - Engine.Drain kills every live process before it returns: a
+//     parked process unwinds from its blocking call (deferred calls
+//     run), and one whose start event never ran is freed without
+//     running its body.
 type Proc struct {
-	eng      *Engine
-	name     string
-	wake     chan struct{} // engine -> process: resume
-	park     chan struct{} // process -> engine: yielded or finished
-	killed   chan struct{}
-	killSent bool // engine-side: killed channel closed
-	dead     bool // process-side: unwound or finished
+	eng  *Engine
+	name string
+	// next runs the coroutine until its next yield or its end; stop
+	// unwinds it (or, if it never started, frees it unrun).
+	next func() (struct{}, bool)
+	stop func()
+	// yieldFn is the coroutine's yield, set when the body starts. It
+	// reports false once stop has been called.
+	yieldFn func(struct{}) bool
 	// resumeFn caches the resume method value so the (very frequent)
 	// Sleep/Wait/Broadcast paths don't allocate a closure per call.
 	resumeFn func()
@@ -30,30 +51,22 @@ func (k killedError) Error() string { return "sim: process " + k.name + " killed
 // Go starts fn as a simulated process at the current simulation time.
 // The process begins running when the engine dispatches its start event.
 func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{
-		eng:    e,
-		name:   name,
-		wake:   make(chan struct{}),
-		park:   make(chan struct{}),
-		killed: make(chan struct{}),
-	}
+	p := &Proc{eng: e, name: name}
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yieldFn = yield
+		defer func() {
+			if r := recover(); r != nil {
+				if _, ok := r.(killedError); !ok {
+					panic(r) // iter.Pull re-raises it from next
+				}
+			}
+		}()
+		fn(p)
+		p.finish()
+	})
 	p.resumeFn = p.resume
 	e.procs[p] = len(e.procList)
 	e.procList = append(e.procList, p)
-	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(killedError); ok {
-					p.dead = true
-					return // silent unwind of a killed process
-				}
-				panic(r)
-			}
-		}()
-		<-p.wake
-		fn(p)
-		p.finish()
-	}()
 	e.After(0, p.resumeFn)
 	return p
 }
@@ -67,31 +80,24 @@ func (p *Proc) Name() string { return p.name }
 // Now returns the current simulation time.
 func (p *Proc) Now() Time { return p.eng.Now() }
 
-// resume hands control to the process goroutine and blocks the engine
-// until the process yields or finishes. Must run in engine context.
-func (p *Proc) resume() {
-	if p.dead {
-		return
-	}
-	p.wake <- struct{}{}
-	<-p.park
-}
+// resume switches into the process coroutine and returns when the
+// process yields or finishes; a finished or killed process ignores it.
+// Must run in engine context.
+func (p *Proc) resume() { p.next() }
 
 // yield returns control to the engine. The process must have arranged to
 // be resumed (scheduled a wakeup or registered on a signal/queue) before
-// calling yield, or it will sleep forever.
+// calling yield, or it will sleep forever. A false return means Drain
+// stopped the coroutine: unwind with killedError.
 func (p *Proc) yield() {
-	p.park <- struct{}{}
-	select {
-	case <-p.wake:
-	case <-p.killed:
+	if !p.yieldFn(struct{}{}) {
 		panic(killedError{p.name})
 	}
 }
 
-// finish marks the process complete and releases the engine.
+// finish removes a completed process from the engine's registry. It
+// runs inside the coroutine, in engine context.
 func (p *Proc) finish() {
-	p.dead = true
 	if i, ok := p.eng.procs[p]; ok {
 		last := len(p.eng.procList) - 1
 		moved := p.eng.procList[last]
@@ -101,19 +107,6 @@ func (p *Proc) finish() {
 		p.eng.procList = p.eng.procList[:last]
 		delete(p.eng.procs, p)
 	}
-	p.park <- struct{}{}
-}
-
-// kill unblocks a parked process and unwinds it. Engine context only.
-// The process goroutine marks itself dead while unwinding; kill only
-// tracks (engine-side) that the channel is closed, so the two sides
-// never write shared state concurrently.
-func (p *Proc) kill() {
-	if p.killSent {
-		return
-	}
-	p.killSent = true
-	close(p.killed)
 }
 
 // Resume hands control back to a process parked with Yield. It must be

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
 )
 
@@ -156,17 +157,28 @@ func TestSemaphoreTryAcquire(t *testing.T) {
 }
 
 func TestDrainKillsParkedProcs(t *testing.T) {
+	before := runtime.NumGoroutine()
 	e := NewEngine()
-	reached := false
+	s := NewSignal(e)
+	unwound, reached := false, false
 	e.Go("stuck", func(p *Proc) {
-		s := NewSignal(e)
+		defer func() { unwound = true }()
 		s.Wait(p) // never broadcast
 		reached = true
 	})
 	e.Run(Time(1000))
+	if s.Waiters() != 1 || unwound {
+		t.Fatalf("waiters = %d, unwound = %v: process should be parked in Wait", s.Waiters(), unwound)
+	}
 	e.Drain()
+	if !unwound {
+		t.Fatal("Drain returned before the parked process unwound")
+	}
 	if reached {
 		t.Fatal("killed process continued past Wait")
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("goroutines = %d after Drain, want at most %d", n, before)
 	}
 }
 
@@ -251,4 +263,56 @@ func TestQueueTryOps(t *testing.T) {
 	if v, _ := q.TryGet(); v != "a" {
 		t.Fatalf("got %q, want a", v)
 	}
+}
+
+func TestDrainBeforeRunFreesUnstartedProcs(t *testing.T) {
+	before := runtime.NumGoroutine()
+	e := NewEngine()
+	ran := 0
+	for i := 0; i < 16; i++ {
+		e.Go("unstarted", func(p *Proc) { ran++ })
+	}
+	e.Drain()
+	if ran != 0 {
+		t.Fatalf("Drain ran %d process bodies, want none", ran)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("goroutines = %d after Drain, want at most %d", n, before)
+	}
+}
+
+func TestProcPanicReraisesFromRun(t *testing.T) {
+	e := NewEngine()
+	steps := 0
+	p := e.Go("faulty", func(p *Proc) {
+		p.Sleep(10 * Nanosecond)
+		steps++
+		panic("model bug")
+	})
+	func() {
+		defer func() {
+			if r := recover(); r != "model bug" {
+				t.Fatalf("recovered %v, want the process's panic value", r)
+			}
+		}()
+		e.RunUntilIdle()
+		t.Fatal("RunUntilIdle returned normally past a process panic")
+	}()
+	if steps != 1 || e.Now() != 10 {
+		t.Fatalf("steps = %d at %v, want the panic at 10ns", steps, e.Now())
+	}
+	p.Resume() // a process that panicked is finished: resuming is a no-op
+	e.Drain()
+}
+
+func TestSelfResumePanics(t *testing.T) {
+	e := NewEngine()
+	e.Go("reentrant", func(p *Proc) { p.Resume() })
+	defer e.Drain()
+	defer func() {
+		if r := recover(); r == nil {
+			t.Fatal("a process resuming itself should panic, not deadlock")
+		}
+	}()
+	e.RunUntilIdle()
 }

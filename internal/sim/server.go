@@ -50,7 +50,7 @@ func (s *Server) Submit(service time.Duration, done func()) Time {
 // SubmitProc enqueues a job and blocks the calling process until it
 // completes.
 func (s *Server) SubmitProc(p *Proc, service time.Duration) {
-	s.Submit(service, p.resume)
+	s.Submit(service, p.resumeFn)
 	p.yield()
 }
 

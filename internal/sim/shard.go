@@ -241,7 +241,7 @@ func (g *Group) Pending() int {
 	return n
 }
 
-// Drain terminates every shard's parked processes.
+// Drain terminates every shard's live processes (see Engine.Drain).
 func (g *Group) Drain() {
 	for _, e := range g.engines {
 		e.Drain()

@@ -20,10 +20,13 @@ go build ./...
 go run ./cmd/octolint
 # The race pass covers the sharded engine: internal/sim carries the
 # Group unit tests and internal/experiments carries TestShardDeterminism,
-# which runs fig2 + chaos on concurrent shard goroutines.
+# which runs fig2 + chaos on concurrent shard goroutines (so process
+# coroutines resumed from shard goroutines too).
 # internal/driver rides along for the watchdog: its ladder and poller
 # fallback tests exercise the recovery timers under the race detector.
-go test -race ./internal/sim/... ./internal/metrics/... ./internal/experiments/... ./internal/faults/... ./internal/driver/...
+# internal/kernel carries the event-driven core dispatcher's contract
+# tests, and internal/core the cluster Drain-without-run leak test.
+go test -race ./internal/sim/... ./internal/metrics/... ./internal/experiments/... ./internal/faults/... ./internal/driver/... ./internal/kernel/... ./internal/core/...
 go test ./...
 
 # JSON schema gate: emit a real report and require it to validate.
