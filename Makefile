@@ -13,7 +13,8 @@ test:
 lint:
 	go run ./cmd/octolint
 
-# vet + lint + build + race (sim, experiments) + full test suite.
+# vet + lint + build + race (sim, metrics, experiments, faults, driver,
+# kernel, core) + full test suite + report, determinism and bench gates.
 check:
 	./scripts/check.sh
 

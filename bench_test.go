@@ -259,23 +259,10 @@ func measureRxPair(b *testing.B, msg int64) (local, remote float64) {
 // PR (it includes cluster construction; BenchmarkPacketPath isolates
 // the steady state).
 func BenchmarkSimulatorEventRate(b *testing.B) {
-	benchEventRate(b, 1)
-}
-
-// BenchmarkSimulatorEventRateSharded runs the identical workload on the
-// two-shard engine (one shard per simulated host). Output is
-// byte-identical to the serial run — this benchmark exists to price the
-// sharding, not to re-verify it: compare its events/sec against
-// BenchmarkSimulatorEventRate on a multi-core host.
-func BenchmarkSimulatorEventRateSharded(b *testing.B) {
-	benchEventRate(b, 2)
-}
-
-func benchEventRate(b *testing.B, shards int) {
 	b.ReportAllocs()
 	var events uint64
 	for i := 0; i < b.N; i++ {
-		cl := ioctopus.NewCluster(ioctopus.Config{Mode: ioctopus.ModeIOctopus, Shards: shards})
+		cl := ioctopus.NewCluster(ioctopus.Config{Mode: ioctopus.ModeIOctopus})
 		w := workloads.StartStream(cl, workloads.StreamConfig{
 			MsgSize: 65536, Direction: workloads.Rx,
 			ServerCores: []topology.CoreID{0}, ServerIP: core.IPServerPF0,
@@ -284,11 +271,7 @@ func benchEventRate(b *testing.B, shards int) {
 		if w.Bytes() == 0 {
 			w.MeasureStart()
 		}
-		if cl.Group != nil {
-			events += cl.Group.Executed()
-		} else {
-			events += cl.Eng.Executed
-		}
+		events += cl.Eng.Executed
 		cl.Drain()
 	}
 	b.ReportMetric(float64(events)/float64(b.N), "events/run")

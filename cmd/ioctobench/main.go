@@ -11,7 +11,6 @@
 //	ioctobench -list
 //	ioctobench -fig fig6
 //	ioctobench -fig all -quick -parallel 8
-//	ioctobench -fig all -quick -shards 2
 //	ioctobench -fig pmd -quick -datapath busypoll
 //	ioctobench -fig fig14 -o fig14.txt
 //	ioctobench -fig all -quick -json report.json
@@ -44,8 +43,6 @@ func main() {
 		profDir  = flag.String("profile", "", "write cpu.pprof and heap.pprof for the run into this directory")
 		parallel = flag.Int("parallel", runtime.GOMAXPROCS(0),
 			"max simulations in flight (1 = fully serial); results are identical at any level")
-		shards = flag.Int("shards", 1,
-			"engine shards per simulated cluster (1 = serial engine; 2 = one shard per host); results are identical at any value")
 		datapathArg = flag.String("datapath", "interrupt",
 			"server completion datapath: interrupt (NAPI, the default), busypoll (poll-mode cores), or hybrid (adaptive polling)")
 		scenarioArg = flag.String("scenario", "",
@@ -90,10 +87,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "ioctobench: -parallel %d is invalid; need at least 1 simulation in flight\n", *parallel)
 		os.Exit(2)
 	}
-	if *shards < 1 {
-		fmt.Fprintf(os.Stderr, "ioctobench: -shards %d is invalid; need at least 1 engine shard\n", *shards)
-		os.Exit(2)
-	}
 	datapath, err := ioctopus.ParseDatapath(*datapathArg)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ioctobench: %v\n", err)
@@ -101,7 +94,6 @@ func main() {
 	}
 
 	ioctopus.SetParallelism(*parallel)
-	ioctopus.SetShards(*shards)
 	ioctopus.SetDatapath(datapath)
 
 	d := ioctopus.FullDurations()

@@ -110,14 +110,6 @@ type Config struct {
 	FaultPlan *faults.Plan
 	// Seed drives all randomized workload behaviour.
 	Seed int64
-	// Shards splits the cluster across parallel engine shards: 0 or 1
-	// is the serial engine (the default); 2 puts the server and client
-	// hosts on their own goroutines, synchronized conservatively at the
-	// wire and control-plane boundaries (sim.Group). Values above the
-	// number of hosts clamp — the testbed has two machines, so the cut
-	// is per host. Results are byte-identical to serial at any
-	// GOMAXPROCS.
-	Shards int
 }
 
 // Host is one assembled machine.
@@ -134,12 +126,7 @@ type Host struct {
 
 // Cluster is the two-machine testbed.
 type Cluster struct {
-	Eng *sim.Engine
-	// ClientEng is the client host's engine: Eng itself when serial,
-	// the second shard when Config.Shards ≥ 2.
-	ClientEng *sim.Engine
-	// Group is the shard group driving both engines, nil when serial.
-	Group  *sim.Group
+	Eng    *sim.Engine
 	Net    *netstack.Network
 	Server *Host
 	Client *Host
@@ -297,40 +284,14 @@ func NewClusterE(cfg Config) (*Cluster, error) {
 		stackParams = *cfg.StackParams
 	}
 
-	// Sharding: the natural cut is per host — the only couplings between
-	// the two machines are the wire (300 ns propagation) and the
-	// netstack's control plane (ACK/connect flights), every one of which
-	// has a physical latency to serve as conservative lookahead. The
-	// testbed has two machines, so shard counts above 2 clamp.
-	ce := e
-	var group *sim.Group
-	if cfg.Shards > 1 {
-		if stackParams.AckLatency <= 0 || stackParams.ConnectLatency <= 0 {
-			return nil, fmt.Errorf("core: sharded cluster needs positive AckLatency and ConnectLatency (the control-plane lookahead floor)")
-		}
-		ce = sim.NewEngine()
-		group = sim.NewGroup(e, ce)
-		floor := stackParams.AckLatency
-		if stackParams.ConnectLatency < floor {
-			floor = stackParams.ConnectLatency
-		}
-		// Control-plane posts (connection setup/teardown, ACK flights)
-		// flow both ways with at least `floor` of delay; the wire adds
-		// its own links (with dynamic horizons) in eth.NewWire.
-		group.Link(e, ce, floor, nil)
-		group.Link(ce, e, floor, nil)
-	}
-
 	cl := &Cluster{
-		Eng:       e,
-		ClientEng: ce,
-		Group:     group,
-		Net:       net,
-		Mode:      cfg.Mode,
-		RNG:       sim.NewRNG(cfg.Seed + 1),
+		Eng:  e,
+		Net:  net,
+		Mode: cfg.Mode,
+		RNG:  sim.NewRNG(cfg.Seed + 1),
 	}
 	cl.Server = buildHost(e, net, "server", cfg.ServerTopo, !cfg.DisableDDIO, stackParams)
-	cl.Client = buildHost(ce, net, "client", cfg.ClientTopo, !cfg.DisableDDIO, stackParams)
+	cl.Client = buildHost(e, net, "client", cfg.ClientTopo, !cfg.DisableDDIO, stackParams)
 
 	nicParams := nic.DefaultParams()
 	if cfg.DisableCoalescing {
@@ -354,7 +315,7 @@ func NewClusterE(cfg Config) (*Cluster, error) {
 		Name: "cx4", Gen: pcie.Gen3, TotalLanes: 16,
 		Wiring: pcie.WiringDirect, Nodes: []topology.NodeID{0},
 	})
-	cl.Client.NIC = nic.New(ce, cl.Client.Mem, "cx4", cEPs, nicParams)
+	cl.Client.NIC = nic.New(e, cl.Client.Mem, "cx4", cEPs, nicParams)
 
 	// Cable them back to back.
 	cl.Wire = eth.NewWire(e, eth.Wire100G("b2b"), cl.Server.NIC, cl.Client.NIC)
@@ -421,15 +382,14 @@ func NewClusterE(cfg Config) (*Cluster, error) {
 			}
 		}
 		inj, err := faults.Arm(cfg.FaultPlan, faults.Targets{
-			Engine:       e,
-			ClientEngine: ce,
-			NIC:          cl.Server.NIC,
-			Wire:         cl.Wire,
-			ServerPort:   cl.Server.NIC,
-			ClientPort:   cl.Client.NIC,
-			Fabric:       cl.Server.Fabric,
-			Kernel:       cl.Server.Kernel,
-			Pollers:      pollers,
+			Engine:     e,
+			NIC:        cl.Server.NIC,
+			Wire:       cl.Wire,
+			ServerPort: cl.Server.NIC,
+			ClientPort: cl.Client.NIC,
+			Fabric:     cl.Server.Fabric,
+			Kernel:     cl.Server.Kernel,
+			Pollers:    pollers,
 		})
 		if err != nil {
 			return nil, err
@@ -442,11 +402,7 @@ func NewClusterE(cfg Config) (*Cluster, error) {
 	// Probes are closures over live state — nothing here runs on the
 	// simulation hot path, and an unsnapshotted registry costs nothing.
 	cl.Reg = metrics.NewRegistry()
-	if group != nil {
-		metrics.RegisterEngines(cl.Reg.Scope("engine"), group.Engines())
-	} else {
-		metrics.RegisterEngine(cl.Reg.Scope("engine"), e)
-	}
+	metrics.RegisterEngine(cl.Reg.Scope("engine"), e)
 	cl.Server.registerMetrics(cl.Reg.Scope("server"))
 	cl.Client.registerMetrics(cl.Reg.Scope("client"))
 	if cl.Faults != nil {
@@ -474,33 +430,12 @@ func (h *Host) registerMetrics(r metrics.Registrar) {
 	}
 }
 
-// Run advances the whole cluster by d: one engine serially, or every
-// shard concurrently with conservative synchronization.
-func (cl *Cluster) Run(d time.Duration) {
-	if cl.Group != nil {
-		cl.Group.RunFor(d)
-		return
-	}
-	cl.Eng.RunFor(d)
-}
-
-// Shards returns how many engine shards drive the cluster (1 = serial).
-func (cl *Cluster) Shards() int {
-	if cl.Group == nil {
-		return 1
-	}
-	return len(cl.Group.Engines())
-}
+// Run advances the whole cluster by d.
+func (cl *Cluster) Run(d time.Duration) { cl.Eng.RunFor(d) }
 
 // Drain terminates all simulation processes; call once per cluster when
 // done.
-func (cl *Cluster) Drain() {
-	if cl.Group != nil {
-		cl.Group.Drain()
-		return
-	}
-	cl.Eng.Drain()
-}
+func (cl *Cluster) Drain() { cl.Eng.Drain() }
 
 // FirstCoreOn returns the lowest core id on the given server node
 // (workload pinning helper).

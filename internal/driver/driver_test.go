@@ -33,7 +33,6 @@ type sinkPort struct {
 
 func (s *sinkPort) Receive(f *eth.Frame) { s.got = append(s.got, f) }
 func (s *sinkPort) PortMAC() eth.MAC     { return s.mac }
-func (s *sinkPort) Engine() *sim.Engine  { return nil }
 
 func newDrvRig(t *testing.T) *drvRig {
 	t.Helper()

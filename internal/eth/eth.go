@@ -163,20 +163,6 @@ type FramePool struct {
 	pooled bool
 	free   []*Frame
 	stats  PoolStats
-
-	// Cross-shard sends park the original frame here until sim time
-	// reaches the wire finish — the instant the serial simulation's
-	// receiver would have recycled it — so pool telemetry is a function
-	// of sim time, not of shard interleaving. The queue drains lazily in
-	// Get and is flushed at every shard-sync barrier.
-	eng      *sim.Engine
-	pending  []pendingRelease
-	pendHead int
-}
-
-type pendingRelease struct {
-	f  *Frame
-	at sim.Time
 }
 
 // NewFramePool returns a frame pool; pooled=false disables recycling.
@@ -184,46 +170,9 @@ func NewFramePool(pooled bool) *FramePool {
 	return &FramePool{pooled: pooled}
 }
 
-// BindEngine ties the pool to the engine its frames are sent from, so
-// deferred releases know the clock. On a grouped (sharded) engine the
-// pool also flushes its queue at every shard-sync barrier.
-func (p *FramePool) BindEngine(e *sim.Engine) {
-	p.eng = e
-	if e != nil && e.ShardGroup() != nil {
-		e.OnShardSync(func() { p.reap(e.Now()) })
-	}
-}
-
-// releaseAt queues f to rejoin the free list once the pool's engine
-// reaches t. Without a bound engine it degenerates to Release now.
-func (p *FramePool) releaseAt(f *Frame, t sim.Time) {
-	if p.eng == nil {
-		f.Release()
-		return
-	}
-	p.pending = append(p.pending, pendingRelease{f: f, at: t})
-}
-
-// reap releases every queued frame whose due time has passed.
-func (p *FramePool) reap(now sim.Time) {
-	for p.pendHead < len(p.pending) && p.pending[p.pendHead].at <= now {
-		f := p.pending[p.pendHead].f
-		p.pending[p.pendHead] = pendingRelease{}
-		p.pendHead++
-		f.Release()
-	}
-	if p.pendHead == len(p.pending) {
-		p.pending = p.pending[:0]
-		p.pendHead = 0
-	}
-}
-
 // Get leases a frame. Payload fields are the previous use's leftovers;
 // the caller fills every field it sends.
 func (p *FramePool) Get() *Frame {
-	if p.pendHead < len(p.pending) {
-		p.reap(p.eng.Now())
-	}
 	if n := len(p.free); n > 0 {
 		f := p.free[n-1]
 		p.free[n-1] = nil
@@ -273,10 +222,6 @@ type Port interface {
 	Receive(f *Frame)
 	// PortMAC is the primary address of the port (switch learning).
 	PortMAC() MAC
-	// Engine is the engine the port's events run on. A wire whose two
-	// ports answer with different engines of one shard group becomes a
-	// cross-shard cut point; nil means "whatever engine the wire got".
-	Engine() *sim.Engine
 }
 
 // FaultFilter inspects a frame about to enter a wire direction and
@@ -296,14 +241,6 @@ type Wire struct {
 	a, b Port
 	ab   *sim.Pipe
 	ba   *sim.Pipe
-
-	// Per-direction sending engines. Equal in serial mode; when they are
-	// distinct shards of one group, the wire is a cut point: deliveries
-	// cross via Engine.Post and pooled frames travel as detached copies
-	// (see Send).
-	aEng  *sim.Engine
-	bEng  *sim.Engine
-	cross bool
 
 	// Per-direction fault filters; nil (the default) costs one pointer
 	// compare per Send.
@@ -325,41 +262,16 @@ func Wire100G(name string) WireConfig {
 	return WireConfig{Name: name, BytesPerSec: 12.5e9, Latency: 300 * time.Nanosecond}
 }
 
-// NewWire connects two ports back to back. Each direction's pipe lives
-// on the sending port's engine (ports that answer Engine() with nil
-// fall back to e); when the two ends sit on different shards of one
-// group, the wire registers itself as the shards' cut point — the
-// propagation latency is the conservative lookahead floor, and each
-// direction's FIFO next-free time extends it dynamically.
+// NewWire connects two ports back to back.
 func NewWire(e *sim.Engine, cfg WireConfig, a, b Port) *Wire {
-	engFor := func(p Port) *sim.Engine {
-		if pe := p.Engine(); pe != nil {
-			return pe
-		}
-		return e
-	}
-	aEng, bEng := engFor(a), engFor(b)
-	mk := func(owner *sim.Engine, suffix string) *sim.Pipe {
-		return sim.NewPipe(owner, sim.PipeConfig{
+	mk := func(suffix string) *sim.Pipe {
+		return sim.NewPipe(e, sim.PipeConfig{
 			Name:        cfg.Name + suffix,
 			BytesPerSec: cfg.BytesPerSec,
 			BaseLatency: cfg.Latency,
 		})
 	}
-	w := &Wire{eng: e, a: a, b: b, aEng: aEng, bEng: bEng,
-		ab: mk(aEng, ":a>b"), ba: mk(bEng, ":b>a")}
-	if aEng != bEng {
-		g := aEng.ShardGroup()
-		if g == nil || g != bEng.ShardGroup() {
-			panic(fmt.Sprintf("eth: wire %q spans engines outside a common shard group", cfg.Name))
-		}
-		w.cross = true
-		w.ab.SetRemoteDelivery(bEng)
-		w.ba.SetRemoteDelivery(aEng)
-		g.Link(aEng, bEng, cfg.Latency, w.ab.Horizon())
-		g.Link(bEng, aEng, cfg.Latency, w.ba.Horizon())
-	}
-	return w
+	return &Wire{eng: e, a: a, b: b, ab: mk(":a>b"), ba: mk(":b>a")}
 }
 
 // SetFaultFilter installs (or, with nil, removes) a loss/corruption
@@ -400,39 +312,20 @@ func (w *Wire) Send(from Port, f *Frame) {
 	var to Port
 	var filt FaultFilter
 	var drops *uint64
-	var eng *sim.Engine
 	switch from {
 	case w.a:
 		pipe, to = w.ab, w.b
 		filt, drops = w.abFilter, &w.abDrops
-		eng = w.aEng
 	case w.b:
 		pipe, to = w.ba, w.a
 		filt, drops = w.baFilter, &w.baDrops
-		eng = w.bEng
 	default:
 		panic("eth: Send from a port not on this wire")
 	}
-	f.SentAt = eng.Now()
+	f.SentAt = w.eng.Now()
 	if filt != nil && filt(f) {
 		*drops++
 		f.Release()
-		return
-	}
-	if w.cross && f.pool != nil {
-		// Cross-shard pooled frame: the receiver's shard must never touch
-		// pool state, so a detached value copy crosses the cut while the
-		// original goes back to this shard's pool at the instant the
-		// serial simulation would have recycled it — when the last bit
-		// arrives — keeping pool telemetry identical in both modes.
-		cp := new(Frame)
-		*cp = *f
-		cp.detach()
-		cp.rxPort = to
-		cp.deliver = cp.runDeliver
-		finish := pipe.Transfer(cp.WireBytes(), cp.deliver)
-		f.rxPort = nil
-		f.pool.releaseAt(f, finish)
 		return
 	}
 	if f.deliver != nil {

@@ -86,8 +86,7 @@ func (s *sink) Receive(f *Frame) {
 		s.at = append(s.at, s.eng.Now())
 	}
 }
-func (s *sink) PortMAC() MAC        { return s.mac }
-func (s *sink) Engine() *sim.Engine { return nil }
+func (s *sink) PortMAC() MAC { return s.mac }
 
 func TestWireDelivery(t *testing.T) {
 	e := sim.NewEngine()

@@ -36,9 +36,6 @@ func (p *switchPort) Receive(f *Frame) { p.sw.forward(p.idx, f) }
 // PortMAC returns a per-port switch address (not used for forwarding).
 func (p *switchPort) PortMAC() MAC { return MACFromInt(uint64(0x5157)<<16 | uint64(p.idx)) }
 
-// Engine places all of a switch's ports on the switch's engine.
-func (p *switchPort) Engine() *sim.Engine { return p.sw.eng }
-
 // NewSwitch builds a switch with the given forwarding latency.
 func NewSwitch(e *sim.Engine, name string, latency time.Duration) *Switch {
 	return &Switch{

@@ -17,7 +17,7 @@ import (
 // The device-chaos sweep is hidden, like chaos and pmd: not a paper
 // figure (`-fig all` stays byte-identical), but runnable by name —
 // `ioctobench -fig devchaos -quick` — and pinned by the check.sh
-// double-run and serial-vs-sharded determinism gates.
+// double-run determinism gate.
 func init() { registerHidden("devchaos", runDevChaos) }
 
 // devChaosSeed drives every cell's cluster RNG.

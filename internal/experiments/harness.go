@@ -42,12 +42,11 @@ func clusterFor(c config, opts core.Config) *core.Cluster {
 	return newCluster(opts)
 }
 
-// newCluster builds a cluster with the harness-wide engine shard count
-// and datapath applied; every experiment cluster goes through here so
-// -shards and -datapath affect all of them uniformly. An explicit
-// per-point Datapath (the PMD sweep figure) wins over the global.
+// newCluster builds a cluster with the harness-wide datapath applied;
+// every experiment cluster goes through here so -datapath affects all
+// of them uniformly. An explicit per-point Datapath (the PMD sweep
+// figure) wins over the global.
 func newCluster(opts core.Config) *core.Cluster {
-	opts.Shards = Shards()
 	if opts.Datapath == core.DatapathInterrupt {
 		opts.Datapath = GetDatapath()
 	}

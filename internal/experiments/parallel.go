@@ -41,31 +41,6 @@ func Parallelism() int {
 	return cap(sem)
 }
 
-// shardCount is the engine shard count applied to every cluster the
-// harness builds. 1 (the default) is the serial engine.
-var shardCount = 1
-
-// SetShards sets how many engine shards each simulated cluster runs on
-// (intra-point parallelism, vs SetParallelism's across-point
-// parallelism). n < 1 is treated as 1; the testbed clamps at one shard
-// per host. Results are byte-identical at any value. Call between
-// runs, not while experiments are in flight.
-func SetShards(n int) {
-	if n < 1 {
-		n = 1
-	}
-	parMu.Lock()
-	shardCount = n
-	parMu.Unlock()
-}
-
-// Shards returns the per-cluster engine shard count.
-func Shards() int {
-	parMu.RLock()
-	defer parMu.RUnlock()
-	return shardCount
-}
-
 // datapath is the completion-delivery mode applied to every cluster the
 // harness builds. The zero value (interrupt) is byte-identical to the
 // pre-PMD harness.

@@ -21,8 +21,6 @@
 package faults
 
 import (
-	"sync/atomic"
-
 	"fmt"
 	"sort"
 	"time"
@@ -161,11 +159,6 @@ type Plan struct {
 type Targets struct {
 	// Engine schedules the fault events.
 	Engine *sim.Engine
-	// ClientEngine, when the cluster is sharded, is the client host's
-	// engine: loss/burst/corrupt windows in the ClientToServer direction
-	// are scheduled there, so the state the client-side wire filter
-	// reads is only ever touched by its own shard. Nil means Engine.
-	ClientEngine *sim.Engine
 	// NIC is the multi-PF device link faults act on.
 	NIC *nic.NIC
 	// Wire carries the loss faults; ServerPort/ClientPort identify its
@@ -412,64 +405,41 @@ type dirState struct {
 // filter implements eth.FaultFilter for one direction.
 func (ds *dirState) filter(f *eth.Frame) bool {
 	if ds.burst {
-		ds.inj.burstDrops.Add(1)
+		ds.inj.burstDrops++
 		return true
 	}
 	// Bernoulli(p<=0) returns false without consuming the stream, so a
 	// direction between windows draws nothing and stays in lockstep
 	// with a run whose windows fire at different times.
 	if ds.rng.Bernoulli(ds.lossProb) {
-		ds.inj.lossDrops.Add(1)
+		ds.inj.lossDrops++
 		return true
 	}
 	if ds.rng.Bernoulli(ds.corruptProb) {
-		ds.inj.corruptDrops.Add(1)
+		ds.inj.corruptDrops++
 		return true
 	}
 	return false
 }
 
 // Injector is an armed plan: the scheduled events plus the counters
-// they bump as they fire. Counters are atomic because on a sharded
-// cluster the two wire directions' filters (and their window events)
-// run on different shards concurrently; the totals are still
-// deterministic — the same frames are dropped either way.
+// they bump as they fire.
 type Injector struct {
 	plan *Plan
 	tg   Targets
 
 	c2s, s2c *dirState
 
-	// Counters are bumped from both wire directions, which under -shards
-	// run on different goroutines.
-	// octolint:shard-shared
-	eventsFired atomic.Uint64
-	// octolint:shard-shared
-	linkTransitions atomic.Uint64
-	// octolint:shard-shared
-	lossDrops atomic.Uint64
-	// octolint:shard-shared
-	burstDrops atomic.Uint64
-	// octolint:shard-shared
-	corruptDrops atomic.Uint64
-	// octolint:shard-shared
-	degrades atomic.Uint64
-	// octolint:shard-shared
-	stalls atomic.Uint64
-	// octolint:shard-shared
-	fwResets atomic.Uint64
-	// octolint:shard-shared
-	queueStalls atomic.Uint64
-	// octolint:shard-shared
-	pollerStalls atomic.Uint64
-}
-
-// engFor picks the engine owning a wire direction's sending side.
-func (tg Targets) engFor(d Dir) *sim.Engine {
-	if d == ClientToServer && tg.ClientEngine != nil {
-		return tg.ClientEngine
-	}
-	return tg.Engine
+	eventsFired     uint64
+	linkTransitions uint64
+	lossDrops       uint64
+	burstDrops      uint64
+	corruptDrops    uint64
+	degrades        uint64
+	stalls          uint64
+	fwResets        uint64
+	queueStalls     uint64
+	pollerStalls    uint64
 }
 
 // Arm validates the plan and schedules every event on the engine,
@@ -496,28 +466,23 @@ func Arm(plan *Plan, tg Targets) (*Injector, error) {
 			tg.Engine.After(ev.At, func() { inj.setLink(ev.PF, false) })
 			tg.Engine.After(ev.At+ev.Duration, func() { inj.setLink(ev.PF, true) })
 		case Loss:
-			// Window flips run on the engine whose shard reads the state
-			// (the direction's sending side).
-			eng := tg.engFor(ev.Dir)
 			ds := inj.dir(ev.Dir, root)
 			p := ev.Prob
-			eng.After(ev.At, func() { inj.eventsFired.Add(1); ds.lossProb = p })
-			eng.After(ev.At+ev.Duration, func() { ds.lossProb = 0 })
+			tg.Engine.After(ev.At, func() { inj.eventsFired++; ds.lossProb = p })
+			tg.Engine.After(ev.At+ev.Duration, func() { ds.lossProb = 0 })
 		case Corrupt:
-			eng := tg.engFor(ev.Dir)
 			ds := inj.dir(ev.Dir, root)
 			p := ev.Prob
-			eng.After(ev.At, func() { inj.eventsFired.Add(1); ds.corruptProb = p })
-			eng.After(ev.At+ev.Duration, func() { ds.corruptProb = 0 })
+			tg.Engine.After(ev.At, func() { inj.eventsFired++; ds.corruptProb = p })
+			tg.Engine.After(ev.At+ev.Duration, func() { ds.corruptProb = 0 })
 		case Burst:
-			eng := tg.engFor(ev.Dir)
 			ds := inj.dir(ev.Dir, root)
-			eng.After(ev.At, func() { inj.eventsFired.Add(1); ds.burst = true })
-			eng.After(ev.At+ev.Duration, func() { ds.burst = false })
+			tg.Engine.After(ev.At, func() { inj.eventsFired++; ds.burst = true })
+			tg.Engine.After(ev.At+ev.Duration, func() { ds.burst = false })
 		case Degrade:
 			tg.Engine.After(ev.At, func() {
-				inj.eventsFired.Add(1)
-				inj.degrades.Add(1)
+				inj.eventsFired++
+				inj.degrades++
 				tg.Fabric.Degrade(ev.From, ev.To, ev.BWFactor, ev.LatFactor)
 			})
 			tg.Engine.After(ev.At+ev.Duration, func() {
@@ -525,20 +490,20 @@ func Arm(plan *Plan, tg Targets) (*Injector, error) {
 			})
 		case Stall:
 			tg.Engine.After(ev.At, func() {
-				inj.eventsFired.Add(1)
-				inj.stalls.Add(1)
+				inj.eventsFired++
+				inj.stalls++
 				tg.Kernel.Core(ev.Core).Stall(ev.Duration)
 			})
 		case FirmwareReset:
 			tg.Engine.After(ev.At, func() {
-				inj.eventsFired.Add(1)
-				inj.fwResets.Add(1)
+				inj.eventsFired++
+				inj.fwResets++
 				tg.NIC.ResetFirmware()
 			})
 		case QueueStall:
 			tg.Engine.After(ev.At, func() {
-				inj.eventsFired.Add(1)
-				inj.queueStalls.Add(1)
+				inj.eventsFired++
+				inj.queueStalls++
 				tg.NIC.SetQueueStall(ev.PF, ev.Queue, true)
 			})
 			tg.Engine.After(ev.At+ev.Duration, func() {
@@ -546,8 +511,8 @@ func Arm(plan *Plan, tg Targets) (*Injector, error) {
 			})
 		case PollerStall:
 			tg.Engine.After(ev.At, func() {
-				inj.eventsFired.Add(1)
-				inj.pollerStalls.Add(1)
+				inj.eventsFired++
+				inj.pollerStalls++
 				for _, pl := range tg.Pollers {
 					if pl != nil && pl.Node() == ev.Node {
 						pl.Wedge(ev.Duration)
@@ -561,8 +526,8 @@ func Arm(plan *Plan, tg Targets) (*Injector, error) {
 
 // setLink flips a PF's link and counts the transition.
 func (inj *Injector) setLink(pf int, up bool) {
-	inj.eventsFired.Add(1)
-	inj.linkTransitions.Add(1)
+	inj.eventsFired++
+	inj.linkTransitions++
 	inj.tg.NIC.SetPFLink(pf, up)
 }
 
@@ -587,30 +552,30 @@ func (inj *Injector) dir(d Dir, root *sim.RNG) *dirState {
 }
 
 // EventsFired returns fault activations so far.
-func (inj *Injector) EventsFired() uint64 { return inj.eventsFired.Load() }
+func (inj *Injector) EventsFired() uint64 { return inj.eventsFired }
 
 // LossDrops returns frames dropped by probabilistic loss windows.
-func (inj *Injector) LossDrops() uint64 { return inj.lossDrops.Load() }
+func (inj *Injector) LossDrops() uint64 { return inj.lossDrops }
 
 // BurstDrops returns frames dropped by burst windows.
-func (inj *Injector) BurstDrops() uint64 { return inj.burstDrops.Load() }
+func (inj *Injector) BurstDrops() uint64 { return inj.burstDrops }
 
 // CorruptDrops returns frames discarded as corrupted.
-func (inj *Injector) CorruptDrops() uint64 { return inj.corruptDrops.Load() }
+func (inj *Injector) CorruptDrops() uint64 { return inj.corruptDrops }
 
 // LinkTransitions returns PF link state flips performed.
-func (inj *Injector) LinkTransitions() uint64 { return inj.linkTransitions.Load() }
+func (inj *Injector) LinkTransitions() uint64 { return inj.linkTransitions }
 
 // FwResets returns firmware table wipes performed.
-func (inj *Injector) FwResets() uint64 { return inj.fwResets.Load() }
+func (inj *Injector) FwResets() uint64 { return inj.fwResets }
 
 // QueueStalls returns queue-stall windows opened.
-func (inj *Injector) QueueStalls() uint64 { return inj.queueStalls.Load() }
+func (inj *Injector) QueueStalls() uint64 { return inj.queueStalls }
 
 // PollerStalls returns poller wedges injected.
-func (inj *Injector) PollerStalls() uint64 { return inj.pollerStalls.Load() }
+func (inj *Injector) PollerStalls() uint64 { return inj.pollerStalls }
 
 // TotalWireDrops returns every frame the injector removed from a wire.
 func (inj *Injector) TotalWireDrops() uint64 {
-	return inj.lossDrops.Load() + inj.burstDrops.Load() + inj.corruptDrops.Load()
+	return inj.lossDrops + inj.burstDrops + inj.corruptDrops
 }

@@ -24,7 +24,6 @@ type stubPort struct {
 
 func (p *stubPort) Receive(f *eth.Frame) { p.got = append(p.got, f) }
 func (p *stubPort) PortMAC() eth.MAC     { return p.mac }
-func (p *stubPort) Engine() *sim.Engine  { return nil }
 
 // rig assembles every fault target once: a 2-PF NIC for link faults, a
 // wire between two stub ports for loss faults, a fabric for degradation
@@ -344,8 +343,8 @@ func TestDegradeInflatesLinkAndRestores(t *testing.T) {
 	if got := r.fab.Latency(0, 1, 4096); got != healthy {
 		t.Fatalf("restored latency %v, want healthy %v", got, healthy)
 	}
-	if inj.degrades.Load() != 1 || inj.EventsFired() != 1 {
-		t.Fatalf("degrades = %d, fired = %d, want 1/1", inj.degrades.Load(), inj.EventsFired())
+	if inj.degrades != 1 || inj.EventsFired() != 1 {
+		t.Fatalf("degrades = %d, fired = %d, want 1/1", inj.degrades, inj.EventsFired())
 	}
 }
 
@@ -369,8 +368,8 @@ func TestStallDelaysQueuedWork(t *testing.T) {
 	if doneAt < sim.Time(time.Millisecond) {
 		t.Fatalf("probe completed at %v, should have waited behind the 1ms stall", doneAt)
 	}
-	if inj.stalls.Load() != 1 {
-		t.Fatalf("stalls = %d, want 1", inj.stalls.Load())
+	if inj.stalls != 1 {
+		t.Fatalf("stalls = %d, want 1", inj.stalls)
 	}
 }
 

@@ -8,9 +8,7 @@ package analyzers
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
-	"strings"
 
 	"ioctopus/internal/lint"
 )
@@ -19,93 +17,11 @@ import (
 func All() []*lint.Analyzer {
 	return []*lint.Analyzer{
 		SimDeterminism,
-		CrossShard,
 		PoolRecycle,
 		MetricNames,
 		Shadow,
 		UnusedWrite,
 	}
-}
-
-// Marker comments: structural facts the analyzers need that the type
-// system cannot express are declared next to the code they describe.
-const (
-	// markerBoundary tags a struct field (or package var) holding a
-	// reference that crosses a shard boundary — e.g. a peer socket, or
-	// a pipe's remote engine. Engines reached through a marked hop are
-	// foreign: scheduling on them must use Post/PostAfter.
-	markerBoundary = "octolint:crossshard-boundary"
-	// markerShardShared tags a field or package var that is read and
-	// written by concurrent shard goroutines. Its type must be atomic
-	// (sync/atomic) or mutex-guarded, and plain-typed marked fields may
-	// only be touched through sync/atomic calls.
-	markerShardShared = "octolint:shard-shared"
-)
-
-// fieldComment returns the comment text attached to a struct field or
-// value spec: the doc comment plus any trailing line comment.
-func fieldComment(doc, line *ast.CommentGroup) string {
-	var sb strings.Builder
-	if doc != nil {
-		sb.WriteString(doc.Text())
-	}
-	if line != nil {
-		sb.WriteString(line.Text())
-	}
-	return sb.String()
-}
-
-// hasMarker reports whether the comment text declares the marker: it
-// must start a line, so prose that merely mentions a marker string (an
-// analyzer's own doc, say) does not mark anything.
-func hasMarker(text, marker string) bool {
-	for _, line := range strings.Split(text, "\n") {
-		if strings.HasPrefix(strings.TrimSpace(line), marker) {
-			return true
-		}
-	}
-	return false
-}
-
-// markedObjects collects the objects of struct fields and package-level
-// vars whose comments contain the marker string.
-func markedObjects(pass *lint.Pass, marker string) map[types.Object]bool {
-	marked := map[types.Object]bool{}
-	add := func(names []*ast.Ident) {
-		for _, name := range names {
-			if obj := pass.Info.Defs[name]; obj != nil {
-				marked[obj] = true
-			}
-		}
-	}
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.StructType:
-				for _, fld := range n.Fields.List {
-					if hasMarker(fieldComment(fld.Doc, fld.Comment), marker) {
-						add(fld.Names)
-					}
-				}
-			case *ast.GenDecl:
-				if n.Tok != token.VAR {
-					return true
-				}
-				for _, spec := range n.Specs {
-					vs, ok := spec.(*ast.ValueSpec)
-					if !ok {
-						continue
-					}
-					text := fieldComment(vs.Doc, vs.Comment) + fieldComment(n.Doc, nil)
-					if hasMarker(text, marker) {
-						add(vs.Names)
-					}
-				}
-			}
-			return true
-		})
-	}
-	return marked
 }
 
 // forEachFunc invokes fn for every function and method body in the

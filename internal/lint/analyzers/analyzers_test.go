@@ -23,10 +23,6 @@ func TestSimDeterminismRNGHome(t *testing.T) {
 	linttest.Run(t, fixture("simdeterminism", "sim"), "ioctopus/internal/sim", analyzers.SimDeterminism)
 }
 
-func TestCrossShard(t *testing.T) {
-	linttest.Run(t, fixture("crossshard", "a"), "fixture/crossshard", analyzers.CrossShard)
-}
-
 func TestPoolRecycle(t *testing.T) {
 	linttest.Run(t, fixture("poolrecycle", "a"), "fixture/poolrecycle", analyzers.PoolRecycle)
 }

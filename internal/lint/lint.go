@@ -4,8 +4,8 @@
 // depend on. It exists to front-run, at compile time, the invariants the
 // simulator otherwise enforces with runtime panics and double-run
 // byte-identity gates: determinism (no wall clock, no global RNG, no
-// ordering leaks out of map iteration), mailbox-only cross-shard
-// scheduling, packet-pool lease discipline, and metric naming.
+// ordering leaks out of map iteration), packet-pool lease discipline,
+// and metric naming.
 //
 // An Analyzer inspects one type-checked package at a time through a
 // Pass and reports Diagnostics. The Runner applies a set of analyzers

@@ -3,7 +3,7 @@
 // ordinary Go package under a testdata directory (invisible to the go
 // tool) whose lines carry "want" comments:
 //
-//	eng.At(5, fn) // want `use Post/PostAfter`
+//	start := time.Now() // want `wall-clock time.Now`
 //
 // Each backquoted or double-quoted string after "want" is a regexp that
 // must match exactly one diagnostic reported on that line, rendered as

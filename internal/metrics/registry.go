@@ -223,30 +223,3 @@ func RegisterEngine(r Registrar, e *sim.Engine) {
 	r.Gauge("events_pending", func() float64 { return float64(e.Pending()) })
 	r.Gauge("now_seconds", func() float64 { return e.Now().Seconds() })
 }
-
-// RegisterEngines registers the same health metrics for a sharded
-// cluster, summed over the shards, under the same names — a sharded
-// run's snapshot is indistinguishable from a serial run's (event
-// dispatch is 1:1 between the modes, and the shard clocks are
-// equalized at every sync barrier, where snapshots happen).
-func RegisterEngines(r Registrar, engines []*sim.Engine) {
-	if len(engines) == 1 {
-		RegisterEngine(r, engines[0])
-		return
-	}
-	r.Counter("events_executed", func() float64 {
-		var n uint64
-		for _, e := range engines {
-			n += e.Executed
-		}
-		return float64(n)
-	})
-	r.Gauge("events_pending", func() float64 {
-		n := 0
-		for _, e := range engines {
-			n += e.Pending()
-		}
-		return float64(n)
-	})
-	r.Gauge("now_seconds", func() float64 { return engines[0].Now().Seconds() })
-}

@@ -11,9 +11,7 @@
 // models underneath. Connection setup (handshake/ARP) is control-plane
 // work the paper never measures; it is modelled as a fixed-latency
 // SYN/SYN-ACK round trip (Params.ConnectLatency each way) that blocks
-// the dialing thread, and the data path is fully simulated. Keeping
-// setup and teardown on timestamped events also gives the sharded
-// engine (sim.Group) a latency floor for every cross-host interaction.
+// the dialing thread, and the data path is fully simulated.
 package netstack
 
 import (
@@ -47,9 +45,7 @@ type Params struct {
 	AckLatency time.Duration
 	// ConnectLatency is the one-way control-plane delay of connection
 	// setup and teardown (SYN, SYN-ACK, FIN). Dial blocks the calling
-	// thread for one round trip. Together with AckLatency it bounds how
-	// soon one host's stack can disturb the other, which the sharded
-	// engine uses as conservative lookahead.
+	// thread for one round trip.
 	ConnectLatency time.Duration
 	// SendWindow bounds unacknowledged in-flight bytes per socket.
 	SendWindow int64
@@ -261,19 +257,14 @@ func (st *Stack) Dial(t *kernel.Thread, dstIP uint32, dstPort uint16, proto uint
 	if !ok {
 		return nil, fmt.Errorf("netstack %s: connection refused on %d:%d", st.name, dstIP, dstPort)
 	}
-	// Each leg runs on the stack that owns the state it mutates: the SYN
-	// executes on the listener's engine, the SYN-ACK back on ours. On a
-	// sharded cluster these are Engine.Post crossings whose latency the
-	// shard group's control link floors.
 	eng := st.k.Engine()
-	dstEng := dstStack.k.Engine()
 	lat := st.params.ConnectLatency
 	done := sim.NewSignal(eng)
-	eng.PostAfter(dstEng, lat, func() {
+	eng.After(lat, func() {
 		remote := dstStack.newSocket(ft.Reverse(), dstDev, nil, srcMAC)
 		remote.peer = local
 		accept(remote)
-		dstEng.PostAfter(eng, lat, func() {
+		eng.After(lat, func() {
 			local.peer = remote
 			done.Broadcast()
 		})

@@ -20,10 +20,8 @@ type Socket struct {
 	ft    eth.FiveTuple
 	dev   NetDevice
 	owner *kernel.Thread
-	// peer may live on another host, i.e. another shard's engine; never
-	// schedule on an engine reached through it — deliveries cross via
-	// Post/PostAfter.
-	// octolint:crossshard-boundary
+	// peer is the connection's other end: nil on the dialer until the
+	// SYN-ACK lands, and again once either side closes.
 	peer    *Socket
 	peerMAC eth.MAC
 
@@ -155,7 +153,6 @@ func (s *Socket) recvCost() time.Duration {
 // list as it fires.
 type ackEvent struct {
 	owner *Socket
-	// octolint:crossshard-boundary
 	peer  *Socket
 	acked int64
 	free  int64
@@ -405,22 +402,6 @@ func (s *Socket) sendAckEvent(acked int64, seq uint64) {
 	if s.ft.Proto != eth.ProtoTCP || s.peer == nil {
 		return
 	}
-	eng := s.stack.k.Engine()
-	if peng := s.peer.stack.k.Engine(); peng != eng {
-		// Cross-shard peer: the ACK must run on the peer's engine, and
-		// the pooled event record cannot travel (its recycling would race
-		// this shard's free list), so the flight is a one-shot closure.
-		peer, free := s.peer, s.rxq.free()
-		eng.PostAfter(peng, s.stack.params.AckLatency, func() {
-			if seq != 0 {
-				peer.ackSeq(seq)
-			} else {
-				peer.ack(acked)
-			}
-			peer.advertise(free)
-		})
-		return
-	}
 	ev := s.ackFree
 	if ev == nil {
 		ev = &ackEvent{owner: s}
@@ -432,7 +413,7 @@ func (s *Socket) sendAckEvent(acked int64, seq uint64) {
 	ev.acked = acked
 	ev.free = s.rxq.free()
 	ev.seq = seq
-	eng.After(s.stack.params.AckLatency, ev.fn)
+	s.stack.k.Engine().After(s.stack.params.AckLatency, ev.fn)
 }
 
 // TryRecvNoCopy removes a pending segment without charging copy costs
@@ -450,9 +431,8 @@ func (s *Socket) TryRecvNoCopy() (*nic.RxPacket, bool) {
 
 // Close tears the local socket down immediately — releasing blocked
 // receivers and retiring the retransmission timer — and sends the peer
-// a FIN that closes its side after ConnectLatency. The FIN runs on the
-// peer's engine, so teardown is shard-safe; closing twice (or crossing
-// FINs) is a no-op.
+// a FIN that closes its side after ConnectLatency. Closing twice (or
+// crossing FINs) is a no-op.
 func (s *Socket) Close() {
 	if s.closed {
 		return
@@ -467,7 +447,7 @@ func (s *Socket) Close() {
 	}
 	if p := s.peer; p != nil {
 		s.peer = nil
-		s.stack.k.Engine().PostAfter(p.stack.k.Engine(), s.stack.params.ConnectLatency, func() {
+		s.stack.k.Engine().After(s.stack.params.ConnectLatency, func() {
 			if p.peer == s {
 				p.peer = nil
 			}

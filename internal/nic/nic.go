@@ -106,7 +106,6 @@ func New(e *sim.Engine, mem *memsys.System, name string, eps []*pcie.Endpoint, p
 		txPool: &txPacketPool{pooled: pooled},
 		frames: eth.NewFramePool(pooled),
 	}
-	n.frames.BindEngine(e)
 	for i, ep := range eps {
 		n.pfs = append(n.pfs, &PF{
 			nic:    n,
@@ -133,10 +132,6 @@ func (n *NIC) Name() string { return n.name }
 
 // PortMAC implements eth.Port: the port's primary address.
 func (n *NIC) PortMAC() eth.MAC { return n.mac }
-
-// Engine implements eth.Port: the engine the NIC's host runs on, which
-// places each direction of an attached wire on its sender's shard.
-func (n *NIC) Engine() *sim.Engine { return n.eng }
 
 // MAC returns the port's primary address.
 func (n *NIC) MAC() eth.MAC { return n.mac }

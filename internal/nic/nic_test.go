@@ -32,7 +32,6 @@ type farEnd struct {
 
 func (f *farEnd) Receive(fr *eth.Frame) { f.got = append(f.got, fr) }
 func (f *farEnd) PortMAC() eth.MAC      { return f.mac }
-func (f *farEnd) Engine() *sim.Engine   { return nil }
 
 func newRig(t *testing.T) *rig {
 	t.Helper()

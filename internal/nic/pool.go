@@ -27,11 +27,10 @@ package nic
 import "sync/atomic"
 
 // poolingOff disables packet/frame pooling globally when set. It is
-// read once per NIC at construction (so a concurrently-built cluster
-// sees a consistent setting) and exists for the A/B regression test
-// that proves pooled and unpooled runs emit byte-identical results.
-//
-// octolint:shard-shared
+// read once per NIC at construction, and it is atomic because -parallel
+// builds clusters, and so NICs, on concurrent goroutines. It exists for
+// the A/B regression test that proves pooled and unpooled runs emit
+// byte-identical results.
 var poolingOff atomic.Bool
 
 // SetPooling enables or disables packet pooling for NICs constructed

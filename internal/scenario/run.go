@@ -19,7 +19,7 @@ import (
 )
 
 // Run executes a validated spec and returns its Result. The run is a
-// pure function of (spec, durations, experiments.Shards()): running
+// pure function of (spec, durations): running
 // the same spec twice — or its JSON round-trip — renders byte-identical
 // text, which is what the check.sh fuzz gate diffs.
 func Run(sp *Spec, d experiments.Durations) (*experiments.Result, error) {
@@ -66,16 +66,15 @@ func runTrend(sp *Spec) *experiments.Result {
 	return r
 }
 
-// streamState is one raw-stream workload's byte accounting. tx is
-// written by the sending host's shard and rx by the receiving host's;
-// both are only read after the engines have joined (end of a Run), and
-// rx of a forward stream — the one source samplers may probe — lives on
-// the server shard the sampler runs on.
+// streamState is one raw-stream workload's byte accounting: tx counted
+// by the sending thread, rx by the receiving one. Samplers probe rx of
+// forward streams.
 type streamState struct {
 	tx, rx int64
 }
 
-// runErrs collects workload failures across both engine shards.
+// runErrs collects workload failures from both hosts' threads. It is
+// mutex-guarded for the same reason as workloads.errList.
 type runErrs struct {
 	mu   sync.Mutex
 	errs []string
@@ -156,7 +155,6 @@ func runSim(sp *Spec, d experiments.Durations) (*experiments.Result, error) {
 		DriverParams: drvParams,
 		FaultPlan:    sim2.faultPlan(sp.Seed, T),
 		Seed:         sp.Seed,
-		Shards:       experiments.Shards(),
 	})
 	if err != nil {
 		return nil, err
@@ -213,7 +211,7 @@ func runSim(sp *Spec, d experiments.Durations) (*experiments.Result, error) {
 		}
 	}
 
-	// Sampled series, in spec order, on the server shard.
+	// Sampled series, in spec order.
 	var sampler *metrics.Sampler
 	series := make([]*metrics.Series, len(sim2.Samples))
 	if len(sim2.Samples) > 0 {
@@ -454,8 +452,7 @@ func startStream(cl *core.Cluster, idx int, w WorkloadSpec, st *streamState, err
 	})
 }
 
-// sampleProbe builds the closure one SampleSpec tracks. All sources
-// live on the server engine shard, matching the sampler.
+// sampleProbe builds the closure one SampleSpec tracks.
 func sampleProbe(cl *core.Cluster, source string, streams []*streamState) func() float64 {
 	if n, ok := parseSource(source, "workload"); ok {
 		st := streams[n]

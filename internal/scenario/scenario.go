@@ -164,8 +164,7 @@ type FaultSpec struct {
 
 // SampleSpec tracks one rate series over the run. Sources:
 // "workload:<i>" (delivered bytes of a forward stream workload) and
-// "pf:<n>" (server PF n receive bytes). Both live on the server's
-// engine shard, so sampling them is shard-safe.
+// "pf:<n>" (server PF n receive bytes).
 type SampleSpec struct {
 	Name   string `json:"name"`
 	Source string `json:"source"`
@@ -874,7 +873,7 @@ func Fig2() *Spec {
 // Chaos is the declarative port of the hand-wired chaos harness
 // (experiments/chaos.go): the same fault schedule, streams, windows,
 // counters and checks as data. Running it is byte-identical to
-// `ioctobench -fig chaos` at any durations and shard count.
+// `ioctobench -fig chaos` at any durations.
 func Chaos() *Spec {
 	return &Spec{
 		Name:  "chaos",

@@ -15,18 +15,11 @@
 // dispatch loop, for one) are plain event-driven state machines.
 //
 // The event queue is an inlined value-based 4-ary min-heap ordered by
-// (at, sub, seq): events at the same instant dispatch in the order they
-// were scheduled — sub is the clock value at the scheduling call and
-// seq breaks the remaining ties in call order. Event records live in a
-// slot arena recycled through a free list, so steady-state scheduling
-// and dispatch allocate nothing; cancellation is lazy (a generation
-// check at pop time) to keep Stop O(1) without disturbing the heap.
-//
-// Engines can also be ganged into a Group (see shard.go) for
-// conservative parallel simulation: each engine becomes one shard
-// running on its own goroutine, exchanging cross-shard events through
-// mailboxes via Post/PostAfter and synchronizing on published clock
-// horizons bounded by link latency.
+// (at, seq): events at the same instant dispatch in the order they were
+// scheduled. Event records live in a slot arena recycled through a free
+// list, so steady-state scheduling and dispatch allocate nothing;
+// cancellation is lazy (a generation check at pop time) to keep Stop
+// O(1) without disturbing the heap.
 package sim
 
 import (
@@ -74,25 +67,17 @@ func (t Time) String() string { return time.Duration(t).String() }
 // (slot, gen) reference that validates it at pop time.
 type heapEntry struct {
 	at   Time
-	sub  Time   // clock value at the scheduling call (secondary key)
-	seq  uint64 // shard-composed FIFO tie-break among same-(at, sub) events
+	seq  uint64 // FIFO tie-break among same-instant events
 	slot int32
 	gen  uint32
 }
 
-// less orders entries by (at, sub, seq). On a single engine sub is
-// redundant — seq strictly increases per schedule and the clock never
-// runs backwards, so (at, seq) alone reproduces scheduling order. The
-// sub key exists for sharded runs: a cross-shard post carries its
-// sender's scheduling time, so merging it into the receiver's heap
-// lands it exactly where the serial engine would have dispatched it
-// relative to events the receiver scheduled earlier or later.
+// less orders entries by (at, seq). seq strictly increases per
+// schedule, so events for the same instant dispatch in the order they
+// were scheduled, whatever the clock read at each scheduling call.
 func (a heapEntry) less(b heapEntry) bool {
 	if a.at != b.at {
 		return a.at < b.at
-	}
-	if a.sub != b.sub {
-		return a.sub < b.sub
 	}
 	return a.seq < b.seq
 }
@@ -110,7 +95,7 @@ type eventSlot struct {
 type Engine struct {
 	now      Time
 	seq      uint64
-	events   []heapEntry // 4-ary min-heap on (at, sub, seq)
+	events   []heapEntry // 4-ary min-heap on (at, seq)
 	slots    []eventSlot
 	freeHead int32 // head of the slot free list, -1 when empty
 	live     int   // scheduled and not cancelled
@@ -123,21 +108,6 @@ type Engine struct {
 	procs    map[*Proc]int
 	procList []*Proc
 	tracer   *Tracer
-
-	// Sharding state (see shard.go). group is nil on a standalone
-	// engine, which keeps every field below cold: shard is 0, seqBase is
-	// 0 (entry seq keys degenerate to the classic per-engine counter),
-	// and the inbox/clock/hooks are never touched.
-	group   *Group
-	shard   int
-	seqBase uint64 // shard<<56, folded into every entry's seq key
-	// clock and inbox are read and written by peer shard goroutines
-	// while this shard runs; both types synchronize internally.
-	// octolint:shard-shared
-	clock atomicTime
-	// octolint:shard-shared
-	inbox     mailbox
-	syncHooks []func()
 
 	// idleAt is the latest completion time of fire-and-forget work
 	// (e.g. Pipe.Transfer with a nil callback). Instead of holding a
@@ -168,13 +138,6 @@ func (e *Engine) At(t Time, fn func()) Timer {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
 	e.seq++
-	return e.insert(t, e.now, e.seqBase+e.seq, fn)
-}
-
-// insert allocates a slot for fn and pushes a heap entry with the given
-// ordering key. Shared by At (local scheduling) and the mailbox drain
-// (cross-shard posts carrying their sender's key).
-func (e *Engine) insert(t, sub Time, key uint64, fn func()) Timer {
 	slot := e.freeHead
 	if slot >= 0 {
 		e.freeHead = e.slots[slot].next
@@ -184,33 +147,9 @@ func (e *Engine) insert(t, sub Time, key uint64, fn func()) Timer {
 	}
 	s := &e.slots[slot]
 	s.fn = fn
-	e.push(heapEntry{at: t, sub: sub, seq: key, slot: slot, gen: s.gen})
+	e.push(heapEntry{at: t, seq: e.seq, slot: slot, gen: s.gen})
 	e.live++
 	return Timer{eng: e, at: t, slot: slot, gen: s.gen}
-}
-
-// Post schedules fn at absolute time t on engine dst. With dst == e (or
-// two engines driven from one goroutine) this is exactly At; when both
-// engines are shards of one running Group the event crosses through
-// dst's mailbox carrying this engine's scheduling key, so the receiver
-// merges it into its heap in the order the serial engine would have
-// used. The caller must respect the group's link floors: t must be at
-// least the registered floor past this shard's published clock.
-func (e *Engine) Post(dst *Engine, t Time, fn func()) {
-	if dst == e || e.group == nil || dst.group != e.group {
-		dst.At(t, fn)
-		return
-	}
-	e.seq++
-	dst.inbox.put(xpost{at: t, sub: e.now, seq: e.seqBase + e.seq, fn: fn})
-}
-
-// PostAfter schedules fn on dst at d past this engine's current time.
-func (e *Engine) PostAfter(dst *Engine, d time.Duration, fn func()) {
-	if d < 0 {
-		d = 0
-	}
-	e.Post(dst, e.now.Add(d), fn)
 }
 
 // After schedules fn to run d after the current time. Negative d is
@@ -361,9 +300,6 @@ func (e *Engine) Run(until Time) {
 	if e.running {
 		panic("sim: Run called reentrantly")
 	}
-	if e.group != nil {
-		panic("sim: Run called on a grouped engine; drive the shard group instead")
-	}
 	e.running = true
 	e.stopped = false
 	defer func() { e.running = false }()
@@ -388,9 +324,6 @@ func (e *Engine) RunFor(d time.Duration) { e.Run(e.now.Add(d)) }
 func (e *Engine) RunUntilIdle() {
 	if e.running {
 		panic("sim: Run called reentrantly")
-	}
-	if e.group != nil {
-		panic("sim: RunUntilIdle called on a grouped engine; drive the shard group instead")
 	}
 	e.running = true
 	e.stopped = false
@@ -433,22 +366,6 @@ func (e *Engine) Drain() {
 		p.stop()
 	}
 }
-
-// ShardGroup returns the Group this engine belongs to, nil for a
-// standalone (serial) engine.
-func (e *Engine) ShardGroup() *Group { return e.group }
-
-// Shard returns this engine's index within its group (0 when serial).
-func (e *Engine) Shard() int { return e.shard }
-
-// OnShardSync registers fn to run on every shard-sync barrier (the end
-// of each Group.Run window, on the caller's goroutine). Subsystems that
-// defer cross-shard bookkeeping — e.g. frame pools reclaiming frames
-// whose delivery copy crossed to another shard — flush it here so
-// metrics snapshots taken between windows match the serial engine
-// exactly. No-op scheduling on a standalone engine: the hook is simply
-// never called.
-func (e *Engine) OnShardSync(fn func()) { e.syncHooks = append(e.syncHooks, fn) }
 
 // ArenaSlots returns the total size of the event slot arena, and
 // FreeSlots the length of its free list. live == ArenaSlots-FreeSlots

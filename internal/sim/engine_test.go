@@ -246,44 +246,180 @@ func TestPendingCountExcludesCancelled(t *testing.T) {
 	}
 }
 
-// TestHeapOrderRandomized cross-checks the 4-ary heap against sorted
-// order on a large randomized schedule, including cancellations.
-func TestHeapOrderRandomized(t *testing.T) {
-	e := NewEngine()
+// Heap fuzz script opcodes. Each op byte is followed by its operands;
+// a script that ends mid-op stops there.
+const (
+	opSchedule      = iota // [d_hi, d_lo]: At(now + d), d < 1024
+	opScheduleChild        // [d, c]: At(now + d%64), whose callback does At(fire time + c%64)
+	opStop                 // [k]: Stop timer n-1-k%n of the n scheduled so far (0 = newest)
+	opRun                  // [u]: Run(now + u)
+	numHeapOps
+)
+
+// heapFire is one dispatch: the event's schedule index and the clock.
+type heapFire struct {
+	id int
+	at Time
+}
+
+// heapRef is the reference the heap is fuzzed against: events kept in
+// schedule order and dispatched by a linear scan for the least at,
+// first scheduled winning ties, i.e. a stable sort on
+// (at, schedule order).
+type heapRef struct {
+	now     Time
+	at      []Time
+	child   []time.Duration // < 0: the event schedules nothing
+	pending []int           // ids neither fired nor stopped, in schedule order
+	fired   []heapFire
+}
+
+func (r *heapRef) schedule(at Time, child time.Duration) {
+	r.pending = append(r.pending, len(r.at))
+	r.at = append(r.at, at)
+	r.child = append(r.child, child)
+}
+
+// stop cancels id, reporting whether it was still pending.
+func (r *heapRef) stop(id int) bool {
+	for i, p := range r.pending {
+		if p == id {
+			r.pending = append(r.pending[:i], r.pending[i+1:]...)
+			return true
+		}
+	}
+	return false
+}
+
+// run dispatches like Engine.Run(until), or RunUntilIdle when idle.
+func (r *heapRef) run(until Time, idle bool) {
+	for len(r.pending) > 0 {
+		best := 0
+		for i, id := range r.pending {
+			if r.at[id] < r.at[r.pending[best]] {
+				best = i
+			}
+		}
+		id := r.pending[best]
+		if !idle && r.at[id] > until {
+			break
+		}
+		r.pending = append(r.pending[:best], r.pending[best+1:]...)
+		r.now = r.at[id]
+		r.fired = append(r.fired, heapFire{id, r.now})
+		if c := r.child[id]; c >= 0 {
+			r.schedule(r.now.Add(c), -1)
+		}
+	}
+	if !idle && until > r.now {
+		r.now = until
+	}
+}
+
+// heapScript encodes the schedule TestHeapOrderRandomized drew from
+// seed 7: 2000 events at random instants in [0, 500), every fifth or
+// so cancelled right after scheduling, then one run to idle.
+func heapScript() []byte {
 	g := NewRNG(7)
-	type ev struct {
-		at  Time
-		seq int
-	}
-	var want []ev
-	var got []ev
-	seq := 0
+	var script []byte
 	for i := 0; i < 2000; i++ {
-		at := Time(g.Intn(500))
-		s := seq
-		seq++
-		tm := e.At(at, func() { got = append(got, ev{at, s}) })
+		at := g.Intn(500)
+		script = append(script, opSchedule, byte(at>>8), byte(at))
 		if g.Intn(5) == 0 {
-			tm.Stop()
-			continue
-		}
-		want = append(want, ev{at, s})
-	}
-	// Stable sort by (at, schedule order) = the FIFO tie-break contract.
-	for i := 1; i < len(want); i++ {
-		for j := i; j > 0 && (want[j].at < want[j-1].at); j-- {
-			want[j], want[j-1] = want[j-1], want[j]
+			script = append(script, opStop, 0)
 		}
 	}
-	e.RunUntilIdle()
-	if len(got) != len(want) {
-		t.Fatalf("dispatched %d events, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("dispatch %d = %+v, want %+v", i, got[i], want[i])
+	return script
+}
+
+// FuzzEngineHeap drives the engine with a byte-coded script and checks
+// every dispatch, the clock and the pending count after each op
+// against heapRef. Scripts interleave scheduling between runs,
+// scheduling from inside callbacks after the clock has advanced,
+// cancellation and bounded runs, so two events for the same instant
+// can be scheduled at different clock values: the heap must still
+// dispatch them in schedule order.
+func FuzzEngineHeap(f *testing.F) {
+	f.Add(heapScript())
+	// Same-instant events scheduled at clocks 0, 5 and 7: A at 10, a
+	// parent at 5 whose callback schedules B at 10, a run to 7, C at 10.
+	f.Add([]byte{opSchedule, 0, 10, opScheduleChild, 5, 5, opRun, 7, opSchedule, 0, 3})
+	f.Fuzz(func(t *testing.T, script []byte) {
+		// The reference is quadratic; 8 KiB holds the seed-7 schedule.
+		if len(script) > 8<<10 {
+			script = script[:8<<10]
 		}
-	}
+		e := NewEngine()
+		ref := &heapRef{}
+		var timers []Timer
+		var fired []heapFire
+		var schedule func(at Time, child time.Duration)
+		schedule = func(at Time, child time.Duration) {
+			id := len(timers)
+			timers = append(timers, Timer{})
+			timers[id] = e.At(at, func() {
+				fired = append(fired, heapFire{id, e.Now()})
+				if child >= 0 {
+					schedule(e.Now().Add(child), -1)
+				}
+			})
+		}
+		checked := 0 // dispatches already compared
+		check := func(op int) {
+			t.Helper()
+			if len(fired) != len(ref.fired) {
+				t.Fatalf("op %d: dispatched %d events, want %d", op, len(fired), len(ref.fired))
+			}
+			for i := checked; i < len(fired); i++ {
+				if fired[i] != ref.fired[i] {
+					t.Fatalf("op %d: dispatch %d = %+v, want %+v", op, i, fired[i], ref.fired[i])
+				}
+			}
+			checked = len(fired)
+			if e.Now() != ref.now {
+				t.Fatalf("op %d: now = %v, want %v", op, e.Now(), ref.now)
+			}
+			if e.Pending() != len(ref.pending) {
+				t.Fatalf("op %d: Pending = %d, want %d", op, e.Pending(), len(ref.pending))
+			}
+		}
+		operands := [numHeapOps]int{opSchedule: 2, opScheduleChild: 2, opStop: 1, opRun: 1}
+		for op := 0; len(script) > 0; op++ {
+			code := script[0] % numHeapOps
+			if len(script) < 1+operands[code] {
+				break
+			}
+			arg := script[1 : 1+operands[code]]
+			script = script[1+operands[code]:]
+			switch code {
+			case opSchedule:
+				at := e.Now() + Time((int(arg[0])<<8|int(arg[1]))%1024)
+				schedule(at, -1)
+				ref.schedule(at, -1)
+			case opScheduleChild:
+				at := e.Now() + Time(arg[0]%64)
+				child := time.Duration(arg[1] % 64)
+				schedule(at, child)
+				ref.schedule(at, child)
+			case opStop:
+				if len(timers) == 0 {
+					continue
+				}
+				i := len(timers) - 1 - int(arg[0])%len(timers)
+				if got, want := timers[i].Stop(), ref.stop(i); got != want {
+					t.Fatalf("op %d: Stop(event %d) = %v, want %v", op, i, got, want)
+				}
+			case opRun:
+				until := e.Now() + Time(arg[0])
+				e.Run(until)
+				ref.run(until, false)
+			}
+			check(op)
+		}
+		e.RunUntilIdle()
+		ref.run(0, true)
+		check(-1)
+	})
 }
 
 func TestTimeArithmetic(t *testing.T) {

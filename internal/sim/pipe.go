@@ -46,15 +46,6 @@ type Pipe struct {
 	discRateAt Time
 	tau        float64 // estimator time constant, seconds
 
-	// Cross-shard delivery (see shard.go): when the pipe's completions
-	// land on a different shard's engine, they travel via Post, and the
-	// pipe mirrors nextFree into horizon so the receiving shard's
-	// lookahead tracks the FIFO backlog instead of the latency floor.
-	// octolint:crossshard-boundary
-	remote *Engine
-	// octolint:shard-shared
-	horizon *atomicTime
-
 	// Fluid traffic.
 	flows     []*FluidFlow
 	fluidAt   Time // last time fluid byte counters were integrated
@@ -132,26 +123,6 @@ func (pp *Pipe) SetDegradation(bwFactor, latFactor float64) {
 	}
 	pp.reallocate()
 }
-
-// SetRemoteDelivery declares that the pipe's completion callbacks
-// belong to dst's shard: Transfer routes them through Engine.Post, and
-// the pipe starts publishing its next-free time as a dynamic horizon.
-// Call Horizon afterwards to register the bound with Group.Link. A nil
-// or same-engine dst resets the pipe to plain local delivery.
-func (pp *Pipe) SetRemoteDelivery(dst *Engine) {
-	if dst == nil || dst == pp.eng {
-		pp.remote = nil
-		pp.horizon = nil
-		return
-	}
-	pp.remote = dst
-	pp.horizon = &atomicTime{}
-	pp.horizon.store(pp.nextFree)
-}
-
-// Horizon returns the pipe's published next-free mirror (nil unless
-// SetRemoteDelivery armed it), for use as a Group.Link dynamic bound.
-func (pp *Pipe) Horizon() *atomicTime { return pp.horizon }
 
 // Name returns the pipe's name.
 func (pp *Pipe) Name() string { return pp.name }
@@ -251,9 +222,6 @@ func (pp *Pipe) Transfer(bytes int64, done func()) Time {
 	}
 	pp.nextFree = start.Add(ser)
 	finish := pp.nextFree.Add(lat)
-	if pp.horizon != nil {
-		pp.horizon.store(pp.nextFree)
-	}
 
 	pp.bumpDiscRate(now, float64(bytes))
 	pp.discreteBytes += float64(bytes)
@@ -263,11 +231,7 @@ func (pp *Pipe) Transfer(bytes int64, done func()) Time {
 	pp.eng.traceTransfer(pp.name, bytes)
 
 	if done != nil {
-		if pp.remote != nil {
-			pp.eng.Post(pp.remote, finish, done)
-		} else {
-			pp.eng.At(finish, done)
-		}
+		pp.eng.At(finish, done)
 	} else {
 		// Fire-and-forget: nothing to call back, so keep the event heap
 		// out of it and only extend the engine's quiescence horizon.

@@ -22,8 +22,8 @@ import (
 // errList collects workload-goroutine failures (a Dial refused because
 // the run's fault plan or topology broke the path) so the harness can
 // fail the run's checks instead of the goroutine crashing the process.
-// It is mutex-guarded: a workload's dialing threads all live on one
-// host (one engine shard), but cheap safety here beats an invariant
+// It is mutex-guarded: a workload's dialing threads all run on their
+// cluster's one goroutine, but cheap safety here beats an invariant
 // comment three packages away.
 type errList struct {
 	mu   sync.Mutex

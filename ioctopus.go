@@ -263,7 +263,7 @@ func LoadScenario(nameOrPath string) (*Scenario, error) { return scenario.Load(n
 func ParseScenario(data []byte) (*Scenario, error) { return scenario.Parse(data) }
 
 // RunScenario executes a validated scenario. The run is a pure function
-// of (spec, durations, Shards()): same inputs, byte-identical output.
+// of (spec, durations): same inputs, byte-identical output.
 func RunScenario(sp *Scenario, d Durations) (*ExperimentResult, error) {
 	return scenario.Run(sp, d)
 }
@@ -287,16 +287,6 @@ func SetParallelism(n int) { experiments.SetParallelism(n) }
 
 // Parallelism returns the current harness parallelism bound.
 func Parallelism() int { return experiments.Parallelism() }
-
-// SetShards sets how many engine shards every cluster the harness
-// builds runs on: 1 is the serial engine, 2 puts each host of the
-// testbed on its own goroutine with conservative link-latency
-// synchronization. Results are byte-identical at any value; shard
-// counts above the host count clamp.
-func SetShards(n int) { experiments.SetShards(n) }
-
-// Shards returns the per-cluster engine shard count.
-func Shards() int { return experiments.Shards() }
 
 // Datapath selects how completions reach the server's driver:
 // interrupt (the default NAPI path), busypoll (dedicated poll-mode

@@ -1,7 +1,7 @@
 #!/bin/sh
-# Full verification gate: vet, build, race-check the concurrent pieces
-# (the engine, the metrics registry and the parallel experiment
-# harness), then the whole suite, then an end-to-end JSON report whose
+# Full verification gate: vet, build, race-check the packages whose
+# code runs on concurrent goroutines under the parallel point runner,
+# then the whole suite, then an end-to-end JSON report whose
 # schema is validated before it is written (writeReport re-runs
 # ValidateReport) and golden-checked by the experiments tests. CI and
 # `make check` both run this.
@@ -14,14 +14,15 @@ sh -n scripts/check.sh
 
 go vet ./...
 go build ./...
-# Repo-specific invariants (determinism, cross-shard scheduling, pool
-# leases, metric names) plus reduced shadow/unusedwrite ports; findings
-# need a fix or a justified //octolint:allow directive.
+# Repo-specific invariants (determinism, pool leases, metric names)
+# plus reduced shadow/unusedwrite ports; findings need a fix or a
+# justified //octolint:allow directive.
 go run ./cmd/octolint
-# The race pass covers the sharded engine: internal/sim carries the
-# Group unit tests and internal/experiments carries TestShardDeterminism,
-# which runs fig2 + chaos on concurrent shard goroutines (so process
-# coroutines resumed from shard goroutines too).
+# The race pass covers what runs clusters concurrently: the -parallel
+# point runner in internal/experiments fans independent simulations
+# over goroutines, each cluster with its own engine, process coroutines,
+# fault injector and metrics registry. internal/sim, internal/metrics
+# and internal/faults carry that per-cluster code.
 # internal/driver rides along for the watchdog: its ladder and poller
 # fallback tests exercise the recovery timers under the race detector.
 # internal/kernel carries the event-driven core dispatcher's contract
@@ -43,39 +44,24 @@ go run ./cmd/ioctobench -fig chaos -quick -json "$tmp/chaos2.json" > "$tmp/chaos
 cmp "$tmp/chaos1.txt" "$tmp/chaos2.txt"
 cmp "$tmp/chaos1.json" "$tmp/chaos2.json"
 
-# Shard determinism gate: the sharded engine must be an invisible
-# optimization. Every figure plus the chaos run must render
-# byte-identical text and JSON with -shards 2 (report metadata does not
-# record the shard count, by design: same simulation, same report).
-go run ./cmd/ioctobench -fig all -quick -json "$tmp/all_serial.json" > "$tmp/all_serial.txt"
-go run ./cmd/ioctobench -fig all -quick -shards 2 -json "$tmp/all_sharded.json" > "$tmp/all_sharded.txt"
-cmp "$tmp/all_serial.txt" "$tmp/all_sharded.txt"
-cmp "$tmp/all_serial.json" "$tmp/all_sharded.json"
-go run ./cmd/ioctobench -fig chaos -quick -shards 2 -json "$tmp/chaos_sharded.json" > "$tmp/chaos_sharded.txt"
-cmp "$tmp/chaos1.txt" "$tmp/chaos_sharded.txt"
-cmp "$tmp/chaos1.json" "$tmp/chaos_sharded.json"
-
 # PMD determinism gate: the hidden kernel-bypass sweep (not part of
 # `-fig all`, which stays byte-identical to the NAPI-only harness) must
 # be as deterministic as everything else — busy-poll spin loops and
-# hybrid mode-switches included — serial vs sharded.
-go run ./cmd/ioctobench -fig pmd -quick -json "$tmp/pmd_serial.json" > "$tmp/pmd_serial.txt"
-go run ./cmd/ioctobench -fig pmd -quick -shards 2 -json "$tmp/pmd_sharded.json" > "$tmp/pmd_sharded.txt"
-cmp "$tmp/pmd_serial.txt" "$tmp/pmd_sharded.txt"
-cmp "$tmp/pmd_serial.json" "$tmp/pmd_sharded.json"
+# hybrid mode-switches included — across a double run.
+go run ./cmd/ioctobench -fig pmd -quick -json "$tmp/pmd1.json" > "$tmp/pmd1.txt"
+go run ./cmd/ioctobench -fig pmd -quick -json "$tmp/pmd2.json" > "$tmp/pmd2.txt"
+cmp "$tmp/pmd1.txt" "$tmp/pmd2.txt"
+cmp "$tmp/pmd1.json" "$tmp/pmd2.json"
 
 # Device-chaos determinism gate: the firmware-reset / queue-stall /
 # poller-stall sweep (hidden like pmd, so `-fig all` goldens are
 # untouched) exercises every watchdog ladder rung and the PMD fallback
 # path. Its recovery latencies must be a pure function of the seed:
-# byte-identical across a double run and serial vs sharded.
+# byte-identical across a double run.
 go run ./cmd/ioctobench -fig devchaos -quick -json "$tmp/dev1.json" > "$tmp/dev1.txt"
 go run ./cmd/ioctobench -fig devchaos -quick -json "$tmp/dev2.json" > "$tmp/dev2.txt"
 cmp "$tmp/dev1.txt" "$tmp/dev2.txt"
 cmp "$tmp/dev1.json" "$tmp/dev2.json"
-go run ./cmd/ioctobench -fig devchaos -quick -shards 2 -json "$tmp/dev_sharded.json" > "$tmp/dev_sharded.txt"
-cmp "$tmp/dev1.txt" "$tmp/dev_sharded.txt"
-cmp "$tmp/dev1.json" "$tmp/dev_sharded.json"
 
 # Scenario parity gate: the declarative specs must reproduce the
 # hand-wired runners byte for byte — -scenario fig2/chaos is the same
@@ -87,13 +73,11 @@ go run ./cmd/ioctobench -scenario chaos -quick > "$tmp/chaos_spec.txt"
 cmp "$tmp/chaos1.txt" "$tmp/chaos_spec.txt"
 
 # Fuzz smoke gate: a pinned batch of generated scenarios must pass all
-# declared invariants (exit 0) and replay byte-identically — both on a
-# second run and under the sharded engine.
+# declared invariants (exit 0) and replay byte-identically on a second
+# run.
 go run ./cmd/ioctobench -fuzz 8 -seed 1 > "$tmp/fuzz1.txt"
 go run ./cmd/ioctobench -fuzz 8 -seed 1 > "$tmp/fuzz2.txt"
 cmp "$tmp/fuzz1.txt" "$tmp/fuzz2.txt"
-go run ./cmd/ioctobench -fuzz 8 -seed 1 -shards 2 > "$tmp/fuzz_sharded.txt"
-cmp "$tmp/fuzz1.txt" "$tmp/fuzz_sharded.txt"
 
 # Bench gate: the packet-path benchmarks must stay within the allocs/op
 # thresholds recorded in BENCH_sim.json (the "gate" section).
@@ -108,8 +92,6 @@ if test -z "$evr_max" || test -z "$pp_max" || test -z "$bp_max"; then
         "'make bench' and restore the gate section" >&2
     exit 1
 fi
-# (The serial benchmark only: the Sharded variant's allocs scale with
-# cross-shard traffic — its determinism is gated above, not its allocs.)
 go test -run '^$' -bench 'BenchmarkPacketPath$|BenchmarkBusyPollPath$|BenchmarkSimulatorEventRate$' -benchtime 10x -benchmem . | tee "$tmp/bench.txt"
 awk -v evr_max="$evr_max" -v pp_max="$pp_max" -v bp_max="$bp_max" '
   /^BenchmarkSimulatorEventRate(-|[ \t])/ { seen_evr = 1; a = $(NF-1) + 0
