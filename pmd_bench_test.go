@@ -1,4 +1,4 @@
-// Busy-poll datapath benchmarks and the interrupt-mode identity gate.
+// Busy-poll datapath benchmarks and the quick-run golden gate.
 // The PMD path has its own steady-state harness because its cost
 // structure differs from the NAPI path: no IRQs, no softirq, just the
 // poll loop — but the zero-alloc discipline is the same and
@@ -66,52 +66,65 @@ func BenchmarkBusyPollPath(b *testing.B) {
 	b.ReportMetric(float64(cl.Eng.Executed-events)/float64(b.N), "events/op")
 }
 
-// TestInterruptModeMatchesGolden pins the default datapath's full
-// evaluation — text and JSON — to the committed pre-PMD goldens: the
-// poll-mode machinery must be byte-invisible until it is switched on.
-// Environment-dependent metadata (Go version, harness parallelism) is
-// normalized on both sides; everything else must match exactly.
-func TestInterruptModeMatchesGolden(t *testing.T) {
+// TestFiguresMatchGolden pins every experiment's quick run — text and
+// JSON report — to committed goldens: all_quick is what `-fig all
+// -quick` prints (the default interrupt datapath, so the poll-mode
+// machinery stays byte-invisible until it is switched on); hidden_quick
+// covers the harnesses outside IDs() (chaos, the pmd datapath sweep and
+// the devchaos watchdog sweep). A golden pins identity, which implies
+// run-to-run determinism. Environment-dependent metadata (Go version,
+// harness parallelism) is normalized on both sides; everything else
+// must match exactly.
+func TestFiguresMatchGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("regenerates every figure at quick durations")
 	}
-	d := ioctopus.QuickDurations()
-	ids := ioctopus.ExperimentIDs()
-	var b strings.Builder
-	results := make([]*ioctopus.ExperimentResult, 0, len(ids))
-	for _, id := range ids {
-		res, err := ioctopus.RunExperiment(id, d)
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		results = append(results, res)
-		b.WriteString(res.Render())
-		b.WriteString("\n")
-	}
+	for _, tc := range []struct {
+		golden string
+		ids    []string
+	}{
+		{"all_quick", ioctopus.ExperimentIDs()},
+		{"hidden_quick", []string{"chaos", "pmd", "devchaos"}},
+	} {
+		t.Run(tc.golden, func(t *testing.T) {
+			d := ioctopus.QuickDurations()
+			var b strings.Builder
+			results := make([]*ioctopus.ExperimentResult, 0, len(tc.ids))
+			for _, id := range tc.ids {
+				res, err := ioctopus.RunExperiment(id, d)
+				if err != nil {
+					t.Fatalf("%s: %v", id, err)
+				}
+				results = append(results, res)
+				b.WriteString(res.Render())
+				b.WriteString("\n")
+			}
 
-	wantText, err := os.ReadFile("testdata/all_quick.txt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.String() != string(wantText) {
-		t.Error("interrupt-mode `-fig all -quick` text diverges from testdata/all_quick.txt")
-	}
+			wantText, err := os.ReadFile("testdata/" + tc.golden + ".txt")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b.String() != string(wantText) {
+				t.Errorf("quick-run text diverges from testdata/%s.txt", tc.golden)
+			}
 
-	rep := ioctopus.NewReport(ids, true, d, results)
-	rep.Registry = ioctopus.RegistrySnapshots(d)
-	enc, err := rep.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantJSON, err := os.ReadFile("testdata/all_quick.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	norm := func(s []byte) string {
-		out := regexp.MustCompile(`"go_version": *"[^"]*"`).ReplaceAllString(string(s), `"go_version": "X"`)
-		return regexp.MustCompile(`"parallelism": *[0-9]+`).ReplaceAllString(out, `"parallelism": 0`)
-	}
-	if norm(enc) != norm(wantJSON) {
-		t.Error("interrupt-mode JSON report diverges from testdata/all_quick.json")
+			rep := ioctopus.NewReport(tc.ids, true, d, results)
+			rep.Registry = ioctopus.RegistrySnapshots(d)
+			enc, err := rep.Encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantJSON, err := os.ReadFile("testdata/" + tc.golden + ".json")
+			if err != nil {
+				t.Fatal(err)
+			}
+			norm := func(s []byte) string {
+				out := regexp.MustCompile(`"go_version": *"[^"]*"`).ReplaceAllString(string(s), `"go_version": "X"`)
+				return regexp.MustCompile(`"parallelism": *[0-9]+`).ReplaceAllString(out, `"parallelism": 0`)
+			}
+			if norm(enc) != norm(wantJSON) {
+				t.Errorf("quick-run JSON report diverges from testdata/%s.json", tc.golden)
+			}
+		})
 	}
 }
