@@ -11,7 +11,7 @@
 //	ioctobench -list
 //	ioctobench -fig fig6
 //	ioctobench -fig all -quick -parallel 8
-//	ioctobench -fig pmd -quick -datapath busypoll
+//	ioctobench -fig pmd -quick
 //	ioctobench -fig fig14 -o fig14.txt
 //	ioctobench -fig all -quick -json report.json
 //	ioctobench -fig fig6 -profile ./prof
@@ -43,10 +43,8 @@ func main() {
 		profDir  = flag.String("profile", "", "write cpu.pprof and heap.pprof for the run into this directory")
 		parallel = flag.Int("parallel", runtime.GOMAXPROCS(0),
 			"max simulations in flight (1 = fully serial); results are identical at any level")
-		datapathArg = flag.String("datapath", "interrupt",
-			"server completion datapath: interrupt (NAPI, the default), busypoll (poll-mode cores), or hybrid (adaptive polling)")
 		scenarioArg = flag.String("scenario", "",
-			"run a declarative scenario: a builtin name (fig2, chaos) or a path to a JSON spec file")
+			"run a declarative scenario: a builtin name (chaos) or a path to a JSON spec file")
 		fuzzN = flag.Int("fuzz", 0,
 			"generate and run N seeded random scenarios (simulation fuzzing); seeds are -seed .. -seed+N-1")
 		seed = flag.Int64("seed", 1, "first seed for -fuzz")
@@ -87,14 +85,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "ioctobench: -parallel %d is invalid; need at least 1 simulation in flight\n", *parallel)
 		os.Exit(2)
 	}
-	datapath, err := ioctopus.ParseDatapath(*datapathArg)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ioctobench: %v\n", err)
-		os.Exit(2)
-	}
-
 	ioctopus.SetParallelism(*parallel)
-	ioctopus.SetDatapath(datapath)
 
 	d := ioctopus.FullDurations()
 	if *quick {

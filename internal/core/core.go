@@ -64,7 +64,7 @@ const (
 	DatapathHybrid    = driver.DatapathHybrid
 )
 
-// ParseDatapath maps the CLI/scenario spelling ("", "interrupt",
+// ParseDatapath maps the scenario spelling ("", "interrupt",
 // "busypoll", "hybrid") to a Datapath.
 func ParseDatapath(s string) (Datapath, error) { return driver.ParseDatapath(s) }
 
@@ -95,6 +95,7 @@ type Config struct {
 	ClientTopo *topology.Server
 	// DriverParams overrides the server drivers' defaults (the §2.4
 	// remote-DDIO measurement homes completion rings on the NIC node).
+	// Its Datapath field is ignored: Datapath below is the one input.
 	DriverParams *driver.Params
 	// Datapath selects the server drivers' completion delivery:
 	// interrupt/NAPI (the zero value — byte-identical to a config that
@@ -235,11 +236,7 @@ func ValidateConfig(cfg Config) error {
 			return fmt.Errorf("core: completion rings homed on node %d but the server has %d nodes", n, cfg.ServerTopo.NumNodes())
 		}
 	}
-	dp := cfg.Datapath
-	if dp == DatapathInterrupt && cfg.DriverParams != nil {
-		dp = cfg.DriverParams.Datapath
-	}
-	switch dp {
+	switch cfg.Datapath {
 	case DatapathInterrupt, DatapathHybrid:
 	case DatapathBusyPoll:
 		// Busy-polling dedicates the last core of every server node to
@@ -252,7 +249,7 @@ func ValidateConfig(cfg Config) error {
 			}
 		}
 	default:
-		return fmt.Errorf("core: unknown datapath %v", dp)
+		return fmt.Errorf("core: unknown datapath %v", cfg.Datapath)
 	}
 	return nil
 }
@@ -326,9 +323,7 @@ func NewClusterE(cfg Config) (*Cluster, error) {
 	if cfg.DriverParams != nil {
 		drvParams = *cfg.DriverParams
 	}
-	if cfg.Datapath != driver.DatapathInterrupt {
-		drvParams.Datapath = cfg.Datapath
-	}
+	drvParams.Datapath = cfg.Datapath
 
 	// Client side: always the standard single-PF driver, always the
 	// interrupt datapath (the paper's client machine is stock Linux; the

@@ -58,7 +58,7 @@ func (d Datapath) String() string {
 	return fmt.Sprintf("Datapath(%d)", int(d))
 }
 
-// ParseDatapath maps the CLI/scenario spelling back; the empty string
+// ParseDatapath maps the scenario spelling back; the empty string
 // is the default (interrupt).
 func ParseDatapath(s string) (Datapath, error) {
 	switch s {

@@ -55,7 +55,7 @@ func runAblationWiring(d Durations) *Result {
 }
 
 func measureWired(w pcie.Wiring, instances int, d Durations) float64 {
-	cl := newCluster(core.Config{Mode: core.ModeIOctopus, Wiring: w})
+	cl := core.NewCluster(core.Config{Mode: core.ModeIOctopus, Wiring: w})
 	defer cl.Drain()
 	var serverCores, clientCores []topology.CoreID
 	for i := 0; i < instances; i++ {
@@ -74,7 +74,7 @@ func measureWired(w pcie.Wiring, instances int, d Durations) float64 {
 }
 
 func measureWiredRR(w pcie.Wiring, d Durations) float64 {
-	cl := newCluster(core.Config{Mode: core.ModeIOctopus, Wiring: w, DisableCoalescing: true})
+	cl := core.NewCluster(core.Config{Mode: core.ModeIOctopus, Wiring: w, DisableCoalescing: true})
 	defer cl.Drain()
 	wl := workloads.StartRR(cl, workloads.RRConfig{
 		MsgSize: 64, ServerCore: 0, ClientCore: 0, ServerIP: core.IPServerPF0,
@@ -95,7 +95,7 @@ func runAblationSG(d Durations) *Result {
 	t := metrics.NewTable("IOctoSG ablation",
 		"config", "Gb/s", "QPI GB moved")
 	run := func(sg bool) (gbps, qpiGB float64) {
-		cl := newCluster(core.Config{Mode: core.ModeIOctopus, EnableSG: sg})
+		cl := core.NewCluster(core.Config{Mode: core.ModeIOctopus, EnableSG: sg})
 		defer cl.Drain()
 		var received int64
 		cl.Client.Stack.Listen(7, func(s *netstack.Socket) {
@@ -158,7 +158,7 @@ func runAblationCoalescing(d Durations) *Result {
 	t := metrics.NewTable("coalescing ablation",
 		"coalescing", "RR mean us", "Rx Gb/s")
 	run := func(disable bool) (rrUs, gbps float64) {
-		cl := newCluster(core.Config{Mode: core.ModeIOctopus, DisableCoalescing: disable})
+		cl := core.NewCluster(core.Config{Mode: core.ModeIOctopus, DisableCoalescing: disable})
 		rr := workloads.StartRR(cl, workloads.RRConfig{
 			MsgSize: 64, ServerCore: 0, ClientCore: 0, ServerIP: core.IPServerPF0,
 		})
@@ -168,7 +168,7 @@ func runAblationCoalescing(d Durations) *Result {
 		rrUs = rr.Mean().Seconds() * 1e6
 		cl.Drain()
 
-		cl2 := newCluster(core.Config{Mode: core.ModeIOctopus, DisableCoalescing: disable})
+		cl2 := core.NewCluster(core.Config{Mode: core.ModeIOctopus, DisableCoalescing: disable})
 		defer cl2.Drain()
 		st := workloads.StartStream(cl2, workloads.StreamConfig{
 			MsgSize: 65536, Direction: workloads.Rx,

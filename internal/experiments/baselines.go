@@ -67,7 +67,7 @@ func runBaselineBond(d Durations) *Result {
 // server with the app on socket 1 and the flow hashed (by the switch's
 // LAG policy) to the socket-0 NIC: the §2.5 worst case.
 func measureBondRx(d Durations) (gbps, memGbps float64) {
-	cl := newCluster(core.Config{Mode: core.ModeStandard})
+	cl := core.NewCluster(core.Config{Mode: core.ModeStandard})
 	defer cl.Drain()
 	srv := cl.Server
 	eng := cl.Eng
@@ -144,7 +144,7 @@ func measureBondRx(d Durations) (gbps, memGbps float64) {
 // follows it through four PFs with no loss anywhere.
 func runBaselineQuad(d Durations) *Result {
 	r := &Result{ID: "baseline-quad", Title: "four-socket octoNIC: steering across 4 PFs (§3.3, Fig 4)"}
-	cl := newCluster(core.Config{
+	cl := core.NewCluster(core.Config{
 		Mode:       core.ModeIOctopus,
 		ServerTopo: topology.QuadSocket(8),
 	})

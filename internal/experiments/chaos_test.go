@@ -22,8 +22,8 @@ func TestChaosIsHiddenButRunnable(t *testing.T) {
 // TestChaosDeterministicAcrossRuns runs the fault-injection harness
 // twice at a reduced timeline and requires byte-identical reports: the
 // whole run — loss RNG, failover timing, sampled series — is a pure
-// function of the plan seed. (scripts/check.sh repeats this at the full
-// -quick scale via the CLI.)
+// function of the plan seed. (The hidden_quick golden pins it at the
+// -quick scale.)
 func TestChaosDeterministicAcrossRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two chaos runs take a few seconds")

@@ -4,6 +4,7 @@
 // runner builds the §5 testbed, drives the same workload with the same
 // parameters, and emits the rows/series the paper plots, together with
 // shape checks (who wins, by what factor, where the crossover falls).
+// RunSpec (spec.go) is the one runner for declarative scenario.Specs.
 package experiments
 
 import (

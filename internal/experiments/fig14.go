@@ -16,7 +16,7 @@ func init() { register("fig14", runFig14) }
 // timeline runs the §5.3 migration experiment under one mode and
 // returns the per-PF throughput series plus split throughput sums.
 func timeline(mode core.NICMode, d Durations) (pf0, pf1 *metrics.Series, preRate, postRate float64) {
-	cl := newCluster(core.Config{Mode: mode})
+	cl := core.NewCluster(core.Config{Mode: mode})
 	defer cl.Drain()
 	var serverThread *kernel.Thread
 	cl.Server.Stack.Listen(7, func(s *netstack.Socket) {

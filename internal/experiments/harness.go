@@ -39,17 +39,6 @@ func clusterFor(c config, opts core.Config) *core.Cluster {
 	} else {
 		opts.Mode = core.ModeStandard
 	}
-	return newCluster(opts)
-}
-
-// newCluster builds a cluster with the harness-wide datapath applied;
-// every experiment cluster goes through here so -datapath affects all
-// of them uniformly. An explicit per-point Datapath (the PMD sweep
-// figure) wins over the global.
-func newCluster(opts core.Config) *core.Cluster {
-	if opts.Datapath == core.DatapathInterrupt {
-		opts.Datapath = GetDatapath()
-	}
 	return core.NewCluster(opts)
 }
 

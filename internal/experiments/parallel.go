@@ -3,8 +3,6 @@ package experiments
 import (
 	"runtime"
 	"sync"
-
-	"ioctopus/internal/core"
 )
 
 // Every measurement point builds its own Cluster with its own Engine
@@ -39,27 +37,6 @@ func Parallelism() int {
 	parMu.RLock()
 	defer parMu.RUnlock()
 	return cap(sem)
-}
-
-// datapath is the completion-delivery mode applied to every cluster the
-// harness builds. The zero value (interrupt) is byte-identical to the
-// pre-PMD harness.
-var datapath core.Datapath
-
-// SetDatapath sets the datapath (interrupt, busypoll, hybrid) every
-// harness-built cluster runs with — the `ioctobench -datapath` axis.
-// Call between runs, not while experiments are in flight.
-func SetDatapath(d core.Datapath) {
-	parMu.Lock()
-	datapath = d
-	parMu.Unlock()
-}
-
-// GetDatapath returns the harness datapath.
-func GetDatapath() core.Datapath {
-	parMu.RLock()
-	defer parMu.RUnlock()
-	return datapath
 }
 
 // points runs fn(0..n-1) on the worker pool and returns the results

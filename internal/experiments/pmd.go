@@ -13,8 +13,8 @@ import (
 
 // The kernel-bypass sweep is hidden: it is not part of the paper's
 // artifact set (`-fig all` stays byte-identical to the NAPI-only
-// harness) but runs by name — `ioctobench -fig pmd -quick` — and in
-// the check.sh determinism gates.
+// harness) but runs by name — `ioctobench -fig pmd -quick` — and is
+// pinned by the hidden_quick golden.
 func init() { registerHidden("pmd", runPMD) }
 
 // pmdSizes keeps the sweep affordable: busy-poll points simulate every
@@ -34,7 +34,7 @@ type pmdOut struct {
 // under one datapath, local (node 0, same socket as PF0) or remote
 // (node 1), and collects the pmd/ counters across the server's drivers.
 func measurePMD(dp core.Datapath, remote bool, msg int64, d Durations) pmdOut {
-	cl := newCluster(core.Config{Mode: core.ModeStandard, Datapath: dp})
+	cl := core.NewCluster(core.Config{Mode: core.ModeStandard, Datapath: dp})
 	defer cl.Drain()
 	node := topology.NodeID(0)
 	if remote {

@@ -29,7 +29,7 @@ func runAblationRemoteDDIO(d Durations) *Result {
 			p.CompRingNode = 0 // the NIC's node; pktgen runs on node 1
 			cfg.DriverParams = &p
 		}
-		cl := newCluster(cfg)
+		cl := core.NewCluster(cfg)
 		defer cl.Drain()
 		coreID := cl.Server.Topo.CoresOn(1)[0].ID // remote to PF0
 		w := workloads.StartPktgen(cl, cl.Dev0.(workloads.RawTxDevice),

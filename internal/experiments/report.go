@@ -86,7 +86,7 @@ func NewReport(ids []string, quick bool, d Durations, results []*Result) *Report
 func RegistrySnapshots(d Durations) []RegistrySnapshot {
 	var out []RegistrySnapshot
 	for _, mode := range []core.NICMode{core.ModeStandard, core.ModeIOctopus} {
-		cl := newCluster(core.Config{Mode: mode})
+		cl := core.NewCluster(core.Config{Mode: mode})
 		w := workloads.StartStream(cl, workloads.StreamConfig{
 			MsgSize:     64 * 1024,
 			Direction:   workloads.Rx,

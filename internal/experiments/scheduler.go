@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"ioctopus/internal/core"
 	"ioctopus/internal/eth"
@@ -26,7 +25,7 @@ func runAblationScheduler(d Durations) *Result {
 		"mode", "pinned Gb/s", "balanced Gb/s", "balanced/pinned")
 
 	measure := func(mode core.NICMode, balance bool) float64 {
-		cl := newCluster(core.Config{Mode: mode})
+		cl := core.NewCluster(core.Config{Mode: mode})
 		defer cl.Drain()
 		var received int64
 		var serverThread *kernel.Thread
@@ -92,6 +91,5 @@ func runAblationScheduler(d Durations) *Result {
 		ratio(octoBalanced, octoPinned), 0.95, 1.02)
 	r.Notes = append(r.Notes, fmt.Sprintf(
 		"balancer migrates every %v; the standard NIC spends half its time remote", d.Measure))
-	_ = time.Second
 	return r
 }

@@ -1,4 +1,4 @@
-package scenario
+package experiments
 
 import (
 	"fmt"
@@ -9,61 +9,56 @@ import (
 	"ioctopus/internal/core"
 	"ioctopus/internal/driver"
 	"ioctopus/internal/eth"
-	"ioctopus/internal/experiments"
 	"ioctopus/internal/kernel"
 	"ioctopus/internal/metrics"
 	"ioctopus/internal/netstack"
+	"ioctopus/internal/scenario"
 	"ioctopus/internal/sim"
 	"ioctopus/internal/topology"
 	"ioctopus/internal/workloads"
 )
 
-// Run executes a validated spec and returns its Result. The run is a
-// pure function of (spec, durations): running
-// the same spec twice — or its JSON round-trip — renders byte-identical
-// text, which is what the check.sh fuzz gate diffs.
-func Run(sp *Spec, d experiments.Durations) (*experiments.Result, error) {
+// The chaos harness is not a paper figure, so it stays out of IDs()
+// (and therefore out of `-fig all`). It is the builtin scenario.Chaos
+// spec, so `-fig chaos` and `-scenario chaos` are one code path.
+func init() {
+	registerHidden("chaos", func(d Durations) *Result {
+		r, err := RunSpec(scenario.Chaos(), d)
+		if err != nil {
+			panic(err) // the builtin is static; failing to build it is a bug
+		}
+		return r
+	})
+}
+
+// FuzzDurations returns the windows fuzz runs use: long enough that a
+// fault window (≤15% of the timeline) plus its retransmission tail fits
+// before the post-fault measurement window, short enough that a CI
+// smoke gate can afford dozens of seeds.
+func FuzzDurations() Durations {
+	return Durations{
+		Warmup:      4 * time.Millisecond,
+		Measure:     16 * time.Millisecond,
+		Timeline:    120 * time.Millisecond,
+		SampleEvery: 5 * time.Millisecond,
+	}
+}
+
+// RunSpec is the one scenario runner: it validates the spec, simulates
+// it, and evaluates its declarative tables, notes and checks. The run
+// is a pure function of (spec, durations): running the same spec twice
+// — or its JSON round-trip — renders byte-identical text, which is what
+// the check.sh fuzz gate diffs.
+func RunSpec(sp *scenario.Spec, d Durations) (*Result, error) {
 	if err := sp.Validate(); err != nil {
 		return nil, err
 	}
-	if sp.Trend != nil {
-		return runTrend(sp), nil
+	run, err := simulate(sp, d)
+	if err != nil {
+		return nil, err
 	}
-	return runSim(sp, d)
-}
-
-// runTrend evaluates a static trend dataset — the declarative twin of
-// the hand-wired fig2 runner, row for row and check for check.
-func runTrend(sp *Spec) *experiments.Result {
-	tr := sp.Trend
-	r := &experiments.Result{ID: sp.Name, Title: sp.Title}
-	t := metrics.NewTable(tr.TableTitle,
-		"year", "ethernet", "NIC 1-port", "NIC 2-port", "cores", "CPU cloud", "CPU 10G/core")
-	nicAlwaysExceedsCloud := true
-	dualExceedsAggressive := 0
-	for _, p := range tr.Rows {
-		cloud := tr.CloudPerCoreGbs * float64(p.MaxCores)
-		aggressive := tr.BareMetalPerCoreGbs * float64(p.MaxCores)
-		t.AddRow(p.Year, p.Ethernet, p.SinglePortGbs, p.DualPortGbs, p.MaxCores, cloud, aggressive)
-		if p.SinglePortGbs <= cloud {
-			nicAlwaysExceedsCloud = false
-		}
-		if p.DualPortGbs >= aggressive {
-			dualExceedsAggressive++
-		}
-	}
-	r.Tables = append(r.Tables, t)
-	r.Checks = append(r.Checks,
-		experiments.Check{
-			Name: tr.SingleExceedsCloudName, Pass: nicAlwaysExceedsCloud,
-			Detail: tr.SingleExceedsCloudDetail,
-		},
-		experiments.Check{
-			Name: tr.DualCoversAggressiveName, Pass: dualExceedsAggressive >= len(tr.Rows)/2,
-			Detail: fmt.Sprintf("%d of %d years", dualExceedsAggressive, len(tr.Rows)),
-		})
-	r.Notes = append(r.Notes, tr.Notes...)
-	return r
+	defer run.cl.Drain()
+	return run.report(sp, d), nil
 }
 
 // streamState is one raw-stream workload's byte accounting: tx counted
@@ -92,17 +87,8 @@ func (re *runErrs) all() []string {
 	return append([]string(nil), re.errs...)
 }
 
-// ratio guards against division blowups in reporting (the experiments
-// package's convention).
-func ratio(a, b float64) float64 {
-	if b == 0 {
-		return 0
-	}
-	return a / b
-}
-
-// pctT renders a percent-of-timeline instant the way the hand-wired
-// runners label windows: "0.30T", or plain "T" at the end of the run.
+// pctT renders a percent-of-timeline instant as a window label: "0.30T",
+// or plain "T" at the end of the run.
 func pctT(pct int) string {
 	if pct == 100 {
 		return "T"
@@ -110,72 +96,57 @@ func pctT(pct int) string {
 	return fmt.Sprintf("0.%02dT", pct)
 }
 
-// runSim assembles the cluster a SimSpec describes, drives its
-// workloads and fault plan over the timeline, and evaluates the
-// declarative checks.
-func runSim(sp *Spec, d experiments.Durations) (*experiments.Result, error) {
+// specRun is one simulated spec, run to the end of its timeline but not
+// drained: the caller reads end-of-run state off the cluster, then
+// drains it.
+type specRun struct {
+	cl    *core.Cluster
+	stack netstack.Params // both hosts' netstack parameters
+	// rates are the windowed server NIC receive rates in Gb/s and series
+	// the sampled rate series, both in spec order.
+	rates  []float64
+	series []*metrics.Series
+	// Per-workload handles, indexed like the spec's workloads; nil where
+	// the workload is of another kind.
+	streams    []*streamState
+	netperfs   []*workloads.Stream
+	memcacheds []*workloads.Memcached
+	errs       runErrs
+}
+
+// simulate assembles the cluster a valid spec describes, drives its
+// workloads and fault plan over the timeline, and returns the run
+// undrained.
+func simulate(sp *scenario.Spec, d Durations) (*specRun, error) {
 	sim2 := sp.Sim
 	T := d.Timeline
 	frac := func(pct int) time.Duration { return T * time.Duration(pct) / 100 }
 
-	mode, _ := parseMode(sim2.Mode)
-	wiring, _ := parseWiring(sim2.Wiring)
-	datapath, _ := core.ParseDatapath(sim2.Datapath)
-	serverTopo, err := sim2.Topology.Server.build()
+	clusterCfg, err := sp.ClusterConfig(T)
 	if err != nil {
 		return nil, err
 	}
-	clientTopo, err := sim2.Topology.Client.build()
+	cl, err := core.NewClusterE(clusterCfg)
 	if err != nil {
 		return nil, err
 	}
-
-	stackParams := netstack.DefaultParams()
-	if sim2.Retx != nil {
-		stackParams.RetxTimeout = sim2.Retx.Timeout
-		stackParams.RetxMaxTries = sim2.Retx.MaxTries
+	run := &specRun{
+		cl:         cl,
+		stack:      *clusterCfg.StackParams,
+		streams:    make([]*streamState, len(sim2.Workloads)),
+		netperfs:   make([]*workloads.Stream, len(sim2.Workloads)),
+		memcacheds: make([]*workloads.Memcached, len(sim2.Workloads)),
 	}
-	var drvParams *driver.Params
-	if sim2.Watchdog != nil {
-		dp := driver.DefaultParams()
-		dp.WatchdogInterval = sim2.Watchdog.Interval
-		dp.WatchdogTicks = sim2.Watchdog.Ticks
-		dp.WatchdogBackoff = sim2.Watchdog.Backoff
-		drvParams = &dp
-	}
-
-	cl, err := core.NewClusterE(core.Config{
-		Mode:         mode,
-		EnableSG:     sim2.EnableSG,
-		Wiring:       wiring,
-		Datapath:     datapath,
-		ServerTopo:   serverTopo,
-		ClientTopo:   clientTopo,
-		StackParams:  &stackParams,
-		DriverParams: drvParams,
-		FaultPlan:    sim2.faultPlan(sp.Seed, T),
-		Seed:         sp.Seed,
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer cl.Drain()
-
-	r := &experiments.Result{ID: sp.Name, Title: sp.Title}
-	var errs runErrs
 
 	// Workloads, in spec order. Stream workloads are wired inline so the
 	// runner owns per-stream sent/delivered counters; netperf and
 	// memcached go through the workloads package.
-	streams := make([]*streamState, len(sim2.Workloads))
-	netperfs := make([]*workloads.Stream, len(sim2.Workloads))
-	memcacheds := make([]*workloads.Memcached, len(sim2.Workloads))
 	for i, w := range sim2.Workloads {
 		switch w.Kind {
 		case "stream":
 			st := &streamState{}
-			streams[i] = st
-			startStream(cl, i, w, st, &errs)
+			run.streams[i] = st
+			startStream(cl, i, w, st, &run.errs)
 		case "netperf":
 			dir := workloads.Rx
 			if w.Direction == "tx" {
@@ -188,7 +159,7 @@ func runSim(sp *Spec, d experiments.Durations) (*experiments.Result, error) {
 				serverCores = append(serverCores, serverPool[k].ID)
 				clientCores = append(clientCores, clientPool[k%len(clientPool)].ID)
 			}
-			netperfs[i] = workloads.StartStream(cl, workloads.StreamConfig{
+			run.netperfs[i] = workloads.StartStream(cl, workloads.StreamConfig{
 				MsgSize:     w.MsgSize,
 				Direction:   dir,
 				ServerCores: serverCores,
@@ -207,17 +178,16 @@ func runSim(sp *Spec, d experiments.Durations) (*experiments.Result, error) {
 				cfg.OpCost = w.OpCost
 			}
 			cfg.Pipeline = w.Pipeline
-			memcacheds[i] = workloads.StartMemcached(cl, cfg)
+			run.memcacheds[i] = workloads.StartMemcached(cl, cfg)
 		}
 	}
 
 	// Sampled series, in spec order.
-	var sampler *metrics.Sampler
-	series := make([]*metrics.Series, len(sim2.Samples))
+	run.series = make([]*metrics.Series, len(sim2.Samples))
 	if len(sim2.Samples) > 0 {
-		sampler = metrics.NewSampler(cl.Eng, d.SampleEvery)
+		sampler := metrics.NewSampler(cl.Eng, d.SampleEvery)
 		for i, s := range sim2.Samples {
-			series[i] = sampler.TrackRate(s.Name, sampleProbe(cl, s.Source, streams))
+			run.series[i] = sampler.TrackRate(s.Name, sampleProbe(cl, s.Source, run.streams))
 		}
 		sampler.Start()
 	}
@@ -237,16 +207,28 @@ func runSim(sp *Spec, d experiments.Durations) (*experiments.Result, error) {
 		cl.Run(to - cursor)
 		cursor = to
 	}
-	rates := make([]float64, len(sim2.Windows))
+	run.rates = make([]float64, len(sim2.Windows))
 	for i, w := range sim2.Windows {
 		advance(frac(w.FromPct))
 		start := nicRx()
 		advance(frac(w.ToPct))
-		rates[i] = (nicRx() - start) * 8 / (frac(w.ToPct) - frac(w.FromPct)).Seconds() / 1e9
+		run.rates[i] = (nicRx() - start) * 8 / (frac(w.ToPct) - frac(w.FromPct)).Seconds() / 1e9
 	}
 	if cursor < T {
 		advance(T)
 	}
+	return run, nil
+}
+
+// report evaluates the spec's declarative output against a finished
+// run: the window and counter tables, the sampled series, the recovery
+// and stream notes, and the checks, each in spec order.
+func (run *specRun) report(sp *scenario.Spec, d Durations) *Result {
+	sim2 := sp.Sim
+	cl, rates, series, streams := run.cl, run.rates, run.series, run.streams
+	T := d.Timeline
+	frac := func(pct int) time.Duration { return T * time.Duration(pct) / 100 }
+	r := &Result{ID: sp.Name, Title: sp.Title}
 
 	// Dip depth and recovery time from the sampled series.
 	dip, recoverAt := 0.0, -1.0
@@ -333,8 +315,9 @@ func runSim(sp *Spec, d experiments.Durations) (*experiments.Result, error) {
 	r.Notes = append(r.Notes, sim2.Notes...)
 
 	// Declarative checks, in spec order.
-	inFlightBound := stackParams.SendWindow + stackParams.RxBufBytes
-	workloadErrs := errs.all()
+	inFlightBound := run.stack.SendWindow + run.stack.RxBufBytes
+	netperfs, memcacheds := run.netperfs, run.memcacheds
+	workloadErrs := run.errs.all()
 	for i := range sim2.Workloads {
 		if netperfs[i] != nil {
 			workloadErrs = append(workloadErrs, netperfs[i].Errors()...)
@@ -343,9 +326,7 @@ func runSim(sp *Spec, d experiments.Durations) (*experiments.Result, error) {
 			workloadErrs = append(workloadErrs, memcacheds[i].Errors()...)
 		}
 	}
-	checkTrue := func(name string, ok bool, detail string) {
-		r.Checks = append(r.Checks, experiments.Check{Name: name, Pass: ok, Detail: detail})
-	}
+	checkTrue := r.checkTrue
 	sawNoErrors := false
 	for _, c := range sim2.Checks {
 		switch c.Kind {
@@ -378,11 +359,7 @@ func runSim(sp *Spec, d experiments.Durations) (*experiments.Result, error) {
 			}
 			checkTrue(c.Name, done > 0, fmt.Sprintf("delivered=%d", done))
 		case "window-ratio":
-			v := ratio(rates[c.Window], rates[0])
-			r.Checks = append(r.Checks, experiments.Check{
-				Name: c.Name, Pass: v >= c.Lo && v <= c.Hi,
-				Detail: fmt.Sprintf("%.3f (want %.2f..%.2f)", v, c.Lo, c.Hi),
-			})
+			r.check(c.Name, ratio(rates[c.Window], rates[0]), c.Lo, c.Hi)
 		case "no-errors":
 			sawNoErrors = true
 			detail := "0 errors"
@@ -411,13 +388,13 @@ func runSim(sp *Spec, d experiments.Durations) (*experiments.Result, error) {
 	if len(workloadErrs) > 0 && !sawNoErrors {
 		checkTrue("workload errors", false, strings.Join(workloadErrs, "; "))
 	}
-	return r, nil
+	return r
 }
 
 // startStream wires one raw-stream workload: a Listen+sink thread on
 // the receiving host and a Dial+send loop on the transmitting host,
 // with explicit core placement from the spec.
-func startStream(cl *core.Cluster, idx int, w WorkloadSpec, st *streamState, errs *runErrs) {
+func startStream(cl *core.Cluster, idx int, w scenario.WorkloadSpec, st *streamState, errs *runErrs) {
 	sinkHost, srcHost := cl.Server, cl.Client
 	dialIP := core.IPServerPF0
 	if w.FromServer {
@@ -454,11 +431,11 @@ func startStream(cl *core.Cluster, idx int, w WorkloadSpec, st *streamState, err
 
 // sampleProbe builds the closure one SampleSpec tracks.
 func sampleProbe(cl *core.Cluster, source string, streams []*streamState) func() float64 {
-	if n, ok := parseSource(source, "workload"); ok {
+	if n, ok := scenario.ParseSource(source, "workload"); ok {
 		st := streams[n]
 		return func() float64 { return float64(st.rx) * 8 / 1e9 }
 	}
-	n, _ := parseSource(source, "pf")
+	n, _ := scenario.ParseSource(source, "pf")
 	pf := cl.Server.NIC.PF(n)
 	return func() float64 { return pf.RxBytes() * 8 / 1e9 }
 }

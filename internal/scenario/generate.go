@@ -4,22 +4,8 @@ import (
 	"fmt"
 	"time"
 
-	"ioctopus/internal/experiments"
 	"ioctopus/internal/sim"
 )
-
-// FuzzDurations returns the windows fuzz runs use: long enough that a
-// fault window (≤15% of the timeline) plus its retransmission tail fits
-// before the post-fault measurement window, short enough that a CI
-// smoke gate can afford dozens of seeds.
-func FuzzDurations() experiments.Durations {
-	return experiments.Durations{
-		Warmup:      4 * time.Millisecond,
-		Measure:     16 * time.Millisecond,
-		Timeline:    120 * time.Millisecond,
-		SampleEvery: 5 * time.Millisecond,
-	}
-}
 
 // Generate draws a random — but always valid — scenario from the given
 // seed: a topology pair, a NIC mode and wiring, a workload mix anchored

@@ -1,18 +1,17 @@
-// Package scenario is the declarative experiment layer: a validated,
-// seed-deterministic Spec — topology, NIC mode and wiring, workload
-// mix, fault schedule, and the checks that judge the run — that the
-// generic runner turns into a full cluster simulation. A scenario is
-// data (a Go literal or a JSON file), not a new hand-wired figN.go
-// runner: the same machinery that replays the chaos harness replays a
-// JSON file from disk or a spec drawn by the seeded generator
-// (Generate), which is what gives the repo property-based "simulation
-// fuzzing" of the steering/failover invariants.
+// Package scenario is the declarative experiment data layer: a
+// validated, seed-deterministic Spec — topology, NIC mode and wiring,
+// workload mix, fault schedule, and the checks that judge the run —
+// with its JSON form (Parse, Marshal, Load), the builtin specs and the
+// seeded generator (Generate). A scenario is data (a Go literal or a
+// JSON file), not a new hand-wired figN.go runner. The one runner that
+// turns a Spec into a cluster simulation is experiments.RunSpec: it
+// runs the builtin chaos harness, JSON files from disk, the generator's
+// draws behind `ioctobench -fuzz` (property-based "simulation fuzzing"
+// of the steering/failover invariants) and the devchaos cells.
 //
 // Determinism contract: a Spec is a pure function from (spec, seed,
 // durations) to rendered output. Marshal → unmarshal → run is
-// byte-identical to running the Go literal, and the builtin fig2 and
-// chaos specs are byte-identical to their hand-wired runners in
-// internal/experiments (pinned by tests and scripts/check.sh).
+// byte-identical to running the Go literal.
 package scenario
 
 import (
@@ -24,14 +23,14 @@ import (
 	"time"
 
 	"ioctopus/internal/core"
+	"ioctopus/internal/driver"
 	"ioctopus/internal/faults"
+	"ioctopus/internal/netstack"
 	"ioctopus/internal/pcie"
 	"ioctopus/internal/topology"
 )
 
-// Spec is one complete scenario. Exactly one of Trend or Sim describes
-// the body: Trend scenarios evaluate a static dataset (Figure 2's
-// technology trend), Sim scenarios assemble and drive a cluster.
+// Spec is one complete scenario: a cluster to assemble and drive.
 type Spec struct {
 	// Name is the scenario id (the Result ID and the -scenario name).
 	Name string `json:"name"`
@@ -41,33 +40,7 @@ type Spec struct {
 	// the whole run is a pure function of it.
 	Seed int64 `json:"seed"`
 
-	Trend *TrendSpec `json:"trend,omitempty"`
-	Sim   *SimSpec   `json:"sim,omitempty"`
-}
-
-// TrendRow is one year of a trend dataset.
-type TrendRow struct {
-	Year          int     `json:"year"`
-	Ethernet      string  `json:"ethernet"`
-	SinglePortGbs float64 `json:"single_port_gbs"`
-	DualPortGbs   float64 `json:"dual_port_gbs"`
-	MaxCores      int     `json:"max_cores"`
-}
-
-// TrendSpec evaluates a NIC-vs-CPU bandwidth dataset: the table, the
-// "single port always exceeds the cloud per-CPU bound" check and the
-// "dual port covers the aggressive bound in most years" check.
-type TrendSpec struct {
-	TableTitle          string     `json:"table_title"`
-	Rows                []TrendRow `json:"rows"`
-	CloudPerCoreGbs     float64    `json:"cloud_per_core_gbs"`
-	BareMetalPerCoreGbs float64    `json:"bare_metal_per_core_gbs"`
-	// Check names/details; the pass detail of the first check is static
-	// text, the second check's detail is computed ("%d of %d years").
-	SingleExceedsCloudName   string   `json:"single_exceeds_cloud_name"`
-	SingleExceedsCloudDetail string   `json:"single_exceeds_cloud_detail"`
-	DualCoversAggressiveName string   `json:"dual_covers_aggressive_name"`
-	Notes                    []string `json:"notes,omitempty"`
+	Sim *SimSpec `json:"sim,omitempty"`
 }
 
 // MachineSpec names a host: a preset by name, or a custom build with
@@ -356,9 +329,9 @@ func (m MachineSpec) validate(host string) error {
 	}
 }
 
-// sourceWorkload parses "workload:<i>" sample sources; returns -1 for
-// other shapes.
-func parseSource(src, prefix string) (int, bool) {
+// ParseSource parses a "<prefix>:<n>" sample source ("workload:0",
+// "pf:1"); it returns -1, false for other shapes.
+func ParseSource(src, prefix string) (int, bool) {
 	var n int
 	if _, err := fmt.Sscanf(src, prefix+":%d", &n); err == nil {
 		return n, true
@@ -376,27 +349,9 @@ func (sp *Spec) Validate() error {
 	if sp.Name == "" || strings.ContainsAny(sp.Name, " \t\n") {
 		return fmt.Errorf("scenario: name %q must be non-empty without whitespace", sp.Name)
 	}
-	if (sp.Trend == nil) == (sp.Sim == nil) {
-		return fmt.Errorf("scenario %s: exactly one of trend or sim must be set", sp.Name)
+	if sp.Sim == nil {
+		return fmt.Errorf("scenario %s: sim must be set", sp.Name)
 	}
-	if sp.Trend != nil {
-		return sp.validateTrend()
-	}
-	return sp.validateSim()
-}
-
-func (sp *Spec) validateTrend() error {
-	tr := sp.Trend
-	if len(tr.Rows) == 0 {
-		return fmt.Errorf("scenario %s: trend needs at least one row", sp.Name)
-	}
-	if tr.CloudPerCoreGbs <= 0 || tr.BareMetalPerCoreGbs <= 0 {
-		return fmt.Errorf("scenario %s: trend per-core bounds must be positive", sp.Name)
-	}
-	return nil
-}
-
-func (sp *Spec) validateSim() error {
 	sim := sp.Sim
 	fail := func(format string, args ...any) error {
 		return fmt.Errorf("scenario %s: %s", sp.Name, fmt.Sprintf(format, args...))
@@ -605,13 +560,13 @@ func (sp *Spec) validateSim() error {
 		if s.Name == "" {
 			return fail("sample %d: needs a name", i)
 		}
-		if n, ok := parseSource(s.Source, "workload"); ok {
+		if n, ok := ParseSource(s.Source, "workload"); ok {
 			if !streamFwd(n) {
 				return fail("sample %d: source %q must name a forward stream workload (server-side state)", i, s.Source)
 			}
 			continue
 		}
-		if n, ok := parseSource(s.Source, "pf"); ok {
+		if n, ok := ParseSource(s.Source, "pf"); ok {
 			if n < 0 || n >= serverPFs {
 				return fail("sample %d: server has no PF %d", i, n)
 			}
@@ -730,9 +685,6 @@ func validateCounterSource(src string, serverPFs int, octo, watchdog bool) error
 		}
 		return nil
 	}
-	if n, ok := parseSource(src, "nic/pf"); ok && strings.HasSuffix(src, "/link_drops") {
-		_ = n
-	}
 	var pf int
 	if _, err := fmt.Sscanf(src, "nic/pf%d/link_drops", &pf); err == nil {
 		if pf < 0 || pf >= serverPFs {
@@ -784,6 +736,53 @@ func (sim *SimSpec) faultPlan(seed int64, T time.Duration) *faults.Plan {
 	return plan
 }
 
+// ClusterConfig is the core.Config a valid spec describes over a run of
+// length T: NIC mode, wiring and datapath, both topologies, the netstack
+// parameters (retransmission on when Retx is set), the driver
+// parameters (watchdog armed when Watchdog is set), and the fault plan
+// with its percent offsets resolved against T.
+func (sp *Spec) ClusterConfig(T time.Duration) (core.Config, error) {
+	sim := sp.Sim
+	mode, _ := parseMode(sim.Mode)
+	wiring, _ := parseWiring(sim.Wiring)
+	datapath, _ := core.ParseDatapath(sim.Datapath)
+	serverTopo, err := sim.Topology.Server.build()
+	if err != nil {
+		return core.Config{}, err
+	}
+	clientTopo, err := sim.Topology.Client.build()
+	if err != nil {
+		return core.Config{}, err
+	}
+
+	stackParams := netstack.DefaultParams()
+	if sim.Retx != nil {
+		stackParams.RetxTimeout = sim.Retx.Timeout
+		stackParams.RetxMaxTries = sim.Retx.MaxTries
+	}
+	var drvParams *driver.Params
+	if sim.Watchdog != nil {
+		dp := driver.DefaultParams()
+		dp.WatchdogInterval = sim.Watchdog.Interval
+		dp.WatchdogTicks = sim.Watchdog.Ticks
+		dp.WatchdogBackoff = sim.Watchdog.Backoff
+		drvParams = &dp
+	}
+
+	return core.Config{
+		Mode:         mode,
+		EnableSG:     sim.EnableSG,
+		Wiring:       wiring,
+		Datapath:     datapath,
+		ServerTopo:   serverTopo,
+		ClientTopo:   clientTopo,
+		StackParams:  &stackParams,
+		DriverParams: drvParams,
+		FaultPlan:    sim.faultPlan(sp.Seed, T),
+		Seed:         sp.Seed,
+	}, nil
+}
+
 // Marshal renders the spec as indented JSON (the on-disk form
 // -scenario loads).
 func (sp *Spec) Marshal() ([]byte, error) {
@@ -819,11 +818,8 @@ func Load(nameOrPath string) (*Spec, error) {
 	return Parse(data)
 }
 
-// builtins are the named specs shipped with the repo: the declarative
-// ports of the hand-wired runners they are byte-identity-pinned
-// against.
+// builtins are the named specs shipped with the repo.
 var builtins = map[string]func() *Spec{
-	"fig2":  Fig2,
 	"chaos": Chaos,
 }
 
@@ -837,43 +833,17 @@ func Builtins() []string {
 	return names
 }
 
-// Fig2 is the declarative port of the hand-wired fig2 runner: the §2.6
-// technology-trend dataset as data. Running it is byte-identical to
-// `ioctobench -fig fig2` (pinned by TestBuiltinsMatchHandWiredRunners
-// and the scripts/check.sh scenario gate).
-func Fig2() *Spec {
-	return &Spec{
-		Name:  "fig2",
-		Title: "NIC vs CPU bandwidth trend, 2008-2020 (§2.6)",
-		Trend: &TrendSpec{
-			TableTitle: "Figure 2: throughput [Gb/s]",
-			Rows: []TrendRow{
-				{2008, "10GbE", 20, 40, 4},
-				{2010, "10GbE", 20, 40, 8},
-				{2012, "40GbE", 80, 160, 10},
-				{2014, "100GbE", 200, 400, 12},
-				{2016, "100GbE", 200, 400, 18},
-				{2017, "100GbE", 200, 400, 24},
-				{2018, "200GbE", 400, 800, 28},
-				{2019, "200GbE", 400, 800, 32},
-				{2020, "400GbE", 800, 1600, 48},
-			},
-			CloudPerCoreGbs:          0.513,
-			BareMetalPerCoreGbs:      10.0,
-			SingleExceedsCloudName:   "single-port NIC always exceeds measured cloud per-CPU demand",
-			SingleExceedsCloudDetail: "NIC line above 513 Mb/s-per-core CPU line for every year",
-			DualCoversAggressiveName: "dual-port NIC covers even the 10 Gb/s-per-core bound in most years",
-			Notes: []string{
-				"static dataset reconstructed from the figure's cited sources; no simulation involved",
-			},
-		},
-	}
-}
-
-// Chaos is the declarative port of the hand-wired chaos harness
-// (experiments/chaos.go): the same fault schedule, streams, windows,
-// counters and checks as data. Running it is byte-identical to
-// `ioctobench -fig chaos` at any durations.
+// Chaos is the fault-injection harness: a netperf-style TCP stream into
+// the octoNIC server, plus a reverse stream that exercises the Tx side
+// of the outage, under a seeded schedule. The PF0 link flap makes the
+// octo team driver fail every flow over to PF1, re-post the descriptors
+// stranded in PF0's rings, and fail back; the loss and burst windows
+// exercise the retransmission timer; the core stall and fabric degrade
+// perturb the survivors. Recovery is judged against the pre-fault
+// steady state: throughput during the outage (served via PF1) and after
+// failback must both return to >=95%, and no segment may be lost end
+// to end. `-fig chaos` (a hidden registry id) and `-scenario chaos`
+// both run it.
 func Chaos() *Spec {
 	return &Spec{
 		Name:  "chaos",
@@ -940,6 +910,9 @@ func Chaos() *Spec {
 				{Kind: "no-abandoned", Name: "no segment abandoned"},
 				{Kind: "stream-conserved", Name: "zero end-to-end loss forward (gap <= in-flight bound)", Workload: 0},
 				{Kind: "stream-conserved", Name: "zero end-to-end loss reverse (gap <= in-flight bound)", Workload: 1},
+				// The outage can legitimately run faster than pre-fault:
+				// failover moves softirq processing to the surviving PF's
+				// cores, unloading the single app core.
 				{Kind: "window-ratio", Name: "throughput during failover (PF1 serving) vs pre", Window: 1, Lo: 0.95, Hi: 2.5},
 				{Kind: "window-ratio", Name: "throughput after recovery vs pre", Window: 2, Lo: 0.95, Hi: 1.10},
 			},

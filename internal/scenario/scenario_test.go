@@ -1,6 +1,7 @@
 package scenario_test
 
 import (
+	"bytes"
 	"reflect"
 	"strings"
 	"testing"
@@ -11,47 +12,12 @@ import (
 )
 
 // chaosTestDurations matches the reduced timeline the experiments
-// package's own determinism test uses: long enough for failover and
-// retransmission to play out, short enough for CI.
+// package's own chaos determinism test uses: long enough for failover
+// and retransmission to play out, short enough for CI.
 func chaosTestDurations() experiments.Durations {
 	return experiments.Durations{
 		Timeline:    200 * time.Millisecond,
 		SampleEvery: 5 * time.Millisecond,
-	}
-}
-
-// TestBuiltinsMatchHandWiredRunners is the port's proof obligation: the
-// declarative fig2 and chaos specs must render byte-identically to the
-// hand-wired runners they replace.
-func TestBuiltinsMatchHandWiredRunners(t *testing.T) {
-	if testing.Short() {
-		t.Skip("chaos runs take a few seconds")
-	}
-	for _, tc := range []struct {
-		id string
-		d  experiments.Durations
-	}{
-		{"fig2", experiments.Quick()},
-		{"chaos", chaosTestDurations()},
-	} {
-		t.Run(tc.id, func(t *testing.T) {
-			want, err := experiments.Run(tc.id, tc.d)
-			if err != nil {
-				t.Fatalf("hand-wired runner: %v", err)
-			}
-			sp, err := scenario.Load(tc.id)
-			if err != nil {
-				t.Fatalf("builtin spec: %v", err)
-			}
-			got, err := scenario.Run(sp, tc.d)
-			if err != nil {
-				t.Fatalf("scenario run: %v", err)
-			}
-			if got.Render() != want.Render() {
-				t.Errorf("scenario output diverges from the hand-wired runner\n--- hand-wired ---\n%s\n--- scenario ---\n%s",
-					want.Render(), got.Render())
-			}
-		})
 	}
 }
 
@@ -67,9 +33,8 @@ func TestJSONRoundTrip(t *testing.T) {
 		sp   *scenario.Spec
 		d    experiments.Durations
 	}{
-		{"fig2", scenario.Fig2(), experiments.Quick()},
 		{"chaos", scenario.Chaos(), chaosTestDurations()},
-		{"generated", scenario.Generate(7), scenario.FuzzDurations()},
+		{"generated", scenario.Generate(7), experiments.FuzzDurations()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			data, err := tc.sp.Marshal()
@@ -83,11 +48,11 @@ func TestJSONRoundTrip(t *testing.T) {
 			if !reflect.DeepEqual(tc.sp, back) {
 				t.Fatalf("round-tripped spec differs from the literal:\n%s", data)
 			}
-			a, err := scenario.Run(tc.sp, tc.d)
+			a, err := experiments.RunSpec(tc.sp, tc.d)
 			if err != nil {
 				t.Fatalf("literal run: %v", err)
 			}
-			b, err := scenario.Run(back, tc.d)
+			b, err := experiments.RunSpec(back, tc.d)
 			if err != nil {
 				t.Fatalf("round-trip run: %v", err)
 			}
@@ -96,6 +61,41 @@ func TestJSONRoundTrip(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzParse drives the spec parser, the one entry point for untrusted
+// input (a JSON file on disk): Parse must never panic, and a spec it
+// accepts must survive Marshal → Parse → Marshal unchanged. The seeds
+// are the builtin chaos spec and the first generated specs.
+func FuzzParse(f *testing.F) {
+	seeds := []*scenario.Spec{scenario.Chaos()}
+	for seed := int64(0); seed <= 5; seed++ {
+		seeds = append(seeds, scenario.Generate(seed))
+	}
+	for _, sp := range seeds {
+		data, err := sp.Marshal()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sp, err := scenario.Parse(data)
+		if err != nil {
+			return
+		}
+		once, err := sp.Marshal()
+		if err != nil {
+			t.Fatalf("marshal of an accepted spec: %v", err)
+		}
+		back, err := scenario.Parse(once)
+		if err != nil {
+			t.Fatalf("re-parse of a marshaled spec: %v\n%s", err, once)
+		}
+		if twice, err := back.Marshal(); err != nil || !bytes.Equal(once, twice) {
+			t.Fatalf("marshal is not a fixed point (err %v):\n--- once ---\n%s\n--- twice ---\n%s", err, once, twice)
+		}
+	})
 }
 
 // TestGenerateDeterministic: the generator is a pure function of its
@@ -111,11 +111,11 @@ func TestGenerateDeterministic(t *testing.T) {
 		t.Skip("double fuzz run takes a few seconds")
 	}
 	sp := scenario.Generate(3)
-	a, err := scenario.Run(sp, scenario.FuzzDurations())
+	a, err := experiments.RunSpec(sp, experiments.FuzzDurations())
 	if err != nil {
 		t.Fatalf("run 1: %v", err)
 	}
-	b, err := scenario.Run(scenario.Generate(3), scenario.FuzzDurations())
+	b, err := experiments.RunSpec(scenario.Generate(3), experiments.FuzzDurations())
 	if err != nil {
 		t.Fatalf("run 2: %v", err)
 	}
@@ -143,7 +143,7 @@ func TestFuzzInvariantsHold(t *testing.T) {
 	}
 	for seed := int64(1); seed <= 4; seed++ {
 		sp := scenario.Generate(seed)
-		r, err := scenario.Run(sp, scenario.FuzzDurations())
+		r, err := experiments.RunSpec(sp, experiments.FuzzDurations())
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

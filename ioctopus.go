@@ -218,12 +218,13 @@ func RunExperiment(id string, d Durations) (*ExperimentResult, error) {
 }
 
 // ExperimentIDs lists all reproducible artifacts. Hidden harnesses
-// (the chaos fault-injection run) are runnable by name but not listed;
+// (chaos, pmd, devchaos) are runnable by name but not listed;
 // HasExperiment accepts both.
 func ExperimentIDs() []string { return experiments.IDs() }
 
 // HasExperiment reports whether id names a runnable experiment,
-// including hidden ones like "chaos" (CLI flag validation).
+// including the hidden chaos, pmd and devchaos harnesses (CLI flag
+// validation).
 func HasExperiment(id string) bool { return experiments.Has(id) }
 
 // Report is the versioned JSON export of an ioctobench run (schema
@@ -262,10 +263,10 @@ func LoadScenario(nameOrPath string) (*Scenario, error) { return scenario.Load(n
 // ParseScenario decodes and validates a JSON scenario spec.
 func ParseScenario(data []byte) (*Scenario, error) { return scenario.Parse(data) }
 
-// RunScenario executes a validated scenario. The run is a pure function
-// of (spec, durations): same inputs, byte-identical output.
+// RunScenario validates and executes a scenario. The run is a pure
+// function of (spec, durations): same inputs, byte-identical output.
 func RunScenario(sp *Scenario, d Durations) (*ExperimentResult, error) {
-	return scenario.Run(sp, d)
+	return experiments.RunSpec(sp, d)
 }
 
 // GenerateScenario draws a random but always-valid scenario from a
@@ -274,10 +275,10 @@ func RunScenario(sp *Scenario, d Durations) (*ExperimentResult, error) {
 func GenerateScenario(seed int64) *Scenario { return scenario.Generate(seed) }
 
 // FuzzDurations returns the measurement windows fuzz runs use.
-func FuzzDurations() Durations { return scenario.FuzzDurations() }
+func FuzzDurations() Durations { return experiments.FuzzDurations() }
 
-// ScenarioNames lists the builtin scenario specs (the declarative
-// ports of fig2 and the chaos harness).
+// ScenarioNames lists the builtin scenario specs (the chaos harness,
+// which `-fig chaos` also runs).
 func ScenarioNames() []string { return scenario.Builtins() }
 
 // SetParallelism bounds how many simulation points (independent
@@ -291,7 +292,8 @@ func Parallelism() int { return experiments.Parallelism() }
 // Datapath selects how completions reach the server's driver:
 // interrupt (the default NAPI path), busypoll (dedicated poll-mode
 // cores, no interrupts), or hybrid (adaptive polling with interrupt
-// re-arm). See Config.Datapath and `ioctobench -datapath`.
+// re-arm). Set it per cluster with Config.Datapath or per scenario
+// with the spec's sim.datapath key.
 type Datapath = core.Datapath
 
 // Datapaths.
@@ -301,14 +303,6 @@ const (
 	DatapathHybrid    = core.DatapathHybrid
 )
 
-// ParseDatapath maps the CLI/scenario spelling ("", "interrupt",
+// ParseDatapath maps the scenario spelling ("", "interrupt",
 // "busypoll", "hybrid") to a Datapath.
 func ParseDatapath(s string) (Datapath, error) { return core.ParseDatapath(s) }
-
-// SetDatapath sets the datapath every harness-built cluster runs with
-// (the `ioctobench -datapath` axis). The default, DatapathInterrupt,
-// is byte-identical to the pre-PMD harness.
-func SetDatapath(d Datapath) { experiments.SetDatapath(d) }
-
-// GetDatapath returns the harness datapath.
-func GetDatapath() Datapath { return experiments.GetDatapath() }

@@ -87,6 +87,7 @@ func TestFiguresMatchGolden(t *testing.T) {
 		{"hidden_quick", []string{"chaos", "pmd", "devchaos"}},
 	} {
 		t.Run(tc.golden, func(t *testing.T) {
+			t.Parallel()
 			d := ioctopus.QuickDurations()
 			var b strings.Builder
 			results := make([]*ioctopus.ExperimentResult, 0, len(tc.ids))

@@ -36,41 +36,9 @@ trap 'rm -rf "$tmp"' EXIT
 go run ./cmd/ioctobench -fig fig2 -quick -json "$tmp/report.json" > "$tmp/report.txt"
 test -s "$tmp/report.json"
 
-# Chaos determinism gate: the fault-injection run is a pure function of
-# its seed — run it twice and require byte-identical text and JSON
-# reports (report metadata carries no wall-clock fields by design).
-go run ./cmd/ioctobench -fig chaos -quick -json "$tmp/chaos1.json" > "$tmp/chaos1.txt"
-go run ./cmd/ioctobench -fig chaos -quick -json "$tmp/chaos2.json" > "$tmp/chaos2.txt"
-cmp "$tmp/chaos1.txt" "$tmp/chaos2.txt"
-cmp "$tmp/chaos1.json" "$tmp/chaos2.json"
-
-# PMD determinism gate: the hidden kernel-bypass sweep (not part of
-# `-fig all`, which stays byte-identical to the NAPI-only harness) must
-# be as deterministic as everything else — busy-poll spin loops and
-# hybrid mode-switches included — across a double run.
-go run ./cmd/ioctobench -fig pmd -quick -json "$tmp/pmd1.json" > "$tmp/pmd1.txt"
-go run ./cmd/ioctobench -fig pmd -quick -json "$tmp/pmd2.json" > "$tmp/pmd2.txt"
-cmp "$tmp/pmd1.txt" "$tmp/pmd2.txt"
-cmp "$tmp/pmd1.json" "$tmp/pmd2.json"
-
-# Device-chaos determinism gate: the firmware-reset / queue-stall /
-# poller-stall sweep (hidden like pmd, so `-fig all` goldens are
-# untouched) exercises every watchdog ladder rung and the PMD fallback
-# path. Its recovery latencies must be a pure function of the seed:
-# byte-identical across a double run.
-go run ./cmd/ioctobench -fig devchaos -quick -json "$tmp/dev1.json" > "$tmp/dev1.txt"
-go run ./cmd/ioctobench -fig devchaos -quick -json "$tmp/dev2.json" > "$tmp/dev2.txt"
-cmp "$tmp/dev1.txt" "$tmp/dev2.txt"
-cmp "$tmp/dev1.json" "$tmp/dev2.json"
-
-# Scenario parity gate: the declarative specs must reproduce the
-# hand-wired runners byte for byte — -scenario fig2/chaos is the same
-# experiment expressed as data.
-go run ./cmd/ioctobench -fig fig2 -quick > "$tmp/fig2_wired.txt"
-go run ./cmd/ioctobench -scenario fig2 -quick > "$tmp/fig2_spec.txt"
-cmp "$tmp/fig2_wired.txt" "$tmp/fig2_spec.txt"
-go run ./cmd/ioctobench -scenario chaos -quick > "$tmp/chaos_spec.txt"
-cmp "$tmp/chaos1.txt" "$tmp/chaos_spec.txt"
+# The hidden chaos, pmd and devchaos harnesses are pinned, text and
+# JSON, by TestFiguresMatchGolden's hidden_quick golden in the suite
+# above; a golden pins identity, which implies run-to-run determinism.
 
 # Fuzz smoke gate: a pinned batch of generated scenarios must pass all
 # declared invariants (exit 0) and replay byte-identically on a second
