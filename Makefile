@@ -1,6 +1,6 @@
 # Convenience targets; `make check` is the verification gate.
 
-.PHONY: check test bench build lint fuzz devchaos
+.PHONY: check test bench build lint fuzz devchaos unreached
 
 build:
 	go build ./...
@@ -32,4 +32,23 @@ devchaos:
 
 # Regenerate the performance numbers behind BENCH_sim.json.
 bench:
-	go test -run '^$$' -bench 'BenchmarkPacketPath$$|BenchmarkSimulatorEventRate|BenchmarkAllFiguresQuick' -benchmem .
+	go test -run '^$$' -bench 'BenchmarkPacketPath$$|BenchmarkBusyPollPath$$|BenchmarkSimulatorEventRate|BenchmarkAllFiguresQuick' -benchmem .
+
+# Model code no run reaches: the internal/ functions (octolint's own
+# packages aside) at 0.0% both in the golden run, which covers every
+# figure plus chaos, pmd and devchaos, and in a coverage-instrumented
+# ioctobench -fuzz 8 -seed 1. Profiles go to a temporary directory
+# outside the tree.
+unreached:
+	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; set -e; \
+	go test -run TestFiguresMatchGolden -coverpkg=./internal/... -coverprofile="$$tmp/golden.out" . >/dev/null; \
+	go build -cover -o "$$tmp/ioctobench" ./cmd/ioctobench; \
+	mkdir "$$tmp/covdata"; \
+	GOCOVERDIR="$$tmp/covdata" "$$tmp/ioctobench" -fuzz 8 -seed 1 >/dev/null 2>&1; \
+	go tool covdata textfmt -i="$$tmp/covdata" -o "$$tmp/fuzz.out"; \
+	for run in golden fuzz; do \
+		go tool cover -func="$$tmp/$$run.out" | \
+			awk '$$NF == "0.0%" && $$1 ~ /\/internal\// && $$1 !~ /\/internal\/lint\// { print $$1, $$2 }' | \
+			sort >"$$tmp/$$run.zero"; \
+	done; \
+	comm -12 "$$tmp/golden.zero" "$$tmp/fuzz.zero"

@@ -15,20 +15,16 @@ import (
 	"ioctopus/internal/topology"
 )
 
-// Ring is a cyclic descriptor array in host DRAM with single-producer
-// single-consumer index management. The backing memsys.Buffer carries
-// cache residency, so host reads after device writes cost what the
-// paper measures.
+// Ring is a cyclic descriptor array in host DRAM, priced as memory:
+// drivers and devices charge the accesses they make to it and keep no
+// per-entry state. The backing memsys.Buffer carries cache residency,
+// so host reads after device writes cost what the paper measures.
 type Ring struct {
 	name      string
 	mem       *memsys.System
 	buf       *memsys.Buffer
 	entries   int
 	entrySize int64
-
-	head  uint64 // produced
-	tail  uint64 // consumed
-	slots []any  // metadata carried alongside each entry
 }
 
 // NewRing allocates a ring of entries*entrySize bytes homed on the given
@@ -50,7 +46,6 @@ func NewRing(mem *memsys.System, name string, home topology.NodeID, entries int,
 		buf:       mem.NewBuffer(name, home, int64(entries)*entrySize).SetRandomAccess(true),
 		entries:   entries,
 		entrySize: entrySize,
-		slots:     make([]any, entries),
 	}
 }
 
@@ -65,46 +60,6 @@ func (r *Ring) EntrySize() int64 { return r.entrySize }
 
 // Capacity returns the number of entries.
 func (r *Ring) Capacity() int { return r.entries }
-
-// Len returns the number of in-flight (produced, unconsumed) entries.
-func (r *Ring) Len() int { return int(r.head - r.tail) }
-
-// Full reports whether no entries are free.
-func (r *Ring) Full() bool { return r.Len() >= r.entries }
-
-// Empty reports whether no entries are pending.
-func (r *Ring) Empty() bool { return r.head == r.tail }
-
-// Push produces one entry carrying v and returns its slot index.
-func (r *Ring) Push(v any) int {
-	if r.Full() {
-		panic(fmt.Sprintf("device: ring %q overflow", r.name))
-	}
-	idx := int(r.head) & (r.entries - 1)
-	r.slots[idx] = v
-	r.head++
-	return idx
-}
-
-// Pop consumes the oldest entry and returns its metadata.
-func (r *Ring) Pop() (v any, ok bool) {
-	if r.Empty() {
-		return nil, false
-	}
-	idx := int(r.tail) & (r.entries - 1)
-	v = r.slots[idx]
-	r.slots[idx] = nil
-	r.tail++
-	return v, true
-}
-
-// Peek returns the oldest entry without consuming it.
-func (r *Ring) Peek() (v any, ok bool) {
-	if r.Empty() {
-		return nil, false
-	}
-	return r.slots[int(r.tail)&(r.entries-1)], true
-}
 
 // HostWrite charges the CPU cost of a core on `node` writing n
 // descriptor entries (posting requests).
@@ -121,12 +76,6 @@ func (r *Ring) HostRead(node topology.NodeID, n int) time.Duration {
 		total += r.mem.CPURead(node, r.buf, r.entrySize)
 	}
 	return total
-}
-
-// DeviceWrite DMA-writes n entries through the endpoint (completion
-// writeback) and schedules done when they are observable.
-func (r *Ring) DeviceWrite(ep *pcie.Endpoint, n int, done func()) {
-	ep.DMAWrite(r.buf, int64(n)*r.entrySize, done)
 }
 
 // DeviceRead DMA-reads n entries through the endpoint (descriptor

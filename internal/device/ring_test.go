@@ -2,7 +2,6 @@ package device
 
 import (
 	"testing"
-	"testing/quick"
 
 	"ioctopus/internal/interconnect"
 	"ioctopus/internal/memsys"
@@ -20,58 +19,6 @@ func newRingRig(t *testing.T) (*sim.Engine, *memsys.System, *pcie.Fabric) {
 	return e, mem, pcie.New(e, mem, pcie.DefaultParams())
 }
 
-func TestRingIndexManagement(t *testing.T) {
-	_, mem, _ := newRingRig(t)
-	r := NewRing(mem, "ring", 0, 8, 64)
-	if !r.Empty() || r.Full() || r.Len() != 0 || r.Capacity() != 8 {
-		t.Fatal("fresh ring state wrong")
-	}
-	for i := 0; i < 8; i++ {
-		r.Push(i)
-	}
-	if !r.Full() || r.Len() != 8 {
-		t.Fatal("full ring state wrong")
-	}
-	for i := 0; i < 8; i++ {
-		v, ok := r.Pop()
-		if !ok || v.(int) != i {
-			t.Fatalf("pop %d = %v/%v", i, v, ok)
-		}
-	}
-	if _, ok := r.Pop(); ok {
-		t.Fatal("pop on empty ring should fail")
-	}
-}
-
-func TestRingWrapsAround(t *testing.T) {
-	_, mem, _ := newRingRig(t)
-	r := NewRing(mem, "ring", 0, 4, 64)
-	for round := 0; round < 10; round++ {
-		for i := 0; i < 3; i++ {
-			r.Push(round*10 + i)
-		}
-		for i := 0; i < 3; i++ {
-			v, _ := r.Pop()
-			if v.(int) != round*10+i {
-				t.Fatalf("round %d: got %v", round, v)
-			}
-		}
-	}
-}
-
-func TestRingOverflowPanics(t *testing.T) {
-	_, mem, _ := newRingRig(t)
-	r := NewRing(mem, "ring", 0, 2, 64)
-	r.Push(1)
-	r.Push(2)
-	defer func() {
-		if recover() == nil {
-			t.Error("overflow should panic")
-		}
-	}()
-	r.Push(3)
-}
-
 func TestRingValidation(t *testing.T) {
 	_, mem, _ := newRingRig(t)
 	for _, bad := range []struct {
@@ -86,22 +33,6 @@ func TestRingValidation(t *testing.T) {
 			}()
 			NewRing(mem, "bad", 0, bad.entries, bad.size)
 		}()
-	}
-}
-
-func TestRingPeek(t *testing.T) {
-	_, mem, _ := newRingRig(t)
-	r := NewRing(mem, "ring", 0, 4, 64)
-	if _, ok := r.Peek(); ok {
-		t.Fatal("peek on empty should fail")
-	}
-	r.Push("a")
-	r.Push("b")
-	if v, _ := r.Peek(); v != "a" {
-		t.Fatalf("peek = %v", v)
-	}
-	if r.Len() != 2 {
-		t.Fatal("peek must not consume")
 	}
 }
 
@@ -127,7 +58,10 @@ func TestRingDeviceAccessRoundTrip(t *testing.T) {
 	ep := pc.NewEndpoint("dev", 0, pcie.Gen3, 8)
 	r := NewRing(mem, "cq", 0, 1024, 64)
 	done := 0
-	r.DeviceWrite(ep, 16, func() { done++ })
+	// Completion writeback is a plain DMA write into the ring's buffer
+	// (the NIC and NVMe queues issue it that way); descriptor fetch goes
+	// through DeviceRead.
+	ep.DMAWrite(r.Buffer(), 16*r.EntrySize(), func() { done++ })
 	r.DeviceRead(ep, 16, func() { done++ })
 	e.RunUntilIdle()
 	if done != 2 {
@@ -147,7 +81,7 @@ func TestRingCompletionMissAfterRemoteWrite(t *testing.T) {
 	r.HostRead(0, 1024)                                // warm the ring
 	warm := r.HostRead(0, 32)
 	doneCh := false
-	r.DeviceWrite(remoteEp, 1024, func() { doneCh = true })
+	remoteEp.DMAWrite(r.Buffer(), 1024*r.EntrySize(), func() { doneCh = true })
 	e.RunUntilIdle()
 	if !doneCh {
 		t.Fatal("device write incomplete")
@@ -155,27 +89,5 @@ func TestRingCompletionMissAfterRemoteWrite(t *testing.T) {
 	cold := r.HostRead(0, 32)
 	if cold <= warm*2 {
 		t.Fatalf("post-invalidation reads (%v) should be much slower than warm (%v)", cold, warm)
-	}
-}
-
-func TestRingLenInvariant(t *testing.T) {
-	// Property: after any valid push/pop sequence, Len == pushes - pops.
-	_, mem, _ := newRingRig(t)
-	f := func(ops []bool) bool {
-		r := NewRing(mem, "ring", 0, 64, 64)
-		pushes, pops := 0, 0
-		for _, push := range ops {
-			if push && !r.Full() {
-				r.Push(pushes)
-				pushes++
-			} else if !push && !r.Empty() {
-				r.Pop()
-				pops++
-			}
-		}
-		return r.Len() == pushes-pops
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -160,21 +160,49 @@ func TestOctoRuleExpiry(t *testing.T) {
 	r.eng.Drain()
 }
 
+// removeLog records the order in which the driver removes device rules.
+type removeLog struct {
+	*nic.OctoFirmware
+	removed []eth.FiveTuple
+}
+
+func (l *removeLog) RemoveFlow(ft eth.FiveTuple) {
+	l.removed = append(l.removed, ft)
+	l.OctoFirmware.RemoveFlow(ft)
+}
+
 func TestOctoExpireNowDeterministic(t *testing.T) {
+	// One expiry scan removes every stale rule, from the driver table
+	// and the device alike, in sorted 5-tuple order (never map order,
+	// which would leak into the scanner's event schedule).
 	r := newDrvRig(t)
-	fw := nic.NewOctoFirmware(r.nic, false)
+	fw := &removeLog{OctoFirmware: nic.NewOctoFirmware(r.nic, false)}
 	r.nic.LoadFirmware(fw)
 	params := DefaultParams()
 	params.RuleExpiry = time.Nanosecond
+	params.ExpiryScanPeriod = time.Millisecond
 	d := NewOcto(r.k, r.mem, r.nic, "octo0", params)
 	d.Bind(r.st)
-	for p := uint16(0); p < 50; p++ {
-		d.SteerFlow(eth.FiveTuple{SrcIP: 1, DstIP: 2, SrcPort: p, DstPort: 4, Proto: eth.ProtoTCP}, 0)
+	for i := uint16(0); i < 50; i++ {
+		port := i * 17 % 50 // every port once, out of order
+		d.SteerFlow(eth.FiveTuple{SrcIP: 1, DstIP: 2, SrcPort: port, DstPort: 4, Proto: eth.ProtoTCP}, 0)
+	}
+	r.eng.RunFor(500 * time.Microsecond)
+	if fw.FlowCount() != 50 || d.RuleCount() != 50 {
+		t.Fatalf("before the first scan: fw=%d drv=%d, want 50 installed", fw.FlowCount(), d.RuleCount())
 	}
 	r.eng.RunFor(time.Millisecond)
-	d.ExpireNow()
-	if d.RuleCount() != 0 {
-		t.Fatalf("rules left: %d", d.RuleCount())
+	if d.RuleCount() != 0 || fw.FlowCount() != 0 || d.RulesExpired() != 50 {
+		t.Fatalf("after one scan: drv=%d fw=%d expired=%d, want 0/0/50",
+			d.RuleCount(), fw.FlowCount(), d.RulesExpired())
+	}
+	if len(fw.removed) != 50 {
+		t.Fatalf("device saw %d removals, want 50", len(fw.removed))
+	}
+	for i, ft := range fw.removed {
+		if ft.SrcPort != uint16(i) {
+			t.Fatalf("removal %d was port %d, want sorted order", i, ft.SrcPort)
+		}
 	}
 	r.eng.Drain()
 }

@@ -160,7 +160,7 @@ func NewOcto(k *kernel.Kernel, mem *memsys.System, n *nic.NIC, name string, para
 		d.base.wd.fwReplay = d.replayRules
 		d.base.wd.setPFUp = d.onLinkChange
 	}
-	d.updates = sim.NewQueue[steerUpdate](k.Engine(), 0)
+	d.updates = sim.NewQueue[steerUpdate](k.Engine())
 	d.startWorker()
 	d.startExpiryScanner()
 	return d
@@ -416,10 +416,7 @@ func (d *Octo) RuleCount() int { return len(d.rules) }
 func (d *Octo) startWorker() {
 	d.k.Spawn(d.name+":mpfs-worker", 0, func(t *kernel.Thread) {
 		for {
-			u, ok := d.updates.Get(t.Proc())
-			if !ok {
-				return
-			}
+			u := d.updates.Get(t.Proc())
 			t.Sleep(d.params.MPFSUpdateDelay)
 			t.Exec(d.params.MPFSUpdateCPU)
 			if fw := d.nic.Firmware(); fw != nil {
@@ -447,18 +444,6 @@ func (d *Octo) startExpiryScanner() {
 			}
 		}
 	})
-}
-
-// ExpireNow forces one expiry scan pass at the current instant (tests
-// and manual administration).
-func (d *Octo) ExpireNow() {
-	for _, ft := range d.expiredRules(d.k.Engine().Now()) {
-		delete(d.rules, ft)
-		d.rulesExpired++
-		if fw := d.nic.Firmware(); fw != nil {
-			fw.RemoveFlow(ft)
-		}
-	}
 }
 
 // expiredRules returns stale rules in a deterministic order (map

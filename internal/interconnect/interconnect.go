@@ -21,7 +21,6 @@ import (
 
 // Fabric is the interconnect of one server.
 type Fabric struct {
-	eng   *sim.Engine
 	spec  topology.InterconnectSpec
 	nodes int
 	pipes map[[2]topology.NodeID]*sim.Pipe
@@ -30,7 +29,6 @@ type Fabric struct {
 // New builds the fabric for the given server.
 func New(e *sim.Engine, srv *topology.Server) *Fabric {
 	f := &Fabric{
-		eng:   e,
 		spec:  srv.Interconnect,
 		nodes: srv.NumNodes(),
 		pipes: make(map[[2]topology.NodeID]*sim.Pipe),
@@ -93,19 +91,6 @@ func (f *Fabric) Latency(from, to topology.NodeID, bytes int64) time.Duration {
 	return f.Pipe(from, to).Latency(bytes)
 }
 
-// Transfer moves bytes from -> to as a serialized discrete transfer
-// (for DMA engines that own the link endpoint) and schedules done at
-// arrival. When from == to it completes after zero delay.
-func (f *Fabric) Transfer(from, to topology.NodeID, bytes int64, done func()) {
-	if from == to {
-		if done != nil {
-			f.eng.After(0, done)
-		}
-		return
-	}
-	f.Pipe(from, to).Transfer(bytes, done)
-}
-
 // AddFlow registers a fluid flow (bulk traffic such as STREAM) in the
 // from -> to direction and returns it for rate queries and removal.
 func (f *Fabric) AddFlow(name string, from, to topology.NodeID, demand float64) *sim.FluidFlow {
@@ -118,14 +103,6 @@ func (f *Fabric) AddFlow(name string, from, to topology.NodeID, demand float64) 
 // exactly.
 func (f *Fabric) Degrade(from, to topology.NodeID, bwFactor, latFactor float64) {
 	f.Pipe(from, to).SetDegradation(bwFactor, latFactor)
-}
-
-// Utilization returns the utilization of the from -> to direction.
-func (f *Fabric) Utilization(from, to topology.NodeID) float64 {
-	if from == to {
-		return 0
-	}
-	return f.Pipe(from, to).Utilization()
 }
 
 // TotalBytes returns all bytes moved across the fabric in both kinds of

@@ -83,7 +83,7 @@ func TestFluidFlowsShareLink(t *testing.T) {
 		t.Fatalf("rates = %v, %v; want %v", f1.Rate(), f2.Rate(), want)
 	}
 	// Opposite direction unaffected.
-	if u := f.Utilization(1, 0); u != 0 {
+	if u := f.Pipe(1, 0).Utilization(); u != 0 {
 		t.Fatalf("reverse utilization = %v, want 0", u)
 	}
 }
@@ -91,21 +91,11 @@ func TestFluidFlowsShareLink(t *testing.T) {
 func TestTransferCompletion(t *testing.T) {
 	e, f := newFabric(t)
 	var done sim.Time
-	f.Transfer(0, 1, 38400, func() { done = e.Now() }) // 38400 B at 38.4 GB/s = 1us + 60ns
+	f.Pipe(0, 1).Transfer(38400, func() { done = e.Now() }) // 38400 B at 38.4 GB/s = 1us + 60ns
 	e.RunUntilIdle()
 	want := sim.Time(1060)
 	if done != want {
 		t.Fatalf("done = %v, want %v", done, want)
-	}
-}
-
-func TestTransferLocalImmediate(t *testing.T) {
-	e, f := newFabric(t)
-	var done sim.Time = -1
-	f.Transfer(1, 1, 1<<20, func() { done = e.Now() })
-	e.RunUntilIdle()
-	if done != 0 {
-		t.Fatalf("local transfer done = %v, want 0", done)
 	}
 }
 

@@ -57,7 +57,7 @@ func New(e *sim.Engine, topo *topology.Server, mem *memsys.System, params Params
 			id:   topology.CoreID(i),
 			node: topo.NodeOf(topology.CoreID(i)),
 		}
-		c.queue = sim.NewQueue[coreWork](e, 0)
+		c.queue = sim.NewQueue[coreWork](e)
 		c.dispatchFn = c.dispatch
 		c.completeFn = c.complete
 		k.cores = append(k.cores, c)

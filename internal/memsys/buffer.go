@@ -76,16 +76,6 @@ func (b *Buffer) Dirty() bool { return b.dirty }
 // InDDIO reports whether the buffer sits in the DDIO partition.
 func (b *Buffer) InDDIO() bool { return b.ddio }
 
-// Rehome changes the buffer's DRAM home (page migration). Any cached
-// copy is flushed first so residency bookkeeping stays consistent.
-func (b *Buffer) Rehome(to topology.NodeID) {
-	b.sys.node(to) // validate
-	if b.node != topology.NoNode {
-		b.sys.invalidate(b)
-	}
-	b.home = to
-}
-
 // SetRandomAccess marks the buffer as randomly accessed (see the field
 // comment); returns the buffer for chaining.
 func (b *Buffer) SetRandomAccess(v bool) *Buffer {

@@ -301,16 +301,6 @@ func TestPressureReleaseRestores(t *testing.T) {
 	}
 }
 
-func TestRehomeFlushesResidency(t *testing.T) {
-	_, s := newSys(t)
-	b := s.NewBuffer("page", 0, 4096)
-	s.CPUWrite(0, b, 4096)
-	b.Rehome(1)
-	if b.Home() != 1 || b.CachedAt() != topology.NoNode {
-		t.Fatalf("rehome left home=%d cached=%d", b.Home(), b.CachedAt())
-	}
-}
-
 func TestStatsAndReset(t *testing.T) {
 	_, s := newSys(t)
 	b := s.NewBuffer("x", 0, 4096)

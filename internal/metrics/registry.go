@@ -176,16 +176,6 @@ func (r *Registry) Snapshot() []Sample {
 	return out
 }
 
-// SnapshotTable renders a snapshot as a plain-text metrics table
-// (debugging, octotrace-style dumps).
-func SnapshotTable(samples []Sample) *Table {
-	t := NewTable("metrics", "name", "kind", "value")
-	for _, s := range samples {
-		t.AddRow(s.Name, s.Kind.String(), s.Value)
-	}
-	return t
-}
-
 // scope is a prefixed view of a registry.
 type scope struct {
 	reg    *Registry

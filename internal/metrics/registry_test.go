@@ -3,7 +3,6 @@ package metrics
 import (
 	"encoding/json"
 	"sort"
-	"strings"
 	"sync"
 	"testing"
 
@@ -124,15 +123,5 @@ func TestSampleJSON(t *testing.T) {
 	}
 	if string(b) != `{"name":"a/b","kind":"gauge","value":1.5}` {
 		t.Fatalf("json = %s", b)
-	}
-}
-
-func TestSnapshotTable(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("total", func() float64 { return 12 })
-	tb := SnapshotTable(r.Snapshot())
-	out := tb.Render()
-	if !strings.Contains(out, "total") || !strings.Contains(out, "counter") {
-		t.Fatalf("table:\n%s", out)
 	}
 }

@@ -347,9 +347,9 @@ func TestSocketClose(t *testing.T) {
 	r.eng.Drain()
 }
 
-// TestSegQueueDequeueAccounting covers the shared dequeue helper behind
-// get/tryGet: byte accounting, slot clearing, and backing-array
-// compaction once the queue drains.
+// TestSegQueueDequeueAccounting covers the dequeue helper behind get:
+// byte accounting, slot clearing, and backing-array compaction once the
+// queue drains.
 func TestSegQueueDequeueAccounting(t *testing.T) {
 	eng := sim.NewEngine()
 	q := newSegQueue(eng, 10000)
@@ -364,15 +364,14 @@ func TestSegQueueDequeueAccounting(t *testing.T) {
 	if q.free() != 1000 {
 		t.Fatalf("free = %d, want 1000", q.free())
 	}
-	got, ok := q.tryGet()
-	if !ok || got != a {
-		t.Fatalf("tryGet = %v, %v", got, ok)
+	if got := q.dequeue(); got != a {
+		t.Fatalf("dequeue = %v, want a", got)
 	}
 	if q.free() != 5000 || q.len() != 1 {
 		t.Fatalf("free = %d len = %d after dequeue", q.free(), q.len())
 	}
-	if got2, _ := q.tryGet(); got2 != b {
-		t.Fatalf("tryGet = %v, want b", got2)
+	if got := q.dequeue(); got != b {
+		t.Fatalf("dequeue = %v, want b", got)
 	}
 	// Drained: head index resets and the backing array is reused.
 	if q.head != 0 || len(q.items) != 0 {

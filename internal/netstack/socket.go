@@ -416,19 +416,6 @@ func (s *Socket) sendAckEvent(acked int64, seq uint64) {
 	s.stack.k.Engine().After(s.stack.params.AckLatency, ev.fn)
 }
 
-// TryRecvNoCopy removes a pending segment without charging copy costs
-// (zero-copy consumers and tests). Ownership of the RxPacket passes to
-// the caller, who must Recycle it exactly once when done with it.
-func (s *Socket) TryRecvNoCopy() (*nic.RxPacket, bool) {
-	rxp, ok := s.rxq.tryGet()
-	if ok {
-		s.receivedBytes += rxp.Payload
-		s.receivedSegs++
-		s.sendWindowUpdate(0)
-	}
-	return rxp, ok
-}
-
 // Close tears the local socket down immediately — releasing blocked
 // receivers and retiring the retransmission timer — and sends the peer
 // a FIN that closes its side after ConnectLatency. Closing twice (or
@@ -688,8 +675,7 @@ func (s *Socket) waitWindow(t *kernel.Thread) {
 
 // segQueue is the socket receive queue: byte-bounded, with blocking
 // get. Consumed entries advance a head index and the backing array is
-// reused once drained (the engine-queue compaction scheme), so the
-// per-segment reslice of the old get/tryGet pair is gone.
+// reused once drained (the engine-queue compaction scheme).
 type segQueue struct {
 	eng      *sim.Engine
 	items    []*nic.RxPacket
@@ -752,13 +738,6 @@ func (q *segQueue) get(t *kernel.Thread) (rxp *nic.RxPacket, blocked bool) {
 		t.Wait(q.sig)
 	}
 	return q.dequeue(), blocked
-}
-
-func (q *segQueue) tryGet() (*nic.RxPacket, bool) {
-	if q.len() == 0 {
-		return nil, false
-	}
-	return q.dequeue(), true
 }
 
 // close shuts the queue; undelivered segments will never reach an

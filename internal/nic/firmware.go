@@ -63,12 +63,9 @@ func (fw *StandardFirmware) SingleMAC() bool { return false }
 // SGEnabled implements Firmware: no fragment steering.
 func (fw *StandardFirmware) SGEnabled() bool { return false }
 
-// SteerRx implements Firmware: MPFS by destination MAC — PF MACs and
-// SR-IOV VF MACs — then the PF's ARFS table (RSS hash fallback).
+// SteerRx implements Firmware: MPFS by destination MAC, then the PF's
+// ARFS table (RSS hash fallback).
 func (fw *StandardFirmware) SteerRx(f *eth.Frame) (int, int) {
-	if pf, q, ok := fw.steerVF(f); ok {
-		return pf, q
-	}
 	pf := -1
 	for i, p := range fw.nic.pfs {
 		if p.mac == f.Dst {
@@ -88,13 +85,8 @@ func (fw *StandardFirmware) SteerRx(f *eth.Frame) (int, int) {
 	if q, ok := fw.arfs[pf][f.Flow]; ok && q < len(p.rxQueues) {
 		return pf, q
 	}
-	// RSS fallback over the PF's own queues; VF-owned queues are not in
-	// the PF's indirection table.
-	native := p.nativeQueues()
-	if len(native) == 0 {
-		return pf, -1
-	}
-	return pf, native[int(f.Flow.Hash())%len(native)]
+	// RSS fallback over the PF's queues.
+	return pf, int(f.Flow.Hash()) % len(p.rxQueues)
 }
 
 // ProgramFlow implements Firmware: writes the PF-private ARFS table.
@@ -122,7 +114,7 @@ func (fw *StandardFirmware) FlowCount() int {
 }
 
 // Reset implements Firmware: every PF's ARFS table is wiped; the MPFS
-// MAC and VF steering is burned-in switch configuration and survives.
+// MAC steering is burned-in switch configuration and survives.
 func (fw *StandardFirmware) Reset() {
 	for i := range fw.arfs {
 		fw.arfs[i] = make(map[eth.FiveTuple]int)

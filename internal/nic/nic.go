@@ -266,7 +266,6 @@ type PF struct {
 
 	rxQueues []*RxQueue
 	txQueues []*TxQueue
-	vfs      []*VF
 
 	rxBytes float64 // payload delivered to host via this PF
 	txBytes float64

@@ -388,59 +388,6 @@ func TestCoalesceDelayHoldsInterruptBack(t *testing.T) {
 	}
 }
 
-func TestSRIOVVFSteering(t *testing.T) {
-	r := newRig(t)
-	fw := NewStandardFirmware(r.nic)
-	r.nic.LoadFirmware(fw)
-	pfQ := r.addRxQueue(0, 0, nil) // the PF's own queue
-	vfQ := r.addRxQueue(0, 0, nil) // will belong to the VF
-	vf := r.nic.PF(0).AddVF(eth.MACFromInt(0xBEEF))
-	vf.AssignQueue(vfQ)
-
-	// Frames to the VF MAC land on the VF's queue; frames to the PF MAC
-	// do not.
-	r.nic.Receive(&eth.Frame{Dst: vf.MAC(), Flow: flow(1), Payload: 1500, Packets: 1})
-	r.nic.Receive(&eth.Frame{Dst: r.nic.PF(0).MAC(), Flow: flow(2), Payload: 1500, Packets: 1})
-	r.eng.RunUntilIdle()
-	if vfQ.Pending() != 1 {
-		t.Fatalf("vf queue pending = %d, want 1", vfQ.Pending())
-	}
-	if pfQ.Pending() != 1 {
-		t.Fatalf("pf queue pending = %d, want 1", pfQ.Pending())
-	}
-
-	// Reconfigure the VF MAC: steering follows.
-	vf.SetMAC(eth.MACFromInt(0xCAFE))
-	r.nic.Receive(&eth.Frame{Dst: eth.MACFromInt(0xCAFE), Flow: flow(3), Payload: 64, Packets: 1})
-	r.eng.RunUntilIdle()
-	if vfQ.Pending() != 2 {
-		t.Fatalf("vf queue pending = %d after MAC change, want 2", vfQ.Pending())
-	}
-}
-
-func TestVFValidation(t *testing.T) {
-	r := newRig(t)
-	mac := eth.MACFromInt(77)
-	r.nic.PF(0).AddVF(mac)
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("duplicate VF MAC should panic")
-			}
-		}()
-		r.nic.PF(0).AddVF(mac)
-	}()
-	// A queue from another PF cannot be assigned.
-	vf := r.nic.PF(0).AddVF(eth.MACFromInt(78))
-	q1 := r.addRxQueue(1, 1, nil)
-	defer func() {
-		if recover() == nil {
-			t.Error("cross-PF queue assignment should panic")
-		}
-	}()
-	vf.AssignQueue(q1)
-}
-
 // TestPolledRxSuppressesInterruptsAndCoalesce: a queue in polled mode
 // delivers completions to the ring but never interrupts — the pending
 // coalesce timer is cancelled on entry and no new one is armed.

@@ -12,9 +12,8 @@
 //
 //   - An RxPacket handed out by RxQueue.Poll is owned by the driver,
 //     then by the socket layer once DeliverRx accepts it. Whoever
-//     consumes it (Socket.Recv internally, a TryRecvNoCopy caller, a
-//     drop path) must call Recycle exactly once and must not touch the
-//     packet afterwards.
+//     consumes it (Socket.Recv internally, a drop path) must call
+//     Recycle exactly once and must not touch the packet afterwards.
 //   - A TxPacket leased via NIC.LeaseTxPacket is owned by the device
 //     from Post until the driver reaps it; the driver recycles it after
 //     the OnSent callback. Nothing may retain a packet across its

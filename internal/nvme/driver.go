@@ -126,21 +126,6 @@ func (d *Driver) reap(qp *QueuePair, node topology.NodeID) time.Duration {
 	return cost
 }
 
-// Submit issues a request from the calling thread: block-layer CPU,
-// SQE write, doorbell, then the hardware path.
-func (d *Driver) Submit(t *kernel.Thread, req *Request) {
-	port := d.pickPort(req)
-	qp := d.qpFor(port, t.Node())
-	t.ExecFn(func() time.Duration {
-		cost := d.params.PerIOCPU / 2
-		cost += qp.SQ().HostWrite(t.Node(), 1)
-		cost += d.params.DoorbellCPU
-		return cost
-	})
-	flight := port.ep.MMIOWrite(t.Node())
-	d.k.Engine().After(flight, func() { qp.Submit(req) })
-}
-
 // SubmitAsync issues a request from event context (async I/O engines
 // that batch submissions); CPU costs are charged to the given core.
 func (d *Driver) SubmitAsync(core topology.CoreID, req *Request) {

@@ -43,11 +43,8 @@ func TestReadCompletesWithFlashLatency(t *testing.T) {
 	d := NewDriver(r.k, r.ctrl, SinglePath, DefaultDriverParams())
 	buf := r.mem.NewBuffer("data", 1, 128*1024)
 	var lat time.Duration
-	r.k.Spawn("io", 24, func(th *kernel.Thread) { // core 24 = node 1, local
-		req := &Request{Bytes: 128 * 1024, Buf: buf,
-			OnComplete: func(rq *Request) { lat = rq.Latency() }}
-		d.Submit(th, req)
-	})
+	d.SubmitAsync(24, &Request{Bytes: 128 * 1024, Buf: buf, // core 24 = node 1, local
+		OnComplete: func(rq *Request) { lat = rq.Latency() }})
 	r.eng.RunFor(10 * time.Millisecond)
 	if lat == 0 {
 		t.Fatal("read never completed")
@@ -66,9 +63,7 @@ func TestReadDataLandsViaDDIOWhenLocal(t *testing.T) {
 	r := newNvmeRig(t, false)
 	d := NewDriver(r.k, r.ctrl, SinglePath, DefaultDriverParams())
 	buf := r.mem.NewBuffer("data", 1, 128*1024) // node 1 = SSD node
-	r.k.Spawn("io", 24, func(th *kernel.Thread) {
-		d.Submit(th, &Request{Bytes: 128 * 1024, Buf: buf})
-	})
+	d.SubmitAsync(24, &Request{Bytes: 128 * 1024, Buf: buf})
 	r.eng.RunFor(10 * time.Millisecond)
 	if buf.CachedAt() != 1 {
 		t.Fatal("local read should land in the SSD node's LLC via DDIO")
@@ -80,9 +75,7 @@ func TestRemoteReadCrossesInterconnect(t *testing.T) {
 	r := newNvmeRig(t, false)
 	d := NewDriver(r.k, r.ctrl, SinglePath, DefaultDriverParams())
 	buf := r.mem.NewBuffer("data", 0, 128*1024) // fio node, remote to SSD
-	r.k.Spawn("io", 0, func(th *kernel.Thread) {
-		d.Submit(th, &Request{Bytes: 128 * 1024, Buf: buf})
-	})
+	d.SubmitAsync(0, &Request{Bytes: 128 * 1024, Buf: buf})
 	r.eng.RunFor(10 * time.Millisecond)
 	if got := r.mem.Fabric().Pipe(1, 0).DiscreteBytes(); got < 128*1024 {
 		t.Fatalf("UPI bytes = %v, want >= 128K (data crossing)", got)
@@ -98,10 +91,8 @@ func TestOctoSSDRoutesByBufferHome(t *testing.T) {
 	d := NewDriver(r.k, r.ctrl, OctoSSD, DefaultDriverParams())
 	buf0 := r.mem.NewBuffer("d0", 0, 128*1024)
 	buf1 := r.mem.NewBuffer("d1", 1, 128*1024)
-	r.k.Spawn("io", 0, func(th *kernel.Thread) {
-		d.Submit(th, &Request{Bytes: 128 * 1024, Buf: buf0})
-		d.Submit(th, &Request{Bytes: 128 * 1024, Buf: buf1})
-	})
+	d.SubmitAsync(0, &Request{Bytes: 128 * 1024, Buf: buf0})
+	d.SubmitAsync(0, &Request{Bytes: 128 * 1024, Buf: buf1})
 	r.eng.RunFor(10 * time.Millisecond)
 	// Each request used the port local to its buffer: no DATA crossed
 	// (only 64-byte control structures — the CQE of the request whose
@@ -121,9 +112,7 @@ func TestSinglePathIgnoresBufferHome(t *testing.T) {
 	r := newNvmeRig(t, true)
 	d := NewDriver(r.k, r.ctrl, SinglePath, DefaultDriverParams())
 	buf0 := r.mem.NewBuffer("d0", 0, 128*1024)
-	r.k.Spawn("io", 0, func(th *kernel.Thread) {
-		d.Submit(th, &Request{Bytes: 128 * 1024, Buf: buf0})
-	})
+	d.SubmitAsync(0, &Request{Bytes: 128 * 1024, Buf: buf0})
 	r.eng.RunFor(10 * time.Millisecond)
 	if r.ctrl.Port(1).Endpoint().DMAWriteBytes() != 0 {
 		t.Fatal("single-path must stay on port 0")

@@ -169,11 +169,17 @@ func Generate(seed int64) *Spec {
 			// recovery under test.
 			f.DurPct = 0
 		case "queue-stall":
+			// Draw only PFs that have queue pairs: every PF under the octo
+			// driver, PFs 0 and 1 under the standard drivers.
 			// rng.Intn(serverCores) is a valid per-PF queue index in both
 			// modes: the octo driver gives each PF a pair per local core
 			// (serverCores of them) and the standard driver gives its PF a
 			// pair per machine core (serverSockets*serverCores >= that).
-			f.PF = rng.Intn(serverSockets)
+			pfs := serverSockets
+			if mode == "standard" {
+				pfs = min(pfs, standardDriverPFs)
+			}
+			f.PF = rng.Intn(pfs)
 			f.Queue = rng.Intn(serverCores)
 			key = fmt.Sprintf("qstall/%d-%d", f.PF, f.Queue)
 		case "poller-stall":

@@ -238,6 +238,11 @@ type SimSpec struct {
 	Notes        []string      `json:"notes,omitempty"`
 }
 
+// standardDriverPFs is how many server PFs have queue pairs in
+// standard mode: the cluster binds one standard driver to PF 0 (eth0)
+// and one to PF 1 (eth1); further PFs carry no traffic.
+const standardDriverPFs = 2
+
 // parseMode maps the spec's mode string.
 func parseMode(s string) (core.NICMode, error) {
 	switch s {
@@ -517,8 +522,13 @@ func (sp *Spec) Validate() error {
 				return fail("fault %d (queue-stall): server has no PF %d", i, f.PF)
 			}
 			// Per-PF queue counts are a driver-layout fact: the standard
-			// driver gives its PF one queue pair per machine core, the octo
-			// driver gives each PF one pair per core of its own node.
+			// drivers bind only PFs 0 and 1 (eth0 and eth1), each with one
+			// queue pair per machine core; the octo driver gives each PF
+			// one pair per core of its own node.
+			if sim.Mode == "standard" && f.PF >= standardDriverPFs {
+				return fail("fault %d (queue-stall): PF %d has no queue pairs in standard mode (the standard driver binds PFs 0 and 1 only)",
+					i, f.PF)
+			}
 			queues := server.NumCores()
 			if sim.Mode == "ioctopus" {
 				queues = len(server.CoresOn(topology.NodeID(f.PF)))

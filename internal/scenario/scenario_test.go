@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"ioctopus/internal/core"
 	"ioctopus/internal/experiments"
 	"ioctopus/internal/scenario"
 )
@@ -126,11 +127,25 @@ func TestGenerateDeterministic(t *testing.T) {
 
 // TestGenerateAlwaysValid sweeps seeds: every generated spec must pass
 // the same validation gate a hand-written JSON file faces.
+// TestGenerateAlwaysValid: every generated spec passes Validate and
+// describes a cluster core can build, so -fuzz never aborts on a spec
+// it generated itself.
 func TestGenerateAlwaysValid(t *testing.T) {
+	T := experiments.FuzzDurations().Timeline
 	for seed := int64(0); seed < 200; seed++ {
-		if err := scenario.Generate(seed).Validate(); err != nil {
+		sp := scenario.Generate(seed)
+		if err := sp.Validate(); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
+		cfg, err := sp.ClusterConfig(T)
+		if err != nil {
+			t.Fatalf("seed %d: cluster config: %v", seed, err)
+		}
+		cl, err := core.NewClusterE(cfg)
+		if err != nil {
+			t.Fatalf("seed %d: validated spec builds no cluster: %v", seed, err)
+		}
+		cl.Drain()
 	}
 }
 
@@ -179,6 +194,15 @@ func TestValidateRejects(t *testing.T) {
 			sp.Sim.Datapath = "busypoll"
 			sp.Sim.Topology.Server = scenario.MachineSpec{Sockets: 2, CoresPerSocket: 1}
 		}, ">= 2 cores per server node"},
+		{"standard queue-stall on unbound pf", func(sp *scenario.Spec) {
+			// Standard mode on four sockets, without chaos's octo-only
+			// counters and checks: the stalled PF is the one defect.
+			sp.Sim.Mode = "standard"
+			sp.Sim.Topology.Server = scenario.MachineSpec{Sockets: 4, CoresPerSocket: 2}
+			sp.Sim.Counters = nil
+			sp.Sim.Checks = []scenario.CheckSpec{{Kind: "no-abandoned", Name: "no segment abandoned"}}
+			sp.Sim.Faults = append(sp.Sim.Faults, scenario.FaultSpec{Kind: "queue-stall", PF: 2, Queue: 0, AtPct: 30, DurPct: 10})
+		}, "PF 2 has no queue pairs in standard mode"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

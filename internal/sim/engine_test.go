@@ -462,7 +462,7 @@ func TestDeterminism(t *testing.T) {
 		var out []int
 		for i := 0; i < 100; i++ {
 			i := i
-			e.After(g.Exp(100*Nanosecond), func() { out = append(out, i) })
+			e.After(time.Duration(g.Intn(200))*Nanosecond, func() { out = append(out, i) })
 		}
 		e.RunUntilIdle()
 		return out

@@ -256,13 +256,6 @@ func (pp *Pipe) Charge(bytes int64) {
 	pp.discreteOps++
 }
 
-// TransferProc performs a discrete transfer and blocks the calling
-// process until it completes.
-func (pp *Pipe) TransferProc(p *Proc, bytes int64) {
-	pp.Transfer(bytes, p.resumeFn)
-	p.yield()
-}
-
 // DiscreteBytes returns the total bytes moved by discrete transfers.
 func (pp *Pipe) DiscreteBytes() float64 { return pp.discreteBytes }
 
@@ -319,13 +312,6 @@ func (f *FluidFlow) Remove() {
 	if !f.closed {
 		f.pipe.RemoveFlow(f)
 	}
-}
-
-// SetDemand updates the flow's demand.
-func (f *FluidFlow) SetDemand(demand float64) {
-	f.pipe.integrateFluid()
-	f.demand = demand
-	f.pipe.reallocate()
 }
 
 // Rate returns the flow's currently granted rate in bytes/sec.

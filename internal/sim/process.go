@@ -1,13 +1,12 @@
 package sim
 
 import (
-	"fmt"
 	"iter"
 	"time"
 )
 
 // Proc is a simulated process: model code written in a blocking style
-// (Sleep, Wait, queue Get/Put) that runs as a coroutine (iter.Pull)
+// (Sleep, Wait, queue Get) that runs as a coroutine (iter.Pull)
 // rather than a free-running goroutine. The engine resumes a process by
 // switching into its coroutine from an event callback and gets control
 // back when the process yields or returns, so exactly one piece of
@@ -16,9 +15,9 @@ import (
 // channel hand-off between goroutines.
 //
 // Contract:
-//   - Resume (and the ResumeFunc callback) must run in engine context:
-//     an event callback, or code such a callback calls. A process that
-//     resumes itself panics ("next called again before yield").
+//   - The ResumeFunc callback must run in engine context: an event
+//     callback, or code such a callback calls. A process that resumes
+//     itself panics ("next called again before yield").
 //   - A panic in process code other than the engine's own kill unwinds
 //     the process and re-raises, with the same value, from the resume
 //     that was running it — i.e. out of Engine.Run/RunUntilIdle on the
@@ -109,20 +108,16 @@ func (p *Proc) finish() {
 	}
 }
 
-// Resume hands control back to a process parked with Yield. It must be
-// invoked from engine event context (an event callback, or passed as a
-// completion callback to a component that fires it from one).
-func (p *Proc) Resume() { p.resume() }
-
-// ResumeFunc returns the cached resume callback (the same function every
-// call). Components that repeatedly pass "resume this process" as a
-// completion callback should use it instead of the method value
-// p.Resume, which allocates a fresh closure at every use site.
+// ResumeFunc returns the process's resume callback, the same cached
+// function on every call, so passing it as a completion callback
+// allocates nothing. It must be invoked from engine event context (an
+// event callback, or a component that fires it from one).
 func (p *Proc) ResumeFunc() func() { return p.resumeFn }
 
-// Yield parks the process until something calls Resume. The caller must
-// have arranged for a Resume before yielding (registered a callback,
-// scheduled an event) or the process sleeps forever.
+// Yield parks the process until its ResumeFunc callback runs. The
+// caller must have arranged for that before yielding (passed the
+// callback to a component, scheduled an event) or the process sleeps
+// forever.
 func (p *Proc) Yield() { p.yield() }
 
 // Sleep suspends the process for d of simulated time.
@@ -131,16 +126,6 @@ func (p *Proc) Sleep(d time.Duration) {
 		d = 0
 	}
 	p.eng.After(d, p.resumeFn)
-	p.yield()
-}
-
-// SleepUntil suspends the process until absolute time t. If t is in the
-// past the process continues immediately (after a zero-delay yield).
-func (p *Proc) SleepUntil(t Time) {
-	if t < p.eng.Now() {
-		t = p.eng.Now()
-	}
-	p.eng.At(t, p.resumeFn)
 	p.yield()
 }
 
@@ -176,75 +161,3 @@ func (s *Signal) Broadcast() {
 
 // Waiters returns the number of processes currently waiting.
 func (s *Signal) Waiters() int { return len(s.waiters) }
-
-// Gate is a latched condition: Open releases all current and future
-// waiters until Close is called. Useful for "link up" style conditions.
-type Gate struct {
-	sig  *Signal
-	open bool
-}
-
-// NewGate returns a Gate, initially closed.
-func NewGate(e *Engine) *Gate { return &Gate{sig: NewSignal(e)} }
-
-// Wait blocks the process until the gate is open.
-func (g *Gate) Wait(p *Proc) {
-	for !g.open {
-		g.sig.Wait(p)
-	}
-}
-
-// Open opens the gate, releasing waiters.
-func (g *Gate) Open() {
-	if !g.open {
-		g.open = true
-		g.sig.Broadcast()
-	}
-}
-
-// Close closes the gate; subsequent Wait calls block.
-func (g *Gate) Close() { g.open = false }
-
-// IsOpen reports whether the gate is open.
-func (g *Gate) IsOpen() bool { return g.open }
-
-// Semaphore is a counting semaphore for processes.
-type Semaphore struct {
-	eng   *Engine
-	avail int
-	sig   *Signal
-}
-
-// NewSemaphore returns a semaphore with n initial permits.
-func NewSemaphore(e *Engine, n int) *Semaphore {
-	if n < 0 {
-		panic(fmt.Sprintf("sim: negative semaphore size %d", n))
-	}
-	return &Semaphore{eng: e, avail: n, sig: NewSignal(e)}
-}
-
-// Acquire takes one permit, blocking the process until one is available.
-func (s *Semaphore) Acquire(p *Proc) {
-	for s.avail == 0 {
-		s.sig.Wait(p)
-	}
-	s.avail--
-}
-
-// TryAcquire takes a permit without blocking; it reports success.
-func (s *Semaphore) TryAcquire() bool {
-	if s.avail == 0 {
-		return false
-	}
-	s.avail--
-	return true
-}
-
-// Release returns one permit and wakes waiters.
-func (s *Semaphore) Release() {
-	s.avail++
-	s.sig.Broadcast()
-}
-
-// Available returns the number of free permits.
-func (s *Semaphore) Available() int { return s.avail }

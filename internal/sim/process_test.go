@@ -53,23 +53,6 @@ func TestProcInterleaving(t *testing.T) {
 	}
 }
 
-func TestProcSleepUntilPast(t *testing.T) {
-	e := NewEngine()
-	done := false
-	e.Go("p", func(p *Proc) {
-		p.Sleep(100 * Nanosecond)
-		p.SleepUntil(Time(50)) // in the past: continue at current time
-		if p.Now() != Time(100) {
-			t.Errorf("now = %v, want 100", p.Now())
-		}
-		done = true
-	})
-	e.RunUntilIdle()
-	if !done {
-		t.Fatal("process did not finish")
-	}
-}
-
 func TestSignalBroadcast(t *testing.T) {
 	e := NewEngine()
 	s := NewSignal(e)
@@ -90,69 +73,6 @@ func TestSignalBroadcast(t *testing.T) {
 	e.RunUntilIdle()
 	if woken != 3 {
 		t.Fatalf("woken = %d, want 3", woken)
-	}
-}
-
-func TestGateLatches(t *testing.T) {
-	e := NewEngine()
-	g := NewGate(e)
-	var passed []Time
-	e.Go("early", func(p *Proc) {
-		g.Wait(p)
-		passed = append(passed, p.Now())
-	})
-	e.Go("opener", func(p *Proc) {
-		p.Sleep(50 * Nanosecond)
-		g.Open()
-	})
-	e.Go("late", func(p *Proc) {
-		p.Sleep(100 * Nanosecond)
-		g.Wait(p) // already open: no block
-		passed = append(passed, p.Now())
-	})
-	e.RunUntilIdle()
-	if len(passed) != 2 || passed[0] != Time(50) || passed[1] != Time(100) {
-		t.Fatalf("passed = %v", passed)
-	}
-}
-
-func TestSemaphore(t *testing.T) {
-	e := NewEngine()
-	sem := NewSemaphore(e, 2)
-	var concurrent, maxConcurrent int
-	for i := 0; i < 5; i++ {
-		e.Go("u", func(p *Proc) {
-			sem.Acquire(p)
-			concurrent++
-			if concurrent > maxConcurrent {
-				maxConcurrent = concurrent
-			}
-			p.Sleep(10 * Nanosecond)
-			concurrent--
-			sem.Release()
-		})
-	}
-	e.RunUntilIdle()
-	if maxConcurrent != 2 {
-		t.Fatalf("maxConcurrent = %d, want 2", maxConcurrent)
-	}
-	if sem.Available() != 2 {
-		t.Fatalf("available = %d, want 2", sem.Available())
-	}
-}
-
-func TestSemaphoreTryAcquire(t *testing.T) {
-	e := NewEngine()
-	sem := NewSemaphore(e, 1)
-	if !sem.TryAcquire() {
-		t.Fatal("first TryAcquire should succeed")
-	}
-	if sem.TryAcquire() {
-		t.Fatal("second TryAcquire should fail")
-	}
-	sem.Release()
-	if !sem.TryAcquire() {
-		t.Fatal("TryAcquire after Release should succeed")
 	}
 }
 
@@ -184,22 +104,17 @@ func TestDrainKillsParkedProcs(t *testing.T) {
 
 func TestQueuePutGet(t *testing.T) {
 	e := NewEngine()
-	q := NewQueue[int](e, 0)
+	q := NewQueue[int](e)
 	var got []int
 	e.Go("producer", func(p *Proc) {
 		for i := 0; i < 5; i++ {
 			p.Sleep(10 * Nanosecond)
-			q.Put(p, i)
+			q.ForcePut(i)
 		}
-		q.Close()
 	})
 	e.Go("consumer", func(p *Proc) {
-		for {
-			v, ok := q.Get(p)
-			if !ok {
-				return
-			}
-			got = append(got, v)
+		for i := 0; i < 5; i++ {
+			got = append(got, q.Get(p))
 		}
 	})
 	e.RunUntilIdle()
@@ -213,55 +128,22 @@ func TestQueuePutGet(t *testing.T) {
 	}
 }
 
-func TestQueueBackpressure(t *testing.T) {
-	e := NewEngine()
-	q := NewQueue[int](e, 2)
-	var putTimes []Time
-	e.Go("producer", func(p *Proc) {
-		for i := 0; i < 4; i++ {
-			q.Put(p, i)
-			putTimes = append(putTimes, p.Now())
-		}
-	})
-	e.Go("consumer", func(p *Proc) {
-		for i := 0; i < 4; i++ {
-			p.Sleep(100 * Nanosecond)
-			if _, ok := q.TryGet(); !ok {
-				t.Error("expected item")
-			}
-		}
-	})
-	e.RunUntilIdle()
-	// First two puts at t=0; third blocks until a Get frees a slot at 100.
-	if putTimes[0] != 0 || putTimes[1] != 0 {
-		t.Fatalf("putTimes = %v, first two should be at 0", putTimes)
-	}
-	if putTimes[2] != Time(100) || putTimes[3] != Time(200) {
-		t.Fatalf("putTimes = %v, want blocked puts at 100 and 200", putTimes)
-	}
-}
-
 func TestQueueTryOps(t *testing.T) {
 	e := NewEngine()
-	q := NewQueue[string](e, 1)
+	q := NewQueue[string](e)
 	if _, ok := q.TryGet(); ok {
 		t.Fatal("TryGet on empty queue should fail")
 	}
-	if !q.TryPut("a") {
-		t.Fatal("TryPut should succeed")
-	}
-	if q.TryPut("b") {
-		t.Fatal("TryPut on full queue should fail")
-	}
-	q.ForcePut("c")
+	q.ForcePut("a")
+	q.ForcePut("b")
 	if q.Len() != 2 {
-		t.Fatalf("len = %d, want 2 after ForcePut", q.Len())
-	}
-	if v, _ := q.Peek(); v != "a" {
-		t.Fatalf("peek = %q, want a", v)
+		t.Fatalf("len = %d, want 2", q.Len())
 	}
 	if v, _ := q.TryGet(); v != "a" {
 		t.Fatalf("got %q, want a", v)
+	}
+	if v, ok := q.TryGet(); !ok || v != "b" || q.Len() != 0 {
+		t.Fatalf("got %q/%v len %d, want b and an empty queue", v, ok, q.Len())
 	}
 }
 
@@ -301,13 +183,13 @@ func TestProcPanicReraisesFromRun(t *testing.T) {
 	if steps != 1 || e.Now() != 10 {
 		t.Fatalf("steps = %d at %v, want the panic at 10ns", steps, e.Now())
 	}
-	p.Resume() // a process that panicked is finished: resuming is a no-op
+	p.ResumeFunc()() // a process that panicked is finished: resuming is a no-op
 	e.Drain()
 }
 
 func TestSelfResumePanics(t *testing.T) {
 	e := NewEngine()
-	e.Go("reentrant", func(p *Proc) { p.Resume() })
+	e.Go("reentrant", func(p *Proc) { p.ResumeFunc()() })
 	defer e.Drain()
 	defer func() {
 		if r := recover(); r == nil {

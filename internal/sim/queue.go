@@ -1,64 +1,29 @@
 package sim
 
-// Queue is a FIFO queue of items connecting simulated processes, the
-// analogue of a buffered channel. Capacity 0 means unbounded.
+// Queue is an unbounded FIFO queue of items connecting simulated
+// processes and event callbacks.
 //
 // Storage is items[head:]: pops advance head and the backing array is
 // reused once the queue drains (or compacted when the dead prefix
 // dominates), so steady-state put/get traffic does not reallocate.
 type Queue[T any] struct {
-	eng      *Engine
 	items    []T
 	head     int
-	capacity int
 	notEmpty *Signal
-	notFull  *Signal
-	closed   bool
 }
 
-// NewQueue returns a queue bound to the engine. capacity <= 0 means
-// unbounded.
-func NewQueue[T any](e *Engine, capacity int) *Queue[T] {
-	return &Queue[T]{
-		eng:      e,
-		capacity: capacity,
-		notEmpty: NewSignal(e),
-		notFull:  NewSignal(e),
-	}
+// NewQueue returns an empty queue bound to the engine.
+func NewQueue[T any](e *Engine) *Queue[T] {
+	return &Queue[T]{notEmpty: NewSignal(e)}
 }
 
 // Len returns the number of queued items.
 func (q *Queue[T]) Len() int { return len(q.items) - q.head }
 
-// Cap returns the queue capacity (0 = unbounded).
-func (q *Queue[T]) Cap() int { return q.capacity }
-
-// Full reports whether a bounded queue is at capacity.
-func (q *Queue[T]) Full() bool { return q.capacity > 0 && q.Len() >= q.capacity }
-
-// Put appends an item, blocking the process while the queue is full.
-func (q *Queue[T]) Put(p *Proc, item T) {
-	for q.Full() {
-		q.notFull.Wait(p)
-	}
-	q.push(item)
-}
-
-// TryPut appends an item without blocking; it reports success. It can be
-// called from event-callback context (no process needed).
-func (q *Queue[T]) TryPut(item T) bool {
-	if q.Full() {
-		return false
-	}
-	q.push(item)
-	return true
-}
-
-// ForcePut appends an item even past capacity (for sources, like a wire,
-// that cannot exert backpressure; the consumer should police overflow).
-func (q *Queue[T]) ForcePut(item T) { q.push(item) }
-
-func (q *Queue[T]) push(item T) {
+// ForcePut appends an item and wakes a process blocked in Get. It never
+// blocks, so event callbacks (a core's submit path, a driver's steering
+// hook) can call it.
+func (q *Queue[T]) ForcePut(item T) {
 	q.items = append(q.items, item)
 	q.notEmpty.Broadcast()
 }
@@ -84,18 +49,12 @@ func (q *Queue[T]) pop() T {
 }
 
 // Get removes and returns the oldest item, blocking the process while the
-// queue is empty. ok is false if the queue was closed and drained.
-func (q *Queue[T]) Get(p *Proc) (item T, ok bool) {
+// queue is empty.
+func (q *Queue[T]) Get(p *Proc) T {
 	for q.Len() == 0 {
-		if q.closed {
-			var zero T
-			return zero, false
-		}
 		q.notEmpty.Wait(p)
 	}
-	item = q.pop()
-	q.notFull.Broadcast()
-	return item, true
+	return q.pop()
 }
 
 // TryGet removes the oldest item without blocking; ok reports success.
@@ -104,25 +63,5 @@ func (q *Queue[T]) TryGet() (item T, ok bool) {
 		var zero T
 		return zero, false
 	}
-	item = q.pop()
-	q.notFull.Broadcast()
-	return item, true
+	return q.pop(), true
 }
-
-// Peek returns the oldest item without removing it.
-func (q *Queue[T]) Peek() (item T, ok bool) {
-	if q.Len() == 0 {
-		var zero T
-		return zero, false
-	}
-	return q.items[q.head], true
-}
-
-// Close marks the queue closed; blocked Gets return ok=false once empty.
-func (q *Queue[T]) Close() {
-	q.closed = true
-	q.notEmpty.Broadcast()
-}
-
-// Closed reports whether Close has been called.
-func (q *Queue[T]) Closed() bool { return q.closed }

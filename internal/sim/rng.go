@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"math"
-	"math/rand"
-	"time"
-)
+import "math/rand"
 
 // RNG is a seeded random source for model components. Every component
 // derives its RNG from the run's root seed so whole-system runs are
@@ -35,51 +31,6 @@ func (g *RNG) Float64() float64 { return g.r.Float64() }
 // Intn returns a uniform int in [0,n).
 func (g *RNG) Intn(n int) int { return g.r.Intn(n) }
 
-// Int63 returns a uniform non-negative int64.
-func (g *RNG) Int63() int64 { return g.r.Int63() }
-
-// Perm returns a random permutation of [0,n).
-func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
-
-// Exp returns an exponentially distributed duration with the given mean.
-func (g *RNG) Exp(mean time.Duration) time.Duration {
-	if mean <= 0 {
-		return 0
-	}
-	return time.Duration(g.r.ExpFloat64() * float64(mean))
-}
-
-// Normal returns a normally distributed duration clamped at zero.
-func (g *RNG) Normal(mean, stddev time.Duration) time.Duration {
-	d := time.Duration(g.r.NormFloat64()*float64(stddev)) + mean
-	if d < 0 {
-		return 0
-	}
-	return d
-}
-
-// Jitter returns d scaled by a uniform factor in [1-f, 1+f].
-func (g *RNG) Jitter(d time.Duration, f float64) time.Duration {
-	if f <= 0 {
-		return d
-	}
-	scale := 1 + f*(2*g.r.Float64()-1)
-	out := time.Duration(float64(d) * scale)
-	if out < 0 {
-		return 0
-	}
-	return out
-}
-
-// Zipf returns a generator of Zipf-distributed values in [0,n) with
-// skew s > 1 is classic; we accept s >= 1.01 and clamp below.
-func (g *RNG) Zipf(s float64, n uint64) *rand.Zipf {
-	if s < 1.01 {
-		s = 1.01
-	}
-	return rand.NewZipf(g.r, s, 1, n-1)
-}
-
 // Bernoulli returns true with probability p.
 func (g *RNG) Bernoulli(p float64) bool {
 	if p <= 0 {
@@ -89,10 +40,4 @@ func (g *RNG) Bernoulli(p float64) bool {
 		return true
 	}
 	return g.r.Float64() < p
-}
-
-// LogNormal returns a log-normally distributed float with the given
-// parameters of the underlying normal.
-func (g *RNG) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(g.r.NormFloat64()*sigma + mu)
 }

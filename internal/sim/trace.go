@@ -13,19 +13,15 @@ type TraceKind uint8
 
 // Trace record kinds.
 const (
-	// TraceEvent is an event dispatch.
-	TraceEvent TraceKind = iota
 	// TraceTransfer is a discrete pipe transfer.
-	TraceTransfer
-	// TraceFlow is a fluid flow add/remove/demand change.
+	TraceTransfer TraceKind = iota
+	// TraceFlow is a fluid flow registration.
 	TraceFlow
 )
 
 // String names the kind the way Dump and the Chrome export label it.
 func (k TraceKind) String() string {
 	switch k {
-	case TraceEvent:
-		return "event"
 	case TraceTransfer:
 		return "xfer"
 	case TraceFlow:
@@ -166,7 +162,7 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 		Name: "process_name", Phase: "M", PID: 0,
 		Args: map[string]any{"name": "ioctopus-sim"},
 	})
-	for _, k := range []TraceKind{TraceEvent, TraceTransfer, TraceFlow} {
+	for _, k := range []TraceKind{TraceTransfer, TraceFlow} {
 		tr.TraceEvents = append(tr.TraceEvents, chromeEvent{
 			Name: "thread_name", Phase: "M", PID: 0, TID: int(k),
 			Args: map[string]any{"name": k.String()},

@@ -34,11 +34,8 @@ func DefaultFioConfig(cores []topology.CoreID) FioConfig {
 
 // Fio is a running fio job.
 type Fio struct {
-	cfg       FioConfig
-	bytes     int64
-	baseline  int64
-	Latencies *metrics.Histogram
-	measuring bool
+	bytes    int64
+	baseline int64
 }
 
 // StartFio launches the job against the rig's drives. Each in-flight
@@ -51,7 +48,7 @@ func StartFio(rig *core.StorageRig, cfg FioConfig) *Fio {
 	if cfg.BlockSize <= 0 {
 		cfg.BlockSize = 128 * 1024
 	}
-	w := &Fio{cfg: cfg, Latencies: &metrics.Histogram{}}
+	w := &Fio{}
 	drives := rig.Drives
 	for ti, coreID := range cfg.Cores {
 		ti := ti
@@ -73,9 +70,6 @@ func StartFio(rig *core.StorageRig, cfg FioConfig) *Fio {
 					Buf:   bufs[slot],
 					OnComplete: func(r *nvme.Request) {
 						w.bytes += r.Bytes
-						if w.measuring {
-							w.Latencies.Add(r.Latency())
-						}
 						resubmit(slot)
 					},
 				}
@@ -93,10 +87,7 @@ func StartFio(rig *core.StorageRig, cfg FioConfig) *Fio {
 }
 
 // MeasureStart marks the measurement window start.
-func (w *Fio) MeasureStart() {
-	w.baseline = w.bytes
-	w.measuring = true
-}
+func (w *Fio) MeasureStart() { w.baseline = w.bytes }
 
 // Bytes returns bytes completed since MeasureStart.
 func (w *Fio) Bytes() int64 { return w.bytes - w.baseline }

@@ -61,21 +61,6 @@ func TestFioDegradesUnderUPISaturation(t *testing.T) {
 	}
 }
 
-func TestFioLatencyRecorded(t *testing.T) {
-	rig := core.NewStorageRig(core.StorageConfig{Drives: 2, SSDNode: 1})
-	f := StartFio(rig, FioConfig{Cores: []topology.CoreID{0}, QueueDepth: 4, BlockSize: 128 * 1024})
-	rig.Run(20 * time.Millisecond)
-	f.MeasureStart()
-	rig.Run(50 * time.Millisecond)
-	rig.Drain()
-	if f.Latencies.Count() == 0 {
-		t.Fatal("no latency samples")
-	}
-	if f.Latencies.Mean() < 100*time.Microsecond {
-		t.Fatalf("mean latency %v implausibly low for flash", f.Latencies.Mean())
-	}
-}
-
 func TestOctoSSDAvoidsInterconnect(t *testing.T) {
 	// The OctoSSD extension: with dual-port drives and local-port
 	// routing, fio's data never crosses UPI, so saturating STREAM

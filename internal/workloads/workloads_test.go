@@ -168,7 +168,7 @@ func TestAntagonistStopRestores(t *testing.T) {
 	if ant.Rate() != 0 {
 		t.Fatal("Stop did not remove flows")
 	}
-	if u := cl.Server.Fabric.Utilization(0, 1); u > 0.05 {
+	if u := cl.Server.Fabric.Pipe(0, 1).Utilization(); u > 0.05 {
 		t.Fatalf("fabric still loaded after Stop: %.2f", u)
 	}
 	cl.Drain()
