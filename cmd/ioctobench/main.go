@@ -16,8 +16,15 @@
 //	ioctobench -fig all -quick -json report.json
 //	ioctobench -fig fig6 -profile ./prof
 //	ioctobench -scenario chaos -quick
+//	ioctobench -scenario chaos -quick -trace chaos.trace.json
 //	ioctobench -scenario my-experiment.json
 //	ioctobench -fuzz 10 -seed 1
+//
+// -trace writes a Chrome trace-event JSON of the simulated pipe
+// activity (open it in chrome://tracing or ui.perfetto.dev), one
+// process per scenario in run order. It covers -scenario and -fuzz
+// runs: a scenario builds one cluster, while a figure builds many
+// concurrently.
 package main
 
 import (
@@ -47,7 +54,9 @@ func main() {
 			"run a declarative scenario: a builtin name (chaos) or a path to a JSON spec file")
 		fuzzN = flag.Int("fuzz", 0,
 			"generate and run N seeded random scenarios (simulation fuzzing); seeds are -seed .. -seed+N-1")
-		seed = flag.Int64("seed", 1, "first seed for -fuzz")
+		seed      = flag.Int64("seed", 1, "first seed for -fuzz")
+		tracePath = flag.String("trace", "",
+			"with -scenario or -fuzz, also write a Chrome trace-event JSON of pipe activity to this path, one process per scenario")
 	)
 	flag.Parse()
 
@@ -64,7 +73,7 @@ func main() {
 		}
 	}
 	if modes != 1 {
-		fmt.Fprintln(os.Stderr, "usage: ioctobench -fig <id>|all | -scenario <name|file.json> | -fuzz N [-seed S] [-quick] [-parallel N] [-o file]; -list for ids")
+		fmt.Fprintln(os.Stderr, "usage: ioctobench -fig <id>|all | -scenario <name|file.json> [-trace file] | -fuzz N [-seed S] [-trace file] [-quick] [-parallel N] [-o file]; -list for ids")
 		os.Exit(2)
 	}
 	// Validate everything up front: a bad flag should fail here with a
@@ -81,6 +90,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "ioctobench: -json reports cover figure runs; use -o for scenario/fuzz output")
 		os.Exit(2)
 	}
+	if *tracePath != "" && *fig != "" {
+		fmt.Fprintln(os.Stderr, "ioctobench: -trace covers scenario/fuzz runs; figure runs are untraced")
+		os.Exit(2)
+	}
 	if *parallel < 1 {
 		fmt.Fprintf(os.Stderr, "ioctobench: -parallel %d is invalid; need at least 1 simulation in flight\n", *parallel)
 		os.Exit(2)
@@ -93,7 +106,7 @@ func main() {
 	}
 
 	if *scenarioArg != "" || *fuzzN > 0 {
-		runScenarios(*scenarioArg, *fuzzN, *seed, d, *out)
+		runScenarios(*scenarioArg, *fuzzN, *seed, d, *out, *tracePath)
 		return
 	}
 
@@ -159,9 +172,10 @@ func emit(text, out string) {
 
 // runScenarios executes either one named/file scenario at the run's
 // -quick/full durations, or a -fuzz batch of generated scenarios at
-// the fuzz durations, and exits nonzero when any check fails — the
-// same contract as figure runs.
-func runScenarios(name string, fuzzN int, seed int64, d ioctopus.Durations, out string) {
+// the fuzz durations, one at a time, and exits nonzero when any check
+// fails — the same contract as figure runs. With a trace path every
+// scenario records into one tracer, written before the exit status.
+func runScenarios(name string, fuzzN int, seed int64, d ioctopus.Durations, out, tracePath string) {
 	var specs []*ioctopus.Scenario
 	if name != "" {
 		sp, err := ioctopus.LoadScenario(name)
@@ -176,11 +190,15 @@ func runScenarios(name string, fuzzN int, seed int64, d ioctopus.Durations, out 
 			specs = append(specs, ioctopus.GenerateScenario(seed+int64(i)))
 		}
 	}
+	var tr *ioctopus.Tracer
+	if tracePath != "" {
+		tr = ioctopus.NewTracer()
+	}
 	var b strings.Builder
 	failed := 0
 	for _, sp := range specs {
 		fmt.Fprintf(os.Stderr, "running scenario %s...\n", sp.Name)
-		res, err := ioctopus.RunScenario(sp, d)
+		res, err := ioctopus.RunScenarioTraced(sp, d, tr)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
@@ -191,11 +209,31 @@ func runScenarios(name string, fuzzN int, seed int64, d ioctopus.Durations, out 
 			failed++
 		}
 	}
+	if tr != nil {
+		if err := writeTrace(tracePath, tr); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
+		fmt.Fprintf(os.Stderr, "wrote %s\n", tracePath)
+	}
 	emit(b.String(), out)
 	if failed > 0 {
 		fmt.Fprintf(os.Stderr, "%d scenario(s) had failing checks\n", failed)
 		os.Exit(1)
 	}
+}
+
+// writeTrace exports tr as a Chrome trace-event file at path.
+func writeTrace(path string, tr *ioctopus.Tracer) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := tr.WriteChromeTrace(f); err != nil {
+		f.Close()
+		return fmt.Errorf("writing %s: %w", path, err)
+	}
+	return f.Close()
 }
 
 // runAll executes the experiments, concurrently up to `parallel` whole

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"ioctopus/internal/core"
 	"ioctopus/internal/eth"
@@ -58,9 +57,10 @@ func measureWired(w pcie.Wiring, instances int, d Durations) float64 {
 	cl := core.NewCluster(core.Config{Mode: core.ModeIOctopus, Wiring: w})
 	defer cl.Drain()
 	var serverCores, clientCores []topology.CoreID
+	clientPool := cl.Client.Topo.CoresOn(0)
 	for i := 0; i < instances; i++ {
 		serverCores = append(serverCores, cl.Server.Topo.CoresOn(topology.NodeID(i % 2))[i/2].ID)
-		clientCores = append(clientCores, topology.CoreID(i%14))
+		clientCores = append(clientCores, clientPool[i%len(clientPool)].ID)
 	}
 	wl := workloads.StartStream(cl, workloads.StreamConfig{
 		MsgSize: 65536, Direction: workloads.Rx,
@@ -193,6 +193,5 @@ func runAblationCoalescing(d Durations) *Result {
 	r.checkTrue("disabling coalescing lowers RR latency",
 		offUs < onUs, fmt.Sprintf("%.2f vs %.2f us", offUs, onUs))
 	r.check("stream throughput comparable either way", offGbps/onGbps, 0.8, 1.25)
-	_ = time.Second
 	return r
 }

@@ -149,27 +149,7 @@ func runBaselineQuad(d Durations) *Result {
 		ServerTopo: topology.QuadSocket(8),
 	})
 	defer cl.Drain()
-
-	var serverThread *kernel.Thread
-	cl.Server.Stack.Listen(7, func(s *netstack.Socket) {
-		serverThread = cl.Server.Kernel.Spawn("netserver", 0, func(th *kernel.Thread) {
-			s.SetOwner(th)
-			for {
-				if _, _, ok := s.Recv(th); !ok {
-					return
-				}
-			}
-		})
-	})
-	cl.Client.Kernel.Spawn("netperf", 0, func(th *kernel.Thread) {
-		sock, err := cl.Client.Stack.Dial(th, core.IPServerPF0, 7, eth.ProtoTCP)
-		if err != nil {
-			panic(err)
-		}
-		for {
-			sock.Send(th, 65536)
-		}
-	})
+	st := startMigrationStream(cl)
 
 	t := metrics.NewTable("quad-socket migration", "phase", "Gb/s", "serving PF")
 	window := d.Measure
@@ -203,7 +183,7 @@ func runBaselineQuad(d Durations) *Result {
 	var pfs []int
 	for node := 0; node < 4; node++ {
 		if node > 0 {
-			cl.Server.Kernel.SetAffinity(serverThread, cl.Server.Topo.CoresOn(topology.NodeID(node))[0].ID)
+			cl.Server.Kernel.SetAffinity(st.ServerThread(0), cl.Server.Topo.CoresOn(topology.NodeID(node))[0].ID)
 		}
 		g, pf := phase(fmt.Sprintf("thread on socket %d", node))
 		rates = append(rates, g)

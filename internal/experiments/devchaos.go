@@ -109,7 +109,7 @@ func runDevCell(c devCell, d Durations) devCellOut {
 	if err != nil {
 		panic(err) // the cell table is static; an invalid cell is a bug
 	}
-	run, err := simulate(sp, d)
+	run, err := simulate(sp, d, nil)
 	if err != nil {
 		panic(err)
 	}

@@ -5,10 +5,7 @@ import (
 	"time"
 
 	"ioctopus/internal/core"
-	"ioctopus/internal/eth"
-	"ioctopus/internal/kernel"
 	"ioctopus/internal/metrics"
-	"ioctopus/internal/netstack"
 )
 
 func init() { register("fig14", runFig14) }
@@ -18,26 +15,7 @@ func init() { register("fig14", runFig14) }
 func timeline(mode core.NICMode, d Durations) (pf0, pf1 *metrics.Series, preRate, postRate float64) {
 	cl := core.NewCluster(core.Config{Mode: mode})
 	defer cl.Drain()
-	var serverThread *kernel.Thread
-	cl.Server.Stack.Listen(7, func(s *netstack.Socket) {
-		serverThread = cl.Server.Kernel.Spawn("netserver", 0, func(th *kernel.Thread) {
-			s.SetOwner(th)
-			for {
-				if _, _, ok := s.Recv(th); !ok {
-					return
-				}
-			}
-		})
-	})
-	cl.Client.Kernel.Spawn("netperf", 0, func(th *kernel.Thread) {
-		sock, err := cl.Client.Stack.Dial(th, core.IPServerPF0, 7, eth.ProtoTCP)
-		if err != nil {
-			panic(err)
-		}
-		for {
-			sock.Send(th, 65536)
-		}
-	})
+	st := startMigrationStream(cl)
 
 	sampler := metrics.NewSampler(cl.Eng, d.SampleEvery)
 	pf0 = sampler.TrackRate("pf0 Gb/s", func() float64 { return cl.Server.NIC.PF(0).RxBytes() * 8 / 1e9 })
@@ -47,7 +25,7 @@ func timeline(mode core.NICMode, d Durations) (pf0, pf1 *metrics.Series, preRate
 	migrateAt := time.Duration(float64(d.Timeline) * 0.45)
 	cl.Run(migrateAt)
 	preStart0, preStart1 := cl.Server.NIC.PF(0).RxBytes(), cl.Server.NIC.PF(1).RxBytes()
-	cl.Server.Kernel.SetAffinity(serverThread, cl.Server.Topo.CoresOn(1)[0].ID)
+	cl.Server.Kernel.SetAffinity(st.ServerThread(0), cl.Server.Topo.CoresOn(1)[0].ID)
 	cl.Run(d.Timeline - migrateAt)
 	post := d.Timeline - migrateAt
 	postBytes := cl.Server.NIC.PF(0).RxBytes() - preStart0 + cl.Server.NIC.PF(1).RxBytes() - preStart1

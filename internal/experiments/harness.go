@@ -51,6 +51,18 @@ func serverCoreFor(c config, cl *core.Cluster) topology.CoreID {
 	return cl.Server.Topo.CoresOn(0)[0].ID
 }
 
+// startMigrationStream starts the single 64 KB netperf Rx stream the
+// thread-migration experiments move around: netserver and netperf on
+// core 0 of their hosts, on port 7. Its ServerThread(0) is the thread
+// to migrate.
+func startMigrationStream(cl *core.Cluster) *workloads.Stream {
+	return workloads.StartStream(cl, workloads.StreamConfig{
+		MsgSize: 65536, Direction: workloads.Rx,
+		ServerCores: []topology.CoreID{0}, ClientCores: []topology.CoreID{0},
+		ServerIP: core.IPServerPF0, Port: 7,
+	})
+}
+
 // streamOut is one stream measurement.
 type streamOut struct {
 	Gbps    float64 // application throughput

@@ -6,7 +6,6 @@ import (
 	"ioctopus/internal/core"
 	"ioctopus/internal/driver"
 	"ioctopus/internal/metrics"
-	"ioctopus/internal/topology"
 	"ioctopus/internal/workloads"
 )
 
@@ -72,6 +71,5 @@ func runAblationRemoteDDIO(d Durations) *Result {
 	r.checkTrue("IOctopus improvement is not",
 		ioct.MPPS > baseline*1.15,
 		fmt.Sprintf("%.2f vs %.2f MPPS", ioct.MPPS, baseline))
-	_ = topology.NoNode
 	return r
 }

@@ -4,10 +4,7 @@ import (
 	"fmt"
 
 	"ioctopus/internal/core"
-	"ioctopus/internal/eth"
-	"ioctopus/internal/kernel"
 	"ioctopus/internal/metrics"
-	"ioctopus/internal/netstack"
 	"ioctopus/internal/topology"
 )
 
@@ -27,29 +24,7 @@ func runAblationScheduler(d Durations) *Result {
 	measure := func(mode core.NICMode, balance bool) float64 {
 		cl := core.NewCluster(core.Config{Mode: mode})
 		defer cl.Drain()
-		var received int64
-		var serverThread *kernel.Thread
-		cl.Server.Stack.Listen(7, func(s *netstack.Socket) {
-			serverThread = cl.Server.Kernel.Spawn("netserver", 0, func(th *kernel.Thread) {
-				s.SetOwner(th)
-				for {
-					n, _, ok := s.Recv(th)
-					if !ok {
-						return
-					}
-					received += n
-				}
-			})
-		})
-		cl.Client.Kernel.Spawn("netperf", 0, func(th *kernel.Thread) {
-			sock, err := cl.Client.Stack.Dial(th, core.IPServerPF0, 7, eth.ProtoTCP)
-			if err != nil {
-				panic(err)
-			}
-			for {
-				sock.Send(th, 65536)
-			}
-		})
+		st := startMigrationStream(cl)
 		if balance {
 			// The oblivious balancer: alternate sockets on a fixed tick,
 			// as a fairness-driven scheduler with no NUDMA model would.
@@ -57,6 +32,7 @@ func runAblationScheduler(d Durations) *Result {
 			node := 0
 			var rebalance func()
 			rebalance = func() {
+				serverThread := st.ServerThread(0)
 				if serverThread == nil {
 					cl.Eng.After(tick, rebalance)
 					return
@@ -69,10 +45,10 @@ func runAblationScheduler(d Durations) *Result {
 			cl.Eng.After(tick, rebalance)
 		}
 		cl.Run(d.Warmup)
-		base := received
+		st.MeasureStart()
 		window := 8 * d.Measure // several balancer periods
 		cl.Run(window)
-		return metrics.Gbps(float64(received-base), window)
+		return metrics.Gbps(float64(st.Bytes()), window)
 	}
 
 	modes := []core.NICMode{core.ModeStandard, core.ModeIOctopus}

@@ -50,10 +50,17 @@ func FuzzDurations() Durations {
 // — or its JSON round-trip — renders byte-identical text, which is what
 // the check.sh fuzz gate diffs.
 func RunSpec(sp *scenario.Spec, d Durations) (*Result, error) {
+	return RunSpecTraced(sp, d, nil)
+}
+
+// RunSpecTraced is RunSpec with the spec's engine attached to tr, when
+// tr is non-nil, as a trace process named after the spec. Tracing only
+// observes: the result renders the same text as an untraced run.
+func RunSpecTraced(sp *scenario.Spec, d Durations, tr *sim.Tracer) (*Result, error) {
 	if err := sp.Validate(); err != nil {
 		return nil, err
 	}
-	run, err := simulate(sp, d)
+	run, err := simulate(sp, d, tr)
 	if err != nil {
 		return nil, err
 	}
@@ -114,10 +121,10 @@ type specRun struct {
 	errs       runErrs
 }
 
-// simulate assembles the cluster a valid spec describes, drives its
-// workloads and fault plan over the timeline, and returns the run
-// undrained.
-func simulate(sp *scenario.Spec, d Durations) (*specRun, error) {
+// simulate assembles the cluster a valid spec describes, attaches its
+// engine to tr unless tr is nil, drives its workloads and fault plan
+// over the timeline, and returns the run undrained.
+func simulate(sp *scenario.Spec, d Durations, tr *sim.Tracer) (*specRun, error) {
 	sim2 := sp.Sim
 	T := d.Timeline
 	frac := func(pct int) time.Duration { return T * time.Duration(pct) / 100 }
@@ -129,6 +136,9 @@ func simulate(sp *scenario.Spec, d Durations) (*specRun, error) {
 	cl, err := core.NewClusterE(clusterCfg)
 	if err != nil {
 		return nil, err
+	}
+	if tr != nil {
+		tr.Attach(cl.Eng, sp.Name)
 	}
 	run := &specRun{
 		cl:         cl,

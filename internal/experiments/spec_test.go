@@ -1,0 +1,96 @@
+package experiments
+
+import (
+	"bytes"
+	"encoding/json"
+	"reflect"
+	"testing"
+	"time"
+
+	"ioctopus/internal/scenario"
+	"ioctopus/internal/sim"
+)
+
+// traceDurations keeps traced test runs, and their trace files, small.
+var traceDurations = Durations{
+	Warmup:      time.Millisecond,
+	Measure:     2 * time.Millisecond,
+	Timeline:    10 * time.Millisecond,
+	SampleEvery: time.Millisecond,
+}
+
+// TestTracedRunRendersSameText: tracing only observes, so a traced
+// spec run renders exactly the text of an untraced one.
+func TestTracedRunRendersSameText(t *testing.T) {
+	plain, err := RunSpec(scenario.Chaos(), traceDurations)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := sim.NewTracer()
+	traced, err := RunSpecTraced(scenario.Chaos(), traceDurations, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if traced.Render() != plain.Render() {
+		t.Fatalf("traced run renders differently:\n--- untraced ---\n%s\n--- traced ---\n%s", plain.Render(), traced.Render())
+	}
+	if len(tr.Records()) == 0 {
+		t.Fatal("traced run recorded nothing")
+	}
+}
+
+// TestTraceFileDeterministic: two traced runs of a two-spec batch write
+// byte-identical files, with one process per spec, in spec order and
+// named by the spec, and records on both.
+func TestTraceFileDeterministic(t *testing.T) {
+	write := func() []byte {
+		tr := sim.NewTracer()
+		for _, sp := range []*scenario.Spec{scenario.Chaos(), scenario.Generate(1)} {
+			if _, err := RunSpecTraced(sp, traceDurations, tr); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var b bytes.Buffer
+		if err := tr.WriteChromeTrace(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	a, b := write(), write()
+	if !bytes.Equal(a, b) {
+		t.Fatal("two traced runs of one batch wrote different trace files")
+	}
+
+	var out struct {
+		TraceEvents []struct {
+			Name  string `json:"name"`
+			Phase string `json:"ph"`
+			PID   int    `json:"pid"`
+			Args  struct {
+				Name string `json:"name"`
+			} `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(a, &out); err != nil {
+		t.Fatalf("trace is not valid JSON: %v", err)
+	}
+	var procs []string
+	records := map[int]int{}
+	for _, ev := range out.TraceEvents {
+		switch {
+		case ev.Name == "process_name":
+			if ev.PID != len(procs) {
+				t.Fatalf("process %q has pid %d, want %d", ev.Args.Name, ev.PID, len(procs))
+			}
+			procs = append(procs, ev.Args.Name)
+		case ev.Phase == "i":
+			records[ev.PID]++
+		}
+	}
+	if want := []string{"chaos", "fuzz-1"}; !reflect.DeepEqual(procs, want) {
+		t.Fatalf("processes = %q, want %q", procs, want)
+	}
+	if records[0] == 0 || records[1] == 0 {
+		t.Fatalf("records per process = %v, want some on both", records)
+	}
+}

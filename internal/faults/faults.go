@@ -22,6 +22,7 @@ package faults
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -231,9 +232,11 @@ func (k winKey) String() string {
 // through the second), overlapping degradations of the same fabric
 // link (the first restore resets the link while the second degradation
 // is live), overlapping flaps of one PF, and discrete link-up/down
-// events landing inside a flap window on the same PF. It needs no
-// targets, so plan generators can vet schedules before a cluster
-// exists; Validate (and therefore Arm) always includes it.
+// events landing inside a flap window on the same PF. A window whose
+// end does not fit in a time.Duration is rejected too, since its end
+// would wrap negative and hide every overlap. It needs no targets, so
+// plan generators can vet schedules before a cluster exists; Validate
+// (and therefore Arm) always includes it.
 func (p *Plan) ValidateSchedule() error {
 	type win struct {
 		idx      int
@@ -242,6 +245,10 @@ func (p *Plan) ValidateSchedule() error {
 	wins := map[winKey][]win{}
 	for i, ev := range p.Events {
 		if k, ok := stateKey(ev); ok && ev.Duration > 0 {
+			if ev.At > math.MaxInt64-ev.Duration {
+				return fmt.Errorf("faults: event %d (%s): window %v + %v ends past the largest offset",
+					i, ev.Kind, ev.At, ev.Duration)
+			}
 			wins[k] = append(wins[k], win{idx: i, from: ev.At, to: ev.At + ev.Duration})
 		}
 	}

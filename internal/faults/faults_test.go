@@ -1,7 +1,12 @@
 package faults
 
 import (
+	"encoding/binary"
+	"fmt"
+	"math"
+	"math/big"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -417,6 +422,9 @@ func TestValidateScheduleRejectsRacingWindows(t *testing.T) {
 			{At: 0, Kind: LinkFlap, PF: 1, Duration: 2 * ms},
 			{At: ms, Kind: LinkDown, PF: 1},
 		}, "fires inside"},
+		{"window end overflows", []Event{
+			{At: math.MaxInt64 - ms, Kind: Burst, Dir: ClientToServer, Duration: 2 * ms},
+		}, "ends past the largest offset"},
 	}
 	for _, c := range reject {
 		t.Run(c.name, func(t *testing.T) {
@@ -484,4 +492,117 @@ func TestArmRejectsOverlappingWindows(t *testing.T) {
 	if _, err := Arm(plan, r.targets()); err == nil || !strings.Contains(err.Error(), "overlapping") {
 		t.Fatalf("Arm err = %v, want overlapping-window rejection", err)
 	}
+}
+
+// scheduleEventBytes is the size of one fuzz-coded event: kind, target,
+// then At and Duration as little-endian int64s.
+const scheduleEventBytes = 18
+
+// decodeSchedule turns fuzz bytes into a plan, one event per
+// scheduleEventBytes, dropping a trailing partial event. Kinds span
+// every kind plus one unknown. The target byte's bits pick the PF,
+// direction, link, queue, core and node from small ranges, so events
+// often share state.
+func decodeSchedule(data []byte) *Plan {
+	p := &Plan{}
+	for ; len(data) >= scheduleEventBytes; data = data[scheduleEventBytes:] {
+		tg := int(data[1])
+		p.Events = append(p.Events, Event{
+			Kind:     Kind(data[0] % byte(PollerStall+2)),
+			PF:       tg & 3,
+			Dir:      Dir(tg & 1),
+			From:     topology.NodeID(tg & 1),
+			To:       topology.NodeID(tg >> 1 & 1),
+			Core:     topology.CoreID(tg),
+			Queue:    tg >> 2 & 3,
+			Node:     topology.NodeID(tg >> 4 & 1),
+			At:       time.Duration(binary.LittleEndian.Uint64(data[2:])),
+			Duration: time.Duration(binary.LittleEndian.Uint64(data[10:])),
+		})
+	}
+	return p
+}
+
+// encodeEvent is decodeSchedule's inverse for one event, for seeds.
+func encodeEvent(k Kind, target byte, at, dur time.Duration) []byte {
+	b := []byte{byte(k), target}
+	b = binary.LittleEndian.AppendUint64(b, uint64(at))
+	return binary.LittleEndian.AppendUint64(b, uint64(dur))
+}
+
+// sameState reports whether two windowed events arm and disarm the same
+// piece of fault state.
+func sameState(a, b Event) bool {
+	if a.Kind != b.Kind {
+		return false
+	}
+	switch a.Kind {
+	case Loss, Burst, Corrupt:
+		return a.Dir == b.Dir
+	case Degrade:
+		return a.From == b.From && a.To == b.To
+	case LinkFlap:
+		return a.PF == b.PF
+	case QueueStall:
+		return a.PF == b.PF && a.Queue == b.Queue
+	case PollerStall:
+		return a.Node == b.Node
+	}
+	return false
+}
+
+// scheduleConflict is the brute-force reference for ValidateSchedule.
+// It compares every pair of events with exact (big.Int) window ends and
+// names the first conflict, or returns "" for a sound schedule: two
+// windows of positive duration on one state that overlap, or a link-up
+// or link-down strictly inside a flap window on the same PF.
+func scheduleConflict(evs []Event) string {
+	at := func(ev Event) *big.Int { return big.NewInt(int64(ev.At)) }
+	end := func(ev Event) *big.Int { return new(big.Int).Add(at(ev), big.NewInt(int64(ev.Duration))) }
+	for i, a := range evs {
+		for j, b := range evs {
+			if i < j && a.Duration > 0 && b.Duration > 0 && sameState(a, b) &&
+				at(a).Cmp(end(b)) < 0 && at(b).Cmp(end(a)) < 0 {
+				return fmt.Sprintf("events %d and %d overlap", i, j)
+			}
+			if (a.Kind == LinkDown || a.Kind == LinkUp) && b.Kind == LinkFlap && b.Duration > 0 &&
+				a.PF == b.PF && at(a).Cmp(at(b)) > 0 && at(a).Cmp(end(b)) < 0 {
+				return fmt.Sprintf("event %d fires inside event %d's flap", i, j)
+			}
+		}
+	}
+	return ""
+}
+
+// FuzzValidateSchedule decodes fuzz bytes into a plan: ValidateSchedule
+// must never panic, and a plan it accepts must pass scheduleConflict.
+func FuzzValidateSchedule(f *testing.F) {
+	ms := time.Millisecond
+	// The chaos scenario's five events over a 1 s timeline: a PF 0 flap,
+	// client-to-server loss, a server-to-client burst, a core 0 stall
+	// and a 0->1 degradation.
+	f.Add(slices.Concat(
+		encodeEvent(LinkFlap, 0, 300*ms, 200*ms),
+		encodeEvent(Loss, 0, 550*ms, 100*ms),
+		encodeEvent(Burst, 1, 580*ms, 20*ms),
+		encodeEvent(Stall, 0, 620*ms, ms),
+		encodeEvent(Degrade, 2, 680*ms, 100*ms),
+	))
+	// Two overlapping loss windows on one direction.
+	f.Add(slices.Concat(encodeEvent(Loss, 0, 0, 2*ms), encodeEvent(Loss, 0, ms, 2*ms)))
+	// A link-down inside a flap of the same PF.
+	f.Add(slices.Concat(encodeEvent(LinkFlap, 1, 0, 2*ms), encodeEvent(LinkDown, 1, ms, 0)))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// The reference is quadratic; 64 events is plenty of pairs.
+		if len(data) > 64*scheduleEventBytes {
+			data = data[:64*scheduleEventBytes]
+		}
+		p := decodeSchedule(data)
+		if err := p.ValidateSchedule(); err != nil {
+			return
+		}
+		if c := scheduleConflict(p.Events); c != "" {
+			t.Fatalf("ValidateSchedule accepted a plan where %s: %+v", c, p.Events)
+		}
+	})
 }

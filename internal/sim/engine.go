@@ -107,7 +107,8 @@ type Engine struct {
 	// swap-removes, which keeps the order a pure function of the run.
 	procs    map[*Proc]int
 	procList []*Proc
-	tracer   *Tracer
+	tracer   *Tracer // nil unless attached with Tracer.Attach
+	tracePID int
 
 	// idleAt is the latest completion time of fire-and-forget work
 	// (e.g. Pipe.Transfer with a nil callback). Instead of holding a

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -9,35 +10,27 @@ import (
 
 func TestTracerRecordsTransfersAndFlows(t *testing.T) {
 	e := NewEngine()
-	tr := NewTracer(100)
-	e.SetTracer(tr)
+	tr := NewTracer()
+	tr.Attach(e, "run")
 	p := NewPipe(e, PipeConfig{Name: "link", BytesPerSec: 1e9})
 	p.Transfer(1000, nil)
 	p.Transfer(2000, nil)
 	p.AddFlow("bulk", 5e8)
 	e.RunUntilIdle()
-	if tr.Count("link") != 2 {
-		t.Fatalf("transfer records = %d, want 2", tr.Count("link"))
+	want := []TraceRecord{
+		{Kind: TraceTransfer, Label: "link", Value: 1000},
+		{Kind: TraceTransfer, Label: "link", Value: 2000},
+		{Kind: TraceFlow, Label: "link/bulk", Value: 5e8},
 	}
-	if tr.Count("link/bulk") != 1 {
-		t.Fatalf("flow records = %d, want 1", tr.Count("link/bulk"))
-	}
-	var dump strings.Builder
-	tr.Dump(&dump)
-	if !strings.Contains(dump.String(), "xfer") || !strings.Contains(dump.String(), "flow") {
-		t.Fatalf("dump missing kinds:\n%s", dump.String())
-	}
-	var sum strings.Builder
-	tr.Summary(&sum)
-	if !strings.Contains(sum.String(), "link") {
-		t.Fatalf("summary missing label:\n%s", sum.String())
+	if got := tr.Records(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("records = %+v, want %+v", got, want)
 	}
 }
 
 func TestTracerLimitDropsOldest(t *testing.T) {
 	e := NewEngine()
-	tr := NewTracer(4)
-	e.SetTracer(tr)
+	tr := &Tracer{limit: 4}
+	tr.Attach(e, "run")
 	p := NewPipe(e, PipeConfig{Name: "l", BytesPerSec: 1e9})
 	for i := 0; i < 10; i++ {
 		p.Transfer(int64(i+1), nil)
@@ -50,17 +43,13 @@ func TestTracerLimitDropsOldest(t *testing.T) {
 	if recs[len(recs)-1].Value != 10 {
 		t.Fatalf("latest record = %v, want the newest transfer", recs[len(recs)-1].Value)
 	}
-	if tr.Count("l") != 10 {
-		t.Fatalf("count = %d, want 10 (counts survive drops)", tr.Count("l"))
-	}
 }
 
 func TestTracingOffByDefaultIsFree(t *testing.T) {
 	e := NewEngine()
 	p := NewPipe(e, PipeConfig{Name: "l", BytesPerSec: 1e9})
-	p.Transfer(100, nil) // must not panic with no tracer installed
-	e.SetTracer(nil)
-	p.Transfer(100, nil)
+	p.Transfer(100, nil) // must not panic with no tracer attached
+	p.AddFlow("bulk", 1e6)
 	e.RunUntilIdle()
 }
 
@@ -70,8 +59,8 @@ func TestTracingOffByDefaultIsFree(t *testing.T) {
 func TestTracerRingOrderAfterWrap(t *testing.T) {
 	for _, total := range []int{1, 3, 4, 5, 9, 17} {
 		e := NewEngine()
-		tr := NewTracer(4)
-		e.SetTracer(tr)
+		tr := &Tracer{limit: 4}
+		tr.Attach(e, "run")
 		p := NewPipe(e, PipeConfig{Name: "l", BytesPerSec: 1e9})
 		for i := 0; i < total; i++ {
 			e.After(time.Duration(i+1)*time.Microsecond, func() { p.Transfer(1, nil) })
@@ -92,9 +81,6 @@ func TestTracerRingOrderAfterWrap(t *testing.T) {
 					total, i, r.At, wantAt)
 			}
 		}
-		if tr.Count("l") != total {
-			t.Fatalf("total=%d: count = %d", total, tr.Count("l"))
-		}
 	}
 }
 
@@ -105,8 +91,8 @@ func TestTracerRingOrderAfterWrap(t *testing.T) {
 // with a big limit and many drops.
 func TestTracerRecordIsConstantTime(t *testing.T) {
 	e := NewEngine()
-	tr := NewTracer(1 << 14)
-	e.SetTracer(tr)
+	tr := &Tracer{limit: 1 << 14}
+	tr.Attach(e, "run")
 	p := NewPipe(e, PipeConfig{Name: "l", BytesPerSec: 1e12})
 	const n = 1 << 17
 	for i := 0; i < n; i++ {
@@ -116,19 +102,21 @@ func TestTracerRecordIsConstantTime(t *testing.T) {
 	if got := len(tr.Records()); got != 1<<14 {
 		t.Fatalf("records = %d", got)
 	}
-	if tr.Count("l") != n {
-		t.Fatalf("count = %d", tr.Count("l"))
-	}
 }
 
+// TestTracerChromeExport: one tracer over two engines writes valid
+// JSON with one named process per engine, in attach order, and each
+// record on its engine's process and its kind's track.
 func TestTracerChromeExport(t *testing.T) {
-	e := NewEngine()
-	tr := NewTracer(16)
-	e.SetTracer(tr)
-	p := NewPipe(e, PipeConfig{Name: "link", BytesPerSec: 1e9})
-	e.After(time.Microsecond, func() { p.Transfer(1500, nil) })
-	p.AddFlow("bulk", 1e6)
-	e.RunUntilIdle()
+	tr := NewTracer()
+	for _, name := range []string{"first", "second"} {
+		e := NewEngine()
+		tr.Attach(e, name)
+		p := NewPipe(e, PipeConfig{Name: "link", BytesPerSec: 1e9})
+		e.After(time.Microsecond, func() { p.Transfer(1500, nil) })
+		p.AddFlow("bulk", 1e6)
+		e.RunUntilIdle()
+	}
 
 	var buf strings.Builder
 	if err := tr.WriteChromeTrace(&buf); err != nil {
@@ -140,6 +128,8 @@ func TestTracerChromeExport(t *testing.T) {
 			Cat   string         `json:"cat"`
 			Phase string         `json:"ph"`
 			TS    float64        `json:"ts"`
+			PID   int            `json:"pid"`
+			TID   int            `json:"tid"`
 			Args  map[string]any `json:"args"`
 		} `json:"traceEvents"`
 		DisplayTimeUnit string `json:"displayTimeUnit"`
@@ -147,23 +137,29 @@ func TestTracerChromeExport(t *testing.T) {
 	if err := json.Unmarshal([]byte(buf.String()), &out); err != nil {
 		t.Fatalf("chrome trace is not valid JSON: %v", err)
 	}
-	var sawXfer, sawFlow bool
+	procs := map[int]string{}
+	xfers, flows := map[int]bool{}, map[int]bool{}
 	for _, ev := range out.TraceEvents {
 		switch {
+		case ev.Name == "process_name":
+			procs[ev.PID], _ = ev.Args["name"].(string)
 		case ev.Name == "link" && ev.Cat == "xfer":
-			sawXfer = true
-			if ev.Phase != "i" || ev.TS != 1.0 {
+			xfers[ev.PID] = true
+			if ev.Phase != "i" || ev.TS != 1.0 || ev.TID != int(TraceTransfer) {
 				t.Fatalf("xfer event wrong: %+v", ev)
 			}
 			if v, _ := ev.Args["value"].(float64); v != 1500 {
 				t.Fatalf("xfer value = %v", ev.Args["value"])
 			}
 		case ev.Name == "link/bulk" && ev.Cat == "flow":
-			sawFlow = true
+			flows[ev.PID] = true
 		}
 	}
-	if !sawXfer || !sawFlow {
-		t.Fatalf("missing events (xfer=%v flow=%v):\n%s", sawXfer, sawFlow, buf.String())
+	if want := map[int]string{0: "first", 1: "second"}; !reflect.DeepEqual(procs, want) {
+		t.Fatalf("processes = %v, want %v", procs, want)
+	}
+	if len(xfers) != 2 || len(flows) != 2 || out.DisplayTimeUnit != "ms" {
+		t.Fatalf("events per process: xfer %v flow %v (unit %q):\n%s", xfers, flows, out.DisplayTimeUnit, buf.String())
 	}
 }
 
@@ -216,8 +212,8 @@ func TestRunBoundedThenIdleReachesHorizon(t *testing.T) {
 
 func TestTracerTimestamps(t *testing.T) {
 	e := NewEngine()
-	tr := NewTracer(0)
-	e.SetTracer(tr)
+	tr := NewTracer()
+	tr.Attach(e, "run")
 	p := NewPipe(e, PipeConfig{Name: "l", BytesPerSec: 1e9})
 	e.After(time.Microsecond, func() { p.Transfer(1, nil) })
 	e.RunUntilIdle()

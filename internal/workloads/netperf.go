@@ -90,6 +90,7 @@ type Stream struct {
 	cfg      StreamConfig
 	received []int64 // per instance, measured at the receiving app
 	baseline []int64
+	servers  []*kernel.Thread // per instance, the server-side thread
 	errs     errList
 }
 
@@ -113,6 +114,7 @@ func StartStream(cl *core.Cluster, cfg StreamConfig) *Stream {
 		cfg:      cfg,
 		received: make([]int64, len(cfg.ServerCores)),
 		baseline: make([]int64, len(cfg.ServerCores)),
+		servers:  make([]*kernel.Thread, len(cfg.ServerCores)),
 	}
 	for i := range cfg.ServerCores {
 		i := i
@@ -121,7 +123,7 @@ func StartStream(cl *core.Cluster, cfg StreamConfig) *Stream {
 		case Rx:
 			// Server receives: netserver sink on the server core.
 			cl.Server.Stack.Listen(port, func(s *netstack.Socket) {
-				cl.Server.Kernel.Spawn("netserver", cfg.ServerCores[i], func(th *kernel.Thread) {
+				w.servers[i] = cl.Server.Kernel.Spawn("netserver", cfg.ServerCores[i], func(th *kernel.Thread) {
 					s.SetOwner(th)
 					for {
 						n, _, ok := s.Recv(th)
@@ -160,7 +162,7 @@ func StartStream(cl *core.Cluster, cfg StreamConfig) *Stream {
 					}
 				})
 			})
-			cl.Server.Kernel.Spawn("netperf", cfg.ServerCores[i], func(th *kernel.Thread) {
+			w.servers[i] = cl.Server.Kernel.Spawn("netperf", cfg.ServerCores[i], func(th *kernel.Thread) {
 				sock, err := cl.Server.Stack.Dial(th, core.IPClient, port, eth.ProtoTCP)
 				if err != nil {
 					w.errs.add("netperf instance %d: %v", i, err)
@@ -174,6 +176,11 @@ func StartStream(cl *core.Cluster, cfg StreamConfig) *Stream {
 	}
 	return w
 }
+
+// ServerThread returns instance i's server-side thread, for migrating
+// it: the netserver of an Rx stream, nil until its connection is
+// accepted, or the netperf sender of a Tx stream.
+func (w *Stream) ServerThread(i int) *kernel.Thread { return w.servers[i] }
 
 // MeasureStart marks the beginning of the measurement window.
 func (w *Stream) MeasureStart() {

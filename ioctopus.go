@@ -34,6 +34,7 @@ import (
 	"ioctopus/internal/nvme"
 	"ioctopus/internal/pcie"
 	"ioctopus/internal/scenario"
+	"ioctopus/internal/sim"
 	"ioctopus/internal/topology"
 	"ioctopus/internal/workloads"
 )
@@ -267,6 +268,23 @@ func ParseScenario(data []byte) (*Scenario, error) { return scenario.Parse(data)
 // function of (spec, durations): same inputs, byte-identical output.
 func RunScenario(sp *Scenario, d Durations) (*ExperimentResult, error) {
 	return experiments.RunSpec(sp, d)
+}
+
+// Tracer records the pipe activity of scenario runs for a Chrome
+// trace-event file (WriteChromeTrace; open it in ui.perfetto.dev). Each
+// traced scenario is one process, numbered in run order; one ring keeps
+// the newest 2^20 records of the whole run.
+type Tracer = sim.Tracer
+
+// NewTracer returns an empty tracer for RunScenarioTraced.
+func NewTracer() *Tracer { return sim.NewTracer() }
+
+// RunScenarioTraced is RunScenario with the scenario's engine recorded
+// into tr as a process named after the scenario. Tracing only observes:
+// the result renders the same text as RunScenario's. Run the scenarios
+// sharing one tracer one at a time.
+func RunScenarioTraced(sp *Scenario, d Durations, tr *Tracer) (*ExperimentResult, error) {
+	return experiments.RunSpecTraced(sp, d, tr)
 }
 
 // GenerateScenario draws a random but always-valid scenario from a

@@ -46,6 +46,11 @@ test -s "$tmp/report.json"
 go run ./cmd/ioctobench -fuzz 8 -seed 1 > "$tmp/fuzz1.txt"
 go run ./cmd/ioctobench -fuzz 8 -seed 1 > "$tmp/fuzz2.txt"
 cmp "$tmp/fuzz1.txt" "$tmp/fuzz2.txt"
+# Trace gate: tracing only observes, so a traced third run prints the
+# same text, and it must write a trace.
+go run ./cmd/ioctobench -fuzz 8 -seed 1 -trace "$tmp/fuzz.trace.json" > "$tmp/fuzz3.txt"
+cmp "$tmp/fuzz1.txt" "$tmp/fuzz3.txt"
+test -s "$tmp/fuzz.trace.json"
 
 # Bench gate: the packet-path benchmarks must stay within the allocs/op
 # thresholds recorded in BENCH_sim.json (the "gate" section).
