@@ -26,8 +26,14 @@ func (b *base) RegisterMetrics(r metrics.Registrar) {
 		// Poll-mode counters (busypoll and hybrid datapaths only, so the
 		// interrupt path's registry snapshot is unchanged).
 		pm := r.Scope("pmd")
-		pm.Counter("polls", func() float64 { return float64(b.pmd.polls) })
-		pm.Counter("empty_polls", func() float64 { return float64(b.pmd.emptyPolls) })
+		pm.Counter("polls", func() float64 {
+			polls, _ := b.pmd.counts()
+			return float64(polls)
+		})
+		pm.Counter("empty_polls", func() float64 {
+			_, empty := b.pmd.counts()
+			return float64(empty)
+		})
 		pm.Counter("bursts", func() float64 { return float64(b.pmd.bursts) })
 		pm.Gauge("burst_occupancy", func() float64 {
 			if b.pmd.bursts == 0 {

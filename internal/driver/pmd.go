@@ -75,8 +75,8 @@ func ParseDatapath(s string) (Datapath, error) {
 // pmdStats are the poll-mode counters exported under the driver's
 // pmd/ metrics scope.
 type pmdStats struct {
-	polls      uint64 // poll-loop iterations
-	emptyPolls uint64 // iterations that found no work in any direction
+	polls      uint64 // poll-loop iterations that ran (see counts)
+	emptyPolls uint64 // those that found no work in any direction
 	bursts     uint64 // non-empty Rx/Tx bursts processed
 	burstPkts  uint64 // segments across those bursts (occupancy numerator)
 	// pollers/pollerPairs are indexed by NUMA node (nil/empty for nodes
@@ -141,17 +141,27 @@ func (b *base) startPollers() {
 		cores := topo.CoresOn(node)
 		pollCore := cores[len(cores)-1].ID
 		owned := pairs // bind the per-node slice once; the body reuses it
-		p := b.k.Core(pollCore).StartPoller(b.name+":node"+strconv.Itoa(n), func() time.Duration {
+		p := b.k.Core(pollCore).StartPoller(b.name+":node"+strconv.Itoa(n), func() (time.Duration, bool) {
 			return b.pmdPoll(owned)
 		})
+		// A completion on any owned ring wakes a dormant loop, whether
+		// the queue is polled or, during a watchdog fallback, not: the
+		// loop polls its rings either way. One closure per loop.
+		wake := p.Wake
+		for _, qp := range owned {
+			qp.rx.OnDeliver(wake)
+			qp.tx.OnDeliver(wake)
+		}
 		b.pmd.pollers[n] = p
 		b.pmd.pollerPairs[n] = owned
 	}
 }
 
 // pmdPoll is one busy-poll iteration: a fixed tail-check cost plus one
-// Rx and one Tx burst per owned queue pair.
-func (b *base) pmdPoll(pairs []*queuePair) time.Duration {
+// Rx and one Tx burst per owned queue pair. It reports whether any
+// burst found work; an empty iteration costs exactly PollCost and
+// touches no memory.
+func (b *base) pmdPoll(pairs []*queuePair) (time.Duration, bool) {
 	cost := b.params.PollCost
 	work := 0
 	for _, qp := range pairs {
@@ -166,7 +176,22 @@ func (b *base) pmdPoll(pairs []*queuePair) time.Duration {
 	if work == 0 {
 		b.pmd.emptyPolls++
 	}
-	return cost
+	return cost, work > 0
+}
+
+// counts returns the poll iterations and the empty ones among them. A
+// dormant busy-poll loop runs no body, so the iterations its ledger
+// accounted are added to both: each was an empty poll.
+func (s *pmdStats) counts() (polls, empty uint64) {
+	polls, empty = s.polls, s.emptyPolls
+	for _, p := range s.pollers {
+		if p != nil {
+			n := p.DormantIterations()
+			polls += n
+			empty += n
+		}
+	}
+	return polls, empty
 }
 
 // burstRx drains up to one burst of received segments straight into the

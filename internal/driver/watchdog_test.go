@@ -175,3 +175,68 @@ func TestWatchdogPollerFallbackAndReenter(t *testing.T) {
 		t.Fatalf("fallbacks = %d at end, want exactly 1", st.PollerFallbacks)
 	}
 }
+
+// TestDormantPollerWakesOnDeliveryDuringFallback: a busy-poll loop that
+// finds its rings empty goes dormant and schedules no events until
+// something wakes it. During a watchdog fallback its queues are
+// unpolled, so a completion raises an interrupt, but the loop still
+// polls those rings: the delivery itself must wake it, and the loop
+// reaps the completion as a loop that never slept would.
+func TestDormantPollerWakesOnDeliveryDuringFallback(t *testing.T) {
+	r := newDrvRig(t)
+	r.nic.LoadFirmware(nic.NewOctoFirmware(r.nic, false))
+	params := DefaultParams()
+	params.Datapath = DatapathBusyPoll
+	params.WatchdogInterval = 100 * time.Microsecond
+	d := NewOcto(r.k, r.mem, r.nic, "octo0", params)
+	d.Bind(r.st)
+	p, wp := d.pmd.pollers[0], &d.wd.pollers[0]
+	r.eng.RunFor(time.Millisecond)
+
+	// No traffic: the iterations a 100µs window covers cost no events.
+	it, ev := p.Iterations(), r.eng.Executed
+	r.eng.RunFor(100 * time.Microsecond)
+	if got := p.Iterations() - it; got != 500 {
+		t.Fatalf("idle loop ran %d iterations in 100µs, want 500 at 200ns each", got)
+	}
+	if got := r.eng.Executed - ev; got > 10 {
+		t.Fatalf("idle loop's 100µs window took %d events, want a handful (watchdog ticks)", got)
+	}
+
+	// Wedge the loop until the watchdog falls back, then let the wedge
+	// end: until the next tick the loop spins over unpolled rings.
+	p.Wedge(250 * time.Microsecond)
+	for !wp.fellBack {
+		r.eng.RunFor(10 * time.Microsecond)
+	}
+	for it = p.Iterations(); p.Iterations() == it; {
+		r.eng.RunFor(time.Microsecond)
+	}
+	r.eng.RunFor(time.Microsecond) // dormant again: the rings are empty
+	qp := d.pmd.pollerPairs[0][0]
+	if !wp.fellBack || qp.tx.Polled() {
+		t.Fatal("the loop resumed after the next tick: no unpolled window to test")
+	}
+
+	bursts := d.pmd.bursts
+	buf := r.mem.NewBuffer("p", 0, 1500)
+	r.k.Spawn("tx", qp.core, func(th *kernel.Thread) {
+		d.Xmit(th, &netstack.Packet{
+			Flow:    eth.FiveTuple{SrcIP: 1, DstIP: 2, SrcPort: 1, DstPort: 80, Proto: eth.ProtoTCP},
+			DstMAC:  r.far.mac,
+			Payload: 1500, Packets: 1,
+			Frags: []netstack.Frag{{Buf: buf, Bytes: 1500}},
+		}, int(qp.core))
+	})
+	r.eng.RunFor(20 * time.Microsecond)
+	if !wp.fellBack || qp.tx.Polled() {
+		t.Fatal("the watchdog re-entered polled mode before the completion landed")
+	}
+	if qp.tx.Sent() == 0 || qp.tx.InFlight() != 0 {
+		t.Fatalf("completion not reaped: sent %d, in flight %d", qp.tx.Sent(), qp.tx.InFlight())
+	}
+	if d.pmd.bursts != bursts+1 {
+		t.Fatalf("poll loop bursts %d -> %d: the loop slept through the completion and NAPI reaped it", bursts, d.pmd.bursts)
+	}
+	r.eng.Drain()
+}

@@ -18,7 +18,10 @@ import (
 func init() { registerHidden("pmd", runPMD) }
 
 // pmdSizes keeps the sweep affordable: busy-poll points simulate every
-// empty poll as an event, so the figure sweeps three sizes, not six.
+// empty poll as events, so the figure sweeps three sizes, not six. The
+// dormant loop's ledger (kernel.Poller) does not help here: the sweep
+// runs standard mode, whose two server drivers each pin a loop to every
+// node's last core, and a core with two loops keeps no ledger.
 var pmdSizes = []int64{1024, 16384, 65536}
 
 // pmdOut is one datapath measurement point.

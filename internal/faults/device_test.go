@@ -49,7 +49,7 @@ func newDevRig(t *testing.T) *devRig {
 	pf0.AddRxQueue(device.NewRing(mem, "rxc", 0, 1024, 64), bufs, 0, nil)
 	pf0.AddTxQueue(device.NewRing(mem, "txd", 0, 1024, 64), device.NewRing(mem, "txc", 0, 1024, 64), 0, nil)
 	k := kernel.New(e, topo, mem, kernel.DefaultParams())
-	p := k.Core(0).StartPoller("test", func() time.Duration { return time.Microsecond })
+	p := k.Core(0).StartPoller("test", func() (time.Duration, bool) { return time.Microsecond, false })
 	return &devRig{eng: e, nic: n, fw: fw, k: k, poller: p}
 }
 

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -136,13 +137,13 @@ func TestIRQPollerAndThreadItemsKeepFIFOOrder(t *testing.T) {
 	e.At(at, func() {
 		line.Raise()
 		var p *Poller
-		p = c.StartPoller("q", func() time.Duration {
+		p = c.StartPoller("q", func() (time.Duration, bool) {
 			polls++
 			log = append(log, "poll")
 			if polls == 2 {
 				p.Stop()
 			}
-			return time.Microsecond
+			return time.Microsecond, true
 		})
 		c.Submit("fixed", func() time.Duration {
 			log = append(log, "fixed")
@@ -196,17 +197,23 @@ func TestExecutedDeltasPerItem(t *testing.T) {
 			k.Core(2).SubmitFixed("a", time.Microsecond, func() {})
 			k.Core(2).SubmitFixed("b", time.Microsecond, func() {})
 		}, 5},
-		// three events per iteration: wake, completion, resubmitting done
+		// three events per iteration that finds work: wake, completion,
+		// resubmitting done
 		{"poller, four iterations", func(e *sim.Engine, k *Kernel) {
 			n := 0
 			var p *Poller
-			p = k.Core(2).StartPoller("q", func() time.Duration {
+			p = k.Core(2).StartPoller("q", func() (time.Duration, bool) {
 				if n++; n == 4 {
 					p.Stop()
 				}
-				return time.Microsecond
+				return time.Microsecond, true
 			})
 		}, 12},
+		// an idle loop's first iteration is a wake with no completion;
+		// a Stop n iterations later costs its event, the completion it
+		// restores and that completion's done, whatever n is
+		{"idle poller, four iterations", idlePoller(4), 1 + 3},
+		{"idle poller, 4000 iterations", idlePoller(4000), 1 + 3},
 		// the thread's start and its wake from s, then wake + completion
 		// + resume per Exec
 		{"thread, two Execs", func(e *sim.Engine, k *Kernel) {
@@ -232,4 +239,71 @@ func TestExecutedDeltasPerItem(t *testing.T) {
 			e.Drain()
 		})
 	}
+}
+
+// idlePoller starts a loop whose every iteration finds nothing and
+// stops it after n iterations of 1µs.
+func idlePoller(n int) func(e *sim.Engine, k *Kernel) {
+	return func(e *sim.Engine, k *Kernel) {
+		p := k.Core(2).StartPoller("q", func() (time.Duration, bool) { return time.Microsecond, false })
+		e.At(e.Now().Add(time.Duration(n)*time.Microsecond), func() {
+			if got := p.Iterations(); got != uint64(n) {
+				panic(fmt.Sprintf("iterations = %d at the stop, want %d", got, n))
+			}
+			p.Stop()
+		})
+	}
+}
+
+func TestIdlePollerLedgerCountsIterationsAndBusyTime(t *testing.T) {
+	e, k := idleKernel(t)
+	c := k.Core(4)
+	p := c.StartPoller("q", func() (time.Duration, bool) { return 200 * time.Nanosecond, false })
+	base := e.Executed
+	e.Run(sim.Time(time.Millisecond))
+	// Between Run calls the iteration starting at the run's end counts:
+	// Run(until) dispatches the events at until.
+	if got := p.Iterations(); got != 5001 {
+		t.Fatalf("iterations = %d after 1ms, want 5001 (one every 200ns from 0 through 1ms)", got)
+	}
+	if got := p.DormantIterations(); got != 5000 {
+		t.Fatalf("dormant iterations = %d, want 5000: all but the first", got)
+	}
+	if got := c.BusyTime(); got != 5001*200*time.Nanosecond {
+		t.Fatalf("busy = %v, want %v", got, 5001*200*time.Nanosecond)
+	}
+	if got := e.Executed - base; got != 1 {
+		t.Fatalf("executed %d events, want 1: the wake that ran the first iteration", got)
+	}
+	c.ResetBusy()
+	e.Run(sim.Time(2 * time.Millisecond))
+	if got := c.BusyTime(); got != time.Millisecond {
+		t.Fatalf("busy = %v after ResetBusy and 1ms more, want 1ms", got)
+	}
+	e.Drain()
+}
+
+func TestSecondPollerOnACoreKeepsBothLoopsAwake(t *testing.T) {
+	e, k := idleKernel(t)
+	c := k.Core(4)
+	empty := func() (time.Duration, bool) { return 200 * time.Nanosecond, false }
+	p1 := c.StartPoller("a", empty)
+	e.Run(sim.Time(time.Microsecond))
+	base := e.Executed
+	p2 := c.StartPoller("b", empty)
+	e.Run(sim.Time(11 * time.Microsecond))
+	// The loops take turns, so neither keeps a ledger: they alternate
+	// event by event, 200ns at a time. An iteration costs two events,
+	// the completion in which the other loop's iteration starts and the
+	// done that requeues the loop.
+	if n1, n2 := p1.Iterations(), p2.Iterations(); n1 != 31 || n2 != 25 {
+		t.Fatalf("iterations = %d, %d, want 31 (6 before the second loop) and 25", n1, n2)
+	}
+	if got, want := e.Executed-base, uint64(2*50); got != want {
+		t.Fatalf("executed %d events, want %d", got, want)
+	}
+	if got := p1.DormantIterations() + p2.DormantIterations(); got != 5 {
+		t.Fatalf("dormant iterations = %d, want the first loop's 5 before the second started", got)
+	}
+	e.Drain()
 }

@@ -133,13 +133,16 @@ type coreWork struct {
 //
 // Keeping every one of those events (rather than, say, calling done
 // inline) keeps the engine's dispatch order, Engine.Executed and so
-// every simulated result the same as that loop's.
+// every simulated result the same as that loop's. The one exception is
+// a dormant busy-poll loop (Poller): its empty iteration schedules no
+// completion, and the core stays busy until Poller.Wake restores it.
 type Core struct {
-	k     *Kernel
-	id    topology.CoreID
-	node  topology.NodeID
-	queue *sim.Queue[coreWork]
-	busy  time.Duration
+	k      *Kernel
+	id     topology.CoreID
+	node   topology.NodeID
+	queue  *sim.Queue[coreWork]
+	busy   time.Duration
+	poller *Poller // the core's poll loop, or sharedCore; nil if none
 
 	// idle is set when the queue ran dry with no event pending; any
 	// other time a start, wake or completion event will dispatch the
@@ -156,18 +159,33 @@ func (c *Core) ID() topology.CoreID { return c.id }
 // Node returns the core's NUMA node.
 func (c *Core) Node() topology.NodeID { return c.node }
 
-// BusyTime returns accumulated execution time.
-func (c *Core) BusyTime() time.Duration { return c.busy }
+// BusyTime returns accumulated execution time, counting a dormant
+// poll loop's iterations so far.
+func (c *Core) BusyTime() time.Duration {
+	if c.poller != nil {
+		c.poller.settle()
+	}
+	return c.busy
+}
 
 // ResetBusy zeroes the busy-time integral (measurement windows).
-func (c *Core) ResetBusy() { c.busy = 0 }
+func (c *Core) ResetBusy() {
+	if c.poller != nil {
+		c.poller.settle()
+	}
+	c.busy = 0
+}
 
 // QueueLen returns the number of work items waiting.
 func (c *Core) QueueLen() int { return c.queue.Len() }
 
 // enqueue appends an item to the run queue, waking the core through a
-// zero-delay event if it is idle. Every submission path goes through it.
+// zero-delay event if it is idle, or its poll loop if that is dormant.
+// Every submission path goes through it.
 func (c *Core) enqueue(w coreWork) {
+	if c.poller != nil {
+		c.poller.Wake() // before the put: the loop may be queued first
+	}
 	c.queue.ForcePut(w)
 	if c.idle {
 		c.idle = false
@@ -190,6 +208,9 @@ func (c *Core) dispatch() {
 	}
 	c.busy += d
 	c.done = w.done
+	if c.poller != nil && c.poller.dormant {
+		return // an empty poll iteration: Poller.Wake schedules the completion
+	}
 	c.k.eng.After(d, c.completeFn)
 }
 

@@ -13,7 +13,7 @@ func (k *Kernel) RegisterMetrics(r metrics.Registrar) {
 	for _, c := range k.cores {
 		c := c
 		sc := r.Scope(fmt.Sprintf("core%d", c.id))
-		sc.Gauge("busy_seconds", func() float64 { return c.busy.Seconds() })
+		sc.Gauge("busy_seconds", func() float64 { return c.BusyTime().Seconds() })
 		sc.Gauge("queue_depth", func() float64 { return float64(c.queue.Len()) })
 	}
 }

@@ -65,6 +65,9 @@ func (q *RxQueue) deliver(rxp *RxPacket) {
 	rxp.ArrivedAt = q.pf.nic.eng.Now()
 	q.pending = append(q.pending, rxp)
 	q.delivered++
+	if q.onDeliver != nil {
+		q.onDeliver()
+	}
 	q.maybeInterrupt()
 }
 
@@ -89,16 +92,16 @@ type RxQueue struct {
 
 	napiActive bool
 	polled     bool
-	coalesce   sim.Timer
-	fireFn     func() // cached q.fireInterrupt
-
 	// stalled freezes completion delivery (QueueStall fault): writebacks
 	// that land while stalled are held, in order, until the stall clears
 	// or the driver resets the queue. Held completions still occupy ring
 	// entries — a long stall fills the ring and drops frames, exactly
 	// like real silicon.
-	stalled bool
-	held    []*RxPacket
+	stalled   bool
+	held      []*RxPacket
+	coalesce  sim.Timer
+	fireFn    func() // cached q.fireInterrupt
+	onDeliver func() // see OnDeliver
 
 	drops      uint64
 	delivered  uint64
@@ -196,6 +199,11 @@ func (q *RxQueue) SetPolled(on bool) {
 
 // Polled reports whether the queue is in poll-mode operation.
 func (q *RxQueue) Polled() bool { return q.polled }
+
+// OnDeliver registers fn to run whenever a completion becomes visible
+// to the driver, polled or not: the wake of a busy-poll loop that
+// sleeps while the rings it polls are empty.
+func (q *RxQueue) OnDeliver(fn func()) { q.onDeliver = fn }
 
 // SetStalled freezes or releases completion delivery (QueueStall fault
 // injection). Releasing flushes every held writeback in arrival order.
@@ -390,6 +398,9 @@ func (pkt *TxPacket) runCompDone() {
 func (q *TxQueue) deliverComp(pkt *TxPacket) {
 	q.sent++
 	q.completed = append(q.completed, pkt)
+	if q.onDeliver != nil {
+		q.onDeliver()
+	}
 	q.maybeInterrupt()
 }
 
@@ -412,13 +423,13 @@ type TxQueue struct {
 
 	napiActive bool
 	polled     bool
-	coalesce   sim.Timer
-	fireFn     func() // cached q.fireInterrupt
-
 	// stalled/held mirror the Rx side's completion freeze (QueueStall
 	// fault): held writebacks keep their descriptors in flight.
-	stalled bool
-	held    []*TxPacket
+	stalled   bool
+	held      []*TxPacket
+	coalesce  sim.Timer
+	fireFn    func() // cached q.fireInterrupt
+	onDeliver func() // see RxQueue.OnDeliver
 
 	posted     uint64
 	sent       uint64
@@ -560,6 +571,9 @@ func (q *TxQueue) SetPolled(on bool) {
 
 // Polled reports whether the queue is in poll-mode operation.
 func (q *TxQueue) Polled() bool { return q.polled }
+
+// OnDeliver mirrors RxQueue.OnDeliver for Tx completions.
+func (q *TxQueue) OnDeliver(fn func()) { q.onDeliver = fn }
 
 // SetStalled mirrors RxQueue.SetStalled for the transmit side.
 func (q *TxQueue) SetStalled(on bool) {

@@ -16,10 +16,10 @@
 //
 // The event queue is an inlined value-based 4-ary min-heap ordered by
 // (at, seq): events at the same instant dispatch in the order they were
-// scheduled. Event records live in a slot arena recycled through a free
-// list, so steady-state scheduling and dispatch allocate nothing;
-// cancellation is lazy (a generation check at pop time) to keep Stop
-// O(1) without disturbing the heap.
+// scheduled, and so hop by hop (see Hop). Event records live in a slot
+// arena recycled through a free list, so steady-state scheduling and
+// dispatch allocate nothing; cancellation is lazy (a generation check
+// at pop time) to keep Stop O(1) without disturbing the heap.
 package sim
 
 import (
@@ -101,6 +101,11 @@ type Engine struct {
 	live     int   // scheduled and not cancelled
 	running  bool
 	stopped  bool
+	// hop is the running event's hop (see Hop); hopEnd is the last seq
+	// scheduled before the first event of that hop ran, so a larger seq
+	// at the same instant starts the next hop.
+	hop    int
+	hopEnd uint64
 	// Live-process registry, insertion-ordered so Drain kills in a
 	// deterministic sequence (map-order iteration would leak here).
 	// procs maps each live process to its procList index; finish
@@ -126,8 +131,14 @@ type Engine struct {
 
 // NewEngine returns an engine with the clock at zero.
 func NewEngine() *Engine {
-	return &Engine{procs: make(map[*Proc]int), freeHead: -1}
+	return &Engine{procs: make(map[*Proc]int), freeHead: -1, hop: betweenRuns}
 }
+
+// betweenRuns is the hop of code outside Run and RunUntilIdle, and of
+// the events it schedules for the current instant: Run(until) has
+// already dispatched every event at until, so such code runs after all
+// of them.
+const betweenRuns = 1 << 30
 
 // Now returns the current simulation time.
 func (e *Engine) Now() Time { return e.now }
@@ -278,10 +289,16 @@ func (e *Engine) step() bool {
 		if s.gen != ent.gen { // cancelled: drop and keep looking
 			continue
 		}
-		if ent.at < e.now {
+		switch {
+		case ent.at > e.now:
+			e.now = ent.at
+			e.hop, e.hopEnd = 0, e.seq
+		case ent.at < e.now:
 			panic("sim: time went backwards")
+		case ent.seq > e.hopEnd:
+			e.hop++
+			e.hopEnd = e.seq
 		}
-		e.now = ent.at
 		e.Executed++
 		if e.MaxEvents != 0 && e.Executed > e.MaxEvents {
 			panic(fmt.Sprintf("sim: exceeded MaxEvents=%d at t=%v", e.MaxEvents, e.now))
@@ -303,7 +320,8 @@ func (e *Engine) Run(until Time) {
 	}
 	e.running = true
 	e.stopped = false
-	defer func() { e.running = false }()
+	e.hopEnd = e.seq
+	defer e.endRun()
 	for !e.stopped {
 		e.purge()
 		if len(e.events) == 0 || e.events[0].at > until {
@@ -328,7 +346,8 @@ func (e *Engine) RunUntilIdle() {
 	}
 	e.running = true
 	e.stopped = false
-	defer func() { e.running = false }()
+	e.hopEnd = e.seq
+	defer e.endRun()
 	for !e.stopped && e.step() {
 	}
 	if !e.stopped && e.idleAt > e.now {
@@ -344,6 +363,20 @@ func (e *Engine) stretchIdle(t Time) {
 		e.idleAt = t
 	}
 }
+
+// endRun closes a Run or RunUntilIdle call.
+func (e *Engine) endRun() {
+	e.running = false
+	e.hop = betweenRuns
+}
+
+// Hop returns how many zero-delay hops separate the running event from
+// its instant's first events: 0 for an event scheduled at an earlier
+// instant, h+1 for one that an event at hop h scheduled for its own
+// instant. Every event of one hop runs before any of the next, because
+// seq orders same-instant events by when they were scheduled. Between
+// Run calls it returns a value larger than any hop an event reaches.
+func (e *Engine) Hop() int { return e.hop }
 
 // Stop makes the current Run/RunUntilIdle return after the event being
 // dispatched completes.

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -507,5 +509,42 @@ func TestTimerSlotReclaim(t *testing.T) {
 	}
 	if free, total := e.FreeSlots(), e.ArenaSlots(); free != total {
 		t.Fatalf("slot leak: %d of %d arena slots free after idle", free, total)
+	}
+}
+
+func TestHopCountsZeroDelayHopsWithinAnInstant(t *testing.T) {
+	e := NewEngine()
+	var got []string
+	rec := func(name string) { got = append(got, fmt.Sprintf("%s@%d:%d", name, e.Now(), e.Hop())) }
+	e.At(10, func() {
+		rec("a")
+		e.After(0, func() {
+			rec("a1")
+			e.After(0, func() { rec("a2") })
+		})
+		e.After(5, func() { rec("c") })
+	})
+	e.At(10, func() {
+		rec("b")
+		e.After(0, func() { rec("b1") })
+	})
+	e.Run(20)
+	rec("between")
+	// Code between Run calls, and what it schedules for the current
+	// instant, runs after every event there.
+	e.After(0, func() {
+		rec("d")
+		e.After(0, func() { rec("d1") })
+	})
+	e.At(25, func() { rec("f") })
+	e.Run(30)
+	after := betweenRuns
+	want := []string{
+		"a@10:0", "b@10:0", "a1@10:1", "b1@10:1", "a2@10:2", "c@15:0",
+		fmt.Sprintf("between@20:%d", after),
+		fmt.Sprintf("d@20:%d", after), fmt.Sprintf("d1@20:%d", after+1), "f@25:0",
+	}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("hops:\n got %v\nwant %v", got, want)
 	}
 }

@@ -51,9 +51,11 @@ func TestBusyPollPathAllocFree(t *testing.T) {
 
 // BenchmarkBusyPollPath measures the steady-state poll-mode path: one
 // simulated millisecond of single-core Rx streaming per iteration with
-// cluster construction excluded. Events per op run well above the
-// interrupt path's — every empty poll is an event — which is exactly
-// the cost the busypoll column of `-fig pmd` shows as CPU.
+// cluster construction excluded. Empty polls cost no events: the loop
+// goes dormant and a ledger counts them (DESIGN.md §9), so events per
+// op are the polls that find work plus the datapath's own events.
+// scripts/check.sh caps them (BENCH_sim.json's gate) so idle polls
+// cannot drift back onto the event heap.
 func BenchmarkBusyPollPath(b *testing.B) {
 	cl := busyPollCluster()
 	defer cl.Drain()
