@@ -50,16 +50,6 @@ type Params struct {
 	// Datapath selects interrupt/NAPI delivery (the default), the
 	// busy-poll PMD loop, or adaptive hybrid polling (see pmd.go).
 	Datapath Datapath
-	// BurstSize bounds segments per PMD Rx/Tx burst.
-	BurstSize int
-	// PollCost is the fixed CPU price of one poll-loop iteration (the
-	// ring tail checks), charged whether or not the rings had work. It
-	// must be positive: a free iteration would spin the poll core at a
-	// single instant of simulated time.
-	PollCost time.Duration
-	// HybridIdlePolls is how many consecutive empty poll iterations the
-	// hybrid datapath spins through before re-arming the interrupt.
-	HybridIdlePolls int
 	// WatchdogInterval enables the driver self-healing watchdog (see
 	// watchdog.go): every interval it samples per-queue Tx progress and
 	// the PMD pollers, escalating stuck queues through the recovery
@@ -92,9 +82,6 @@ func DefaultParams() Params {
 		RuleExpiry:       30 * time.Second,
 		ExpiryScanPeriod: time.Second,
 		LinkEventDelay:   time.Millisecond,
-		BurstSize:        32,
-		PollCost:         200 * time.Nanosecond,
-		HybridIdlePolls:  16,
 	}
 }
 
@@ -142,6 +129,12 @@ type base struct {
 	// wd is the self-healing watchdog; nil unless Params.WatchdogInterval
 	// is set (see watchdog.go).
 	wd *watchdog
+
+	// Firmware-reset recovery (see initFwRecovery): the driver's
+	// journal replay, resets handled and journaled rules replayed.
+	journal       func() int
+	fwResets      uint64
+	rulesReplayed uint64
 }
 
 // xmitScratch is one thread's cached transmit-cost state: the cost
@@ -285,15 +278,27 @@ func (b *base) napiRx(qp *queuePair) time.Duration {
 	return cost
 }
 
-// napiTx reaps Tx completions: per-packet completion-entry reads and
-// skb frees, then OnSent callbacks. Reap is the Tx recycle point: the
-// driver owns the packet here and returns it to the NIC's pool.
+// napiTx is the Tx NAPI poll: reap the completions, then re-arm. Under
+// the hybrid datapath the IRQ instead enters the pair's adaptive poll
+// loop.
 func (b *base) napiTx(qp *queuePair) time.Duration {
 	if qp.hybrid != nil {
 		return b.hybridEnter(qp)
 	}
+	cost, _ := b.reapTx(qp, b.params.NAPIBudget)
+	qp.tx.NapiComplete()
+	return cost
+}
+
+// reapTx reaps up to budget Tx completions, for the NAPI poll and the
+// poll loops alike: per-packet completion-entry reads and skb frees,
+// then OnSent callbacks. Reap is the Tx recycle point: the driver owns
+// the packet here and returns it to the NIC's pool. It returns the CPU
+// cost and the completions reaped.
+func (b *base) reapTx(qp *queuePair, budget int) (time.Duration, int) {
+	batch := qp.tx.Reap(budget)
 	var cost time.Duration
-	for _, pkt := range qp.tx.Reap(b.params.NAPIBudget) {
+	for _, pkt := range batch {
 		cost += qp.tx.CompletionRing().HostRead(qp.node, pkt.Packets)
 		if pkt.Dropped && b.repost != nil && b.repost(qp, pkt) {
 			// Re-posted on a surviving PF: ownership went back to the
@@ -306,9 +311,42 @@ func (b *base) napiTx(qp *queuePair) time.Duration {
 		}
 		pkt.Recycle()
 	}
-	qp.tx.NapiComplete()
-	return cost
+	return cost, len(batch)
 }
+
+// initFwRecovery wires firmware-reset recovery: a reset reaches the
+// driver the way a carrier change does (async event + workqueue,
+// LinkEventDelay later), and the handler replays the driver's rule
+// journal into the wiped tables; until then unprogrammed flows ride the
+// firmware's fallback steering. The watchdog's stage-1 reprogram is the
+// same replay. replay returns the rules it pushed.
+func (b *base) initFwRecovery(n *nic.NIC, replay func() int) {
+	b.journal = replay
+	n.OnFirmwareReset(func() {
+		if delay := b.params.LinkEventDelay; delay > 0 {
+			b.k.Engine().After(delay, b.onFwReset)
+			return
+		}
+		b.onFwReset()
+	})
+}
+
+// onFwReset counts the reset and replays the journal.
+func (b *base) onFwReset() {
+	b.fwResets++
+	b.replayJournal()
+}
+
+// replayJournal replays the rule journal, counting the rules replayed.
+func (b *base) replayJournal() {
+	b.rulesReplayed += uint64(b.journal())
+}
+
+// FwResets returns firmware resets the driver has handled.
+func (b *base) FwResets() uint64 { return b.fwResets }
+
+// RulesReplayed returns journaled rules replayed after table wipes.
+func (b *base) RulesReplayed() uint64 { return b.rulesReplayed }
 
 // xmit runs the common transmit path: descriptor write + doorbell on
 // the caller's core, then the hardware takes over.

@@ -5,8 +5,10 @@ import (
 )
 
 // RegisterMetrics wires the driver-side view of the datapath into a
-// registry: aggregate ring occupancy across the driver's queue pairs.
-// (Per-queue hardware counters live under the NIC's own scope.)
+// registry: aggregate ring occupancy across the driver's queue pairs,
+// plus the poll-mode, watchdog and firmware-recovery scopes where they
+// are enabled. (Per-queue hardware counters live under the NIC's own
+// scope.)
 func (b *base) RegisterMetrics(r metrics.Registrar) {
 	r.Gauge("rx_pending", func() float64 {
 		var s int
@@ -53,18 +55,11 @@ func (b *base) RegisterMetrics(r metrics.Registrar) {
 		wd.Counter("pf_recovered", func() float64 { return float64(b.wd.stats.PFRecovered) })
 		wd.Counter("poller_fallbacks", func() float64 { return float64(b.wd.stats.PollerFallbacks) })
 		wd.Counter("poller_reenters", func() float64 { return float64(b.wd.stats.PollerReenters) })
-	}
-}
-
-// RegisterMetrics adds the standard driver's firmware-recovery
-// counters on top of the shared ring gauges, gated like the watchdog
-// scope so the default registry snapshot is unchanged.
-func (d *Standard) RegisterMetrics(r metrics.Registrar) {
-	d.base.RegisterMetrics(r)
-	if d.base.wd != nil {
+		// Firmware-recovery counters ride the watchdog gate: both exist
+		// only on self-healing-enabled runs.
 		fr := r.Scope("fw/recovery")
-		fr.Counter("resets", func() float64 { return float64(d.fwResets) })
-		fr.Counter("rules_replayed", func() float64 { return float64(d.rulesReplayed) })
+		fr.Counter("resets", func() float64 { return float64(b.fwResets) })
+		fr.Counter("rules_replayed", func() float64 { return float64(b.rulesReplayed) })
 	}
 }
 
@@ -91,11 +86,4 @@ func (d *Octo) RegisterMetrics(r metrics.Registrar) {
 		}
 		return 0
 	})
-	if d.base.wd != nil {
-		// Firmware-recovery counters ride the watchdog gate: both exist
-		// only on self-healing-enabled runs.
-		fr := r.Scope("fw/recovery")
-		fr.Counter("resets", func() float64 { return float64(d.fwResets) })
-		fr.Counter("rules_replayed", func() float64 { return float64(d.rulesReplayed) })
-	}
 }

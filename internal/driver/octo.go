@@ -69,11 +69,6 @@ type Octo struct {
 	// — the single-failure contract, DESIGN.md §10.
 	parkedOverflow    uint64
 	concurrentIgnored uint64
-
-	// Firmware-reset recovery: resets observed and journaled rules
-	// replayed into the wiped device tables.
-	fwResets      uint64
-	rulesReplayed uint64
 }
 
 // parkedTx is a stranded Tx segment awaiting a live queue.
@@ -143,21 +138,13 @@ func NewOcto(k *kernel.Kernel, mem *memsys.System, n *nic.NIC, name string, para
 		}
 		d.onLinkChange(pf, up)
 	})
-	// A firmware reset reaches the driver the same way a carrier change
-	// does (async event + workqueue); until the handler replays the
-	// journal, unprogrammed flows ride the firmware's RSS fallback.
-	n.OnFirmwareReset(func() {
-		if delay := d.base.params.LinkEventDelay; delay > 0 {
-			d.k.Engine().After(delay, d.onFwReset)
-			return
-		}
-		d.onFwReset()
-	})
-	// Watchdog ladder hooks (no-ops while the watchdog is disabled):
-	// stage 1 replays the rule journal, stage 2 feeds the PR 5 failover
-	// path as if the PF's carrier had dropped.
+	// Firmware-reset recovery (and the watchdog's stage 1) replays the
+	// IOctoRFS journal; until then unprogrammed flows ride the
+	// firmware's RSS fallback.
+	d.initFwRecovery(n, d.replayRules)
+	// The watchdog's stage 2 (a no-op while it is disabled) feeds the
+	// failover path as if the PF's carrier had dropped.
 	if d.base.wd != nil {
-		d.base.wd.fwReplay = d.replayRules
 		d.base.wd.setPFUp = d.onLinkChange
 	}
 	d.updates = sim.NewQueue[steerUpdate](k.Engine())
@@ -325,9 +312,7 @@ func (d *Octo) resteer(force bool) int {
 			continue
 		}
 		r.pf, r.queue = pf, queue
-		if force {
-			d.rulesReplayed++
-		} else {
+		if !force {
 			d.rulesResteered++
 		}
 		d.updatesPushed++
@@ -335,13 +320,6 @@ func (d *Octo) resteer(force bool) int {
 		d.updates.ForcePut(steerUpdate{ft: ft, pf: pf, queue: queue})
 	}
 	return n
-}
-
-// onFwReset is the driver's firmware-reset handler: count it and replay
-// the journal so the wiped IOctoRFS table is rebuilt.
-func (d *Octo) onFwReset() {
-	d.fwResets++
-	d.replayRules()
 }
 
 // defaultMaxParked bounds the parked list when Params.MaxParked is
@@ -392,12 +370,6 @@ func (d *Octo) ParkedOverflow() uint64 { return d.parkedOverflow }
 // ConcurrentIgnored returns link-down events ridden out under the
 // single-failure contract while another PF's failure was in hand.
 func (d *Octo) ConcurrentIgnored() uint64 { return d.concurrentIgnored }
-
-// FwResets returns firmware resets the driver has handled.
-func (d *Octo) FwResets() uint64 { return d.fwResets }
-
-// RulesReplayed returns journaled rules replayed after table wipes.
-func (d *Octo) RulesReplayed() uint64 { return d.rulesReplayed }
 
 // Parked returns the current parked-descriptor count.
 func (d *Octo) Parked() int { return len(d.parked) }

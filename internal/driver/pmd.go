@@ -14,7 +14,7 @@
 //   - DatapathHybrid: adaptive polling. The queue pair runs in
 //     interrupt mode until an IRQ arrives, then switches itself to
 //     polled mode and spins on its own core while traffic keeps the
-//     ring non-empty; after HybridIdlePolls consecutive empty polls it
+//     ring non-empty; after hybridIdlePolls consecutive empty polls it
 //     re-arms the interrupt (completions that landed meanwhile refire
 //     it exactly once — the NAPI re-arm rule).
 //
@@ -31,6 +31,20 @@ import (
 
 	"ioctopus/internal/kernel"
 	"ioctopus/internal/topology"
+)
+
+// The poll-mode constants.
+const (
+	// burstSize bounds segments per Rx/Tx burst.
+	burstSize = 32
+	// pollCost is the fixed CPU price of one poll-loop iteration (the
+	// ring tail checks), charged whether or not the rings had work. It
+	// must be positive: a free iteration would spin the poll core at a
+	// single instant of simulated time.
+	pollCost = 200 * time.Nanosecond
+	// hybridIdlePolls is how many consecutive empty poll iterations the
+	// hybrid datapath spins through before re-arming the interrupt.
+	hybridIdlePolls = 16
 )
 
 // Datapath selects how completions reach the driver.
@@ -89,20 +103,6 @@ type pmdStats struct {
 // initDatapath arms the configured poll-mode machinery after the queue
 // pairs exist; called from buildQueues, a no-op for the interrupt path.
 func (b *base) initDatapath() {
-	if b.params.Datapath != DatapathInterrupt {
-		// A caller-supplied Params may predate the PMD knobs; zero
-		// values mean the calibrated defaults, not a free (and
-		// non-terminating) poll loop.
-		if b.params.BurstSize <= 0 {
-			b.params.BurstSize = 32
-		}
-		if b.params.PollCost <= 0 {
-			b.params.PollCost = 200 * time.Nanosecond
-		}
-		if b.params.HybridIdlePolls <= 0 {
-			b.params.HybridIdlePolls = 16
-		}
-	}
 	switch b.params.Datapath {
 	case DatapathBusyPoll:
 		b.pmd = &pmdStats{}
@@ -142,7 +142,7 @@ func (b *base) startPollers() {
 		pollCore := cores[len(cores)-1].ID
 		owned := pairs // bind the per-node slice once; the body reuses it
 		p := b.k.Core(pollCore).StartPoller(b.name+":node"+strconv.Itoa(n), func() (time.Duration, bool) {
-			return b.pmdPoll(owned)
+			return b.poll(owned...)
 		})
 		// A completion on any owned ring wakes a dormant loop, whether
 		// the queue is polled or, during a watchdog fallback, not: the
@@ -157,12 +157,13 @@ func (b *base) startPollers() {
 	}
 }
 
-// pmdPoll is one busy-poll iteration: a fixed tail-check cost plus one
-// Rx and one Tx burst per owned queue pair. It reports whether any
-// burst found work; an empty iteration costs exactly PollCost and
+// poll is one poll-loop iteration, busy-poll or hybrid: a fixed
+// tail-check cost plus one Rx and one Tx burst per pair, counted as one
+// poll (an empty one when no burst found work). It reports whether any
+// burst found work; an empty iteration costs exactly pollCost and
 // touches no memory.
-func (b *base) pmdPoll(pairs []*queuePair) (time.Duration, bool) {
-	cost := b.params.PollCost
+func (b *base) poll(pairs ...*queuePair) (time.Duration, bool) {
+	cost := pollCost
 	work := 0
 	for _, qp := range pairs {
 		c, n := b.burstRx(qp)
@@ -201,7 +202,7 @@ func (s *pmdStats) counts() (polls, empty uint64) {
 // into the queue's reused backing array; DeliverRxBurst transfers
 // ownership of every segment in it.
 func (b *base) burstRx(qp *queuePair) (time.Duration, int) {
-	batch := qp.rx.Poll(b.params.BurstSize)
+	batch := qp.rx.Poll(burstSize)
 	if len(batch) == 0 {
 		return 0, 0
 	}
@@ -218,29 +219,15 @@ func (b *base) burstRx(qp *queuePair) (time.Duration, int) {
 	return cost, len(batch)
 }
 
-// burstTx reaps up to one burst of Tx completions: identical semantics
-// to the NAPI reap (repost-on-drop, OnSent, recycle), only the caller
-// and its pricing differ.
+// burstTx reaps up to one burst of Tx completions through the NAPI
+// path's reap; only the caller and its pricing differ.
 func (b *base) burstTx(qp *queuePair) (time.Duration, int) {
-	batch := qp.tx.Reap(b.params.BurstSize)
-	if len(batch) == 0 {
-		return 0, 0
+	cost, n := b.reapTx(qp, burstSize)
+	if n > 0 {
+		b.pmd.bursts++
+		b.pmd.burstPkts += uint64(n)
 	}
-	var cost time.Duration
-	for _, pkt := range batch {
-		cost += qp.tx.CompletionRing().HostRead(qp.node, pkt.Packets)
-		if pkt.Dropped && b.repost != nil && b.repost(qp, pkt) {
-			continue
-		}
-		cost += time.Duration(pkt.Packets) * b.params.TxFreePerPacket
-		if pkt.OnSent != nil {
-			pkt.OnSent()
-		}
-		pkt.Recycle()
-	}
-	b.pmd.bursts++
-	b.pmd.burstPkts += uint64(len(batch))
-	return cost, len(batch)
+	return cost, n
 }
 
 // hybridState is one queue pair's adaptive-polling loop.
@@ -271,29 +258,20 @@ func (b *base) hybridEnter(qp *queuePair) time.Duration {
 }
 
 // iterate is one adaptive-poll iteration over both directions. Work
-// resets the idle count; HybridIdlePolls consecutive empty iterations
+// resets the idle count; hybridIdlePolls consecutive empty iterations
 // end the loop and re-arm the interrupt.
 func (h *hybridState) iterate() time.Duration {
-	b, qp := h.b, h.qp
-	cost := b.params.PollCost
-	c, n := b.burstRx(qp)
-	cost += c
-	work := n
-	c, n = b.burstTx(qp)
-	cost += c
-	work += n
-	b.pmd.polls++
-	if work == 0 {
-		b.pmd.emptyPolls++
-		h.idle++
-	} else {
+	cost, work := h.b.poll(h.qp)
+	if work {
 		h.idle = 0
+	} else {
+		h.idle++
 	}
-	if h.idle >= b.params.HybridIdlePolls {
+	if h.idle >= hybridIdlePolls {
 		h.exit()
 		return cost
 	}
-	b.k.Core(qp.core).Submit(h.name, h.runFn, nil)
+	h.b.k.Core(h.qp.core).Submit(h.name, h.runFn, nil)
 	return cost
 }
 

@@ -24,9 +24,6 @@ type Standard struct {
 	// per-PF tables only shrink via RemoveFlow, which nothing calls on
 	// the standard path.
 	rules map[eth.FiveTuple]int
-
-	fwResets      uint64
-	rulesReplayed uint64
 }
 
 var _ netstack.NetDevice = (*Standard)(nil)
@@ -41,32 +38,16 @@ func NewStandard(k *kernel.Kernel, mem *memsys.System, pf *nic.PF, name string, 
 		rules: make(map[eth.FiveTuple]int),
 	}
 	d.buildQueues(mem, func(topology.CoreID) *nic.PF { return pf })
-	// Firmware-reset recovery: replay the journaled ARFS rules after the
-	// async event reaches the handler. The watchdog's stage-1 hook is
-	// the same replay; there is no stage-2 failover — a standard driver
-	// has no second PF to move flows to.
-	pf.NIC().OnFirmwareReset(func() {
-		if delay := d.base.params.LinkEventDelay; delay > 0 {
-			d.k.Engine().After(delay, d.onFwReset)
-			return
-		}
-		d.onFwReset()
-	})
-	if d.base.wd != nil {
-		d.base.wd.fwReplay = d.replayRules
-	}
+	// Firmware-reset recovery replays the journaled ARFS rules; there is
+	// no watchdog stage-2 failover — a standard driver has no second PF
+	// to move flows to.
+	d.initFwRecovery(pf.NIC(), d.replayARFS)
 	return d
 }
 
-// onFwReset counts the reset and replays the ARFS journal.
-func (d *Standard) onFwReset() {
-	d.fwResets++
-	d.replayRules()
-}
-
-// replayRules reprograms every journaled ARFS rule into the wiped
+// replayARFS reprograms every journaled ARFS rule into the wiped
 // per-PF table, in deterministic 5-tuple order; returns rules replayed.
-func (d *Standard) replayRules() int {
+func (d *Standard) replayARFS() int {
 	fw := d.pf.NIC().Firmware()
 	if fw == nil {
 		return 0
@@ -77,17 +58,10 @@ func (d *Standard) replayRules() int {
 	}
 	sortTuples(fts)
 	for _, ft := range fts {
-		d.rulesReplayed++
 		fw.ProgramFlow(ft, d.pf.Index(), d.rules[ft])
 	}
 	return len(fts)
 }
-
-// FwResets returns firmware resets the driver has handled.
-func (d *Standard) FwResets() uint64 { return d.fwResets }
-
-// RulesReplayed returns journaled rules replayed after table wipes.
-func (d *Standard) RulesReplayed() uint64 { return d.rulesReplayed }
 
 // Bind attaches the driver to the host stack.
 func (d *Standard) Bind(st *netstack.Stack) { d.bind(st) }

@@ -62,11 +62,11 @@ type watchdog struct {
 	queues  []wdQueue
 	pollers []wdPoller
 
-	// Ladder hooks, installed by the owning driver after construction;
-	// a nil stage is skipped (the standard driver has no failover path,
-	// so its ladder tops out at the firmware reprogram).
-	fwReplay func() int            // stage 1: replay journaled rules
-	setPFUp  func(pf int, up bool) // stage 2: declare a PF dead / recovered
+	// setPFUp is the stage-2 hook (declare a PF dead / recovered),
+	// installed by the octo driver after construction; the standard
+	// driver has no failover path, so its ladder tops out at stage 1,
+	// the firmware reprogram through the driver's journal replay.
+	setPFUp func(pf int, up bool)
 
 	// pfDead tracks PFs this watchdog declared dead, so one stuck PF
 	// with many queues fails over once and fails back once.
@@ -186,10 +186,8 @@ func (w *watchdog) escalate(ws *wdQueue, now sim.Time) {
 	case 1:
 		// Firmware reprogram: replay the journal in case the device lost
 		// its steering state along with the queue.
-		if w.fwReplay != nil {
-			w.stats.FwReprograms++
-			w.fwReplay()
-		}
+		w.stats.FwReprograms++
+		w.b.replayJournal()
 	default:
 		// Give up on the PF: declare it dead and let the failover path
 		// move every flow to the survivors. Guarded per PF — the first

@@ -99,13 +99,13 @@ type Frame struct {
 	// Meta carries simulation-side context (e.g. message ids).
 	Meta any
 
-	// Pool plumbing: frames leased from a FramePool carry their origin
+	// Pool plumbing: frames leased from a FramePool carry their lease
 	// and a cached delivery thunk so Wire.Send does not allocate a
-	// closure per frame. All fields are zero for plain &Frame{} frames,
-	// which keep the original (allocating) behaviour.
-	pool   *FramePool
-	leased bool
-	gen    uint32
+	// closure per frame. Both are zero for plain &Frame{} frames, which
+	// keep the original (allocating) behaviour. The device that
+	// consumes a frame (a NIC after steering, a switch after flooding
+	// copies) calls Release once the frame is dead.
+	sim.Lease[Frame]
 	rxPort Port
 	// deliver is the cached f.runDeliver method value.
 	deliver func()
@@ -118,83 +118,36 @@ func (f *Frame) runDeliver() {
 	p.Receive(f)
 }
 
-// Release returns a pooled frame to its pool; the device that consumed
-// the frame (a NIC after steering, a switch after flooding copies)
-// calls it once the frame is dead. Releasing twice is a lifecycle bug
-// and panics; Release on an unpooled frame is a no-op.
-func (f *Frame) Release() {
-	p := f.pool
-	if p == nil {
-		return
-	}
-	if !f.leased {
-		panic("eth: Frame released twice")
-	}
-	f.leased = false
-	f.gen++
-	f.Meta = nil
-	f.rxPort = nil
-	p.stats.Live--
-	p.stats.Recycled++
-	p.free = append(p.free, f)
-}
-
 // detach strips pool identity from a frame copy (switch flooding makes
 // value copies whose cached thunks would still point at the original).
 func (f *Frame) detach() {
-	f.pool = nil
-	f.leased = false
+	f.Lease = sim.Lease[Frame]{}
 	f.rxPort = nil
 	f.deliver = nil
-}
-
-// PoolStats counts pool traffic: Hits/Misses split leases between
-// recycled and freshly allocated objects; Live is leases not yet
-// returned.
-type PoolStats struct {
-	Hits, Misses, Recycled uint64
-	Live                   int
 }
 
 // FramePool recycles Frames for a transmitting device. With pooled
 // false (the pre-pooling A/B baseline) Get returns fresh unpooled
 // frames and Release is a no-op.
-type FramePool struct {
-	pooled bool
-	free   []*Frame
-	stats  PoolStats
-}
+type FramePool = sim.Pool[Frame]
 
 // NewFramePool returns a frame pool; pooled=false disables recycling.
 func NewFramePool(pooled bool) *FramePool {
-	return &FramePool{pooled: pooled}
+	return sim.NewPool(pooled, newFrame, resetFrame)
 }
 
-// Get leases a frame. Payload fields are the previous use's leftovers;
-// the caller fills every field it sends.
-func (p *FramePool) Get() *Frame {
-	if n := len(p.free); n > 0 {
-		f := p.free[n-1]
-		p.free[n-1] = nil
-		p.free = p.free[:n-1]
-		f.leased = true
-		p.stats.Hits++
-		p.stats.Live++
-		return f
-	}
+// newFrame builds a frame with its delivery thunk cached.
+func newFrame() (*Frame, *sim.Lease[Frame]) {
 	f := &Frame{}
 	f.deliver = f.runDeliver
-	if p.pooled {
-		f.pool = p
-		f.leased = true
-		p.stats.Misses++
-		p.stats.Live++
-	}
-	return f
+	return f, &f.Lease
 }
 
-// Stats returns the pool counters.
-func (p *FramePool) Stats() PoolStats { return p.stats }
+// resetFrame drops a released frame's references.
+func resetFrame(f *Frame) {
+	f.Meta = nil
+	f.rxPort = nil
+}
 
 // WireBytes returns the frame's size on the wire including per-packet
 // header overhead.

@@ -185,9 +185,6 @@ func TestExecutedDeltasPerItem(t *testing.T) {
 		{"fixed item with done", func(e *sim.Engine, k *Kernel) { k.Core(2).SubmitFixed("w", time.Microsecond, func() {}) }, 3},
 		// a zero-length item still completes in an event of its own
 		{"zero-length item", func(e *sim.Engine, k *Kernel) { k.Core(2).SubmitFixed("w", 0, func() {}) }, 3},
-		{"irq", func(e *sim.Engine, k *Kernel) {
-			k.Core(2).IRQ("x", func() time.Duration { return time.Microsecond })
-		}, 2},
 		{"irq line", func(e *sim.Engine, k *Kernel) {
 			k.Core(2).NewIRQLine("x", func() time.Duration { return time.Microsecond }).Raise()
 		}, 2},

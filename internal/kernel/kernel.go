@@ -249,20 +249,14 @@ func (c *Core) Stall(d time.Duration) {
 	c.SubmitFixed("fault:stall", d, nil)
 }
 
-// IRQ delivers a hardware interrupt to this core: the handler runs at
-// queue-head priority after the IRQ entry cost. Interrupts preempt in
-// real kernels; FIFO placement is close enough at the interrupt rates
-// the model produces (coalesced NAPI).
-func (c *Core) IRQ(name string, handler func() time.Duration) {
-	c.Submit("irq:"+name, func() time.Duration {
-		return c.k.params.IRQEntry + handler()
-	}, nil)
-}
-
-// IRQLine is a prepared interrupt vector: the name string and the
-// entry-cost wrapper are built once when the driver wires its queues,
-// so raising an interrupt on the hot path allocates nothing. This is
-// the MSI-X vector table analogue of Core.IRQ.
+// IRQLine is a prepared interrupt vector — the MSI-X table entry a
+// driver programs per queue. Raising it delivers a hardware interrupt
+// to its core: the handler runs, after the IRQ entry cost, in FIFO
+// order behind the core's queued work. Interrupts preempt in real
+// kernels; FIFO placement is close enough at the interrupt rates the
+// model produces (coalesced NAPI). The name string and the entry-cost
+// wrapper are built once when the driver wires its queues, so raising
+// an interrupt on the hot path allocates nothing.
 type IRQLine struct {
 	c       *Core
 	name    string
@@ -277,7 +271,7 @@ func (c *Core) NewIRQLine(name string, handler func() time.Duration) *IRQLine {
 	return l
 }
 
-// Raise delivers the interrupt (equivalent to Core.IRQ, allocation-free).
+// Raise delivers the interrupt.
 func (l *IRQLine) Raise() {
 	l.c.enqueue(coreWork{name: l.name, run: l.run})
 }

@@ -141,7 +141,7 @@ func TestExecFnPricesAtRunTime(t *testing.T) {
 func TestIRQCostsEntryPlusHandler(t *testing.T) {
 	e, k := newKernel(t)
 	c := k.Core(0)
-	c.IRQ("nic", func() time.Duration { return 700 * time.Nanosecond })
+	c.NewIRQLine("nic", func() time.Duration { return 700 * time.Nanosecond }).Raise()
 	e.RunUntilIdle()
 	want := DefaultParams().IRQEntry + 700*time.Nanosecond
 	if c.BusyTime() != want {

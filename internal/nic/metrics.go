@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"ioctopus/internal/metrics"
+	"ioctopus/internal/sim"
 )
 
 // RegisterMetrics wires the device into an observability registry:
@@ -20,12 +21,9 @@ func (n *NIC) RegisterMetrics(r metrics.Registrar) {
 		}
 		return float64(n.fw.FlowCount())
 	})
-	registerPool(r.Scope("pool/rx"), func() PoolStats { return n.rxPool.stats })
-	registerPool(r.Scope("pool/tx"), func() PoolStats { return n.txPool.stats })
-	registerPool(r.Scope("pool/frame"), func() PoolStats {
-		s := n.frames.Stats()
-		return PoolStats{Hits: s.Hits, Misses: s.Misses, Recycled: s.Recycled, Live: s.Live}
-	})
+	registerPool(r.Scope("pool/rx"), n.rxPool)
+	registerPool(r.Scope("pool/tx"), n.txPool)
+	registerPool(r.Scope("pool/frame"), n.frames)
 	for _, pf := range n.pfs {
 		pf.RegisterMetrics(r.Scope(fmt.Sprintf("pf%d", pf.index)))
 	}
@@ -33,11 +31,11 @@ func (n *NIC) RegisterMetrics(r metrics.Registrar) {
 
 // registerPool wires one packet pool's counters/gauges: pool/<kind>/
 // {hits,misses,recycled} counters plus the live-lease gauge.
-func registerPool(r metrics.Registrar, stats func() PoolStats) {
-	r.Counter("hits", func() float64 { return float64(stats().Hits) })
-	r.Counter("misses", func() float64 { return float64(stats().Misses) })
-	r.Counter("recycled", func() float64 { return float64(stats().Recycled) })
-	r.Gauge("live", func() float64 { return float64(stats().Live) })
+func registerPool[T any](r metrics.Registrar, p *sim.Pool[T]) {
+	r.Counter("hits", func() float64 { return float64(p.Stats().Hits) })
+	r.Counter("misses", func() float64 { return float64(p.Stats().Misses) })
+	r.Counter("recycled", func() float64 { return float64(p.Stats().Recycled) })
+	r.Gauge("live", func() float64 { return float64(p.Stats().Live) })
 }
 
 // RegisterMetrics registers one PF's byte counters plus its queue-set
@@ -75,7 +73,7 @@ func (p *PF) RegisterMetrics(r metrics.Registrar) {
 	rx.Counter("interrupts", func() float64 {
 		var s uint64
 		for _, q := range p.rxQueues {
-			s += q.interrupts
+			s += q.Interrupts()
 		}
 		return float64(s)
 	})
@@ -106,7 +104,7 @@ func (p *PF) RegisterMetrics(r metrics.Registrar) {
 	tx.Counter("interrupts", func() float64 {
 		var s uint64
 		for _, q := range p.txQueues {
-			s += q.interrupts
+			s += q.Interrupts()
 		}
 		return float64(s)
 	})

@@ -73,8 +73,8 @@ type NIC struct {
 
 	// Packet-object pools (see pool.go): Rx/Tx packet free lists plus
 	// the frame pool backing this NIC's transmissions.
-	rxPool *rxPacketPool
-	txPool *txPacketPool
+	rxPool *sim.Pool[RxPacket]
+	txPool *sim.Pool[TxPacket]
 	frames *eth.FramePool
 
 	rxDrops   uint64
@@ -102,8 +102,8 @@ func New(e *sim.Engine, mem *memsys.System, name string, eps []*pcie.Endpoint, p
 		name:   name,
 		mac:    eth.MACFromInt(hashName(name)),
 		params: params,
-		rxPool: &rxPacketPool{pooled: pooled},
-		txPool: &txPacketPool{pooled: pooled},
+		rxPool: sim.NewPool(pooled, newRxPacket, resetRxPacket),
+		txPool: sim.NewPool(pooled, newTxPacket, resetTxPacket),
 		frames: eth.NewFramePool(pooled),
 	}
 	for i, ep := range eps {
@@ -323,11 +323,4 @@ func (p *PF) receive(queue int, f *eth.Frame) {
 		return
 	}
 	p.rxQueues[queue].receive(f)
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

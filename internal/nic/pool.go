@@ -1,12 +1,13 @@
-// Packet pools: generation-counted free lists for the per-packet model
-// objects of the datapath, mirroring the engine's event-slot arena
-// (sim.Engine). A steady-state packet costs zero heap allocations: the
-// RxQueue leases RxPackets at frame arrival and the socket layer
-// recycles them after Recv (or on drop); the driver leases TxPackets at
-// xmit and recycles them after reaping the Tx completion. Each pooled
-// object carries its DMA-stage callbacks as method values cached at
-// first construction, so the per-fragment/per-stage closures of the
-// pre-pool datapath disappear with the objects.
+// Packet pools: the per-packet model objects of the datapath come from
+// sim.Pool free lists, one per NIC for RxPackets, TxPackets and the
+// eth.Frames the NIC transmits, so a steady-state packet costs zero
+// heap allocations. Each object embeds its sim.Lease. The RxQueue
+// leases RxPackets at frame arrival and the socket layer recycles them
+// after Recv (or on drop); the driver leases TxPackets at xmit and
+// recycles them after reaping the Tx completion. Each pooled object
+// carries its DMA-stage callbacks as method values cached at first
+// construction, so the per-fragment/per-stage closures of the pre-pool
+// datapath disappear with the objects.
 //
 // Ownership contract:
 //
@@ -23,7 +24,11 @@
 // lifetime bugs surface immediately instead of as corrupted traffic.
 package nic
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+
+	"ioctopus/internal/sim"
+)
 
 // poolingOff disables packet/frame pooling globally when set. It is
 // read once per NIC at construction, and it is atomic because -parallel
@@ -40,113 +45,37 @@ func SetPooling(enabled bool) { poolingOff.Store(!enabled) }
 // PoolingEnabled reports whether new NICs will pool packet objects.
 func PoolingEnabled() bool { return !poolingOff.Load() }
 
-// PoolStats counts pool traffic: Hits/Misses split leases between
-// recycled and freshly allocated objects; Live is leases not yet
-// recycled.
-type PoolStats struct {
-	Hits, Misses, Recycled uint64
-	Live                   int
-}
-
-// rxPacketPool recycles RxPackets for one NIC.
-type rxPacketPool struct {
-	pooled bool
-	free   []*RxPacket
-	stats  PoolStats
-}
-
-// get leases an RxPacket. The caller fills every public field; stale
-// values from the previous lease are not cleared on the hot path.
-func (p *rxPacketPool) get() *RxPacket {
-	if n := len(p.free); n > 0 {
-		rxp := p.free[n-1]
-		p.free[n-1] = nil
-		p.free = p.free[:n-1]
-		rxp.leased = true
-		p.stats.Hits++
-		p.stats.Live++
-		return rxp
-	}
+// newRxPacket builds a packet with its DMA-stage callbacks cached.
+func newRxPacket() (*RxPacket, *sim.Lease[RxPacket]) {
 	rxp := &RxPacket{}
 	rxp.payloadDone = rxp.runPayloadDone
 	rxp.compDone = rxp.runCompDone
-	if p.pooled {
-		rxp.pool = p
-		rxp.leased = true
-		p.stats.Misses++
-		p.stats.Live++
-	}
-	return rxp
+	return rxp, &rxp.Lease
+}
+
+// resetRxPacket drops a recycled packet's references. The caller of
+// the next lease fills every public field; the rest keep stale values.
+func resetRxPacket(rxp *RxPacket) {
+	rxp.Queue = nil
+	rxp.Buf = nil
+	rxp.Meta = nil
 }
 
 // Recycle returns the packet to its pool. Safe (a no-op) on unpooled
 // packets, so drop paths and tests need not care how a packet was
 // built; recycling the same lease twice panics.
-func (rxp *RxPacket) Recycle() {
-	p := rxp.pool
-	if p == nil {
-		return
-	}
-	if !rxp.leased {
-		panic("nic: RxPacket recycled twice")
-	}
-	rxp.leased = false
-	rxp.gen++
-	rxp.Queue = nil
-	rxp.Buf = nil
-	rxp.Meta = nil
-	p.stats.Live--
-	p.stats.Recycled++
-	p.free = append(p.free, rxp)
-}
+func (rxp *RxPacket) Recycle() { rxp.Release() }
 
-// Generation returns the packet's recycle generation; a held pointer
-// whose generation has moved on is a stale reference.
-func (rxp *RxPacket) Generation() uint32 { return rxp.gen }
-
-// txPacketPool recycles TxPackets for one NIC.
-type txPacketPool struct {
-	pooled bool
-	free   []*TxPacket
-	stats  PoolStats
-}
-
-// get leases a TxPacket with an empty (capacity-preserving) Frags
-// slice.
-func (p *txPacketPool) get() *TxPacket {
-	if n := len(p.free); n > 0 {
-		pkt := p.free[n-1]
-		p.free[n-1] = nil
-		p.free = p.free[:n-1]
-		pkt.leased = true
-		p.stats.Hits++
-		p.stats.Live++
-		return pkt
-	}
+// newTxPacket builds a packet with its DMA-stage callbacks cached.
+func newTxPacket() (*TxPacket, *sim.Lease[TxPacket]) {
 	pkt := &TxPacket{}
 	pkt.initCallbacks()
-	if p.pooled {
-		pkt.pool = p
-		pkt.leased = true
-		p.stats.Misses++
-		p.stats.Live++
-	}
-	return pkt
+	return pkt, &pkt.Lease
 }
 
-// Recycle returns the packet to its pool, keeping the fragment backing
-// array for the next lease. No-op on unpooled packets; a double recycle
-// panics.
-func (pkt *TxPacket) Recycle() {
-	p := pkt.pool
-	if p == nil {
-		return
-	}
-	if !pkt.leased {
-		panic("nic: TxPacket recycled twice")
-	}
-	pkt.leased = false
-	pkt.gen++
+// resetTxPacket clears a recycled packet, keeping the fragment backing
+// array for the next lease.
+func resetTxPacket(pkt *TxPacket) {
 	for i := range pkt.Frags {
 		pkt.Frags[i] = TxFrag{}
 	}
@@ -156,20 +85,19 @@ func (pkt *TxPacket) Recycle() {
 	pkt.Dropped = false
 	pkt.q = nil
 	pkt.postQ = nil
-	p.stats.Live--
-	p.stats.Recycled++
-	p.free = append(p.free, pkt)
 }
 
-// Generation returns the packet's recycle generation.
-func (pkt *TxPacket) Generation() uint32 { return pkt.gen }
+// Recycle returns the packet to its pool. No-op on unpooled packets; a
+// double recycle panics.
+func (pkt *TxPacket) Recycle() { pkt.Release() }
 
 // LeaseTxPacket takes a TxPacket from the NIC's pool (drivers call this
-// on the xmit path instead of allocating).
-func (n *NIC) LeaseTxPacket() *TxPacket { return n.txPool.get() }
+// on the xmit path instead of allocating). Its Frags slice is empty,
+// with the capacity of earlier leases.
+func (n *NIC) LeaseTxPacket() *TxPacket { return n.txPool.Get() }
 
 // RxPoolStats returns the receive packet pool counters.
-func (n *NIC) RxPoolStats() PoolStats { return n.rxPool.stats }
+func (n *NIC) RxPoolStats() sim.PoolStats { return n.rxPool.Stats() }
 
 // TxPoolStats returns the transmit packet pool counters.
-func (n *NIC) TxPoolStats() PoolStats { return n.txPool.stats }
+func (n *NIC) TxPoolStats() sim.PoolStats { return n.txPool.Stats() }

@@ -6,6 +6,7 @@ import (
 	"ioctopus/internal/device"
 	"ioctopus/internal/eth"
 	"ioctopus/internal/memsys"
+	"ioctopus/internal/sim"
 )
 
 // postAndReap drives one TxPacket through the full Tx datapath and
@@ -152,7 +153,7 @@ func TestSetPoolingDisablesReuse(t *testing.T) {
 	if second == first {
 		t.Fatal("unpooled leases must be fresh objects")
 	}
-	if st := r.nic.TxPoolStats(); st != (PoolStats{}) {
+	if st := r.nic.TxPoolStats(); st != (sim.PoolStats{}) {
 		t.Fatalf("unpooled stats should stay zero, got %+v", st)
 	}
 }

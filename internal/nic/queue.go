@@ -27,13 +27,11 @@ type RxPacket struct {
 	Meta      any
 	ArrivedAt sim.Time
 
-	// Pool plumbing (zero for plain &RxPacket{} packets, whose Recycle
-	// is a no-op) and the cached DMA-stage callbacks: one payload-DMA
+	// Pool lease (zero for plain &RxPacket{} packets, whose Recycle is
+	// a no-op) and the cached DMA-stage callbacks: one payload-DMA
 	// completion and one writeback completion per packet, built once
 	// per pooled object instead of two closures per received frame.
-	pool        *rxPacketPool
-	gen         uint32
-	leased      bool
+	sim.Lease[RxPacket]
 	payloadDone func() // cached rxp.runPayloadDone
 	compDone    func() // cached rxp.runCompDone
 }
@@ -45,35 +43,26 @@ func (rxp *RxPacket) runPayloadDone() {
 	q.pf.ep.DMAWrite(q.compRing.Buffer(), int64(rxp.Packets)*q.pf.nic.params.DescBytes, rxp.compDone)
 }
 
-// runCompDone is stage 3: the completion writeback is observable; the
-// segment becomes visible to the driver and may raise an interrupt. A
-// stalled queue holds the writeback device-side instead (fault
-// injection): the segment stays invisible until the stall clears.
-func (rxp *RxPacket) runCompDone() {
-	q := rxp.Queue
-	if q.stalled {
-		q.held = append(q.held, rxp)
-		return
-	}
-	q.deliver(rxp)
-}
+// runCompDone is stage 3: the completion writeback landed; the segment
+// becomes visible to the driver, or is held by a stalled queue.
+func (rxp *RxPacket) runCompDone() { rxp.Queue.Complete(rxp) }
 
-// deliver makes one completed segment visible to the driver — the tail
-// of runCompDone, shared with the stall-release flush.
-func (q *RxQueue) deliver(rxp *RxPacket) {
+// rxVisible is the Rx accounting as a segment becomes visible to the
+// driver.
+func rxVisible(rxp *RxPacket) {
+	q := rxp.Queue
 	q.pf.rxBytes += float64(rxp.Payload)
 	rxp.ArrivedAt = q.pf.nic.eng.Now()
-	q.pending = append(q.pending, rxp)
 	q.delivered++
-	if q.onDeliver != nil {
-		q.onDeliver()
-	}
-	q.maybeInterrupt()
 }
 
 // RxQueue is one receive queue: a completion ring the device writes and
 // the host reads, plus a pool of packet buffers recycled round-robin.
+// Its completion side (interrupt moderation, poll mode, stalls) is the
+// embedded device.Completions.
 type RxQueue struct {
+	device.Completions[*RxPacket]
+
 	pf    *PF
 	index int
 
@@ -81,31 +70,8 @@ type RxQueue struct {
 	bufs     []*memsys.Buffer
 	bufNext  int
 
-	irqNode topology.NodeID
-	onIRQ   func()
-
-	// pending plus a consumed-head index: Poll returns views into the
-	// backing array and the array is reused once drained, so the poll
-	// path does not reallocate per batch.
-	pending  []*RxPacket
-	pendHead int
-
-	napiActive bool
-	polled     bool
-	// stalled freezes completion delivery (QueueStall fault): writebacks
-	// that land while stalled are held, in order, until the stall clears
-	// or the driver resets the queue. Held completions still occupy ring
-	// entries — a long stall fills the ring and drops frames, exactly
-	// like real silicon.
-	stalled   bool
-	held      []*RxPacket
-	coalesce  sim.Timer
-	fireFn    func() // cached q.fireInterrupt
-	onDeliver func() // see OnDeliver
-
-	drops      uint64
-	delivered  uint64
-	interrupts uint64
+	drops     uint64
+	delivered uint64
 }
 
 // AddRxQueue attaches a receive queue to the PF. The driver supplies
@@ -120,10 +86,8 @@ func (p *PF) AddRxQueue(compRing *device.Ring, bufs []*memsys.Buffer, irqNode to
 		index:    len(p.rxQueues),
 		compRing: compRing,
 		bufs:     bufs,
-		irqNode:  irqNode,
-		onIRQ:    onIRQ,
 	}
-	q.fireFn = q.fireInterrupt
+	q.Init(p.nic.eng, p.ep, irqNode, onIRQ, p.nic.params.CoalesceDelay, rxVisible)
 	p.rxQueues = append(p.rxQueues, q)
 	return q
 }
@@ -134,24 +98,12 @@ func (q *RxQueue) Index() int { return q.index }
 // PF returns the owning physical function.
 func (q *RxQueue) PF() *PF { return q.pf }
 
-// IRQNode returns the node whose core handles this queue's interrupts.
-func (q *RxQueue) IRQNode() topology.NodeID { return q.irqNode }
-
-// SetIRQ retargets the queue's interrupt (driver IRQ affinity).
-func (q *RxQueue) SetIRQ(node topology.NodeID, onIRQ func()) {
-	q.irqNode = node
-	q.onIRQ = onIRQ
-}
-
 // CompletionRing returns the queue's completion ring (for driver-side
 // entry reads).
 func (q *RxQueue) CompletionRing() *device.Ring { return q.compRing }
 
 // Drops returns frames dropped by this queue.
 func (q *RxQueue) Drops() uint64 { return q.drops }
-
-// Pending returns how many received segments await the driver.
-func (q *RxQueue) Pending() int { return len(q.pending) - q.pendHead }
 
 // receive runs the hardware Rx datapath for one steered frame. The
 // RxPacket is leased and filled here, before the DMA stages run, so
@@ -160,14 +112,14 @@ func (q *RxQueue) Pending() int { return len(q.pending) - q.pendHead }
 func (q *RxQueue) receive(f *eth.Frame) {
 	// Ring occupancy check: completions not yet consumed by the host —
 	// including writebacks held by a stalled queue — hold ring entries.
-	if q.Pending()+len(q.held) >= q.compRing.Capacity() {
+	if q.Pending()+q.HeldCompletions() >= q.compRing.Capacity() {
 		q.drops++
 		q.pf.nic.rxDrops++
 		return
 	}
 	buf := q.bufs[q.bufNext]
 	q.bufNext = (q.bufNext + 1) % len(q.bufs)
-	rxp := q.pf.nic.rxPool.get()
+	rxp := q.pf.nic.rxPool.Get()
 	rxp.Queue = q
 	rxp.Buf = buf
 	rxp.Payload = f.Payload
@@ -179,116 +131,10 @@ func (q *RxQueue) receive(f *eth.Frame) {
 	q.pf.ep.DMAWrite(buf, f.Payload, rxp.payloadDone)
 }
 
-// SetPolled switches the queue between interrupt and poll-mode
-// operation. While polled, completions never raise interrupts and no
-// coalesce timer is armed — a busy-poll driver consumes the ring with
-// Poll directly. Leaving polled mode re-runs the interrupt decision, so
-// completions that landed during the polled window fire exactly once
-// (the NAPI re-arm rule, same as NapiComplete).
-func (q *RxQueue) SetPolled(on bool) {
-	if q.polled == on {
-		return
-	}
-	q.polled = on
-	if on {
-		q.coalesce.Stop()
-		return
-	}
-	q.maybeInterrupt()
-}
-
-// Polled reports whether the queue is in poll-mode operation.
-func (q *RxQueue) Polled() bool { return q.polled }
-
-// OnDeliver registers fn to run whenever a completion becomes visible
-// to the driver, polled or not: the wake of a busy-poll loop that
-// sleeps while the rings it polls are empty.
-func (q *RxQueue) OnDeliver(fn func()) { q.onDeliver = fn }
-
-// SetStalled freezes or releases completion delivery (QueueStall fault
-// injection). Releasing flushes every held writeback in arrival order.
-func (q *RxQueue) SetStalled(on bool) {
-	if q.stalled == on {
-		return
-	}
-	q.stalled = on
-	if !on {
-		q.FlushStalled()
-	}
-}
-
-// Stalled reports whether the queue is holding completions.
-func (q *RxQueue) Stalled() bool { return q.stalled }
-
-// HeldCompletions returns writebacks held by an active stall.
-func (q *RxQueue) HeldCompletions() int { return len(q.held) }
-
-// FlushStalled delivers every held completion now and returns how many
-// there were — the driver-visible effect of a watchdog queue reset
-// (re-initialize the queue, re-post descriptors, recover stranded
-// writebacks). The stall flag itself is device state: if the fault
-// window is still open, new completions stall again and the watchdog
-// escalates.
-func (q *RxQueue) FlushStalled() int {
-	held := q.held
-	q.held = q.held[:0]
-	for _, rxp := range held {
-		q.deliver(rxp)
-	}
-	return len(held)
-}
-
-// maybeInterrupt fires the queue's interrupt respecting poll mode, NAPI
-// gating and the coalescing holdoff.
-func (q *RxQueue) maybeInterrupt() {
-	if q.polled || q.napiActive || q.onIRQ == nil || q.Pending() == 0 {
-		return
-	}
-	delay := q.pf.nic.params.CoalesceDelay
-	if delay == 0 {
-		q.fireInterrupt()
-		return
-	}
-	if q.coalesce.Pending() {
-		return
-	}
-	q.coalesce = q.pf.nic.eng.After(delay, q.fireFn)
-}
-
-func (q *RxQueue) fireInterrupt() {
-	if q.polled || q.napiActive || q.Pending() == 0 {
-		return
-	}
-	q.napiActive = true
-	q.interrupts++
-	q.pf.ep.Interrupt(q.irqNode, q.onIRQ)
-}
-
-// Poll removes up to budget pending segments (the NAPI poll). The
-// returned batch aliases the queue's backing array and is valid until
-// the next event that appends to this queue — i.e. for the duration of
-// the synchronous NAPI loop consuming it.
-func (q *RxQueue) Poll(budget int) []*RxPacket {
-	n := q.Pending()
-	if n > budget {
-		n = budget
-	}
-	batch := q.pending[q.pendHead : q.pendHead+n]
-	q.pendHead += n
-	if q.pendHead == len(q.pending) {
-		// Drained: reuse the backing array from the top.
-		q.pending = q.pending[:0]
-		q.pendHead = 0
-	}
-	return batch
-}
-
-// NapiComplete re-enables interrupts; if work arrived meanwhile the
-// interrupt refires (the standard NAPI race resolution).
-func (q *RxQueue) NapiComplete() {
-	q.napiActive = false
-	q.maybeInterrupt()
-}
+// Poll removes up to budget received segments (the NAPI poll); the
+// batch is valid for the synchronous loop consuming it (see
+// device.Completions.Reap).
+func (q *RxQueue) Poll(budget int) []*RxPacket { return q.Reap(budget) }
 
 // TxFrag is one fragment of a transmitted packet; fragments may live on
 // different NUMA nodes (sendfile from the page cache, §3.3), which is
@@ -323,13 +169,11 @@ type TxPacket struct {
 	// repost the segment on a surviving PF instead of recycling it.
 	Dropped bool
 
-	// Pool plumbing plus the packet's cached DMA-stage callbacks: the
+	// Pool lease plus the packet's cached DMA-stage callbacks: the
 	// per-fragment payload reads of one packet form a single batch
 	// completed by one shared callback and countdown, instead of a
 	// fresh closure per fragment.
-	pool         *txPacketPool
-	gen          uint32
-	leased       bool
+	sim.Lease[TxPacket]
 	q            *TxQueue // posting queue, set by Post
 	postQ        *TxQueue // DeferPost target
 	dmaRemaining int
@@ -340,7 +184,8 @@ type TxPacket struct {
 }
 
 // initCallbacks caches the stage callbacks as method values; called
-// once when the object is first constructed (pool.get or first Post).
+// once when the object is first constructed (newTxPacket or first
+// Post).
 func (pkt *TxPacket) initCallbacks() {
 	pkt.fetchDone = pkt.runFetchDone
 	pkt.fragDone = pkt.runFragDone
@@ -379,61 +224,30 @@ func (pkt *TxPacket) runFragDone() {
 	}
 }
 
-// runCompDone is the final stage: the completion writeback is
-// observable; the packet waits for the driver's reap. A stalled queue
-// holds the writeback device-side (fault injection) — the descriptor
-// stays in flight, which is what a driver watchdog's Tx-progress check
-// keys on.
-func (pkt *TxPacket) runCompDone() {
-	q := pkt.q
-	if q.stalled {
-		q.held = append(q.held, pkt)
-		return
-	}
-	q.deliverComp(pkt)
-}
+// runCompDone is the final stage: the completion writeback landed; the
+// packet waits for the driver's reap. A stalled queue holds the
+// writeback device-side (fault injection) — the descriptor stays in
+// flight, which is what a driver watchdog's Tx-progress check keys on.
+func (pkt *TxPacket) runCompDone() { pkt.q.Complete(pkt) }
 
-// deliverComp makes one Tx completion visible to the driver — the tail
-// of runCompDone, shared with the stall-release flush.
-func (q *TxQueue) deliverComp(pkt *TxPacket) {
-	q.sent++
-	q.completed = append(q.completed, pkt)
-	if q.onDeliver != nil {
-		q.onDeliver()
-	}
-	q.maybeInterrupt()
-}
+// txVisible is the Tx accounting as a completion becomes visible to
+// the driver.
+func txVisible(pkt *TxPacket) { pkt.q.sent++ }
 
 // TxQueue is one transmit queue: descriptor ring (host writes, device
-// reads) and completion ring (device writes, host reads).
+// reads) and completion ring (device writes, host reads), with the
+// same embedded completion side as RxQueue.
 type TxQueue struct {
+	device.Completions[*TxPacket]
+
 	pf    *PF
 	index int
 
 	descRing *device.Ring
 	compRing *device.Ring
 
-	irqNode topology.NodeID
-	onIRQ   func()
-
-	// completed plus a consumed-head index (same array-reuse scheme as
-	// RxQueue.pending/Poll).
-	completed []*TxPacket
-	compHead  int
-
-	napiActive bool
-	polled     bool
-	// stalled/held mirror the Rx side's completion freeze (QueueStall
-	// fault): held writebacks keep their descriptors in flight.
-	stalled   bool
-	held      []*TxPacket
-	coalesce  sim.Timer
-	fireFn    func() // cached q.fireInterrupt
-	onDeliver func() // see RxQueue.OnDeliver
-
-	posted     uint64
-	sent       uint64
-	interrupts uint64
+	posted uint64
+	sent   uint64
 }
 
 // AddTxQueue attaches a transmit queue to the PF.
@@ -443,10 +257,8 @@ func (p *PF) AddTxQueue(descRing, compRing *device.Ring, irqNode topology.NodeID
 		index:    len(p.txQueues),
 		descRing: descRing,
 		compRing: compRing,
-		irqNode:  irqNode,
-		onIRQ:    onIRQ,
 	}
-	q.fireFn = q.fireInterrupt
+	q.Init(p.nic.eng, p.ep, irqNode, onIRQ, p.nic.params.CoalesceDelay, txVisible)
 	p.txQueues = append(p.txQueues, q)
 	return q
 }
@@ -551,104 +363,6 @@ func (q *TxQueue) transmit(pkt *TxPacket) {
 	q.pf.txBytes += float64(pkt.Payload)
 	// Completion writeback for the segment's packets.
 	q.pf.ep.DMAWrite(q.compRing.Buffer(), int64(frame.Packets)*nic.params.DescBytes, pkt.compDone)
-}
-
-// completedPending returns completions awaiting the driver's reap.
-func (q *TxQueue) completedPending() int { return len(q.completed) - q.compHead }
-
-// SetPolled mirrors RxQueue.SetPolled for the transmit side.
-func (q *TxQueue) SetPolled(on bool) {
-	if q.polled == on {
-		return
-	}
-	q.polled = on
-	if on {
-		q.coalesce.Stop()
-		return
-	}
-	q.maybeInterrupt()
-}
-
-// Polled reports whether the queue is in poll-mode operation.
-func (q *TxQueue) Polled() bool { return q.polled }
-
-// OnDeliver mirrors RxQueue.OnDeliver for Tx completions.
-func (q *TxQueue) OnDeliver(fn func()) { q.onDeliver = fn }
-
-// SetStalled mirrors RxQueue.SetStalled for the transmit side.
-func (q *TxQueue) SetStalled(on bool) {
-	if q.stalled == on {
-		return
-	}
-	q.stalled = on
-	if !on {
-		q.FlushStalled()
-	}
-}
-
-// Stalled reports whether the queue is holding completions.
-func (q *TxQueue) Stalled() bool { return q.stalled }
-
-// HeldCompletions returns writebacks held by an active stall.
-func (q *TxQueue) HeldCompletions() int { return len(q.held) }
-
-// FlushStalled delivers every held Tx completion now and returns how
-// many there were; see RxQueue.FlushStalled for the reset semantics.
-func (q *TxQueue) FlushStalled() int {
-	held := q.held
-	q.held = q.held[:0]
-	for _, pkt := range held {
-		q.deliverComp(pkt)
-	}
-	return len(held)
-}
-
-// maybeInterrupt mirrors the Rx side's poll-mode and NAPI gating.
-func (q *TxQueue) maybeInterrupt() {
-	if q.polled || q.napiActive || q.onIRQ == nil || q.completedPending() == 0 {
-		return
-	}
-	delay := q.pf.nic.params.CoalesceDelay
-	if delay == 0 {
-		q.fireInterrupt()
-		return
-	}
-	if q.coalesce.Pending() {
-		return
-	}
-	q.coalesce = q.pf.nic.eng.After(delay, q.fireFn)
-}
-
-func (q *TxQueue) fireInterrupt() {
-	if q.polled || q.napiActive || q.completedPending() == 0 {
-		return
-	}
-	q.napiActive = true
-	q.interrupts++
-	q.pf.ep.Interrupt(q.irqNode, q.onIRQ)
-}
-
-// Reap removes up to budget completed packets for driver cleanup. Like
-// RxQueue.Poll, the batch aliases the queue's backing array and is
-// valid for the synchronous reap loop consuming it.
-func (q *TxQueue) Reap(budget int) []*TxPacket {
-	n := q.completedPending()
-	if n > budget {
-		n = budget
-	}
-	batch := q.completed[q.compHead : q.compHead+n]
-	q.compHead += n
-	if q.compHead == len(q.completed) {
-		q.completed = q.completed[:0]
-		q.compHead = 0
-	}
-	return batch
-}
-
-// NapiComplete re-enables Tx interrupts.
-func (q *TxQueue) NapiComplete() {
-	q.napiActive = false
-	q.maybeInterrupt()
 }
 
 // pfOn returns the PF attached to the given node, or nil.

@@ -101,12 +101,11 @@ func (d *Driver) qpFor(p *Port, node topology.NodeID) *QueuePair {
 	if qp, ok := d.qps[key]; ok {
 		return qp
 	}
+	// Completion interrupts reap on the first core of the node.
+	core := d.k.Topology().CoresOn(node)[0].ID
 	var qp *QueuePair
-	qp = p.NewQueuePair(node, node, func() {
-		// Completion interrupt: reap on the first core of the node.
-		core := d.k.Topology().CoresOn(node)[0].ID
-		d.k.Core(core).IRQ(d.ctrl.name, func() time.Duration { return d.reap(qp, node) })
-	})
+	line := d.k.Core(core).NewIRQLine(d.ctrl.name, func() time.Duration { return d.reap(qp, node) })
+	qp = p.NewQueuePair(node, node, line.Raise)
 	d.qps[key] = qp
 	return qp
 }
@@ -122,7 +121,7 @@ func (d *Driver) reap(qp *QueuePair, node topology.NodeID) time.Duration {
 			req.OnComplete(req)
 		}
 	}
-	qp.IRQComplete()
+	qp.NapiComplete()
 	return cost
 }
 

@@ -132,23 +132,22 @@ type Request struct {
 
 	SubmittedAt sim.Time
 	CompletedAt sim.Time
+
+	qp *QueuePair // set by Submit
 }
 
 // Latency returns the request's completion latency.
 func (r *Request) Latency() time.Duration { return r.CompletedAt.Sub(r.SubmittedAt) }
 
-// QueuePair is an SQ/CQ pair bound to one port.
+// QueuePair is an SQ/CQ pair bound to one port. Its completion side
+// (interrupt moderation and NAPI-style re-arm) is the embedded
+// device.Completions, the same as a NIC queue's.
 type QueuePair struct {
+	device.Completions[*Request]
+
 	port *Port
 	sq   *device.Ring
 	cq   *device.Ring
-
-	irqNode topology.NodeID
-	onIRQ   func()
-
-	completed  []*Request
-	napiActive bool
-	coalesce   sim.Timer
 
 	inFlight int
 }
@@ -158,12 +157,11 @@ type QueuePair struct {
 func (p *Port) NewQueuePair(home topology.NodeID, irqNode topology.NodeID, onIRQ func()) *QueuePair {
 	c := p.ctrl
 	qp := &QueuePair{
-		port:    p,
-		sq:      device.NewRing(c.mem, fmt.Sprintf("%s:sq%d", c.name, p.index), home, c.params.QueueEntries, c.params.DescBytes),
-		cq:      device.NewRing(c.mem, fmt.Sprintf("%s:cq%d", c.name, p.index), home, c.params.QueueEntries, c.params.DescBytes),
-		irqNode: irqNode,
-		onIRQ:   onIRQ,
+		port: p,
+		sq:   device.NewRing(c.mem, fmt.Sprintf("%s:sq%d", c.name, p.index), home, c.params.QueueEntries, c.params.DescBytes),
+		cq:   device.NewRing(c.mem, fmt.Sprintf("%s:cq%d", c.name, p.index), home, c.params.QueueEntries, c.params.DescBytes),
 	}
+	qp.Init(c.eng, p.ep, irqNode, onIRQ, c.params.CoalesceDelay, cqeVisible)
 	return qp
 }
 
@@ -185,6 +183,7 @@ func (qp *QueuePair) InFlight() int { return qp.inFlight }
 func (qp *QueuePair) Submit(req *Request) {
 	c := qp.port.ctrl
 	req.SubmittedAt = c.eng.Now()
+	req.qp = qp
 	qp.inFlight++
 	qp.sq.DeviceRead(qp.port.ep, 1, func() {
 		// Media access: writes occupy the media longer in proportion to
@@ -211,58 +210,27 @@ func (qp *QueuePair) Submit(req *Request) {
 	})
 }
 
-// complete writes the CQE and raises the interrupt (moderated).
+// complete writes the CQE; the completion side takes it from there.
 func (qp *QueuePair) complete(req *Request) {
-	c := qp.port.ctrl
-	qp.port.ep.DMAWrite(qp.cq.Buffer(), c.params.DescBytes, func() {
-		req.CompletedAt = c.eng.Now()
-		if req.Write {
-			c.writes++
-		} else {
-			c.reads++
-		}
-		qp.completed = append(qp.completed, req)
-		qp.maybeInterrupt()
-	})
+	qp.port.ep.DMAWrite(qp.cq.Buffer(), qp.port.ctrl.params.DescBytes, func() { qp.Complete(req) })
 }
 
-func (qp *QueuePair) maybeInterrupt() {
-	if qp.napiActive || qp.onIRQ == nil || len(qp.completed) == 0 {
-		return
+// cqeVisible is the accounting as a request's CQE becomes visible to
+// the driver.
+func cqeVisible(req *Request) {
+	c := req.qp.port.ctrl
+	req.CompletedAt = c.eng.Now()
+	if req.Write {
+		c.writes++
+	} else {
+		c.reads++
 	}
-	delay := qp.port.ctrl.params.CoalesceDelay
-	if delay == 0 {
-		qp.fireInterrupt()
-		return
-	}
-	if qp.coalesce.Pending() {
-		return
-	}
-	qp.coalesce = qp.port.ctrl.eng.After(delay, qp.fireInterrupt)
 }
 
-func (qp *QueuePair) fireInterrupt() {
-	if qp.napiActive || len(qp.completed) == 0 {
-		return
-	}
-	qp.napiActive = true
-	qp.port.ep.Interrupt(qp.irqNode, qp.onIRQ)
-}
-
-// Reap removes up to budget completed requests for driver cleanup.
+// Reap removes up to budget completed requests, in completion order,
+// for driver cleanup.
 func (qp *QueuePair) Reap(budget int) []*Request {
-	n := len(qp.completed)
-	if n > budget {
-		n = budget
-	}
-	batch := qp.completed[:n]
-	qp.completed = qp.completed[n:]
-	qp.inFlight -= n
+	batch := qp.Completions.Reap(budget)
+	qp.inFlight -= len(batch)
 	return batch
-}
-
-// IRQComplete re-enables completion interrupts.
-func (qp *QueuePair) IRQComplete() {
-	qp.napiActive = false
-	qp.maybeInterrupt()
 }

@@ -1,7 +1,7 @@
 #!/bin/sh
-# Full verification gate: vet, build, race-check the packages whose
-# code runs on concurrent goroutines under the parallel point runner,
-# then the whole suite, then an end-to-end JSON report whose
+# Full verification gate: gofmt, vet, build, race-check the packages
+# whose code runs on concurrent goroutines under the parallel point
+# runner, then the whole suite, then an end-to-end JSON report whose
 # schema is validated before it is written (writeReport re-runs
 # ValidateReport) and golden-checked by the experiments tests. CI and
 # `make check` both run this.
@@ -12,6 +12,8 @@ cd "$(dirname "$0")/.."
 # Guard against editing this gate into a script that no longer parses.
 sh -n scripts/check.sh
 
+# Formatting gate: gofmt would rewrite no file.
+test -z "$(gofmt -l .)"
 go vet ./...
 go build ./...
 # Repo-specific invariants (determinism, pool leases, metric names)
