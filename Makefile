@@ -32,7 +32,7 @@ devchaos:
 
 # Regenerate the performance numbers behind BENCH_sim.json.
 bench:
-	go test -run '^$$' -bench 'BenchmarkPacketPath$$|BenchmarkBusyPollPath$$|BenchmarkSimulatorEventRate|BenchmarkAllFiguresQuick' -benchmem .
+	go test -run '^$$' -bench 'BenchmarkPacketPath$$|BenchmarkRemoteRxPath$$|BenchmarkBusyPollPath$$|BenchmarkSimulatorEventRate|BenchmarkAllFiguresQuick' -benchmem .
 
 # Model code no run reaches: the internal/ functions (octolint's own
 # packages aside) at 0.0% both in the golden run, which covers every

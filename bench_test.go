@@ -143,42 +143,61 @@ func BenchmarkAllFiguresQuickSerial(b *testing.B) { benchAllQuick(b, 1) }
 // serial benchmark is the harness fan-out speedup.
 func BenchmarkAllFiguresQuickParallel(b *testing.B) { benchAllQuick(b, runtime.GOMAXPROCS(0)) }
 
-// steadyStateCluster builds a single-core Rx streaming cluster and runs
-// it past warm-up: pools populated, rings and buffers allocated, TCP
-// window in regulation. Packet-path measurements start from here.
-func steadyStateCluster() *core.Cluster {
-	cl := ioctopus.NewCluster(ioctopus.Config{Mode: ioctopus.ModeIOctopus})
+// steadyStateCluster builds a single-core Rx streaming cluster with
+// the given firmware and server core and runs it past warm-up: pools
+// populated, rings and buffers allocated, TCP window in regulation.
+// Packet-path measurements start from here.
+func steadyStateCluster(mode ioctopus.NICMode, serverCore topology.CoreID) *core.Cluster {
+	cl := ioctopus.NewCluster(ioctopus.Config{Mode: mode})
 	workloads.StartStream(cl, workloads.StreamConfig{
 		MsgSize: 65536, Direction: workloads.Rx,
-		ServerCores: []topology.CoreID{0}, ServerIP: core.IPServerPF0,
+		ServerCores: []topology.CoreID{serverCore}, ServerIP: core.IPServerPF0,
 	})
 	cl.Run(20 * time.Millisecond)
 	return cl
 }
+
+// remoteRxCore is the first core of socket 1. Under the standard
+// firmware the stream targets PF0 on socket 0, so this core receives
+// through a remote PF: the paper's `remote` configuration.
+const remoteRxCore topology.CoreID = 14
 
 // TestPacketPathAllocFree guards the pooled datapath: once warm, a
 // steady-state simulation window allocates nothing — packets, frames,
 // DMA ops and ACK flights all come from free lists. The window is one
 // simulated millisecond (~1300 events of full Rx segment round trips);
 // the bound leaves room only for incidental runtime noise, not for any
-// per-packet cost.
+// per-packet cost. Two runs are guarded: IOctopus Rx on a NIC-local
+// core, whose completion reads all hit, and standard-firmware Rx on a
+// socket-1 core, whose completion reads miss one by one (§5.1.1).
 func TestPacketPathAllocFree(t *testing.T) {
-	cl := steadyStateCluster()
-	defer cl.Drain()
-	allocs := testing.AllocsPerRun(5, func() {
-		cl.Run(time.Millisecond)
-	})
-	if allocs > 2 {
-		t.Fatalf("steady-state packet path allocates %.0f allocs/ms, want 0", allocs)
+	for _, tc := range []struct {
+		name string
+		mode ioctopus.NICMode
+		core topology.CoreID
+	}{
+		{"ioctopus-local", ioctopus.ModeIOctopus, 0},
+		{"standard-remote", ioctopus.ModeStandard, remoteRxCore},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cl := steadyStateCluster(tc.mode, tc.core)
+			defer cl.Drain()
+			allocs := testing.AllocsPerRun(5, func() {
+				cl.Run(time.Millisecond)
+			})
+			if allocs > 2 {
+				t.Fatalf("steady-state packet path allocates %.0f allocs/ms, want 0", allocs)
+			}
+		})
 	}
 }
 
-// BenchmarkPacketPath measures the steady-state packet path alone: one
+// benchPacketPath measures a steady-state packet path alone: one
 // simulated millisecond of single-core Rx streaming per iteration, with
 // cluster construction excluded. Contrast with
 // BenchmarkSimulatorEventRate, which includes construction per op.
-func BenchmarkPacketPath(b *testing.B) {
-	cl := steadyStateCluster()
+func benchPacketPath(b *testing.B, mode ioctopus.NICMode, serverCore topology.CoreID) {
+	cl := steadyStateCluster(mode, serverCore)
 	defer cl.Drain()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -187,6 +206,42 @@ func BenchmarkPacketPath(b *testing.B) {
 		cl.Run(time.Millisecond)
 	}
 	b.ReportMetric(float64(cl.Eng.Executed-events)/float64(b.N), "events/op")
+}
+
+// BenchmarkPacketPath is IOctopus Rx on a NIC-local core: every
+// completion-entry read hits, so a poll's run of entries is priced by
+// its first read.
+func BenchmarkPacketPath(b *testing.B) { benchPacketPath(b, ioctopus.ModeIOctopus, 0) }
+
+// BenchmarkRemoteRxPath is standard-firmware Rx on a socket-1 core, the
+// §5.1.1 NUDMA case: remote DMA writes invalidate the completion ring,
+// so its entry reads miss and are priced one at a time.
+func BenchmarkRemoteRxPath(b *testing.B) {
+	benchPacketPath(b, ioctopus.ModeStandard, remoteRxCore)
+}
+
+// TestStorageAllocFree guards the storage path the way
+// TestPacketPathAllocFree guards the packet path: Figure 15's contended
+// rig (four drives on socket 1, fio on cores 0-7 with one request per
+// queue slot, STREAM antagonists on socket 1 against socket 0's memory),
+// once warm, allocates nothing per simulated millisecond — neither the
+// NVMe request stages nor the fluid water-filling.
+func TestStorageAllocFree(t *testing.T) {
+	rig := core.NewStorageRig(core.StorageConfig{Drives: 4, SSDNode: 1})
+	defer rig.Drain()
+	fio := workloads.StartFio(rig, workloads.DefaultFioConfig([]topology.CoreID{0, 1, 2, 3, 4, 5, 6, 7}))
+	ant := workloads.StartAntagonistOn(rig.Host, 10, 1, 0, workloads.AntagonistConfig{DemandPerInstance: 10e9})
+	rig.Run(20 * time.Millisecond)
+	fio.MeasureStart()
+	allocs := testing.AllocsPerRun(5, func() {
+		rig.Run(time.Millisecond)
+	})
+	if allocs > 2 {
+		t.Fatalf("steady-state storage path allocates %.0f allocs/ms, want 0", allocs)
+	}
+	if fio.Bytes() == 0 || ant.Rate() == 0 {
+		t.Fatalf("rig idle: fio moved %d bytes, STREAM rate %v", fio.Bytes(), ant.Rate())
+	}
 }
 
 // TestPoolingPreservesResults is the A/B regression gate for the packet

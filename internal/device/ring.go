@@ -69,13 +69,12 @@ func (r *Ring) HostWrite(node topology.NodeID, n int) time.Duration {
 
 // HostRead charges the CPU cost of reading n entries one by one — each
 // freshly device-written entry is its own cache line, so per-entry
-// misses accumulate exactly as they do on hardware.
+// misses accumulate exactly as they do on hardware. The run costs what
+// n single reads of one entry cost: once a read hits in full, the rest
+// of the run repeats it (memsys.System.CPUReadEntries), so only the
+// misses are priced one by one.
 func (r *Ring) HostRead(node topology.NodeID, n int) time.Duration {
-	var total time.Duration
-	for i := 0; i < n; i++ {
-		total += r.mem.CPURead(node, r.buf, r.entrySize)
-	}
-	return total
+	return r.mem.CPUReadEntries(node, r.buf, r.entrySize, n)
 }
 
 // DeviceRead DMA-reads n entries through the endpoint (descriptor

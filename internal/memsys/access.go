@@ -10,17 +10,53 @@ import (
 // (copying it out, as recv() or a completion-entry read does) and
 // returns the time the read costs that core. Side effects: DRAM and
 // interconnect bandwidth are charged for the miss portion and the
-// buffer becomes resident in the reader's LLC.
+// buffer becomes resident in the reader's LLC. A run of such reads at
+// one instant is what CPUReadEntries prices, at exactly the cost and
+// with exactly the side effects of the single reads.
 func (s *System) CPURead(node topology.NodeID, b *Buffer, n int64) time.Duration {
+	cost, _ := s.read(node, b, n)
+	return cost
+}
+
+// CPUReadEntries models a core on node reading n entries of entryBytes
+// each from the buffer, one after another at the current instant — a
+// driver consuming a batch of completion entries — and returns their
+// total cost, which is what n CPURead calls cost. Reads run one at a
+// time until one hits in full. That read leaves the buffer resident in
+// the reader's LLC, just touched (so the next read's survival under
+// LLC pollution is 1) and otherwise unchanged, so every later read at
+// this instant repeats it byte for byte: the rest are priced at its
+// cost and their hit bytes counted at once. Misses stay one read at a
+// time, since each one moves the memory controller's rate estimate and
+// the LLC's LRU order.
+func (s *System) CPUReadEntries(node topology.NodeID, b *Buffer, entryBytes int64, n int) time.Duration {
+	var total time.Duration
+	for i := 0; i < n; i++ {
+		cost, full := s.read(node, b, entryBytes)
+		total += cost
+		if full {
+			// Costs are integer durations and hit counters hold
+			// integer byte counts far below 2^53, so multiplying the
+			// repeated read equals adding it up.
+			rest := int64(n - 1 - i)
+			s.node(node).stats.LLCHitBytes += float64(rest * min64(entryBytes, b.size))
+			return total + time.Duration(rest)*cost
+		}
+	}
+	return total
+}
+
+// read is one CPURead; full reports that every byte hit in the
+// reader's LLC.
+func (s *System) read(node topology.NodeID, b *Buffer, n int64) (cost time.Duration, full bool) {
 	if n <= 0 {
-		return 0
+		return 0, false
 	}
 	if n > b.size {
 		n = b.size
 	}
 	now := s.eng.Now()
 	nm := s.node(node)
-	var cost time.Duration
 
 	var hits int64
 	if b.node == node {
@@ -75,10 +111,10 @@ func (s *System) CPURead(node topology.NodeID, b *Buffer, n int64) time.Duration
 			// units even when the estimated miss is fractional.
 			nm.llc.insert(s, node, b, roundLines(miss), false, now)
 		}
-	} else {
-		nm.llc.touch(b, now)
+		return cost, false
 	}
-	return cost
+	nm.llc.touch(b, now)
+	return cost, true
 }
 
 // CPUWrite models a core on `node` writing n bytes into the buffer and

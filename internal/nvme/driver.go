@@ -128,16 +128,29 @@ func (d *Driver) reap(qp *QueuePair, node topology.NodeID) time.Duration {
 // SubmitAsync issues a request from event context (async I/O engines
 // that batch submissions); CPU costs are charged to the given core.
 func (d *Driver) SubmitAsync(core topology.CoreID, req *Request) {
-	node := d.k.Topology().NodeOf(core)
-	port := d.pickPort(req)
-	qp := d.qpFor(port, node)
-	d.k.Core(core).Submit("nvme-submit", func() time.Duration {
-		cost := d.params.PerIOCPU / 2
-		cost += qp.SQ().HostWrite(node, 1)
-		cost += d.params.DoorbellCPU
-		return cost
-	}, func() {
-		flight := port.ep.MMIOWrite(node)
-		d.k.Engine().After(flight, func() { qp.Submit(req) })
-	})
+	req.bind()
+	req.drv = d
+	req.node = d.k.Topology().NodeOf(core)
+	req.qp = d.qpFor(d.pickPort(req), req.node)
+	d.k.Core(core).Submit("nvme-submit", req.submitRun, req.submitDone)
 }
+
+// submitCost is the host side of a submission: block-layer work, the
+// SQE write and the doorbell.
+func (r *Request) submitCost() time.Duration {
+	d := r.drv
+	cost := d.params.PerIOCPU / 2
+	cost += r.qp.SQ().HostWrite(r.node, 1)
+	cost += d.params.DoorbellCPU
+	return cost
+}
+
+// ringDoorbell posts the doorbell write once the submission work is
+// done; the drive sees it after the write's flight time.
+func (r *Request) ringDoorbell() {
+	flight := r.qp.port.ep.MMIOWrite(r.node)
+	r.drv.k.Engine().After(flight, r.doorbellDone)
+}
+
+// arrive starts the hardware side when the doorbell reaches the drive.
+func (r *Request) arrive() { r.qp.Submit(r) }

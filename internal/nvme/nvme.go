@@ -26,9 +26,9 @@ type Params struct {
 	// FlashReadBW / FlashWriteBW are the drive's internal bandwidths.
 	FlashReadBW  float64
 	FlashWriteBW float64
-	// FlashReadLatency / FlashWriteLatency are per-op access latencies.
-	FlashReadLatency  time.Duration
-	FlashWriteLatency time.Duration
+	// FlashReadLatency is the media access latency of every op, reads
+	// and writes alike.
+	FlashReadLatency time.Duration
 	// QueueEntries sizes SQ/CQ rings; DescBytes is the SQE/CQE size.
 	QueueEntries int
 	DescBytes    int64
@@ -39,13 +39,12 @@ type Params struct {
 // DefaultParams returns PM1725a-like defaults.
 func DefaultParams() Params {
 	return Params{
-		FlashReadBW:       3.2e9,
-		FlashWriteBW:      2.0e9,
-		FlashReadLatency:  90 * time.Microsecond,
-		FlashWriteLatency: 25 * time.Microsecond,
-		QueueEntries:      1024,
-		DescBytes:         64,
-		CoalesceDelay:     4 * time.Microsecond,
+		FlashReadBW:      3.2e9,
+		FlashWriteBW:     2.0e9,
+		FlashReadLatency: 90 * time.Microsecond,
+		QueueEntries:     1024,
+		DescBytes:        64,
+		CoalesceDelay:    4 * time.Microsecond,
 	}
 }
 
@@ -127,13 +126,41 @@ type Request struct {
 	// Buf is the host data buffer (its home node is what NUDMA is
 	// about).
 	Buf *memsys.Buffer
-	// OnComplete fires after the driver reaps the CQE.
+	// OnComplete fires after the driver reaps the CQE. It may resubmit
+	// the request.
 	OnComplete func(*Request)
 
 	SubmittedAt sim.Time
 	CompletedAt sim.Time
 
-	qp *QueuePair // set by Submit
+	qp   *QueuePair      // set by Submit (and SubmitAsync)
+	drv  *Driver         // set by SubmitAsync
+	node topology.NodeID // submitting node, set by SubmitAsync
+
+	// The request's stages as method values, bound on its first
+	// submission and kept: a request reused for later I/Os (one per
+	// fio queue slot) runs them without allocating.
+	submitRun    func() time.Duration // host: block layer, SQE, doorbell
+	submitDone   func()               // the doorbell write leaves the core
+	doorbellDone func()               // the drive sees the doorbell
+	fetchDone    func()               // SQE fetched: media access
+	mediaDone    func()               // media done: data DMA
+	dataDone     func()               // data moved: CQE writeback
+	cqeDone      func()               // CQE written: completion side
+}
+
+// bind prepares the request's stage callbacks once.
+func (r *Request) bind() {
+	if r.cqeDone != nil {
+		return
+	}
+	r.submitRun = r.submitCost
+	r.submitDone = r.ringDoorbell
+	r.doorbellDone = r.arrive
+	r.fetchDone = r.accessMedia
+	r.mediaDone = r.moveData
+	r.dataDone = r.writeCQE
+	r.cqeDone = r.complete
 }
 
 // Latency returns the request's completion latency.
@@ -181,39 +208,47 @@ func (qp *QueuePair) InFlight() int { return qp.inFlight }
 // access, data DMA, CQE writeback, interrupt. The driver has already
 // charged SQE write + doorbell CPU costs.
 func (qp *QueuePair) Submit(req *Request) {
-	c := qp.port.ctrl
-	req.SubmittedAt = c.eng.Now()
+	req.bind()
+	req.SubmittedAt = qp.port.ctrl.eng.Now()
 	req.qp = qp
 	qp.inFlight++
-	qp.sq.DeviceRead(qp.port.ep, 1, func() {
-		// Media access: writes occupy the media longer in proportion to
-		// the bandwidth ratio.
-		bytes := req.Bytes
-		if req.Write {
-			bytes = int64(float64(bytes) * c.params.FlashReadBW / c.params.FlashWriteBW)
-		}
-		lat := c.params.FlashReadLatency
-		if req.Write {
-			lat = c.params.FlashWriteLatency
-		}
-		_ = lat // the flash pipe's base latency covers the read case
-		c.flash.Transfer(bytes, func() {
-			if req.Write {
-				// Data moves host -> drive before the media write; the
-				// order is folded: charge the DMA read now.
-				qp.port.ep.DMARead(req.Buf, req.Bytes, func() { qp.complete(req) })
-			} else {
-				// Read: data moves drive -> host.
-				qp.port.ep.DMAWrite(req.Buf, req.Bytes, func() { qp.complete(req) })
-			}
-		})
-	})
+	qp.sq.DeviceRead(qp.port.ep, 1, req.fetchDone)
 }
 
-// complete writes the CQE; the completion side takes it from there.
-func (qp *QueuePair) complete(req *Request) {
-	qp.port.ep.DMAWrite(qp.cq.Buffer(), qp.port.ctrl.params.DescBytes, func() { qp.Complete(req) })
+// accessMedia runs once the SQE is fetched. Writes occupy the media
+// longer in proportion to the bandwidth ratio; reads and writes alike
+// pay the flash pipe's base latency.
+func (r *Request) accessMedia() {
+	c := r.qp.port.ctrl
+	bytes := r.Bytes
+	if r.Write {
+		bytes = int64(float64(bytes) * c.params.FlashReadBW / c.params.FlashWriteBW)
+	}
+	c.flash.Transfer(bytes, r.mediaDone)
 }
+
+// moveData runs the data DMA once the media access is done.
+func (r *Request) moveData() {
+	ep := r.qp.port.ep
+	if r.Write {
+		// Data moves host -> drive before the media write; the order is
+		// folded: charge the DMA read now.
+		ep.DMARead(r.Buf, r.Bytes, r.dataDone)
+	} else {
+		// Read: data moves drive -> host.
+		ep.DMAWrite(r.Buf, r.Bytes, r.dataDone)
+	}
+}
+
+// writeCQE writes the completion entry; the completion side takes it
+// from there.
+func (r *Request) writeCQE() {
+	qp := r.qp
+	qp.port.ep.DMAWrite(qp.cq.Buffer(), qp.port.ctrl.params.DescBytes, r.cqeDone)
+}
+
+// complete hands the written CQE to the queue pair's completion side.
+func (r *Request) complete() { r.qp.Complete(r) }
 
 // cqeVisible is the accounting as a request's CQE becomes visible to
 // the driver.

@@ -279,6 +279,7 @@ type FluidFlow struct {
 	alloc  float64 // bytes/sec granted
 	bytes  float64 // integrated
 	closed bool
+	sat    bool // out of the water-fill rounds (reallocate's scratch)
 }
 
 // AddFlow registers a fluid flow with the given demand in bytes/sec.
@@ -365,43 +366,51 @@ func (pp *Pipe) reallocate() {
 		capf = 0
 	}
 	// Water-fill the finite-demand flows first, fairly: repeatedly grant
-	// min(demand, equal share) to unsatisfied flows.
+	// min(demand, equal share) to unsatisfied flows, visited in flow
+	// order, each round's share set by the count at its start. The
+	// fill runs in place (sat marks the flows out of the rounds), so
+	// it allocates nothing.
 	remaining := capf
-	unsat := make([]*FluidFlow, 0, len(pp.flows))
-	var elastic []*FluidFlow
+	unsat, elastic := 0, 0
 	for _, f := range pp.flows {
 		f.alloc = 0
+		f.sat = true
 		if math.IsInf(f.demand, 1) {
-			elastic = append(elastic, f)
+			elastic++
 		} else if f.demand > 0 {
-			unsat = append(unsat, f)
+			f.sat = false
+			unsat++
 		}
 	}
-	for len(unsat) > 0 && remaining > 1e-9 {
-		share := remaining / float64(len(unsat)+len(elastic))
+	for unsat > 0 && remaining > 1e-9 {
+		share := remaining / float64(unsat+elastic)
 		progressed := false
-		next := unsat[:0]
-		for _, f := range unsat {
+		for _, f := range pp.flows {
+			if f.sat {
+				continue
+			}
 			want := f.demand - f.alloc
 			grant := math.Min(want, share)
 			f.alloc += grant
 			remaining -= grant
 			if f.alloc < f.demand-1e-9 {
-				next = append(next, f)
-			} else {
-				progressed = true
+				continue
 			}
+			f.sat = true
+			unsat--
+			progressed = true
 		}
-		unsat = next
 		if !progressed {
 			// Everyone is share-limited: grants are final this round.
 			break
 		}
 	}
-	if len(elastic) > 0 && remaining > 0 {
-		share := remaining / float64(len(elastic))
-		for _, f := range elastic {
-			f.alloc = share
+	if elastic > 0 && remaining > 0 {
+		share := remaining / float64(elastic)
+		for _, f := range pp.flows {
+			if math.IsInf(f.demand, 1) {
+				f.alloc = share
+			}
 		}
 	}
 	pp.fluidRate = 0

@@ -262,3 +262,27 @@ func TestRNGDeterminismAndFork(t *testing.T) {
 		t.Fatal("Bernoulli edge cases wrong")
 	}
 }
+
+// TestPipeWaterFillAllocFree guards the in-place water-fill: with
+// finite, zero and elastic flows on the pipe, a discrete transfer and a
+// utilization read at a new instant each re-water-fill without
+// allocating.
+func TestPipeWaterFillAllocFree(t *testing.T) {
+	e := NewEngine()
+	p := newTestPipe(e, 1e9, 100*Nanosecond)
+	p.AddFlow("small", 1e8)
+	p.AddFlow("big", 2e9)
+	p.AddFlow("idle", 0)
+	p.AddFlow("elastic", math.Inf(1))
+	transfer := testing.AllocsPerRun(100, func() {
+		e.RunFor(Microsecond)
+		p.Transfer(1500, nil)
+	})
+	util := testing.AllocsPerRun(100, func() {
+		e.RunFor(Microsecond)
+		p.Utilization()
+	})
+	if transfer != 0 || util != 0 {
+		t.Fatalf("allocs per Transfer %.1f, per Utilization %.1f; want 0", transfer, util)
+	}
+}

@@ -38,9 +38,9 @@ type Fio struct {
 	baseline int64
 }
 
-// StartFio launches the job against the rig's drives. Each in-flight
-// request owns a buffer homed on its thread's node; completions
-// immediately resubmit, keeping the queue depth constant.
+// StartFio launches the job against the rig's drives. Each queue slot
+// owns a buffer homed on its thread's node and one request, which its
+// completion resubmits, keeping the queue depth constant.
 func StartFio(rig *core.StorageRig, cfg FioConfig) *Fio {
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 32
@@ -61,25 +61,21 @@ func StartFio(rig *core.StorageRig, cfg FioConfig) *Fio {
 			for i := range bufs {
 				bufs[i] = rig.Mem().NewBuffer(fmt.Sprintf("fio%d.%d", ti, i), node, cfg.BlockSize)
 			}
-			var resubmit func(slot int)
-			resubmit = func(slot int) {
+			// Prime the queue depth; completions keep it full. The
+			// thread itself then idles (the async engine does the work
+			// from completion context, like io_uring/libaio).
+			for slot, buf := range bufs {
 				drv := drives[(ti+slot)%len(drives)]
 				req := &nvme.Request{
 					Write: cfg.Write,
 					Bytes: cfg.BlockSize,
-					Buf:   bufs[slot],
+					Buf:   buf,
 					OnComplete: func(r *nvme.Request) {
 						w.bytes += r.Bytes
-						resubmit(slot)
+						drv.SubmitAsync(coreID, r)
 					},
 				}
 				drv.SubmitAsync(coreID, req)
-			}
-			// Prime the queue depth; completions keep it full. The
-			// thread itself then idles (the async engine does the work
-			// from completion context, like io_uring/libaio).
-			for slot := 0; slot < cfg.QueueDepth; slot++ {
-				resubmit(slot)
 			}
 		})
 	}

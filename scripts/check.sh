@@ -58,31 +58,36 @@ test -s "$tmp/fuzz.trace.json"
 # thresholds recorded in BENCH_sim.json (the "gate" section), and the
 # busy-poll path within its events/op ceiling: at -benchtime 10x that
 # count is a pure function of the simulation, and idle poll iterations
-# put back on the event heap would multiply it.
+# put back on the event heap would multiply it. The remote Rx path is
+# the run whose completion reads miss one at a time (§5.1.1).
 evr_max="$(sed -n 's/.*"BenchmarkSimulatorEventRate_max_allocs_per_op": *\([0-9]*\).*/\1/p' BENCH_sim.json)"
 pp_max="$(sed -n 's/.*"BenchmarkPacketPath_max_allocs_per_op": *\([0-9]*\).*/\1/p' BENCH_sim.json)"
+rr_max="$(sed -n 's/.*"BenchmarkRemoteRxPath_max_allocs_per_op": *\([0-9]*\).*/\1/p' BENCH_sim.json)"
 bp_max="$(sed -n 's/.*"BenchmarkBusyPollPath_max_allocs_per_op": *\([0-9]*\).*/\1/p' BENCH_sim.json)"
 bp_ev_max="$(sed -n 's/.*"BenchmarkBusyPollPath_max_events_per_op": *\([0-9]*\).*/\1/p' BENCH_sim.json)"
-if test -z "$evr_max" || test -z "$pp_max" || test -z "$bp_max" || test -z "$bp_ev_max"; then
+if test -z "$evr_max" || test -z "$pp_max" || test -z "$rr_max" || test -z "$bp_max" || test -z "$bp_ev_max"; then
     echo "check.sh: BENCH_sim.json is missing its gate keys" \
         "(BenchmarkSimulatorEventRate_max_allocs_per_op," \
         "BenchmarkPacketPath_max_allocs_per_op," \
+        "BenchmarkRemoteRxPath_max_allocs_per_op," \
         "BenchmarkBusyPollPath_max_allocs_per_op," \
         "BenchmarkBusyPollPath_max_events_per_op); regenerate with" \
         "'make bench' and restore the gate section" >&2
     exit 1
 fi
-go test -run '^$' -bench 'BenchmarkPacketPath$|BenchmarkBusyPollPath$|BenchmarkSimulatorEventRate$' -benchtime 10x -benchmem . | tee "$tmp/bench.txt"
-awk -v evr_max="$evr_max" -v pp_max="$pp_max" -v bp_max="$bp_max" -v bp_ev_max="$bp_ev_max" '
+go test -run '^$' -bench 'BenchmarkPacketPath$|BenchmarkRemoteRxPath$|BenchmarkBusyPollPath$|BenchmarkSimulatorEventRate$' -benchtime 10x -benchmem . | tee "$tmp/bench.txt"
+awk -v evr_max="$evr_max" -v pp_max="$pp_max" -v rr_max="$rr_max" -v bp_max="$bp_max" -v bp_ev_max="$bp_ev_max" '
   /^BenchmarkSimulatorEventRate(-|[ \t])/ { seen_evr = 1; a = $(NF-1) + 0
     if (a > evr_max) { printf "bench gate: SimulatorEventRate %d allocs/op > %d\n", a, evr_max; bad = 1 } }
   /^BenchmarkPacketPath/ { seen_pp = 1; a = $(NF-1) + 0
     if (a > pp_max) { printf "bench gate: PacketPath %d allocs/op > %d\n", a, pp_max; bad = 1 } }
+  /^BenchmarkRemoteRxPath/ { seen_rr = 1; a = $(NF-1) + 0
+    if (a > rr_max) { printf "bench gate: RemoteRxPath %d allocs/op > %d\n", a, rr_max; bad = 1 } }
   /^BenchmarkBusyPollPath/ { seen_bp = 1; a = $(NF-1) + 0
     if (a > bp_max) { printf "bench gate: BusyPollPath %d allocs/op > %d\n", a, bp_max; bad = 1 }
     for (i = 2; i <= NF; i++) if ($i == "events/op") { seen_bp_ev = 1; ev = $(i-1) + 0 }
     if (ev > bp_ev_max) { printf "bench gate: BusyPollPath %d events/op > %d\n", ev, bp_ev_max; bad = 1 } }
   END {
-    if (!seen_evr || !seen_pp || !seen_bp || !seen_bp_ev) { print "bench gate: benchmark output missing"; bad = 1 }
+    if (!seen_evr || !seen_pp || !seen_rr || !seen_bp || !seen_bp_ev) { print "bench gate: benchmark output missing"; bad = 1 }
     exit bad
   }' "$tmp/bench.txt"
