@@ -197,12 +197,11 @@ func FuzzWaterFill(f *testing.F) {
 			case wfQuery:
 				p.Utilization()
 			}
-			// A transfer bumps the rate estimate after the pipe
-			// re-water-filled at this instant. Every other operation
-			// fills last, or, as Charge does, leaves the fill to the
-			// next read, at the current estimate.
+			// A transfer or a charge bumps the rate estimate after the
+			// pipe re-water-filled at this instant. Every other
+			// operation fills last, at the current estimate.
 			disc := before
-			if op != wfTransfer {
+			if op != wfTransfer && op != wfCharge {
 				disc = p.DiscreteRate()
 			}
 			want := make([]*oracleFlow, len(live))
