@@ -245,11 +245,14 @@ func (pp *Pipe) Transfer(bytes int64, done func()) Time {
 // the FIFO. Use it for resources that serve many initiators concurrently
 // (memory controllers, coherence fabrics) where contention should appear
 // as latency inflation rather than strict serialization; price the access
-// separately with Latency.
+// separately with Latency. Like Transfer, it water-fills the fluid flows
+// at the estimate from before its bytes, so which of the two carried
+// them does not change the fluid shares.
 func (pp *Pipe) Charge(bytes int64) {
 	if bytes <= 0 {
 		return
 	}
+	pp.integrateFluid()
 	now := pp.eng.Now()
 	pp.bumpDiscRate(now, float64(bytes))
 	pp.discreteBytes += float64(bytes)
