@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 
 	"ioctopus/internal/core"
@@ -75,25 +74,6 @@ type streamState struct {
 	tx, rx int64
 }
 
-// runErrs collects workload failures from both hosts' threads. It is
-// mutex-guarded for the same reason as workloads.errList.
-type runErrs struct {
-	mu   sync.Mutex
-	errs []string
-}
-
-func (re *runErrs) add(format string, args ...any) {
-	re.mu.Lock()
-	re.errs = append(re.errs, fmt.Sprintf(format, args...))
-	re.mu.Unlock()
-}
-
-func (re *runErrs) all() []string {
-	re.mu.Lock()
-	defer re.mu.Unlock()
-	return append([]string(nil), re.errs...)
-}
-
 // pctT renders a percent-of-timeline instant as a window label: "0.30T",
 // or plain "T" at the end of the run.
 func pctT(pct int) string {
@@ -118,7 +98,7 @@ type specRun struct {
 	streams    []*streamState
 	netperfs   []*workloads.Stream
 	memcacheds []*workloads.Memcached
-	errs       runErrs
+	errs       workloads.ErrList
 }
 
 // simulate assembles the cluster a valid spec describes, attaches its
@@ -327,7 +307,7 @@ func (run *specRun) report(sp *scenario.Spec, d Durations) *Result {
 	// Declarative checks, in spec order.
 	inFlightBound := run.stack.SendWindow + run.stack.RxBufBytes
 	netperfs, memcacheds := run.netperfs, run.memcacheds
-	workloadErrs := run.errs.all()
+	workloadErrs := run.errs.All()
 	for i := range sim2.Workloads {
 		if netperfs[i] != nil {
 			workloadErrs = append(workloadErrs, netperfs[i].Errors()...)
@@ -404,7 +384,7 @@ func (run *specRun) report(sp *scenario.Spec, d Durations) *Result {
 // startStream wires one raw-stream workload: a Listen+sink thread on
 // the receiving host and a Dial+send loop on the transmitting host,
 // with explicit core placement from the spec.
-func startStream(cl *core.Cluster, idx int, w scenario.WorkloadSpec, st *streamState, errs *runErrs) {
+func startStream(cl *core.Cluster, idx int, w scenario.WorkloadSpec, st *streamState, errs *workloads.ErrList) {
 	sinkHost, srcHost := cl.Server, cl.Client
 	dialIP := core.IPServerPF0
 	if w.FromServer {
@@ -429,7 +409,7 @@ func startStream(cl *core.Cluster, idx int, w scenario.WorkloadSpec, st *streamS
 	srcHost.Kernel.Spawn(w.SrcName, srcCore, func(th *kernel.Thread) {
 		sock, err := srcHost.Stack.Dial(th, dialIP, w.Port, eth.ProtoTCP)
 		if err != nil {
-			errs.add("workload %d (%s): dial: %v", idx, w.SrcName, err)
+			errs.Add("workload %d (%s): dial: %v", idx, w.SrcName, err)
 			return
 		}
 		for {

@@ -79,7 +79,7 @@ type Memcached struct {
 	txns     uint64
 	baseline uint64
 	slab     *memsys.Buffer
-	errs     errList
+	errs     ErrList
 }
 
 // StartMemcached launches server and clients.
@@ -143,7 +143,7 @@ func StartMemcached(cl *core.Cluster, cfg MemcachedConfig) *Memcached {
 		cl.Client.Kernel.Spawn("memslap", coreID, func(th *kernel.Thread) {
 			sock, err := cl.Client.Stack.Dial(th, cfg.ServerIP, cfg.Port, eth.ProtoTCP)
 			if err != nil {
-				w.errs.add("memslap instance %d: %v", i, err)
+				w.errs.Add("memslap instance %d: %v", i, err)
 				return
 			}
 			rng := cl.RNG.Fork(int64(i))
@@ -188,4 +188,4 @@ func (w *Memcached) MeasureStart() { w.baseline = w.txns }
 func (w *Memcached) Transactions() uint64 { return w.txns - w.baseline }
 
 // Errors returns failures recorded by the workload's goroutines.
-func (w *Memcached) Errors() []string { return w.errs.all() }
+func (w *Memcached) Errors() []string { return w.errs.All() }

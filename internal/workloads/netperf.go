@@ -19,25 +19,27 @@ import (
 	"ioctopus/internal/topology"
 )
 
-// errList collects workload-goroutine failures (a Dial refused because
+// ErrList collects workload-goroutine failures (a Dial refused because
 // the run's fault plan or topology broke the path) so the harness can
 // fail the run's checks instead of the goroutine crashing the process.
-// It is mutex-guarded: a workload's dialing threads all run on their
+// The workloads here and the spec runner's raw streams share it. It is
+// mutex-guarded: a workload's dialing threads all run on their
 // cluster's one goroutine, but cheap safety here beats an invariant
 // comment three packages away.
-type errList struct {
+type ErrList struct {
 	mu   sync.Mutex
 	errs []string
 }
 
-func (el *errList) add(format string, args ...any) {
+// Add records one failure.
+func (el *ErrList) Add(format string, args ...any) {
 	el.mu.Lock()
 	el.errs = append(el.errs, fmt.Sprintf(format, args...))
 	el.mu.Unlock()
 }
 
-// all returns the recorded failures, oldest first.
-func (el *errList) all() []string {
+// All returns the recorded failures, oldest first.
+func (el *ErrList) All() []string {
 	el.mu.Lock()
 	defer el.mu.Unlock()
 	return append([]string(nil), el.errs...)
@@ -91,7 +93,7 @@ type Stream struct {
 	received []int64 // per instance, measured at the receiving app
 	baseline []int64
 	servers  []*kernel.Thread // per instance, the server-side thread
-	errs     errList
+	errs     ErrList
 }
 
 // StartStream launches the instances. Call MeasureStart after warmup
@@ -137,7 +139,7 @@ func StartStream(cl *core.Cluster, cfg StreamConfig) *Stream {
 			cl.Client.Kernel.Spawn("netperf", cfg.ClientCores[i], func(th *kernel.Thread) {
 				sock, err := cl.Client.Stack.Dial(th, cfg.ServerIP, port, eth.ProtoTCP)
 				if err != nil {
-					w.errs.add("netperf instance %d: %v", i, err)
+					w.errs.Add("netperf instance %d: %v", i, err)
 					return
 				}
 				for {
@@ -165,7 +167,7 @@ func StartStream(cl *core.Cluster, cfg StreamConfig) *Stream {
 			w.servers[i] = cl.Server.Kernel.Spawn("netperf", cfg.ServerCores[i], func(th *kernel.Thread) {
 				sock, err := cl.Server.Stack.Dial(th, core.IPClient, port, eth.ProtoTCP)
 				if err != nil {
-					w.errs.add("netperf instance %d: %v", i, err)
+					w.errs.Add("netperf instance %d: %v", i, err)
 					return
 				}
 				for {
@@ -200,7 +202,7 @@ func (w *Stream) Bytes() int64 {
 // Errors returns failures recorded by the workload's goroutines (a
 // refused Dial, a missing route); a non-empty list must fail the run's
 // checks. Read it after the simulation window, not mid-run.
-func (w *Stream) Errors() []string { return w.errs.all() }
+func (w *Stream) Errors() []string { return w.errs.All() }
 
 // RRConfig configures a netperf TCP_RR (request/response) instance.
 type RRConfig struct {
@@ -216,7 +218,7 @@ type RRConfig struct {
 type RR struct {
 	Hist      *metrics.Histogram
 	measuring bool
-	errs      errList
+	errs      ErrList
 }
 
 // StartRR launches the ping-pong pair. Call MeasureStart after warmup;
@@ -244,7 +246,7 @@ func StartRR(cl *core.Cluster, cfg RRConfig) *RR {
 	cl.Client.Kernel.Spawn("rr-client", cfg.ClientCore, func(th *kernel.Thread) {
 		sock, err := cl.Client.Stack.Dial(th, cfg.ServerIP, cfg.Port, cfg.Proto)
 		if err != nil {
-			w.errs.add("rr client: %v", err)
+			w.errs.Add("rr client: %v", err)
 			return
 		}
 		for {
@@ -279,4 +281,4 @@ func (w *RR) Transactions() int { return w.Hist.Count() }
 func (w *RR) Mean() time.Duration { return w.Hist.Mean() }
 
 // Errors returns failures recorded by the workload's goroutines.
-func (w *RR) Errors() []string { return w.errs.all() }
+func (w *RR) Errors() []string { return w.errs.All() }
