@@ -55,36 +55,3 @@ func TestSetParallelismClamps(t *testing.T) {
 		t.Fatalf("Parallelism() = %d, want 1", Parallelism())
 	}
 }
-
-// TestFig9Deterministic guards both halves of the performance overhaul:
-// the engine's value-heap rewrite (same run twice must render
-// identically) and the parallel point-runner (a fanned-out run must
-// render identically to the serial one, bit for bit).
-func TestFig9Deterministic(t *testing.T) {
-	old := Parallelism()
-	defer SetParallelism(old)
-	d := Quick()
-
-	SetParallelism(1)
-	serial1, err := Run("fig9", d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial2, err := Run("fig9", d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serial1.Render() != serial2.Render() {
-		t.Fatalf("two serial fig9 runs differ:\n--- first\n%s\n--- second\n%s",
-			serial1.Render(), serial2.Render())
-	}
-
-	SetParallelism(8)
-	par, err := Run("fig9", d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := par.Render(), serial1.Render(); got != want {
-		t.Fatalf("parallel fig9 differs from serial:\n--- parallel\n%s\n--- serial\n%s", got, want)
-	}
-}

@@ -91,37 +91,3 @@ func TestValidateReportRejectsMalformed(t *testing.T) {
 		t.Fatal("garbage input validated")
 	}
 }
-
-// TestRegistrySnapshotsDeterministic: the canonical smoke run produces
-// one snapshot per NIC mode, sees real traffic, and is bit-stable
-// across repetitions (the report is diffable).
-func TestRegistrySnapshotsDeterministic(t *testing.T) {
-	d := Quick()
-	a := RegistrySnapshots(d)
-	if len(a) != 2 {
-		t.Fatalf("snapshots = %d, want 2 (standard, ioctopus)", len(a))
-	}
-	if a[0].Mode != "standard" || a[1].Mode != "ioctopus" {
-		t.Fatalf("modes = %q, %q", a[0].Mode, a[1].Mode)
-	}
-	for _, rs := range a {
-		if rs.SimSeconds <= 0 || len(rs.Samples) == 0 {
-			t.Fatalf("snapshot %q empty: %+v", rs.Mode, rs)
-		}
-		found := false
-		for _, s := range rs.Samples {
-			if s.Name == "server/nic/pf0/rx_bytes" && s.Value > 0 {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("snapshot %q saw no server rx traffic", rs.Mode)
-		}
-	}
-	b := RegistrySnapshots(d)
-	ja, _ := json.Marshal(a)
-	jb, _ := json.Marshal(b)
-	if !bytes.Equal(ja, jb) {
-		t.Fatal("registry snapshots are not deterministic across runs")
-	}
-}

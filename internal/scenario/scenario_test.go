@@ -12,9 +12,8 @@ import (
 	"ioctopus/internal/scenario"
 )
 
-// chaosTestDurations matches the reduced timeline the experiments
-// package's own chaos determinism test uses: long enough for failover
-// and retransmission to play out, short enough for CI.
+// chaosTestDurations is a reduced chaos timeline: long enough for
+// failover and retransmission to play out, short enough for CI.
 func chaosTestDurations() experiments.Durations {
 	return experiments.Durations{
 		Timeline:    200 * time.Millisecond,
@@ -100,28 +99,15 @@ func FuzzParse(f *testing.F) {
 }
 
 // TestGenerateDeterministic: the generator is a pure function of its
-// seed, and so is a full run of what it generates.
+// seed. That a run of what it generates is one too is held by
+// TestJSONRoundTrip/generated (two runs of one spec in one process) and
+// by scripts/check.sh (two processes over seeds 1-8).
 func TestGenerateDeterministic(t *testing.T) {
 	if !reflect.DeepEqual(scenario.Generate(3), scenario.Generate(3)) {
 		t.Fatal("Generate(3) differs between calls")
 	}
 	if reflect.DeepEqual(scenario.Generate(3), scenario.Generate(4)) {
 		t.Fatal("different seeds produced identical specs")
-	}
-	if testing.Short() {
-		t.Skip("double fuzz run takes a few seconds")
-	}
-	sp := scenario.Generate(3)
-	a, err := experiments.RunSpec(sp, experiments.FuzzDurations())
-	if err != nil {
-		t.Fatalf("run 1: %v", err)
-	}
-	b, err := experiments.RunSpec(scenario.Generate(3), experiments.FuzzDurations())
-	if err != nil {
-		t.Fatalf("run 2: %v", err)
-	}
-	if a.Render() != b.Render() {
-		t.Fatal("same-seed fuzz runs are not byte-identical")
 	}
 }
 

@@ -1,10 +1,18 @@
 #!/bin/sh
-# Full verification gate: gofmt, vet, build, race-check the packages
-# whose code runs on concurrent goroutines under the parallel point
-# runner, then the whole suite, then an end-to-end JSON report whose
-# schema is validated before it is written (writeReport re-runs
-# ValidateReport) and golden-checked by the experiments tests. CI and
-# `make check` both run this.
+# Full verification gate. CI and `make check` both run this. It proves:
+#   - gofmt would rewrite no file, go vet is clean and everything builds;
+#   - octolint finds nothing (determinism, pool leases, metric names);
+#   - the packages that run clusters on concurrent goroutines are free
+#     of data races, with every figure runner run concurrently once;
+#   - the whole suite passes, and with it every figure's shape checks
+#     and the all_quick and hidden_quick goldens (text and JSON);
+#   - an end-to-end JSON report validates against its schema
+#     (writeReport re-runs ValidateReport before it writes);
+#   - a pinned batch of generated scenarios passes its invariants,
+#     replays byte-identically in a second process, and tracing it
+#     changes nothing it prints;
+#   - the packet, remote Rx, busy-poll and event-rate benchmarks stay
+#     within BENCH_sim.json's allocs/op and events/op gates.
 set -eux
 
 cd "$(dirname "$0")/.."
@@ -29,7 +37,13 @@ go run ./cmd/octolint
 # fallback tests exercise the recovery timers under the race detector.
 # internal/kernel carries the event-driven core dispatcher's contract
 # tests, and internal/core the cluster Drain-without-run leak test.
-go test -race ./internal/sim/... ./internal/metrics/... ./internal/experiments/... ./internal/faults/... ./internal/driver/... ./internal/kernel/... ./internal/core/...
+# TestFiguresMatchGolden/all_quick is the one concurrent run of every
+# figure runner here: the test fans points over at least 8 workers
+# itself. Its hidden_quick row (chaos, pmd, devchaos) is skipped: it
+# took 69 s under -race on the 2-core host, and its harnesses fan out
+# through the same point runner. Chaos still runs here, in
+# TestTracedRunRendersSameText; go test ./... below runs the row.
+go test -race -skip 'TestFiguresMatchGolden/hidden_quick' ./internal/sim/... ./internal/metrics/... ./internal/experiments/... ./internal/faults/... ./internal/driver/... ./internal/kernel/... ./internal/core/...
 go test ./...
 
 # JSON schema gate: emit a real report and require it to validate.
@@ -39,19 +53,17 @@ go run ./cmd/ioctobench -fig fig2 -quick -json "$tmp/report.json" > "$tmp/report
 test -s "$tmp/report.json"
 
 # The hidden chaos, pmd and devchaos harnesses are pinned, text and
-# JSON, by TestFiguresMatchGolden's hidden_quick golden in the suite
-# above; a golden pins identity, which implies run-to-run determinism.
+# JSON, by TestFiguresMatchGolden's hidden_quick golden in go test
+# ./... above; a golden pins identity, which implies run-to-run
+# determinism.
 
 # Fuzz smoke gate: a pinned batch of generated scenarios must pass all
-# declared invariants (exit 0) and replay byte-identically on a second
-# run.
-go run ./cmd/ioctobench -fuzz 8 -seed 1 > "$tmp/fuzz1.txt"
-go run ./cmd/ioctobench -fuzz 8 -seed 1 > "$tmp/fuzz2.txt"
-cmp "$tmp/fuzz1.txt" "$tmp/fuzz2.txt"
-# Trace gate: tracing only observes, so a traced third run prints the
-# same text, and it must write a trace.
-go run ./cmd/ioctobench -fuzz 8 -seed 1 -trace "$tmp/fuzz.trace.json" > "$tmp/fuzz3.txt"
-cmp "$tmp/fuzz1.txt" "$tmp/fuzz3.txt"
+# declared invariants (exit 0). A traced second run must print the same
+# text and write a trace. That one cmp is the replay check: a second
+# process reproduces the batch byte for byte, and tracing only observes.
+go run ./cmd/ioctobench -fuzz 8 -seed 1 > "$tmp/fuzz.txt"
+go run ./cmd/ioctobench -fuzz 8 -seed 1 -trace "$tmp/fuzz.trace.json" > "$tmp/fuzz-traced.txt"
+cmp "$tmp/fuzz.txt" "$tmp/fuzz-traced.txt"
 test -s "$tmp/fuzz.trace.json"
 
 # Bench gate: the packet-path benchmarks must stay within the allocs/op
