@@ -105,16 +105,6 @@ func main() {
 		d = ioctopus.QuickDurations()
 	}
 
-	if *scenarioArg != "" || *fuzzN > 0 {
-		runScenarios(*scenarioArg, *fuzzN, *seed, d, *out, *tracePath)
-		return
-	}
-
-	ids := []string{*fig}
-	if *fig == "all" {
-		ids = ioctopus.ExperimentIDs()
-	}
-
 	stopProfiling := func() {}
 	if *profDir != "" {
 		stop, err := startProfiling(*profDir)
@@ -123,6 +113,16 @@ func main() {
 			os.Exit(2)
 		}
 		stopProfiling = stop
+	}
+
+	if *scenarioArg != "" || *fuzzN > 0 {
+		runScenarios(*scenarioArg, *fuzzN, *seed, d, *out, *tracePath, stopProfiling)
+		return
+	}
+
+	ids := []string{*fig}
+	if *fig == "all" {
+		ids = ioctopus.ExperimentIDs()
 	}
 
 	results, err := runAll(ids, d, *parallel)
@@ -175,7 +175,8 @@ func emit(text, out string) {
 // the fuzz durations, one at a time, and exits nonzero when any check
 // fails — the same contract as figure runs. With a trace path every
 // scenario records into one tracer, written before the exit status.
-func runScenarios(name string, fuzzN int, seed int64, d ioctopus.Durations, out, tracePath string) {
+// stopProfiling runs before the output is emitted.
+func runScenarios(name string, fuzzN int, seed int64, d ioctopus.Durations, out, tracePath string, stopProfiling func()) {
 	var specs []*ioctopus.Scenario
 	if name != "" {
 		sp, err := ioctopus.LoadScenario(name)
@@ -216,6 +217,7 @@ func runScenarios(name string, fuzzN int, seed int64, d ioctopus.Durations, out,
 		}
 		fmt.Fprintf(os.Stderr, "wrote %s\n", tracePath)
 	}
+	stopProfiling()
 	emit(b.String(), out)
 	if failed > 0 {
 		fmt.Fprintf(os.Stderr, "%d scenario(s) had failing checks\n", failed)

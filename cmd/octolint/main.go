@@ -2,13 +2,12 @@
 // it loads every package in the module with the stdlib toolchain
 // (go/parser + go/types, no external dependencies) and applies the
 // octolint analyzer suite (internal/lint/analyzers), which enforces at
-// compile time the invariants the simulator otherwise defends with
-// runtime panics and the double-run byte-identity gates in
-// scripts/check.sh.
+// compile time the invariants no run of the simulator reliably
+// catches: seeded determinism, metric naming and writes never read.
 //
-// Usage:
+// Usage, from anywhere inside the module:
 //
-//	octolint [-rules a,b,...] [-list]
+//	octolint
 //
 // Findings print one per line as file:line:col: [rule] message and set
 // exit status 1; loader or internal errors set status 2. Justified
@@ -25,7 +24,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"ioctopus/internal/lint"
@@ -33,65 +31,21 @@ import (
 )
 
 func main() {
-	rules := flag.String("rules", "", "comma-separated analyzer names to run (default: all)")
-	list := flag.Bool("list", false, "list the available analyzers and exit")
 	flag.Parse()
-
-	suite := analyzers.All()
-	if *list {
-		for _, a := range suite {
-			fmt.Printf("%-16s %s\n", a.Name, a.Doc)
-		}
-		return
-	}
-	if *rules != "" {
-		wanted := map[string]bool{}
-		for _, r := range strings.Split(*rules, ",") {
-			wanted[strings.TrimSpace(r)] = true
-		}
-		var filtered []*lint.Analyzer
-		for _, a := range suite {
-			if wanted[a.Name] {
-				filtered = append(filtered, a)
-				delete(wanted, a.Name)
-			}
-		}
-		if len(wanted) > 0 {
-			var unknown []string
-			for r := range wanted {
-				unknown = append(unknown, r)
-			}
-			sort.Strings(unknown)
-			fmt.Fprintf(os.Stderr, "octolint: unknown rule(s): %s (see -list)\n", strings.Join(unknown, ", "))
-			os.Exit(2)
-		}
-		suite = filtered
-	}
-
-	root, err := moduleRoot()
+	loader, err := lint.NewLoader()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "octolint: %v\n", err)
-		os.Exit(2)
+		fail(err)
 	}
-	// The source importer resolves intra-module imports through the go
-	// tool, which needs the working directory inside the module.
-	if err := os.Chdir(root); err != nil {
-		fmt.Fprintf(os.Stderr, "octolint: %v\n", err)
-		os.Exit(2)
-	}
-
-	pkgs, err := lint.NewLoader().LoadModule(root)
+	pkgs, err := loader.LoadModule()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "octolint: %v\n", err)
-		os.Exit(2)
+		fail(err)
 	}
-	diags, err := lint.Run(pkgs, suite)
+	diags, err := lint.Run(pkgs, analyzers.All())
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "octolint: %v\n", err)
-		os.Exit(2)
+		fail(err)
 	}
 	for _, d := range diags {
-		if rel, rerr := filepath.Rel(root, d.Pos.Filename); rerr == nil && !strings.HasPrefix(rel, "..") {
+		if rel, rerr := filepath.Rel(loader.Root, d.Pos.Filename); rerr == nil && !strings.HasPrefix(rel, "..") {
 			d.Pos.Filename = rel
 		}
 		fmt.Println(d)
@@ -102,21 +56,7 @@ func main() {
 	}
 }
 
-// moduleRoot walks up from the working directory to the enclosing
-// go.mod.
-func moduleRoot() (string, error) {
-	dir, err := os.Getwd()
-	if err != nil {
-		return "", err
-	}
-	for {
-		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
-			return dir, nil
-		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			return "", fmt.Errorf("no go.mod above the working directory; run octolint inside the module")
-		}
-		dir = parent
-	}
+func fail(err error) {
+	fmt.Fprintf(os.Stderr, "octolint: %v\n", err)
+	os.Exit(2)
 }

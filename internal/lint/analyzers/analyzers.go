@@ -1,9 +1,7 @@
 // Package analyzers holds the octolint rules: repo-specific static
-// checks that enforce, at compile time, the invariants the simulator
-// otherwise defends with runtime panics and double-run byte-identity
-// gates (scripts/check.sh). Each analyzer's Doc names the runtime
-// failure it front-runs; DESIGN.md §"Statically enforced invariants"
-// is the prose version.
+// checks for the invariants no run of the simulator reliably catches:
+// seeded determinism, metric naming and writes that are never read.
+// DESIGN.md §"Statically enforced invariants" is the prose version.
 package analyzers
 
 import (
@@ -17,9 +15,7 @@ import (
 func All() []*lint.Analyzer {
 	return []*lint.Analyzer{
 		SimDeterminism,
-		PoolRecycle,
 		MetricNames,
-		Shadow,
 		UnusedWrite,
 	}
 }

@@ -23,16 +23,8 @@ func TestSimDeterminismRNGHome(t *testing.T) {
 	linttest.Run(t, fixture("simdeterminism", "sim"), "ioctopus/internal/sim", analyzers.SimDeterminism)
 }
 
-func TestPoolRecycle(t *testing.T) {
-	linttest.Run(t, fixture("poolrecycle", "a"), "fixture/poolrecycle", analyzers.PoolRecycle)
-}
-
 func TestMetricNames(t *testing.T) {
 	linttest.Run(t, fixture("metricnames", "a"), "fixture/metricnames", analyzers.MetricNames)
-}
-
-func TestShadow(t *testing.T) {
-	linttest.Run(t, fixture("shadow", "a"), "fixture/shadow", analyzers.Shadow)
 }
 
 func TestUnusedWrite(t *testing.T) {

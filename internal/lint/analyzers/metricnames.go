@@ -14,13 +14,12 @@ import (
 // the '/'-namespaced keys of the JSON report schema, so they must be
 // compile-time constants — either a constant string or fmt.Sprintf
 // with a constant format — lowercase, and composed of [a-z0-9_]
-// segments separated by '/'. Statically identical registrations on the
-// same registrar within one function are reported as duplicates,
-// front-running the registry's "duplicate metric" panic, which
-// otherwise only fires for wirings a test happens to assemble.
+// segments separated by '/'. No runtime check validates a name, and a
+// golden is updated along with a new metric, so this rule is the only
+// guard. Duplicates need none here: the registry panics on one at the
+// cluster build every run performs.
 var MetricNames = &lint.Analyzer{
 	Name: "metricnames",
-	Doc:  "metric names must be constant, lowercase, '/'-namespaced, and not duplicated",
 	Run:  runMetricNames,
 }
 
@@ -39,13 +38,7 @@ var metricSegment = regexp.MustCompile(`^[a-z0-9_]+$`)
 var sprintfVerb = regexp.MustCompile(`%[-+ #0]*[0-9*]*(\.[0-9*]+)?[a-zA-Z]`)
 
 func runMetricNames(pass *lint.Pass) error {
-	type regKey struct {
-		recv string // receiver expression, printed
-		name string
-		kind string // Counter/Gauge vs Scope namespaces are disjoint
-	}
 	forEachFunc(pass, func(fd *ast.FuncDecl) {
-		seen := map[regKey]bool{}
 		ast.Inspect(fd.Body, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok || len(call.Args) == 0 {
@@ -64,24 +57,14 @@ func runMetricNames(pass *lint.Pass) error {
 				var viaSprintf bool
 				name, viaSprintf = sprintfConstFormat(pass, arg)
 				if !viaSprintf {
-					pass.Reportf(arg.Pos(), "metric %s name must be a constant string (or fmt.Sprintf of one); dynamic names defeat static duplicate checking and stable report keys", sel.Sel.Name)
+					pass.Reportf(arg.Pos(), "metric %s name must be a constant string (or fmt.Sprintf of one); dynamic names defeat stable report keys", sel.Sel.Name)
 					return true
 				}
 				name = sprintfVerb.ReplaceAllString(name, "0")
 			}
 			if !validMetricName(name) {
 				pass.Reportf(arg.Pos(), "metric name %q must be lowercase [a-z0-9_] segments separated by '/'", name)
-				return true
 			}
-			kind := "metric"
-			if sel.Sel.Name == "Scope" {
-				kind = "scope"
-			}
-			key := regKey{recv: exprString(pass, sel.X), name: name, kind: kind}
-			if kind == "metric" && seen[key] {
-				pass.Reportf(arg.Pos(), "metric %q registered twice on %s in this function; the registry panics on duplicates", name, key.recv)
-			}
-			seen[key] = true
 			return true
 		})
 	})
@@ -124,35 +107,4 @@ func validMetricName(name string) bool {
 		}
 	}
 	return true
-}
-
-// exprString renders a (short) expression for use in a diagnostic and
-// as a duplicate-detection key.
-func exprString(pass *lint.Pass, expr ast.Expr) string {
-	start := pass.Fset.Position(expr.Pos())
-	end := pass.Fset.Position(expr.End())
-	if start.Filename != end.Filename || start.Line != end.Line {
-		return "<registrar>"
-	}
-	var sb strings.Builder
-	printExpr(&sb, expr)
-	return sb.String()
-}
-
-// printExpr is a minimal expression printer covering the receiver
-// shapes registrars take (identifiers, selector chains, calls).
-func printExpr(sb *strings.Builder, expr ast.Expr) {
-	switch e := ast.Unparen(expr).(type) {
-	case *ast.Ident:
-		sb.WriteString(e.Name)
-	case *ast.SelectorExpr:
-		printExpr(sb, e.X)
-		sb.WriteByte('.')
-		sb.WriteString(e.Sel.Name)
-	case *ast.CallExpr:
-		printExpr(sb, e.Fun)
-		sb.WriteString("(…)")
-	default:
-		sb.WriteString("<expr>")
-	}
 }

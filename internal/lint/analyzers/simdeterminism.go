@@ -24,7 +24,6 @@ import (
 //     before use.
 var SimDeterminism = &lint.Analyzer{
 	Name: "simdeterminism",
-	Doc:  "forbid wall-clock time, global math/rand, and order-leaking map iteration in model code",
 	Run:  runSimDeterminism,
 }
 

@@ -22,7 +22,6 @@ import (
 // position order stops implying execution order there.
 var UnusedWrite = &lint.Analyzer{
 	Name: "unusedwrite",
-	Doc:  "report writes to local variables that are never read",
 	Run:  runUnusedWrite,
 }
 

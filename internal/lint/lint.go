@@ -1,11 +1,12 @@
 // Package lint is a dependency-light static-analysis framework for this
 // repository: the stdlib (go/parser + go/types) analog of
 // golang.org/x/tools/go/analysis, which the module deliberately does not
-// depend on. It exists to front-run, at compile time, the invariants the
-// simulator otherwise enforces with runtime panics and double-run
-// byte-identity gates: determinism (no wall clock, no global RNG, no
-// ordering leaks out of map iteration), packet-pool lease discipline,
-// and metric naming.
+// depend on. It enforces, at compile time, the invariants no run of the
+// simulator reliably catches: determinism (no wall clock, no global
+// RNG, no ordering leaks out of map iteration), which a golden shows
+// only as a flake; metric naming, which no runtime check validates;
+// and writes that are never read, which no run sees on a branch it
+// does not take.
 //
 // An Analyzer inspects one type-checked package at a time through a
 // Pass and reports Diagnostics. The Runner applies a set of analyzers
@@ -32,9 +33,6 @@ type Analyzer struct {
 	// Name identifies the rule in output lines and allow directives
 	// (lowercase, no spaces).
 	Name string
-	// Doc is a one-paragraph description: what the rule enforces and
-	// which runtime failure it front-runs.
-	Doc string
 	// Run performs the analysis. An error aborts the whole run (loader
 	// or internal failures only — findings are diagnostics, not errors).
 	Run func(*Pass) error
@@ -126,20 +124,6 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 
 // --- shared type/AST helpers used by the analyzers ---
 
-// IsNamedType reports whether t (after unwrapping pointers and aliases)
-// is the named type pkgPath.name.
-func IsNamedType(t types.Type, pkgPath, name string) bool {
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == pkgPath && obj.Name() == name
-}
-
 // CalleeObject resolves the function or method object a call invokes,
 // or nil for indirect calls, builtins, and type conversions.
 func CalleeObject(info *types.Info, call *ast.CallExpr) types.Object {
@@ -167,20 +151,6 @@ func IsPkgFunc(obj types.Object, pkgPath, name string) bool {
 	}
 	sig, ok := fn.Type().(*types.Signature)
 	return ok && sig.Recv() == nil
-}
-
-// MethodOn reports whether obj is a method named name whose receiver
-// (after unwrapping the pointer) is pkgPath.typeName.
-func MethodOn(obj types.Object, pkgPath, typeName, name string) bool {
-	fn, ok := obj.(*types.Func)
-	if !ok || fn.Name() != name {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return false
-	}
-	return IsNamedType(sig.Recv().Type(), pkgPath, typeName)
 }
 
 // ConstString returns the compile-time string value of expr, if it has

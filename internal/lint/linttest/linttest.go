@@ -45,7 +45,10 @@ type expectation struct {
 // ioctopus/internal/sim).
 func Run(t *testing.T, dir, importPath string, analyzers ...*lint.Analyzer) {
 	t.Helper()
-	loader := lint.NewLoader()
+	loader, err := lint.NewLoader()
+	if err != nil {
+		t.Fatalf("finding the module root: %v", err)
+	}
 	pkg, err := loader.LoadDir(dir, importPath)
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", dir, err)

@@ -1,7 +1,8 @@
 #!/bin/sh
 # Full verification gate. CI and `make check` both run this. It proves:
 #   - gofmt would rewrite no file, go vet is clean and everything builds;
-#   - octolint finds nothing (determinism, pool leases, metric names);
+#   - octolint finds nothing (seeded determinism, metric names, writes
+#     never read);
 #   - the packages that run clusters on concurrent goroutines are free
 #     of data races, with every figure runner run concurrently once;
 #   - the whole suite passes, and with it every figure's shape checks
@@ -24,9 +25,9 @@ sh -n scripts/check.sh
 test -z "$(gofmt -l .)"
 go vet ./...
 go build ./...
-# Repo-specific invariants (determinism, pool leases, metric names)
-# plus reduced shadow/unusedwrite ports; findings need a fix or a
-# justified //octolint:allow directive.
+# Repo-specific invariants no run reliably catches (seeded determinism,
+# metric names, writes never read); findings need a fix or a justified
+# //octolint:allow directive.
 go run ./cmd/octolint
 # The race pass covers what runs clusters concurrently: the -parallel
 # point runner in internal/experiments fans independent simulations
