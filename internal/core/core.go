@@ -160,11 +160,9 @@ type Cluster struct {
 // buildHost assembles kernel+memory+pcie+stack for one machine.
 func buildHost(e *sim.Engine, net *netstack.Network, name string, topo *topology.Server, ddio bool, stackParams netstack.Params) *Host {
 	fab := interconnect.New(e, topo)
-	memParams := memsys.DefaultParams()
-	memParams.DDIO = ddio
-	mem := memsys.New(e, topo, fab, memParams)
-	pc := pcie.New(e, mem, pcie.DefaultParams())
-	k := kernel.New(e, topo, mem, kernel.DefaultParams())
+	mem := memsys.New(e, topo, fab, ddio)
+	pc := pcie.New(e, mem)
+	k := kernel.New(e, topo, mem)
 	st := netstack.NewStack(k, name, net, stackParams)
 	return &Host{
 		Name:   name,
@@ -290,9 +288,9 @@ func NewClusterE(cfg Config) (*Cluster, error) {
 	cl.Server = buildHost(e, net, "server", cfg.ServerTopo, !cfg.DisableDDIO, stackParams)
 	cl.Client = buildHost(e, net, "client", cfg.ClientTopo, !cfg.DisableDDIO, stackParams)
 
-	nicParams := nic.DefaultParams()
+	coalesce := nic.DefaultCoalesceDelay
 	if cfg.DisableCoalescing {
-		nicParams.CoalesceDelay = 0
+		coalesce = 0
 	}
 
 	// Server NIC: ConnectX-5-like, x16 bifurcated (or alternative
@@ -305,17 +303,17 @@ func NewClusterE(cfg Config) (*Cluster, error) {
 		Name: "cx5", Gen: pcie.Gen3, TotalLanes: 16,
 		Wiring: cfg.Wiring, Nodes: serverNodes,
 	})
-	cl.Server.NIC = nic.New(e, cl.Server.Mem, "cx5", sEPs, nicParams)
+	cl.Server.NIC = nic.New(e, cl.Server.Mem, "cx5", sEPs, coalesce)
 
 	// Client NIC: ConnectX-4-like, x16 direct on node 0.
 	cEPs := cl.Client.PCIe.AttachCard(pcie.CardConfig{
 		Name: "cx4", Gen: pcie.Gen3, TotalLanes: 16,
 		Wiring: pcie.WiringDirect, Nodes: []topology.NodeID{0},
 	})
-	cl.Client.NIC = nic.New(e, cl.Client.Mem, "cx4", cEPs, nicParams)
+	cl.Client.NIC = nic.New(e, cl.Client.Mem, "cx4", cEPs, coalesce)
 
 	// Cable them back to back.
-	cl.Wire = eth.NewWire(e, eth.Wire100G("b2b"), cl.Server.NIC, cl.Client.NIC)
+	cl.Wire = eth.NewWire(e, "b2b", cl.Server.NIC, cl.Client.NIC)
 	cl.Server.NIC.AttachWire(cl.Wire)
 	cl.Client.NIC.AttachWire(cl.Wire)
 

@@ -172,7 +172,7 @@ func TestPFFailoverKeepsStreamAlive(t *testing.T) {
 	}
 	// Everything dropped was recovered: the sender may only be ahead by
 	// in-flight/buffered data, and nothing was abandoned.
-	bound := sp.SendWindow + sp.RxBufBytes
+	bound := netstack.SendWindow + sp.RxBufBytes
 	if gap := sent - received; gap > bound {
 		t.Fatalf("lost data across failover: gap %d > bound %d", gap, bound)
 	}
@@ -209,7 +209,7 @@ func TestWireLossRecoveredByRetransmission(t *testing.T) {
 		t.Fatal("drops happened but nothing was retransmitted")
 	}
 	sp := retxParams()
-	if gap := sent - received; gap > sp.SendWindow+sp.RxBufBytes {
+	if gap := sent - received; gap > netstack.SendWindow+sp.RxBufBytes {
 		t.Fatalf("retransmission failed to recover: gap %d", gap)
 	}
 	if ab := cl.Client.Stack.RetxAbandoned(); ab != 0 {
@@ -290,7 +290,7 @@ func TestConcurrentPFFailureRiddenOut(t *testing.T) {
 		t.Fatalf("failovers=%d failbacks=%d; the second failure must not trigger its own failover",
 			cl.Octo.Failovers(), cl.Octo.Failbacks())
 	}
-	bound := sp.SendWindow + sp.RxBufBytes
+	bound := netstack.SendWindow + sp.RxBufBytes
 	if gap := sent - received; gap > bound {
 		t.Fatalf("lost data across the double fault: gap %d > bound %d", gap, bound)
 	}
@@ -355,7 +355,7 @@ func TestParkedOverflowSpillsToPool(t *testing.T) {
 	if cl.Octo.Parked() != 0 {
 		t.Fatalf("parked = %d at end of run, want 0", cl.Octo.Parked())
 	}
-	bound := sp.SendWindow + sp.RxBufBytes
+	bound := netstack.SendWindow + sp.RxBufBytes
 	if gap := sent - received; gap > bound {
 		t.Fatalf("overflowed descriptors were not recovered: gap %d > bound %d", gap, bound)
 	}

@@ -76,8 +76,8 @@ func NewStorageRig(cfg StorageConfig) *StorageRig {
 				Wiring: pcie.WiringDirect, Nodes: []topology.NodeID{cfg.SSDNode},
 			})
 		}
-		ctrl := nvme.New(e, h.Mem, name, eps, nvme.DefaultParams())
-		rig.Drives = append(rig.Drives, nvme.NewDriver(h.Kernel, ctrl, cfg.Policy, nvme.DefaultDriverParams()))
+		ctrl := nvme.New(e, h.Mem, name, eps)
+		rig.Drives = append(rig.Drives, nvme.NewDriver(h.Kernel, ctrl, cfg.Policy))
 	}
 	return rig
 }

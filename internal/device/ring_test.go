@@ -17,8 +17,8 @@ func newRingRig(t *testing.T) (*sim.Engine, *memsys.System, *pcie.Fabric) {
 	e := sim.NewEngine()
 	srv := topology.DualBroadwell()
 	fab := interconnect.New(e, srv)
-	mem := memsys.New(e, srv, fab, memsys.DefaultParams())
-	return e, mem, pcie.New(e, mem, pcie.DefaultParams())
+	mem := memsys.New(e, srv, fab, true)
+	return e, mem, pcie.New(e, mem)
 }
 
 func TestRingValidation(t *testing.T) {

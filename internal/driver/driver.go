@@ -20,28 +20,32 @@ import (
 	"ioctopus/internal/topology"
 )
 
-// Params are driver cost/behaviour constants.
-type Params struct {
-	// NAPIBudget bounds segments per poll.
-	NAPIBudget int
-	// DoorbellCPU is the core-side cost of ringing a doorbell (the
+// Driver costs, calibrated to the testbed's mlx5 driver.
+const (
+	// napiBudget bounds segments per poll.
+	napiBudget int = 64
+	// doorbellCPU is the core-side cost of ringing a doorbell (the
 	// posted write itself; flight time is the device's problem).
-	DoorbellCPU time.Duration
-	// TxFreePerPacket is skb-free cost per packet at Tx completion.
-	TxFreePerPacket time.Duration
-	// MPFSUpdateDelay is the latency of the asynchronous kernel worker
+	doorbellCPU time.Duration = 60 * time.Nanosecond
+	// txFreePerPacket is skb-free cost per packet at Tx completion.
+	txFreePerPacket time.Duration = 40 * time.Nanosecond
+	// mpfsUpdateDelay is the latency of the asynchronous kernel worker
 	// that pushes IOctoRFS/MPFS rule updates to the device (§4.2).
-	MPFSUpdateDelay time.Duration
-	// MPFSUpdateCPU is the worker's per-update CPU cost.
-	MPFSUpdateCPU time.Duration
+	mpfsUpdateDelay time.Duration = 2 * time.Microsecond
+	// mpfsUpdateCPU is the worker's per-update CPU cost.
+	mpfsUpdateCPU time.Duration = 500 * time.Nanosecond
+	// linkEventDelay is how long after a PHY carrier change (or a
+	// firmware reset) the driver's handler runs: interrupt + workqueue
+	// latency.
+	linkEventDelay time.Duration = time.Millisecond
+)
+
+// Params are the driver's per-cluster settings.
+type Params struct {
 	// RuleExpiry ages out steering rules not refreshed for this long;
 	// ExpiryScanPeriod is how often the scanner thread looks.
 	RuleExpiry       time.Duration
 	ExpiryScanPeriod time.Duration
-	// LinkEventDelay is how long after a PHY carrier change the driver's
-	// link-state handler runs (interrupt + workqueue latency). Zero
-	// means synchronous delivery.
-	LinkEventDelay time.Duration
 	// CompRingNode overrides where completion rings are homed
 	// (topology.NoNode = each queue's core node, the default). §2.4's
 	// remote-DDIO measurement allocates response rings local to the
@@ -56,13 +60,6 @@ type Params struct {
 	// ladder. Zero — the default — disables the watchdog entirely: no
 	// timer, no per-tick work, no metrics scopes.
 	WatchdogInterval time.Duration
-	// WatchdogTicks is how many consecutive no-progress samples mark a
-	// queue stuck; zero means the default (2).
-	WatchdogTicks int
-	// WatchdogBackoff is the holdoff after a recovery action before the
-	// watchdog may escalate again; it doubles per ladder stage. Zero
-	// means the default (2 × WatchdogInterval).
-	WatchdogBackoff time.Duration
 	// MaxParked caps the octo driver's parked-descriptor list (segments
 	// stranded by a total outage, awaiting any live queue). Overflow
 	// segments are released back to the pool — data loss recovered by
@@ -70,18 +67,13 @@ type Params struct {
 	MaxParked int
 }
 
-// DefaultParams returns calibrated defaults.
+// DefaultParams returns the defaults: completion rings on each queue's
+// node, rules that expire after 30 s on a 1 s scan, the watchdog off.
 func DefaultParams() Params {
 	return Params{
-		NAPIBudget:       64,
 		CompRingNode:     topology.NoNode,
-		DoorbellCPU:      60 * time.Nanosecond,
-		TxFreePerPacket:  40 * time.Nanosecond,
-		MPFSUpdateDelay:  2 * time.Microsecond,
-		MPFSUpdateCPU:    500 * time.Nanosecond,
 		RuleExpiry:       30 * time.Second,
 		ExpiryScanPeriod: time.Second,
-		LinkEventDelay:   time.Millisecond,
 	}
 }
 
@@ -152,7 +144,7 @@ type xmitScratch struct {
 // node (evaluated at execution time, as the inline closure did).
 func (sc *xmitScratch) run() time.Duration {
 	cost := sc.qp.tx.DescRing().HostWrite(sc.t.Node(), sc.descs)
-	cost += sc.b.params.DoorbellCPU
+	cost += doorbellCPU
 	// Doorbell flight time is charged to the device side via MMIOWrite
 	// (it also accounts interconnect crossing if remote).
 	return cost
@@ -200,7 +192,6 @@ func (b *base) TxInFlight(q int) int {
 // core with even distribution of interrupts").
 func (b *base) buildQueues(mem *memsys.System, pfFor func(c topology.CoreID) *nic.PF) {
 	topo := b.k.Topology()
-	nicParams := pfFor(0).NIC().Params()
 	for c := 0; c < topo.NumCores(); c++ {
 		core := topology.CoreID(c)
 		node := topo.NodeOf(core)
@@ -215,18 +206,18 @@ func (b *base) buildQueues(mem *memsys.System, pfFor func(c topology.CoreID) *ni
 		// Sprintf keeps cluster construction cheap (it runs once per
 		// measurement point, and rxbuf count × cores adds up).
 		cs := strconv.Itoa(c)
-		rxComp := device.NewRing(mem, b.name+":rxc"+cs, compHome, nicParams.RxRingEntries, nicParams.DescBytes)
-		qp.rxDesc = device.NewRing(mem, b.name+":rxd"+cs, node, nicParams.RxRingEntries, nicParams.DescBytes)
-		bufs := make([]*memsys.Buffer, 0, nicParams.RxBufCount)
+		rxComp := device.NewRing(mem, b.name+":rxc"+cs, compHome, nic.RxRingEntries, nic.DescBytes)
+		qp.rxDesc = device.NewRing(mem, b.name+":rxd"+cs, node, nic.RxRingEntries, nic.DescBytes)
+		bufs := make([]*memsys.Buffer, 0, nic.RxBufCount)
 		bufName := b.name + ":rxbuf" + cs
-		for i := 0; i < nicParams.RxBufCount; i++ {
-			bufs = append(bufs, mem.NewBuffer(bufName, node, nicParams.RxBufBytes))
+		for i := 0; i < nic.RxBufCount; i++ {
+			bufs = append(bufs, mem.NewBuffer(bufName, node, nic.RxBufBytes))
 		}
 		qp.rxLine = b.k.Core(core).NewIRQLine(b.name+":rx", func() time.Duration { return b.napiRx(qp) })
 		qp.rx = pf.AddRxQueue(rxComp, bufs, node, qp.rxLine.Raise)
 
-		txDesc := device.NewRing(mem, b.name+":txd"+cs, node, nicParams.TxRingEntries, nicParams.DescBytes)
-		txComp := device.NewRing(mem, b.name+":txc"+cs, compHome, nicParams.TxRingEntries, nicParams.DescBytes)
+		txDesc := device.NewRing(mem, b.name+":txd"+cs, node, nic.TxRingEntries, nic.DescBytes)
+		txComp := device.NewRing(mem, b.name+":txc"+cs, compHome, nic.TxRingEntries, nic.DescBytes)
 		qp.txLine = b.k.Core(core).NewIRQLine(b.name+":tx", func() time.Duration { return b.napiTx(qp) })
 		qp.tx = pf.AddTxQueue(txDesc, txComp, node, qp.txLine.Raise)
 
@@ -260,7 +251,7 @@ func (b *base) napiRx(qp *queuePair) time.Duration {
 		return b.hybridEnter(qp)
 	}
 	var cost time.Duration
-	batch := qp.rx.Poll(b.params.NAPIBudget)
+	batch := qp.rx.Poll(napiBudget)
 	pkts := 0
 	for _, rxp := range batch {
 		// Read the completion entries the device wrote (the per-packet
@@ -285,7 +276,7 @@ func (b *base) napiTx(qp *queuePair) time.Duration {
 	if qp.hybrid != nil {
 		return b.hybridEnter(qp)
 	}
-	cost, _ := b.reapTx(qp, b.params.NAPIBudget)
+	cost, _ := b.reapTx(qp, napiBudget)
 	qp.tx.NapiComplete()
 	return cost
 }
@@ -305,7 +296,7 @@ func (b *base) reapTx(qp *queuePair, budget int) (time.Duration, int) {
 			// device; OnSent fires when the re-send's completion reaps.
 			continue
 		}
-		cost += time.Duration(pkt.Packets) * b.params.TxFreePerPacket
+		cost += time.Duration(pkt.Packets) * txFreePerPacket
 		if pkt.OnSent != nil {
 			pkt.OnSent()
 		}
@@ -316,19 +307,13 @@ func (b *base) reapTx(qp *queuePair, budget int) (time.Duration, int) {
 
 // initFwRecovery wires firmware-reset recovery: a reset reaches the
 // driver the way a carrier change does (async event + workqueue,
-// LinkEventDelay later), and the handler replays the driver's rule
+// linkEventDelay later), and the handler replays the driver's rule
 // journal into the wiped tables; until then unprogrammed flows ride the
 // firmware's fallback steering. The watchdog's stage-1 reprogram is the
 // same replay. replay returns the rules it pushed.
 func (b *base) initFwRecovery(n *nic.NIC, replay func() int) {
 	b.journal = replay
-	n.OnFirmwareReset(func() {
-		if delay := b.params.LinkEventDelay; delay > 0 {
-			b.k.Engine().After(delay, b.onFwReset)
-			return
-		}
-		b.onFwReset()
-	})
+	n.OnFirmwareReset(func() { b.k.Engine().After(linkEventDelay, b.onFwReset) })
 }
 
 // onFwReset counts the reset and replays the journal.

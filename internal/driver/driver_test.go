@@ -39,18 +39,18 @@ func newDrvRig(t *testing.T) *drvRig {
 	e := sim.NewEngine()
 	topo := topology.DualBroadwell()
 	fab := interconnect.New(e, topo)
-	mem := memsys.New(e, topo, fab, memsys.DefaultParams())
-	pc := pcie.New(e, mem, pcie.DefaultParams())
+	mem := memsys.New(e, topo, fab, true)
+	pc := pcie.New(e, mem)
 	eps := pc.AttachCard(pcie.CardConfig{
 		Name: "cx5", Gen: pcie.Gen3, TotalLanes: 16,
 		Wiring: pcie.WiringBifurcated, Nodes: []topology.NodeID{0, 1},
 	})
-	n := nic.New(e, mem, "cx5", eps, nic.DefaultParams())
-	k := kernel.New(e, topo, mem, kernel.DefaultParams())
+	n := nic.New(e, mem, "cx5", eps, nic.DefaultCoalesceDelay)
+	k := kernel.New(e, topo, mem)
 	net := netstack.NewNetwork()
 	st := netstack.NewStack(k, "host", net, netstack.DefaultParams())
 	far := &sinkPort{mac: eth.MACFromInt(0xFA5)}
-	n.AttachWire(eth.NewWire(e, eth.Wire100G("w"), n, far))
+	n.AttachWire(eth.NewWire(e, "w", n, far))
 	return &drvRig{eng: e, k: k, mem: mem, nic: n, st: st, far: far}
 }
 

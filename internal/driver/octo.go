@@ -128,15 +128,11 @@ func NewOcto(k *kernel.Kernel, mem *memsys.System, n *nic.NIC, name string, para
 	d.base.repost = d.repostDropped
 	// Carrier changes reach the driver through the link-state interrupt
 	// and a workqueue, not instantaneously: the handler runs
-	// LinkEventDelay after the PHY event. Descriptors posted into the
+	// linkEventDelay after the PHY event. Descriptors posted into the
 	// dead PF during that window complete flagged Dropped and are
 	// re-posted by repostDropped once the remap is in place.
 	n.OnLinkChange(func(pf int, up bool) {
-		if delay := d.base.params.LinkEventDelay; delay > 0 {
-			d.k.Engine().After(delay, func() { d.onLinkChange(pf, up) })
-			return
-		}
-		d.onLinkChange(pf, up)
+		d.k.Engine().After(linkEventDelay, func() { d.onLinkChange(pf, up) })
 	})
 	// Firmware-reset recovery (and the watchdog's stage 1) replays the
 	// IOctoRFS journal; until then unprogrammed flows ride the
@@ -389,8 +385,8 @@ func (d *Octo) startWorker() {
 	d.k.Spawn(d.name+":mpfs-worker", 0, func(t *kernel.Thread) {
 		for {
 			u := d.updates.Get(t.Proc())
-			t.Sleep(d.params.MPFSUpdateDelay)
-			t.Exec(d.params.MPFSUpdateCPU)
+			t.Sleep(mpfsUpdateDelay)
+			t.Exec(mpfsUpdateCPU)
 			if fw := d.nic.Firmware(); fw != nil {
 				fw.ProgramFlow(u.ft, u.pf, u.queue)
 			}
@@ -412,7 +408,7 @@ func (d *Octo) startExpiryScanner() {
 				if fw := d.nic.Firmware(); fw != nil {
 					fw.RemoveFlow(ft)
 				}
-				t.Exec(d.params.MPFSUpdateCPU)
+				t.Exec(mpfsUpdateCPU)
 			}
 		}
 	})

@@ -51,13 +51,19 @@ type WatchdogStats struct {
 	PollerReenters  uint64 // recovered loops returned to polled mode
 }
 
+// watchdogTicks is how many consecutive no-progress samples mark a
+// queue stuck.
+const watchdogTicks int = 2
+
 // watchdog is one driver's self-healing state.
 type watchdog struct {
-	b          *base
-	interval   time.Duration
-	stuckAfter int
-	backoff    time.Duration
-	tickFn     func() // cached tick, rescheduled every interval
+	b        *base
+	interval time.Duration
+	// backoff, 2 × interval, is the holdoff after a recovery action
+	// before the watchdog may escalate again; it doubles per ladder
+	// stage.
+	backoff time.Duration
+	tickFn  func() // cached tick, rescheduled every interval
 
 	queues  []wdQueue
 	pollers []wdPoller
@@ -101,17 +107,10 @@ func (b *base) initWatchdog() {
 		return
 	}
 	w := &watchdog{
-		b:          b,
-		interval:   iv,
-		stuckAfter: b.params.WatchdogTicks,
-		backoff:    b.params.WatchdogBackoff,
-		pfDead:     make(map[int]bool),
-	}
-	if w.stuckAfter <= 0 {
-		w.stuckAfter = 2
-	}
-	if w.backoff <= 0 {
-		w.backoff = 2 * w.interval
+		b:        b,
+		interval: iv,
+		backoff:  2 * iv,
+		pfDead:   make(map[int]bool),
 	}
 	for _, qp := range b.pairs {
 		w.queues = append(w.queues, wdQueue{qp: qp})
@@ -167,7 +166,7 @@ func (w *watchdog) checkQueue(ws *wdQueue, now sim.Time) {
 	}
 	ws.healthy = 0
 	ws.stuck++
-	if ws.stuck < w.stuckAfter || now < ws.nextTry {
+	if ws.stuck < watchdogTicks || now < ws.nextTry {
 		return
 	}
 	w.escalate(ws, now)
@@ -203,7 +202,7 @@ func (w *watchdog) escalate(ws *wdQueue, now sim.Time) {
 	if ws.stage < 2 {
 		ws.stage++
 	}
-	// The action needs stuckAfter fresh no-progress ticks (plus the
+	// The action needs watchdogTicks fresh no-progress ticks (plus the
 	// backoff) before the next rung fires.
 	ws.stuck = 0
 }

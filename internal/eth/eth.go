@@ -203,25 +203,19 @@ type Wire struct {
 	baDrops  uint64
 }
 
-// WireConfig configures a cable.
-type WireConfig struct {
-	Name        string
-	BytesPerSec float64
-	Latency     time.Duration
-}
+// Every cable is a 100GbE wire: its bandwidth and propagation latency.
+const (
+	wireBytesPerSec float64       = 12.5e9
+	wireLatency     time.Duration = 300 * time.Nanosecond
+)
 
-// Wire100G returns the standard config for a 100GbE cable.
-func Wire100G(name string) WireConfig {
-	return WireConfig{Name: name, BytesPerSec: 12.5e9, Latency: 300 * time.Nanosecond}
-}
-
-// NewWire connects two ports back to back.
-func NewWire(e *sim.Engine, cfg WireConfig, a, b Port) *Wire {
+// NewWire connects two ports back to back with a named cable.
+func NewWire(e *sim.Engine, name string, a, b Port) *Wire {
 	mk := func(suffix string) *sim.Pipe {
 		return sim.NewPipe(e, sim.PipeConfig{
-			Name:        cfg.Name + suffix,
-			BytesPerSec: cfg.BytesPerSec,
-			BaseLatency: cfg.Latency,
+			Name:        name + suffix,
+			BytesPerSec: wireBytesPerSec,
+			BaseLatency: wireLatency,
 		})
 	}
 	return &Wire{eng: e, a: a, b: b, ab: mk(":a>b"), ba: mk(":b>a")}

@@ -92,7 +92,7 @@ func TestWireDelivery(t *testing.T) {
 	e := sim.NewEngine()
 	a := &sink{mac: MACFromInt(1), eng: e}
 	b := &sink{mac: MACFromInt(2), eng: e}
-	w := NewWire(e, Wire100G("w"), a, b)
+	w := NewWire(e, "w", a, b)
 	f := &Frame{Src: a.mac, Dst: b.mac, Payload: 12500 - HeaderBytes, Packets: 1}
 	w.Send(a, f)
 	e.RunUntilIdle()
@@ -112,7 +112,7 @@ func TestWireFullDuplex(t *testing.T) {
 	e := sim.NewEngine()
 	a := &sink{mac: MACFromInt(1), eng: e}
 	b := &sink{mac: MACFromInt(2), eng: e}
-	w := NewWire(e, Wire100G("w"), a, b)
+	w := NewWire(e, "w", a, b)
 	w.Send(a, &Frame{Payload: 125000})
 	w.Send(b, &Frame{Payload: 125000})
 	e.RunUntilIdle()
@@ -128,10 +128,9 @@ func TestSwitchLearningAndForwarding(t *testing.T) {
 	e := sim.NewEngine()
 	h1 := &sink{mac: MACFromInt(1), eng: e}
 	h2 := &sink{mac: MACFromInt(2), eng: e}
-	cfg := Wire100G("w")
 	sw2 := NewSwitch(e, "tor", 0)
-	p1 := sw2.Connect(cfg, h1)
-	p2 := sw2.Connect(cfg, h2)
+	p1 := sw2.Connect("w", h1)
+	p2 := sw2.Connect("w", h2)
 	_ = p2
 	// Unknown destination floods (reaching h2).
 	sw2.forward(p1, &Frame{Src: h1.mac, Dst: h2.mac, Payload: 100, Packets: 1})
@@ -155,14 +154,13 @@ func TestSwitchLearningAndForwarding(t *testing.T) {
 
 func TestSwitchLAGHashesFlows(t *testing.T) {
 	e := sim.NewEngine()
-	cfg := Wire100G("w")
 	sw := NewSwitch(e, "tor", 0)
 	src := &sink{mac: MACFromInt(9), eng: e}
 	m0 := &sink{mac: MACFromInt(10), eng: e}
 	m1 := &sink{mac: MACFromInt(11), eng: e}
-	pSrc := sw.Connect(cfg, src)
-	pm0 := sw.Connect(cfg, m0)
-	pm1 := sw.Connect(cfg, m1)
+	pSrc := sw.Connect("w", src)
+	pm0 := sw.Connect("w", m0)
+	pm1 := sw.Connect("w", m1)
 	sw.AggregateLinks(1, []int{pm0, pm1})
 
 	// Teach the switch that dstMAC lives behind member 0.
@@ -196,12 +194,11 @@ func TestSwitchLAGHashesFlows(t *testing.T) {
 func TestSwitchConnectWireRoundTrip(t *testing.T) {
 	// Full path through real wires: host A -> switch -> host B.
 	e := sim.NewEngine()
-	cfg := Wire100G("w")
 	sw := NewSwitch(e, "tor", 200*time.Nanosecond)
 	a := &sink{mac: MACFromInt(1), eng: e}
 	b := &sink{mac: MACFromInt(2), eng: e}
-	wa := sw.ConnectWire(cfg, a)
-	wb := sw.ConnectWire(cfg, b)
+	wa := sw.ConnectWire("w", a)
+	wb := sw.ConnectWire("w", b)
 	_ = wb
 
 	// A sends to B: unknown MAC floods; B replies: learned unicast.

@@ -48,19 +48,19 @@ func NewSwitch(e *sim.Engine, name string, latency time.Duration) *Switch {
 	}
 }
 
-// Connect cables a device port to the switch with the given wire config
-// and returns the switch port index.
-func (s *Switch) Connect(cfg WireConfig, dev Port) int {
+// Connect cables a device port to the switch with a named wire and
+// returns the switch port index.
+func (s *Switch) Connect(name string, dev Port) int {
 	p := &switchPort{sw: s, idx: len(s.ports)}
-	p.wire = NewWire(s.eng, cfg, p, dev)
+	p.wire = NewWire(s.eng, name, p, dev)
 	s.ports = append(s.ports, p)
 	return p.idx
 }
 
 // ConnectWire is Connect returning the cable itself, so the device side
 // can transmit on it (a NIC needs its wire handle).
-func (s *Switch) ConnectWire(cfg WireConfig, dev Port) *Wire {
-	return s.ports[s.Connect(cfg, dev)].wire
+func (s *Switch) ConnectWire(name string, dev Port) *Wire {
+	return s.ports[s.Connect(name, dev)].wire
 }
 
 // AggregateLinks forms a LAG from member ports; traffic to a MAC learned

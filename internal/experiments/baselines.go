@@ -78,18 +78,18 @@ func measureBondRx(d Durations) (gbps, memGbps float64) {
 			Name: name, Gen: pcie.Gen3, TotalLanes: 8,
 			Wiring: pcie.WiringDirect, Nodes: []topology.NodeID{node},
 		})
-		n := nic.New(eng, srv.Mem, name, eps, nic.DefaultParams())
+		n := nic.New(eng, srv.Mem, name, eps, nic.DefaultCoalesceDelay)
 		n.LoadFirmware(nic.NewStandardFirmware(n))
 		return n
 	}
 	n0, n1 := mk("sep0", 0), mk("sep1", 1)
 	sw := eth.NewSwitch(eng, "tor", 500*time.Nanosecond)
-	n0.AttachWire(sw.ConnectWire(eth.Wire100G("s0"), n0))
-	n1.AttachWire(sw.ConnectWire(eth.Wire100G("s1"), n1))
+	n0.AttachWire(sw.ConnectWire("s0", n0))
+	n1.AttachWire(sw.ConnectWire("s1", n1))
 	sw.AggregateLinks(1, []int{0, 1})
 	// Client NIC joins the same switch on a fresh wire.
 	clientNIC := cl.Client.NIC
-	clientNIC.AttachWire(sw.ConnectWire(eth.Wire100G("c"), clientNIC))
+	clientNIC.AttachWire(sw.ConnectWire("c", clientNIC))
 
 	// Drivers + bond on the server.
 	drvP := driver.DefaultParams()

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"ioctopus/internal/metrics"
+	"ioctopus/internal/netstack"
 	"ioctopus/internal/scenario"
 	"ioctopus/internal/sim"
 )
@@ -137,7 +138,7 @@ func runDevCell(c devCell, d Durations) devCellOut {
 	abandoned := cl.Client.Stack.RetxAbandoned() + cl.Server.Stack.RetxAbandoned()
 	fwd, rev := run.streams[0], run.streams[1]
 	fwdGap, revGap := fwd.tx-fwd.rx, rev.tx-rev.rx
-	inFlightBound := run.stack.SendWindow + run.stack.RxBufBytes
+	inFlightBound := netstack.SendWindow + run.stack.RxBufBytes
 	wd := cl.Octo.WatchdogStats()
 	r.check(c.name+": post/pre throughput", ratio(post, pre), 0.90, 1.15)
 	r.checkTrue(c.name+": recovered before the post window",

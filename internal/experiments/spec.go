@@ -305,7 +305,7 @@ func (run *specRun) report(sp *scenario.Spec, d Durations) *Result {
 	r.Notes = append(r.Notes, sim2.Notes...)
 
 	// Declarative checks, in spec order.
-	inFlightBound := run.stack.SendWindow + run.stack.RxBufBytes
+	inFlightBound := netstack.SendWindow + run.stack.RxBufBytes
 	netperfs, memcacheds := run.netperfs, run.memcacheds
 	workloadErrs := run.errs.All()
 	for i := range sim2.Workloads {

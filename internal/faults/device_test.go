@@ -32,13 +32,13 @@ func newDevRig(t *testing.T) *devRig {
 	e := sim.NewEngine()
 	topo := topology.DualBroadwell()
 	fab := interconnect.New(e, topo)
-	mem := memsys.New(e, topo, fab, memsys.DefaultParams())
-	pc := pcie.New(e, mem, pcie.DefaultParams())
+	mem := memsys.New(e, topo, fab, true)
+	pc := pcie.New(e, mem)
 	eps := pc.AttachCard(pcie.CardConfig{
 		Name: "cx5", Gen: pcie.Gen3, TotalLanes: 16,
 		Wiring: pcie.WiringBifurcated, Nodes: []topology.NodeID{0, 1},
 	})
-	n := nic.New(e, mem, "cx5", eps, nic.DefaultParams())
+	n := nic.New(e, mem, "cx5", eps, nic.DefaultCoalesceDelay)
 	fw := nic.NewOctoFirmware(n, false)
 	n.LoadFirmware(fw)
 	pf0 := n.PF(0)
@@ -48,7 +48,7 @@ func newDevRig(t *testing.T) *devRig {
 	}
 	pf0.AddRxQueue(device.NewRing(mem, "rxc", 0, 1024, 64), bufs, 0, nil)
 	pf0.AddTxQueue(device.NewRing(mem, "txd", 0, 1024, 64), device.NewRing(mem, "txc", 0, 1024, 64), 0, nil)
-	k := kernel.New(e, topo, mem, kernel.DefaultParams())
+	k := kernel.New(e, topo, mem)
 	p := k.Core(0).StartPoller("test", func() (time.Duration, bool) { return time.Microsecond, false })
 	return &devRig{eng: e, nic: n, fw: fw, k: k, poller: p}
 }

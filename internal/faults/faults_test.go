@@ -49,17 +49,17 @@ func newRig(t *testing.T) *rig {
 	e := sim.NewEngine()
 	topo := topology.DualBroadwell()
 	fab := interconnect.New(e, topo)
-	mem := memsys.New(e, topo, fab, memsys.DefaultParams())
-	pf := pcie.New(e, mem, pcie.DefaultParams())
+	mem := memsys.New(e, topo, fab, true)
+	pf := pcie.New(e, mem)
 	eps := pf.AttachCard(pcie.CardConfig{
 		Name: "cx5", Gen: pcie.Gen3, TotalLanes: 16,
 		Wiring: pcie.WiringBifurcated, Nodes: []topology.NodeID{0, 1},
 	})
-	n := nic.New(e, mem, "cx5", eps, nic.DefaultParams())
-	k := kernel.New(e, topo, mem, kernel.DefaultParams())
+	n := nic.New(e, mem, "cx5", eps, nic.DefaultCoalesceDelay)
+	k := kernel.New(e, topo, mem)
 	server := &stubPort{mac: eth.MACFromInt(1)}
 	client := &stubPort{mac: eth.MACFromInt(2)}
-	w := eth.NewWire(e, eth.Wire100G("w"), server, client)
+	w := eth.NewWire(e, "w", server, client)
 	return &rig{eng: e, nic: n, wire: w, server: server, client: client, fab: fab, k: k}
 }
 

@@ -15,42 +15,29 @@ import (
 	"ioctopus/internal/topology"
 )
 
-// Params are OS cost constants.
-type Params struct {
-	// IRQEntry is the cost of taking a hardware interrupt.
-	IRQEntry time.Duration
+// OS costs, calibrated to the testbed.
+const (
+	// irqEntry is the cost of taking a hardware interrupt.
+	irqEntry time.Duration = 300 * time.Nanosecond
 	// ContextSwitch is the cost of a thread context switch (charged on
 	// wakeups that preempt and on migrations).
-	ContextSwitch time.Duration
-	// WakeupLatency is scheduling delay from wake to run when the
-	// target core is idle.
-	WakeupLatency time.Duration
-}
-
-// DefaultParams returns calibrated defaults.
-func DefaultParams() Params {
-	return Params{
-		IRQEntry:      300 * time.Nanosecond,
-		ContextSwitch: 1200 * time.Nanosecond,
-		WakeupLatency: 500 * time.Nanosecond,
-	}
-}
+	ContextSwitch time.Duration = 1200 * time.Nanosecond
+)
 
 // Kernel is the OS instance of one simulated host.
 type Kernel struct {
-	eng    *sim.Engine
-	topo   *topology.Server
-	mem    *memsys.System
-	params Params
-	cores  []*Core
+	eng   *sim.Engine
+	topo  *topology.Server
+	mem   *memsys.System
+	cores []*Core
 
 	migrateHooks []func(t *Thread, from, to topology.CoreID)
 	nextTID      int
 }
 
 // New boots a kernel on the given hardware.
-func New(e *sim.Engine, topo *topology.Server, mem *memsys.System, params Params) *Kernel {
-	k := &Kernel{eng: e, topo: topo, mem: mem, params: params}
+func New(e *sim.Engine, topo *topology.Server, mem *memsys.System) *Kernel {
+	k := &Kernel{eng: e, topo: topo, mem: mem}
 	for i := 0; i < topo.NumCores(); i++ {
 		c := &Core{
 			k:    k,
@@ -76,9 +63,6 @@ func (k *Kernel) Memory() *memsys.System { return k.mem }
 
 // Topology returns the hardware description.
 func (k *Kernel) Topology() *topology.Server { return k.topo }
-
-// Params returns the OS cost constants.
-func (k *Kernel) Params() Params { return k.params }
 
 // Core returns a core handle.
 func (k *Kernel) Core(id topology.CoreID) *Core {
@@ -267,7 +251,7 @@ type IRQLine struct {
 // NewIRQLine prepares an interrupt vector targeting this core.
 func (c *Core) NewIRQLine(name string, handler func() time.Duration) *IRQLine {
 	l := &IRQLine{c: c, name: "irq:" + name, handler: handler}
-	l.run = func() time.Duration { return c.k.params.IRQEntry + l.handler() }
+	l.run = func() time.Duration { return irqEntry + l.handler() }
 	return l
 }
 

@@ -15,8 +15,8 @@ func newKernel(t *testing.T) (*sim.Engine, *Kernel) {
 	e := sim.NewEngine()
 	srv := topology.DualBroadwell()
 	ic := interconnect.New(e, srv)
-	mem := memsys.New(e, srv, ic, memsys.DefaultParams())
-	return e, New(e, srv, mem, DefaultParams())
+	mem := memsys.New(e, srv, ic, true)
+	return e, New(e, srv, mem)
 }
 
 func TestSpawnAndExec(t *testing.T) {
@@ -143,7 +143,7 @@ func TestIRQCostsEntryPlusHandler(t *testing.T) {
 	c := k.Core(0)
 	c.NewIRQLine("nic", func() time.Duration { return 700 * time.Nanosecond }).Raise()
 	e.RunUntilIdle()
-	want := DefaultParams().IRQEntry + 700*time.Nanosecond
+	want := irqEntry + 700*time.Nanosecond
 	if c.BusyTime() != want {
 		t.Fatalf("busy = %v, want %v", c.BusyTime(), want)
 	}
@@ -190,7 +190,7 @@ func TestMigrationChargesContextSwitch(t *testing.T) {
 	th := k.Spawn("p", 0, func(t *Thread) { t.Sleep(time.Millisecond) })
 	e.After(time.Microsecond, func() { k.SetAffinity(th, 14) })
 	e.RunUntilIdle()
-	if k.Core(14).BusyTime() < DefaultParams().ContextSwitch {
+	if k.Core(14).BusyTime() < ContextSwitch {
 		t.Fatalf("destination core busy = %v, want >= context switch", k.Core(14).BusyTime())
 	}
 	e.Drain()

@@ -109,7 +109,7 @@ func (k *Kernel) SetAffinity(t *Thread, core topology.CoreID) {
 	from := t.core.id
 	t.core = dst
 	t.migrations++
-	dst.SubmitFixed("migrate:"+t.name, k.params.ContextSwitch, nil)
+	dst.SubmitFixed("migrate:"+t.name, ContextSwitch, nil)
 	for _, h := range k.migrateHooks {
 		h(t, from, core)
 	}

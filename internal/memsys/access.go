@@ -78,7 +78,7 @@ func (s *System) read(node topology.NodeID, b *Buffer, n int64) (cost time.Durat
 
 	if hits > 0 {
 		nm.stats.LLCHitBytes += float64(hits)
-		cost += b.llcSpec(s).HitLatency + bytesAt(hits, s.params.CopyBWLLC)
+		cost += b.llcSpec(s).HitLatency + bytesAt(hits, copyBWLLC)
 	}
 	if miss > 0 {
 		nm.stats.LLCMissBytes += float64(miss)
@@ -89,7 +89,7 @@ func (s *System) read(node topology.NodeID, b *Buffer, n int64) (cost time.Durat
 			// model migrates residency to the reader (the common
 			// producer/consumer handoff). Dirty data stays dirty.
 			src := b.node
-			rate := s.derate(s.params.CacheToCacheBW, s.fabric.Pipe(src, node).Inflation())
+			rate := s.derate(cacheToCacheBW, s.fabric.Pipe(src, node).Inflation())
 			cost += s.fabric.Charge(src, node, miss)
 			cost += bytesAt(miss, rate)
 			dirty := b.dirty
@@ -102,9 +102,9 @@ func (s *System) read(node topology.NodeID, b *Buffer, n int64) (cost time.Durat
 			b.dirty = dirty
 		default:
 			// Fetch from home DRAM.
-			base := s.params.CopyBWDRAM
+			base := copyBWDRAM
 			if b.home != node {
-				base = s.params.CopyBWRemote
+				base = copyBWRemote
 			}
 			cost += s.dramRead(node, b.home, miss, base, true)
 			// Fetches fill whole cache lines: residency grows in line
@@ -148,15 +148,14 @@ func (s *System) CPUWrite(node topology.NodeID, b *Buffer, n int64) time.Duratio
 		miss = 0
 	}
 
-	if miss > 0 && s.params.WriteRFO {
-		base := s.params.CopyBWDRAM
+	cost += bytesAt(n, copyBWLLC)
+	if miss > 0 {
+		// Write-allocate: the uncached portion pays a read-for-ownership.
+		base := copyBWDRAM
 		if b.home != node {
-			base = s.params.CopyBWRemote
+			base = copyBWRemote
 		}
 		cost += s.dramRead(node, b.home, miss, base, true)
-	}
-	cost += bytesAt(n, s.params.CopyBWLLC)
-	if miss > 0 {
 		nm.llc.insert(s, node, b, roundLines(miss), false, now)
 	} else {
 		nm.llc.touch(b, now)
@@ -185,7 +184,7 @@ func (s *System) DeviceWrite(devNode topology.NodeID, b *Buffer, n int64) time.D
 	now := s.eng.Now()
 	local := b.home == devNode
 
-	if local && s.params.DDIO {
+	if local && s.ddio {
 		nm := s.node(devNode)
 		if b.node != topology.NoNode && b.node != devNode {
 			s.invalidate(b)
@@ -206,10 +205,8 @@ func (s *System) DeviceWrite(devNode topology.NodeID, b *Buffer, n int64) time.D
 		if spill := grow - got; spill > 0 {
 			// DDIO ways exhausted: the remainder lands in DRAM.
 			cost += s.dramWrite(devNode, b.home, spill, s.topo.Socket(b.home).DRAM.BytesPerSec, false)
-			if s.params.DMAWriteRFO {
-				s.node(b.home).stats.DRAMReadBytes += float64(spill)
-				s.node(b.home).memctl.Charge(spill)
-			}
+			s.node(b.home).stats.DRAMReadBytes += float64(spill)
+			s.node(b.home).memctl.Charge(spill)
 		}
 		b.dirty = true
 		return cost + nm.llc.spec.HitLatency
@@ -220,11 +217,11 @@ func (s *System) DeviceWrite(devNode topology.NodeID, b *Buffer, n int64) time.D
 		s.invalidate(b)
 	}
 	cost := s.dramWrite(devNode, b.home, n, s.topo.Socket(b.home).DRAM.BytesPerSec, false)
-	if s.params.DMAWriteRFO {
-		// Home-agent ownership read accompanying the write.
-		s.node(b.home).stats.DRAMReadBytes += float64(n)
-		s.node(b.home).memctl.Charge(n)
-	}
+	// Home-agent ownership read accompanying the write: with the write
+	// itself and the consumer's later miss, the 3x memory traffic of
+	// Fig 6.
+	s.node(b.home).stats.DRAMReadBytes += float64(n)
+	s.node(b.home).memctl.Charge(n)
 	return cost
 }
 

@@ -23,7 +23,7 @@ func applyOps(ops []op) (*System, []*Buffer) {
 	e := sim.NewEngine()
 	srv := topology.DualBroadwell()
 	fab := interconnect.New(e, srv)
-	s := New(e, srv, fab, DefaultParams())
+	s := New(e, srv, fab, true)
 	bufs := []*Buffer{
 		s.NewBuffer("a", 0, 4096),
 		s.NewBuffer("b", 0, 64*1024),
@@ -109,7 +109,7 @@ func TestCostsAreNonNegative(t *testing.T) {
 		e := sim.NewEngine()
 		srv := topology.DualBroadwell()
 		fab := interconnect.New(e, srv)
-		s := New(e, srv, fab, DefaultParams())
+		s := New(e, srv, fab, true)
 		b := s.NewBuffer("x", 0, 64*1024)
 		prev := 0.0
 		for _, o := range ops {

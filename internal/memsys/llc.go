@@ -119,7 +119,7 @@ func (l *llc) insert(s *System, n topology.NodeID, b *Buffer, grow int64, ddio b
 	}
 	// Cap a single buffer's footprint so one streaming buffer cannot
 	// displace the whole partition.
-	maxPerBuffer := int64(float64(capBytes) * s.params.BigBufferFraction)
+	maxPerBuffer := int64(float64(capBytes) * bigBufferFraction)
 	if maxPerBuffer < 4096 {
 		maxPerBuffer = 4096
 	}

@@ -31,53 +31,28 @@ import (
 	"ioctopus/internal/topology"
 )
 
-// Params are the tunable cost-model constants. Defaults (see
-// DefaultParams) are calibrated to the paper's Broadwell testbed.
-type Params struct {
-	// DDIO enables Data Direct I/O (§2.2). The llnd configuration of
-	// Figure 9 sets it false.
-	DDIO bool
-	// CopyBWLLC is single-core copy bandwidth when the source is
+// Cost-model calibration constants for the paper's Broadwell testbed.
+// They are properties of the one machine modelled, not options.
+const (
+	// copyBWLLC is single-core copy bandwidth when the source is
 	// LLC-resident, bytes/sec.
-	CopyBWLLC float64
-	// CopyBWDRAM is single-core copy bandwidth from local DRAM.
-	CopyBWDRAM float64
-	// CopyBWRemote is single-core copy bandwidth from remote DRAM on an
+	copyBWLLC float64 = 20e9
+	// copyBWDRAM is single-core copy bandwidth from local DRAM.
+	copyBWDRAM float64 = 11e9
+	// copyBWRemote is single-core copy bandwidth from remote DRAM on an
 	// idle interconnect (congestion reduces it further).
-	CopyBWRemote float64
-	// CacheToCacheBW is cross-socket LLC-to-LLC transfer bandwidth.
-	CacheToCacheBW float64
-	// WriteRFO charges a DRAM read for the uncached portion of CPU
-	// writes (write-allocate read-for-ownership).
-	WriteRFO bool
-	// DMAWriteRFO charges a DRAM read alongside remote DMA writes (home
-	// agent ownership read); together with the write itself and the
-	// consumer's later miss this yields the 3x memory traffic of Fig 6.
-	DMAWriteRFO bool
-	// BigBufferFraction caps how much of the LLC a single buffer may
+	copyBWRemote float64 = 8.2e9
+	// cacheToCacheBW is cross-socket LLC-to-LLC transfer bandwidth.
+	cacheToCacheBW float64 = 8e9
+	// bigBufferFraction caps how much of the LLC a single buffer may
 	// occupy (a streaming buffer cannot displace the whole cache).
-	BigBufferFraction float64
-	// LatencySensitivity controls how strongly congestion-inflated
+	bigBufferFraction float64 = 0.5
+	// latencySensitivity controls how strongly congestion-inflated
 	// memory/interconnect latency slows CPU-side copies (loads have
 	// limited MLP; DMA bursts don't care). 0 = bandwidth-share only,
 	// 1 = fully latency-bound.
-	LatencySensitivity float64
-}
-
-// DefaultParams returns the calibrated defaults.
-func DefaultParams() Params {
-	return Params{
-		DDIO:               true,
-		CopyBWLLC:          20e9,
-		CopyBWDRAM:         11e9,
-		CopyBWRemote:       8.2e9,
-		CacheToCacheBW:     8e9,
-		WriteRFO:           true,
-		DMAWriteRFO:        true,
-		BigBufferFraction:  0.5,
-		LatencySensitivity: 0.5,
-	}
-}
+	latencySensitivity float64 = 0.5
+)
 
 // NodeStats aggregates one node's memory-system counters.
 type NodeStats struct {
@@ -100,13 +75,16 @@ type System struct {
 	topo   *topology.Server
 	fabric *interconnect.Fabric
 	nodes  []*nodeMem
-	params Params
+	// ddio enables Data Direct I/O (§2.2); Figure 9's llnd
+	// configuration turns it off.
+	ddio   bool
 	nextID int
 }
 
-// New builds the memory system for a server over its interconnect fabric.
-func New(e *sim.Engine, srv *topology.Server, fabric *interconnect.Fabric, params Params) *System {
-	s := &System{eng: e, topo: srv, fabric: fabric, params: params}
+// New builds the memory system for a server over its interconnect
+// fabric, with DDIO on or off.
+func New(e *sim.Engine, srv *topology.Server, fabric *interconnect.Fabric, ddio bool) *System {
+	s := &System{eng: e, topo: srv, fabric: fabric, ddio: ddio}
 	for _, sk := range srv.Sockets {
 		s.nodes = append(s.nodes, &nodeMem{
 			id: sk.ID,
@@ -123,12 +101,6 @@ func New(e *sim.Engine, srv *topology.Server, fabric *interconnect.Fabric, param
 	}
 	return s
 }
-
-// Params returns the active cost-model parameters.
-func (s *System) Params() Params { return s.params }
-
-// SetDDIO toggles DDIO at runtime (Figure 9's llnd configuration).
-func (s *System) SetDDIO(on bool) { s.params.DDIO = on }
 
 // Fabric returns the interconnect the system charges remote traffic to.
 func (s *System) Fabric() *interconnect.Fabric { return s.fabric }
@@ -181,8 +153,7 @@ func (s *System) ResetStats() {
 // latency-bound (limited memory-level parallelism), so a congested
 // resource slows them more than its leftover bandwidth would suggest.
 func (s *System) derate(baseBW, inflation float64) float64 {
-	sens := s.params.LatencySensitivity
-	return baseBW / (1 + (inflation-1)*sens)
+	return baseBW / (1 + (inflation-1)*latencySensitivity)
 }
 
 // dramRead charges a DRAM read of n bytes at home, requested from

@@ -15,7 +15,7 @@ func newSys(t *testing.T) (*sim.Engine, *System) {
 	e := sim.NewEngine()
 	srv := topology.DualBroadwell()
 	fab := interconnect.New(e, srv)
-	return e, New(e, srv, fab, DefaultParams())
+	return e, New(e, srv, fab, true)
 }
 
 func TestLocalDDIOWriteStaysOutOfDRAM(t *testing.T) {
@@ -90,8 +90,9 @@ func TestDDIOWriteUpdateHitsExistingLines(t *testing.T) {
 }
 
 func TestDDIODisabledWritesGoToDRAM(t *testing.T) {
-	_, s := newSys(t)
-	s.SetDDIO(false)
+	e := sim.NewEngine()
+	srv := topology.DualBroadwell()
+	s := New(e, srv, interconnect.New(e, srv), false)
 	b := s.NewBuffer("pkt", 0, 1500)
 	s.DeviceWrite(0, b, 1500) // local, but DDIO off (llnd config)
 	if s.Stats(0).DRAMWriteBytes != 1500 {

@@ -10,7 +10,7 @@
 // memory, PCIe and interconnect traffic flows through the hardware
 // models underneath. Connection setup (handshake/ARP) is control-plane
 // work the paper never measures; it is modelled as a fixed-latency
-// SYN/SYN-ACK round trip (Params.ConnectLatency each way) that blocks
+// SYN/SYN-ACK round trip (connectLatency each way) that blocks
 // the dialing thread, and the data path is fully simulated.
 package netstack
 
@@ -26,38 +26,39 @@ import (
 	"ioctopus/internal/topology"
 )
 
-// Params are stack cost constants, calibrated so the Broadwell testbed's
-// absolute throughputs come out near the paper's (§5.1).
-type Params struct {
-	// Syscall is the per-call entry/exit cost of send/recv.
-	Syscall time.Duration
-	// TCPTxSegment is per-segment transmit stack work (TSO path).
-	TCPTxSegment time.Duration
-	// TCPTxPerPacket is the per-wire-packet transmit cost.
-	TCPTxPerPacket time.Duration
-	// TCPRxPerPacket is the per-packet receive protocol cost.
-	TCPRxPerPacket time.Duration
-	// NAPIPerPacket is the per-packet driver poll cost (softirq side).
-	NAPIPerPacket time.Duration
-	// UDPPerPacket is the per-packet cost of the UDP paths.
-	UDPPerPacket time.Duration
-	// AckLatency approximates the ACK round trip for window opening.
-	AckLatency time.Duration
-	// ConnectLatency is the one-way control-plane delay of connection
+// Stack costs, calibrated so the Broadwell testbed's absolute
+// throughputs come out near the paper's (§5.1).
+const (
+	// syscallCost is the per-call entry/exit cost of send/recv.
+	syscallCost time.Duration = 300 * time.Nanosecond
+	// tcpTxSegment is per-segment transmit stack work (TSO path).
+	tcpTxSegment time.Duration = 700 * time.Nanosecond
+	// tcpTxPerPacket is the per-wire-packet transmit cost.
+	tcpTxPerPacket time.Duration = 80 * time.Nanosecond
+	// tcpRxPerPacket is the per-packet receive protocol cost.
+	tcpRxPerPacket time.Duration = 150 * time.Nanosecond
+	// napiPerPacket is the per-packet driver poll cost (softirq side).
+	napiPerPacket time.Duration = 180 * time.Nanosecond
+	// udpPerPacket is the per-packet cost of the UDP paths.
+	udpPerPacket time.Duration = 450 * time.Nanosecond
+	// ackLatency approximates the ACK round trip for window opening.
+	ackLatency time.Duration = 10 * time.Microsecond
+	// connectLatency is the one-way control-plane delay of connection
 	// setup and teardown (SYN, SYN-ACK, FIN). Dial blocks the calling
 	// thread for one round trip.
-	ConnectLatency time.Duration
+	connectLatency time.Duration = 10 * time.Microsecond
 	// SendWindow bounds unacknowledged in-flight bytes per socket.
-	SendWindow int64
+	SendWindow int64 = 4 << 20
+	// userBufBytes sizes each socket's user-space buffer.
+	userBufBytes int64 = 64 * 1024
+)
+
+// Params are the stack's per-cluster settings.
+type Params struct {
 	// RxBufBytes bounds undelivered payload per socket (the receive
 	// buffer); TCP's window keeps in-flight below it, while UDP
 	// arrivals beyond it are dropped.
 	RxBufBytes int64
-	// TSO is the max segment handed to the device in one descriptor;
-	// zero disables TSO (per-MTU segments).
-	TSO int64
-	// UserBufBytes sizes each socket's user-space buffer.
-	UserBufBytes int64
 	// RetxTimeout arms the TCP retransmission timer: segments
 	// unacknowledged for this long are re-sent with exponential backoff.
 	// Zero (the default) disables retransmission entirely — every hook
@@ -71,22 +72,10 @@ type Params struct {
 	RetxMaxTries int
 }
 
-// DefaultParams returns the calibrated defaults.
+// DefaultParams returns the defaults: an 8 MB receive buffer and no
+// retransmission.
 func DefaultParams() Params {
-	return Params{
-		Syscall:        300 * time.Nanosecond,
-		TCPTxSegment:   700 * time.Nanosecond,
-		TCPTxPerPacket: 80 * time.Nanosecond,
-		TCPRxPerPacket: 150 * time.Nanosecond,
-		NAPIPerPacket:  180 * time.Nanosecond,
-		UDPPerPacket:   450 * time.Nanosecond,
-		AckLatency:     10 * time.Microsecond,
-		ConnectLatency: 10 * time.Microsecond,
-		SendWindow:     4 << 20,
-		RxBufBytes:     8 << 20,
-		TSO:            64 * 1024,
-		UserBufBytes:   64 * 1024,
-	}
+	return Params{RxBufBytes: 8 << 20}
 }
 
 // Frag is one fragment of an outgoing packet.
@@ -201,9 +190,6 @@ func (st *Stack) Name() string { return st.name }
 // Kernel returns the owning kernel.
 func (st *Stack) Kernel() *kernel.Kernel { return st.k }
 
-// Params returns the stack's cost constants.
-func (st *Stack) Params() Params { return st.params }
-
 // AddDevice registers a netdevice with an IP address.
 func (st *Stack) AddDevice(dev NetDevice, ip uint32) {
 	st.devs = append(st.devs, dev)
@@ -258,7 +244,7 @@ func (st *Stack) Dial(t *kernel.Thread, dstIP uint32, dstPort uint16, proto uint
 		return nil, fmt.Errorf("netstack %s: connection refused on %d:%d", st.name, dstIP, dstPort)
 	}
 	eng := st.k.Engine()
-	lat := st.params.ConnectLatency
+	lat := connectLatency
 	done := sim.NewSignal(eng)
 	eng.After(lat, func() {
 		remote := dstStack.newSocket(ft.Reverse(), dstDev, nil, srcMAC)
@@ -282,7 +268,7 @@ func (st *Stack) newSocket(ft eth.FiveTuple, dev NetDevice, owner *kernel.Thread
 		owner:      owner,
 		peerMAC:    peerMAC,
 		txq:        -1,
-		window:     st.params.SendWindow,
+		window:     SendWindow,
 		advertised: st.params.RxBufBytes,
 	}
 	s.rxq = newSegQueue(st.k.Engine(), st.params.RxBufBytes)
@@ -291,7 +277,7 @@ func (st *Stack) newSocket(ft eth.FiveTuple, dev NetDevice, owner *kernel.Thread
 	s.sendCostFn = s.sendCost
 	s.sgCostFn = s.sgCost
 	s.recvCostFn = s.recvCost
-	s.syscallFn = func() time.Duration { return s.stack.params.Syscall }
+	s.syscallFn = func() time.Duration { return syscallCost }
 	st.sockets[ft] = s
 	st.sockList = append(st.sockList, s)
 	return s
@@ -352,11 +338,11 @@ func (st *Stack) DeliverRx(rxp *nic.RxPacket) {
 // RxStackCost prices the protocol receive work for a segment (charged
 // by the driver inside the NAPI poll).
 func (st *Stack) RxStackCost(rxp *nic.RxPacket) time.Duration {
-	per := st.params.TCPRxPerPacket
+	per := tcpRxPerPacket
 	if rxp.Flow.Proto == eth.ProtoUDP {
-		per = st.params.UDPPerPacket
+		per = udpPerPacket
 	}
-	return time.Duration(rxp.Packets) * (per + st.params.NAPIPerPacket)
+	return time.Duration(rxp.Packets) * (per + napiPerPacket)
 }
 
 // RxBurstCost prices the protocol receive work for a segment delivered
@@ -365,9 +351,9 @@ func (st *Stack) RxStackCost(rxp *nic.RxPacket) time.Duration {
 // happen — the PMD loop hands the segment straight to the socket, which
 // is the kernel-bypass saving the busy-poll datapath measures.
 func (st *Stack) RxBurstCost(rxp *nic.RxPacket) time.Duration {
-	per := st.params.TCPRxPerPacket
+	per := tcpRxPerPacket
 	if rxp.Flow.Proto == eth.ProtoUDP {
-		per = st.params.UDPPerPacket
+		per = udpPerPacket
 	}
 	return time.Duration(rxp.Packets) * per
 }

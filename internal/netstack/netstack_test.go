@@ -90,8 +90,8 @@ func newStackRig(t *testing.T) *stackRig {
 	net := NewNetwork()
 	mk := func(name string) (*kernel.Kernel, *Stack) {
 		fab := interconnect.New(eng, topo)
-		mem := memsys.New(eng, topo, fab, memsys.DefaultParams())
-		k := kernel.New(eng, topo, mem, kernel.DefaultParams())
+		mem := memsys.New(eng, topo, fab, true)
+		k := kernel.New(eng, topo, mem)
 		return k, NewStack(k, name, net, DefaultParams())
 	}
 	ka, sa := mk("a")
@@ -314,7 +314,7 @@ func TestTCPWindowThrottlesToConsumer(t *testing.T) {
 	}
 	// Sender must be throttled: in-flight bounded by window+buffer,
 	// so sent can't run away from consumed.
-	maxAhead := int((DefaultParams().SendWindow+DefaultParams().RxBufBytes)/(64*1024)) + 2
+	maxAhead := int((SendWindow+DefaultParams().RxBufBytes)/(64*1024)) + 2
 	if sent > consumed+maxAhead {
 		t.Fatalf("window failed: sent %d, consumed %d", sent, consumed)
 	}

@@ -106,13 +106,12 @@ type retxSeg struct {
 // execution time on the submitting thread's then-current node, exactly
 // as the former per-segment closure did.
 func (s *Socket) sendCost() time.Duration {
-	p := s.stack.params
-	cost := p.TCPTxSegment + time.Duration(s.sendPkts)*p.TCPTxPerPacket
+	cost := tcpTxSegment + time.Duration(s.sendPkts)*tcpTxPerPacket
 	if s.ft.Proto == eth.ProtoUDP {
-		cost = time.Duration(s.sendPkts) * p.UDPPerPacket
+		cost = time.Duration(s.sendPkts) * udpPerPacket
 	}
 	if s.sendFirst {
-		cost += p.Syscall
+		cost += syscallCost
 	}
 	nd := s.sendT.Node()
 	src := s.sendSrc
@@ -127,8 +126,7 @@ func (s *Socket) sendCost() time.Duration {
 
 // sgCost prices a SendFrags segment (no user->kernel copy).
 func (s *Socket) sgCost() time.Duration {
-	p := s.stack.params
-	return p.Syscall + p.TCPTxSegment + time.Duration(s.sendPkts)*p.TCPTxPerPacket
+	return syscallCost + tcpTxSegment + time.Duration(s.sendPkts)*tcpTxPerPacket
 }
 
 // recvCost prices delivering one segment to the application: the copy
@@ -142,7 +140,7 @@ func (s *Socket) recvCost() time.Duration {
 	if s.recvBlocked {
 		// The thread slept and was woken by the softirq: context
 		// switch back in.
-		cost += s.stack.k.Params().ContextSwitch
+		cost += kernel.ContextSwitch
 	}
 	return cost
 }
@@ -217,7 +215,7 @@ func (s *Socket) bufOn(m map[topology.NodeID]*memsys.Buffer, kind string, node t
 	if b, ok := m[node]; ok {
 		return b
 	}
-	b := s.stack.k.Alloc(kind+s.ft.String(), node, s.stack.params.UserBufBytes)
+	b := s.stack.k.Alloc(kind+s.ft.String(), node, userBufBytes)
 	m[node] = b
 	return b
 }
@@ -260,17 +258,9 @@ func (s *Socket) sendFrom(t *kernel.Thread, srcBuf *memsys.Buffer, n int64, meta
 	if s.owner == nil {
 		s.owner = t
 	}
-	p := s.stack.params
-	tso := p.TSO
-	if tso <= 0 {
-		tso = eth.MTU
-	}
 	first := true
 	for n > 0 {
-		seg := n
-		if seg > tso {
-			seg = tso
-		}
+		seg := min(n, nic.MaxSegment)
 		n -= seg
 		if s.ft.Proto == eth.ProtoTCP {
 			for !s.windowOpen(seg) {
@@ -413,7 +403,7 @@ func (s *Socket) sendAckEvent(acked int64, seq uint64) {
 	ev.acked = acked
 	ev.free = s.rxq.free()
 	ev.seq = seq
-	s.stack.k.Engine().After(s.stack.params.AckLatency, ev.fn)
+	s.stack.k.Engine().After(ackLatency, ev.fn)
 }
 
 // Close tears the local socket down immediately — releasing blocked
@@ -434,7 +424,7 @@ func (s *Socket) Close() {
 	}
 	if p := s.peer; p != nil {
 		s.peer = nil
-		s.stack.k.Engine().After(s.stack.params.ConnectLatency, func() {
+		s.stack.k.Engine().After(connectLatency, func() {
 			if p.peer == s {
 				p.peer = nil
 			}
@@ -539,8 +529,7 @@ func (s *Socket) ensureRetxThread() {
 // data already sits in kernel buffers, so there is no syscall and no
 // user copy.
 func (s *Socket) retxCost() time.Duration {
-	p := s.stack.params
-	return p.TCPTxSegment + time.Duration(s.retxPkts)*p.TCPTxPerPacket
+	return tcpTxSegment + time.Duration(s.retxPkts)*tcpTxPerPacket
 }
 
 // retxLoop is the retransmission timer thread. It sleeps until the

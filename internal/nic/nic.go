@@ -28,48 +28,39 @@ import (
 	"ioctopus/internal/topology"
 )
 
-// Params are device cost/behaviour constants.
-type Params struct {
-	// CoalesceDelay is the adaptive interrupt-moderation holdoff; zero
-	// fires an interrupt as soon as a completion lands and NAPI is idle
-	// (the "adaptive interrupt coalescing disabled" latency setup).
-	CoalesceDelay time.Duration
-	// MaxSegment is the largest TSO segment accepted from the host.
-	MaxSegment int64
+// Device constants of the modelled ConnectX-5.
+const (
+	// MaxSegment is the largest TSO segment accepted from the host;
+	// the stack cuts every send into segments of at most this size.
+	MaxSegment int64 = 64 * 1024
 	// RxRingEntries / TxRingEntries size each queue's rings.
-	RxRingEntries int
-	TxRingEntries int
+	RxRingEntries int = 1024
+	TxRingEntries int = 1024
 	// DescBytes is the descriptor/completion entry size.
-	DescBytes int64
-	// RxBufBytes / RxBufCount size each Rx queue's packet-buffer pool;
-	// defaults approximate a 1024 x MTU real ring's footprint.
-	RxBufBytes int64
-	RxBufCount int
-}
+	DescBytes int64 = 64
+	// RxBufBytes / RxBufCount size each Rx queue's packet-buffer pool,
+	// approximating a 1024 x MTU real ring's footprint.
+	RxBufBytes int64 = 64 * 1024
+	RxBufCount int   = 40
+)
 
-// DefaultParams returns calibrated defaults (coalescing on).
-func DefaultParams() Params {
-	return Params{
-		CoalesceDelay: 8 * time.Microsecond,
-		MaxSegment:    64 * 1024,
-		RxRingEntries: 1024,
-		TxRingEntries: 1024,
-		DescBytes:     64,
-		RxBufBytes:    64 * 1024,
-		RxBufCount:    40,
-	}
-}
+// DefaultCoalesceDelay is the adaptive interrupt-moderation holdoff
+// with coalescing on.
+const DefaultCoalesceDelay = 8 * time.Microsecond
 
 // NIC is the adapter: one physical port, one or more PFs.
 type NIC struct {
-	eng    *sim.Engine
-	mem    *memsys.System
-	name   string
-	mac    eth.MAC // the port's primary (octo: only) MAC
-	pfs    []*PF
-	fw     Firmware
-	wire   *eth.Wire
-	params Params
+	eng  *sim.Engine
+	mem  *memsys.System
+	name string
+	mac  eth.MAC // the port's primary (octo: only) MAC
+	pfs  []*PF
+	fw   Firmware
+	wire *eth.Wire
+	// coalesceDelay is the interrupt-moderation holdoff; zero fires an
+	// interrupt as soon as a completion lands and NAPI is idle (the
+	// "adaptive interrupt coalescing disabled" latency setup).
+	coalesceDelay time.Duration
 
 	// Packet-object pools (see pool.go): Rx/Tx packet free lists plus
 	// the frame pool backing this NIC's transmissions.
@@ -90,21 +81,22 @@ type NIC struct {
 }
 
 // New builds a NIC over the given PCIe endpoints (one per PF, in PF
-// order). The firmware is installed separately with LoadFirmware.
-func New(e *sim.Engine, mem *memsys.System, name string, eps []*pcie.Endpoint, params Params) *NIC {
+// order), moderating interrupts with coalesceDelay. The firmware is
+// installed separately with LoadFirmware.
+func New(e *sim.Engine, mem *memsys.System, name string, eps []*pcie.Endpoint, coalesceDelay time.Duration) *NIC {
 	if len(eps) == 0 {
 		panic("nic: need at least one PF endpoint")
 	}
 	pooled := PoolingEnabled()
 	n := &NIC{
-		eng:    e,
-		mem:    mem,
-		name:   name,
-		mac:    eth.MACFromInt(hashName(name)),
-		params: params,
-		rxPool: sim.NewPool(pooled, newRxPacket, resetRxPacket),
-		txPool: sim.NewPool(pooled, newTxPacket, resetTxPacket),
-		frames: eth.NewFramePool(pooled),
+		eng:           e,
+		mem:           mem,
+		name:          name,
+		mac:           eth.MACFromInt(hashName(name)),
+		coalesceDelay: coalesceDelay,
+		rxPool:        sim.NewPool(pooled, newRxPacket, resetRxPacket),
+		txPool:        sim.NewPool(pooled, newTxPacket, resetTxPacket),
+		frames:        eth.NewFramePool(pooled),
 	}
 	for i, ep := range eps {
 		n.pfs = append(n.pfs, &PF{
@@ -146,9 +138,6 @@ func (n *NIC) PF(i int) *PF {
 	}
 	return n.pfs[i]
 }
-
-// Params returns the device constants.
-func (n *NIC) Params() Params { return n.params }
 
 // LoadFirmware installs (or replaces — the paper flashes the prototype
 // back and forth) the device firmware.

@@ -38,15 +38,15 @@ func newRig(t *testing.T) *rig {
 	e := sim.NewEngine()
 	srv := topology.DualBroadwell()
 	ic := interconnect.New(e, srv)
-	mem := memsys.New(e, srv, ic, memsys.DefaultParams())
-	pf := pcie.New(e, mem, pcie.DefaultParams())
+	mem := memsys.New(e, srv, ic, true)
+	pf := pcie.New(e, mem)
 	eps := pf.AttachCard(pcie.CardConfig{
 		Name: "cx5", Gen: pcie.Gen3, TotalLanes: 16,
 		Wiring: pcie.WiringBifurcated, Nodes: []topology.NodeID{0, 1},
 	})
-	n := New(e, mem, "cx5", eps, DefaultParams())
+	n := New(e, mem, "cx5", eps, DefaultCoalesceDelay)
 	far := &farEnd{mac: eth.MACFromInt(0xC11E)}
-	w := eth.NewWire(e, eth.Wire100G("cable"), n, far)
+	w := eth.NewWire(e, "cable", n, far)
 	n.AttachWire(w)
 	far.wire = w
 	return &rig{eng: e, mem: mem, nic: n, far: far, wire: w}
@@ -349,16 +349,14 @@ func TestZeroCoalesceDelayInterruptsImmediately(t *testing.T) {
 	e := sim.NewEngine()
 	srv := topology.DualBroadwell()
 	ic := interconnect.New(e, srv)
-	mem := memsys.New(e, srv, ic, memsys.DefaultParams())
-	pcf := pcie.New(e, mem, pcie.DefaultParams())
+	mem := memsys.New(e, srv, ic, true)
+	pcf := pcie.New(e, mem)
 	eps := pcf.AttachCard(pcie.CardConfig{Name: "cx5", Gen: pcie.Gen3, TotalLanes: 16, Wiring: pcie.WiringBifurcated, Nodes: []topology.NodeID{0, 1}})
-	params := DefaultParams()
-	params.CoalesceDelay = 0
-	n := New(e, mem, "cx5", eps, params)
+	n := New(e, mem, "cx5", eps, 0)
 	fw := NewOctoFirmware(n, false)
 	n.LoadFirmware(fw)
 	far := &farEnd{mac: eth.MACFromInt(0xC11E)}
-	n.AttachWire(eth.NewWire(e, eth.Wire100G("w"), n, far))
+	n.AttachWire(eth.NewWire(e, "w", n, far))
 	var irqAt sim.Time
 	ring := device.NewRing(mem, "rxc", 0, 1024, 64)
 	bufs := []*memsys.Buffer{mem.NewBuffer("b", 0, 64*1024)}
@@ -522,16 +520,14 @@ func TestPolledModeLeavesZeroCoalesceUntouched(t *testing.T) {
 	e := sim.NewEngine()
 	srv := topology.DualBroadwell()
 	ic := interconnect.New(e, srv)
-	mem := memsys.New(e, srv, ic, memsys.DefaultParams())
-	pcf := pcie.New(e, mem, pcie.DefaultParams())
+	mem := memsys.New(e, srv, ic, true)
+	pcf := pcie.New(e, mem)
 	eps := pcf.AttachCard(pcie.CardConfig{Name: "cx5", Gen: pcie.Gen3, TotalLanes: 16, Wiring: pcie.WiringBifurcated, Nodes: []topology.NodeID{0, 1}})
-	params := DefaultParams()
-	params.CoalesceDelay = 0
-	n := New(e, mem, "cx5", eps, params)
+	n := New(e, mem, "cx5", eps, 0)
 	fw := NewOctoFirmware(n, false)
 	n.LoadFirmware(fw)
 	far := &farEnd{mac: eth.MACFromInt(0xC11E)}
-	n.AttachWire(eth.NewWire(e, eth.Wire100G("w"), n, far))
+	n.AttachWire(eth.NewWire(e, "w", n, far))
 	var irqAt sim.Time
 	ring := device.NewRing(mem, "rxc", 0, 1024, 64)
 	bufs := []*memsys.Buffer{mem.NewBuffer("b", 0, 64*1024)}

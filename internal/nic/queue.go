@@ -40,7 +40,7 @@ type RxPacket struct {
 // the packet buffer; write the completion entries.
 func (rxp *RxPacket) runPayloadDone() {
 	q := rxp.Queue
-	q.pf.ep.DMAWrite(q.compRing.Buffer(), int64(rxp.Packets)*q.pf.nic.params.DescBytes, rxp.compDone)
+	q.pf.ep.DMAWrite(q.compRing.Buffer(), int64(rxp.Packets)*DescBytes, rxp.compDone)
 }
 
 // runCompDone is stage 3: the completion writeback landed; the segment
@@ -87,7 +87,7 @@ func (p *PF) AddRxQueue(compRing *device.Ring, bufs []*memsys.Buffer, irqNode to
 		compRing: compRing,
 		bufs:     bufs,
 	}
-	q.Init(p.nic.eng, p.ep, irqNode, onIRQ, p.nic.params.CoalesceDelay, rxVisible)
+	q.Init(p.nic.eng, p.ep, irqNode, onIRQ, p.nic.coalesceDelay, rxVisible)
 	p.rxQueues = append(p.rxQueues, q)
 	return q
 }
@@ -258,7 +258,7 @@ func (p *PF) AddTxQueue(descRing, compRing *device.Ring, irqNode topology.NodeID
 		descRing: descRing,
 		compRing: compRing,
 	}
-	q.Init(p.nic.eng, p.ep, irqNode, onIRQ, p.nic.params.CoalesceDelay, txVisible)
+	q.Init(p.nic.eng, p.ep, irqNode, onIRQ, p.nic.coalesceDelay, txVisible)
 	p.txQueues = append(p.txQueues, q)
 	return q
 }
@@ -297,8 +297,8 @@ func (q *TxQueue) Post(pkt *TxPacket) {
 	if pkt.Descriptors <= 0 {
 		pkt.Descriptors = 1
 	}
-	if per := pkt.Payload / int64(pkt.Descriptors); per > nic.params.MaxSegment {
-		panic(fmt.Sprintf("nic %s: %d bytes per descriptor exceeds TSO max %d", nic.name, per, nic.params.MaxSegment))
+	if per := pkt.Payload / int64(pkt.Descriptors); per > MaxSegment {
+		panic(fmt.Sprintf("nic %s: %d bytes per descriptor exceeds TSO max %d", nic.name, per, MaxSegment))
 	}
 	if len(pkt.Frags) == 0 {
 		panic("nic: TxPacket needs at least one fragment")
@@ -344,7 +344,7 @@ func (q *TxQueue) transmit(pkt *TxPacket) {
 	if !q.pf.linkUp {
 		pkt.Dropped = true
 		q.pf.txLinkDrops++
-		q.pf.ep.DMAWrite(q.compRing.Buffer(), int64(max(1, pkt.Packets))*nic.params.DescBytes, pkt.compDone)
+		q.pf.ep.DMAWrite(q.compRing.Buffer(), int64(max(1, pkt.Packets))*DescBytes, pkt.compDone)
 		return
 	}
 	src := q.pf.mac
@@ -362,7 +362,7 @@ func (q *TxQueue) transmit(pkt *TxPacket) {
 	nic.wire.Send(nic, frame)
 	q.pf.txBytes += float64(pkt.Payload)
 	// Completion writeback for the segment's packets.
-	q.pf.ep.DMAWrite(q.compRing.Buffer(), int64(frame.Packets)*nic.params.DescBytes, pkt.compDone)
+	q.pf.ep.DMAWrite(q.compRing.Buffer(), int64(frame.Packets)*DescBytes, pkt.compDone)
 }
 
 // pfOn returns the PF attached to the given node, or nil.

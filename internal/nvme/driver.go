@@ -29,31 +29,21 @@ func (p Policy) String() string {
 	return "single-path"
 }
 
-// DriverParams are host-side cost constants.
-type DriverParams struct {
-	// DoorbellCPU is the submission doorbell cost.
-	DoorbellCPU time.Duration
-	// PerIOCPU is block-layer per-request work.
-	PerIOCPU time.Duration
-	// ReapBudget bounds completions per interrupt.
-	ReapBudget int
-}
-
-// DefaultDriverParams returns calibrated defaults.
-func DefaultDriverParams() DriverParams {
-	return DriverParams{
-		DoorbellCPU: 60 * time.Nanosecond,
-		PerIOCPU:    1200 * time.Nanosecond,
-		ReapBudget:  64,
-	}
-}
+// Host-side driver costs.
+const (
+	// doorbellCPU is the submission doorbell cost.
+	doorbellCPU time.Duration = 60 * time.Nanosecond
+	// perIOCPU is block-layer per-request work.
+	perIOCPU time.Duration = 1200 * time.Nanosecond
+	// reapBudget bounds completions per interrupt.
+	reapBudget int = 64
+)
 
 // Driver is the host NVMe driver for one controller.
 type Driver struct {
 	k      *kernel.Kernel
 	ctrl   *Controller
 	policy Policy
-	params DriverParams
 
 	// One queue pair per (port, submitting node): rings homed on the
 	// submitter's node, interrupts to it.
@@ -63,12 +53,11 @@ type Driver struct {
 }
 
 // NewDriver binds a driver to a controller.
-func NewDriver(k *kernel.Kernel, ctrl *Controller, policy Policy, params DriverParams) *Driver {
+func NewDriver(k *kernel.Kernel, ctrl *Controller, policy Policy) *Driver {
 	return &Driver{
 		k:      k,
 		ctrl:   ctrl,
 		policy: policy,
-		params: params,
 		qps:    make(map[[2]int]*QueuePair),
 	}
 }
@@ -113,9 +102,9 @@ func (d *Driver) qpFor(p *Port, node topology.NodeID) *QueuePair {
 // reap processes completions: per-CQE host reads plus callbacks.
 func (d *Driver) reap(qp *QueuePair, node topology.NodeID) time.Duration {
 	var cost time.Duration
-	for _, req := range qp.Reap(d.params.ReapBudget) {
+	for _, req := range qp.Reap(reapBudget) {
 		cost += qp.CQ().HostRead(node, 1)
-		cost += d.params.PerIOCPU / 2
+		cost += perIOCPU / 2
 		d.completed++
 		if req.OnComplete != nil {
 			req.OnComplete(req)
@@ -138,10 +127,9 @@ func (d *Driver) SubmitAsync(core topology.CoreID, req *Request) {
 // submitCost is the host side of a submission: block-layer work, the
 // SQE write and the doorbell.
 func (r *Request) submitCost() time.Duration {
-	d := r.drv
-	cost := d.params.PerIOCPU / 2
+	cost := perIOCPU / 2
 	cost += r.qp.SQ().HostWrite(r.node, 1)
-	cost += d.params.DoorbellCPU
+	cost += doorbellCPU
 	return cost
 }
 

@@ -21,40 +21,27 @@ import (
 	"ioctopus/internal/topology"
 )
 
-// Params are drive cost/behaviour constants (PM1725a-like).
-type Params struct {
-	// FlashReadBW / FlashWriteBW are the drive's internal bandwidths.
-	FlashReadBW  float64
-	FlashWriteBW float64
-	// FlashReadLatency is the media access latency of every op, reads
+// Drive constants of the modelled PM1725a.
+const (
+	// flashReadBW / flashWriteBW are the drive's internal bandwidths.
+	flashReadBW  float64 = 3.2e9
+	flashWriteBW float64 = 2.0e9
+	// flashReadLatency is the media access latency of every op, reads
 	// and writes alike.
-	FlashReadLatency time.Duration
-	// QueueEntries sizes SQ/CQ rings; DescBytes is the SQE/CQE size.
-	QueueEntries int
-	DescBytes    int64
-	// CoalesceDelay moderates completion interrupts.
-	CoalesceDelay time.Duration
-}
-
-// DefaultParams returns PM1725a-like defaults.
-func DefaultParams() Params {
-	return Params{
-		FlashReadBW:      3.2e9,
-		FlashWriteBW:     2.0e9,
-		FlashReadLatency: 90 * time.Microsecond,
-		QueueEntries:     1024,
-		DescBytes:        64,
-		CoalesceDelay:    4 * time.Microsecond,
-	}
-}
+	flashReadLatency time.Duration = 90 * time.Microsecond
+	// queueEntries sizes SQ/CQ rings; descBytes is the SQE/CQE size.
+	queueEntries int   = 1024
+	descBytes    int64 = 64
+	// coalesceDelay moderates completion interrupts.
+	coalesceDelay time.Duration = 4 * time.Microsecond
+)
 
 // Controller is one NVMe drive, possibly dual-ported.
 type Controller struct {
-	eng    *sim.Engine
-	mem    *memsys.System
-	name   string
-	params Params
-	ports  []*Port
+	eng   *sim.Engine
+	mem   *memsys.System
+	name  string
+	ports []*Port
 	// flash serializes media access: reads and writes share the media
 	// with their respective bandwidths approximated by a shared pipe at
 	// read bandwidth and a write-cost scale factor.
@@ -71,19 +58,18 @@ type Port struct {
 }
 
 // New builds a drive over its PCIe endpoints (one per port).
-func New(e *sim.Engine, mem *memsys.System, name string, eps []*pcie.Endpoint, params Params) *Controller {
+func New(e *sim.Engine, mem *memsys.System, name string, eps []*pcie.Endpoint) *Controller {
 	if len(eps) == 0 {
 		panic("nvme: need at least one port endpoint")
 	}
 	c := &Controller{
-		eng:    e,
-		mem:    mem,
-		name:   name,
-		params: params,
+		eng:  e,
+		mem:  mem,
+		name: name,
 		flash: sim.NewPipe(e, sim.PipeConfig{
 			Name:        name + ":flash",
-			BytesPerSec: params.FlashReadBW,
-			BaseLatency: params.FlashReadLatency,
+			BytesPerSec: flashReadBW,
+			BaseLatency: flashReadLatency,
 			// The FIFO itself is the media queue; utilization-based
 			// latency inflation would double-count it.
 			MaxInflation: 1.01,
@@ -185,10 +171,10 @@ func (p *Port) NewQueuePair(home topology.NodeID, irqNode topology.NodeID, onIRQ
 	c := p.ctrl
 	qp := &QueuePair{
 		port: p,
-		sq:   device.NewRing(c.mem, fmt.Sprintf("%s:sq%d", c.name, p.index), home, c.params.QueueEntries, c.params.DescBytes),
-		cq:   device.NewRing(c.mem, fmt.Sprintf("%s:cq%d", c.name, p.index), home, c.params.QueueEntries, c.params.DescBytes),
+		sq:   device.NewRing(c.mem, fmt.Sprintf("%s:sq%d", c.name, p.index), home, queueEntries, descBytes),
+		cq:   device.NewRing(c.mem, fmt.Sprintf("%s:cq%d", c.name, p.index), home, queueEntries, descBytes),
 	}
-	qp.Init(c.eng, p.ep, irqNode, onIRQ, c.params.CoalesceDelay, cqeVisible)
+	qp.Init(c.eng, p.ep, irqNode, onIRQ, coalesceDelay, cqeVisible)
 	return qp
 }
 
@@ -219,12 +205,13 @@ func (qp *QueuePair) Submit(req *Request) {
 // longer in proportion to the bandwidth ratio; reads and writes alike
 // pay the flash pipe's base latency.
 func (r *Request) accessMedia() {
-	c := r.qp.port.ctrl
 	bytes := r.Bytes
 	if r.Write {
-		bytes = int64(float64(bytes) * c.params.FlashReadBW / c.params.FlashWriteBW)
+		// Left to right at run time: a constant-folded read/write
+		// ratio would round differently.
+		bytes = int64(float64(bytes) * flashReadBW / flashWriteBW)
 	}
-	c.flash.Transfer(bytes, r.mediaDone)
+	r.qp.port.ctrl.flash.Transfer(bytes, r.mediaDone)
 }
 
 // moveData runs the data DMA once the media access is done.
@@ -244,7 +231,7 @@ func (r *Request) moveData() {
 // from there.
 func (r *Request) writeCQE() {
 	qp := r.qp
-	qp.port.ep.DMAWrite(qp.cq.Buffer(), qp.port.ctrl.params.DescBytes, r.cqeDone)
+	qp.port.ep.DMAWrite(qp.cq.Buffer(), descBytes, r.cqeDone)
 }
 
 // complete hands the written CQE to the queue pair's completion side.

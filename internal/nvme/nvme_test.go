@@ -24,8 +24,8 @@ func newNvmeRig(t *testing.T, dualPort bool) *nvmeRig {
 	e := sim.NewEngine()
 	topo := topology.DualSkylake()
 	fab := interconnect.New(e, topo)
-	mem := memsys.New(e, topo, fab, memsys.DefaultParams())
-	pc := pcie.New(e, mem, pcie.DefaultParams())
+	mem := memsys.New(e, topo, fab, true)
+	pc := pcie.New(e, mem)
 	cfg := pcie.CardConfig{Name: "nvme0", Gen: pcie.Gen3, TotalLanes: 8,
 		Wiring: pcie.WiringDirect, Nodes: []topology.NodeID{1}}
 	if dualPort {
@@ -33,14 +33,14 @@ func newNvmeRig(t *testing.T, dualPort bool) *nvmeRig {
 		cfg.Nodes = []topology.NodeID{1, 0}
 	}
 	eps := pc.AttachCard(cfg)
-	ctrl := New(e, mem, "nvme0", eps, DefaultParams())
-	k := kernel.New(e, topo, mem, kernel.DefaultParams())
+	ctrl := New(e, mem, "nvme0", eps)
+	k := kernel.New(e, topo, mem)
 	return &nvmeRig{eng: e, k: k, mem: mem, ctrl: ctrl}
 }
 
 func TestReadCompletesWithFlashLatency(t *testing.T) {
 	r := newNvmeRig(t, false)
-	d := NewDriver(r.k, r.ctrl, SinglePath, DefaultDriverParams())
+	d := NewDriver(r.k, r.ctrl, SinglePath)
 	buf := r.mem.NewBuffer("data", 1, 128*1024)
 	var lat time.Duration
 	d.SubmitAsync(24, &Request{Bytes: 128 * 1024, Buf: buf, // core 24 = node 1, local
@@ -61,7 +61,7 @@ func TestReadCompletesWithFlashLatency(t *testing.T) {
 
 func TestReadDataLandsViaDDIOWhenLocal(t *testing.T) {
 	r := newNvmeRig(t, false)
-	d := NewDriver(r.k, r.ctrl, SinglePath, DefaultDriverParams())
+	d := NewDriver(r.k, r.ctrl, SinglePath)
 	buf := r.mem.NewBuffer("data", 1, 128*1024) // node 1 = SSD node
 	d.SubmitAsync(24, &Request{Bytes: 128 * 1024, Buf: buf})
 	r.eng.RunFor(10 * time.Millisecond)
@@ -73,7 +73,7 @@ func TestReadDataLandsViaDDIOWhenLocal(t *testing.T) {
 
 func TestRemoteReadCrossesInterconnect(t *testing.T) {
 	r := newNvmeRig(t, false)
-	d := NewDriver(r.k, r.ctrl, SinglePath, DefaultDriverParams())
+	d := NewDriver(r.k, r.ctrl, SinglePath)
 	buf := r.mem.NewBuffer("data", 0, 128*1024) // fio node, remote to SSD
 	d.SubmitAsync(0, &Request{Bytes: 128 * 1024, Buf: buf})
 	r.eng.RunFor(10 * time.Millisecond)
@@ -88,7 +88,7 @@ func TestRemoteReadCrossesInterconnect(t *testing.T) {
 
 func TestOctoSSDRoutesByBufferHome(t *testing.T) {
 	r := newNvmeRig(t, true) // dual port: port0@node1, port1@node0
-	d := NewDriver(r.k, r.ctrl, OctoSSD, DefaultDriverParams())
+	d := NewDriver(r.k, r.ctrl, OctoSSD)
 	buf0 := r.mem.NewBuffer("d0", 0, 128*1024)
 	buf1 := r.mem.NewBuffer("d1", 1, 128*1024)
 	d.SubmitAsync(0, &Request{Bytes: 128 * 1024, Buf: buf0})
@@ -110,7 +110,7 @@ func TestOctoSSDRoutesByBufferHome(t *testing.T) {
 
 func TestSinglePathIgnoresBufferHome(t *testing.T) {
 	r := newNvmeRig(t, true)
-	d := NewDriver(r.k, r.ctrl, SinglePath, DefaultDriverParams())
+	d := NewDriver(r.k, r.ctrl, SinglePath)
 	buf0 := r.mem.NewBuffer("d0", 0, 128*1024)
 	d.SubmitAsync(0, &Request{Bytes: 128 * 1024, Buf: buf0})
 	r.eng.RunFor(10 * time.Millisecond)
@@ -123,7 +123,7 @@ func TestSinglePathIgnoresBufferHome(t *testing.T) {
 func TestWritesSlowerThanReads(t *testing.T) {
 	run := func(write bool) float64 {
 		r := newNvmeRig(t, false)
-		d := NewDriver(r.k, r.ctrl, SinglePath, DefaultDriverParams())
+		d := NewDriver(r.k, r.ctrl, SinglePath)
 		var bytes int64
 		r.k.Spawn("io", 24, func(th *kernel.Thread) {
 			var resubmit func(slot int)
@@ -196,7 +196,7 @@ func TestQueuePairInterruptModeration(t *testing.T) {
 	qp := r.ctrl.Port(0).NewQueuePair(1, 1, func() { irqs = append(irqs, r.eng.Now()) })
 	small := r.mem.NewBuffer("small", 1, 512)
 	big := r.mem.NewBuffer("big", 1, 64<<10)
-	delay := DefaultParams().CoalesceDelay
+	delay := coalesceDelay
 
 	// A burst of small reads: the flash pipe completes them well inside
 	// one holdoff, so they share one interrupt.

@@ -136,39 +136,28 @@ func (op *dmaOp) runRead() {
 	ep.toDevice.Transfer(n, done)
 }
 
+// PCIe transaction costs, calibrated to the testbed's Gen3 fabric.
+const (
+	// linkLatency is the one-way latency of a PCIe link hop.
+	linkLatency time.Duration = 250 * time.Nanosecond
+	// mmioWriteLatency is the host-side cost of a posted doorbell write.
+	mmioWriteLatency time.Duration = 100 * time.Nanosecond
+	// interruptLatency is MSI-X delivery latency to a local core.
+	interruptLatency time.Duration = 600 * time.Nanosecond
+	// switchLatency is the extra hop cost behind a programmable switch.
+	switchLatency time.Duration = 150 * time.Nanosecond
+)
+
 // Fabric is the server's PCIe fabric.
 type Fabric struct {
 	eng       *sim.Engine
 	mem       *memsys.System
 	endpoints []*Endpoint
-	params    Params
-}
-
-// Params are PCIe transaction cost constants.
-type Params struct {
-	// LinkLatency is the one-way latency of a PCIe link hop.
-	LinkLatency time.Duration
-	// MMIOWriteLatency is the host-side cost of a posted doorbell write.
-	MMIOWriteLatency time.Duration
-	// InterruptLatency is MSI-X delivery latency to a local core.
-	InterruptLatency time.Duration
-	// SwitchLatency is the extra hop cost behind a programmable switch.
-	SwitchLatency time.Duration
-}
-
-// DefaultParams returns calibrated defaults.
-func DefaultParams() Params {
-	return Params{
-		LinkLatency:      250 * time.Nanosecond,
-		MMIOWriteLatency: 100 * time.Nanosecond,
-		InterruptLatency: 600 * time.Nanosecond,
-		SwitchLatency:    150 * time.Nanosecond,
-	}
 }
 
 // New builds a PCIe fabric over the memory system.
-func New(e *sim.Engine, mem *memsys.System, params Params) *Fabric {
-	return &Fabric{eng: e, mem: mem, params: params}
+func New(e *sim.Engine, mem *memsys.System) *Fabric {
+	return &Fabric{eng: e, mem: mem}
 }
 
 // Memory returns the memory system DMA lands in.
@@ -189,10 +178,10 @@ func (f *Fabric) newEndpoint(name string, node topology.NodeID, g Gen, lanes int
 		lanes:        lanes,
 		extraLatency: extra,
 		toHost: sim.NewPipe(f.eng, sim.PipeConfig{
-			Name: name + ":up", BytesPerSec: bw, BaseLatency: f.params.LinkLatency,
+			Name: name + ":up", BytesPerSec: bw, BaseLatency: linkLatency,
 		}),
 		toDevice: sim.NewPipe(f.eng, sim.PipeConfig{
-			Name: name + ":down", BytesPerSec: bw, BaseLatency: f.params.LinkLatency,
+			Name: name + ":down", BytesPerSec: bw, BaseLatency: linkLatency,
 		}),
 	}
 	f.endpoints = append(f.endpoints, ep)
@@ -243,7 +232,7 @@ func (ep *Endpoint) DMARead(b *memsys.Buffer, n int64, done func()) {
 // decides how much of this to charge to CPU time.
 func (ep *Endpoint) MMIOWrite(fromNode topology.NodeID) time.Duration {
 	ep.mmioOps++
-	lat := ep.fabric.params.MMIOWriteLatency + ep.fabric.params.LinkLatency + ep.extraLatency
+	lat := mmioWriteLatency + linkLatency + ep.extraLatency
 	if fromNode != ep.node {
 		lat += ep.fabric.mem.Fabric().Charge(fromNode, ep.node, 64)
 	}
@@ -254,7 +243,7 @@ func (ep *Endpoint) MMIOWrite(fromNode topology.NodeID) time.Duration {
 // scheduling handler after the delivery latency.
 func (ep *Endpoint) Interrupt(toNode topology.NodeID, handler func()) {
 	ep.interrupts++
-	lat := ep.fabric.params.InterruptLatency + ep.extraLatency
+	lat := interruptLatency + ep.extraLatency
 	if toNode != ep.node {
 		lat += ep.fabric.mem.Fabric().Charge(ep.node, toNode, 64)
 	}

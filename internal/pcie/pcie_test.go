@@ -15,8 +15,8 @@ func newFabric(t *testing.T) (*sim.Engine, *Fabric) {
 	e := sim.NewEngine()
 	srv := topology.DualBroadwell()
 	ic := interconnect.New(e, srv)
-	mem := memsys.New(e, srv, ic, memsys.DefaultParams())
-	return e, New(e, mem, DefaultParams())
+	mem := memsys.New(e, srv, ic, true)
+	return e, New(e, mem)
 }
 
 func TestLinkBandwidth(t *testing.T) {

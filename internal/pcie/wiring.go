@@ -92,7 +92,7 @@ func (f *Fabric) AttachCard(cfg CardConfig) []*Endpoint {
 	case WiringSwitch:
 		eps := make([]*Endpoint, len(cfg.Nodes))
 		for i, node := range cfg.Nodes {
-			eps[i] = f.newEndpoint(fmt.Sprintf("%s/pf%d", cfg.Name, i), node, cfg.Gen, cfg.TotalLanes, f.params.SwitchLatency)
+			eps[i] = f.newEndpoint(fmt.Sprintf("%s/pf%d", cfg.Name, i), node, cfg.Gen, cfg.TotalLanes, switchLatency)
 		}
 		return eps
 	default:

@@ -65,15 +65,12 @@ type RetxSpec struct {
 
 // WatchdogSpec arms the server drivers' self-healing watchdog (the
 // staged recovery ladder of internal/driver/watchdog.go). Interval is
-// the tick period; Ticks is how many consecutive no-progress samples
-// declare a queue stuck (0 = the driver default of 2); Backoff is the
-// post-action grace period (0 = 2×Interval, doubling per ladder
-// stage). Durations are absolute, like RetxSpec, because recovery
-// cadence is device physics, not a fraction of the run.
+// the tick period; two consecutive no-progress samples declare a queue
+// stuck, and the post-action grace period is 2×Interval, doubling per
+// ladder stage. The interval is absolute, like RetxSpec, because
+// recovery cadence is device physics, not a fraction of the run.
 type WatchdogSpec struct {
 	Interval time.Duration `json:"interval_ns"`
-	Ticks    int           `json:"ticks,omitempty"`
-	Backoff  time.Duration `json:"backoff_ns,omitempty"`
 }
 
 // WorkloadSpec is one element of the workload mix, kind-discriminated:
@@ -114,7 +111,8 @@ type WorkloadSpec struct {
 // FaultSpec is one scheduled fault, offsets expressed as integer
 // percent of the run timeline so one spec scales from -quick to full
 // windows; Dur is the absolute alternative for sub-window faults (a
-// 1 ms core stall). Kind and Dir use the faults package's String names.
+// 1 ms core stall), and a fault sets at most one of DurPct and Dur.
+// Kind and Dir use the faults package's String names.
 type FaultSpec struct {
 	Kind   string        `json:"kind"`
 	AtPct  int           `json:"at_pct"`
@@ -401,13 +399,8 @@ func (sp *Spec) Validate() error {
 	if sim.Retx != nil && (sim.Retx.Timeout <= 0 || sim.Retx.MaxTries < 1) {
 		return fail("retx needs a positive timeout and at least one try")
 	}
-	if sim.Watchdog != nil {
-		if sim.Watchdog.Interval <= 0 {
-			return fail("watchdog needs a positive interval")
-		}
-		if sim.Watchdog.Ticks < 0 || sim.Watchdog.Backoff < 0 {
-			return fail("watchdog ticks and backoff must be non-negative")
-		}
+	if sim.Watchdog != nil && sim.Watchdog.Interval <= 0 {
+		return fail("watchdog needs a positive interval")
 	}
 
 	if len(sim.Workloads) == 0 {
@@ -490,6 +483,9 @@ func (sp *Spec) Validate() error {
 		}
 		if f.DurPct < 0 || f.AtPct+f.DurPct > 100 {
 			return fail("fault %d (%s): window [%d%%,%d%%] outside the timeline", i, f.Kind, f.AtPct, f.AtPct+f.DurPct)
+		}
+		if f.DurPct != 0 && f.Dur != 0 {
+			return fail("fault %d (%s): dur_pct and dur_ns are exclusive", i, f.Kind)
 		}
 		switch k {
 		case faults.LinkDown, faults.LinkUp, faults.LinkFlap:
@@ -774,8 +770,6 @@ func (sp *Spec) ClusterConfig(T time.Duration) (core.Config, error) {
 	if sim.Watchdog != nil {
 		dp := driver.DefaultParams()
 		dp.WatchdogInterval = sim.Watchdog.Interval
-		dp.WatchdogTicks = sim.Watchdog.Ticks
-		dp.WatchdogBackoff = sim.Watchdog.Backoff
 		drvParams = &dp
 	}
 

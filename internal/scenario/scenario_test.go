@@ -167,6 +167,7 @@ func TestValidateRejects(t *testing.T) {
 		{"no workloads", func(sp *scenario.Spec) { sp.Sim.Workloads = nil }, "at least one workload"},
 		{"bad fault kind", func(sp *scenario.Spec) { sp.Sim.Faults[0].Kind = "gremlin" }, "unknown fault kind"},
 		{"fault past end", func(sp *scenario.Spec) { sp.Sim.Faults[0].AtPct = 95; sp.Sim.Faults[0].DurPct = 20 }, "outside the timeline"},
+		{"dur_pct and dur_ns both set", func(sp *scenario.Spec) { sp.Sim.Faults[3].DurPct = 5 }, "dur_pct and dur_ns are exclusive"},
 		{"bad pf", func(sp *scenario.Spec) { sp.Sim.Faults[0].PF = 9 }, "no PF 9"},
 		{"overlapping windows", func(sp *scenario.Spec) {
 			sp.Sim.Faults = append(sp.Sim.Faults, sp.Sim.Faults[1]) // second loss window on the same direction
@@ -296,9 +297,6 @@ func TestValidateRejectsDeviceFaults(t *testing.T) {
 		{"watchdog non-positive interval", func(sp *scenario.Spec) {
 			sp.Sim.Watchdog = &scenario.WatchdogSpec{Interval: 0}
 		}, "positive interval"},
-		{"watchdog negative backoff", func(sp *scenario.Spec) {
-			sp.Sim.Watchdog = &scenario.WatchdogSpec{Interval: time.Millisecond, Backoff: -1}
-		}, "non-negative"},
 		{"fw-recovered without fw-reset", func(sp *scenario.Spec) {
 			sp.Sim.Checks = append(sp.Sim.Checks, scenario.CheckSpec{Kind: "fw-recovered", Name: "x"})
 		}, "no fw-reset fault"},

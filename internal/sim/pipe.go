@@ -44,7 +44,7 @@ type Pipe struct {
 	nextFree   Time
 	discRate   float64 // bytes/sec, decayed estimate
 	discRateAt Time
-	tau        float64 // estimator time constant, seconds
+	tau        float64 // estimatorTau in seconds
 
 	// Fluid traffic.
 	flows     []*FluidFlow
@@ -59,13 +59,15 @@ type Pipe struct {
 	latencySum     time.Duration
 }
 
+// estimatorTau is the discrete rate estimator's time constant.
+const estimatorTau time.Duration = 200 * Microsecond
+
 // PipeConfig configures a Pipe.
 type PipeConfig struct {
 	Name         string
 	BytesPerSec  float64       // capacity
 	BaseLatency  time.Duration // propagation + serialization floor
 	MaxInflation float64       // cap on queueing-delay multiplier (default 20)
-	EstimatorTau time.Duration // discrete rate estimator constant (default 200us)
 	// MinDiscreteShare guarantees discrete traffic this fraction of
 	// capacity regardless of fluid load (default 0.05). Fabrics whose
 	// hardware arbitrates for DMA bursts (QPI/UPI home agents) use a
@@ -81,9 +83,6 @@ func NewPipe(e *Engine, cfg PipeConfig) *Pipe {
 	if cfg.MaxInflation <= 1 {
 		cfg.MaxInflation = 20
 	}
-	if cfg.EstimatorTau <= 0 {
-		cfg.EstimatorTau = 200 * Microsecond
-	}
 	if cfg.MinDiscreteShare <= 0 {
 		cfg.MinDiscreteShare = 0.05
 	}
@@ -96,7 +95,7 @@ func NewPipe(e *Engine, cfg PipeConfig) *Pipe {
 		healthyLatency:  cfg.BaseLatency,
 		maxInflation:    cfg.MaxInflation,
 		minShare:        cfg.MinDiscreteShare,
-		tau:             cfg.EstimatorTau.Seconds(),
+		tau:             estimatorTau.Seconds(),
 	}
 }
 

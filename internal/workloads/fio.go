@@ -93,9 +93,6 @@ func (w *Fio) Bytes() int64 { return w.bytes - w.baseline }
 // SSDs' node and targets the fio node's memory), alternating readers
 // and writers.
 func StartAntagonistOn(h *core.Host, count int, cpuNode, memNode topology.NodeID, cfg AntagonistConfig) *Antagonist {
-	if cfg.DemandPerInstance <= 0 {
-		cfg.DemandPerInstance = 8e9
-	}
 	a := &Antagonist{host: h}
 	for i := 0; i < count; i++ {
 		read := i%2 == 0

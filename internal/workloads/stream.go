@@ -19,18 +19,15 @@ type AntagonistConfig struct {
 	// DemandPerInstance is one instance's memory demand in bytes/sec
 	// (single-core STREAM on the testbed: ~8-11 GB/s).
 	DemandPerInstance float64
-	// LLCPollutionFactor scales how much of an instance's bandwidth
-	// allocates into its socket's LLC (1 = every line).
-	LLCPollutionFactor float64
 }
+
+// llcPollutionFactor scales how much of an instance's bandwidth
+// allocates into its socket's LLC: every line.
+const llcPollutionFactor float64 = 1
 
 // DefaultAntagonistConfig returns testbed-calibrated settings.
 func DefaultAntagonistConfig(pairs int) AntagonistConfig {
-	return AntagonistConfig{
-		Pairs:              pairs,
-		DemandPerInstance:  11e9,
-		LLCPollutionFactor: 1,
-	}
+	return AntagonistConfig{Pairs: pairs, DemandPerInstance: 11e9}
 }
 
 // streamInstance is one running STREAM thread's resource registrations.
@@ -63,9 +60,6 @@ type Antagonist struct {
 // targeting remote memory, loading both interconnect directions and
 // both memory controllers as the paper's co-location setup does.
 func StartAntagonist(h *core.Host, cfg AntagonistConfig) *Antagonist {
-	if cfg.DemandPerInstance <= 0 {
-		cfg.DemandPerInstance = 8e9
-	}
 	a := &Antagonist{host: h}
 	nodes := h.Topo.NumNodes()
 	for p := 0; p < cfg.Pairs; p++ {
@@ -96,11 +90,7 @@ func (a *Antagonist) addInstance(name string, cpuNode, memNode topology.NodeID, 
 		si.fabricFlow = h.Fabric.AddFlow(name, cpuNode, memNode, cfg.DemandPerInstance)
 	}
 	si.memFlow = h.Mem.MemCtl(memNode).AddFlow(name, cfg.DemandPerInstance)
-	factor := cfg.LLCPollutionFactor
-	if factor <= 0 {
-		factor = 1
-	}
-	si.release = h.Mem.AddLLCPressure(cpuNode, cfg.DemandPerInstance*factor)
+	si.release = h.Mem.AddLLCPressure(cpuNode, cfg.DemandPerInstance*llcPollutionFactor)
 	return si
 }
 

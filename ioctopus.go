@@ -108,12 +108,12 @@ func NewClusterE(cfg Config) (*Cluster, error) { return core.NewClusterE(cfg) }
 // ValidateConfig vets a cluster config without building it.
 func ValidateConfig(cfg Config) error { return core.ValidateConfig(cfg) }
 
-// StackParams are the netstack cost/behaviour knobs, settable per
-// cluster via Config.StackParams (the chaos harness enables the
-// retransmission timer there).
+// StackParams are the netstack settings a cluster may vary (socket
+// receive buffer, retransmission), set via Config.StackParams (the
+// chaos harness enables the retransmission timer there).
 type StackParams = netstack.Params
 
-// DefaultStackParams returns the calibrated netstack defaults.
+// DefaultStackParams returns the netstack defaults (retransmission off).
 func DefaultStackParams() StackParams { return netstack.DefaultParams() }
 
 // Fault injection: a FaultPlan is a deterministic, seed-driven schedule
