@@ -11,7 +11,6 @@ package ioctopus_test
 
 import (
 	"runtime"
-	"sync"
 	"testing"
 	"time"
 
@@ -108,8 +107,8 @@ func BenchmarkAblationCoalescing(b *testing.B) { runFigure(b, "ablation-window")
 
 // benchAllQuick regenerates every artifact at quick durations — the
 // `ioctobench -fig all -quick` workload — with the harness bounded to
-// the given parallelism and whole experiments fanned out the same way
-// the CLI does.
+// the given parallelism and the experiments run one after another, as
+// the CLI runs them.
 func benchAllQuick(b *testing.B, par int) {
 	b.Helper()
 	old := ioctopus.Parallelism()
@@ -117,20 +116,11 @@ func benchAllQuick(b *testing.B, par int) {
 	defer ioctopus.SetParallelism(old)
 	ids := ioctopus.ExperimentIDs()
 	for i := 0; i < b.N; i++ {
-		sem := make(chan struct{}, par)
-		var wg sync.WaitGroup
 		for _, id := range ids {
-			wg.Add(1)
-			go func(id string) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				if _, err := ioctopus.RunExperiment(id, ioctopus.QuickDurations()); err != nil {
-					b.Error(err)
-				}
-			}(id)
+			if _, err := ioctopus.RunExperiment(id, ioctopus.QuickDurations()); err != nil {
+				b.Fatal(err)
+			}
 		}
-		wg.Wait()
 	}
 }
 

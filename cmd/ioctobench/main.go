@@ -3,8 +3,9 @@
 // results.
 //
 // Every measurement point is an isolated deterministic simulation, so
-// the harness fans points — and whole experiments — across a worker
-// pool; output is byte-identical at any -parallel level.
+// the harness fans each experiment's points across a worker pool and
+// runs the experiments one after another; output is byte-identical at
+// any -parallel level.
 //
 // Usage:
 //
@@ -35,7 +36,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strings"
-	"sync"
 
 	"ioctopus"
 )
@@ -125,7 +125,7 @@ func main() {
 		ids = ioctopus.ExperimentIDs()
 	}
 
-	results, err := runAll(ids, d, *parallel)
+	results, err := runAll(ids, d)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -238,41 +238,18 @@ func writeTrace(path string, tr *ioctopus.Tracer) error {
 	return f.Close()
 }
 
-// runAll executes the experiments, concurrently up to `parallel` whole
-// experiments in flight (their points additionally fan out through the
-// library's shared pool), and returns results in input order.
-func runAll(ids []string, d ioctopus.Durations, parallel int) ([]*ioctopus.ExperimentResult, error) {
+// runAll executes the experiments one after another, each fanning its
+// points over the library's worker pool, and returns results in input
+// order.
+func runAll(ids []string, d ioctopus.Durations) ([]*ioctopus.ExperimentResult, error) {
 	results := make([]*ioctopus.ExperimentResult, len(ids))
-	errs := make([]error, len(ids))
-	if parallel <= 1 || len(ids) == 1 {
-		for i, id := range ids {
-			fmt.Fprintf(os.Stderr, "running %s...\n", id)
-			results[i], errs[i] = ioctopus.RunExperiment(id, d)
-			if errs[i] != nil {
-				return nil, errs[i]
-			}
-		}
-		return results, nil
-	}
-	sem := make(chan struct{}, parallel)
-	var wg sync.WaitGroup
 	for i, id := range ids {
-		wg.Add(1)
-		// Loop variables are per-iteration since Go 1.22; capturing them
-		// directly avoids shadowing params.
-		go func() {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			fmt.Fprintf(os.Stderr, "running %s...\n", id)
-			results[i], errs[i] = ioctopus.RunExperiment(id, d)
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
+		fmt.Fprintf(os.Stderr, "running %s...\n", id)
+		res, err := ioctopus.RunExperiment(id, d)
 		if err != nil {
 			return nil, err
 		}
+		results[i] = res
 	}
 	return results, nil
 }

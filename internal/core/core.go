@@ -189,30 +189,18 @@ func (cfg *Config) normalize() {
 }
 
 // ValidateConfig rejects cluster configs that would assemble a broken
-// machine — a PF with zero queues, a card wired to a socket the
-// topology doesn't have, a lane budget that bifurcates to nothing —
-// with an error naming the problem instead of a panic from deep inside
-// a substrate package.
+// machine — a topology its own Validate rejects, a lane budget that
+// bifurcates to nothing, a completion ring on a socket the server
+// doesn't have, a zero receive buffer — with an error naming the
+// problem instead of a panic (or a silent stall) from deep inside a
+// substrate package.
 func ValidateConfig(cfg Config) error {
 	cfg.normalize()
-	for _, tp := range []struct {
-		name string
-		topo *topology.Server
-	}{{"server", cfg.ServerTopo}, {"client", cfg.ClientTopo}} {
-		if tp.topo.NumNodes() <= 0 {
-			return fmt.Errorf("core: %s topology has no NUMA nodes", tp.name)
-		}
-		if tp.topo.NumCores() <= 0 {
-			return fmt.Errorf("core: %s topology has no cores", tp.name)
-		}
-		for n := 0; n < tp.topo.NumNodes(); n++ {
-			if len(tp.topo.CoresOn(topology.NodeID(n))) == 0 {
-				// Queue pairs are per-core on the PF local to the core's
-				// node; a core-less socket would leave its PF with zero
-				// queues and nothing to drain its rings.
-				return fmt.Errorf("core: %s node %d has no cores (its PF would have zero queues)", tp.name, n)
-			}
-		}
+	if err := cfg.ServerTopo.Validate(); err != nil {
+		return fmt.Errorf("core: server: %w", err)
+	}
+	if err := cfg.ClientTopo.Validate(); err != nil {
+		return fmt.Errorf("core: client: %w", err)
 	}
 	switch cfg.Wiring {
 	case pcie.WiringBifurcated, pcie.WiringRiser:
@@ -233,6 +221,11 @@ func ValidateConfig(cfg Config) error {
 		if n := cfg.DriverParams.CompRingNode; n != topology.NoNode && (int(n) < 0 || int(n) >= cfg.ServerTopo.NumNodes()) {
 			return fmt.Errorf("core: completion rings homed on node %d but the server has %d nodes", n, cfg.ServerTopo.NumNodes())
 		}
+	}
+	// A socket's first advertised window is its receive buffer: with none,
+	// a TCP sender never starts.
+	if cfg.StackParams != nil && cfg.StackParams.RxBufBytes <= 0 {
+		return fmt.Errorf("core: stack receive buffer of %d bytes must be positive (TCP would never send)", cfg.StackParams.RxBufBytes)
 	}
 	switch cfg.Datapath {
 	case DatapathInterrupt, DatapathHybrid:
@@ -267,12 +260,13 @@ func NewCluster(cfg Config) *Cluster {
 // NewClusterE builds the full testbed per the config, returning an
 // error for invalid topologies or fault plans.
 func NewClusterE(cfg Config) (*Cluster, error) {
+	// Normalized first, so ValidateConfig finds nothing left to default.
+	cfg.normalize()
 	if err := ValidateConfig(cfg); err != nil {
 		return nil, err
 	}
 	e := sim.NewEngine()
 	net := netstack.NewNetwork()
-	cfg.normalize()
 
 	stackParams := netstack.DefaultParams()
 	if cfg.StackParams != nil {

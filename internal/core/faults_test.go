@@ -22,15 +22,20 @@ func TestValidateConfigRejectsBrokenMachines(t *testing.T) {
 		sk.Cores = nil
 	}
 	// More sockets than a x16 card can bifurcate across.
-	many := &topology.Server{Name: "many-sockets"}
-	for i := 0; i < 17; i++ {
-		many.Sockets = append(many.Sockets, &topology.Socket{
-			ID:    topology.NodeID(i),
-			Cores: []*topology.Core{{ID: topology.CoreID(i), Node: topology.NodeID(i), FreqGHz: 2}},
-		})
-	}
+	ref := topology.DualBroadwell()
+	many := topology.Build("many-sockets", 17, 1, 2.0, ref.Sockets[0].LLC, ref.Sockets[0].DRAM, ref.Interconnect)
+	noDRAMBandwidth := topology.DualBroadwell()
+	noDRAMBandwidth.Sockets[1].DRAM.BytesPerSec = 0
+	duplicateCore := topology.DualBroadwell()
+	duplicateCore.Sockets[1].Cores[0].ID = 0
+	noLinks := topology.DualBroadwell()
+	noLinks.Interconnect.LinksPerPair = 0
+	noLLC := topology.DualBroadwell()
+	noLLC.Sockets[0].LLC.Size = 0
 	badRings := driver.DefaultParams()
 	badRings.CompRingNode = 5
+	noRxBuf := netstack.DefaultParams()
+	noRxBuf.RxBufBytes = 0
 
 	cases := []struct {
 		name string
@@ -41,6 +46,11 @@ func TestValidateConfigRejectsBrokenMachines(t *testing.T) {
 		{"core-less client node", Config{ClientTopo: corelessNode}, "has no cores"},
 		{"no cores at all", Config{ServerTopo: noCores}, "no cores"},
 		{"over-bifurcated card", Config{ServerTopo: many}, "cannot bifurcate"},
+		{"zero DRAM bandwidth", Config{ServerTopo: noDRAMBandwidth}, "bad DRAM spec"},
+		{"duplicate core id", Config{ClientTopo: duplicateCore}, "duplicate core id 0"},
+		{"no interconnect links", Config{ServerTopo: noLinks}, "needs an interconnect"},
+		{"zero-size LLC", Config{ServerTopo: noLLC}, "bad LLC spec"},
+		{"zero receive buffer", Config{StackParams: &noRxBuf}, "receive buffer of 0 bytes"},
 		{"unknown wiring", Config{Wiring: pcie.Wiring(42)}, "unknown PCIe wiring"},
 		{"unknown mode", Config{Mode: NICMode(9)}, "unknown NIC mode"},
 		{"completion ring off-machine", Config{DriverParams: &badRings}, "5"},

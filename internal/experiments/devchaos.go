@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"ioctopus/internal/metrics"
-	"ioctopus/internal/netstack"
 	"ioctopus/internal/scenario"
 	"ioctopus/internal/sim"
 )
@@ -100,19 +99,14 @@ type devCellOut struct {
 	checks []Check
 }
 
-// runDevCell validates and simulates one cell's spec, like RunSpec, and
-// judges the finished run. Every cell must return to the pre-fault rate
-// with nothing abandoned and nothing left stranded device-side; the
-// fault part of the name picks the recovery rungs it must show.
+// runDevCell simulates one cell's spec, like RunSpec, and judges the
+// finished run. Every cell must return to the pre-fault rate with
+// nothing abandoned and nothing left stranded device-side; the fault
+// part of the name picks the recovery rungs it must show.
 func runDevCell(c devCell, d Durations) devCellOut {
-	sp := c.spec()
-	err := sp.Validate()
+	run, err := simulate(c.spec(), d, nil)
 	if err != nil {
 		panic(err) // the cell table is static; an invalid cell is a bug
-	}
-	run, err := simulate(sp, d, nil)
-	if err != nil {
-		panic(err)
 	}
 	cl := run.cl
 	defer cl.Drain()
@@ -138,7 +132,7 @@ func runDevCell(c devCell, d Durations) devCellOut {
 	abandoned := cl.Client.Stack.RetxAbandoned() + cl.Server.Stack.RetxAbandoned()
 	fwd, rev := run.streams[0], run.streams[1]
 	fwdGap, revGap := fwd.tx-fwd.rx, rev.tx-rev.rx
-	inFlightBound := netstack.SendWindow + run.stack.RxBufBytes
+	inFlightBound := run.inFlightBound()
 	wd := cl.Octo.WatchdogStats()
 	r.check(c.name+": post/pre throughput", ratio(post, pre), 0.90, 1.15)
 	r.checkTrue(c.name+": recovered before the post window",

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"time"
-
 	"ioctopus/internal/core"
 	"ioctopus/internal/metrics"
 	"ioctopus/internal/topology"
@@ -75,6 +73,3 @@ func runFig10(d Durations) *Result {
 		ratios[len(ratios)-1] >= ratios[0]-0.05, "ratio at 100% >= ratio at 0%")
 	return r
 }
-
-// window helper for callers needing consistent durations.
-var _ = time.Second

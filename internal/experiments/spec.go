@@ -43,11 +43,12 @@ func FuzzDurations() Durations {
 	}
 }
 
-// RunSpec is the one scenario runner: it validates the spec, simulates
-// it, and evaluates its declarative tables, notes and checks. The run
-// is a pure function of (spec, durations): running the same spec twice
-// — or its JSON round-trip — renders byte-identical text, which is what
-// the check.sh fuzz gate diffs.
+// RunSpec is the one scenario runner: it builds the spec's cluster
+// (scenario.Spec.Build, which rejects a bad spec with a named error),
+// simulates it, and evaluates its declarative tables, notes and checks.
+// The run is a pure function of (spec, durations): running the same
+// spec twice — or its JSON round-trip — renders byte-identical text,
+// which is what the check.sh fuzz gate diffs.
 func RunSpec(sp *scenario.Spec, d Durations) (*Result, error) {
 	return RunSpecTraced(sp, d, nil)
 }
@@ -56,9 +57,6 @@ func RunSpec(sp *scenario.Spec, d Durations) (*Result, error) {
 // tr is non-nil, as a trace process named after the spec. Tracing only
 // observes: the result renders the same text as an untraced run.
 func RunSpecTraced(sp *scenario.Spec, d Durations, tr *sim.Tracer) (*Result, error) {
-	if err := sp.Validate(); err != nil {
-		return nil, err
-	}
 	run, err := simulate(sp, d, tr)
 	if err != nil {
 		return nil, err
@@ -87,8 +85,7 @@ func pctT(pct int) string {
 // drained: the caller reads end-of-run state off the cluster, then
 // drains it.
 type specRun struct {
-	cl    *core.Cluster
-	stack netstack.Params // both hosts' netstack parameters
+	cl *core.Cluster
 	// rates are the windowed server NIC receive rates in Gb/s and series
 	// the sampled rate series, both in spec order.
 	rates  []float64
@@ -101,28 +98,23 @@ type specRun struct {
 	errs       workloads.ErrList
 }
 
-// simulate assembles the cluster a valid spec describes, attaches its
-// engine to tr unless tr is nil, drives its workloads and fault plan
-// over the timeline, and returns the run undrained.
+// simulate builds the cluster a spec describes, attaches its engine to
+// tr unless tr is nil, drives its workloads and fault plan over the
+// timeline, and returns the run undrained.
 func simulate(sp *scenario.Spec, d Durations, tr *sim.Tracer) (*specRun, error) {
-	sim2 := sp.Sim
 	T := d.Timeline
 	frac := func(pct int) time.Duration { return T * time.Duration(pct) / 100 }
 
-	clusterCfg, err := sp.ClusterConfig(T)
+	cl, err := sp.Build(T)
 	if err != nil {
 		return nil, err
 	}
-	cl, err := core.NewClusterE(clusterCfg)
-	if err != nil {
-		return nil, err
-	}
+	sim2 := sp.Sim
 	if tr != nil {
 		tr.Attach(cl.Eng, sp.Name)
 	}
 	run := &specRun{
 		cl:         cl,
-		stack:      *clusterCfg.StackParams,
 		streams:    make([]*streamState, len(sim2.Workloads)),
 		netperfs:   make([]*workloads.Stream, len(sim2.Workloads)),
 		memcacheds: make([]*workloads.Memcached, len(sim2.Workloads)),
@@ -208,6 +200,12 @@ func simulate(sp *scenario.Spec, d Durations, tr *sim.Tracer) (*specRun, error) 
 		advance(T)
 	}
 	return run, nil
+}
+
+// inFlightBound is how far a stream's receiver may trail its sender
+// with nothing lost: the send window plus the receive buffer.
+func (run *specRun) inFlightBound() int64 {
+	return netstack.SendWindow + run.cl.Server.Stack.Params().RxBufBytes
 }
 
 // report evaluates the spec's declarative output against a finished
@@ -305,7 +303,7 @@ func (run *specRun) report(sp *scenario.Spec, d Durations) *Result {
 	r.Notes = append(r.Notes, sim2.Notes...)
 
 	// Declarative checks, in spec order.
-	inFlightBound := netstack.SendWindow + run.stack.RxBufBytes
+	inFlightBound := run.inFlightBound()
 	netperfs, memcacheds := run.netperfs, run.memcacheds
 	workloadErrs := run.errs.All()
 	for i := range sim2.Workloads {

@@ -129,9 +129,9 @@ func TestValidateScheduleDeviceWindows(t *testing.T) {
 	}
 	for _, c := range reject {
 		t.Run(c.name, func(t *testing.T) {
-			err := (&Plan{Events: c.evs}).ValidateSchedule()
+			err := (&Plan{Events: c.evs}).validateSchedule()
 			if err == nil {
-				t.Fatalf("ValidateSchedule accepted %+v", c.evs)
+				t.Fatalf("validateSchedule accepted %+v", c.evs)
 			}
 			if !strings.Contains(err.Error(), c.want) {
 				t.Fatalf("error %q does not mention %q", err, c.want)
@@ -166,8 +166,8 @@ func TestValidateScheduleDeviceWindows(t *testing.T) {
 	}
 	for _, c := range accept {
 		t.Run(c.name, func(t *testing.T) {
-			if err := (&Plan{Events: c.evs}).ValidateSchedule(); err != nil {
-				t.Fatalf("ValidateSchedule rejected a sound schedule: %v", err)
+			if err := (&Plan{Events: c.evs}).validateSchedule(); err != nil {
+				t.Fatalf("validateSchedule rejected a sound schedule: %v", err)
 			}
 		})
 	}

@@ -226,7 +226,7 @@ func (k winKey) String() string {
 	}
 }
 
-// ValidateSchedule rejects schedules whose windowed events fight over
+// validateSchedule rejects schedules whose windowed events fight over
 // the same state: two overlapping loss windows on one wire direction
 // (the first window's end event would zero the probability mid-way
 // through the second), overlapping degradations of the same fabric
@@ -234,10 +234,9 @@ func (k winKey) String() string {
 // is live), overlapping flaps of one PF, and discrete link-up/down
 // events landing inside a flap window on the same PF. A window whose
 // end does not fit in a time.Duration is rejected too, since its end
-// would wrap negative and hide every overlap. It needs no targets, so
-// plan generators can vet schedules before a cluster exists; Validate
-// (and therefore Arm) always includes it.
-func (p *Plan) ValidateSchedule() error {
+// would wrap negative and hide every overlap. It needs no targets;
+// Validate (and therefore Arm) ends with it.
+func (p *Plan) validateSchedule() error {
 	type win struct {
 		idx      int
 		from, to time.Duration
@@ -316,7 +315,7 @@ func (p *Plan) Validate(tg Targets) error {
 			if ev.Kind == LinkFlap && ev.Duration <= 0 {
 				return fmt.Errorf("faults: event %d (link-flap): needs positive duration", i)
 			}
-		case Loss, Corrupt:
+		case Loss, Burst, Corrupt:
 			if tg.Wire == nil {
 				return fmt.Errorf("faults: event %d (%s): no wire target", i, ev.Kind)
 			}
@@ -325,13 +324,6 @@ func (p *Plan) Validate(tg Targets) error {
 			}
 			if ev.Duration <= 0 {
 				return fmt.Errorf("faults: event %d (%s): needs positive duration", i, ev.Kind)
-			}
-		case Burst:
-			if tg.Wire == nil {
-				return fmt.Errorf("faults: event %d (burst): no wire target", i)
-			}
-			if ev.Duration <= 0 {
-				return fmt.Errorf("faults: event %d (burst): needs positive duration", i)
 			}
 		case Degrade:
 			if tg.Fabric == nil {
@@ -396,7 +388,7 @@ func (p *Plan) Validate(tg Targets) error {
 			return fmt.Errorf("faults: event %d: unknown kind %d", i, int(ev.Kind))
 		}
 	}
-	return p.ValidateSchedule()
+	return p.validateSchedule()
 }
 
 // dirState is one wire direction's active loss configuration, mutated

@@ -98,6 +98,7 @@ func TestValidateRejectsMalformedEvents(t *testing.T) {
 		{"loss prob negative", Event{Kind: Loss, Prob: -0.1, Duration: ms}, "out of [0,1]"},
 		{"loss without duration", Event{Kind: Loss, Prob: 0.5}, "positive duration"},
 		{"burst without duration", Event{Kind: Burst}, "positive duration"},
+		{"burst prob above one", Event{Kind: Burst, Prob: 2, Duration: ms}, "out of [0,1]"},
 		{"corrupt without duration", Event{Kind: Corrupt, Prob: 0.5}, "positive duration"},
 		{"degrade self link", Event{Kind: Degrade, From: 1, To: 1, BWFactor: 0.5, LatFactor: 1, Duration: ms}, "not a fabric link"},
 		{"degrade outside fabric", Event{Kind: Degrade, From: 0, To: 7, BWFactor: 0.5, LatFactor: 1, Duration: ms}, "outside"},
@@ -428,9 +429,9 @@ func TestValidateScheduleRejectsRacingWindows(t *testing.T) {
 	}
 	for _, c := range reject {
 		t.Run(c.name, func(t *testing.T) {
-			err := (&Plan{Events: c.evs}).ValidateSchedule()
+			err := (&Plan{Events: c.evs}).validateSchedule()
 			if err == nil {
-				t.Fatalf("ValidateSchedule accepted %+v", c.evs)
+				t.Fatalf("validateSchedule accepted %+v", c.evs)
 			}
 			if !strings.Contains(err.Error(), c.want) {
 				t.Fatalf("error %q does not mention %q", err, c.want)
@@ -474,8 +475,8 @@ func TestValidateScheduleRejectsRacingWindows(t *testing.T) {
 	}
 	for _, c := range accept {
 		t.Run(c.name, func(t *testing.T) {
-			if err := (&Plan{Events: c.evs}).ValidateSchedule(); err != nil {
-				t.Fatalf("ValidateSchedule rejected a sound schedule: %v", err)
+			if err := (&Plan{Events: c.evs}).validateSchedule(); err != nil {
+				t.Fatalf("validateSchedule rejected a sound schedule: %v", err)
 			}
 		})
 	}
@@ -551,7 +552,7 @@ func sameState(a, b Event) bool {
 	return false
 }
 
-// scheduleConflict is the brute-force reference for ValidateSchedule.
+// scheduleConflict is the brute-force reference for validateSchedule.
 // It compares every pair of events with exact (big.Int) window ends and
 // names the first conflict, or returns "" for a sound schedule: two
 // windows of positive duration on one state that overlap, or a link-up
@@ -574,7 +575,7 @@ func scheduleConflict(evs []Event) string {
 	return ""
 }
 
-// FuzzValidateSchedule decodes fuzz bytes into a plan: ValidateSchedule
+// FuzzValidateSchedule decodes fuzz bytes into a plan: validateSchedule
 // must never panic, and a plan it accepts must pass scheduleConflict.
 func FuzzValidateSchedule(f *testing.F) {
 	ms := time.Millisecond
@@ -598,11 +599,11 @@ func FuzzValidateSchedule(f *testing.F) {
 			data = data[:64*scheduleEventBytes]
 		}
 		p := decodeSchedule(data)
-		if err := p.ValidateSchedule(); err != nil {
+		if err := p.validateSchedule(); err != nil {
 			return
 		}
 		if c := scheduleConflict(p.Events); c != "" {
-			t.Fatalf("ValidateSchedule accepted a plan where %s: %+v", c, p.Events)
+			t.Fatalf("validateSchedule accepted a plan where %s: %+v", c, p.Events)
 		}
 	})
 }

@@ -49,13 +49,9 @@ func (l *llc) survivingFraction(idle time.Duration) float64 {
 }
 
 // pressureFactor shrinks effective capacity under pollution (the
-// antagonist working set occupies its share of the ways).
+// antagonist working set occupies its share of the ways, at most 85%).
 func (l *llc) pressureFactor() float64 {
-	f := 1 - math.Min(0.85, l.pollutionBps/150e9)
-	if f < 0.1 {
-		f = 0.1
-	}
-	return f
+	return 1 - math.Min(0.85, l.pollutionBps/150e9)
 }
 
 // effMain returns the usable main-partition capacity under pressure.

@@ -353,8 +353,16 @@ func TestZeroAndOversizedAccesses(t *testing.T) {
 	if s.DeviceWrite(0, b, 0) != 0 {
 		t.Fatal("zero-byte write should cost nothing")
 	}
-	// n > size clamps rather than corrupting occupancy accounting.
-	s.CPURead(0, b, 1000)
+	// n > size clamps rather than corrupting occupancy accounting: the
+	// read costs and counts exactly what a read of the whole buffer does.
+	_, whole := newSys(t)
+	want := whole.CPURead(0, whole.NewBuffer("b", 0, 100), 100)
+	if got := s.CPURead(0, b, 1000); got != want {
+		t.Fatalf("1000-byte read of a 100-byte buffer cost %v, a whole-buffer read %v", got, want)
+	}
+	if got, want := s.Stats(0), whole.Stats(0); got != want {
+		t.Fatalf("oversized read counted %+v, a whole-buffer read %+v", got, want)
+	}
 	if b.CachedBytes() > 100 {
 		t.Fatalf("cached %v bytes of a 100-byte buffer", b.CachedBytes())
 	}
@@ -368,4 +376,37 @@ func TestNewBufferValidation(t *testing.T) {
 		}
 	}()
 	s.NewBuffer("bad", 0, 0)
+}
+
+// TestTinyLLCKeepsAPageOfEachBuffer: one buffer may fill at most half a
+// partition, but never less than 4 KB, so a 4 KB buffer read into a
+// cache whose main partition is under 8 KB becomes fully resident.
+func TestTinyLLCKeepsAPageOfEachBuffer(t *testing.T) {
+	e := sim.NewEngine()
+	ref := topology.DualBroadwell().Sockets[0]
+	llc := ref.LLC
+	llc.Size = 8 * topology.KiB // main partition: 7,373 bytes
+	srv := topology.Build("tiny-llc", 1, 1, 2.0, llc, ref.DRAM, topology.InterconnectSpec{})
+	s := New(e, srv, interconnect.New(e, srv), true)
+	b := s.NewBuffer("page", 0, 4096)
+	s.CPURead(0, b, 4096)
+	if b.CachedBytes() != 4096 {
+		t.Fatalf("cached %d bytes of a 4096-byte buffer, want all of them", b.CachedBytes())
+	}
+}
+
+// TestLongIdleBufferKeepsAFloorOfHits: under LLC pollution a resident
+// buffer's hits decay with its idle time, but never below 5% of the
+// bytes read.
+func TestLongIdleBufferKeepsAFloorOfHits(t *testing.T) {
+	e, s := newSys(t)
+	b := s.NewBuffer("idle", 0, 64*1024)
+	s.CPURead(0, b, 64*1024)
+	s.AddLLCPressure(0, 60e9)       // turns the 35 MiB cache over every 0.6 ms
+	e.RunFor(10 * time.Millisecond) // exp(-16) of the lines survive
+	s.ResetStats()
+	s.CPURead(0, b, 64*1024)
+	if got, want := s.Stats(0).LLCHitBytes, float64(int64(0.05*float64(b.Size()))); got != want {
+		t.Fatalf("hit bytes after 10 ms idle = %v, want the 5%% floor %v", got, want)
+	}
 }

@@ -57,7 +57,8 @@ const (
 type Params struct {
 	// RxBufBytes bounds undelivered payload per socket (the receive
 	// buffer); TCP's window keeps in-flight below it, while UDP
-	// arrivals beyond it are dropped.
+	// arrivals beyond it are dropped. It must be positive: it is a
+	// socket's first advertised window (core.ValidateConfig rejects 0).
 	RxBufBytes int64
 	// RetxTimeout arms the TCP retransmission timer: segments
 	// unacknowledged for this long are re-sent with exponential backoff.
@@ -189,6 +190,9 @@ func (st *Stack) Name() string { return st.name }
 
 // Kernel returns the owning kernel.
 func (st *Stack) Kernel() *kernel.Kernel { return st.k }
+
+// Params returns the stack's settings.
+func (st *Stack) Params() Params { return st.params }
 
 // AddDevice registers a netdevice with an IP address.
 func (st *Stack) AddDevice(dev NetDevice, ip uint32) {

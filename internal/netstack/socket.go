@@ -683,9 +683,6 @@ func (q *segQueue) len() int { return len(q.items) - q.head }
 
 // free returns remaining receive-buffer space.
 func (q *segQueue) free() int64 {
-	if q.capBytes <= 0 {
-		return 1 << 40
-	}
 	f := q.capBytes - q.bytes
 	if f < 0 {
 		return 0
@@ -694,7 +691,7 @@ func (q *segQueue) free() int64 {
 }
 
 func (q *segQueue) tryPut(rxp *nic.RxPacket) bool {
-	if q.closed || (q.capBytes > 0 && q.bytes+rxp.Payload > q.capBytes) {
+	if q.closed || q.bytes+rxp.Payload > q.capBytes {
 		return false
 	}
 	q.items = append(q.items, rxp)

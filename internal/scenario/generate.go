@@ -7,6 +7,12 @@ import (
 	"ioctopus/internal/sim"
 )
 
+// standardDriverPFs is how many server PFs have queue pairs in
+// standard mode: the cluster binds one standard driver to PF 0 (eth0)
+// and one to PF 1 (eth1); further PFs carry no traffic. Generate draws
+// queue stalls without building a cluster, so it needs the layout here.
+const standardDriverPFs = 2
+
 // Generate draws a random — but always valid — scenario from the given
 // seed: a topology pair, a NIC mode and wiring, a workload mix anchored
 // by a forward stream, and a fault schedule, plus the invariant checks
@@ -107,8 +113,8 @@ func Generate(seed int64) *Spec {
 	// post-fault window ([75%,100%)) always measures a healed system.
 	// Same-state windows are de-overlapped deterministically (shifted
 	// past the previous window's end, dropped if that pushes them past
-	// 70%) so every generated plan passes ValidateSchedule by
-	// construction.
+	// 70%) so no two windows race for the same state and every
+	// generated plan passes faults.Arm by construction.
 	kinds := []string{"loss", "burst", "corrupt", "stall", "fw-reset", "queue-stall"}
 	if serverSockets >= 2 {
 		kinds = append(kinds, "link-flap", "degrade")

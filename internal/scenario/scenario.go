@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -236,11 +237,6 @@ type SimSpec struct {
 	Notes        []string      `json:"notes,omitempty"`
 }
 
-// standardDriverPFs is how many server PFs have queue pairs in
-// standard mode: the cluster binds one standard driver to PF 0 (eth0)
-// and one to PF 1 (eth1); further PFs carry no traffic.
-const standardDriverPFs = 2
-
 // parseMode maps the spec's mode string.
 func parseMode(s string) (core.NICMode, error) {
 	switch s {
@@ -293,14 +289,21 @@ func parseDir(s string) (faults.Dir, error) {
 
 // build constructs the machine a MachineSpec describes. Custom builds
 // use the Broadwell per-socket template so generated topologies vary in
-// shape (sockets × cores) without varying the memory calibration.
-func (m MachineSpec) build() (*topology.Server, error) {
+// shape (sockets × cores) without varying the memory calibration; their
+// bounds keep topology.Build from panicking on an empty machine.
+func (m MachineSpec) build(host string) (*topology.Server, error) {
 	switch m.Preset {
 	case "dual-broadwell":
 		return topology.DualBroadwell(), nil
 	case "dual-skylake":
 		return topology.DualSkylake(), nil
 	case "":
+		if m.Sockets < 1 || m.Sockets > 4 {
+			return nil, fmt.Errorf("%s: sockets %d out of [1,4]", host, m.Sockets)
+		}
+		if m.CoresPerSocket < 1 || m.CoresPerSocket > 64 {
+			return nil, fmt.Errorf("%s: cores per socket %d out of [1,64]", host, m.CoresPerSocket)
+		}
 		ic := topology.InterconnectSpec{}
 		if m.Sockets > 1 {
 			ic = topology.DualBroadwell().Interconnect
@@ -310,101 +313,142 @@ func (m MachineSpec) build() (*topology.Server, error) {
 			fmt.Sprintf("custom-%dx%d", m.Sockets, m.CoresPerSocket),
 			m.Sockets, m.CoresPerSocket, 2.0, ref.LLC, ref.DRAM, ic), nil
 	default:
-		return nil, fmt.Errorf("unknown topology preset %q", m.Preset)
+		return nil, fmt.Errorf("%s: unknown topology preset %q", host, m.Preset)
 	}
 }
 
-// validateMachine rejects unbuildable machines before build() panics.
-func (m MachineSpec) validate(host string) error {
-	switch m.Preset {
-	case "dual-broadwell", "dual-skylake":
-		return nil
-	case "":
-		if m.Sockets < 1 || m.Sockets > 4 {
-			return fmt.Errorf("%s: sockets %d out of [1,4]", host, m.Sockets)
-		}
-		if m.CoresPerSocket < 1 || m.CoresPerSocket > 64 {
-			return fmt.Errorf("%s: cores per socket %d out of [1,64]", host, m.CoresPerSocket)
-		}
-		return nil
-	default:
-		return fmt.Errorf("%s: unknown topology preset %q", host, m.Preset)
+// parseIndex parses a non-negative decimal index in its canonical form,
+// the one strconv.Itoa writes: no sign, space, leading zero or trailing
+// text.
+func parseIndex(s string) (int, bool) {
+	n, err := strconv.Atoi(s)
+	if err != nil || n < 0 || strconv.Itoa(n) != s {
+		return -1, false
 	}
+	return n, true
 }
 
 // ParseSource parses a "<prefix>:<n>" sample source ("workload:0",
-// "pf:1"); it returns -1, false for other shapes.
+// "pf:1"), n in canonical decimal; it returns -1, false for other
+// shapes.
 func ParseSource(src, prefix string) (int, bool) {
-	var n int
-	if _, err := fmt.Sscanf(src, prefix+":%d", &n); err == nil {
-		return n, true
+	if rest, ok := strings.CutPrefix(src, prefix+":"); ok {
+		return parseIndex(rest)
 	}
 	return -1, false
 }
 
-// Validate rejects malformed specs with an error naming the field, so
-// a bad JSON file (or a generator bug) fails before a cluster is ever
-// assembled. It builds the topologies to range-check core and PF
-// references, and replays the fault schedule through
-// faults.(*Plan).ValidateSchedule to reject windows racing for the
-// same state.
+// nominalTimeline is the run length Validate's dry-run build resolves
+// percent offsets against: one second per percent, so every percent
+// window is exact.
+const nominalTimeline = 100 * time.Second
+
+// Validate is a dry-run Build: it assembles the spec's cluster over a
+// nominal timeline and drains it. Each error names the field or the
+// part of the machine at fault. A run builds over its own timeline,
+// where absolute dur_ns windows stand in another proportion to percent
+// ones, so faults.Arm can still reject a schedule there.
 func (sp *Spec) Validate() error {
+	cl, err := sp.Build(nominalTimeline)
+	if err != nil {
+		return err
+	}
+	cl.Drain()
+	return nil
+}
+
+// Build assembles the cluster a spec describes over a run of length T:
+// NIC mode, wiring and datapath, both machines, the netstack parameters
+// (retransmission on when Retx is set), the driver parameters (watchdog
+// armed when Watchdog is set), and the fault plan with its percent
+// offsets resolved against T. It first rejects what the spec alone can
+// get wrong: its names, the references between its own parts, percent
+// windows and check prerequisites. core.NewClusterE then vets the
+// machines and the driver layout, and faults.Arm the fault targets and
+// schedule. The caller drains the cluster.
+func (sp *Spec) Build(T time.Duration) (*core.Cluster, error) {
 	if sp.Name == "" || strings.ContainsAny(sp.Name, " \t\n") {
-		return fmt.Errorf("scenario: name %q must be non-empty without whitespace", sp.Name)
+		return nil, fmt.Errorf("scenario: name %q must be non-empty without whitespace", sp.Name)
 	}
 	if sp.Sim == nil {
-		return fmt.Errorf("scenario %s: sim must be set", sp.Name)
+		return nil, fmt.Errorf("scenario %s: sim must be set", sp.Name)
 	}
-	sim := sp.Sim
-	fail := func(format string, args ...any) error {
-		return fmt.Errorf("scenario %s: %s", sp.Name, fmt.Sprintf(format, args...))
-	}
-	if _, err := parseMode(sim.Mode); err != nil {
-		return fail("%v", err)
-	}
-	if _, err := parseWiring(sim.Wiring); err != nil {
-		return fail("%v", err)
-	}
-	if err := sim.Topology.Server.validate("server topology"); err != nil {
-		return fail("%v", err)
-	}
-	if err := sim.Topology.Client.validate("client topology"); err != nil {
-		return fail("%v", err)
-	}
-	server, err := sim.Topology.Server.build()
+	cl, err := sp.Sim.build(sp.Seed, T)
 	if err != nil {
-		return fail("%v", err)
+		return nil, fmt.Errorf("scenario %s: %w", sp.Name, err)
 	}
-	client, err := sim.Topology.Client.build()
-	if err != nil {
-		return fail("%v", err)
-	}
-	serverPFs := server.NumNodes() // one PF per socket of the bifurcated card
+	return cl, nil
+}
 
-	dp, err := core.ParseDatapath(sim.Datapath)
+// build checks the spec against itself, then assembles its cluster over
+// a run of length T.
+func (sim *SimSpec) build(seed int64, T time.Duration) (*core.Cluster, error) {
+	mode, err := parseMode(sim.Mode)
 	if err != nil {
-		return fail("%v", err)
+		return nil, err
 	}
-	if dp == core.DatapathBusyPoll {
-		// The poll loop owns the last core of every server node; a
-		// one-core node would leave nothing for workload threads.
-		for n := 0; n < server.NumNodes(); n++ {
-			if len(server.CoresOn(topology.NodeID(n))) < 2 {
-				return fail("datapath busypoll needs >= 2 cores per server node (node %d has %d)",
-					n, len(server.CoresOn(topology.NodeID(n))))
-			}
+	wiring, err := parseWiring(sim.Wiring)
+	if err != nil {
+		return nil, err
+	}
+	datapath, err := core.ParseDatapath(sim.Datapath)
+	if err != nil {
+		return nil, err
+	}
+	server, err := sim.Topology.Server.build("server topology")
+	if err != nil {
+		return nil, err
+	}
+	client, err := sim.Topology.Client.build("client topology")
+	if err != nil {
+		return nil, err
+	}
+	stackParams := netstack.DefaultParams()
+	if r := sim.Retx; r != nil {
+		if r.Timeout <= 0 || r.MaxTries < 1 {
+			return nil, fmt.Errorf("retx needs a positive timeout and at least one try")
 		}
+		stackParams.RetxTimeout = r.Timeout
+		stackParams.RetxMaxTries = r.MaxTries
 	}
+	var drvParams *driver.Params
+	if sim.Watchdog != nil {
+		if sim.Watchdog.Interval <= 0 {
+			return nil, fmt.Errorf("watchdog needs a positive interval")
+		}
+		dp := driver.DefaultParams()
+		dp.WatchdogInterval = sim.Watchdog.Interval
+		drvParams = &dp
+	}
+	if err := sim.checkWorkloads(server, client); err != nil {
+		return nil, err
+	}
+	plan, err := sim.faultPlan(seed, T)
+	if err != nil {
+		return nil, err
+	}
+	if err := sim.checkObservations(server.NumNodes()); err != nil {
+		return nil, err
+	}
+	return core.NewClusterE(core.Config{
+		Mode:         mode,
+		EnableSG:     sim.EnableSG,
+		Wiring:       wiring,
+		Datapath:     datapath,
+		ServerTopo:   server,
+		ClientTopo:   client,
+		StackParams:  &stackParams,
+		DriverParams: drvParams,
+		FaultPlan:    plan,
+		Seed:         seed,
+	})
+}
 
-	if sim.Retx != nil && (sim.Retx.Timeout <= 0 || sim.Retx.MaxTries < 1) {
-		return fail("retx needs a positive timeout and at least one try")
-	}
-	if sim.Watchdog != nil && sim.Watchdog.Interval <= 0 {
-		return fail("watchdog needs a positive interval")
-	}
-
+// checkWorkloads vets the workload mix: kinds, ports, sizes, and thread
+// placement on the two machines.
+func (sim *SimSpec) checkWorkloads(server, client *topology.Server) error {
 	if len(sim.Workloads) == 0 {
-		return fail("sim needs at least one workload")
+		return fmt.Errorf("sim needs at least one workload")
 	}
 	coreOK := func(t *topology.Server, node, idx int) bool {
 		return node >= 0 && node < t.NumNodes() && idx >= 0 && idx < len(t.CoresOn(topology.NodeID(node)))
@@ -414,180 +458,154 @@ func (sp *Spec) Validate() error {
 		switch w.Kind {
 		case "stream":
 			if w.Port == 0 || w.MsgSize <= 0 {
-				return fail("workload %d (stream): needs a port and a positive msg size", i)
+				return fmt.Errorf("workload %d (stream): needs a port and a positive msg size", i)
 			}
 			if w.SinkName == "" || w.SrcName == "" {
-				return fail("workload %d (stream): needs sink and source thread names", i)
+				return fmt.Errorf("workload %d (stream): needs sink and source thread names", i)
 			}
 			sinkHost, srcHost := server, client
 			if w.FromServer {
 				sinkHost, srcHost = client, server
 			}
 			if !coreOK(sinkHost, w.SinkNode, w.SinkCoreIdx) {
-				return fail("workload %d (stream): sink core node %d idx %d outside the host", i, w.SinkNode, w.SinkCoreIdx)
+				return fmt.Errorf("workload %d (stream): sink core node %d idx %d outside the host", i, w.SinkNode, w.SinkCoreIdx)
 			}
 			if !coreOK(srcHost, w.SrcNode, w.SrcCoreIdx) {
-				return fail("workload %d (stream): source core node %d idx %d outside the host", i, w.SrcNode, w.SrcCoreIdx)
+				return fmt.Errorf("workload %d (stream): source core node %d idx %d outside the host", i, w.SrcNode, w.SrcCoreIdx)
 			}
 		case "netperf":
 			if w.Port == 0 || w.MsgSize <= 0 {
-				return fail("workload %d (netperf): needs a port and a positive msg size", i)
+				return fmt.Errorf("workload %d (netperf): needs a port and a positive msg size", i)
 			}
 			if w.Direction != "rx" && w.Direction != "tx" {
-				return fail("workload %d (netperf): direction %q (want rx or tx)", i, w.Direction)
+				return fmt.Errorf("workload %d (netperf): direction %q (want rx or tx)", i, w.Direction)
 			}
 			if w.Instances < 1 {
-				return fail("workload %d (netperf): needs at least one instance", i)
+				return fmt.Errorf("workload %d (netperf): needs at least one instance", i)
 			}
 			if w.ServerNode < 0 || w.ServerNode >= server.NumNodes() {
-				return fail("workload %d (netperf): server node %d outside the host", i, w.ServerNode)
+				return fmt.Errorf("workload %d (netperf): server node %d outside the host", i, w.ServerNode)
 			}
 			if w.Instances > len(server.CoresOn(topology.NodeID(w.ServerNode))) ||
 				w.Instances > len(client.CoresOn(0)) {
-				return fail("workload %d (netperf): %d instances exceed the per-node core pool", i, w.Instances)
+				return fmt.Errorf("workload %d (netperf): %d instances exceed the per-node core pool", i, w.Instances)
 			}
 		case "memcached":
 			if w.Port == 0 {
-				return fail("workload %d (memcached): needs a port", i)
+				return fmt.Errorf("workload %d (memcached): needs a port", i)
 			}
 			if w.ServerNode < 0 || w.ServerNode >= server.NumNodes() {
-				return fail("workload %d (memcached): server node %d outside the host", i, w.ServerNode)
+				return fmt.Errorf("workload %d (memcached): server node %d outside the host", i, w.ServerNode)
 			}
 			if w.Clients < 1 || w.Clients > len(client.CoresOn(0)) {
-				return fail("workload %d (memcached): %d clients outside the client's node-0 pool", i, w.Clients)
+				return fmt.Errorf("workload %d (memcached): %d clients outside the client's node-0 pool", i, w.Clients)
 			}
 			if w.KeySize <= 0 || w.ValueSize <= 0 || w.Pipeline < 1 {
-				return fail("workload %d (memcached): needs positive key/value sizes and pipeline", i)
+				return fmt.Errorf("workload %d (memcached): needs positive key/value sizes and pipeline", i)
 			}
 			if w.SetRatio < 0 || w.SetRatio > 1 {
-				return fail("workload %d (memcached): set ratio %v out of [0,1]", i, w.SetRatio)
+				return fmt.Errorf("workload %d (memcached): set ratio %v out of [0,1]", i, w.SetRatio)
 			}
 		default:
-			return fail("workload %d: unknown kind %q", i, w.Kind)
+			return fmt.Errorf("workload %d: unknown kind %q", i, w.Kind)
 		}
 		if w.Port != 0 {
 			if prev, dup := ports[w.Port]; dup {
-				return fail("workloads %d and %d share port %d", prev, i, w.Port)
+				return fmt.Errorf("workloads %d and %d share port %d", prev, i, w.Port)
 			}
 			ports[w.Port] = i
 		}
 	}
+	return nil
+}
 
+// faultPlan converts the percent-based schedule to an absolute
+// faults.Plan over a run of length T, rejecting unknown kinds and wire
+// directions and windows outside the timeline; faults.Arm checks the
+// rest against the assembled cluster. Nil when the spec has no faults,
+// so a fault-free scenario keeps the cluster's zero-cost no-fault hooks.
+func (sim *SimSpec) faultPlan(seed int64, T time.Duration) (*faults.Plan, error) {
+	if len(sim.Faults) == 0 {
+		return nil, nil
+	}
+	frac := func(pct int) time.Duration { return T * time.Duration(pct) / 100 }
+	plan := &faults.Plan{Seed: seed}
 	for i, f := range sim.Faults {
 		k, err := parseFaultKind(f.Kind)
 		if err != nil {
-			return fail("fault %d: %v", i, err)
+			return nil, fmt.Errorf("fault %d: %v", i, err)
 		}
 		if f.AtPct < 0 || f.AtPct > 100 {
-			return fail("fault %d (%s): at %d%% outside the timeline", i, f.Kind, f.AtPct)
+			return nil, fmt.Errorf("fault %d (%s): at %d%% outside the timeline", i, f.Kind, f.AtPct)
 		}
 		if f.DurPct < 0 || f.AtPct+f.DurPct > 100 {
-			return fail("fault %d (%s): window [%d%%,%d%%] outside the timeline", i, f.Kind, f.AtPct, f.AtPct+f.DurPct)
+			return nil, fmt.Errorf("fault %d (%s): window [%d%%,%d%%] outside the timeline", i, f.Kind, f.AtPct, f.AtPct+f.DurPct)
 		}
 		if f.DurPct != 0 && f.Dur != 0 {
-			return fail("fault %d (%s): dur_pct and dur_ns are exclusive", i, f.Kind)
+			return nil, fmt.Errorf("fault %d (%s): dur_pct and dur_ns are exclusive", i, f.Kind)
+		}
+		ev := faults.Event{
+			At:       frac(f.AtPct),
+			Kind:     k,
+			PF:       f.PF,
+			Duration: f.Dur,
+			Prob:     f.Prob,
+			From:     topology.NodeID(f.From), To: topology.NodeID(f.To),
+			BWFactor: f.BWFactor, LatFactor: f.LatFactor,
+			Core:  topology.CoreID(f.Core),
+			Queue: f.Queue,
+			Node:  topology.NodeID(f.Node),
+		}
+		if f.DurPct > 0 {
+			ev.Duration = frac(f.DurPct)
 		}
 		switch k {
-		case faults.LinkDown, faults.LinkUp, faults.LinkFlap:
-			if f.PF < 0 || f.PF >= serverPFs {
-				return fail("fault %d (%s): server has no PF %d", i, f.Kind, f.PF)
-			}
 		case faults.Loss, faults.Burst, faults.Corrupt:
-			if _, err := parseDir(f.Dir); err != nil {
-				return fail("fault %d (%s): %v", i, f.Kind, err)
-			}
-			if f.Prob < 0 || f.Prob > 1 {
-				return fail("fault %d (%s): probability %v out of [0,1]", i, f.Kind, f.Prob)
-			}
-		case faults.Degrade:
-			if f.From == f.To || f.From < 0 || f.To < 0 || f.From >= server.NumNodes() || f.To >= server.NumNodes() {
-				return fail("fault %d (degrade): link %d->%d is not a server fabric link", i, f.From, f.To)
-			}
-			if f.BWFactor <= 0 || f.LatFactor <= 0 {
-				return fail("fault %d (degrade): factors must be positive", i)
-			}
-		case faults.Stall:
-			if f.Core < 0 || f.Core >= server.NumCores() {
-				return fail("fault %d (stall): server has no core %d", i, f.Core)
-			}
-		case faults.FirmwareReset:
-			// Any cabled server NIC can take a firmware reset; nothing to
-			// range-check.
-		case faults.QueueStall:
-			if f.PF < 0 || f.PF >= serverPFs {
-				return fail("fault %d (queue-stall): server has no PF %d", i, f.PF)
-			}
-			// Per-PF queue counts are a driver-layout fact: the standard
-			// drivers bind only PFs 0 and 1 (eth0 and eth1), each with one
-			// queue pair per machine core; the octo driver gives each PF
-			// one pair per core of its own node.
-			if sim.Mode == "standard" && f.PF >= standardDriverPFs {
-				return fail("fault %d (queue-stall): PF %d has no queue pairs in standard mode (the standard driver binds PFs 0 and 1 only)",
-					i, f.PF)
-			}
-			queues := server.NumCores()
-			if sim.Mode == "ioctopus" {
-				queues = len(server.CoresOn(topology.NodeID(f.PF)))
-			}
-			if f.Queue < 0 || f.Queue >= queues {
-				return fail("fault %d (queue-stall): PF %d has queues 0..%d in %s mode, not %d",
-					i, f.PF, queues-1, sim.Mode, f.Queue)
-			}
-			if f.DurPct <= 0 && f.Dur <= 0 {
-				return fail("fault %d (queue-stall): needs a positive duration (the stall is a window)", i)
-			}
-		case faults.PollerStall:
-			if dp != core.DatapathBusyPoll {
-				return fail("fault %d (poller-stall): datapath %q runs no dedicated poll loops (only busypoll does; interrupt and hybrid deliver completions via NAPI)",
-					i, sim.Datapath)
-			}
-			if f.Node < 0 || f.Node >= server.NumNodes() {
-				return fail("fault %d (poller-stall): server has no node %d", i, f.Node)
-			}
-			if f.DurPct <= 0 && f.Dur <= 0 {
-				return fail("fault %d (poller-stall): needs a positive duration (the wedge is a window)", i)
+			if ev.Dir, err = parseDir(f.Dir); err != nil {
+				return nil, fmt.Errorf("fault %d (%s): %v", i, f.Kind, err)
 			}
 		}
+		plan.Events = append(plan.Events, ev)
 	}
-	// Structural schedule checks (overlapping windows racing for one
-	// piece of state) on a nominal timeline; the authoritative re-check
-	// with real durations happens when the plan is armed.
-	if plan := sim.faultPlan(sp.Seed, 100*time.Second); plan != nil {
-		if err := plan.ValidateSchedule(); err != nil {
-			return fail("%v", err)
-		}
-	}
+	return plan, nil
+}
 
+// checkObservations vets the observation plan against the spec's own
+// parts: samples name forward streams or server PFs, windows are
+// ordered, counters and checks have the driver, watchdog, datapath and
+// fault they read, and recovery and checks name existing samples,
+// windows and workloads.
+func (sim *SimSpec) checkObservations(serverPFs int) error {
 	streamFwd := func(i int) bool {
 		return i >= 0 && i < len(sim.Workloads) &&
 			sim.Workloads[i].Kind == "stream" && !sim.Workloads[i].FromServer
 	}
 	for i, s := range sim.Samples {
 		if s.Name == "" {
-			return fail("sample %d: needs a name", i)
+			return fmt.Errorf("sample %d: needs a name", i)
 		}
 		if n, ok := ParseSource(s.Source, "workload"); ok {
 			if !streamFwd(n) {
-				return fail("sample %d: source %q must name a forward stream workload (server-side state)", i, s.Source)
+				return fmt.Errorf("sample %d: source %q must name a forward stream workload (server-side state)", i, s.Source)
 			}
 			continue
 		}
 		if n, ok := ParseSource(s.Source, "pf"); ok {
-			if n < 0 || n >= serverPFs {
-				return fail("sample %d: server has no PF %d", i, n)
+			if n >= serverPFs {
+				return fmt.Errorf("sample %d: server has no PF %d", i, n)
 			}
 			continue
 		}
-		return fail("sample %d: unknown source %q", i, s.Source)
+		return fmt.Errorf("sample %d: unknown source %q", i, s.Source)
 	}
 
 	prevEnd := 0
 	for i, w := range sim.Windows {
 		if w.FromPct < 0 || w.ToPct > 100 || w.FromPct >= w.ToPct {
-			return fail("window %d (%s): [%d%%,%d%%) is not a window", i, w.Name, w.FromPct, w.ToPct)
+			return fmt.Errorf("window %d (%s): [%d%%,%d%%) is not a window", i, w.Name, w.FromPct, w.ToPct)
 		}
 		if w.FromPct < prevEnd {
-			return fail("window %d (%s): overlaps or precedes the previous window", i, w.Name)
+			return fmt.Errorf("window %d (%s): overlaps or precedes the previous window", i, w.Name)
 		}
 		prevEnd = w.ToPct
 	}
@@ -603,69 +621,69 @@ func (sp *Spec) Validate() error {
 	}
 	for i, c := range sim.Counters {
 		if err := validateCounterSource(c.Source, serverPFs, octo, sim.Watchdog != nil); err != nil {
-			return fail("counter %d (%s): %v", i, c.Label, err)
+			return fmt.Errorf("counter %d (%s): %v", i, c.Label, err)
 		}
 	}
 	if sim.Recovery != nil {
 		r := sim.Recovery
 		if len(sim.Windows) == 0 || len(sim.Samples) == 0 {
-			return fail("recovery needs at least one window and one sample")
+			return fmt.Errorf("recovery needs at least one window and one sample")
 		}
 		if r.Sample < 0 || r.Sample >= len(sim.Samples) {
-			return fail("recovery: no sample %d", r.Sample)
+			return fmt.Errorf("recovery: no sample %d", r.Sample)
 		}
 		if r.Threshold <= 0 || r.Threshold > 1 {
-			return fail("recovery: threshold %v out of (0,1]", r.Threshold)
+			return fmt.Errorf("recovery: threshold %v out of (0,1]", r.Threshold)
 		}
 	}
 	for i, c := range sim.Checks {
 		if c.Name == "" {
-			return fail("check %d: needs a name", i)
+			return fmt.Errorf("check %d: needs a name", i)
 		}
 		switch c.Kind {
 		case "wire-drops-positive", "no-abandoned", "retx-recovered", "no-errors":
 		case "failover-and-back", "reposted":
 			if !octo {
-				return fail("check %d (%s): needs the ioctopus driver", i, c.Kind)
+				return fmt.Errorf("check %d (%s): needs the ioctopus driver", i, c.Kind)
 			}
 		case "stream-conserved":
 			if c.Workload < 0 || c.Workload >= len(sim.Workloads) || sim.Workloads[c.Workload].Kind != "stream" {
-				return fail("check %d (stream-conserved): workload %d is not a stream", i, c.Workload)
+				return fmt.Errorf("check %d (stream-conserved): workload %d is not a stream", i, c.Workload)
 			}
 		case "progress":
 			if c.Workload < 0 || c.Workload >= len(sim.Workloads) {
-				return fail("check %d (progress): no workload %d", i, c.Workload)
+				return fmt.Errorf("check %d (progress): no workload %d", i, c.Workload)
 			}
 		case "window-ratio":
 			if c.Window < 0 || c.Window >= len(sim.Windows) {
-				return fail("check %d (window-ratio): no window %d", i, c.Window)
+				return fmt.Errorf("check %d (window-ratio): no window %d", i, c.Window)
 			}
 			if c.Lo > c.Hi {
-				return fail("check %d (window-ratio): bounds [%v,%v] inverted", i, c.Lo, c.Hi)
+				return fmt.Errorf("check %d (window-ratio): bounds [%v,%v] inverted", i, c.Lo, c.Hi)
 			}
 		case "fw-recovered":
 			if !hasFault("fw-reset") {
-				return fail("check %d (fw-recovered): no fw-reset fault in the schedule", i)
+				return fmt.Errorf("check %d (fw-recovered): no fw-reset fault in the schedule", i)
 			}
 		case "queue-recovered":
 			if !hasFault("queue-stall") {
-				return fail("check %d (queue-recovered): no queue-stall fault in the schedule", i)
+				return fmt.Errorf("check %d (queue-recovered): no queue-stall fault in the schedule", i)
 			}
 			if c.Min > 0 && sim.Watchdog == nil {
-				return fail("check %d (queue-recovered): min %d queue resets needs the watchdog armed", i, c.Min)
+				return fmt.Errorf("check %d (queue-recovered): min %d queue resets needs the watchdog armed", i, c.Min)
 			}
 		case "poller-fallback-and-back":
 			if sim.Datapath != "busypoll" {
-				return fail("check %d (poller-fallback-and-back): needs the busypoll datapath", i)
+				return fmt.Errorf("check %d (poller-fallback-and-back): needs the busypoll datapath", i)
 			}
 			if sim.Watchdog == nil {
-				return fail("check %d (poller-fallback-and-back): needs the watchdog armed (nothing else notices a wedged poll loop)", i)
+				return fmt.Errorf("check %d (poller-fallback-and-back): needs the watchdog armed (nothing else notices a wedged poll loop)", i)
 			}
 			if !hasFault("poller-stall") {
-				return fail("check %d (poller-fallback-and-back): no poller-stall fault in the schedule", i)
+				return fmt.Errorf("check %d (poller-fallback-and-back): no poller-stall fault in the schedule", i)
 			}
 		default:
-			return fail("check %d: unknown kind %q", i, c.Kind)
+			return fmt.Errorf("check %d: unknown kind %q", i, c.Kind)
 		}
 	}
 	return nil
@@ -691,100 +709,17 @@ func validateCounterSource(src string, serverPFs int, octo, watchdog bool) error
 		}
 		return nil
 	}
-	var pf int
-	if _, err := fmt.Sscanf(src, "nic/pf%d/link_drops", &pf); err == nil {
-		if pf < 0 || pf >= serverPFs {
-			return fmt.Errorf("server has no PF %d", pf)
-		}
-		return nil
-	}
-	return fmt.Errorf("unknown source %q", src)
-}
-
-// faultPlan converts the percent-based schedule to an absolute
-// faults.Plan over the given timeline. Nil when the spec has no
-// faults, so a fault-free scenario keeps the cluster's zero-cost
-// no-fault hooks.
-func (sim *SimSpec) faultPlan(seed int64, T time.Duration) *faults.Plan {
-	if len(sim.Faults) == 0 {
-		return nil
-	}
-	frac := func(pct int) time.Duration { return T * time.Duration(pct) / 100 }
-	plan := &faults.Plan{Seed: seed}
-	for _, f := range sim.Faults {
-		k, err := parseFaultKind(f.Kind)
-		if err != nil {
-			continue // Validate already rejected it
-		}
-		ev := faults.Event{
-			At:   frac(f.AtPct),
-			Kind: k,
-			PF:   f.PF,
-			Prob: f.Prob,
-			From: topology.NodeID(f.From), To: topology.NodeID(f.To),
-			BWFactor: f.BWFactor, LatFactor: f.LatFactor,
-			Core:  topology.CoreID(f.Core),
-			Queue: f.Queue,
-			Node:  topology.NodeID(f.Node),
-		}
-		if f.Dir != "" {
-			if d, err := parseDir(f.Dir); err == nil {
-				ev.Dir = d
+	if mid, ok := strings.CutPrefix(src, "nic/pf"); ok {
+		if idx, ok := strings.CutSuffix(mid, "/link_drops"); ok {
+			if pf, ok := parseIndex(idx); ok {
+				if pf >= serverPFs {
+					return fmt.Errorf("server has no PF %d", pf)
+				}
+				return nil
 			}
 		}
-		if f.DurPct > 0 {
-			ev.Duration = frac(f.DurPct)
-		} else {
-			ev.Duration = f.Dur
-		}
-		plan.Events = append(plan.Events, ev)
 	}
-	return plan
-}
-
-// ClusterConfig is the core.Config a valid spec describes over a run of
-// length T: NIC mode, wiring and datapath, both topologies, the netstack
-// parameters (retransmission on when Retx is set), the driver
-// parameters (watchdog armed when Watchdog is set), and the fault plan
-// with its percent offsets resolved against T.
-func (sp *Spec) ClusterConfig(T time.Duration) (core.Config, error) {
-	sim := sp.Sim
-	mode, _ := parseMode(sim.Mode)
-	wiring, _ := parseWiring(sim.Wiring)
-	datapath, _ := core.ParseDatapath(sim.Datapath)
-	serverTopo, err := sim.Topology.Server.build()
-	if err != nil {
-		return core.Config{}, err
-	}
-	clientTopo, err := sim.Topology.Client.build()
-	if err != nil {
-		return core.Config{}, err
-	}
-
-	stackParams := netstack.DefaultParams()
-	if sim.Retx != nil {
-		stackParams.RetxTimeout = sim.Retx.Timeout
-		stackParams.RetxMaxTries = sim.Retx.MaxTries
-	}
-	var drvParams *driver.Params
-	if sim.Watchdog != nil {
-		dp := driver.DefaultParams()
-		dp.WatchdogInterval = sim.Watchdog.Interval
-		drvParams = &dp
-	}
-
-	return core.Config{
-		Mode:         mode,
-		EnableSG:     sim.EnableSG,
-		Wiring:       wiring,
-		Datapath:     datapath,
-		ServerTopo:   serverTopo,
-		ClientTopo:   clientTopo,
-		StackParams:  &stackParams,
-		DriverParams: drvParams,
-		FaultPlan:    sim.faultPlan(sp.Seed, T),
-		Seed:         sp.Seed,
-	}, nil
+	return fmt.Errorf("unknown source %q", src)
 }
 
 // Marshal renders the spec as indented JSON (the on-disk form
