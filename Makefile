@@ -1,6 +1,6 @@
 # Convenience targets; `make check` is the verification gate.
 
-.PHONY: check test bench build lint fuzz devchaos unreached
+.PHONY: check test bench build lint fuzz devchaos unreached identical
 
 build:
 	go build ./...
@@ -34,6 +34,13 @@ devchaos:
 # Regenerate the performance numbers behind BENCH_sim.json.
 bench:
 	go test -run '^$$' -bench 'BenchmarkPacketPath$$|BenchmarkRemoteRxPath$$|BenchmarkBusyPollPath$$|BenchmarkSimulatorEventRate|BenchmarkAllFiguresQuick' -benchmem .
+
+# Byte-identity check for changes that must not move any output: the
+# figures (text and JSON report), chaos, devchaos, pmd and two fuzz
+# batches, run from BASE and from the working tree (~1 min on 2 cores).
+BASE ?= HEAD
+identical:
+	./scripts/identical.sh $(BASE)
 
 # Model code no run reaches: the internal/ functions (octolint's own
 # packages aside) at 0.0% both in the golden run, which covers every

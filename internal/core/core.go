@@ -424,12 +424,6 @@ func (cl *Cluster) Run(d time.Duration) { cl.Eng.RunFor(d) }
 // done.
 func (cl *Cluster) Drain() { cl.Eng.Drain() }
 
-// FirstCoreOn returns the lowest core id on the given server node
-// (workload pinning helper).
-func (cl *Cluster) FirstCoreOn(node topology.NodeID) topology.CoreID {
-	return cl.Server.Topo.CoresOn(node)[0].ID
-}
-
 // ResetStats zeroes measurement counters on both hosts (after warmup).
 func (cl *Cluster) ResetStats() {
 	for _, h := range []*Host{cl.Server, cl.Client} {

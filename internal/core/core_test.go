@@ -204,7 +204,7 @@ func TestOctoSteersAfterMigration(t *testing.T) {
 	if pf1Delta == 0 {
 		t.Fatal("IOctoRFS did not move traffic to PF1 after migration")
 	}
-	if cl.Octo.UpdatesApplied() == 0 {
+	if count(t, cl, "server/driver/octo0/steer/updates_applied") == 0 {
 		t.Fatal("no MPFS updates applied")
 	}
 }

@@ -151,6 +151,17 @@ func runFaultStream(t *testing.T, cfg Config, dur time.Duration) (sent, received
 	return sent, received, cl
 }
 
+// count reads the integer total of the metrics a registry pattern
+// matches, failing the test when it matches none.
+func count(t *testing.T, cl *Cluster, pattern string) uint64 {
+	t.Helper()
+	total, matched, err := cl.Reg.Sum(pattern)
+	if err != nil || matched == 0 {
+		t.Fatalf("registry pattern %q matched %d metrics (err %v)", pattern, matched, err)
+	}
+	return uint64(total)
+}
+
 // retxParams enables the retransmission timer the recovery tests need.
 func retxParams() *netstack.Params {
 	sp := netstack.DefaultParams()
@@ -169,15 +180,16 @@ func TestPFFailoverKeepsStreamAlive(t *testing.T) {
 		}},
 	}
 	sent, received, cl := runFaultStream(t, cfg, 40*time.Millisecond)
-	if cl.Faults.LinkTransitions() != 2 {
-		t.Fatalf("link transitions = %d, want 2", cl.Faults.LinkTransitions())
+	if n := count(t, cl, "faults/link_transitions"); n != 2 {
+		t.Fatalf("link transitions = %d, want 2", n)
 	}
-	if cl.Octo.Failovers() < 1 || cl.Octo.Failbacks() < 1 {
-		t.Fatalf("failovers = %d, failbacks = %d, want >= 1 each", cl.Octo.Failovers(), cl.Octo.Failbacks())
+	failovers := count(t, cl, "server/driver/octo0/failover/failovers")
+	failbacks := count(t, cl, "server/driver/octo0/failover/failbacks")
+	if failovers < 1 || failbacks < 1 {
+		t.Fatalf("failovers = %d, failbacks = %d, want >= 1 each", failovers, failbacks)
 	}
 	// Traffic really hit the dead link before the driver re-steered.
-	drops := cl.Server.NIC.PF(0).RxLinkDrops() + cl.Server.NIC.PF(0).TxLinkDrops()
-	if drops == 0 {
+	if count(t, cl, "server/nic/pf0/*_link_drops") == 0 {
 		t.Fatal("nothing died at the downed PF; the fault did not bite")
 	}
 	// Everything dropped was recovered: the sender may only be ahead by
@@ -186,16 +198,8 @@ func TestPFFailoverKeepsStreamAlive(t *testing.T) {
 	if gap := sent - received; gap > bound {
 		t.Fatalf("lost data across failover: gap %d > bound %d", gap, bound)
 	}
-	abandoned := cl.Client.Stack.RetxAbandoned() + cl.Server.Stack.RetxAbandoned()
-	if abandoned != 0 {
+	if abandoned := count(t, cl, "*/stack/retx/abandoned"); abandoned != 0 {
 		t.Fatalf("abandoned %d segments", abandoned)
-	}
-	// Failover telemetry is wired into the cluster registry.
-	if v, ok := cl.Reg.Value("server/driver/octo0/failover/failovers"); !ok || v != float64(cl.Octo.Failovers()) {
-		t.Fatalf("registry failover counter = %v (ok=%v)", v, ok)
-	}
-	if v, ok := cl.Reg.Value("faults/link_transitions"); !ok || v != 2 {
-		t.Fatalf("registry faults counter = %v (ok=%v)", v, ok)
 	}
 }
 
@@ -211,18 +215,17 @@ func TestWireLossRecoveredByRetransmission(t *testing.T) {
 		},
 	}
 	sent, received, cl := runFaultStream(t, cfg, 30*time.Millisecond)
-	if cl.Faults.LossDrops() == 0 {
+	if count(t, cl, "faults/loss_drops") == 0 {
 		t.Fatal("loss window dropped nothing")
 	}
-	retx := cl.Client.Stack.RetxRetransmits()
-	if retx == 0 {
+	if count(t, cl, "client/stack/retx/retransmits") == 0 {
 		t.Fatal("drops happened but nothing was retransmitted")
 	}
 	sp := retxParams()
 	if gap := sent - received; gap > netstack.SendWindow+sp.RxBufBytes {
 		t.Fatalf("retransmission failed to recover: gap %d", gap)
 	}
-	if ab := cl.Client.Stack.RetxAbandoned(); ab != 0 {
+	if ab := count(t, cl, "client/stack/retx/abandoned"); ab != 0 {
 		t.Fatalf("abandoned %d segments at 5%% loss", ab)
 	}
 }
@@ -292,23 +295,21 @@ func TestConcurrentPFFailureRiddenOut(t *testing.T) {
 		}},
 	}
 	sent, received, cl := runFaultStream(t, cfg, 60*time.Millisecond)
-	if cl.Octo.ConcurrentIgnored() < 1 {
-		t.Fatalf("concurrent ignored = %d; the PF1 failure inside PF0's outage was not counted",
-			cl.Octo.ConcurrentIgnored())
+	if n := count(t, cl, "server/driver/octo0/failover/concurrent_ignored"); n < 1 {
+		t.Fatalf("concurrent ignored = %d; the PF1 failure inside PF0's outage was not counted", n)
 	}
-	if cl.Octo.Failovers() != 1 || cl.Octo.Failbacks() != 1 {
+	failovers := count(t, cl, "server/driver/octo0/failover/failovers")
+	failbacks := count(t, cl, "server/driver/octo0/failover/failbacks")
+	if failovers != 1 || failbacks != 1 {
 		t.Fatalf("failovers=%d failbacks=%d; the second failure must not trigger its own failover",
-			cl.Octo.Failovers(), cl.Octo.Failbacks())
+			failovers, failbacks)
 	}
 	bound := netstack.SendWindow + sp.RxBufBytes
 	if gap := sent - received; gap > bound {
 		t.Fatalf("lost data across the double fault: gap %d > bound %d", gap, bound)
 	}
-	if ab := cl.Client.Stack.RetxAbandoned() + cl.Server.Stack.RetxAbandoned(); ab != 0 {
+	if ab := count(t, cl, "*/stack/retx/abandoned"); ab != 0 {
 		t.Fatalf("abandoned %d segments", ab)
-	}
-	if v, ok := cl.Reg.Value("server/driver/octo0/failover/concurrent_ignored"); !ok || v != float64(cl.Octo.ConcurrentIgnored()) {
-		t.Fatalf("registry concurrent_ignored = %v (ok=%v), driver says %d", v, ok, cl.Octo.ConcurrentIgnored())
 	}
 }
 
@@ -359,8 +360,8 @@ func TestParkedOverflowSpillsToPool(t *testing.T) {
 	})
 	cl.Run(50 * time.Millisecond)
 	cl.Drain()
-	if cl.Octo.ParkedOverflow() < 1 {
-		t.Fatalf("parked overflow = %d; the 1-entry cap never spilled", cl.Octo.ParkedOverflow())
+	if n := count(t, cl, "server/driver/octo0/failover/parked_overflow"); n < 1 {
+		t.Fatalf("parked overflow = %d; the 1-entry cap never spilled", n)
 	}
 	if cl.Octo.Parked() != 0 {
 		t.Fatalf("parked = %d at end of run, want 0", cl.Octo.Parked())
@@ -369,11 +370,8 @@ func TestParkedOverflowSpillsToPool(t *testing.T) {
 	if gap := sent - received; gap > bound {
 		t.Fatalf("overflowed descriptors were not recovered: gap %d > bound %d", gap, bound)
 	}
-	if ab := cl.Client.Stack.RetxAbandoned() + cl.Server.Stack.RetxAbandoned(); ab != 0 {
+	if ab := count(t, cl, "*/stack/retx/abandoned"); ab != 0 {
 		t.Fatalf("abandoned %d segments", ab)
-	}
-	if v, ok := cl.Reg.Value("server/driver/octo0/failover/parked_overflow"); !ok || v != float64(cl.Octo.ParkedOverflow()) {
-		t.Fatalf("registry parked_overflow = %v (ok=%v), driver says %d", v, ok, cl.Octo.ParkedOverflow())
 	}
 }
 
@@ -408,11 +406,11 @@ func TestOverlappingFaultWindowsRecover(t *testing.T) {
 		sent, received, cl := runFaultStream(t, cfg, 50*time.Millisecond)
 		return outcome{
 			sent: sent, received: received,
-			failovers:         cl.Octo.Failovers(),
-			failbacks:         cl.Octo.Failbacks(),
-			concurrentIgnored: cl.Octo.ConcurrentIgnored(),
-			reposted:          cl.Octo.Reposted(),
-			abandoned:         cl.Client.Stack.RetxAbandoned() + cl.Server.Stack.RetxAbandoned(),
+			failovers:         count(t, cl, "server/driver/octo0/failover/failovers"),
+			failbacks:         count(t, cl, "server/driver/octo0/failover/failbacks"),
+			concurrentIgnored: count(t, cl, "server/driver/octo0/failover/concurrent_ignored"),
+			reposted:          count(t, cl, "server/driver/octo0/failover/reposted"),
+			abandoned:         count(t, cl, "*/stack/retx/abandoned"),
 		}
 	}
 	for _, seed := range []int64{1, 99} {

@@ -327,12 +327,6 @@ func (b *base) replayJournal() {
 	b.rulesReplayed += uint64(b.journal())
 }
 
-// FwResets returns firmware resets the driver has handled.
-func (b *base) FwResets() uint64 { return b.fwResets }
-
-// RulesReplayed returns journaled rules replayed after table wipes.
-func (b *base) RulesReplayed() uint64 { return b.rulesReplayed }
-
 // xmit runs the common transmit path: descriptor write + doorbell on
 // the caller's core, then the hardware takes over.
 func (b *base) xmit(t *kernel.Thread, pkt *netstack.Packet, txq int) {

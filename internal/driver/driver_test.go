@@ -117,19 +117,19 @@ func TestOctoSteerFlowGoesThroughAsyncWorker(t *testing.T) {
 	if fw.FlowCount() != 1 {
 		t.Fatal("worker did not apply the update")
 	}
-	if d.UpdatesApplied() != 1 {
-		t.Fatalf("updates applied = %d", d.UpdatesApplied())
+	if d.updatesApplied != 1 {
+		t.Fatalf("updates applied = %d", d.updatesApplied)
 	}
 	// Steering the same flow to the same place refreshes without a new
 	// device write.
 	d.SteerFlow(ft, 21) // same node -> same PF+queue? no: queue differs per core
 	r.eng.RunFor(time.Millisecond)
-	if d.UpdatesApplied() != 2 {
-		t.Fatalf("cross-core same-node steer should still update queue: %d", d.UpdatesApplied())
+	if d.updatesApplied != 2 {
+		t.Fatalf("cross-core same-node steer should still update queue: %d", d.updatesApplied)
 	}
 	d.SteerFlow(ft, 21) // identical: refresh only
 	r.eng.RunFor(time.Millisecond)
-	if d.UpdatesApplied() != 2 {
+	if d.updatesApplied != 2 {
 		t.Fatal("identical steer must not push a device update")
 	}
 	r.eng.Drain()
@@ -147,15 +147,15 @@ func TestOctoRuleExpiry(t *testing.T) {
 	ft := eth.FiveTuple{SrcIP: 9, DstIP: 8, SrcPort: 7, DstPort: 6, Proto: eth.ProtoTCP}
 	d.SteerFlow(ft, 0)
 	r.eng.RunFor(2 * time.Millisecond)
-	if fw.FlowCount() != 1 || d.RuleCount() != 1 {
+	if fw.FlowCount() != 1 || len(d.rules) != 1 {
 		t.Fatal("rule not installed")
 	}
 	r.eng.RunFor(20 * time.Millisecond)
-	if fw.FlowCount() != 0 || d.RuleCount() != 0 {
-		t.Fatalf("stale rule not expired: fw=%d drv=%d", fw.FlowCount(), d.RuleCount())
+	if fw.FlowCount() != 0 || len(d.rules) != 0 {
+		t.Fatalf("stale rule not expired: fw=%d drv=%d", fw.FlowCount(), len(d.rules))
 	}
-	if d.RulesExpired() != 1 {
-		t.Fatalf("expired = %d", d.RulesExpired())
+	if d.rulesExpired != 1 {
+		t.Fatalf("expired = %d", d.rulesExpired)
 	}
 	r.eng.Drain()
 }
@@ -188,13 +188,13 @@ func TestOctoExpireNowDeterministic(t *testing.T) {
 		d.SteerFlow(eth.FiveTuple{SrcIP: 1, DstIP: 2, SrcPort: port, DstPort: 4, Proto: eth.ProtoTCP}, 0)
 	}
 	r.eng.RunFor(500 * time.Microsecond)
-	if fw.FlowCount() != 50 || d.RuleCount() != 50 {
-		t.Fatalf("before the first scan: fw=%d drv=%d, want 50 installed", fw.FlowCount(), d.RuleCount())
+	if fw.FlowCount() != 50 || len(d.rules) != 50 {
+		t.Fatalf("before the first scan: fw=%d drv=%d, want 50 installed", fw.FlowCount(), len(d.rules))
 	}
 	r.eng.RunFor(time.Millisecond)
-	if d.RuleCount() != 0 || fw.FlowCount() != 0 || d.RulesExpired() != 50 {
+	if len(d.rules) != 0 || fw.FlowCount() != 0 || d.rulesExpired != 50 {
 		t.Fatalf("after one scan: drv=%d fw=%d expired=%d, want 0/0/50",
-			d.RuleCount(), fw.FlowCount(), d.RulesExpired())
+			len(d.rules), fw.FlowCount(), d.rulesExpired)
 	}
 	if len(fw.removed) != 50 {
 		t.Fatalf("device saw %d removals, want 50", len(fw.removed))

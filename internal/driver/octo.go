@@ -37,6 +37,9 @@ type Octo struct {
 	updates *sim.Queue[steerUpdate]
 	rules   map[eth.FiveTuple]*steerRule
 
+	// Steering counters (steer/... in the registry): updates queued
+	// and written to the device by the worker, and rules the expiry
+	// scanner removed.
 	updatesPushed  uint64
 	updatesApplied uint64
 	rulesExpired   uint64
@@ -57,6 +60,9 @@ type Octo struct {
 	// arrival order once the remap lands.
 	parked []parkedTx
 
+	// Failover counters (failover/... in the registry): transitions
+	// each way, Tx segments re-posted onto a surviving PF, and rules
+	// re-steered.
 	failovers      uint64
 	failbacks      uint64
 	reposted       uint64
@@ -351,33 +357,8 @@ func (d *Octo) repostDropped(qp *queuePair, pkt *nic.TxPacket) bool {
 	return true
 }
 
-// Failovers returns link-down failover transitions performed.
-func (d *Octo) Failovers() uint64 { return d.failovers }
-
-// Failbacks returns link-recovery failback transitions performed.
-func (d *Octo) Failbacks() uint64 { return d.failbacks }
-
-// Reposted returns Tx segments recovered onto a surviving PF.
-func (d *Octo) Reposted() uint64 { return d.reposted }
-
-// ParkedOverflow returns segments given up at the parked-list cap.
-func (d *Octo) ParkedOverflow() uint64 { return d.parkedOverflow }
-
-// ConcurrentIgnored returns link-down events ridden out under the
-// single-failure contract while another PF's failure was in hand.
-func (d *Octo) ConcurrentIgnored() uint64 { return d.concurrentIgnored }
-
 // Parked returns the current parked-descriptor count.
 func (d *Octo) Parked() int { return len(d.parked) }
-
-// UpdatesApplied returns device table writes completed by the worker.
-func (d *Octo) UpdatesApplied() uint64 { return d.updatesApplied }
-
-// RulesExpired returns rules removed by the expiry scanner.
-func (d *Octo) RulesExpired() uint64 { return d.rulesExpired }
-
-// RuleCount returns driver-side rule table occupancy.
-func (d *Octo) RuleCount() int { return len(d.rules) }
 
 // startWorker launches the MPFS update worker thread (pinned to core 0,
 // as an unbound kworker would typically land).

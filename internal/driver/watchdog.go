@@ -40,8 +40,9 @@ import (
 	"ioctopus/internal/sim"
 )
 
-// WatchdogStats is a snapshot of the watchdog's counters.
-type WatchdogStats struct {
+// watchdogStats are the watchdog's counters (watchdog/... in the
+// registry).
+type watchdogStats struct {
 	Ticks           uint64 // watchdog tick invocations
 	QueueResets     uint64 // stage-0 queue resets performed
 	FwReprograms    uint64 // stage-1 firmware rule replays triggered
@@ -78,7 +79,7 @@ type watchdog struct {
 	// with many queues fails over once and fails back once.
 	pfDead map[int]bool
 
-	stats WatchdogStats
+	stats watchdogStats
 }
 
 // wdQueue is one queue pair's progress-tracking state.
@@ -126,15 +127,6 @@ func (b *base) initWatchdog() {
 	w.tickFn = w.tick
 	b.wd = w
 	b.k.Engine().After(iv, w.tickFn)
-}
-
-// WatchdogStats returns a snapshot of the watchdog's counters (zero
-// value when the watchdog is disabled).
-func (b *base) WatchdogStats() WatchdogStats {
-	if b.wd == nil {
-		return WatchdogStats{}
-	}
-	return b.wd.stats
 }
 
 // tick is one watchdog pass; it reschedules itself.

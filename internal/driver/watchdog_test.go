@@ -18,9 +18,6 @@ func TestWatchdogDisabledByDefault(t *testing.T) {
 	if d.wd != nil {
 		t.Fatal("default params must not arm the watchdog (zero cost when idle)")
 	}
-	if st := d.WatchdogStats(); st != (WatchdogStats{}) {
-		t.Fatalf("disabled watchdog reported stats: %+v", st)
-	}
 	r.eng.Drain()
 }
 
@@ -51,7 +48,7 @@ func TestWatchdogStageZeroHealsStalledQueue(t *testing.T) {
 	})
 	r.eng.RunFor(2 * time.Millisecond)
 
-	st := d.WatchdogStats()
+	st := d.wd.stats
 	if st.QueueResets != 1 {
 		t.Fatalf("queue resets = %d, want exactly 1 (stage 0 heals, backoff holds)", st.QueueResets)
 	}
@@ -107,16 +104,16 @@ func TestWatchdogLadderEscalatesToFailoverAndBack(t *testing.T) {
 	r.eng.After(2500*time.Microsecond, func() { r.nic.SetQueueStall(0, 0, false) })
 	r.eng.RunFor(8 * time.Millisecond)
 
-	st := d.WatchdogStats()
+	st := d.wd.stats
 	if st.QueueResets < 1 || st.FwReprograms < 1 || st.PFDead != 1 {
 		t.Fatalf("ladder incomplete: resets=%d reprograms=%d pf dead=%d",
 			st.QueueResets, st.FwReprograms, st.PFDead)
 	}
-	if d.RulesReplayed() < 1 {
-		t.Fatalf("rules replayed = %d; stage 1 did not push the journal", d.RulesReplayed())
+	if d.rulesReplayed < 1 {
+		t.Fatalf("rules replayed = %d; stage 1 did not push the journal", d.rulesReplayed)
 	}
-	if d.Failovers() != 1 || d.Failbacks() != 1 {
-		t.Fatalf("failovers=%d failbacks=%d, want 1/1", d.Failovers(), d.Failbacks())
+	if d.failovers != 1 || d.failbacks != 1 {
+		t.Fatalf("failovers=%d failbacks=%d, want 1/1", d.failovers, d.failbacks)
 	}
 	if st.PFRecovered != 1 {
 		t.Fatalf("pf recovered = %d, want 1", st.PFRecovered)
@@ -145,7 +142,7 @@ func TestWatchdogPollerFallbackAndReenter(t *testing.T) {
 
 	d.pmd.pollers[0].Wedge(2 * time.Millisecond)
 	r.eng.RunFor(time.Millisecond)
-	st := d.WatchdogStats()
+	st := d.wd.stats
 	if st.PollerFallbacks != 1 {
 		t.Fatalf("fallbacks = %d mid-wedge, want 1", st.PollerFallbacks)
 	}
@@ -162,7 +159,7 @@ func TestWatchdogPollerFallbackAndReenter(t *testing.T) {
 	}
 
 	r.eng.RunFor(3 * time.Millisecond) // wedge over, loop resumes
-	st = d.WatchdogStats()
+	st = d.wd.stats
 	if st.PollerReenters != 1 {
 		t.Fatalf("reenters = %d after the wedge, want 1", st.PollerReenters)
 	}

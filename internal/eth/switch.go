@@ -104,9 +104,6 @@ func (s *Switch) forward(inPort int, f *Frame) {
 // Flooded returns how many frames were flooded (unknown destination).
 func (s *Switch) Flooded() uint64 { return s.flooded }
 
-// Ports returns the number of connected ports.
-func (s *Switch) Ports() int { return len(s.ports) }
-
 // String describes the switch.
 func (s *Switch) String() string {
 	return fmt.Sprintf("switch %s (%d ports, %d LAGs)", s.name, len(s.ports), len(s.lags))

@@ -129,11 +129,12 @@ func runDevCell(c devCell, d Durations) devCellOut {
 
 	r := &Result{}
 	held := heldCompletions(cl)
-	abandoned := cl.Client.Stack.RetxAbandoned() + cl.Server.Stack.RetxAbandoned()
+	abandoned := count(cl, patAbandoned)
 	fwd, rev := run.streams[0], run.streams[1]
 	fwdGap, revGap := fwd.tx-fwd.rx, rev.tx-rev.rx
 	inFlightBound := run.inFlightBound()
-	wd := cl.Octo.WatchdogStats()
+	queueResets, fwReprograms := count(cl, patQueueResets), count(cl, patFwReprograms)
+	pfDead, fallbacks := count(cl, patPFDead), count(cl, patPollerFallbacks)
 	r.check(c.name+": post/pre throughput", ratio(post, pre), 0.90, 1.15)
 	r.checkTrue(c.name+": recovered before the post window",
 		recoverMs >= 0 && recoverMs*1e-3 <= 0.40*d.Timeline.Seconds(),
@@ -148,33 +149,35 @@ func runDevCell(c devCell, d Durations) devCellOut {
 	_, fault, _ := strings.Cut(c.name, "/")
 	switch fault {
 	case "fw-reset":
-		resets, replayed := cl.Octo.FwResets(), cl.Octo.RulesReplayed()
+		resets, replayed := count(cl, patFwResets), count(cl, patRulesReplayed)
 		r.checkTrue(c.name+": rules replayed and steering restored",
 			resets >= 1 && replayed >= 1,
 			fmt.Sprintf("fw resets=%d rules replayed=%d", resets, replayed))
 	case "queue-stall":
 		r.checkTrue(c.name+": stage-0 queue reset healed the stall",
-			wd.QueueResets >= 1 && wd.PFDead == 0,
-			fmt.Sprintf("queue resets=%d pf dead=%d", wd.QueueResets, wd.PFDead))
+			queueResets >= 1 && pfDead == 0,
+			fmt.Sprintf("queue resets=%d pf dead=%d", queueResets, pfDead))
 	case "poller-stall":
+		reenters := count(cl, patPollerReenters)
 		r.checkTrue(c.name+": fallback to interrupt and back",
-			wd.PollerFallbacks >= 1 && wd.PollerReenters >= 1,
-			fmt.Sprintf("fallbacks=%d reenters=%d", wd.PollerFallbacks, wd.PollerReenters))
+			fallbacks >= 1 && reenters >= 1,
+			fmt.Sprintf("fallbacks=%d reenters=%d", fallbacks, reenters))
 	case "escalate":
 		r.checkTrue(c.name+": ladder climbed every rung",
-			wd.QueueResets >= 1 && wd.FwReprograms >= 1 && wd.PFDead >= 1,
+			queueResets >= 1 && fwReprograms >= 1 && pfDead >= 1,
 			fmt.Sprintf("queue resets=%d fw reprograms=%d pf dead=%d",
-				wd.QueueResets, wd.FwReprograms, wd.PFDead))
-		failovers, failbacks := cl.Octo.Failovers(), cl.Octo.Failbacks()
+				queueResets, fwReprograms, pfDead))
+		failovers, failbacks := count(cl, patFailovers), count(cl, patFailbacks)
+		pfRecovered := count(cl, patPFRecovered)
 		r.checkTrue(c.name+": failed over to PF1 and back",
-			failovers >= 1 && failbacks >= 1 && wd.PFRecovered >= 1,
+			failovers >= 1 && failbacks >= 1 && pfRecovered >= 1,
 			fmt.Sprintf("failovers=%d failbacks=%d pf recovered=%d",
-				failovers, failbacks, wd.PFRecovered))
+				failovers, failbacks, pfRecovered))
 	}
 	return devCellOut{
 		row: []any{c.name, pre, post, ratio(post, pre),
-			float64(wd.QueueResets), float64(wd.FwReprograms),
-			float64(wd.PFDead), float64(wd.PollerFallbacks)},
+			float64(queueResets), float64(fwReprograms),
+			float64(pfDead), float64(fallbacks)},
 		note: fmt.Sprintf("%s: recovered %.1f ms after the fault window (first sample back above 90%% of pre)",
 			c.name, recoverMs),
 		checks: r.Checks,

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"ioctopus/internal/core"
@@ -65,28 +64,12 @@ func measurePMD(dp core.Datapath, remote bool, msg int64, d Durations) pmdOut {
 	}}
 	// pmd/ counters are cumulative (ResetStats does not zero driver
 	// counters), which is fine for the shape checks: nonzero is nonzero.
-	var occSum, occN float64
-	for _, s := range cl.Reg.Snapshot() {
-		if !strings.HasPrefix(s.Name, "server/") || !strings.Contains(s.Name, "/pmd/") {
-			continue
-		}
-		switch {
-		case strings.HasSuffix(s.Name, "/polls"):
-			out.polls += s.Value
-		case strings.HasSuffix(s.Name, "/empty_polls"):
-			out.emptyPolls += s.Value
-		case strings.HasSuffix(s.Name, "/bursts"):
-			out.bursts += s.Value
-		case strings.HasSuffix(s.Name, "/burst_occupancy"):
-			if s.Value > 0 {
-				occSum += s.Value
-				occN++
-			}
-		}
-	}
-	if occN > 0 {
-		out.occupancy = occSum / occN
-	}
+	out.polls = float64(count(cl, patPolls))
+	out.emptyPolls = float64(count(cl, patEmptyPolls))
+	out.bursts = float64(count(cl, patBursts))
+	// The stream arrives on PF0, so eth1's loop polls no bursts and its
+	// occupancy gauge reads 0: the sum is eth0's mean burst occupancy.
+	out.occupancy, _, _ = cl.Reg.Sum(patBurstOccupancy)
 	return out
 }
 

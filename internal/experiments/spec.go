@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"ioctopus/internal/core"
-	"ioctopus/internal/driver"
 	"ioctopus/internal/eth"
 	"ioctopus/internal/kernel"
 	"ioctopus/internal/metrics"
@@ -235,20 +234,6 @@ func (run *specRun) report(sp *scenario.Spec, d Durations) *Result {
 		}
 	}
 
-	// End-of-run counters.
-	var linkDrops uint64
-	for i := 0; i < cl.Server.Topo.NumNodes(); i++ {
-		linkDrops += cl.Server.NIC.PF(i).RxLinkDrops() + cl.Server.NIC.PF(i).TxLinkDrops()
-	}
-	var wireDrops, transitions uint64
-	if cl.Faults != nil {
-		wireDrops = cl.Faults.TotalWireDrops()
-		transitions = cl.Faults.LinkTransitions()
-	}
-	retx := cl.Client.Stack.RetxRetransmits() + cl.Server.Stack.RetxRetransmits()
-	abandoned := cl.Client.Stack.RetxAbandoned() + cl.Server.Stack.RetxAbandoned()
-	lost := wireDrops + linkDrops
-
 	if len(sim2.Windows) > 0 {
 		t := metrics.NewTable(sim2.WindowTable, "window", "Gb/s", "vs pre")
 		for i, w := range sim2.Windows {
@@ -265,7 +250,8 @@ func (run *specRun) report(sp *scenario.Spec, d Durations) *Result {
 	if len(sim2.Counters) > 0 {
 		ct := metrics.NewTable(sim2.CounterTable, "counter", "value")
 		for _, c := range sim2.Counters {
-			ct.AddRow(c.Label, counterValue(cl, c.Source, transitions, wireDrops, retx, abandoned))
+			v, _, _ := cl.Reg.Sum(c.Source) // Build vetted every source
+			ct.AddRow(c.Label, v)
 		}
 		r.Tables = append(r.Tables, ct)
 	}
@@ -319,17 +305,21 @@ func (run *specRun) report(sp *scenario.Spec, d Durations) *Result {
 	for _, c := range sim2.Checks {
 		switch c.Kind {
 		case "wire-drops-positive":
-			checkTrue(c.Name, lost > 0,
-				fmt.Sprintf("%d frames killed (wire %d, dead PF %d)", lost, wireDrops, linkDrops))
+			wire, link := count(cl, patWireDrops), count(cl, patLinkDrops)
+			checkTrue(c.Name, wire+link > 0,
+				fmt.Sprintf("%d frames killed (wire %d, dead PF %d)", wire+link, wire, link))
 		case "failover-and-back":
-			checkTrue(c.Name, cl.Octo.Failovers() >= 1 && cl.Octo.Failbacks() >= 1,
-				fmt.Sprintf("failovers=%d failbacks=%d", cl.Octo.Failovers(), cl.Octo.Failbacks()))
+			failovers, failbacks := count(cl, patFailovers), count(cl, patFailbacks)
+			checkTrue(c.Name, failovers >= 1 && failbacks >= 1,
+				fmt.Sprintf("failovers=%d failbacks=%d", failovers, failbacks))
 		case "reposted":
-			checkTrue(c.Name, cl.Octo.Reposted() >= c.Min,
-				fmt.Sprintf("reposted=%d", cl.Octo.Reposted()))
+			reposted := count(cl, patReposted)
+			checkTrue(c.Name, reposted >= c.Min, fmt.Sprintf("reposted=%d", reposted))
 		case "retx-recovered":
+			retx := count(cl, patRetransmits)
 			checkTrue(c.Name, retx >= c.Min, fmt.Sprintf("retransmits=%d", retx))
 		case "no-abandoned":
+			abandoned := count(cl, patAbandoned)
 			checkTrue(c.Name, abandoned == 0, fmt.Sprintf("abandoned=%d", abandoned))
 		case "stream-conserved":
 			st := streams[c.Workload]
@@ -356,18 +346,17 @@ func (run *specRun) report(sp *scenario.Spec, d Durations) *Result {
 			}
 			checkTrue(c.Name, len(workloadErrs) == 0, detail)
 		case "fw-recovered":
-			resets, replayed := fwRecovery(cl)
+			resets, replayed := count(cl, patFwResets), count(cl, patRulesReplayed)
 			checkTrue(c.Name, resets >= 1 && replayed >= 1,
 				fmt.Sprintf("fw resets=%d rules replayed=%d", resets, replayed))
 		case "queue-recovered":
-			held := heldCompletions(cl)
-			wd := watchdogTotals(cl)
-			checkTrue(c.Name, held == 0 && wd.QueueResets >= c.Min,
-				fmt.Sprintf("held completions=%d queue resets=%d", held, wd.QueueResets))
+			held, resets := heldCompletions(cl), count(cl, patQueueResets)
+			checkTrue(c.Name, held == 0 && resets >= c.Min,
+				fmt.Sprintf("held completions=%d queue resets=%d", held, resets))
 		case "poller-fallback-and-back":
-			wd := watchdogTotals(cl)
-			checkTrue(c.Name, wd.PollerFallbacks >= 1 && wd.PollerReenters >= 1,
-				fmt.Sprintf("fallbacks=%d reenters=%d", wd.PollerFallbacks, wd.PollerReenters))
+			fallbacks, reenters := count(cl, patPollerFallbacks), count(cl, patPollerReenters)
+			checkTrue(c.Name, fallbacks >= 1 && reenters >= 1,
+				fmt.Sprintf("fallbacks=%d reenters=%d", fallbacks, reenters))
 		}
 	}
 	// A workload failure must fail the run even when the spec's author
@@ -428,52 +417,37 @@ func sampleProbe(cl *core.Cluster, source string, streams []*streamState) func()
 	return func() float64 { return pf.RxBytes() * 8 / 1e9 }
 }
 
-// serverDrivers lists the server-side netdevices (one octo driver, or
-// one standard driver per PF).
-func serverDrivers(cl *core.Cluster) []netstack.NetDevice {
-	var devs []netstack.NetDevice
-	for _, d := range []netstack.NetDevice{cl.Dev0, cl.Dev1} {
-		if d != nil {
-			devs = append(devs, d)
-		}
-	}
-	return devs
-}
+// The registry patterns the runner's checks, devchaos and pmd read
+// (metrics.Registry.Sum). A check reads 0 where its pattern matches
+// nothing, so TestRunnerPatternsMatch requires each to match a metric
+// of a cluster with every optional scope armed.
+const (
+	patWireDrops       = "faults/*_drops"
+	patLinkDrops       = "server/nic/pf*/*_link_drops"
+	patFailovers       = "server/driver/*/failover/failovers"
+	patFailbacks       = "server/driver/*/failover/failbacks"
+	patReposted        = "server/driver/*/failover/reposted"
+	patRetransmits     = "*/stack/retx/retransmits"
+	patAbandoned       = "*/stack/retx/abandoned"
+	patFwResets        = "server/driver/*/fw/recovery/resets"
+	patRulesReplayed   = "server/driver/*/fw/recovery/rules_replayed"
+	patQueueResets     = "server/driver/*/watchdog/queue_resets"
+	patFwReprograms    = "server/driver/*/watchdog/fw_reprograms"
+	patPFDead          = "server/driver/*/watchdog/pf_dead"
+	patPFRecovered     = "server/driver/*/watchdog/pf_recovered"
+	patPollerFallbacks = "server/driver/*/watchdog/poller_fallbacks"
+	patPollerReenters  = "server/driver/*/watchdog/poller_reenters"
+	patPolls           = "server/driver/*/pmd/polls"
+	patEmptyPolls      = "server/driver/*/pmd/empty_polls"
+	patBursts          = "server/driver/*/pmd/bursts"
+	patBurstOccupancy  = "server/driver/*/pmd/burst_occupancy"
+)
 
-// fwRecovery sums firmware resets handled and rules replayed across the
-// server drivers (both driver flavors journal and replay).
-func fwRecovery(cl *core.Cluster) (resets, replayed uint64) {
-	for _, d := range serverDrivers(cl) {
-		if fr, ok := d.(interface {
-			FwResets() uint64
-			RulesReplayed() uint64
-		}); ok {
-			resets += fr.FwResets()
-			replayed += fr.RulesReplayed()
-		}
-	}
-	return resets, replayed
-}
-
-// watchdogTotals sums the watchdog counters across the server drivers
-// (zero when the watchdog is disabled).
-func watchdogTotals(cl *core.Cluster) driver.WatchdogStats {
-	var t driver.WatchdogStats
-	for _, d := range serverDrivers(cl) {
-		wd, ok := d.(interface{ WatchdogStats() driver.WatchdogStats })
-		if !ok {
-			continue
-		}
-		s := wd.WatchdogStats()
-		t.Ticks += s.Ticks
-		t.QueueResets += s.QueueResets
-		t.FwReprograms += s.FwReprograms
-		t.PFDead += s.PFDead
-		t.PFRecovered += s.PFRecovered
-		t.PollerFallbacks += s.PollerFallbacks
-		t.PollerReenters += s.PollerReenters
-	}
-	return t
+// count sums the counters one of the runner's own patterns matches; the
+// patterns are well formed, so Sum returns no error.
+func count(cl *core.Cluster, pattern string) uint64 {
+	total, _, _ := cl.Reg.Sum(pattern)
+	return uint64(total)
 }
 
 // heldCompletions counts writebacks still stranded device-side across
@@ -489,59 +463,4 @@ func heldCompletions(cl *core.Cluster) int {
 		}
 	}
 	return held
-}
-
-// counterValue resolves one counter-table source at end of run.
-func counterValue(cl *core.Cluster, src string, transitions, wireDrops, retx, abandoned uint64) float64 {
-	switch src {
-	case "faults/link_transitions":
-		return float64(transitions)
-	case "faults/wire_drops":
-		return float64(wireDrops)
-	case "driver/failovers":
-		return float64(cl.Octo.Failovers())
-	case "driver/failbacks":
-		return float64(cl.Octo.Failbacks())
-	case "driver/reposted":
-		return float64(cl.Octo.Reposted())
-	case "driver/parked_overflow":
-		return float64(cl.Octo.ParkedOverflow())
-	case "driver/concurrent_ignored":
-		return float64(cl.Octo.ConcurrentIgnored())
-	case "nic/fw_resets":
-		return float64(cl.Server.NIC.FwResets())
-	case "driver/fw_resets":
-		resets, _ := fwRecovery(cl)
-		return float64(resets)
-	case "driver/rules_replayed":
-		_, replayed := fwRecovery(cl)
-		return float64(replayed)
-	case "watchdog/queue_resets":
-		return float64(watchdogTotals(cl).QueueResets)
-	case "watchdog/fw_reprograms":
-		return float64(watchdogTotals(cl).FwReprograms)
-	case "watchdog/pf_dead":
-		return float64(watchdogTotals(cl).PFDead)
-	case "watchdog/poller_fallbacks":
-		return float64(watchdogTotals(cl).PollerFallbacks)
-	case "watchdog/poller_reenters":
-		return float64(watchdogTotals(cl).PollerReenters)
-	case "stack/retx":
-		return float64(retx)
-	case "server/stack/dup":
-		return float64(cl.Server.Stack.RetxDuplicates())
-	case "stack/abandoned":
-		return float64(abandoned)
-	case "nic/link_drops":
-		var total uint64
-		for i := 0; i < cl.Server.Topo.NumNodes(); i++ {
-			total += cl.Server.NIC.PF(i).RxLinkDrops() + cl.Server.NIC.PF(i).TxLinkDrops()
-		}
-		return float64(total)
-	}
-	var pf int
-	if _, err := fmt.Sscanf(src, "nic/pf%d/link_drops", &pf); err == nil {
-		return float64(cl.Server.NIC.PF(pf).RxLinkDrops() + cl.Server.NIC.PF(pf).TxLinkDrops())
-	}
-	return 0
 }

@@ -7,9 +7,40 @@ import (
 	"testing"
 	"time"
 
+	"ioctopus/internal/core"
+	"ioctopus/internal/driver"
+	"ioctopus/internal/faults"
 	"ioctopus/internal/scenario"
 	"ioctopus/internal/sim"
 )
+
+// TestRunnerPatternsMatch: each registry pattern the runner reads
+// matches a metric of a cluster with every optional scope armed (octo
+// driver, busy-poll loops, watchdog, fault injector). A check reads a
+// pattern that matches nothing as 0, so a typo in one that stays 0 in
+// passing runs, such as patAbandoned, would pass every golden.
+func TestRunnerPatternsMatch(t *testing.T) {
+	dp := driver.DefaultParams()
+	dp.WatchdogInterval = 500 * time.Microsecond
+	cl := core.NewCluster(core.Config{
+		Mode:         core.ModeIOctopus,
+		Datapath:     core.DatapathBusyPoll,
+		DriverParams: &dp,
+		FaultPlan:    &faults.Plan{},
+	})
+	defer cl.Drain()
+	for _, pattern := range []string{
+		patWireDrops, patLinkDrops, patFailovers, patFailbacks, patReposted,
+		patRetransmits, patAbandoned, patFwResets, patRulesReplayed,
+		patQueueResets, patFwReprograms, patPFDead, patPFRecovered,
+		patPollerFallbacks, patPollerReenters,
+		patPolls, patEmptyPolls, patBursts, patBurstOccupancy,
+	} {
+		if _, matched, err := cl.Reg.Sum(pattern); err != nil || matched == 0 {
+			t.Errorf("pattern %q matched %d metrics (err %v)", pattern, matched, err)
+		}
+	}
+}
 
 // traceDurations keeps traced test runs, and their trace files, small.
 var traceDurations = Durations{

@@ -211,12 +211,12 @@ func TestDeviceFaultsArmAndFire(t *testing.T) {
 	if r.poller.Iterations() == iterAtWedge {
 		t.Fatal("poll loop never resumed after the wedge")
 	}
-	if inj.FwResets() != 1 || inj.QueueStalls() != 1 || inj.PollerStalls() != 1 {
+	if inj.fwResets != 1 || inj.queueStalls != 1 || inj.pollerStalls != 1 {
 		t.Fatalf("injector counters fw=%d qs=%d ps=%d, want 1/1/1",
-			inj.FwResets(), inj.QueueStalls(), inj.PollerStalls())
+			inj.fwResets, inj.queueStalls, inj.pollerStalls)
 	}
-	if inj.EventsFired() != 3 {
-		t.Fatalf("events fired = %d, want 3", inj.EventsFired())
+	if inj.eventsFired != 3 {
+		t.Fatalf("events fired = %d, want 3", inj.eventsFired)
 	}
 	r.poller.Stop()
 }

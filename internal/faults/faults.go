@@ -549,32 +549,3 @@ func (inj *Injector) dir(d Dir, root *sim.RNG) *dirState {
 		return inj.s2c
 	}
 }
-
-// EventsFired returns fault activations so far.
-func (inj *Injector) EventsFired() uint64 { return inj.eventsFired }
-
-// LossDrops returns frames dropped by probabilistic loss windows.
-func (inj *Injector) LossDrops() uint64 { return inj.lossDrops }
-
-// BurstDrops returns frames dropped by burst windows.
-func (inj *Injector) BurstDrops() uint64 { return inj.burstDrops }
-
-// CorruptDrops returns frames discarded as corrupted.
-func (inj *Injector) CorruptDrops() uint64 { return inj.corruptDrops }
-
-// LinkTransitions returns PF link state flips performed.
-func (inj *Injector) LinkTransitions() uint64 { return inj.linkTransitions }
-
-// FwResets returns firmware table wipes performed.
-func (inj *Injector) FwResets() uint64 { return inj.fwResets }
-
-// QueueStalls returns queue-stall windows opened.
-func (inj *Injector) QueueStalls() uint64 { return inj.queueStalls }
-
-// PollerStalls returns poller wedges injected.
-func (inj *Injector) PollerStalls() uint64 { return inj.pollerStalls }
-
-// TotalWireDrops returns every frame the injector removed from a wire.
-func (inj *Injector) TotalWireDrops() uint64 {
-	return inj.lossDrops + inj.burstDrops + inj.corruptDrops
-}

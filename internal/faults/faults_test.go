@@ -156,8 +156,8 @@ func TestEmptyPlanArmsNothing(t *testing.T) {
 	}
 	r.send(ClientToServer, 1)
 	r.eng.RunFor(time.Millisecond)
-	if inj.EventsFired() != 0 || inj.TotalWireDrops() != 0 {
-		t.Fatalf("empty plan fired events: %d fired, %d drops", inj.EventsFired(), inj.TotalWireDrops())
+	if drops := inj.lossDrops + inj.burstDrops + inj.corruptDrops; inj.eventsFired != 0 || drops != 0 {
+		t.Fatalf("empty plan fired events: %d fired, %d drops", inj.eventsFired, drops)
 	}
 	// No direction was targeted, so no filter state was built: the wire
 	// keeps its nil-filter fast path.
@@ -185,15 +185,15 @@ func TestLinkFlapDrivesTransitions(t *testing.T) {
 	if r.nic.PF(1).LinkUp() != true {
 		t.Fatal("PF1 must be untouched")
 	}
-	if inj.LinkTransitions() != 1 {
-		t.Fatalf("transitions = %d, want 1", inj.LinkTransitions())
+	if inj.linkTransitions != 1 {
+		t.Fatalf("transitions = %d, want 1", inj.linkTransitions)
 	}
 	r.eng.RunFor(2 * time.Millisecond) // t=4ms: restored
 	if !r.nic.PF(0).LinkUp() {
 		t.Fatal("PF0 link should be restored after the flap")
 	}
-	if inj.LinkTransitions() != 2 || inj.EventsFired() != 2 {
-		t.Fatalf("transitions = %d, fired = %d, want 2/2", inj.LinkTransitions(), inj.EventsFired())
+	if inj.linkTransitions != 2 || inj.eventsFired != 2 {
+		t.Fatalf("transitions = %d, fired = %d, want 2/2", inj.linkTransitions, inj.eventsFired)
 	}
 }
 
@@ -215,8 +215,8 @@ func TestLinkDownThenUpEvents(t *testing.T) {
 	if !r.nic.PF(1).LinkUp() {
 		t.Fatal("PF1 should be back up")
 	}
-	if inj.LinkTransitions() != 2 {
-		t.Fatalf("transitions = %d, want 2", inj.LinkTransitions())
+	if inj.linkTransitions != 2 {
+		t.Fatalf("transitions = %d, want 2", inj.linkTransitions)
 	}
 }
 
@@ -241,7 +241,7 @@ func lossRun(t *testing.T) ([]uint64, uint64) {
 	for _, f := range r.server.got {
 		delivered = append(delivered, f.Seq)
 	}
-	return delivered, inj.LossDrops()
+	return delivered, inj.lossDrops
 }
 
 func TestLossIsSeededAndDeterministic(t *testing.T) {
@@ -283,8 +283,8 @@ func TestBurstDropsEverythingInWindow(t *testing.T) {
 	if len(r.client.got) != 2 {
 		t.Fatalf("delivered = %d, want 2 (outside the burst)", len(r.client.got))
 	}
-	if inj.BurstDrops() != 1 || inj.TotalWireDrops() != 1 {
-		t.Fatalf("burst drops = %d, total = %d, want 1/1", inj.BurstDrops(), inj.TotalWireDrops())
+	if total := inj.lossDrops + inj.burstDrops + inj.corruptDrops; inj.burstDrops != 1 || total != 1 {
+		t.Fatalf("burst drops = %d, total = %d, want 1/1", inj.burstDrops, total)
 	}
 	if r.wire.FaultDrops(r.server) != 1 {
 		t.Fatalf("wire-side drop counter = %d, want 1", r.wire.FaultDrops(r.server))
@@ -307,8 +307,8 @@ func TestCorruptionCountedSeparatelyFromLoss(t *testing.T) {
 	if len(r.server.got) != 0 {
 		t.Fatalf("delivered = %d, want 0 at corruption prob 1", len(r.server.got))
 	}
-	if inj.CorruptDrops() != 10 || inj.LossDrops() != 0 {
-		t.Fatalf("corrupt = %d, loss = %d, want 10/0", inj.CorruptDrops(), inj.LossDrops())
+	if inj.corruptDrops != 10 || inj.lossDrops != 0 {
+		t.Fatalf("corrupt = %d, loss = %d, want 10/0", inj.corruptDrops, inj.lossDrops)
 	}
 }
 
@@ -349,8 +349,8 @@ func TestDegradeInflatesLinkAndRestores(t *testing.T) {
 	if got := r.fab.Latency(0, 1, 4096); got != healthy {
 		t.Fatalf("restored latency %v, want healthy %v", got, healthy)
 	}
-	if inj.degrades != 1 || inj.EventsFired() != 1 {
-		t.Fatalf("degrades = %d, fired = %d, want 1/1", inj.degrades, inj.EventsFired())
+	if inj.degrades != 1 || inj.eventsFired != 1 {
+		t.Fatalf("degrades = %d, fired = %d, want 1/1", inj.degrades, inj.eventsFired)
 	}
 }
 

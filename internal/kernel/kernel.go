@@ -160,9 +160,6 @@ func (c *Core) ResetBusy() {
 	c.busy = 0
 }
 
-// QueueLen returns the number of work items waiting.
-func (c *Core) QueueLen() int { return c.queue.Len() }
-
 // enqueue appends an item to the run queue, waking the core through a
 // zero-delay event if it is idle, or its poll loop if that is dormant.
 // Every submission path goes through it.

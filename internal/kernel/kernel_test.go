@@ -150,7 +150,7 @@ func TestIRQCostsEntryPlusHandler(t *testing.T) {
 	e.Drain()
 }
 
-func TestSubmitFixedAndQueueLen(t *testing.T) {
+func TestSubmitFixed(t *testing.T) {
 	e, k := newKernel(t)
 	c := k.Core(1)
 	done := 0

@@ -215,6 +215,3 @@ func (p *Poller) Stop() {
 	p.stopped = true
 	p.Wake()
 }
-
-// Stopped reports whether the poller has been stopped.
-func (p *Poller) Stopped() bool { return p.stopped }

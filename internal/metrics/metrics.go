@@ -94,17 +94,14 @@ func (s *Series) Add(t sim.Time, v float64) {
 // Len returns the point count.
 func (s *Series) Len() int { return len(s.Values) }
 
-// Sampler periodically samples counters into Series, e.g. per-PF
-// byte counters every 50 ms for Figure 14.
+// Sampler periodically samples counters into Series as rates, e.g.
+// per-PF byte counters every 50 ms for Figure 14.
 type Sampler struct {
 	eng      *sim.Engine
 	interval time.Duration
 	series   []*Series
 	probes   []func() float64
 	prev     []float64
-	rate     []bool
-	stopped  bool
-	timer    sim.Timer
 }
 
 // NewSampler creates a sampler with the given period; call Start to
@@ -113,73 +110,30 @@ func NewSampler(e *sim.Engine, interval time.Duration) *Sampler {
 	return &Sampler{eng: e, interval: interval}
 }
 
-// Track adds a gauge probe: the probe's value is recorded each tick.
-func (s *Sampler) Track(name string, probe func() float64) *Series {
+// TrackRate adds a counter probe: each tick records the delta since the
+// previous tick divided by the interval (a rate). The first delta is
+// taken from the probe's value now, so track at the instant of Start.
+func (s *Sampler) TrackRate(name string, probe func() float64) *Series {
 	se := &Series{Name: name}
 	s.series = append(s.series, se)
 	s.probes = append(s.probes, probe)
-	s.prev = append(s.prev, 0)
-	s.rate = append(s.rate, false)
+	s.prev = append(s.prev, probe())
 	return se
 }
 
-// TrackRate adds a counter probe: each tick records the delta since the
-// previous tick divided by the interval (a rate).
-func (s *Sampler) TrackRate(name string, probe func() float64) *Series {
-	se := s.Track(name, probe)
-	s.rate[len(s.rate)-1] = true
-	s.prev[len(s.prev)-1] = probe()
-	return se
-}
-
-// Start begins sampling; the sampler reschedules itself until Stop.
-// Start is idempotent — calling it while a tick is already pending
-// changes nothing, so a double Start cannot double-schedule ticks or
-// double-count rate deltas — and it undoes Stop, so a Stop/Start cycle
-// resumes sampling. On (re)start the rate baselines are re-primed, so
-// counter growth during a stopped gap is not attributed to the first
-// new tick.
-func (s *Sampler) Start() {
-	s.stopped = false
-	if s.timer.Pending() {
-		return
-	}
-	for i, isRate := range s.rate {
-		if isRate {
-			s.prev[i] = s.probes[i]()
-		}
-	}
-	s.timer = s.eng.After(s.interval, s.tick)
-}
-
-// Stop halts sampling immediately: the pending tick is cancelled and no
-// further samples are recorded until Start is called again.
-func (s *Sampler) Stop() {
-	s.stopped = true
-	s.timer.Stop()
-	s.timer = sim.Timer{}
-}
-
-// Running reports whether the sampler has a tick scheduled.
-func (s *Sampler) Running() bool { return s.timer.Pending() }
+// Start schedules the first tick; the sampler then ticks every
+// interval until the engine is drained. Call it once.
+func (s *Sampler) Start() { s.eng.After(s.interval, s.tick) }
 
 func (s *Sampler) tick() {
-	s.timer = sim.Timer{}
-	if s.stopped {
-		return
-	}
 	now := s.eng.Now()
 	for i, probe := range s.probes {
 		v := probe()
-		if s.rate[i] {
-			delta := v - s.prev[i]
-			s.prev[i] = v
-			s.series[i].Add(now, delta/s.interval.Seconds())
-		} else {
-			s.series[i].Add(now, v)
-		}
+		delta := v - s.prev[i]
+		s.prev[i] = v
+		s.series[i].Add(now, delta/s.interval.Seconds())
 	}
-	s.timer = s.eng.After(s.interval, s.tick)
+	s.eng.After(s.interval, s.tick)
 }
 
 // Table renders aligned plain-text result tables.

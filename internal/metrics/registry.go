@@ -3,10 +3,11 @@
 // cores, driver rings) registers named counter/gauge probes into one
 // per-cluster registry at construction time; a Snapshot then reads all
 // of them at a defined simulation instant, producing the
-// machine-readable telemetry `ioctobench -json` exports.
+// machine-readable telemetry `ioctobench -json` exports, and Sum adds
+// up the ones whose names match a pattern.
 //
 // Names are namespaced with '/' by nesting scopes, e.g.
-// "server/nic/cx5/pf0/rx_bytes". Probes are closures over live model
+// "server/nic/pf0/rx_bytes". Probes are closures over live model
 // state: registration costs nothing on the simulation hot path, and a
 // registry that is never snapshotted is free.
 package metrics
@@ -14,6 +15,7 @@ package metrics
 import (
 	"encoding/json"
 	"fmt"
+	"path"
 	"sort"
 	"sync"
 
@@ -89,13 +91,18 @@ type probeEntry struct {
 }
 
 // Registry holds a cluster's registered probes. The zero value is not
-// usable; construct with NewRegistry. Registration and Snapshot are
-// safe for concurrent use (distinct clusters run on distinct
+// usable; construct with NewRegistry. Registration, Snapshot and Sum
+// are safe for concurrent use (distinct clusters run on distinct
 // goroutines under the parallel harness; a single cluster's registry
 // is also shared by its subsystems during assembly).
 type Registry struct {
 	mu      sync.Mutex
 	entries map[string]probeEntry
+	// names is the registered names in sorted order, built on the first
+	// read after a registration and shared by every read until the next
+	// one, so a read allocates nothing for it. It is replaced, never
+	// modified.
+	names []string
 }
 
 // NewRegistry returns an empty registry.
@@ -116,6 +123,33 @@ func (r *Registry) register(kind Kind, name string, probe func() float64) {
 		panic(fmt.Sprintf("metrics: duplicate metric %q", name))
 	}
 	r.entries[name] = probeEntry{kind: kind, probe: probe}
+	r.names = nil
+}
+
+// sortedNames returns the registered names in sorted order.
+func (r *Registry) sortedNames() []string {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.names == nil {
+		names := make([]string, 0, len(r.entries))
+		for n := range r.entries {
+			names = append(names, n)
+		}
+		sort.Strings(names)
+		r.names = names
+	}
+	return r.names
+}
+
+// entry looks one metric up by full name. The caller probes it after
+// entry returns, outside the lock: probes may touch model state that in
+// turn reads the registry-owning cluster, and holding the mutex during
+// arbitrary callbacks invites deadlock.
+func (r *Registry) entry(name string) (probeEntry, bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	e, ok := r.entries[name]
+	return e, ok
 }
 
 // Counter implements Registrar at the root (empty) namespace.
@@ -143,9 +177,7 @@ func (r *Registry) Len() int {
 
 // Value reads one metric by full name.
 func (r *Registry) Value(name string) (float64, bool) {
-	r.mu.Lock()
-	e, ok := r.entries[name]
-	r.mu.Unlock()
+	e, ok := r.entry(name)
 	if !ok {
 		return 0, false
 	}
@@ -155,25 +187,34 @@ func (r *Registry) Value(name string) (float64, bool) {
 // Snapshot probes every registered metric and returns the samples
 // sorted by name, so snapshots are deterministic and diffable.
 func (r *Registry) Snapshot() []Sample {
-	r.mu.Lock()
-	names := make([]string, 0, len(r.entries))
-	for n := range r.entries {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	entries := make([]probeEntry, len(names))
-	for i, n := range names {
-		entries[i] = r.entries[n]
-	}
-	r.mu.Unlock()
-	// Probe outside the lock: probes may touch model state that in turn
-	// reads the registry-owning cluster, and holding the mutex during
-	// arbitrary callbacks invites deadlock.
+	names := r.sortedNames()
 	out := make([]Sample, len(names))
 	for i, n := range names {
-		out[i] = Sample{Name: n, Kind: entries[i].kind, Value: entries[i].probe()}
+		e, _ := r.entry(n)
+		out[i] = Sample{Name: n, Kind: e.kind, Value: e.probe()}
 	}
 	return out
+}
+
+// Sum adds up every registered metric, counter or gauge, whose name
+// matches pattern in path.Match syntax: '*' matches within one
+// '/'-separated level, so "*/stack/retx/retransmits" reads both hosts'
+// stacks and "server/nic/pf*/*_link_drops" every server PF's two
+// link-drop counters. It also returns how many metrics matched, and an
+// error only for a malformed pattern. Metrics are summed in name
+// order, so a sum of float gauges is deterministic.
+func (r *Registry) Sum(pattern string) (total float64, matched int, err error) {
+	if _, err := path.Match(pattern, ""); err != nil {
+		return 0, 0, fmt.Errorf("metrics: pattern %q: %w", pattern, err)
+	}
+	for _, n := range r.sortedNames() {
+		if ok, _ := path.Match(pattern, n); ok {
+			e, _ := r.entry(n)
+			total += e.probe()
+			matched++
+		}
+	}
+	return total, matched, nil
 }
 
 // scope is a prefixed view of a registry.

@@ -53,6 +53,55 @@ func TestRegistryScopesAndSnapshot(t *testing.T) {
 	}
 }
 
+// TestRegistrySum: '*' stays within one name level, counters and
+// gauges both add up, no match is (0, 0, nil), a malformed pattern is
+// an error, a metric registered after a Sum is seen by the next, and a
+// Sum allocates nothing.
+func TestRegistrySum(t *testing.T) {
+	r := NewRegistry()
+	for _, host := range []string{"server", "client"} {
+		retx := r.Scope(host).Scope("stack").Scope("retx")
+		retx.Counter("retransmits", func() float64 { return 3 })
+		retx.Gauge("in_flight", func() float64 { return 0.5 })
+	}
+	r.Scope("server").Scope("stack").Counter("retransmits", func() float64 { return 100 })
+	cases := []struct {
+		pattern string
+		total   float64
+		matched int
+	}{
+		{"*/stack/retx/retransmits", 6, 2},
+		{"*/retransmits", 0, 0}, // '*' does not cross '/'
+		{"server/stack/*", 100, 1},
+		{"server/stack/retx/*", 3.5, 2},
+		{"*/stack/retx/*", 7, 4},
+		{"nope/*", 0, 0},
+	}
+	for _, c := range cases {
+		total, matched, err := r.Sum(c.pattern)
+		if err != nil || total != c.total || matched != c.matched {
+			t.Errorf("Sum(%q) = (%v, %d, %v), want (%v, %d, nil)", c.pattern, total, matched, err, c.total, c.matched)
+		}
+	}
+	if _, _, err := r.Sum("server/stack/["); err == nil {
+		t.Error("Sum accepted a malformed pattern")
+	}
+	if _, _, err := NewRegistry().Sum("a/["); err == nil {
+		t.Error("Sum on an empty registry accepted a malformed pattern")
+	}
+	r.Scope("server").Scope("stack").Scope("retx").Counter("abandoned", func() float64 { return 1 })
+	if total, matched, _ := r.Sum("*/stack/retx/*"); total != 8 || matched != 5 {
+		t.Errorf("after a registration Sum = (%v, %d), want (8, 5)", total, matched)
+	}
+	if n := len(r.Snapshot()); n != 6 {
+		t.Errorf("after a registration Snapshot has %d samples, want 6", n)
+	}
+	// The spec runner sums a few dozen patterns per run.
+	if allocs := testing.AllocsPerRun(10, func() { _, _, _ = r.Sum("*/stack/retx/*") }); allocs != 0 {
+		t.Errorf("Sum allocates %v times per call", allocs)
+	}
+}
+
 func TestRegistryDuplicatePanics(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("x", func() float64 { return 0 })
@@ -74,6 +123,11 @@ func TestRegistryConcurrentRegistration(t *testing.T) {
 			sc := r.Scope("worker" + string(rune('a'+i)))
 			for j := 0; j < 50; j++ {
 				sc.Counter("c"+string(rune('a'+j%26))+string(rune('a'+j/26)), func() float64 { return 1 })
+				// Reads rebuild the sorted-name cache that other
+				// workers' registrations keep clearing.
+				if _, _, err := r.Sum("worker*/*"); err != nil {
+					t.Error(err)
+				}
 			}
 		}(i)
 	}
@@ -83,6 +137,9 @@ func TestRegistryConcurrentRegistration(t *testing.T) {
 	}
 	if got := len(r.Snapshot()); got != 8*50 {
 		t.Fatalf("snapshot = %d", got)
+	}
+	if total, matched, _ := r.Sum("worker*/*"); total != 8*50 || matched != 8*50 {
+		t.Fatalf("Sum = (%v, %d), want (400, 400)", total, matched)
 	}
 }
 

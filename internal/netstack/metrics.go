@@ -16,12 +16,3 @@ func (st *Stack) RegisterMetrics(r metrics.Registrar) {
 	retx.Counter("duplicates", func() float64 { return float64(st.retxDuplicates) })
 	retx.Counter("abandoned", func() float64 { return float64(st.retxAbandoned) })
 }
-
-// RetxRetransmits returns segments re-sent by the retransmission timer.
-func (st *Stack) RetxRetransmits() uint64 { return st.retxRetransmits }
-
-// RetxAbandoned returns segments given up on after RetxMaxTries.
-func (st *Stack) RetxAbandoned() uint64 { return st.retxAbandoned }
-
-// RetxDuplicates returns retransmitted copies discarded by receivers.
-func (st *Stack) RetxDuplicates() uint64 { return st.retxDuplicates }

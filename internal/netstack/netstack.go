@@ -205,9 +205,6 @@ func (st *Stack) AddDevice(dev NetDevice, ip uint32) {
 // Devices returns the registered netdevices.
 func (st *Stack) Devices() []NetDevice { return st.devs }
 
-// DeviceIP returns a device's address.
-func (st *Stack) DeviceIP(dev NetDevice) uint32 { return st.devIPs[dev] }
-
 // RxDrops returns segments dropped at full socket queues.
 func (st *Stack) RxDrops() uint64 { return st.rxDrops }
 

@@ -40,10 +40,7 @@ type Socket struct {
 	userBufs map[topology.NodeID]*memsys.Buffer
 	txBufs   map[topology.NodeID]*memsys.Buffer
 
-	sentBytes     int64
-	receivedBytes int64
-	sentSegs      uint64
-	receivedSegs  uint64
+	sentBytes int64
 
 	// Zero-alloc scratch state. A socket has at most one sending and
 	// one receiving thread at a time (every workload in the suite obeys
@@ -179,12 +176,6 @@ func (ev *ackEvent) run() {
 // Flow returns the socket's 5-tuple (local perspective).
 func (s *Socket) Flow() eth.FiveTuple { return s.ft }
 
-// Device returns the netdevice serving the socket.
-func (s *Socket) Device() NetDevice { return s.dev }
-
-// Owner returns the thread that owns the socket.
-func (s *Socket) Owner() *kernel.Thread { return s.owner }
-
 // SetOwner assigns the socket to a thread (accept path) and programs
 // initial flow steering toward its core.
 func (s *Socket) SetOwner(t *kernel.Thread) {
@@ -202,9 +193,6 @@ func (s *Socket) SteerTo(core topology.CoreID) {
 
 // SentBytes returns payload bytes sent.
 func (s *Socket) SentBytes() int64 { return s.sentBytes }
-
-// ReceivedBytes returns payload bytes delivered to the application.
-func (s *Socket) ReceivedBytes() int64 { return s.receivedBytes }
 
 // Pending returns undelivered received segments.
 func (s *Socket) Pending() int { return s.rxq.len() }
@@ -290,7 +278,6 @@ func (s *Socket) sendFrom(t *kernel.Thread, srcBuf *memsys.Buffer, n int64, meta
 
 		s.seq++
 		s.sentBytes += seg
-		s.sentSegs++
 		// The skb is the socket's scratch Packet: Xmit must not retain
 		// it (see NetDevice), so it is reusable next iteration.
 		pkt := &s.sendPkt
@@ -338,7 +325,6 @@ func (s *Socket) SendFrags(t *kernel.Thread, frags []Frag, meta any) {
 	s.txq = desired
 	s.seq++
 	s.sentBytes += total
-	s.sentSegs++
 	if s.ft.Proto == eth.ProtoTCP && s.stack.params.RetxTimeout > 0 {
 		s.trackUnacked(s.seq, total, pkts, meta, frags)
 	}
@@ -373,8 +359,6 @@ func (s *Socket) Recv(t *kernel.Thread) (payload int64, meta any, ok bool) {
 	payload, meta = rxp.Payload, rxp.Meta
 	s.recvRxp = nil
 	rxp.Recycle()
-	s.receivedBytes += payload
-	s.receivedSegs++
 	s.sendWindowUpdate(0)
 	return payload, meta, true
 }

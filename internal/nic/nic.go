@@ -291,13 +291,6 @@ func (p *PF) TxQueues() []*TxQueue { return p.txQueues }
 // LinkUp reports whether the PF's link is up.
 func (p *PF) LinkUp() bool { return p.linkUp }
 
-// RxLinkDrops returns frames lost because they were steered to this PF
-// while its link was down.
-func (p *PF) RxLinkDrops() uint64 { return p.rxLinkDrops }
-
-// TxLinkDrops returns transmit segments lost to a down link on this PF.
-func (p *PF) TxLinkDrops() uint64 { return p.txLinkDrops }
-
 // RxBytes returns payload bytes DMA'd to the host through this PF —
 // the per-PF throughput series of Figure 14.
 func (p *PF) RxBytes() float64 { return p.rxBytes }

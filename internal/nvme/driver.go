@@ -48,8 +48,6 @@ type Driver struct {
 	// One queue pair per (port, submitting node): rings homed on the
 	// submitter's node, interrupts to it.
 	qps map[[2]int]*QueuePair
-
-	completed uint64
 }
 
 // NewDriver binds a driver to a controller.
@@ -67,9 +65,6 @@ func (d *Driver) Controller() *Controller { return d.ctrl }
 
 // Policy returns the routing policy.
 func (d *Driver) Policy() Policy { return d.policy }
-
-// Completed returns requests whose completions the driver has reaped.
-func (d *Driver) Completed() uint64 { return d.completed }
 
 // pickPort routes a request per the policy.
 func (d *Driver) pickPort(req *Request) *Port {
@@ -105,7 +100,6 @@ func (d *Driver) reap(qp *QueuePair, node topology.NodeID) time.Duration {
 	for _, req := range qp.Reap(reapBudget) {
 		cost += qp.CQ().HostRead(node, 1)
 		cost += perIOCPU / 2
-		d.completed++
 		if req.OnComplete != nil {
 			req.OnComplete(req)
 		}

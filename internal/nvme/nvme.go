@@ -84,9 +84,6 @@ func New(e *sim.Engine, mem *memsys.System, name string, eps []*pcie.Endpoint) *
 // Name returns the drive name.
 func (c *Controller) Name() string { return c.name }
 
-// Ports returns the drive's PCIe functions.
-func (c *Controller) Ports() []*Port { return c.ports }
-
 // Port returns one port.
 func (c *Controller) Port(i int) *Port {
 	if i < 0 || i >= len(c.ports) {

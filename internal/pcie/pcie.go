@@ -200,9 +200,6 @@ func (ep *Endpoint) Node() topology.NodeID { return ep.node }
 // Lanes returns the link width.
 func (ep *Endpoint) Lanes() int { return ep.lanes }
 
-// Bandwidth returns the link's one-direction bandwidth.
-func (ep *Endpoint) Bandwidth() float64 { return LinkBandwidth(ep.gen, ep.lanes) }
-
 // DMAWrite moves n bytes from the device into the buffer (packet
 // reception, completion writeback): the data serializes on the uplink,
 // then lands per the memory system's DDIO rules. done fires when the

@@ -236,16 +236,16 @@ func Generate(seed int64) *Spec {
 	sim2.WindowTable = "windowed server NIC throughput"
 	sim2.Counters = []CounterSpec{
 		{Label: "faults: link transitions", Source: "faults/link_transitions"},
-		{Label: "faults: frames dropped on wire", Source: "faults/wire_drops"},
-		{Label: "nic: frames dropped at dead links", Source: "nic/link_drops"},
-		{Label: "stack: segments retransmitted", Source: "stack/retx"},
-		{Label: "stack: segments abandoned", Source: "stack/abandoned"},
+		{Label: "faults: frames dropped on wire", Source: "faults/*_drops"},
+		{Label: "nic: frames dropped at dead links", Source: "server/nic/pf*/*_link_drops"},
+		{Label: "stack: segments retransmitted", Source: "*/stack/retx/retransmits"},
+		{Label: "stack: segments abandoned", Source: "*/stack/retx/abandoned"},
 	}
 	if mode == "ioctopus" {
 		sim2.Counters = append(sim2.Counters,
-			CounterSpec{Label: "driver: failovers", Source: "driver/failovers"},
-			CounterSpec{Label: "driver: failbacks", Source: "driver/failbacks"},
-			CounterSpec{Label: "driver: descriptors reposted", Source: "driver/reposted"})
+			CounterSpec{Label: "driver: failovers", Source: "server/driver/*/failover/failovers"},
+			CounterSpec{Label: "driver: failbacks", Source: "server/driver/*/failover/failbacks"},
+			CounterSpec{Label: "driver: descriptors reposted", Source: "server/driver/*/failover/reposted"})
 	}
 	sim2.CounterTable = "invariant counters"
 

@@ -152,12 +152,17 @@ type WindowSpec struct {
 	ToPct   int    `json:"to_pct"`
 }
 
-// CounterSpec is one row of the counter table. Sources: the fault
-// injector ("faults/link_transitions", "faults/wire_drops"), the
-// server NIC ("nic/pf<i>/link_drops", "nic/link_drops"), the octo
-// driver ("driver/failovers", "driver/failbacks", "driver/reposted"),
-// and the retransmission layer ("stack/retx" both hosts,
-// "server/stack/dup", "stack/abandoned" both hosts).
+// CounterSpec is one row of the counter table. Source is a pattern
+// over the cluster's metrics registry in path.Match syntax, where '*'
+// stays within one '/'-separated level; the row shows the sum of every
+// metric it matches at the end of the run. Examples:
+// "faults/*_drops" (frames the injector dropped on the wire),
+// "server/nic/pf0/*_link_drops" (frames lost at a dead PF0),
+// "server/driver/*/failover/failovers" (the octo driver's failovers)
+// and "*/stack/retx/retransmits" (both hosts' retransmissions). A
+// source must match at least one metric of the built cluster, so one
+// that names a PF the server lacks, or a driver, watchdog or fault
+// scope the spec does not arm, is an error.
 type CounterSpec struct {
 	Label  string `json:"label"`
 	Source string `json:"source"`
@@ -189,7 +194,8 @@ type RecoverySpec struct {
 //   - "window-ratio": windows[Window] over windows[0] within [Lo, Hi].
 //   - "no-errors": no workload goroutine recorded a failure.
 //   - "fw-recovered": a firmware reset was observed and the journaled
-//     steering rules were replayed (needs a fw-reset fault).
+//     steering rules were replayed (needs a fw-reset fault and the
+//     watchdog, which the drivers' recovery counters register with).
 //   - "queue-recovered": no completion is still stranded device-side at
 //     the end of the run; Min > 0 additionally requires that many
 //     watchdog queue resets (needs a queue-stall fault).
@@ -365,7 +371,8 @@ func (sp *Spec) Validate() error {
 // get wrong: its names, the references between its own parts, percent
 // windows and check prerequisites. core.NewClusterE then vets the
 // machines and the driver layout, and faults.Arm the fault targets and
-// schedule. The caller drains the cluster.
+// schedule. Last, each counter source must match a metric of the built
+// cluster's registry. The caller drains the cluster.
 func (sp *Spec) Build(T time.Duration) (*core.Cluster, error) {
 	if sp.Name == "" || strings.ContainsAny(sp.Name, " \t\n") {
 		return nil, fmt.Errorf("scenario: name %q must be non-empty without whitespace", sp.Name)
@@ -430,7 +437,7 @@ func (sim *SimSpec) build(seed int64, T time.Duration) (*core.Cluster, error) {
 	if err := sim.checkObservations(server.NumNodes()); err != nil {
 		return nil, err
 	}
-	return core.NewClusterE(core.Config{
+	cl, err := core.NewClusterE(core.Config{
 		Mode:         mode,
 		EnableSG:     sim.EnableSG,
 		Wiring:       wiring,
@@ -442,6 +449,20 @@ func (sim *SimSpec) build(seed int64, T time.Duration) (*core.Cluster, error) {
 		FaultPlan:    plan,
 		Seed:         seed,
 	})
+	if err != nil {
+		return nil, err
+	}
+	for i, c := range sim.Counters {
+		_, matched, err := cl.Reg.Sum(c.Source)
+		if err == nil && matched == 0 {
+			err = fmt.Errorf("source %q matches no metric of the built cluster", c.Source)
+		}
+		if err != nil {
+			cl.Drain()
+			return nil, fmt.Errorf("counter %d (%s): %v", i, c.Label, err)
+		}
+	}
+	return cl, nil
 }
 
 // checkWorkloads vets the workload mix: kinds, ports, sizes, and thread
@@ -522,12 +543,10 @@ func (sim *SimSpec) checkWorkloads(server, client *topology.Server) error {
 // faultPlan converts the percent-based schedule to an absolute
 // faults.Plan over a run of length T, rejecting unknown kinds and wire
 // directions and windows outside the timeline; faults.Arm checks the
-// rest against the assembled cluster. Nil when the spec has no faults,
-// so a fault-free scenario keeps the cluster's zero-cost no-fault hooks.
+// rest against the assembled cluster. A spec without faults gets an
+// empty plan: it arms nothing, and the injector's faults/ counters,
+// all 0, still exist for the counter table to read.
 func (sim *SimSpec) faultPlan(seed int64, T time.Duration) (*faults.Plan, error) {
-	if len(sim.Faults) == 0 {
-		return nil, nil
-	}
 	frac := func(pct int) time.Duration { return T * time.Duration(pct) / 100 }
 	plan := &faults.Plan{Seed: seed}
 	for i, f := range sim.Faults {
@@ -572,9 +591,9 @@ func (sim *SimSpec) faultPlan(seed int64, T time.Duration) (*faults.Plan, error)
 
 // checkObservations vets the observation plan against the spec's own
 // parts: samples name forward streams or server PFs, windows are
-// ordered, counters and checks have the driver, watchdog, datapath and
-// fault they read, and recovery and checks name existing samples,
-// windows and workloads.
+// ordered, checks have the driver, watchdog, datapath and fault they
+// read, and recovery and checks name existing samples, windows and
+// workloads.
 func (sim *SimSpec) checkObservations(serverPFs int) error {
 	streamFwd := func(i int) bool {
 		return i >= 0 && i < len(sim.Workloads) &&
@@ -619,11 +638,6 @@ func (sim *SimSpec) checkObservations(serverPFs int) error {
 		}
 		return false
 	}
-	for i, c := range sim.Counters {
-		if err := validateCounterSource(c.Source, serverPFs, octo, sim.Watchdog != nil); err != nil {
-			return fmt.Errorf("counter %d (%s): %v", i, c.Label, err)
-		}
-	}
 	if sim.Recovery != nil {
 		r := sim.Recovery
 		if len(sim.Windows) == 0 || len(sim.Samples) == 0 {
@@ -665,6 +679,9 @@ func (sim *SimSpec) checkObservations(serverPFs int) error {
 			if !hasFault("fw-reset") {
 				return fmt.Errorf("check %d (fw-recovered): no fw-reset fault in the schedule", i)
 			}
+			if sim.Watchdog == nil {
+				return fmt.Errorf("check %d (fw-recovered): needs the watchdog armed (the drivers register their recovery counters with it)", i)
+			}
 		case "queue-recovered":
 			if !hasFault("queue-stall") {
 				return fmt.Errorf("check %d (queue-recovered): no queue-stall fault in the schedule", i)
@@ -687,39 +704,6 @@ func (sim *SimSpec) checkObservations(serverPFs int) error {
 		}
 	}
 	return nil
-}
-
-// validateCounterSource vets one counter-table source string.
-func validateCounterSource(src string, serverPFs int, octo, watchdog bool) error {
-	switch src {
-	case "faults/link_transitions", "faults/wire_drops", "nic/link_drops",
-		"stack/retx", "server/stack/dup", "stack/abandoned",
-		"nic/fw_resets", "driver/fw_resets", "driver/rules_replayed":
-		return nil
-	case "driver/failovers", "driver/failbacks", "driver/reposted",
-		"driver/parked_overflow", "driver/concurrent_ignored":
-		if !octo {
-			return fmt.Errorf("source %q needs the ioctopus driver", src)
-		}
-		return nil
-	case "watchdog/queue_resets", "watchdog/fw_reprograms", "watchdog/pf_dead",
-		"watchdog/poller_fallbacks", "watchdog/poller_reenters":
-		if !watchdog {
-			return fmt.Errorf("source %q needs the watchdog armed", src)
-		}
-		return nil
-	}
-	if mid, ok := strings.CutPrefix(src, "nic/pf"); ok {
-		if idx, ok := strings.CutSuffix(mid, "/link_drops"); ok {
-			if pf, ok := parseIndex(idx); ok {
-				if pf >= serverPFs {
-					return fmt.Errorf("server has no PF %d", pf)
-				}
-				return nil
-			}
-		}
-	}
-	return fmt.Errorf("unknown source %q", src)
 }
 
 // Marshal renders the spec as indented JSON (the on-disk form
@@ -827,14 +811,14 @@ func Chaos() *Spec {
 			WindowTable: "chaos recovery summary",
 			Counters: []CounterSpec{
 				{Label: "faults: link transitions", Source: "faults/link_transitions"},
-				{Label: "faults: frames dropped on wire", Source: "faults/wire_drops"},
-				{Label: "nic: frames dropped at dead PF0", Source: "nic/pf0/link_drops"},
-				{Label: "driver: failovers", Source: "driver/failovers"},
-				{Label: "driver: failbacks", Source: "driver/failbacks"},
-				{Label: "driver: descriptors reposted", Source: "driver/reposted"},
-				{Label: "stack: segments retransmitted", Source: "stack/retx"},
-				{Label: "stack: duplicate segments discarded", Source: "server/stack/dup"},
-				{Label: "stack: segments abandoned", Source: "stack/abandoned"},
+				{Label: "faults: frames dropped on wire", Source: "faults/*_drops"},
+				{Label: "nic: frames dropped at dead PF0", Source: "server/nic/pf0/*_link_drops"},
+				{Label: "driver: failovers", Source: "server/driver/*/failover/failovers"},
+				{Label: "driver: failbacks", Source: "server/driver/*/failover/failbacks"},
+				{Label: "driver: descriptors reposted", Source: "server/driver/*/failover/reposted"},
+				{Label: "stack: segments retransmitted", Source: "*/stack/retx/retransmits"},
+				{Label: "stack: duplicate segments discarded", Source: "server/stack/retx/duplicates"},
+				{Label: "stack: segments abandoned", Source: "*/stack/retx/abandoned"},
 			},
 			CounterTable: "fault and recovery counters",
 			Recovery: &RecoverySpec{

@@ -184,7 +184,14 @@ func TestValidateRejects(t *testing.T) {
 		{"sample source with trailing junk", func(sp *scenario.Spec) { sp.Sim.Samples[2].Source = "pf:1x" }, "unknown source"},
 		{"sample source with a space", func(sp *scenario.Spec) { sp.Sim.Samples[2].Source = "pf: 1" }, "unknown source"},
 		{"sample source with a sign", func(sp *scenario.Spec) { sp.Sim.Samples[2].Source = "pf:+1" }, "unknown source"},
-		{"counter source with trailing junk", func(sp *scenario.Spec) { sp.Sim.Counters[2].Source = "nic/pf0/link_drops/x" }, "unknown source"},
+		{"counter source with trailing junk", func(sp *scenario.Spec) { sp.Sim.Counters[2].Source = "server/nic/pf0/*_link_drops/x" }, "matches no metric"},
+		{"malformed counter pattern", func(sp *scenario.Spec) { sp.Sim.Counters[2].Source = "server/nic/pf[" }, "syntax error in pattern"},
+		{"octo counter under standard mode", func(sp *scenario.Spec) {
+			// Without chaos's octo-only checks: the standard drivers
+			// register no failover counters, so the source is the defect.
+			sp.Sim.Mode = "standard"
+			sp.Sim.Checks = []scenario.CheckSpec{{Kind: "no-abandoned", Name: "no segment abandoned"}}
+		}, "matches no metric"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -306,8 +313,12 @@ func TestValidateRejectsDeviceFaults(t *testing.T) {
 			sp.Sim.Checks = append(sp.Sim.Checks, scenario.CheckSpec{Kind: "poller-fallback-and-back", Name: "x"})
 		}, "needs the busypoll datapath"},
 		{"watchdog counter without watchdog", func(sp *scenario.Spec) {
-			sp.Sim.Counters = append(sp.Sim.Counters, scenario.CounterSpec{Label: "x", Source: "watchdog/queue_resets"})
-		}, "needs the watchdog armed"},
+			sp.Sim.Counters = append(sp.Sim.Counters, scenario.CounterSpec{Label: "x", Source: "server/driver/*/watchdog/queue_resets"})
+		}, "matches no metric"},
+		{"fw-recovered without watchdog", func(sp *scenario.Spec) {
+			sp.Sim.Faults = append(sp.Sim.Faults, scenario.FaultSpec{Kind: "fw-reset", AtPct: 30})
+			sp.Sim.Checks = append(sp.Sim.Checks, scenario.CheckSpec{Kind: "fw-recovered", Name: "x"})
+		}, "(fw-recovered): needs the watchdog armed"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

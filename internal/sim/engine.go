@@ -161,7 +161,7 @@ func (e *Engine) At(t Time, fn func()) Timer {
 	s.fn = fn
 	e.push(heapEntry{at: t, seq: e.seq, slot: slot, gen: s.gen})
 	e.live++
-	return Timer{eng: e, at: t, slot: slot, gen: s.gen}
+	return Timer{eng: e, slot: slot, gen: s.gen}
 }
 
 // After schedules fn to run d after the current time. Negative d is
@@ -253,7 +253,6 @@ func (e *Engine) purge() {
 // zero Timer is valid: never pending, Stop reports false.
 type Timer struct {
 	eng  *Engine
-	at   Time
 	slot int32
 	gen  uint32
 }
@@ -268,9 +267,6 @@ func (t Timer) Stop() bool {
 	t.eng.freeSlot(t.slot)
 	return true
 }
-
-// When returns the time the event was scheduled for.
-func (t Timer) When() Time { return t.at }
 
 // Pending reports whether the event has not yet fired or been cancelled.
 func (t Timer) Pending() bool {

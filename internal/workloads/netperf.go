@@ -271,9 +271,6 @@ func StartRR(cl *core.Cluster, cfg RRConfig) *RR {
 // MeasureStart begins recording round trips.
 func (w *RR) MeasureStart() { w.measuring = true }
 
-// MeasureStop pauses recording.
-func (w *RR) MeasureStop() { w.measuring = false }
-
 // Transactions returns completed measured round trips.
 func (w *RR) Transactions() int { return w.Hist.Count() }
 
