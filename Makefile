@@ -36,8 +36,9 @@ bench:
 	go test -run '^$$' -bench 'BenchmarkPacketPath$$|BenchmarkRemoteRxPath$$|BenchmarkBusyPollPath$$|BenchmarkSimulatorEventRate|BenchmarkAllFiguresQuick' -benchmem .
 
 # Byte-identity check for changes that must not move any output: the
-# figures (text and JSON report), chaos, devchaos, pmd and two fuzz
-# batches, run from BASE and from the working tree (~1 min on 2 cores).
+# figures (quick text and JSON report, and full-duration text), chaos,
+# devchaos, pmd and two fuzz batches, run from BASE and from the working
+# tree (~1.5 min on 2 cores).
 BASE ?= HEAD
 identical:
 	./scripts/identical.sh $(BASE)

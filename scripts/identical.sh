@@ -3,11 +3,12 @@
 # builds ioctobench from a git ref (default HEAD) and from the working
 # tree, runs the commands whose outputs define behaviour on both, and
 # fails naming the first command whose exit status, stdout or -json
-# report differs.
+# report differs. The full-duration -fig all row covers the measurement
+# windows the -quick goldens do not reach (full_results.txt).
 #
 #   scripts/identical.sh [ref]        or        make identical BASE=<ref>
 #
-# About a minute on a 2-core host, so scripts/check.sh only parses it.
+# About 1.5 minutes on a 2-core host, so scripts/check.sh only parses it.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -62,6 +63,7 @@ same() {
 }
 
 same -fig all -quick -json @report
+same -fig all
 same -scenario chaos -quick
 same -fig devchaos -quick
 same -fig pmd -quick
