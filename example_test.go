@@ -38,12 +38,11 @@ func Example_nudma() {
 			}
 		})
 		cl.Run(10 * time.Millisecond)
-		cl.ResetStats()
-		base := received
+		base, baseMem := received, cl.Server.Mem.TotalDRAMBytes()
 		window := 20 * time.Millisecond
 		cl.Run(window)
 		net := float64(received - base)
-		return net * 8 / window.Seconds() / 1e9, cl.Server.Mem.TotalDRAMBytes() / net
+		return net * 8 / window.Seconds() / 1e9, (cl.Server.Mem.TotalDRAMBytes() - baseMem) / net
 	}
 
 	local, localMem := measure(ioctopus.ModeStandard, 0)

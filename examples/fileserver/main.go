@@ -58,12 +58,11 @@ func serve(enableSG bool) (gbps, qpiGB float64) {
 	})
 
 	cl.Run(10 * time.Millisecond)
-	cl.ResetStats()
-	base := received
+	base, baseQPI := received, cl.Server.Fabric.TotalBytes()
 	window := 50 * time.Millisecond
 	cl.Run(window)
 	gbps = float64(received-base) * 8 / window.Seconds() / 1e9
-	qpiGB = cl.Server.Fabric.TotalBytes() / 1e9
+	qpiGB = (cl.Server.Fabric.TotalBytes() - baseQPI) / 1e9
 	return
 }
 

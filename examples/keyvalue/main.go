@@ -20,12 +20,12 @@ func measure(mode ioctopus.NICMode, serverNode ioctopus.NodeID, setRatio float64
 	w := ioctopus.StartMemcached(cl, cfg)
 
 	cl.Run(30 * time.Millisecond) // warmup
-	cl.ResetStats()
+	baseMem := cl.Server.Mem.TotalDRAMBytes()
 	w.MeasureStart()
 	window := 100 * time.Millisecond
 	cl.Run(window)
 	ktps = float64(w.Transactions()) / window.Seconds() / 1e3
-	memGBs = cl.Server.Mem.TotalDRAMBytes() / window.Seconds() / 1e9
+	memGBs = (cl.Server.Mem.TotalDRAMBytes() - baseMem) / window.Seconds() / 1e9
 	return
 }
 

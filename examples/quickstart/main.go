@@ -41,11 +41,10 @@ func receive(mode ioctopus.NICMode, serverCore ioctopus.CoreID, window time.Dura
 	})
 
 	cl.Run(10 * time.Millisecond) // warmup
-	cl.ResetStats()
-	base := received
+	base, baseMem := received, cl.Server.Mem.TotalDRAMBytes()
 	cl.Run(window)
 	gbps = float64(received-base) * 8 / window.Seconds() / 1e9
-	memGbps = cl.Server.Mem.TotalDRAMBytes() * 8 / window.Seconds() / 1e9
+	memGbps = (cl.Server.Mem.TotalDRAMBytes() - baseMem) * 8 / window.Seconds() / 1e9
 	return
 }
 

@@ -423,19 +423,3 @@ func (cl *Cluster) Run(d time.Duration) { cl.Eng.RunFor(d) }
 // Drain terminates all simulation processes; call once per cluster when
 // done.
 func (cl *Cluster) Drain() { cl.Eng.Drain() }
-
-// ResetStats zeroes measurement counters on both hosts (after warmup).
-func (cl *Cluster) ResetStats() {
-	for _, h := range []*Host{cl.Server, cl.Client} {
-		h.Mem.ResetStats()
-		h.Fabric.ResetStats()
-		for c := 0; c < h.Kernel.NumCores(); c++ {
-			h.Kernel.Core(topology.CoreID(c)).ResetBusy()
-		}
-		if h.NIC != nil {
-			for _, pf := range h.NIC.PFs() {
-				pf.Endpoint().ResetStats()
-			}
-		}
-	}
-}

@@ -110,11 +110,10 @@ func TestRemoteMemoryBandwidthIs3xThroughput(t *testing.T) {
 		}
 	})
 	cl.Run(5 * time.Millisecond) // warmup
-	cl.ResetStats()
-	before := received
+	before, dramBefore := received, cl.Server.Mem.TotalDRAMBytes()
 	cl.Run(20 * time.Millisecond)
 	window := received - before
-	dram := cl.Server.Mem.TotalDRAMBytes()
+	dram := cl.Server.Mem.TotalDRAMBytes() - dramBefore
 	ratio := dram / float64(window)
 	cl.Drain()
 	if ratio < 2.0 || ratio > 4.2 {
@@ -147,11 +146,10 @@ func TestLocalMemoryBandwidthNearZero(t *testing.T) {
 		}
 	})
 	cl.Run(5 * time.Millisecond)
-	cl.ResetStats()
-	before := received
+	before, dramBefore := received, cl.Server.Mem.TotalDRAMBytes()
 	cl.Run(20 * time.Millisecond)
 	window := received - before
-	dram := cl.Server.Mem.TotalDRAMBytes()
+	dram := cl.Server.Mem.TotalDRAMBytes() - dramBefore
 	ratio := dram / float64(window)
 	cl.Drain()
 	if ratio > 0.5 {

@@ -10,8 +10,12 @@ import (
 	"ioctopus/internal/core"
 	"ioctopus/internal/driver"
 	"ioctopus/internal/faults"
+	"ioctopus/internal/metrics"
+	"ioctopus/internal/netstack"
 	"ioctopus/internal/scenario"
 	"ioctopus/internal/sim"
+	"ioctopus/internal/topology"
+	"ioctopus/internal/workloads"
 )
 
 // TestRunnerPatternsMatch: each registry pattern the runner reads
@@ -35,9 +39,57 @@ func TestRunnerPatternsMatch(t *testing.T) {
 		patQueueResets, patFwReprograms, patPFDead, patPFRecovered,
 		patPollerFallbacks, patPollerReenters,
 		patPolls, patEmptyPolls, patBursts, patBurstOccupancy,
+		patDRAM, patBusy, patFabric, patNICRx,
 	} {
 		if _, matched, err := cl.Reg.Sum(pattern); err != nil || matched == 0 {
 			t.Errorf("pattern %q matched %d metrics (err %v)", pattern, matched, err)
+		}
+	}
+}
+
+// TestCountersOnlyGrow: a measurement window is a delta of registry
+// counters, so no counter of a fully armed cluster (octo driver,
+// busy-poll loops, watchdog, retransmission, a link flap and wire loss,
+// a STREAM antagonist, an Rx and a Tx stream) may ever read less than
+// it did at an earlier snapshot.
+func TestCountersOnlyGrow(t *testing.T) {
+	dp := driver.DefaultParams()
+	dp.WatchdogInterval = 500 * time.Microsecond
+	sp := netstack.DefaultParams()
+	sp.RetxTimeout, sp.RetxMaxTries = 500*time.Microsecond, 8
+	cl := core.NewCluster(core.Config{
+		Mode:         core.ModeIOctopus,
+		Datapath:     core.DatapathBusyPoll,
+		DriverParams: &dp,
+		StackParams:  &sp,
+		FaultPlan: &faults.Plan{Seed: 1, Events: []faults.Event{
+			{At: 2 * time.Millisecond, Kind: faults.LinkFlap, PF: 0, Duration: 2 * time.Millisecond},
+			{At: 5 * time.Millisecond, Kind: faults.Loss, Dir: faults.ClientToServer, Prob: 0.05, Duration: 3 * time.Millisecond},
+		}},
+	})
+	defer cl.Drain()
+	workloads.StartAntagonist(cl.Server, workloads.DefaultAntagonistConfig(1))
+	workloads.StartStream(cl, workloads.StreamConfig{
+		MsgSize: 65536, Direction: workloads.Rx,
+		ServerCores: []topology.CoreID{0}, ClientCores: []topology.CoreID{0},
+		ServerIP: core.IPServerPF0, Port: 7,
+	})
+	workloads.StartStream(cl, workloads.StreamConfig{
+		MsgSize: 65536, Direction: workloads.Tx,
+		ServerCores: []topology.CoreID{cl.Server.Topo.CoresOn(1)[0].ID}, ClientCores: []topology.CoreID{1},
+		ServerIP: core.IPServerPF0, Port: 9,
+	})
+	prev := map[string]float64{}
+	for i := 0; i < 10; i++ {
+		cl.Run(time.Millisecond)
+		for _, s := range cl.Reg.Snapshot() {
+			if s.Kind != metrics.KindCounter {
+				continue
+			}
+			if was, ok := prev[s.Name]; ok && s.Value < was {
+				t.Errorf("%v: counter %s fell from %v to %v", cl.Eng.Now(), s.Name, was, s.Value)
+			}
+			prev[s.Name] = s.Value
 		}
 	}
 }

@@ -117,13 +117,6 @@ func (f *Fabric) TotalBytes() float64 {
 	return sum
 }
 
-// ResetStats zeroes every pipe's counters.
-func (f *Fabric) ResetStats() {
-	for _, key := range f.sortedLinks() {
-		f.pipes[key].ResetStats()
-	}
-}
-
 // sortedLinks returns the directional link keys in canonical
 // (src, dst) order, the deterministic way to walk the pipes map.
 func (f *Fabric) sortedLinks() [][2]topology.NodeID {

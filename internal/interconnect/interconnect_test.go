@@ -118,12 +118,3 @@ func TestQuadFabricFullMesh(t *testing.T) {
 		t.Fatalf("pipes = %d, want 12", count)
 	}
 }
-
-func TestResetStats(t *testing.T) {
-	_, f := newFabric(t)
-	f.Charge(0, 1, 1000)
-	f.ResetStats()
-	if f.TotalBytes() != 0 {
-		t.Fatal("ResetStats did not zero counters")
-	}
-}

@@ -165,17 +165,6 @@ func TestSubmitFixed(t *testing.T) {
 	e.Drain()
 }
 
-func TestResetBusy(t *testing.T) {
-	e, k := newKernel(t)
-	k.Spawn("w", 0, func(t *Thread) { t.Exec(time.Millisecond) })
-	e.RunUntilIdle()
-	k.Core(0).ResetBusy()
-	if k.Core(0).BusyTime() != 0 {
-		t.Fatal("ResetBusy failed")
-	}
-	e.Drain()
-}
-
 func TestAllocIsNodeHomed(t *testing.T) {
 	e, k := newKernel(t)
 	b := k.Alloc("buf", 1, 4096)

@@ -7,8 +7,9 @@ import (
 )
 
 // RegisterMetrics wires per-core execution telemetry into a registry
-// under "core<i>": accumulated busy time (a gauge, since ResetBusy
-// rewinds it at measurement-window edges) and run-queue depth.
+// under "core<i>": accumulated busy time and run-queue depth. Busy time
+// only grows, but it stays a gauge: the JSON report's goldens pin each
+// metric's kind.
 func (k *Kernel) RegisterMetrics(r metrics.Registrar) {
 	for _, c := range k.cores {
 		c := c

@@ -140,14 +140,6 @@ func (s *System) TotalDRAMBytes() float64 {
 	return t
 }
 
-// ResetStats zeroes all node counters (buffers keep their residency).
-func (s *System) ResetStats() {
-	for _, n := range s.nodes {
-		n.stats = NodeStats{}
-		n.memctl.ResetStats()
-	}
-}
-
 // derate converts a base streaming bandwidth to its effective value
 // under latency inflation: CPU-side accesses are partially
 // latency-bound (limited memory-level parallelism), so a congested

@@ -57,7 +57,7 @@ func TestRemoteDMAWriteInvalidatesCachedCopy(t *testing.T) {
 	if b.CachedAt() != 1 {
 		t.Fatal("setup: buffer should be cached on node 1")
 	}
-	s.ResetStats()
+	before := s.Stats(1)
 	s.DeviceWrite(0, b, 64) // remote NIC writes it
 	if b.CachedAt() != topology.NoNode {
 		t.Fatal("DMA write did not invalidate the cached copy")
@@ -67,7 +67,7 @@ func TestRemoteDMAWriteInvalidatesCachedCopy(t *testing.T) {
 	if lat < 80*time.Nanosecond {
 		t.Fatalf("post-invalidation read latency = %v, want >= ~85ns DRAM", lat)
 	}
-	if s.Stats(1).DRAMReadBytes < 64 {
+	if s.Stats(1).DRAMReadBytes-before.DRAMReadBytes < 64 {
 		t.Fatal("post-invalidation read should hit DRAM")
 	}
 }
@@ -76,9 +76,9 @@ func TestDDIOWriteUpdateHitsExistingLines(t *testing.T) {
 	_, s := newSys(t)
 	b := s.NewBuffer("ring", 0, 4096)
 	s.CPURead(0, b, 4096) // resident in node 0 main ways
-	s.ResetStats()
+	before := s.Stats(0)
 	lat := s.DeviceWrite(0, b, 4096)
-	if s.Stats(0).DRAMWriteBytes != 0 {
+	if s.Stats(0).DRAMWriteBytes != before.DRAMWriteBytes {
 		t.Fatal("write-update should not touch DRAM")
 	}
 	if lat > 100*time.Nanosecond {
@@ -123,10 +123,10 @@ func TestLocalDeviceReadFromLLCIsFree(t *testing.T) {
 	_, s := newSys(t)
 	b := s.NewBuffer("txbuf", 0, 1500)
 	s.CPUWrite(0, b, 1500) // producer dirties it in LLC 0
-	s.ResetStats()
+	before := s.Stats(0)
 	s.DeviceRead(0, b, 1500) // local NIC DMA read
-	if s.Stats(0).DRAMReadBytes != 0 {
-		t.Fatalf("local cached DMA read moved %v DRAM bytes, want 0", s.Stats(0).DRAMReadBytes)
+	if got := s.Stats(0).DRAMReadBytes - before.DRAMReadBytes; got != 0 {
+		t.Fatalf("local cached DMA read moved %v DRAM bytes, want 0", got)
 	}
 	if b.CachedAt() != 0 || !b.Dirty() {
 		t.Fatal("DMA read must not invalidate or clean the line")
@@ -139,10 +139,10 @@ func TestRemoteDeviceReadConsumesDRAMEvenWhenCached(t *testing.T) {
 	_, s := newSys(t)
 	b := s.NewBuffer("txbuf", 1, 1500)
 	s.CPUWrite(1, b, 1500) // hot in LLC 1
-	s.ResetStats()
+	before := s.Stats(1)
 	s.DeviceRead(0, b, 1500) // remote NIC reads it
-	if s.Stats(1).DRAMReadBytes != 1500 {
-		t.Fatalf("parallel-probe DRAM reads = %v, want 1500", s.Stats(1).DRAMReadBytes)
+	if got := s.Stats(1).DRAMReadBytes - before.DRAMReadBytes; got != 1500 {
+		t.Fatalf("parallel-probe DRAM reads = %v, want 1500", got)
 	}
 	if b.CachedAt() != 1 {
 		t.Fatal("remote DMA read must not invalidate the cached copy")
@@ -205,10 +205,10 @@ func TestDirtyRemoteInvalidationWritesBack(t *testing.T) {
 	_, s := newSys(t)
 	b := s.NewBuffer("shared", 1, 4096)
 	s.CPUWrite(1, b, 4096) // dirty on node 1
-	s.ResetStats()
+	before := s.Stats(1)
 	s.CPUWrite(0, b, 4096) // node 0 takes ownership: node 1 must write back
-	if s.Stats(1).DRAMWriteBytes < 4096 {
-		t.Fatalf("writeback bytes = %v, want >= 4096", s.Stats(1).DRAMWriteBytes)
+	if got := s.Stats(1).DRAMWriteBytes - before.DRAMWriteBytes; got < 4096 {
+		t.Fatalf("writeback bytes = %v, want >= 4096", got)
 	}
 }
 
@@ -216,7 +216,6 @@ func TestCacheToCacheReadMigratesResidency(t *testing.T) {
 	_, s := newSys(t)
 	b := s.NewBuffer("msg", 0, 4096)
 	s.CPUWrite(0, b, 4096)
-	s.ResetStats()
 	lat := s.CPURead(1, b, 4096)
 	if b.CachedAt() != 1 {
 		t.Fatalf("residency at %d, want 1 after consumer read", b.CachedAt())
@@ -251,7 +250,7 @@ func TestDirtyEvictionChargesWriteback(t *testing.T) {
 	_, s := newSys(t)
 	dirty := s.NewBuffer("dirty", 0, 2*1024*1024)
 	s.CPUWrite(0, dirty, 2*1024*1024)
-	s.ResetStats()
+	before := s.Stats(0)
 	for i := 0; i < 20; i++ {
 		b := s.NewBuffer("filler", 0, 2*1024*1024)
 		s.CPURead(0, b, 2*1024*1024)
@@ -259,8 +258,8 @@ func TestDirtyEvictionChargesWriteback(t *testing.T) {
 	if dirty.CachedAt() == 0 {
 		t.Skip("dirty buffer not evicted under this capacity; adjust fillers")
 	}
-	if s.Stats(0).DRAMWriteBytes < 2*1024*1024 {
-		t.Fatalf("writeback bytes = %v, want >= 2MiB", s.Stats(0).DRAMWriteBytes)
+	if got := s.Stats(0).DRAMWriteBytes - before.DRAMWriteBytes; got < 2*1024*1024 {
+		t.Fatalf("writeback bytes = %v, want >= 2MiB", got)
 	}
 }
 
@@ -308,10 +307,6 @@ func TestStatsAndReset(t *testing.T) {
 	s.CPURead(0, b, 4096)
 	if s.TotalDRAMBytes() == 0 {
 		t.Fatal("miss should move DRAM bytes")
-	}
-	s.ResetStats()
-	if s.TotalDRAMBytes() != 0 {
-		t.Fatal("ResetStats did not zero DRAM counters")
 	}
 }
 
@@ -404,9 +399,9 @@ func TestLongIdleBufferKeepsAFloorOfHits(t *testing.T) {
 	s.CPURead(0, b, 64*1024)
 	s.AddLLCPressure(0, 60e9)       // turns the 35 MiB cache over every 0.6 ms
 	e.RunFor(10 * time.Millisecond) // exp(-16) of the lines survive
-	s.ResetStats()
+	before := s.Stats(0)
 	s.CPURead(0, b, 64*1024)
-	if got, want := s.Stats(0).LLCHitBytes, float64(int64(0.05*float64(b.Size()))); got != want {
+	if got, want := s.Stats(0).LLCHitBytes-before.LLCHitBytes, float64(int64(0.05*float64(b.Size()))); got != want {
 		t.Fatalf("hit bytes after 10 ms idle = %v, want the 5%% floor %v", got, want)
 	}
 }

@@ -258,13 +258,3 @@ func (ep *Endpoint) MMIOOps() uint64 { return ep.mmioOps }
 
 // Interrupts returns the number of interrupts raised.
 func (ep *Endpoint) Interrupts() uint64 { return ep.interrupts }
-
-// ResetStats zeroes the endpoint's counters.
-func (ep *Endpoint) ResetStats() {
-	ep.dmaReadBytes = 0
-	ep.dmaWriteBytes = 0
-	ep.mmioOps = 0
-	ep.interrupts = 0
-	ep.toHost.ResetStats()
-	ep.toDevice.ResetStats()
-}

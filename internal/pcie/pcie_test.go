@@ -94,14 +94,14 @@ func TestDMAReadServesFromLLC(t *testing.T) {
 	ep := f.NewEndpoint("nic", 0, Gen3, 8)
 	b := f.Memory().NewBuffer("txbuf", 0, 1500)
 	f.Memory().CPUWrite(0, b, 1500)
-	f.Memory().ResetStats()
+	before := f.Memory().Stats(0)
 	var done sim.Time
 	ep.DMARead(b, 1500, func() { done = e.Now() })
 	e.RunUntilIdle()
 	if done == 0 {
 		t.Fatal("DMA read never completed")
 	}
-	if f.Memory().Stats(0).DRAMReadBytes != 0 {
+	if f.Memory().Stats(0).DRAMReadBytes != before.DRAMReadBytes {
 		t.Fatal("local cached DMA read should not touch DRAM")
 	}
 	if ep.DMAReadBytes() != 1500 {
@@ -214,18 +214,5 @@ func TestWiringString(t *testing.T) {
 		if w.String() != want {
 			t.Errorf("%d.String() = %q, want %q", w, w.String(), want)
 		}
-	}
-}
-
-func TestEndpointResetStats(t *testing.T) {
-	e, f := newFabric(t)
-	ep := f.NewEndpoint("nic", 0, Gen3, 8)
-	b := f.Memory().NewBuffer("x", 0, 64)
-	ep.DMAWrite(b, 64, nil)
-	ep.MMIOWrite(0)
-	e.RunUntilIdle()
-	ep.ResetStats()
-	if ep.DMAWriteBytes() != 0 || ep.MMIOOps() != 0 {
-		t.Fatal("ResetStats did not zero counters")
 	}
 }

@@ -438,17 +438,3 @@ func (pp *Pipe) TotalBytes() float64 {
 	pp.integrateFluid()
 	return pp.discreteBytes + pp.fluidBytes
 }
-
-// ResetStats zeroes byte/op counters (allocations are preserved), so a
-// measurement interval can exclude warmup.
-func (pp *Pipe) ResetStats() {
-	pp.integrateFluid()
-	pp.discreteBytes = 0
-	pp.discreteOps = 0
-	pp.fluidBytes = 0
-	pp.latencySamples = 0
-	pp.latencySum = 0
-	for _, f := range pp.flows {
-		f.bytes = 0
-	}
-}
