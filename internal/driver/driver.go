@@ -364,9 +364,3 @@ func (b *base) xmit(t *kernel.Thread, pkt *netstack.Packet, txq int) {
 func (b *base) RawTx(t *kernel.Thread, pkt *netstack.Packet, txq int) {
 	b.xmit(t, pkt, txq)
 }
-
-// RxQueuePair returns the rx queue serving a core (tests, inspection).
-func (b *base) RxQueueFor(c topology.CoreID) *nic.RxQueue { return b.pairs[c].rx }
-
-// TxQueueObjFor returns the hardware tx queue serving a core.
-func (b *base) TxQueueObjFor(c topology.CoreID) *nic.TxQueue { return b.pairs[c].tx }

@@ -64,7 +64,7 @@ func TestStandardDriverQueueLayout(t *testing.T) {
 	}
 	// Queue i serves core i; its rings live on core i's node.
 	for c := 0; c < 28; c++ {
-		q := d.RxQueueFor(topology.CoreID(c))
+		q := d.pairs[c].rx
 		wantNode := r.k.Topology().NodeOf(topology.CoreID(c))
 		if q.CompletionRing().Buffer().Home() != wantNode {
 			t.Fatalf("core %d completion ring homed on %d, want %d",
@@ -93,7 +93,7 @@ func TestOctoDriverQueuesAreSocketLocal(t *testing.T) {
 			len(r.nic.PF(0).RxQueues()), len(r.nic.PF(1).RxQueues()))
 	}
 	for c := 0; c < 28; c++ {
-		tx := d.TxQueueObjFor(topology.CoreID(c))
+		tx := d.pairs[c].tx
 		if tx.PF().Node() != r.k.Topology().NodeOf(topology.CoreID(c)) {
 			t.Fatalf("core %d tx queue on PF node %d", c, tx.PF().Node())
 		}

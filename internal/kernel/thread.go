@@ -13,7 +13,6 @@ import (
 // thread's current core with softirq and worker activity.
 type Thread struct {
 	k    *Kernel
-	tid  int
 	name string
 	core *Core
 	proc *sim.Proc
@@ -35,8 +34,7 @@ type Thread struct {
 // Spawn creates a thread pinned initially to the given core and starts
 // fn on it.
 func (k *Kernel) Spawn(name string, core topology.CoreID, fn func(t *Thread)) *Thread {
-	k.nextTID++
-	t := &Thread{k: k, tid: k.nextTID, name: name, core: k.Core(core)}
+	t := &Thread{k: k, name: name, core: k.Core(core)}
 	t.execWrap = func() time.Duration {
 		t.execTook = t.execRun()
 		return t.execTook
@@ -50,9 +48,6 @@ func (k *Kernel) Spawn(name string, core topology.CoreID, fn func(t *Thread)) *T
 
 // Name returns the thread name.
 func (t *Thread) Name() string { return t.name }
-
-// TID returns the thread id.
-func (t *Thread) TID() int { return t.tid }
 
 // Core returns the thread's current core id.
 func (t *Thread) Core() topology.CoreID { return t.core.id }

@@ -39,8 +39,8 @@ func (h *Histogram) Mean() time.Duration {
 }
 
 // Percentile returns the p-th percentile by nearest rank. p is clamped
-// to [0, 100]: p <= 0 returns the smallest sample (what Min relies on),
-// p >= 100 the largest, and an empty histogram reports 0 for any p.
+// to [0, 100]: p <= 0 returns the smallest sample, p >= 100 the
+// largest, and an empty histogram reports 0 for any p.
 func (h *Histogram) Percentile(p float64) time.Duration {
 	if len(h.samples) == 0 {
 		return 0
@@ -63,19 +63,6 @@ func (h *Histogram) Percentile(p float64) time.Duration {
 		rank = len(h.samples) - 1
 	}
 	return h.samples[rank]
-}
-
-// Min returns the smallest sample.
-func (h *Histogram) Min() time.Duration { return h.Percentile(0) }
-
-// Max returns the largest sample.
-func (h *Histogram) Max() time.Duration { return h.Percentile(100) }
-
-// Reset clears the histogram.
-func (h *Histogram) Reset() {
-	h.samples = h.samples[:0]
-	h.sum = 0
-	h.sorted = false
 }
 
 // Series is a sampled time series.
