@@ -4,7 +4,8 @@
 // per-cluster registry at construction time; a Snapshot then reads all
 // of them at a defined simulation instant, producing the
 // machine-readable telemetry `ioctobench -json` exports, and Sum adds
-// up the ones whose names match a pattern.
+// up the ones whose names match a pattern. Counters only grow: nothing
+// resets one, so a measurement window is the difference of two reads.
 //
 // Names are namespaced with '/' by nesting scopes, e.g.
 // "server/nic/pf0/rx_bytes". Probes are closures over live model
