@@ -37,8 +37,8 @@ bench:
 
 # Byte-identity check for changes that must not move any output: the
 # figures (quick text and JSON report, and full-duration text), chaos,
-# devchaos, pmd and two fuzz batches, run from BASE and from the working
-# tree (~1.5 min on 2 cores).
+# devchaos, pmd, two fuzz batches and the five examples, run from BASE
+# and from the working tree (~1.5 min on 2 cores).
 BASE ?= HEAD
 identical:
 	./scripts/identical.sh $(BASE)

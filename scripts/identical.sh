@@ -1,10 +1,11 @@
 #!/bin/sh
 # Byte-identity check for changes that must not move any output. It
-# builds ioctobench from a git ref (default HEAD) and from the working
-# tree, runs the commands whose outputs define behaviour on both, and
-# fails naming the first command whose exit status, stdout or -json
-# report differs. The full-duration -fig all row covers the measurement
-# windows the -quick goldens do not reach (full_results.txt).
+# builds ioctobench and the examples from a git ref (default HEAD) and
+# from the working tree, runs the commands whose outputs define
+# behaviour on both, and fails naming the first command whose exit
+# status, stdout or -json report differs. The full-duration -fig all
+# row covers the measurement windows the -quick goldens do not reach
+# (full_results.txt); the example rows cover the library facade.
 #
 #   scripts/identical.sh [ref]        or        make identical BASE=<ref>
 #
@@ -15,17 +16,26 @@ cd "$(dirname "$0")/.."
 ref="${1:-HEAD}"
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
+examples="quickstart keyvalue migration storage fileserver"
 
 mkdir "$tmp/ref"
 git archive "$ref" | tar -x -C "$tmp/ref"
-(cd "$tmp/ref" && go build -o "$tmp/bench.ref" ./cmd/ioctobench)
-go build -o "$tmp/bench.tree" ./cmd/ioctobench
+# build <prog> <package> builds one command from the ref and the tree.
+build() {
+	(cd "$tmp/ref" && go build -o "$tmp/$1.ref" "$2")
+	go build -o "$tmp/$1.tree" "$2"
+}
+build ioctobench ./cmd/ioctobench
+for ex in $examples; do
+	build "$ex" "./examples/$ex"
+done
 
-# bench <side> <args...> runs one build, with the argument @report
+# run <prog> <side> <args...> runs one build, with the argument @report
 # standing for that side's JSON report path.
-bench() {
-	side=$1
-	shift
+run() {
+	bin="$tmp/$1.$2"
+	side=$2
+	shift 2
 	for a; do
 		shift
 		if [ "$a" = @report ]; then
@@ -34,16 +44,19 @@ bench() {
 			set -- "$@" "$a"
 		fi
 	done
-	"$tmp/bench.$side" "$@"
+	"$bin" "$@"
 }
 
-# same <args...> runs one command on both builds and stops at the
-# first difference.
+# same <prog> <args...> runs one command on both builds and stops at
+# the first difference.
 same() {
+	prog=$1
+	shift
+	cmd="$prog${*:+ $*}"
 	for side in ref tree; do
 		rm -f "$tmp/$side.json"
 		status=0
-		bench "$side" "$@" >"$tmp/$side.out" 2>/dev/null || status=$?
+		run "$prog" "$side" "$@" >"$tmp/$side.out" 2>/dev/null || status=$?
 		echo "$status" >"$tmp/$side.status"
 	done
 	for file in status out json; do
@@ -54,18 +67,21 @@ same() {
 				out) what=stdout ;;
 				json) what="JSON report" ;;
 				esac
-				echo "identical.sh: ioctobench $* differs from $ref in its $what" >&2
+				echo "identical.sh: $cmd differs from $ref in its $what" >&2
 				exit 1
 			fi
 		fi
 	done
-	echo "identical to $ref: ioctobench $*"
+	echo "identical to $ref: $cmd"
 }
 
-same -fig all -quick -json @report
-same -fig all
-same -scenario chaos -quick
-same -fig devchaos -quick
-same -fig pmd -quick
-same -fuzz 8 -seed 1
-same -fuzz 60 -seed 1
+same ioctobench -fig all -quick -json @report
+same ioctobench -fig all
+same ioctobench -scenario chaos -quick
+same ioctobench -fig devchaos -quick
+same ioctobench -fig pmd -quick
+same ioctobench -fuzz 8 -seed 1
+same ioctobench -fuzz 60 -seed 1
+for ex in $examples; do
+	same "$ex"
+done
