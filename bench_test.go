@@ -20,6 +20,7 @@ import (
 	"ioctopus/internal/kernel"
 	"ioctopus/internal/netstack"
 	"ioctopus/internal/nic"
+	"ioctopus/internal/nvme"
 	"ioctopus/internal/topology"
 	"ioctopus/internal/workloads"
 )
@@ -217,9 +218,9 @@ func BenchmarkRemoteRxPath(b *testing.B) {
 // once warm, allocates nothing per simulated millisecond — neither the
 // NVMe request stages nor the fluid water-filling.
 func TestStorageAllocFree(t *testing.T) {
-	rig := core.NewStorageRig(core.StorageConfig{Drives: 4, SSDNode: 1})
+	rig := core.NewStorageRig(nvme.SinglePath, false)
 	defer rig.Drain()
-	fio := workloads.StartFio(rig, workloads.DefaultFioConfig([]topology.CoreID{0, 1, 2, 3, 4, 5, 6, 7}))
+	fio := workloads.StartFio(rig, []topology.CoreID{0, 1, 2, 3, 4, 5, 6, 7})
 	ant := workloads.StartAntagonistOn(rig.Host, 10, 1, 0, workloads.AntagonistConfig{DemandPerInstance: 10e9})
 	rig.Run(20 * time.Millisecond)
 	fio.MeasureStart()

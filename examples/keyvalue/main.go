@@ -47,7 +47,6 @@ func ioctopusMemcachedConfig(cl *ioctopus.Cluster, node ioctopus.NodeID) ioctopu
 		ServerIP:    ioctopus.IPServerPF0,
 		Port:        11211,
 		OpCost:      900 * time.Microsecond,
-		SlabBytes:   256 << 20,
 		Pipeline:    1,
 	}
 }

@@ -10,26 +10,23 @@ import (
 
 	"ioctopus"
 	"ioctopus/internal/nvme"
-	"ioctopus/internal/workloads"
 )
 
 func measure(policy nvme.Policy, dualPort bool, streams int) float64 {
-	rig := ioctopus.NewStorageRig(ioctopus.StorageConfig{
-		Drives: 4, SSDNode: 1, Policy: policy, DualPort: dualPort,
-	})
+	rig := ioctopus.NewStorageRig(policy, dualPort)
 	defer rig.Drain()
 
 	cores := []ioctopus.CoreID{0, 1, 2, 3, 4, 5, 6, 7} // socket 0, remote from SSDs
-	f := ioctopus.StartFio(rig, workloads.DefaultFioConfig(cores))
+	f := ioctopus.StartFio(rig, cores)
 	if streams > 0 {
-		workloads.StartAntagonistOn(rig.Host, streams, 1, 0,
+		ioctopus.StartAntagonistOn(rig.Host, streams, 1, 0,
 			ioctopus.AntagonistConfig{DemandPerInstance: 10e9})
 	}
 	rig.Run(100 * time.Millisecond)
 	f.MeasureStart()
 	window := 100 * time.Millisecond
 	rig.Run(window)
-	return workloads.FioGBs(f.Bytes(), window)
+	return float64(f.Bytes()) / window.Seconds() / 1e9
 }
 
 func main() {

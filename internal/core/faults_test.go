@@ -34,8 +34,10 @@ func TestValidateConfigRejectsBrokenMachines(t *testing.T) {
 	noLLC.Sockets[0].LLC.Size = 0
 	badRings := driver.DefaultParams()
 	badRings.CompRingNode = 5
-	noRxBuf := netstack.DefaultParams()
-	noRxBuf.RxBufBytes = 0
+	// A link flap drops every frame sent into the dead PF.
+	flap := &faults.Plan{Events: []faults.Event{
+		{At: time.Millisecond, Kind: faults.LinkFlap, PF: 0, Duration: time.Millisecond},
+	}}
 
 	cases := []struct {
 		name string
@@ -50,7 +52,7 @@ func TestValidateConfigRejectsBrokenMachines(t *testing.T) {
 		{"duplicate core id", Config{ClientTopo: duplicateCore}, "duplicate core id 0"},
 		{"no interconnect links", Config{ServerTopo: noLinks}, "needs an interconnect"},
 		{"zero-size LLC", Config{ServerTopo: noLLC}, "bad LLC spec"},
-		{"zero receive buffer", Config{StackParams: &noRxBuf}, "receive buffer of 0 bytes"},
+		{"frame-dropping fault without retransmission", Config{FaultPlan: flap}, "retransmission is off"},
 		{"unknown wiring", Config{Wiring: pcie.Wiring(42)}, "unknown PCIe wiring"},
 		{"unknown mode", Config{Mode: NICMode(9)}, "unknown NIC mode"},
 		{"completion ring off-machine", Config{DriverParams: &badRings}, "5"},
@@ -69,7 +71,7 @@ func TestValidateConfigRejectsBrokenMachines(t *testing.T) {
 }
 
 func TestNewClusterERejectsBadFaultPlan(t *testing.T) {
-	cfg := Config{FaultPlan: &faults.Plan{Events: []faults.Event{
+	cfg := Config{StackParams: retxParams(), FaultPlan: &faults.Plan{Events: []faults.Event{
 		{Kind: faults.Loss, Prob: 2, Duration: time.Millisecond},
 	}}}
 	if _, err := NewClusterE(cfg); err == nil || !strings.Contains(err.Error(), "out of [0,1]") {
@@ -163,18 +165,14 @@ func count(t *testing.T, cl *Cluster, pattern string) uint64 {
 }
 
 // retxParams enables the retransmission timer the recovery tests need.
-func retxParams() *netstack.Params {
-	sp := netstack.DefaultParams()
-	sp.RetxTimeout = 2 * time.Millisecond
-	sp.RetxMaxTries = 12
-	return &sp
+func retxParams() netstack.Params {
+	return netstack.Params{RetxTimeout: 2 * time.Millisecond, RetxMaxTries: 12}
 }
 
 func TestPFFailoverKeepsStreamAlive(t *testing.T) {
-	sp := retxParams()
 	cfg := Config{
 		Mode:        ModeIOctopus,
-		StackParams: sp,
+		StackParams: retxParams(),
 		FaultPlan: &faults.Plan{Events: []faults.Event{
 			{At: 10 * time.Millisecond, Kind: faults.LinkFlap, PF: 0, Duration: 10 * time.Millisecond},
 		}},
@@ -194,7 +192,7 @@ func TestPFFailoverKeepsStreamAlive(t *testing.T) {
 	}
 	// Everything dropped was recovered: the sender may only be ahead by
 	// in-flight/buffered data, and nothing was abandoned.
-	bound := netstack.SendWindow + sp.RxBufBytes
+	bound := netstack.SendWindow + netstack.RxBufBytes
 	if gap := sent - received; gap > bound {
 		t.Fatalf("lost data across failover: gap %d > bound %d", gap, bound)
 	}
@@ -221,8 +219,7 @@ func TestWireLossRecoveredByRetransmission(t *testing.T) {
 	if count(t, cl, "client/stack/retx/retransmits") == 0 {
 		t.Fatal("drops happened but nothing was retransmitted")
 	}
-	sp := retxParams()
-	if gap := sent - received; gap > netstack.SendWindow+sp.RxBufBytes {
+	if gap := sent - received; gap > netstack.SendWindow+netstack.RxBufBytes {
 		t.Fatalf("retransmission failed to recover: gap %d", gap)
 	}
 	if ab := count(t, cl, "client/stack/retx/abandoned"); ab != 0 {
@@ -230,15 +227,13 @@ func TestWireLossRecoveredByRetransmission(t *testing.T) {
 	}
 }
 
-// TestRxDropsRecycledUnderPooling floods a tiny UDP receive buffer so
-// the stack exercises its drop paths with pooled packets: every dropped
+// TestRxDropsRecycledUnderPooling floods a UDP receive buffer so the
+// stack exercises its drop paths with pooled packets: every dropped
 // segment must be recycled exactly once (a double recycle panics the
 // run) and, once the receiver drains, the Rx pool's live-lease gauge
 // must return to zero — no leaks on the drop path.
 func TestRxDropsRecycledUnderPooling(t *testing.T) {
-	sp := netstack.DefaultParams()
-	sp.RxBufBytes = 64 * 1024
-	cl := NewCluster(Config{Mode: ModeIOctopus, StackParams: &sp})
+	cl := NewCluster(Config{Mode: ModeIOctopus})
 	var srv *netstack.Socket
 	cl.Server.Stack.Listen(7, func(s *netstack.Socket) { srv = s })
 	cl.Client.Kernel.Spawn("flood", 0, func(th *kernel.Thread) {
@@ -247,9 +242,9 @@ func TestRxDropsRecycledUnderPooling(t *testing.T) {
 			t.Errorf("dial: %v", err)
 			return
 		}
-		// No receiver is consuming: most of this overflows the 64KB
-		// socket buffer and is dropped by the stack.
-		for i := 0; i < 400; i++ {
+		// No receiver is consuming: twice the socket buffer is sent,
+		// so the half beyond it is dropped by the stack.
+		for sent := int64(0); sent < 2*netstack.RxBufBytes; sent += 16 * 1024 {
 			sock.Send(th, 16*1024)
 		}
 	})
@@ -285,10 +280,9 @@ func TestRxDropsRecycledUnderPooling(t *testing.T) {
 // failover is in flight is counted and ridden out, not acted on, and
 // retransmission carries the stream across the double-fault window.
 func TestConcurrentPFFailureRiddenOut(t *testing.T) {
-	sp := retxParams()
 	cfg := Config{
 		Mode:        ModeIOctopus,
-		StackParams: sp,
+		StackParams: retxParams(),
 		FaultPlan: &faults.Plan{Events: []faults.Event{
 			{At: 10 * time.Millisecond, Kind: faults.LinkFlap, PF: 0, Duration: 10 * time.Millisecond},
 			{At: 12 * time.Millisecond, Kind: faults.LinkFlap, PF: 1, Duration: 5 * time.Millisecond},
@@ -304,7 +298,7 @@ func TestConcurrentPFFailureRiddenOut(t *testing.T) {
 		t.Fatalf("failovers=%d failbacks=%d; the second failure must not trigger its own failover",
 			failovers, failbacks)
 	}
-	bound := netstack.SendWindow + sp.RxBufBytes
+	bound := netstack.SendWindow + netstack.RxBufBytes
 	if gap := sent - received; gap > bound {
 		t.Fatalf("lost data across the double fault: gap %d > bound %d", gap, bound)
 	}
@@ -313,22 +307,19 @@ func TestConcurrentPFFailureRiddenOut(t *testing.T) {
 	}
 }
 
-// TestParkedOverflowSpillsToPool: with the parked list capped tightly,
+// TestParkedOverflowSpillsToPool: the parked list fills to its cap,
 // descriptors stranded past the cap are recycled (counted as overflow)
 // instead of growing the list without bound, and retransmission — not
 // the parked list — recovers their payload. Parking is a server-Tx
 // phenomenon (a segment transmitted into a dead link whose remap target
 // is dead too), so the workload is a server→client stream under the
 // double-fault schedule: PF0's flows fail over onto PF1, then PF1 dies
-// under them.
+// under them. The stream sends 1 KB messages, so the Tx rings hold
+// enough segments to strand more than the cap.
 func TestParkedOverflowSpillsToPool(t *testing.T) {
-	sp := retxParams()
-	dp := driver.DefaultParams()
-	dp.MaxParked = 1
 	cl := NewCluster(Config{
-		Mode:         ModeIOctopus,
-		StackParams:  sp,
-		DriverParams: &dp,
+		Mode:        ModeIOctopus,
+		StackParams: retxParams(),
 		FaultPlan: &faults.Plan{Events: []faults.Event{
 			{At: 10 * time.Millisecond, Kind: faults.LinkFlap, PF: 0, Duration: 10 * time.Millisecond},
 			{At: 12 * time.Millisecond, Kind: faults.LinkFlap, PF: 1, Duration: 5 * time.Millisecond},
@@ -354,19 +345,28 @@ func TestParkedOverflowSpillsToPool(t *testing.T) {
 			return
 		}
 		for {
-			sock.Send(th, 64*1024)
-			sent += 64 * 1024
+			sock.Send(th, 1024)
+			sent += 1024
 		}
 	})
-	cl.Run(50 * time.Millisecond)
+	// Sample the parked list each simulated millisecond: it holds
+	// through the double outage (12-17 ms), so a sample lands at its peak.
+	peak := 0
+	for i := 0; i < 50; i++ {
+		cl.Run(time.Millisecond)
+		peak = max(peak, cl.Octo.Parked())
+	}
 	cl.Drain()
+	if peak != driver.MaxParked {
+		t.Fatalf("parked list peaked at %d, want the %d cap", peak, driver.MaxParked)
+	}
 	if n := count(t, cl, "server/driver/octo0/failover/parked_overflow"); n < 1 {
-		t.Fatalf("parked overflow = %d; the 1-entry cap never spilled", n)
+		t.Fatalf("parked overflow = %d; the %d-entry cap never spilled", n, driver.MaxParked)
 	}
 	if cl.Octo.Parked() != 0 {
 		t.Fatalf("parked = %d at end of run, want 0", cl.Octo.Parked())
 	}
-	bound := netstack.SendWindow + sp.RxBufBytes
+	bound := netstack.SendWindow + netstack.RxBufBytes
 	if gap := sent - received; gap > bound {
 		t.Fatalf("overflowed descriptors were not recovered: gap %d > bound %d", gap, bound)
 	}
@@ -390,10 +390,9 @@ func TestOverlappingFaultWindowsRecover(t *testing.T) {
 		abandoned         uint64
 	}
 	run := func(seed int64) outcome {
-		sp := retxParams()
 		cfg := Config{
 			Mode:        ModeIOctopus,
-			StackParams: sp,
+			StackParams: retxParams(),
 			FaultPlan: &faults.Plan{
 				Seed: seed,
 				Events: []faults.Event{

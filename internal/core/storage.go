@@ -4,9 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"ioctopus/internal/interconnect"
-	"ioctopus/internal/kernel"
-	"ioctopus/internal/memsys"
 	"ioctopus/internal/netstack"
 	"ioctopus/internal/nvme"
 	"ioctopus/internal/pcie"
@@ -14,55 +11,40 @@ import (
 	"ioctopus/internal/topology"
 )
 
-// StorageConfig describes the §5.4 storage testbed: a dual-socket
-// Skylake server with NVMe drives on one socket and the I/O workload on
-// the other.
-type StorageConfig struct {
-	// Drives is the SSD count (paper: 4 Samsung PM1725a).
-	Drives int
-	// SSDNode is the socket the drives' primary port attaches to.
-	SSDNode topology.NodeID
-	// DualPort wires each drive to both sockets (the customized
-	// backplane of §5.4).
-	DualPort bool
-	// Policy selects the driver routing (SinglePath or OctoSSD).
-	Policy nvme.Policy
-	// Topo overrides the default dual-Skylake machine.
-	Topo *topology.Server
-	// Seed drives randomized workload behaviour.
-	Seed int64
-}
+// The §5.4 storage testbed's fixed shape: four NVMe drives (Samsung
+// PM1725a) whose primary ports attach to socket 1 of a dual-Skylake
+// server.
+const (
+	storageDrives                  = 4
+	storageSSDNode topology.NodeID = 1
+)
 
 // StorageRig is the assembled storage testbed.
 type StorageRig struct {
 	Eng    *sim.Engine
 	Host   *Host
 	Drives []*nvme.Driver
-	RNG    *sim.RNG
 }
 
-// NewStorageRig builds the testbed.
-func NewStorageRig(cfg StorageConfig) *StorageRig {
-	if cfg.Drives <= 0 {
-		cfg.Drives = 4
-	}
-	if cfg.Topo == nil {
-		cfg.Topo = topology.DualSkylake()
-	}
+// NewStorageRig builds the testbed with the given driver routing
+// (SinglePath or OctoSSD). dualPort wires each drive to both sockets
+// (the customized backplane of §5.4).
+func NewStorageRig(policy nvme.Policy, dualPort bool) *StorageRig {
+	topo := topology.DualSkylake()
 	e := sim.NewEngine()
 	net := netstack.NewNetwork()
-	h := buildHost(e, net, "storage-server", cfg.Topo, true, netstack.DefaultParams())
-	rig := &StorageRig{Eng: e, Host: h, RNG: sim.NewRNG(cfg.Seed + 7)}
-	for i := 0; i < cfg.Drives; i++ {
+	h := buildHost(e, net, "storage-server", topo, true, netstack.Params{})
+	rig := &StorageRig{Eng: e, Host: h}
+	for i := 0; i < storageDrives; i++ {
 		name := fmt.Sprintf("nvme%d", i)
 		var eps []*pcie.Endpoint
-		if cfg.DualPort {
+		if dualPort {
 			// Port 0 stays on the SSD node (the primary path a stock
 			// multipath setup would use); the second port reaches the
 			// other socket.
-			nodes := []topology.NodeID{cfg.SSDNode}
-			for n := 0; n < cfg.Topo.NumNodes(); n++ {
-				if topology.NodeID(n) != cfg.SSDNode {
+			nodes := []topology.NodeID{storageSSDNode}
+			for n := 0; n < topo.NumNodes(); n++ {
+				if topology.NodeID(n) != storageSSDNode {
 					nodes = append(nodes, topology.NodeID(n))
 				}
 			}
@@ -73,11 +55,11 @@ func NewStorageRig(cfg StorageConfig) *StorageRig {
 		} else {
 			eps = h.PCIe.AttachCard(pcie.CardConfig{
 				Name: name, Gen: pcie.Gen3, TotalLanes: 8,
-				Wiring: pcie.WiringDirect, Nodes: []topology.NodeID{cfg.SSDNode},
+				Wiring: pcie.WiringDirect, Nodes: []topology.NodeID{storageSSDNode},
 			})
 		}
 		ctrl := nvme.New(e, h.Mem, name, eps)
-		rig.Drives = append(rig.Drives, nvme.NewDriver(h.Kernel, ctrl, cfg.Policy))
+		rig.Drives = append(rig.Drives, nvme.NewDriver(h.Kernel, ctrl, policy))
 	}
 	return rig
 }
@@ -87,12 +69,3 @@ func (r *StorageRig) Run(d time.Duration) { r.Eng.RunFor(d) }
 
 // Drain terminates simulation processes.
 func (r *StorageRig) Drain() { r.Eng.Drain() }
-
-// Kernel returns the host kernel.
-func (r *StorageRig) Kernel() *kernel.Kernel { return r.Host.Kernel }
-
-// Mem returns the host memory system.
-func (r *StorageRig) Mem() *memsys.System { return r.Host.Mem }
-
-// Fabric returns the host interconnect.
-func (r *StorageRig) Fabric() *interconnect.Fabric { return r.Host.Fabric }

@@ -38,43 +38,37 @@ const (
 	// firmware reset) the driver's handler runs: interrupt + workqueue
 	// latency.
 	linkEventDelay time.Duration = time.Millisecond
+	// ruleExpiry ages out octo steering rules not refreshed for this
+	// long; expiryScanPeriod is how often the scanner thread looks.
+	ruleExpiry       time.Duration = 30 * time.Second
+	expiryScanPeriod time.Duration = time.Second
 )
+
+// MaxParked caps the octo driver's parked-descriptor list (segments
+// stranded by a total outage, awaiting any live queue): roughly one Tx
+// ring's worth. Overflow segments are released back to the pool — data
+// loss recovered by retransmission — and counted.
+const MaxParked = 1024
 
 // Params are the driver's per-cluster settings.
 type Params struct {
-	// RuleExpiry ages out steering rules not refreshed for this long;
-	// ExpiryScanPeriod is how often the scanner thread looks.
-	RuleExpiry       time.Duration
-	ExpiryScanPeriod time.Duration
 	// CompRingNode overrides where completion rings are homed
 	// (topology.NoNode = each queue's core node, the default). §2.4's
 	// remote-DDIO measurement allocates response rings local to the
 	// device instead.
 	CompRingNode topology.NodeID
-	// Datapath selects interrupt/NAPI delivery (the default), the
-	// busy-poll PMD loop, or adaptive hybrid polling (see pmd.go).
-	Datapath Datapath
 	// WatchdogInterval enables the driver self-healing watchdog (see
 	// watchdog.go): every interval it samples per-queue Tx progress and
 	// the PMD pollers, escalating stuck queues through the recovery
 	// ladder. Zero — the default — disables the watchdog entirely: no
 	// timer, no per-tick work, no metrics scopes.
 	WatchdogInterval time.Duration
-	// MaxParked caps the octo driver's parked-descriptor list (segments
-	// stranded by a total outage, awaiting any live queue). Overflow
-	// segments are released back to the pool — data loss recovered by
-	// retransmission — and counted. Zero means the default (1024).
-	MaxParked int
 }
 
 // DefaultParams returns the defaults: completion rings on each queue's
-// node, rules that expire after 30 s on a 1 s scan, the watchdog off.
+// node, the watchdog off.
 func DefaultParams() Params {
-	return Params{
-		CompRingNode:     topology.NoNode,
-		RuleExpiry:       30 * time.Second,
-		ExpiryScanPeriod: time.Second,
-	}
+	return Params{CompRingNode: topology.NoNode}
 }
 
 // queuePair is the per-core queue set a driver owns on some PF.
@@ -96,11 +90,12 @@ type queuePair struct {
 
 // base carries the machinery shared by both drivers.
 type base struct {
-	k      *kernel.Kernel
-	name   string
-	params Params
-	stack  *netstack.Stack
-	pairs  []*queuePair // indexed by core id
+	k        *kernel.Kernel
+	name     string
+	params   Params
+	datapath Datapath
+	stack    *netstack.Stack
+	pairs    []*queuePair // indexed by core id
 
 	// scratch holds each thread's reusable xmit state. A thread has at
 	// most one ExecFn in flight, so its scratch record is stable from

@@ -48,7 +48,7 @@ func newDrvRig(t *testing.T) *drvRig {
 	n := nic.New(e, mem, "cx5", eps, nic.DefaultCoalesceDelay)
 	k := kernel.New(e, topo, mem)
 	net := netstack.NewNetwork()
-	st := netstack.NewStack(k, "host", net, netstack.DefaultParams())
+	st := netstack.NewStack(k, "host", net, netstack.Params{})
 	far := &sinkPort{mac: eth.MACFromInt(0xFA5)}
 	n.AttachWire(eth.NewWire(e, "w", n, far))
 	return &drvRig{eng: e, k: k, mem: mem, nic: n, st: st, far: far}
@@ -57,7 +57,7 @@ func newDrvRig(t *testing.T) *drvRig {
 func TestStandardDriverQueueLayout(t *testing.T) {
 	r := newDrvRig(t)
 	r.nic.LoadFirmware(nic.NewStandardFirmware(r.nic))
-	d := NewStandard(r.k, r.mem, r.nic.PF(0), "eth0", DefaultParams())
+	d := NewStandard(r.k, r.mem, r.nic.PF(0), "eth0", DefaultParams(), DatapathInterrupt)
 	d.Bind(r.st)
 	if d.NumTxQueues() != 28 {
 		t.Fatalf("tx queues = %d, want one per core", d.NumTxQueues())
@@ -85,7 +85,7 @@ func TestStandardDriverQueueLayout(t *testing.T) {
 func TestOctoDriverQueuesAreSocketLocal(t *testing.T) {
 	r := newDrvRig(t)
 	r.nic.LoadFirmware(nic.NewOctoFirmware(r.nic, false))
-	d := NewOcto(r.k, r.mem, r.nic, "octo0", DefaultParams())
+	d := NewOcto(r.k, r.mem, r.nic, "octo0", DefaultParams(), DatapathInterrupt)
 	d.Bind(r.st)
 	// 14 queues per PF: each core's queue lives on its local PF.
 	if len(r.nic.PF(0).RxQueues()) != 14 || len(r.nic.PF(1).RxQueues()) != 14 {
@@ -105,7 +105,7 @@ func TestOctoSteerFlowGoesThroughAsyncWorker(t *testing.T) {
 	r := newDrvRig(t)
 	fw := nic.NewOctoFirmware(r.nic, false)
 	r.nic.LoadFirmware(fw)
-	d := NewOcto(r.k, r.mem, r.nic, "octo0", DefaultParams())
+	d := NewOcto(r.k, r.mem, r.nic, "octo0", DefaultParams(), DatapathInterrupt)
 	d.Bind(r.st)
 	ft := eth.FiveTuple{SrcIP: 1, DstIP: 2, SrcPort: 3, DstPort: 4, Proto: eth.ProtoTCP}
 	d.SteerFlow(ft, 20) // core 20 = node 1
@@ -135,14 +135,15 @@ func TestOctoSteerFlowGoesThroughAsyncWorker(t *testing.T) {
 	r.eng.Drain()
 }
 
+// TestOctoRuleExpiry runs the real 30 s expiry on its 1 s scan: an
+// unrefreshed rule survives every scan up to 30 s and is gone after the
+// 31 s one. With no traffic the scanner is nearly the only event source,
+// so half a minute of simulated time costs a few dozen events.
 func TestOctoRuleExpiry(t *testing.T) {
 	r := newDrvRig(t)
 	fw := nic.NewOctoFirmware(r.nic, false)
 	r.nic.LoadFirmware(fw)
-	params := DefaultParams()
-	params.RuleExpiry = 5 * time.Millisecond
-	params.ExpiryScanPeriod = time.Millisecond
-	d := NewOcto(r.k, r.mem, r.nic, "octo0", params)
+	d := NewOcto(r.k, r.mem, r.nic, "octo0", DefaultParams(), DatapathInterrupt)
 	d.Bind(r.st)
 	ft := eth.FiveTuple{SrcIP: 9, DstIP: 8, SrcPort: 7, DstPort: 6, Proto: eth.ProtoTCP}
 	d.SteerFlow(ft, 0)
@@ -150,7 +151,11 @@ func TestOctoRuleExpiry(t *testing.T) {
 	if fw.FlowCount() != 1 || len(d.rules) != 1 {
 		t.Fatal("rule not installed")
 	}
-	r.eng.RunFor(20 * time.Millisecond)
+	r.eng.RunFor(ruleExpiry - expiryScanPeriod/2 - 2*time.Millisecond)
+	if fw.FlowCount() != 1 || len(d.rules) != 1 || d.rulesExpired != 0 {
+		t.Fatalf("rule expired before %v: fw=%d drv=%d expired=%d", ruleExpiry, fw.FlowCount(), len(d.rules), d.rulesExpired)
+	}
+	r.eng.RunFor(2 * expiryScanPeriod)
 	if fw.FlowCount() != 0 || len(d.rules) != 0 {
 		t.Fatalf("stale rule not expired: fw=%d drv=%d", fw.FlowCount(), len(d.rules))
 	}
@@ -178,20 +183,18 @@ func TestOctoExpireNowDeterministic(t *testing.T) {
 	r := newDrvRig(t)
 	fw := &removeLog{OctoFirmware: nic.NewOctoFirmware(r.nic, false)}
 	r.nic.LoadFirmware(fw)
-	params := DefaultParams()
-	params.RuleExpiry = time.Nanosecond
-	params.ExpiryScanPeriod = time.Millisecond
-	d := NewOcto(r.k, r.mem, r.nic, "octo0", params)
+	d := NewOcto(r.k, r.mem, r.nic, "octo0", DefaultParams(), DatapathInterrupt)
 	d.Bind(r.st)
 	for i := uint16(0); i < 50; i++ {
 		port := i * 17 % 50 // every port once, out of order
 		d.SteerFlow(eth.FiveTuple{SrcIP: 1, DstIP: 2, SrcPort: port, DstPort: 4, Proto: eth.ProtoTCP}, 0)
 	}
-	r.eng.RunFor(500 * time.Microsecond)
+	// Every scan up to the one after ruleExpiry finds nothing stale.
+	r.eng.RunFor(ruleExpiry + expiryScanPeriod/2)
 	if fw.FlowCount() != 50 || len(d.rules) != 50 {
-		t.Fatalf("before the first scan: fw=%d drv=%d, want 50 installed", fw.FlowCount(), len(d.rules))
+		t.Fatalf("before the first stale scan: fw=%d drv=%d, want 50 installed", fw.FlowCount(), len(d.rules))
 	}
-	r.eng.RunFor(time.Millisecond)
+	r.eng.RunFor(expiryScanPeriod)
 	if len(d.rules) != 0 || fw.FlowCount() != 0 || d.rulesExpired != 50 {
 		t.Fatalf("after one scan: drv=%d fw=%d expired=%d, want 0/0/50",
 			len(d.rules), fw.FlowCount(), d.rulesExpired)
@@ -210,8 +213,8 @@ func TestOctoExpireNowDeterministic(t *testing.T) {
 func TestBondHashesFlowsAcrossMembers(t *testing.T) {
 	r := newDrvRig(t)
 	r.nic.LoadFirmware(nic.NewStandardFirmware(r.nic))
-	d0 := NewStandard(r.k, r.mem, r.nic.PF(0), "eth0", DefaultParams())
-	d1 := NewStandard(r.k, r.mem, r.nic.PF(1), "eth1", DefaultParams())
+	d0 := NewStandard(r.k, r.mem, r.nic.PF(0), "eth0", DefaultParams(), DatapathInterrupt)
+	d1 := NewStandard(r.k, r.mem, r.nic.PF(1), "eth1", DefaultParams(), DatapathInterrupt)
 	d0.Bind(r.st)
 	d1.Bind(r.st)
 	bond := NewBond("bond0", d0, d1)
@@ -237,8 +240,8 @@ func TestBondHashesFlowsAcrossMembers(t *testing.T) {
 func TestBondXmitDelegates(t *testing.T) {
 	r := newDrvRig(t)
 	r.nic.LoadFirmware(nic.NewStandardFirmware(r.nic))
-	d0 := NewStandard(r.k, r.mem, r.nic.PF(0), "eth0", DefaultParams())
-	d1 := NewStandard(r.k, r.mem, r.nic.PF(1), "eth1", DefaultParams())
+	d0 := NewStandard(r.k, r.mem, r.nic.PF(0), "eth0", DefaultParams(), DatapathInterrupt)
+	d1 := NewStandard(r.k, r.mem, r.nic.PF(1), "eth1", DefaultParams(), DatapathInterrupt)
 	d0.Bind(r.st)
 	d1.Bind(r.st)
 	bond := NewBond("bond0", d0, d1)
@@ -272,7 +275,7 @@ func TestBondXmitDelegates(t *testing.T) {
 func TestDriverTxInFlightTracksPostedWork(t *testing.T) {
 	r := newDrvRig(t)
 	r.nic.LoadFirmware(nic.NewStandardFirmware(r.nic))
-	d := NewStandard(r.k, r.mem, r.nic.PF(0), "eth0", DefaultParams())
+	d := NewStandard(r.k, r.mem, r.nic.PF(0), "eth0", DefaultParams(), DatapathInterrupt)
 	d.Bind(r.st)
 	buf := r.mem.NewBuffer("p", 0, 64*1024)
 	r.k.Spawn("tx", 0, func(th *kernel.Thread) {

@@ -99,11 +99,11 @@ type steerRule struct {
 var _ netstack.NetDevice = (*Octo)(nil)
 
 // NewOcto builds the octoNIC driver over a multi-PF NIC running the
-// IOctopus firmware. Every node must have a PF (that is the octoNIC
-// wiring contract).
-func NewOcto(k *kernel.Kernel, mem *memsys.System, n *nic.NIC, name string, params Params) *Octo {
+// IOctopus firmware, completions delivered by dp. Every node must have
+// a PF (that is the octoNIC wiring contract).
+func NewOcto(k *kernel.Kernel, mem *memsys.System, n *nic.NIC, name string, params Params, dp Datapath) *Octo {
 	d := &Octo{
-		base:  base{k: k, name: name, params: params},
+		base:  base{k: k, name: name, params: params, datapath: dp},
 		nic:   n,
 		rules: make(map[eth.FiveTuple]*steerRule),
 	}
@@ -324,10 +324,6 @@ func (d *Octo) resteer(force bool) int {
 	return n
 }
 
-// defaultMaxParked bounds the parked list when Params.MaxParked is
-// zero: roughly one Tx ring's worth of stranded descriptors.
-const defaultMaxParked = 1024
-
 // repostDropped recovers a Tx segment whose completion came back
 // flagged Dropped: re-post it on the remapped core's queue, or park it
 // until a link transition provides a live one. Returns true when the
@@ -345,11 +341,7 @@ func (d *Octo) repostDropped(qp *queuePair, pkt *nic.TxPacket) bool {
 	// to the handler) or the target is dead too: park the segment; the
 	// next link transition re-posts it. Ownership stays with the driver,
 	// so napiTx must not recycle it.
-	limit := d.params.MaxParked
-	if limit <= 0 {
-		limit = defaultMaxParked
-	}
-	if len(d.parked) >= limit {
+	if len(d.parked) >= MaxParked {
 		d.parkedOverflow++
 		return false
 	}
@@ -380,7 +372,7 @@ func (d *Octo) startWorker() {
 func (d *Octo) startExpiryScanner() {
 	d.k.Spawn(d.name+":rule-expiry", 0, func(t *kernel.Thread) {
 		for {
-			t.Sleep(d.params.ExpiryScanPeriod)
+			t.Sleep(expiryScanPeriod)
 			now := t.Now()
 			expired := d.expiredRules(now)
 			for _, ft := range expired {
@@ -399,8 +391,8 @@ func (d *Octo) startExpiryScanner() {
 // iteration order would leak into event ordering otherwise).
 func (d *Octo) expiredRules(now sim.Time) []eth.FiveTuple {
 	// Raw arithmetic, not Time.Add: Add clamps negative results, which
-	// would mark everything expired while now < RuleExpiry.
-	cutoff := now - sim.Time(d.params.RuleExpiry)
+	// would mark everything expired while now < ruleExpiry.
+	cutoff := now - sim.Time(ruleExpiry)
 	var expired []eth.FiveTuple
 	for ft, r := range d.rules {
 		if r.refreshed < cutoff {

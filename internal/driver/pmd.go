@@ -103,7 +103,7 @@ type pmdStats struct {
 // initDatapath arms the configured poll-mode machinery after the queue
 // pairs exist; called from buildQueues, a no-op for the interrupt path.
 func (b *base) initDatapath() {
-	switch b.params.Datapath {
+	switch b.datapath {
 	case DatapathBusyPoll:
 		b.pmd = &pmdStats{}
 		b.startPollers()

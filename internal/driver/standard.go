@@ -30,10 +30,10 @@ var _ netstack.NetDevice = (*Standard)(nil)
 
 // NewStandard builds the per-PF driver: a queue pair per core (on every
 // core of the machine, as the testbed configures), rings and buffers
-// homed on each queue's core.
-func NewStandard(k *kernel.Kernel, mem *memsys.System, pf *nic.PF, name string, params Params) *Standard {
+// homed on each queue's core, completions delivered by dp.
+func NewStandard(k *kernel.Kernel, mem *memsys.System, pf *nic.PF, name string, params Params, dp Datapath) *Standard {
 	d := &Standard{
-		base:  base{k: k, name: name, params: params},
+		base:  base{k: k, name: name, params: params, datapath: dp},
 		pf:    pf,
 		rules: make(map[eth.FiveTuple]int),
 	}

@@ -13,7 +13,7 @@ import (
 func TestWatchdogDisabledByDefault(t *testing.T) {
 	r := newDrvRig(t)
 	r.nic.LoadFirmware(nic.NewStandardFirmware(r.nic))
-	d := NewStandard(r.k, r.mem, r.nic.PF(0), "eth0", DefaultParams())
+	d := NewStandard(r.k, r.mem, r.nic.PF(0), "eth0", DefaultParams(), DatapathInterrupt)
 	d.Bind(r.st)
 	if d.wd != nil {
 		t.Fatal("default params must not arm the watchdog (zero cost when idle)")
@@ -30,7 +30,7 @@ func TestWatchdogStageZeroHealsStalledQueue(t *testing.T) {
 	r.nic.LoadFirmware(nic.NewStandardFirmware(r.nic))
 	params := DefaultParams()
 	params.WatchdogInterval = 100 * time.Microsecond
-	d := NewStandard(r.k, r.mem, r.nic.PF(0), "eth0", params)
+	d := NewStandard(r.k, r.mem, r.nic.PF(0), "eth0", params, DatapathInterrupt)
 	d.Bind(r.st)
 	if d.wd == nil {
 		t.Fatal("watchdog not armed")
@@ -76,7 +76,7 @@ func TestWatchdogLadderEscalatesToFailoverAndBack(t *testing.T) {
 	r.nic.LoadFirmware(nic.NewOctoFirmware(r.nic, false))
 	params := DefaultParams()
 	params.WatchdogInterval = 100 * time.Microsecond
-	d := NewOcto(r.k, r.mem, r.nic, "octo0", params)
+	d := NewOcto(r.k, r.mem, r.nic, "octo0", params, DatapathInterrupt)
 	d.Bind(r.st)
 	ft := eth.FiveTuple{SrcIP: 1, DstIP: 2, SrcPort: 3, DstPort: 4, Proto: eth.ProtoTCP}
 	d.SteerFlow(ft, 0)
@@ -131,9 +131,8 @@ func TestWatchdogPollerFallbackAndReenter(t *testing.T) {
 	r := newDrvRig(t)
 	r.nic.LoadFirmware(nic.NewOctoFirmware(r.nic, false))
 	params := DefaultParams()
-	params.Datapath = DatapathBusyPoll
 	params.WatchdogInterval = 100 * time.Microsecond
-	d := NewOcto(r.k, r.mem, r.nic, "octo0", params)
+	d := NewOcto(r.k, r.mem, r.nic, "octo0", params, DatapathBusyPoll)
 	d.Bind(r.st)
 	if len(d.Pollers()) == 0 {
 		t.Fatal("busypoll datapath started no pollers")
@@ -183,9 +182,8 @@ func TestDormantPollerWakesOnDeliveryDuringFallback(t *testing.T) {
 	r := newDrvRig(t)
 	r.nic.LoadFirmware(nic.NewOctoFirmware(r.nic, false))
 	params := DefaultParams()
-	params.Datapath = DatapathBusyPoll
 	params.WatchdogInterval = 100 * time.Microsecond
-	d := NewOcto(r.k, r.mem, r.nic, "octo0", params)
+	d := NewOcto(r.k, r.mem, r.nic, "octo0", params, DatapathBusyPoll)
 	d.Bind(r.st)
 	p, wp := d.pmd.pollers[0], &d.wd.pollers[0]
 	r.eng.RunFor(time.Millisecond)

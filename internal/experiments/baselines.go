@@ -93,8 +93,8 @@ func measureBondRx(d Durations) (gbps, memGbps float64) {
 
 	// Drivers + bond on the server.
 	drvP := driver.DefaultParams()
-	d0 := driver.NewStandard(srv.Kernel, srv.Mem, n0.PF(0), "sep-eth0", drvP)
-	d1 := driver.NewStandard(srv.Kernel, srv.Mem, n1.PF(0), "sep-eth1", drvP)
+	d0 := driver.NewStandard(srv.Kernel, srv.Mem, n0.PF(0), "sep-eth0", drvP, driver.DatapathInterrupt)
+	d1 := driver.NewStandard(srv.Kernel, srv.Mem, n1.PF(0), "sep-eth1", drvP, driver.DatapathInterrupt)
 	d0.Bind(srv.Stack)
 	d1.Bind(srv.Stack)
 	bond := driver.NewBond("bond0", d0, d1)
@@ -152,17 +152,18 @@ func runBaselineQuad(d Durations) *Result {
 	st := startMigrationStream(cl)
 
 	t := metrics.NewTable("quad-socket migration", "phase", "Gb/s", "serving PF")
-	prevPF := make([]float64, 4)
 	phase := func(label string) (gbps float64, pf int) {
 		rx := openWindow(cl, patNICRx)
+		pfRx := make([]window, 4)
+		for i := range pfRx {
+			pfRx[i] = openWindow(cl, fmt.Sprintf("server/nic/pf%d/rx_bytes", i))
+		}
 		cl.Run(d.Measure)
 		best, bestDelta := 0, 0.0
-		for i := 0; i < 4; i++ {
-			cur := cl.Server.NIC.PF(i).RxBytes()
-			if delta := cur - prevPF[i]; delta > bestDelta {
+		for i, w := range pfRx {
+			if delta := w.delta(); delta > bestDelta {
 				best, bestDelta = i, delta
 			}
-			prevPF[i] = cur
 		}
 		gbps = rx.delta() * 8 / d.Measure.Seconds() / 1e9
 		t.AddRow(label, gbps, best)
@@ -170,9 +171,6 @@ func runBaselineQuad(d Durations) *Result {
 	}
 
 	cl.Run(d.Warmup)
-	for i := 0; i < 4; i++ {
-		prevPF[i] = cl.Server.NIC.PF(i).RxBytes()
-	}
 	var rates []float64
 	var pfs []int
 	for node := 0; node < 4; node++ {

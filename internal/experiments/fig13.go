@@ -35,9 +35,7 @@ func measureCoLocation(c config, kind ioKind, d Durations) coLocOut {
 	cl := clusterFor(c, core.Config{Seed: 5})
 	defer cl.Drain()
 
-	prCfg := workloads.DefaultPageRankConfig()
-	prCfg.WorkBytesPerThread = 8 * d.Measure.Seconds() * prCfg.DemandPerThread
-	pr := workloads.StartPageRank(cl.Server, prCfg)
+	pr := workloads.StartPageRank(cl.Server, 8*d.Measure.Seconds()*workloads.PageRankDemandPerThread)
 
 	// I/O threads on cores 22..27 (socket 1).
 	var ioCores []topology.CoreID

@@ -23,13 +23,11 @@ func fig15Cores() []topology.CoreID {
 // measureFig15 runs fio (and optionally STREAM antagonists) on the
 // Skylake storage rig, returning absolute rates in GB/s.
 func measureFig15(streams int, withFio bool, policy nvme.Policy, dualPort bool, d Durations) (fioGBs, streamGBs float64) {
-	rig := core.NewStorageRig(core.StorageConfig{
-		Drives: 4, SSDNode: 1, Policy: policy, DualPort: dualPort,
-	})
+	rig := core.NewStorageRig(policy, dualPort)
 	defer rig.Drain()
 	var f *workloads.Fio
 	if withFio {
-		f = workloads.StartFio(rig, workloads.DefaultFioConfig(fig15Cores()))
+		f = workloads.StartFio(rig, fig15Cores())
 	}
 	var ant *workloads.Antagonist
 	if streams > 0 {
@@ -46,7 +44,7 @@ func measureFig15(streams int, withFio bool, policy nvme.Policy, dualPort bool, 
 	window := d.Measure * 5
 	rig.Run(window)
 	if f != nil {
-		fioGBs = workloads.FioGBs(f.Bytes(), window)
+		fioGBs = metrics.GBs(float64(f.Bytes()), window)
 	}
 	if ant != nil {
 		streamGBs = ant.WindowBytes() / window.Seconds() / 1e9

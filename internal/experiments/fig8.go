@@ -35,7 +35,7 @@ func measurePktgen(c config, pktSize int64, d Durations) pktgenOut {
 		dev = cl.Dev0.(workloads.RawTxDevice)
 		coreID = cl.Server.Topo.CoresOn(1)[0].ID
 	}
-	w := workloads.StartPktgen(cl, dev, workloads.DefaultPktgenConfig(coreID, pktSize))
+	w := workloads.StartPktgen(cl, dev, coreID, pktSize)
 	cl.Run(d.Warmup)
 	dram := openWindow(cl, patDRAM)
 	w.MeasureStart()

@@ -87,7 +87,7 @@ func RegistrySnapshots(d Durations) []RegistrySnapshot {
 	var out []RegistrySnapshot
 	for _, mode := range []core.NICMode{core.ModeStandard, core.ModeIOctopus} {
 		cl := core.NewCluster(core.Config{Mode: mode})
-		w := workloads.StartStream(cl, workloads.StreamConfig{
+		workloads.StartStream(cl, workloads.StreamConfig{
 			MsgSize:     64 * 1024,
 			Direction:   workloads.Rx,
 			ServerCores: []topology.CoreID{0},
@@ -95,7 +95,6 @@ func RegistrySnapshots(d Durations) []RegistrySnapshot {
 			ServerIP:    core.IPServerPF0,
 		})
 		cl.Run(d.Warmup)
-		w.MeasureStart()
 		cl.Run(d.Measure)
 		snap := cl.Reg.Snapshot()
 		out = append(out, RegistrySnapshot{

@@ -197,7 +197,7 @@ func simulate(sp *scenario.Spec, d Durations, tr *sim.Tracer) (*specRun, error) 
 // inFlightBound is how far a stream's receiver may trail its sender
 // with nothing lost: the send window plus the receive buffer.
 func (run *specRun) inFlightBound() int64 {
-	return netstack.SendWindow + run.cl.Server.Stack.Params().RxBufBytes
+	return netstack.SendWindow + netstack.RxBufBytes
 }
 
 // report evaluates the spec's declarative output against a finished

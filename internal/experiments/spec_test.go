@@ -55,13 +55,11 @@ func TestRunnerPatternsMatch(t *testing.T) {
 func TestCountersOnlyGrow(t *testing.T) {
 	dp := driver.DefaultParams()
 	dp.WatchdogInterval = 500 * time.Microsecond
-	sp := netstack.DefaultParams()
-	sp.RetxTimeout, sp.RetxMaxTries = 500*time.Microsecond, 8
 	cl := core.NewCluster(core.Config{
 		Mode:         core.ModeIOctopus,
 		Datapath:     core.DatapathBusyPoll,
 		DriverParams: &dp,
-		StackParams:  &sp,
+		StackParams:  netstack.Params{RetxTimeout: 500 * time.Microsecond, RetxMaxTries: 8},
 		FaultPlan: &faults.Plan{Seed: 1, Events: []faults.Event{
 			{At: 2 * time.Millisecond, Kind: faults.LinkFlap, PF: 0, Duration: 2 * time.Millisecond},
 			{At: 5 * time.Millisecond, Kind: faults.Loss, Dir: faults.ClientToServer, Prob: 0.05, Duration: 3 * time.Millisecond},

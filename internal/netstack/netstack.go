@@ -49,17 +49,18 @@ const (
 	connectLatency time.Duration = 10 * time.Microsecond
 	// SendWindow bounds unacknowledged in-flight bytes per socket.
 	SendWindow int64 = 4 << 20
+	// RxBufBytes bounds undelivered payload per socket (the receive
+	// buffer); TCP's window keeps in-flight below it, while UDP
+	// arrivals beyond it are dropped. It is also a socket's first
+	// advertised window.
+	RxBufBytes int64 = 8 << 20
 	// userBufBytes sizes each socket's user-space buffer.
 	userBufBytes int64 = 64 * 1024
 )
 
-// Params are the stack's per-cluster settings.
+// Params are the stack's per-cluster settings. The zero value runs
+// without retransmission.
 type Params struct {
-	// RxBufBytes bounds undelivered payload per socket (the receive
-	// buffer); TCP's window keeps in-flight below it, while UDP
-	// arrivals beyond it are dropped. It must be positive: it is a
-	// socket's first advertised window (core.ValidateConfig rejects 0).
-	RxBufBytes int64
 	// RetxTimeout arms the TCP retransmission timer: segments
 	// unacknowledged for this long are re-sent with exponential backoff.
 	// Zero (the default) disables retransmission entirely — every hook
@@ -71,12 +72,6 @@ type Params struct {
 	// window bytes are released and stack/retx/abandoned counts it).
 	// Zero means retry forever.
 	RetxMaxTries int
-}
-
-// DefaultParams returns the defaults: an 8 MB receive buffer and no
-// retransmission.
-func DefaultParams() Params {
-	return Params{RxBufBytes: 8 << 20}
 }
 
 // Frag is one fragment of an outgoing packet.
@@ -191,9 +186,6 @@ func (st *Stack) Name() string { return st.name }
 // Kernel returns the owning kernel.
 func (st *Stack) Kernel() *kernel.Kernel { return st.k }
 
-// Params returns the stack's settings.
-func (st *Stack) Params() Params { return st.params }
-
 // AddDevice registers a netdevice with an IP address.
 func (st *Stack) AddDevice(dev NetDevice, ip uint32) {
 	st.devs = append(st.devs, dev)
@@ -270,9 +262,9 @@ func (st *Stack) newSocket(ft eth.FiveTuple, dev NetDevice, owner *kernel.Thread
 		peerMAC:    peerMAC,
 		txq:        -1,
 		window:     SendWindow,
-		advertised: st.params.RxBufBytes,
+		advertised: RxBufBytes,
 	}
-	s.rxq = newSegQueue(st.k.Engine(), st.params.RxBufBytes)
+	s.rxq = newSegQueue(st.k.Engine(), RxBufBytes)
 	// Cache the hot-path cost callbacks once per socket; the per-call
 	// state they read lives in the socket's scratch fields.
 	s.sendCostFn = s.sendCost

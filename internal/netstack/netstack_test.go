@@ -92,7 +92,7 @@ func newStackRig(t *testing.T) *stackRig {
 		fab := interconnect.New(eng, topo)
 		mem := memsys.New(eng, topo, fab, true)
 		k := kernel.New(eng, topo, mem)
-		return k, NewStack(k, name, net, DefaultParams())
+		return k, NewStack(k, name, net, Params{})
 	}
 	ka, sa := mk("a")
 	kb, sb := mk("b")
@@ -314,7 +314,7 @@ func TestTCPWindowThrottlesToConsumer(t *testing.T) {
 	}
 	// Sender must be throttled: in-flight bounded by window+buffer,
 	// so sent can't run away from consumed.
-	maxAhead := int((SendWindow+DefaultParams().RxBufBytes)/(64*1024)) + 2
+	maxAhead := int((SendWindow+RxBufBytes)/(64*1024)) + 2
 	if sent > consumed+maxAhead {
 		t.Fatalf("window failed: sent %d, consumed %d", sent, consumed)
 	}

@@ -141,6 +141,9 @@ func TestWritesSlowerThanReads(t *testing.T) {
 		})
 		r.eng.RunFor(50 * time.Millisecond)
 		r.eng.Drain()
+		if write && r.ctrl.Writes() == 0 {
+			t.Fatal("no writes completed")
+		}
 		return float64(bytes) / 0.05 / 1e9
 	}
 	reads := run(false)
@@ -150,6 +153,9 @@ func TestWritesSlowerThanReads(t *testing.T) {
 	}
 	if writes > reads*0.8 {
 		t.Fatalf("writes (%.2f) should be slower than reads (%.2f)", writes, reads)
+	}
+	if writes > flashWriteBW*1.1/1e9 {
+		t.Fatalf("write throughput %.2f GB/s exceeds flash write bandwidth", writes)
 	}
 	r := newNvmeRig(t, false)
 	r.eng.Drain()

@@ -410,7 +410,7 @@ func (sim *SimSpec) build(seed int64, T time.Duration) (*core.Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	stackParams := netstack.DefaultParams()
+	var stackParams netstack.Params
 	if r := sim.Retx; r != nil {
 		if r.Timeout <= 0 || r.MaxTries < 1 {
 			return nil, fmt.Errorf("retx needs a positive timeout and at least one try")
@@ -444,7 +444,7 @@ func (sim *SimSpec) build(seed int64, T time.Duration) (*core.Cluster, error) {
 		Datapath:     datapath,
 		ServerTopo:   server,
 		ClientTopo:   client,
-		StackParams:  &stackParams,
+		StackParams:  stackParams,
 		DriverParams: drvParams,
 		FaultPlan:    plan,
 		Seed:         seed,

@@ -177,6 +177,7 @@ func TestValidateRejects(t *testing.T) {
 			sp.Sim.Checks = []scenario.CheckSpec{{Kind: "no-abandoned", Name: "no segment abandoned"}}
 			sp.Sim.Faults = append(sp.Sim.Faults, scenario.FaultSpec{Kind: "queue-stall", PF: 2, Queue: 0, AtPct: 30, DurPct: 10})
 		}, "PF 2 has 0 queue pairs"},
+		{"loss without retransmission", func(sp *scenario.Spec) { sp.Sim.Retx = nil }, "retransmission is off"},
 		{"loss without duration", func(sp *scenario.Spec) { sp.Sim.Faults[1].DurPct = 0 }, "needs positive duration"},
 		{"link-flap without duration", func(sp *scenario.Spec) { sp.Sim.Faults[0].DurPct = 0 }, "needs positive duration"},
 		{"stall without duration", func(sp *scenario.Spec) { sp.Sim.Faults[3].Dur = 0 }, "needs positive duration"},

@@ -2,35 +2,21 @@ package workloads
 
 import (
 	"fmt"
-	"time"
 
 	"ioctopus/internal/core"
 	"ioctopus/internal/kernel"
 	"ioctopus/internal/memsys"
-	"ioctopus/internal/metrics"
 	"ioctopus/internal/nvme"
 	"ioctopus/internal/topology"
 )
 
-// FioConfig configures the fio job of §5.4: threads performing
-// asynchronous direct reads (page cache bypassed) at a fixed queue
-// depth, round-robin across the drives.
-type FioConfig struct {
-	// Cores pins one fio thread per entry (paper: 8 threads on the node
-	// remote from the SSDs).
-	Cores []topology.CoreID
-	// QueueDepth is outstanding requests per thread (paper: 32).
-	QueueDepth int
-	// BlockSize is the request size (paper: 128 KB).
-	BlockSize int64
-	// Write issues writes instead of reads.
-	Write bool
-}
-
-// DefaultFioConfig returns the paper's job on the given cores.
-func DefaultFioConfig(cores []topology.CoreID) FioConfig {
-	return FioConfig{Cores: cores, QueueDepth: 32, BlockSize: 128 * 1024}
-}
+// The §5.4 fio job's fixed shape: asynchronous direct reads (page
+// cache bypassed) of fioBlockSize bytes, fioQueueDepth outstanding per
+// thread.
+const (
+	fioQueueDepth       = 32
+	fioBlockSize  int64 = 128 * 1024
+)
 
 // Fio is a running fio job.
 type Fio struct {
@@ -38,28 +24,24 @@ type Fio struct {
 	baseline int64
 }
 
-// StartFio launches the job against the rig's drives. Each queue slot
+// StartFio launches the job against the rig's drives: one fio thread
+// pinned on each of cores (paper: 8 threads on the node remote from the
+// SSDs), its requests round-robin across the drives. Each queue slot
 // owns a buffer homed on its thread's node and one request, which its
 // completion resubmits, keeping the queue depth constant.
-func StartFio(rig *core.StorageRig, cfg FioConfig) *Fio {
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 32
-	}
-	if cfg.BlockSize <= 0 {
-		cfg.BlockSize = 128 * 1024
-	}
+func StartFio(rig *core.StorageRig, cores []topology.CoreID) *Fio {
 	w := &Fio{}
 	drives := rig.Drives
-	for ti, coreID := range cfg.Cores {
+	for ti, coreID := range cores {
 		ti := ti
 		coreID := coreID
 		node := rig.Host.Topo.NodeOf(coreID)
-		rig.Kernel().Spawn(fmt.Sprintf("fio%d", ti), coreID, func(th *kernel.Thread) {
+		rig.Host.Kernel.Spawn(fmt.Sprintf("fio%d", ti), coreID, func(th *kernel.Thread) {
 			// One buffer per queue slot, homed on the fio node (direct
 			// I/O into user memory).
-			bufs := make([]*memsys.Buffer, cfg.QueueDepth)
+			bufs := make([]*memsys.Buffer, fioQueueDepth)
 			for i := range bufs {
-				bufs[i] = rig.Mem().NewBuffer(fmt.Sprintf("fio%d.%d", ti, i), node, cfg.BlockSize)
+				bufs[i] = rig.Host.Mem.NewBuffer(fmt.Sprintf("fio%d.%d", ti, i), node, fioBlockSize)
 			}
 			// Prime the queue depth; completions keep it full. The
 			// thread itself then idles (the async engine does the work
@@ -67,8 +49,7 @@ func StartFio(rig *core.StorageRig, cfg FioConfig) *Fio {
 			for slot, buf := range bufs {
 				drv := drives[(ti+slot)%len(drives)]
 				req := &nvme.Request{
-					Write: cfg.Write,
-					Bytes: cfg.BlockSize,
+					Bytes: fioBlockSize,
 					Buf:   buf,
 					OnComplete: func(r *nvme.Request) {
 						w.bytes += r.Bytes
@@ -100,9 +81,4 @@ func StartAntagonistOn(h *core.Host, count int, cpuNode, memNode topology.NodeID
 			a.addInstance(fmt.Sprintf("stream%d@%d", i, cpuNode), cpuNode, memNode, read, cfg))
 	}
 	return a
-}
-
-// FioGBs converts a fio byte window into GB/s.
-func FioGBs(bytes int64, window time.Duration) float64 {
-	return metrics.GBs(float64(bytes), window)
 }

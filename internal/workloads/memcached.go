@@ -31,13 +31,14 @@ type MemcachedConfig struct {
 	// (hashing, slab/LRU bookkeeping, locking, the many small syscalls
 	// a 512 KB value takes).
 	OpCost time.Duration
-	// SlabBytes sizes the value store (working set >> LLC).
-	SlabBytes int64
 	// Pipeline is how many requests each memslap keeps in flight
 	// (memslap's concurrency), so the server, not the request-response
 	// round trip, sets the pace.
 	Pipeline int
 }
+
+// mcSlabBytes sizes the value store (working set >> LLC).
+const mcSlabBytes int64 = 256 << 20
 
 // DefaultMemcachedConfig returns the paper's workload shape.
 func DefaultMemcachedConfig(serverNode topology.NodeID, cl *core.Cluster) MemcachedConfig {
@@ -57,7 +58,6 @@ func DefaultMemcachedConfig(serverNode topology.NodeID, cl *core.Cluster) Memcac
 		ServerIP:    core.IPServerPF0,
 		Port:        11211,
 		OpCost:      900 * time.Microsecond,
-		SlabBytes:   256 << 20,
 		Pipeline:    1,
 	}
 }
@@ -92,7 +92,7 @@ func StartMemcached(cl *core.Cluster, cfg MemcachedConfig) *Memcached {
 	}
 	w := &Memcached{cfg: cfg}
 	serverNode := cl.Server.Topo.NodeOf(cfg.ServerCores[0])
-	w.slab = cl.Server.Mem.NewBuffer("mc-slab", serverNode, cfg.SlabBytes).SetRandomAccess(true)
+	w.slab = cl.Server.Mem.NewBuffer("mc-slab", serverNode, mcSlabBytes).SetRandomAccess(true)
 
 	// Server: one worker thread per accepted connection, round-robin
 	// over the configured cores.

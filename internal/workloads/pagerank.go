@@ -9,46 +9,31 @@ import (
 	"ioctopus/internal/topology"
 )
 
-// PageRankConfig configures the GAP-style parallel PageRank victim of
-// §5.2: a multi-threaded, memory-bound graph kernel whose threads scan
-// a graph spread across both NUMA nodes (interleaved pages), so its
-// runtime tracks the memory and interconnect bandwidth it can get.
-type PageRankConfig struct {
-	// ThreadsPerNode pins this many threads on each socket (paper: 8).
-	ThreadsPerNode int
-	// WorkBytesPerThread is how much graph data each thread must stream
-	// before the computation converges.
-	WorkBytesPerThread float64
-	// DemandPerThread is a thread's unconstrained memory rate.
-	DemandPerThread float64
-	// LocalFraction is the share of a thread's accesses that hit its
+// The GAP-style parallel PageRank victim of §5.2 is a multi-threaded,
+// memory-bound graph kernel whose threads scan a graph spread across
+// both NUMA nodes (interleaved pages), so its runtime tracks the memory
+// and interconnect bandwidth it can get. Its fixed shape:
+const (
+	// prThreadsPerNode pins this many threads on each socket (paper: 8).
+	prThreadsPerNode = 8
+	// PageRankDemandPerThread is a thread's unconstrained memory rate
+	// in bytes/s.
+	PageRankDemandPerThread float64 = 3e9
+	// prLocalFraction is the share of a thread's accesses that hit its
 	// own node (interleaved graph: ~0.5 on two sockets).
-	LocalFraction float64
-	// LatencySensitivity scales how much memory/interconnect latency
+	prLocalFraction float64 = 0.5
+	// prLatencySensitivity scales how much memory/interconnect latency
 	// inflation slows the kernel (0 = pure bandwidth-bound, 1 = fully
 	// latency-bound; graph kernels with some MLP sit in between).
-	LatencySensitivity float64
-	// PollInterval is how often completion is checked.
-	PollInterval time.Duration
-}
-
-// DefaultPageRankConfig returns testbed-like settings (~47 s solo
-// runtime, matching Figure 13's scale).
-func DefaultPageRankConfig() PageRankConfig {
-	return PageRankConfig{
-		ThreadsPerNode:     8,
-		WorkBytesPerThread: 8e9,
-		DemandPerThread:    3e9,
-		LocalFraction:      0.5,
-		LatencySensitivity: 0.35,
-		PollInterval:       5 * time.Millisecond,
-	}
-}
+	prLatencySensitivity float64 = 0.35
+	// prPollInterval is how often completion is checked.
+	prPollInterval = 5 * time.Millisecond
+)
 
 // PageRank is a running (or finished) PageRank job.
 type PageRank struct {
 	host     *core.Host
-	cfg      PageRankConfig
+	work     float64 // bytes of graph data each thread streams
 	started  sim.Time
 	finished sim.Time
 	pending  int
@@ -70,8 +55,7 @@ type prThread struct {
 // traverses: the kernel is partially latency-bound, so congestion slows
 // it even when fair-share bandwidth remains (the Figure 13 effect).
 func (pt *prThread) advance(pr *PageRank, dt float64) {
-	sens := pr.cfg.LatencySensitivity
-	derate := func(infl float64) float64 { return 1 / (1 + (infl-1)*sens) }
+	derate := func(infl float64) float64 { return 1 / (1 + (infl-1)*prLatencySensitivity) }
 	mem := pr.host.Mem
 	localRate := pt.local.Rate() * derate(mem.MemCtl(pt.node).Inflation())
 	remInfl := mem.MemCtl(pt.other).Inflation()
@@ -86,21 +70,22 @@ func (pt *prThread) advance(pr *PageRank, dt float64) {
 	pt.progress += (localRate + remoteRate) * dt
 }
 
-// StartPageRank launches the job on the host.
-func StartPageRank(h *core.Host, cfg PageRankConfig) *PageRank {
-	pr := &PageRank{host: h, cfg: cfg, started: h.Kernel.Engine().Now()}
+// StartPageRank launches the job on the host; it converges once each
+// thread has streamed workBytesPerThread bytes of graph data.
+func StartPageRank(h *core.Host, workBytesPerThread float64) *PageRank {
+	pr := &PageRank{host: h, work: workBytesPerThread, started: h.Kernel.Engine().Now()}
 	nodes := h.Topo.NumNodes()
 	for n := 0; n < nodes; n++ {
 		node := topology.NodeID(n)
 		other := topology.NodeID((n + 1) % nodes)
-		for i := 0; i < cfg.ThreadsPerNode; i++ {
+		for i := 0; i < prThreadsPerNode; i++ {
 			name := fmt.Sprintf("pr%d.%d", n, i)
 			pt := &prThread{
 				node:   node,
 				other:  other,
-				local:  h.Mem.MemCtl(node).AddFlow(name+":l", cfg.DemandPerThread*cfg.LocalFraction),
-				remote: h.Mem.MemCtl(other).AddFlow(name+":r", cfg.DemandPerThread*(1-cfg.LocalFraction)),
-				fabric: h.Fabric.AddFlow(name, other, node, cfg.DemandPerThread*(1-cfg.LocalFraction)),
+				local:  h.Mem.MemCtl(node).AddFlow(name+":l", PageRankDemandPerThread*prLocalFraction),
+				remote: h.Mem.MemCtl(other).AddFlow(name+":r", PageRankDemandPerThread*(1-prLocalFraction)),
+				fabric: h.Fabric.AddFlow(name, other, node, PageRankDemandPerThread*(1-prLocalFraction)),
 			}
 			pr.pending++
 			pr.watch(pt)
@@ -114,8 +99,8 @@ func (pr *PageRank) watch(pt *prThread) {
 	eng := pr.host.Kernel.Engine()
 	var poll func()
 	poll = func() {
-		pt.advance(pr, pr.cfg.PollInterval.Seconds())
-		if pt.progress >= pr.cfg.WorkBytesPerThread {
+		pt.advance(pr, prPollInterval.Seconds())
+		if pt.progress >= pr.work {
 			pt.local.Remove()
 			pt.remote.Remove()
 			pt.fabric.Remove()
@@ -126,9 +111,9 @@ func (pr *PageRank) watch(pt *prThread) {
 			}
 			return
 		}
-		eng.After(pr.cfg.PollInterval, poll)
+		eng.After(prPollInterval, poll)
 	}
-	eng.After(pr.cfg.PollInterval, poll)
+	eng.After(prPollInterval, poll)
 }
 
 // Done reports whether every thread finished.

@@ -18,56 +18,39 @@ type RawTxDevice interface {
 	RawTx(t *kernel.Thread, pkt *netstack.Packet, txq int)
 }
 
-// PktgenConfig configures the in-kernel packet generator (§5.1.1,
-// Figure 8): one kernel thread blasting identical packets at a device
-// queue, in batches, reusing the same payload buffer.
-type PktgenConfig struct {
-	Core    topology.CoreID
-	PktSize int64
-	// Batch is packets per burst (pktgen's burst/clone_skb behaviour).
-	Batch int
-	// PerPacketCost is pktgen's own per-packet CPU work (skb setup,
-	// counters) — excludes descriptor/doorbell/completion costs, which
-	// the driver and memory system charge.
-	PerPacketCost time.Duration
-	// MaxOutstanding bounds unreaped bursts (ring occupancy control).
-	MaxOutstanding int
-}
-
-// DefaultPktgenConfig returns the calibrated defaults for the figure.
-func DefaultPktgenConfig(coreID topology.CoreID, pktSize int64) PktgenConfig {
-	return PktgenConfig{
-		Core:           coreID,
-		PktSize:        pktSize,
-		Batch:          64,
-		PerPacketCost:  150 * time.Nanosecond,
-		MaxOutstanding: 8,
-	}
-}
+// Pktgen's fixed shape (§5.1.1, Figure 8).
+const (
+	// pktgenBatch is packets per burst (pktgen's burst/clone_skb
+	// behaviour).
+	pktgenBatch = 64
+	// pktgenPerPacketCost is pktgen's own per-packet CPU work (skb
+	// setup, counters) — excludes descriptor/doorbell/completion costs,
+	// which the driver and memory system charge.
+	pktgenPerPacketCost time.Duration = 150 * time.Nanosecond
+	// pktgenMaxOutstanding bounds unreaped bursts (ring occupancy
+	// control).
+	pktgenMaxOutstanding = 8
+)
 
 // Pktgen is a running packet generator.
 type Pktgen struct {
-	cfg      PktgenConfig
+	pktSize  int64
 	sent     uint64 // packets fully transmitted (completion reaped)
 	baseline uint64
 }
 
-// StartPktgen launches the generator on the server, transmitting
-// through dev toward the client NIC.
-func StartPktgen(cl *core.Cluster, dev RawTxDevice, cfg PktgenConfig) *Pktgen {
-	if cfg.Batch <= 0 {
-		cfg.Batch = 64
-	}
-	if cfg.MaxOutstanding <= 0 {
-		cfg.MaxOutstanding = 8
-	}
-	w := &Pktgen{cfg: cfg}
-	node := cl.Server.Topo.NodeOf(cfg.Core)
+// StartPktgen launches the in-kernel packet generator (§5.1.1, Figure
+// 8) on server core coreID: one kernel thread blasting identical
+// pktSize-byte packets through dev toward the client NIC, in batches,
+// reusing the same payload buffer.
+func StartPktgen(cl *core.Cluster, dev RawTxDevice, coreID topology.CoreID, pktSize int64) *Pktgen {
+	w := &Pktgen{pktSize: pktSize}
+	node := cl.Server.Topo.NodeOf(coreID)
 	// The payload region pktgen clones from: written once, then reused
 	// (hot in the sender's LLC — the Figure 8 setup).
-	payload := cl.Server.Mem.NewBuffer("pktgen-payload", node, cfg.PktSize*int64(cfg.Batch))
+	payload := cl.Server.Mem.NewBuffer("pktgen-payload", node, pktSize*pktgenBatch)
 
-	cl.Server.Kernel.Spawn("pktgen", cfg.Core, func(th *kernel.Thread) {
+	cl.Server.Kernel.Spawn("pktgen", coreID, func(th *kernel.Thread) {
 		// Initialize the payload (allocates it into the LLC).
 		th.ExecFn(func() time.Duration {
 			return cl.Server.Mem.CPUWrite(th.Node(), payload, payload.Size())
@@ -75,30 +58,30 @@ func StartPktgen(cl *core.Cluster, dev RawTxDevice, cfg PktgenConfig) *Pktgen {
 		outstanding := 0
 		sig := sim.NewSignal(cl.Eng)
 		flow := eth.FiveTuple{SrcIP: core.IPServerPF0, DstIP: core.IPClient, SrcPort: 9, DstPort: 9, Proto: eth.ProtoUDP}
-		txq := dev.TxQueueForCore(cfg.Core)
+		txq := dev.TxQueueForCore(coreID)
 		// pktgen clones the same skb every burst: build the packet and
 		// its completion callback once and hand the driver the same
 		// scratch object (RawTx copies before returning).
 		pkt := &netstack.Packet{
 			Flow:        flow,
 			DstMAC:      cl.ClientDev.HWAddr(),
-			Payload:     cfg.PktSize * int64(cfg.Batch),
-			Packets:     cfg.Batch,
-			Descriptors: cfg.Batch,
-			Frags:       []netstack.Frag{{Buf: payload, Bytes: cfg.PktSize * int64(cfg.Batch)}},
+			Payload:     pktSize * pktgenBatch,
+			Packets:     pktgenBatch,
+			Descriptors: pktgenBatch,
+			Frags:       []netstack.Frag{{Buf: payload, Bytes: pktSize * pktgenBatch}},
 			Proto:       eth.ProtoUDP,
 		}
 		pkt.OnSent = func() {
 			outstanding--
-			w.sent += uint64(cfg.Batch)
+			w.sent += pktgenBatch
 			sig.Broadcast()
 		}
 		for {
-			for outstanding >= cfg.MaxOutstanding {
+			for outstanding >= pktgenMaxOutstanding {
 				th.Wait(sig)
 			}
 			outstanding++
-			th.Exec(time.Duration(cfg.Batch) * cfg.PerPacketCost)
+			th.Exec(pktgenBatch * pktgenPerPacketCost)
 			dev.RawTx(th, pkt, txq)
 		}
 	})
@@ -112,4 +95,4 @@ func (w *Pktgen) MeasureStart() { w.baseline = w.sent }
 func (w *Pktgen) Packets() uint64 { return w.sent - w.baseline }
 
 // PayloadBytes returns payload bytes transmitted since MeasureStart.
-func (w *Pktgen) PayloadBytes() int64 { return int64(w.Packets()) * w.cfg.PktSize }
+func (w *Pktgen) PayloadBytes() int64 { return int64(w.Packets()) * w.pktSize }

@@ -111,7 +111,7 @@ func TestPktgenLocalBeatsRemote(t *testing.T) {
 	run := func(coreID topology.CoreID) float64 {
 		cl := core.NewCluster(core.Config{Mode: core.ModeStandard})
 		dev := cl.Dev0.(*driver.Standard) // PF0 on node 0
-		w := StartPktgen(cl, dev, DefaultPktgenConfig(coreID, 64))
+		w := StartPktgen(cl, dev, coreID, 64)
 		cl.Run(2 * time.Millisecond)
 		w.MeasureStart()
 		cl.Run(10 * time.Millisecond)
@@ -177,9 +177,7 @@ func TestAntagonistStopRestores(t *testing.T) {
 func TestPageRankRuntimeScalesWithContention(t *testing.T) {
 	solo := func() time.Duration {
 		cl := core.NewCluster(core.Config{Mode: core.ModeStandard})
-		cfg := DefaultPageRankConfig()
-		cfg.WorkBytesPerThread = 100e6 // shrink for test speed
-		pr := StartPageRank(cl.Server, cfg)
+		pr := StartPageRank(cl.Server, 100e6) // small for test speed
 		cl.Run(2 * time.Second)
 		cl.Drain()
 		if !pr.Done() {
@@ -189,9 +187,7 @@ func TestPageRankRuntimeScalesWithContention(t *testing.T) {
 	}()
 	contended := func() time.Duration {
 		cl := core.NewCluster(core.Config{Mode: core.ModeStandard})
-		cfg := DefaultPageRankConfig()
-		cfg.WorkBytesPerThread = 100e6
-		pr := StartPageRank(cl.Server, cfg)
+		pr := StartPageRank(cl.Server, 100e6)
 		StartAntagonist(cl.Server, DefaultAntagonistConfig(6))
 		cl.Run(5 * time.Second)
 		cl.Drain()

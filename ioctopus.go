@@ -62,7 +62,9 @@ const (
 // bifurcated multi-PF NIC, cabled back-to-back to a client.
 type Cluster = core.Cluster
 
-// Config selects the cluster's NIC mode, wiring and knobs.
+// Config selects what the experiments vary: NIC mode, wiring,
+// datapath, topologies, IOctoSG, DDIO, coalescing, driver and stack
+// settings, fault plan and seed. The rest of the §5 testbed is fixed.
 type Config = core.Config
 
 // Host is one assembled machine (kernel, memory system, PCIe, stack).
@@ -102,19 +104,18 @@ func NewCluster(cfg Config) *Cluster { return core.NewCluster(cfg) }
 // NewClusterE builds the testbed, returning an error instead of
 // panicking when the config describes an impossible machine (a PF with
 // zero queues, a card wired to a socket the topology lacks, a
-// malformed fault plan).
+// malformed fault plan, or one that drops frames with retransmission
+// off).
 func NewClusterE(cfg Config) (*Cluster, error) { return core.NewClusterE(cfg) }
 
 // ValidateConfig vets a cluster config without building it.
 func ValidateConfig(cfg Config) error { return core.ValidateConfig(cfg) }
 
-// StackParams are the netstack settings a cluster may vary (socket
-// receive buffer, retransmission), set via Config.StackParams (the
-// chaos harness enables the retransmission timer there).
+// StackParams are the netstack settings a cluster may vary, set via
+// Config.StackParams: the retransmission timer and its retry bound. The
+// zero value runs without retransmission; a fault plan that drops
+// frames needs it on.
 type StackParams = netstack.Params
-
-// DefaultStackParams returns the netstack defaults (retransmission off).
-func DefaultStackParams() StackParams { return netstack.DefaultParams() }
 
 // Fault injection: a FaultPlan is a deterministic, seed-driven schedule
 // of failures armed against the assembled cluster via Config.FaultPlan.
@@ -140,11 +141,9 @@ const (
 	ServerToClient = faults.ServerToClient
 )
 
-// StorageRig is the §5.4 NVMe testbed.
+// StorageRig is the §5.4 NVMe testbed: four drives on socket 1 of a
+// dual-Skylake server.
 type StorageRig = core.StorageRig
-
-// StorageConfig configures it.
-type StorageConfig = core.StorageConfig
 
 // NVMe driver routing policies.
 const (
@@ -152,8 +151,12 @@ const (
 	NVMeOctoSSD    = nvme.OctoSSD
 )
 
-// NewStorageRig builds the storage testbed.
-func NewStorageRig(cfg StorageConfig) *StorageRig { return core.NewStorageRig(cfg) }
+// NewStorageRig builds the storage testbed with the given driver
+// routing (NVMeSinglePath or NVMeOctoSSD); dualPort wires each drive to
+// both sockets.
+func NewStorageRig(policy nvme.Policy, dualPort bool) *StorageRig {
+	return core.NewStorageRig(policy, dualPort)
+}
 
 // Topology constructors for custom setups.
 var (
@@ -165,33 +168,30 @@ var (
 	QuadSocket = topology.QuadSocket
 )
 
-// Workload re-exports: the benchmark programs of the evaluation.
+// Workload re-exports: the benchmark programs of the evaluation. Pktgen
+// (core, packet size), PageRank (work per thread) and fio (cores) keep
+// the paper's fixed shapes and take their few inputs as arguments.
 type (
 	// StreamConfig configures netperf TCP_STREAM instances.
 	StreamConfig = workloads.StreamConfig
 	// RRConfig configures netperf TCP_RR / sockperf ping-pong.
 	RRConfig = workloads.RRConfig
-	// PktgenConfig configures the in-kernel packet generator.
-	PktgenConfig = workloads.PktgenConfig
 	// MemcachedConfig configures memcached + memslap.
 	MemcachedConfig = workloads.MemcachedConfig
 	// AntagonistConfig configures STREAM memory antagonists.
 	AntagonistConfig = workloads.AntagonistConfig
-	// PageRankConfig configures the memory-bound PageRank victim.
-	PageRankConfig = workloads.PageRankConfig
-	// FioConfig configures the fio NVMe job.
-	FioConfig = workloads.FioConfig
 )
 
 // Workload starters.
 var (
-	StartStream     = workloads.StartStream
-	StartRR         = workloads.StartRR
-	StartPktgen     = workloads.StartPktgen
-	StartMemcached  = workloads.StartMemcached
-	StartAntagonist = workloads.StartAntagonist
-	StartPageRank   = workloads.StartPageRank
-	StartFio        = workloads.StartFio
+	StartStream       = workloads.StartStream
+	StartRR           = workloads.StartRR
+	StartPktgen       = workloads.StartPktgen
+	StartMemcached    = workloads.StartMemcached
+	StartAntagonist   = workloads.StartAntagonist
+	StartAntagonistOn = workloads.StartAntagonistOn
+	StartPageRank     = workloads.StartPageRank
+	StartFio          = workloads.StartFio
 )
 
 // Rx and Tx are stream directions (from the server's perspective).

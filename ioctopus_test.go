@@ -60,13 +60,9 @@ func TestPublicAPIExperiments(t *testing.T) {
 }
 
 func TestPublicAPIStorage(t *testing.T) {
-	rig := ioctopus.NewStorageRig(ioctopus.StorageConfig{
-		Drives: 2, SSDNode: 1, Policy: ioctopus.NVMeOctoSSD, DualPort: true,
-	})
+	rig := ioctopus.NewStorageRig(ioctopus.NVMeOctoSSD, true)
 	defer rig.Drain()
-	f := ioctopus.StartFio(rig, ioctopus.FioConfig{
-		Cores: []ioctopus.CoreID{0, 1}, QueueDepth: 8, BlockSize: 128 * 1024,
-	})
+	f := ioctopus.StartFio(rig, []ioctopus.CoreID{0, 1})
 	rig.Run(50 * time.Millisecond)
 	f.MeasureStart()
 	rig.Run(50 * time.Millisecond)
