@@ -3,9 +3,11 @@
 # builds ioctobench and the examples from a git ref (default HEAD) and
 # from the working tree, runs the commands whose outputs define
 # behaviour on both, and fails naming the first command whose exit
-# status, stdout or -json report differs. The full-duration -fig all
-# row covers the measurement windows the -quick goldens do not reach
-# (full_results.txt); the example rows cover the library facade.
+# status, stdout, -json report or -trace file differs. The
+# full-duration -fig all row covers the measurement windows the -quick
+# goldens do not reach (full_results.txt); the traced chaos row covers
+# the pipe, flow and endpoint names the tracer prints; the example rows
+# cover the library facade.
 #
 #   scripts/identical.sh [ref]        or        make identical BASE=<ref>
 #
@@ -30,19 +32,20 @@ for ex in $examples; do
 	build "$ex" "./examples/$ex"
 done
 
-# run <prog> <side> <args...> runs one build, with the argument @report
-# standing for that side's JSON report path.
+# run <prog> <side> <args...> runs one build, with the arguments
+# @report and @trace standing for that side's JSON report and trace
+# file paths.
 run() {
 	bin="$tmp/$1.$2"
 	side=$2
 	shift 2
 	for a; do
 		shift
-		if [ "$a" = @report ]; then
-			set -- "$@" "$tmp/$side.json"
-		else
-			set -- "$@" "$a"
-		fi
+		case $a in
+		@report) set -- "$@" "$tmp/$side.json" ;;
+		@trace) set -- "$@" "$tmp/$side.trace" ;;
+		*) set -- "$@" "$a" ;;
+		esac
 	done
 	"$bin" "$@"
 }
@@ -54,18 +57,19 @@ same() {
 	shift
 	cmd="$prog${*:+ $*}"
 	for side in ref tree; do
-		rm -f "$tmp/$side.json"
+		rm -f "$tmp/$side.json" "$tmp/$side.trace"
 		status=0
 		run "$prog" "$side" "$@" >"$tmp/$side.out" 2>/dev/null || status=$?
 		echo "$status" >"$tmp/$side.status"
 	done
-	for file in status out json; do
+	for file in status out json trace; do
 		if [ -e "$tmp/ref.$file" ] || [ -e "$tmp/tree.$file" ]; then
 			if ! cmp -s "$tmp/ref.$file" "$tmp/tree.$file"; then
 				case $file in
 				status) what="exit status" ;;
 				out) what=stdout ;;
 				json) what="JSON report" ;;
+				trace) what="trace file" ;;
 				esac
 				echo "identical.sh: $cmd differs from $ref in its $what" >&2
 				exit 1
@@ -78,6 +82,7 @@ same() {
 same ioctobench -fig all -quick -json @report
 same ioctobench -fig all
 same ioctobench -scenario chaos -quick
+same ioctobench -scenario chaos -quick -trace @trace
 same ioctobench -fig devchaos -quick
 same ioctobench -fig pmd -quick
 same ioctobench -fuzz 8 -seed 1
