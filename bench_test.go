@@ -230,8 +230,8 @@ func TestStorageAllocFree(t *testing.T) {
 	if allocs > 2 {
 		t.Fatalf("steady-state storage path allocates %.0f allocs/ms, want 0", allocs)
 	}
-	if fio.Bytes() == 0 || ant.Rate() == 0 {
-		t.Fatalf("rig idle: fio moved %d bytes, STREAM rate %v", fio.Bytes(), ant.Rate())
+	if fio.Bytes() == 0 || ant.Bytes() == 0 {
+		t.Fatalf("rig idle: fio moved %d bytes, STREAM %v", fio.Bytes(), ant.Bytes())
 	}
 }
 

@@ -24,8 +24,7 @@ func serve(enableSG bool) (gbps, qpiGB float64) {
 	// first-touch-from-anywhere workload leaves them.
 	var pages []*memsys.Buffer
 	for i := 0; i < 8; i++ {
-		pages = append(pages, cl.Server.Mem.NewBuffer(
-			fmt.Sprintf("pagecache%d", i), ioctopus.NodeID(i%2), 64*1024))
+		pages = append(pages, cl.Server.Mem.NewBuffer(ioctopus.NodeID(i%2), 64*1024))
 	}
 
 	var received int64

@@ -93,10 +93,11 @@ type Config struct {
 	// machines.
 	ServerTopo *topology.Server
 	ClientTopo *topology.Server
-	// DriverParams overrides the drivers' defaults: its completion-ring
-	// home applies to every driver (the §2.4 remote-DDIO measurement
-	// homes them on the NIC node), its watchdog to the server's only.
-	DriverParams *driver.Params
+	// DriverParams sets the drivers. Its zero value is the default;
+	// RemoteDDIO applies to every driver (the §2.4 remote-DDIO
+	// measurement homes the completion rings on the NIC's node), the
+	// watchdog to the server's only.
+	DriverParams driver.Params
 	// Datapath selects the server drivers' completion delivery:
 	// interrupt/NAPI (the zero value — byte-identical to a config that
 	// predates the field), busypoll, or hybrid. The client machine
@@ -116,7 +117,6 @@ type Config struct {
 
 // Host is one assembled machine.
 type Host struct {
-	Name   string
 	Topo   *topology.Server
 	Fabric *interconnect.Fabric
 	Mem    *memsys.System
@@ -129,10 +129,8 @@ type Host struct {
 // Cluster is the two-machine testbed.
 type Cluster struct {
 	Eng    *sim.Engine
-	Net    *netstack.Network
 	Server *Host
 	Client *Host
-	Mode   NICMode
 	RNG    *sim.RNG
 
 	// Server-side netdevices. Standard mode: Dev0 on PF0 (node 0) and
@@ -166,7 +164,6 @@ func buildHost(e *sim.Engine, net *netstack.Network, name string, topo *topology
 	k := kernel.New(e, topo, mem)
 	st := netstack.NewStack(k, name, net, stackParams)
 	return &Host{
-		Name:   name,
 		Topo:   topo,
 		Fabric: fab,
 		Mem:    mem,
@@ -191,8 +188,8 @@ func (cfg *Config) normalize() {
 
 // ValidateConfig rejects cluster configs that would assemble a broken
 // machine — a topology its own Validate rejects, a lane budget that
-// bifurcates to nothing, a completion ring on a socket the server
-// doesn't have, a fault that drops frames with retransmission off —
+// bifurcates to nothing, a fault that drops frames with retransmission
+// off —
 // with an error naming the problem instead of a panic (or a silent
 // stall) from deep inside a substrate package.
 func ValidateConfig(cfg Config) error {
@@ -217,11 +214,6 @@ func ValidateConfig(cfg Config) error {
 	case ModeStandard, ModeIOctopus:
 	default:
 		return fmt.Errorf("core: unknown NIC mode %v", cfg.Mode)
-	}
-	if cfg.DriverParams != nil {
-		if n := cfg.DriverParams.CompRingNode; n != topology.NoNode && (int(n) < 0 || int(n) >= cfg.ServerTopo.NumNodes()) {
-			return fmt.Errorf("core: completion rings homed on node %d but the server has %d nodes", n, cfg.ServerTopo.NumNodes())
-		}
 	}
 	// Without retransmission the first TCP segment a fault drops stalls
 	// its flow for the rest of the run.
@@ -275,10 +267,8 @@ func NewClusterE(cfg Config) (*Cluster, error) {
 	net := netstack.NewNetwork()
 
 	cl := &Cluster{
-		Eng:  e,
-		Net:  net,
-		Mode: cfg.Mode,
-		RNG:  sim.NewRNG(cfg.Seed + 1),
+		Eng: e,
+		RNG: sim.NewRNG(cfg.Seed + 1),
 	}
 	cl.Server = buildHost(e, net, "server", cfg.ServerTopo, !cfg.DisableDDIO, cfg.StackParams)
 	cl.Client = buildHost(e, net, "client", cfg.ClientTopo, !cfg.DisableDDIO, cfg.StackParams)
@@ -298,31 +288,26 @@ func NewClusterE(cfg Config) (*Cluster, error) {
 		Name: "cx5", Gen: pcie.Gen3, TotalLanes: 16,
 		Wiring: cfg.Wiring, Nodes: serverNodes,
 	})
-	cl.Server.NIC = nic.New(e, cl.Server.Mem, "cx5", sEPs, coalesce)
+	cl.Server.NIC = nic.New(e, "cx5", sEPs, coalesce)
 
 	// Client NIC: ConnectX-4-like, x16 direct on node 0.
 	cEPs := cl.Client.PCIe.AttachCard(pcie.CardConfig{
 		Name: "cx4", Gen: pcie.Gen3, TotalLanes: 16,
 		Wiring: pcie.WiringDirect, Nodes: []topology.NodeID{0},
 	})
-	cl.Client.NIC = nic.New(e, cl.Client.Mem, "cx4", cEPs, coalesce)
+	cl.Client.NIC = nic.New(e, "cx4", cEPs, coalesce)
 
 	// Cable them back to back.
 	cl.Wire = eth.NewWire(e, "b2b", cl.Server.NIC, cl.Client.NIC)
 	cl.Server.NIC.AttachWire(cl.Wire)
 	cl.Client.NIC.AttachWire(cl.Wire)
 
-	drvParams := driver.DefaultParams()
-	if cfg.DriverParams != nil {
-		drvParams = *cfg.DriverParams
-	}
-
 	// Client side: always the standard single-PF driver, always the
 	// interrupt datapath (the paper's client machine is stock Linux; the
 	// datapath axis is a server-side experiment). The self-healing
 	// watchdog is a server-side experiment too: the client takes only
 	// the completion-ring home.
-	clientParams := driver.Params{CompRingNode: drvParams.CompRingNode}
+	clientParams := driver.Params{RemoteDDIO: cfg.DriverParams.RemoteDDIO}
 	cl.Client.NIC.LoadFirmware(nic.NewStandardFirmware(cl.Client.NIC))
 	cDrv := driver.NewStandard(cl.Client.Kernel, cl.Client.Mem, cl.Client.NIC.PF(0), "eth0", clientParams, driver.DatapathInterrupt)
 	cDrv.Bind(cl.Client.Stack)
@@ -333,19 +318,19 @@ func NewClusterE(cfg Config) (*Cluster, error) {
 	switch cfg.Mode {
 	case ModeStandard:
 		cl.Server.NIC.LoadFirmware(nic.NewStandardFirmware(cl.Server.NIC))
-		d0 := driver.NewStandard(cl.Server.Kernel, cl.Server.Mem, cl.Server.NIC.PF(0), "eth0", drvParams, cfg.Datapath)
+		d0 := driver.NewStandard(cl.Server.Kernel, cl.Server.Mem, cl.Server.NIC.PF(0), "eth0", cfg.DriverParams, cfg.Datapath)
 		d0.Bind(cl.Server.Stack)
 		cl.Server.Stack.AddDevice(d0, IPServerPF0)
 		cl.Dev0 = d0
 		if len(cl.Server.NIC.PFs()) > 1 {
-			d1 := driver.NewStandard(cl.Server.Kernel, cl.Server.Mem, cl.Server.NIC.PF(1), "eth1", drvParams, cfg.Datapath)
+			d1 := driver.NewStandard(cl.Server.Kernel, cl.Server.Mem, cl.Server.NIC.PF(1), "eth1", cfg.DriverParams, cfg.Datapath)
 			d1.Bind(cl.Server.Stack)
 			cl.Server.Stack.AddDevice(d1, IPServerPF1)
 			cl.Dev1 = d1
 		}
 	case ModeIOctopus:
 		cl.Server.NIC.LoadFirmware(nic.NewOctoFirmware(cl.Server.NIC, cfg.EnableSG))
-		od := driver.NewOcto(cl.Server.Kernel, cl.Server.Mem, cl.Server.NIC, "octo0", drvParams, cfg.Datapath)
+		od := driver.NewOcto(cl.Server.Kernel, cl.Server.Mem, cl.Server.NIC, "octo0", cfg.DriverParams, cfg.Datapath)
 		od.Bind(cl.Server.Stack)
 		cl.Server.Stack.AddDevice(od, IPServerPF0)
 		cl.Dev0 = od

@@ -36,8 +36,8 @@ type Completions[T any] struct {
 	holdoff time.Duration
 	// visible is the owning queue's accounting for an entry becoming
 	// visible (a stalled entry is accounted when the stall releases
-	// it). It is a shared function, not a per-queue closure: the entry
-	// leads back to its queue.
+	// it), or nil for none. It is a shared function, not a per-queue
+	// closure: the entry leads back to its queue.
 	visible func(T)
 
 	napiActive bool
@@ -88,7 +88,9 @@ func (c *Completions[T]) Complete(e T) {
 // deliver makes one entry visible — the tail of Complete, shared with
 // the stall-release flush.
 func (c *Completions[T]) deliver(e T) {
-	c.visible(e)
+	if c.visible != nil {
+		c.visible(e)
+	}
 	c.ready = append(c.ready, e)
 	if c.onDeliver != nil {
 		c.onDeliver()

@@ -20,7 +20,6 @@ import (
 // per-entry state. The backing memsys.Buffer carries cache residency,
 // so host reads after device writes cost what the paper measures.
 type Ring struct {
-	name      string
 	mem       *memsys.System
 	buf       *memsys.Buffer
 	entries   int
@@ -29,34 +28,27 @@ type Ring struct {
 
 // NewRing allocates a ring of entries*entrySize bytes homed on the given
 // node.
-func NewRing(mem *memsys.System, name string, home topology.NodeID, entries int, entrySize int64) *Ring {
+func NewRing(mem *memsys.System, home topology.NodeID, entries int, entrySize int64) *Ring {
 	if entries <= 0 || entries&(entries-1) != 0 {
-		panic(fmt.Sprintf("device: ring %q size %d must be a power of two", name, entries))
+		panic(fmt.Sprintf("device: ring size %d must be a power of two", entries))
 	}
 	if entrySize <= 0 {
-		panic(fmt.Sprintf("device: ring %q needs positive entry size", name))
+		panic(fmt.Sprintf("device: ring entry size %d must be positive", entrySize))
 	}
 	// Ring entries are distinct cache lines consumed one by one: hits
 	// scale with how much of the ring is resident, so a remote DMA
 	// write that invalidates the region costs the host one miss per
 	// entry read — the §5.1.1 per-packet completion miss.
 	return &Ring{
-		name:      name,
 		mem:       mem,
-		buf:       mem.NewBuffer(name, home, int64(entries)*entrySize).SetRandomAccess(true),
+		buf:       mem.NewBuffer(home, int64(entries)*entrySize).SetRandomAccess(true),
 		entries:   entries,
 		entrySize: entrySize,
 	}
 }
 
-// Name returns the ring's name.
-func (r *Ring) Name() string { return r.name }
-
 // Buffer returns the backing memory region.
 func (r *Ring) Buffer() *memsys.Buffer { return r.buf }
-
-// EntrySize returns the bytes per descriptor.
-func (r *Ring) EntrySize() int64 { return r.entrySize }
 
 // Capacity returns the number of entries.
 func (r *Ring) Capacity() int { return r.entries }

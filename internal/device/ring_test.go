@@ -7,6 +7,7 @@ import (
 
 	"ioctopus/internal/interconnect"
 	"ioctopus/internal/memsys"
+	"ioctopus/internal/metrics"
 	"ioctopus/internal/pcie"
 	"ioctopus/internal/sim"
 	"ioctopus/internal/topology"
@@ -33,14 +34,14 @@ func TestRingValidation(t *testing.T) {
 					t.Errorf("entries=%d size=%d should panic", bad.entries, bad.size)
 				}
 			}()
-			NewRing(mem, "bad", 0, bad.entries, bad.size)
+			NewRing(mem, 0, bad.entries, bad.size)
 		}()
 	}
 }
 
 func TestRingHostAccessCosts(t *testing.T) {
 	_, mem, _ := newRingRig(t)
-	r := NewRing(mem, "ring", 0, 1024, 64)
+	r := NewRing(mem, 0, 1024, 64)
 	// First write misses (RFO); after residency it is cheap.
 	first := r.HostWrite(0, 16)
 	second := r.HostWrite(0, 16)
@@ -58,12 +59,12 @@ func TestRingHostAccessCosts(t *testing.T) {
 func TestRingDeviceAccessRoundTrip(t *testing.T) {
 	e, mem, pc := newRingRig(t)
 	ep := pc.NewEndpoint("dev", 0, pcie.Gen3, 8)
-	r := NewRing(mem, "cq", 0, 1024, 64)
+	r := NewRing(mem, 0, 1024, 64)
 	done := 0
 	// Completion writeback is a plain DMA write into the ring's buffer
 	// (the NIC and NVMe queues issue it that way); descriptor fetch goes
 	// through DeviceRead.
-	ep.DMAWrite(r.Buffer(), 16*r.EntrySize(), func() { done++ })
+	ep.DMAWrite(r.Buffer(), 16*r.entrySize, func() { done++ })
 	r.DeviceRead(ep, 16, func() { done++ })
 	e.RunUntilIdle()
 	if done != 2 {
@@ -79,11 +80,11 @@ func TestRingCompletionMissAfterRemoteWrite(t *testing.T) {
 	// device write invalidates the ring; per-entry host reads then miss.
 	e, mem, pc := newRingRig(t)
 	remoteEp := pc.NewEndpoint("dev", 1, pcie.Gen3, 8) // device on node 1
-	r := NewRing(mem, "cq", 0, 1024, 64)               // ring on node 0
+	r := NewRing(mem, 0, 1024, 64)                     // ring on node 0
 	r.HostRead(0, 1024)                                // warm the ring
 	warm := r.HostRead(0, 32)
 	doneCh := false
-	remoteEp.DMAWrite(r.Buffer(), 1024*r.EntrySize(), func() { doneCh = true })
+	remoteEp.DMAWrite(r.Buffer(), 1024*r.entrySize, func() { doneCh = true })
 	e.RunUntilIdle()
 	if !doneCh {
 		t.Fatal("device write incomplete")
@@ -104,12 +105,16 @@ type ringTwin struct {
 	ring *Ring
 	// bufs holds every buffer of the system, the ring's first.
 	bufs []*memsys.Buffer
+	// reg holds the memory system's metrics.
+	reg *metrics.Registry
 }
 
 func newRingTwin(t *testing.T, home topology.NodeID) *ringTwin {
 	e, mem, pc := newRingRig(t)
-	r := NewRing(mem, "cq", home, 1024, 64)
-	return &ringTwin{eng: e, mem: mem, pc: pc, ring: r, bufs: []*memsys.Buffer{r.Buffer()}}
+	r := NewRing(mem, home, 1024, 64)
+	reg := metrics.NewRegistry()
+	mem.RegisterMetrics(reg)
+	return &ringTwin{eng: e, mem: mem, pc: pc, ring: r, bufs: []*memsys.Buffer{r.Buffer()}, reg: reg}
 }
 
 // singleReads reads n entries with one CPURead per entry, the way
@@ -117,7 +122,7 @@ func newRingTwin(t *testing.T, home topology.NodeID) *ringTwin {
 func (tw *ringTwin) singleReads(node topology.NodeID, n int) time.Duration {
 	var total time.Duration
 	for i := 0; i < n; i++ {
-		total += tw.mem.CPURead(node, tw.ring.Buffer(), tw.ring.EntrySize())
+		total += tw.mem.CPURead(node, tw.ring.Buffer(), tw.ring.entrySize)
 	}
 	return total
 }
@@ -126,7 +131,7 @@ func (tw *ringTwin) singleReads(node topology.NodeID, n int) time.Duration {
 // node and runs the write to completion.
 func (tw *ringTwin) deviceWrite(node topology.NodeID, entries int) {
 	ep := tw.pc.NewEndpoint("dev", node, pcie.Gen3, 8)
-	ep.DMAWrite(tw.ring.Buffer(), int64(entries)*tw.ring.EntrySize(), nil)
+	ep.DMAWrite(tw.ring.Buffer(), int64(entries)*tw.ring.entrySize, nil)
 	tw.eng.RunUntilIdle()
 }
 
@@ -135,18 +140,18 @@ func (tw *ringTwin) deviceWrite(node topology.NodeID, entries int) {
 // node 0, so each later miss on node evicts a dirty victim and writes
 // it back, across the interconnect for the node-1 ones.
 func (tw *ringTwin) fillLLCDirty(node topology.NodeID) {
-	spec := tw.mem.Topology().Socket(node).LLC
+	spec := topology.DualBroadwell().Socket(node).LLC
 	ddioCap := int64(float64(spec.Size) * spec.DDIOFraction)
 	room := spec.Size - ddioCap
 	const small = 4096
 	for i := 0; i < 64; i++ {
-		b := tw.mem.NewBuffer("victim", topology.NodeID(1-i%2), small)
+		b := tw.mem.NewBuffer(topology.NodeID(1-i%2), small)
 		tw.mem.CPUWrite(node, b, small)
 		tw.bufs = append(tw.bufs, b)
 		room -= small
 	}
 	for _, size := range []int64{room / 2, room - room/2} {
-		b := tw.mem.NewBuffer("filler", node, size)
+		b := tw.mem.NewBuffer(node, size)
 		tw.mem.CPUWrite(node, b, size)
 		tw.bufs = append(tw.bufs, b)
 	}
@@ -228,19 +233,23 @@ func TestHostReadMatchesSingleReads(t *testing.T) {
 // interconnect pipe's rate, utilization and byte count.
 func compareRingTwins(t *testing.T, label string, a, b *ringTwin) {
 	t.Helper()
-	nodes := a.mem.Topology().NumNodes()
+	const nodes = 2 // newRingRig's dual Broadwell
 	for n := 0; n < nodes; n++ {
-		node := topology.NodeID(n)
-		if sa, sb := a.mem.Stats(node), b.mem.Stats(node); sa != sb {
-			t.Fatalf("%s: node %d stats %+v, single reads %+v", label, n, sa, sb)
+		for _, c := range []string{"dram_read_bytes", "dram_write_bytes", "llc_hit_bytes", "llc_miss_bytes"} {
+			name := fmt.Sprintf("node%d/%s", n, c)
+			va, _ := a.reg.Value(name)
+			vb, _ := b.reg.Value(name)
+			if va != vb {
+				t.Fatalf("%s: %s %v, single reads %v", label, name, va, vb)
+			}
 		}
 	}
 	for i, ba := range a.bufs {
 		bb := b.bufs[i]
 		if ba.CachedAt() != bb.CachedAt() || ba.CachedBytes() != bb.CachedBytes() ||
 			ba.Dirty() != bb.Dirty() || ba.InDDIO() != bb.InDDIO() {
-			t.Fatalf("%s: buffer %d %s at %d (%d B, dirty %v, ddio %v), single reads at %d (%d B, dirty %v, ddio %v)",
-				label, i, ba.Name(), ba.CachedAt(), ba.CachedBytes(), ba.Dirty(), ba.InDDIO(),
+			t.Fatalf("%s: buffer %d at %d (%d B, dirty %v, ddio %v), single reads at %d (%d B, dirty %v, ddio %v)",
+				label, i, ba.CachedAt(), ba.CachedBytes(), ba.Dirty(), ba.InDDIO(),
 				bb.CachedAt(), bb.CachedBytes(), bb.Dirty(), bb.InDDIO())
 		}
 	}
@@ -257,13 +266,13 @@ func compareRingTwins(t *testing.T, label string, a, b *ringTwin) {
 	}
 	for i := range pa {
 		if ra, rb := pa[i].DiscreteRate(), pb[i].DiscreteRate(); ra != rb {
-			t.Fatalf("%s: %s discrete rate %v, single reads %v", label, pa[i].Name(), ra, rb)
+			t.Fatalf("%s: pipe %d discrete rate %v, single reads %v", label, i, ra, rb)
 		}
 		if ua, ub := pa[i].Utilization(), pb[i].Utilization(); ua != ub {
-			t.Fatalf("%s: %s utilization %v, single reads %v", label, pa[i].Name(), ua, ub)
+			t.Fatalf("%s: pipe %d utilization %v, single reads %v", label, i, ua, ub)
 		}
 		if ta, tb := pa[i].TotalBytes(), pb[i].TotalBytes(); ta != tb {
-			t.Fatalf("%s: %s bytes %v, single reads %v", label, pa[i].Name(), ta, tb)
+			t.Fatalf("%s: pipe %d bytes %v, single reads %v", label, i, ta, tb)
 		}
 	}
 }

@@ -40,18 +40,6 @@ func (d *Bond) member(ft eth.FiveTuple) netstack.NetDevice {
 	return d.lowers[int(ft.Hash())%len(d.lowers)]
 }
 
-// NumTxQueues implements netstack.NetDevice (queues of the widest
-// member; the member is chosen per flow at Xmit).
-func (d *Bond) NumTxQueues() int {
-	n := 0
-	for _, l := range d.lowers {
-		if q := l.NumTxQueues(); q > n {
-			n = q
-		}
-	}
-	return n
-}
-
 // TxQueueForCore implements netstack.NetDevice.
 func (d *Bond) TxQueueForCore(c topology.CoreID) int {
 	return d.lowers[0].TxQueueForCore(c)

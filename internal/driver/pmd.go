@@ -26,7 +26,6 @@ package driver
 
 import (
 	"fmt"
-	"strconv"
 	"time"
 
 	"ioctopus/internal/kernel"
@@ -110,7 +109,7 @@ func (b *base) initDatapath() {
 	case DatapathHybrid:
 		b.pmd = &pmdStats{}
 		for _, qp := range b.pairs {
-			h := &hybridState{b: b, qp: qp, name: b.name + ":hybrid" + strconv.Itoa(int(qp.core))}
+			h := &hybridState{b: b, qp: qp}
 			h.runFn = h.iterate
 			qp.hybrid = h
 		}
@@ -141,7 +140,7 @@ func (b *base) startPollers() {
 		cores := topo.CoresOn(node)
 		pollCore := cores[len(cores)-1].ID
 		owned := pairs // bind the per-node slice once; the body reuses it
-		p := b.k.Core(pollCore).StartPoller(b.name+":node"+strconv.Itoa(n), func() (time.Duration, bool) {
+		p := b.k.Core(pollCore).StartPoller(func() (time.Duration, bool) {
 			return b.poll(owned...)
 		})
 		// A completion on any owned ring wakes a dormant loop, whether
@@ -234,7 +233,6 @@ func (b *base) burstTx(qp *queuePair) (time.Duration, int) {
 type hybridState struct {
 	b      *base
 	qp     *queuePair
-	name   string
 	active bool
 	idle   int
 	runFn  func() time.Duration // cached iterate, for Core.Submit
@@ -271,7 +269,7 @@ func (h *hybridState) iterate() time.Duration {
 		h.exit()
 		return cost
 	}
-	h.b.k.Core(h.qp.core).Submit(h.name, h.runFn, nil)
+	h.b.k.Core(h.qp.core).Submit(h.runFn, nil)
 	return cost
 }
 

@@ -69,9 +69,6 @@ func (d *Standard) Bind(st *netstack.Stack) { d.bind(st) }
 // HWAddr implements netstack.NetDevice: the PF's own MAC.
 func (d *Standard) HWAddr() eth.MAC { return d.pf.MAC() }
 
-// PF returns the managed physical function.
-func (d *Standard) PF() *nic.PF { return d.pf }
-
 // Xmit implements netstack.NetDevice. The standard driver can only
 // transmit through its own PF — if the sender's CPU is remote to it,
 // every descriptor, doorbell and payload read crosses the interconnect.

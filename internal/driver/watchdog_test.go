@@ -13,7 +13,7 @@ import (
 func TestWatchdogDisabledByDefault(t *testing.T) {
 	r := newDrvRig(t)
 	r.nic.LoadFirmware(nic.NewStandardFirmware(r.nic))
-	d := NewStandard(r.k, r.mem, r.nic.PF(0), "eth0", DefaultParams(), DatapathInterrupt)
+	d := NewStandard(r.k, r.mem, r.nic.PF(0), "eth0", Params{}, DatapathInterrupt)
 	d.Bind(r.st)
 	if d.wd != nil {
 		t.Fatal("default params must not arm the watchdog (zero cost when idle)")
@@ -28,7 +28,7 @@ func TestWatchdogDisabledByDefault(t *testing.T) {
 func TestWatchdogStageZeroHealsStalledQueue(t *testing.T) {
 	r := newDrvRig(t)
 	r.nic.LoadFirmware(nic.NewStandardFirmware(r.nic))
-	params := DefaultParams()
+	var params Params
 	params.WatchdogInterval = 100 * time.Microsecond
 	d := NewStandard(r.k, r.mem, r.nic.PF(0), "eth0", params, DatapathInterrupt)
 	d.Bind(r.st)
@@ -37,7 +37,7 @@ func TestWatchdogStageZeroHealsStalledQueue(t *testing.T) {
 	}
 
 	r.nic.SetQueueStall(0, 0, true)
-	buf := r.mem.NewBuffer("p", 0, 64*1024)
+	buf := r.mem.NewBuffer(0, 64*1024)
 	r.k.Spawn("tx", 0, func(th *kernel.Thread) {
 		d.Xmit(th, &netstack.Packet{
 			Flow:    eth.FiveTuple{SrcIP: 1, DstIP: 2, SrcPort: 1, DstPort: 80, Proto: eth.ProtoTCP},
@@ -74,7 +74,7 @@ func TestWatchdogStageZeroHealsStalledQueue(t *testing.T) {
 func TestWatchdogLadderEscalatesToFailoverAndBack(t *testing.T) {
 	r := newDrvRig(t)
 	r.nic.LoadFirmware(nic.NewOctoFirmware(r.nic, false))
-	params := DefaultParams()
+	var params Params
 	params.WatchdogInterval = 100 * time.Microsecond
 	d := NewOcto(r.k, r.mem, r.nic, "octo0", params, DatapathInterrupt)
 	d.Bind(r.st)
@@ -83,7 +83,7 @@ func TestWatchdogLadderEscalatesToFailoverAndBack(t *testing.T) {
 	r.eng.RunFor(time.Millisecond) // let the steering worker apply
 
 	r.nic.SetQueueStall(0, 0, true)
-	buf := r.mem.NewBuffer("p", 0, 1500)
+	buf := r.mem.NewBuffer(0, 1500)
 	sent := 0
 	var pump func()
 	pump = func() {
@@ -130,7 +130,7 @@ func TestWatchdogLadderEscalatesToFailoverAndBack(t *testing.T) {
 func TestWatchdogPollerFallbackAndReenter(t *testing.T) {
 	r := newDrvRig(t)
 	r.nic.LoadFirmware(nic.NewOctoFirmware(r.nic, false))
-	params := DefaultParams()
+	var params Params
 	params.WatchdogInterval = 100 * time.Microsecond
 	d := NewOcto(r.k, r.mem, r.nic, "octo0", params, DatapathBusyPoll)
 	d.Bind(r.st)
@@ -181,7 +181,7 @@ func TestWatchdogPollerFallbackAndReenter(t *testing.T) {
 func TestDormantPollerWakesOnDeliveryDuringFallback(t *testing.T) {
 	r := newDrvRig(t)
 	r.nic.LoadFirmware(nic.NewOctoFirmware(r.nic, false))
-	params := DefaultParams()
+	var params Params
 	params.WatchdogInterval = 100 * time.Microsecond
 	d := NewOcto(r.k, r.mem, r.nic, "octo0", params, DatapathBusyPoll)
 	d.Bind(r.st)
@@ -214,7 +214,7 @@ func TestDormantPollerWakesOnDeliveryDuringFallback(t *testing.T) {
 	}
 
 	bursts := d.pmd.bursts
-	buf := r.mem.NewBuffer("p", 0, 1500)
+	buf := r.mem.NewBuffer(0, 1500)
 	r.k.Spawn("tx", qp.core, func(th *kernel.Thread) {
 		d.Xmit(th, &netstack.Packet{
 			Flow:    eth.FiveTuple{SrcIP: 1, DstIP: 2, SrcPort: 1, DstPort: 80, Proto: eth.ProtoTCP},

@@ -15,11 +15,6 @@ import (
 // MAC is an Ethernet address.
 type MAC [6]byte
 
-// String formats the MAC conventionally.
-func (m MAC) String() string {
-	return fmt.Sprintf("%02x:%02x:%02x:%02x:%02x:%02x", m[0], m[1], m[2], m[3], m[4], m[5])
-}
-
 // MACFromInt derives a locally administered MAC from an integer id.
 func MACFromInt(id uint64) MAC {
 	return MAC{0x02, byte(id >> 32), byte(id >> 24), byte(id >> 16), byte(id >> 8), byte(id)}
@@ -94,8 +89,6 @@ type Frame struct {
 	Packets int
 	// Seq is a per-flow sequence number for ordering checks.
 	Seq uint64
-	// SentAt timestamps wire entry, for latency measurement.
-	SentAt sim.Time
 	// Meta carries simulation-side context (e.g. message ids).
 	Meta any
 
@@ -173,8 +166,6 @@ func SegmentPackets(payload int64) int {
 type Port interface {
 	// Receive ingests a frame; called when the last bit arrives.
 	Receive(f *Frame)
-	// PortMAC is the primary address of the port (switch learning).
-	PortMAC() MAC
 }
 
 // FaultFilter inspects a frame about to enter a wire direction and
@@ -190,7 +181,6 @@ type FaultFilter func(f *Frame) bool
 // Wire is a point-to-point full-duplex cable. Each direction is an
 // independent bandwidth pipe.
 type Wire struct {
-	eng  *sim.Engine
 	a, b Port
 	ab   *sim.Pipe
 	ba   *sim.Pipe
@@ -199,8 +189,6 @@ type Wire struct {
 	// compare per Send.
 	abFilter FaultFilter
 	baFilter FaultFilter
-	abDrops  uint64
-	baDrops  uint64
 }
 
 // Every cable is a 100GbE wire: its bandwidth and propagation latency.
@@ -218,7 +206,7 @@ func NewWire(e *sim.Engine, name string, a, b Port) *Wire {
 			BaseLatency: wireLatency,
 		})
 	}
-	return &Wire{eng: e, a: a, b: b, ab: mk(":a>b"), ba: mk(":b>a")}
+	return &Wire{a: a, b: b, ab: mk(":a>b"), ba: mk(":b>a")}
 }
 
 // SetFaultFilter installs (or, with nil, removes) a loss/corruption
@@ -232,15 +220,6 @@ func (w *Wire) SetFaultFilter(from Port, filt FaultFilter) {
 	default:
 		panic("eth: SetFaultFilter from a port not on this wire")
 	}
-}
-
-// FaultDrops returns frames dropped by the filter on the direction out
-// of `from`.
-func (w *Wire) FaultDrops(from Port) uint64 {
-	if from == w.a {
-		return w.abDrops
-	}
-	return w.baDrops
 }
 
 // Pipe exposes the bandwidth pipe of the direction out of `from`
@@ -258,20 +237,15 @@ func (w *Wire) Send(from Port, f *Frame) {
 	var pipe *sim.Pipe
 	var to Port
 	var filt FaultFilter
-	var drops *uint64
 	switch from {
 	case w.a:
-		pipe, to = w.ab, w.b
-		filt, drops = w.abFilter, &w.abDrops
+		pipe, to, filt = w.ab, w.b, w.abFilter
 	case w.b:
-		pipe, to = w.ba, w.a
-		filt, drops = w.baFilter, &w.baDrops
+		pipe, to, filt = w.ba, w.a, w.baFilter
 	default:
 		panic("eth: Send from a port not on this wire")
 	}
-	f.SentAt = w.eng.Now()
 	if filt != nil && filt(f) {
-		*drops++
 		f.Release()
 		return
 	}
@@ -283,12 +257,4 @@ func (w *Wire) Send(from Port, f *Frame) {
 		return
 	}
 	pipe.Transfer(f.WireBytes(), func() { to.Receive(f) })
-}
-
-// Utilization returns the utilization of the direction out of `from`.
-func (w *Wire) Utilization(from Port) float64 {
-	if from == w.a {
-		return w.ab.Utilization()
-	}
-	return w.ba.Utilization()
 }

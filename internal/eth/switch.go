@@ -1,7 +1,6 @@
 package eth
 
 import (
-	"fmt"
 	"time"
 
 	"ioctopus/internal/sim"
@@ -15,13 +14,11 @@ import (
 // particular member link.
 type Switch struct {
 	eng     *sim.Engine
-	name    string
 	latency time.Duration
 	ports   []*switchPort
 	fdb     map[MAC]int // MAC -> port index (or LAG id via lagOf)
 	lags    map[int][]int
 	lagOf   map[int]int // member port -> LAG id
-	flooded uint64
 }
 
 type switchPort struct {
@@ -33,14 +30,10 @@ type switchPort struct {
 // Receive ingests a frame arriving at this switch port.
 func (p *switchPort) Receive(f *Frame) { p.sw.forward(p.idx, f) }
 
-// PortMAC returns a per-port switch address (not used for forwarding).
-func (p *switchPort) PortMAC() MAC { return MACFromInt(uint64(0x5157)<<16 | uint64(p.idx)) }
-
 // NewSwitch builds a switch with the given forwarding latency.
-func NewSwitch(e *sim.Engine, name string, latency time.Duration) *Switch {
+func NewSwitch(e *sim.Engine, latency time.Duration) *Switch {
 	return &Switch{
 		eng:     e,
-		name:    name,
 		latency: latency,
 		fdb:     make(map[MAC]int),
 		lags:    make(map[int][]int),
@@ -78,7 +71,6 @@ func (s *Switch) forward(inPort int, f *Frame) {
 	s.eng.After(s.latency, func() {
 		out, ok := s.fdb[f.Dst]
 		if !ok || f.Dst == Broadcast {
-			s.flooded++
 			for i, p := range s.ports {
 				if i == inPort {
 					continue
@@ -99,12 +91,4 @@ func (s *Switch) forward(inPort int, f *Frame) {
 		}
 		s.ports[out].wire.Send(s.ports[out], f)
 	})
-}
-
-// Flooded returns how many frames were flooded (unknown destination).
-func (s *Switch) Flooded() uint64 { return s.flooded }
-
-// String describes the switch.
-func (s *Switch) String() string {
-	return fmt.Sprintf("switch %s (%d ports, %d LAGs)", s.name, len(s.ports), len(s.lags))
 }

@@ -117,8 +117,8 @@ func runAblationSG(d Durations) *Result {
 			}
 			// Page-cache pages interleaved across nodes (the corner
 			// case of §3.3).
-			page0 := cl.Server.Mem.NewBuffer("pages0", 0, 32*1024)
-			page1 := cl.Server.Mem.NewBuffer("pages1", 1, 32*1024)
+			page0 := cl.Server.Mem.NewBuffer(0, 32*1024)
+			page1 := cl.Server.Mem.NewBuffer(1, 32*1024)
 			for {
 				sock.SendFrags(th, []netstack.Frag{
 					{Buf: page0, Bytes: 32 * 1024},

@@ -78,12 +78,12 @@ func measureBondRx(d Durations) (gbps, memGbps float64) {
 			Name: name, Gen: pcie.Gen3, TotalLanes: 8,
 			Wiring: pcie.WiringDirect, Nodes: []topology.NodeID{node},
 		})
-		n := nic.New(eng, srv.Mem, name, eps, nic.DefaultCoalesceDelay)
+		n := nic.New(eng, name, eps, nic.DefaultCoalesceDelay)
 		n.LoadFirmware(nic.NewStandardFirmware(n))
 		return n
 	}
 	n0, n1 := mk("sep0", 0), mk("sep1", 1)
-	sw := eth.NewSwitch(eng, "tor", 500*time.Nanosecond)
+	sw := eth.NewSwitch(eng, 500*time.Nanosecond)
 	n0.AttachWire(sw.ConnectWire("s0", n0))
 	n1.AttachWire(sw.ConnectWire("s1", n1))
 	sw.AggregateLinks(1, []int{0, 1})
@@ -92,9 +92,8 @@ func measureBondRx(d Durations) (gbps, memGbps float64) {
 	clientNIC.AttachWire(sw.ConnectWire("c", clientNIC))
 
 	// Drivers + bond on the server.
-	drvP := driver.DefaultParams()
-	d0 := driver.NewStandard(srv.Kernel, srv.Mem, n0.PF(0), "sep-eth0", drvP, driver.DatapathInterrupt)
-	d1 := driver.NewStandard(srv.Kernel, srv.Mem, n1.PF(0), "sep-eth1", drvP, driver.DatapathInterrupt)
+	d0 := driver.NewStandard(srv.Kernel, srv.Mem, n0.PF(0), "sep-eth0", driver.Params{}, driver.DatapathInterrupt)
+	d1 := driver.NewStandard(srv.Kernel, srv.Mem, n1.PF(0), "sep-eth1", driver.Params{}, driver.DatapathInterrupt)
 	d0.Bind(srv.Stack)
 	d1.Bind(srv.Stack)
 	bond := driver.NewBond("bond0", d0, d1)

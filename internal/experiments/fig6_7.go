@@ -24,7 +24,7 @@ func runFig6(d Durations) *Result {
 	t := metrics.NewTable("Figure 6",
 		"msg", "local Gb/s", "ioct Gb/s", "remote Gb/s", "ioct/remote",
 		"local memGb/s", "remote memGb/s", "local cpu", "remote cpu")
-	var big struct{ local, ioct, remote, remoteMem streamOut }
+	var big struct{ local, ioct, remote streamOut }
 	cfgs := []config{cfgLocal, cfgIOct, cfgRemote}
 	rows := grid(len(streamSizes), len(cfgs), func(o, i int) streamOut {
 		return measureStream(cfgs[i], streamSizes[o], workloads.Rx, 1, 0, d)

@@ -16,17 +16,6 @@ const (
 	cfgIOct
 )
 
-func (c config) String() string {
-	switch c {
-	case cfgLocal:
-		return "local"
-	case cfgRemote:
-		return "remote"
-	default:
-		return "ioct"
-	}
-}
-
 // clusterFor builds the testbed for a configuration. Under local and
 // remote the NIC runs the standard firmware and the workload uses the
 // PF0 netdevice; the difference is which socket the workload (and its

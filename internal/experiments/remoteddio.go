@@ -25,7 +25,7 @@ func runAblationRemoteDDIO(d Durations) *Result {
 		cfg := core.Config{Mode: core.ModeStandard}
 		if ringsOnNICNode {
 			// Rings on the NIC's node 0; pktgen runs on node 1.
-			cfg.DriverParams = &driver.Params{CompRingNode: 0}
+			cfg.DriverParams = driver.Params{RemoteDDIO: true}
 		}
 		cl := core.NewCluster(cfg)
 		defer cl.Drain()

@@ -38,18 +38,18 @@ func newDevRig(t *testing.T) *devRig {
 		Name: "cx5", Gen: pcie.Gen3, TotalLanes: 16,
 		Wiring: pcie.WiringBifurcated, Nodes: []topology.NodeID{0, 1},
 	})
-	n := nic.New(e, mem, "cx5", eps, nic.DefaultCoalesceDelay)
+	n := nic.New(e, "cx5", eps, nic.DefaultCoalesceDelay)
 	fw := nic.NewOctoFirmware(n, false)
 	n.LoadFirmware(fw)
 	pf0 := n.PF(0)
 	var bufs []*memsys.Buffer
 	for i := 0; i < 8; i++ {
-		bufs = append(bufs, mem.NewBuffer("rxbuf", 0, 64*1024))
+		bufs = append(bufs, mem.NewBuffer(0, 64*1024))
 	}
-	pf0.AddRxQueue(device.NewRing(mem, "rxc", 0, 1024, 64), bufs, 0, nil)
-	pf0.AddTxQueue(device.NewRing(mem, "txd", 0, 1024, 64), device.NewRing(mem, "txc", 0, 1024, 64), 0, nil)
+	pf0.AddRxQueue(device.NewRing(mem, 0, 1024, 64), bufs, 0, nil)
+	pf0.AddTxQueue(device.NewRing(mem, 0, 1024, 64), device.NewRing(mem, 0, 1024, 64), 0, nil)
 	k := kernel.New(e, topo, mem)
-	p := k.Core(0).StartPoller("test", func() (time.Duration, bool) { return time.Microsecond, false })
+	p := k.Core(0).StartPoller(func() (time.Duration, bool) { return time.Microsecond, false })
 	return &devRig{eng: e, nic: n, fw: fw, k: k, poller: p}
 }
 
@@ -191,8 +191,8 @@ func TestDeviceFaultsArmAndFire(t *testing.T) {
 	}
 
 	r.eng.RunFor(2 * time.Millisecond) // t=2ms: mid-window
-	if r.fw.FlowCount() != 0 || r.nic.FwResets() != 1 {
-		t.Fatalf("fw reset did not bite: flows=%d resets=%d", r.fw.FlowCount(), r.nic.FwResets())
+	if r.fw.FlowCount() != 0 || inj.fwResets != 1 {
+		t.Fatalf("fw reset did not bite: flows=%d resets=%d", r.fw.FlowCount(), inj.fwResets)
 	}
 	if !r.nic.PF(0).RxQueues()[0].Stalled() {
 		t.Fatal("queue pair should be stalled mid-window")

@@ -424,8 +424,7 @@ func (ds *dirState) filter(f *eth.Frame) bool {
 // Injector is an armed plan: the scheduled events plus the counters
 // they bump as they fire.
 type Injector struct {
-	plan *Plan
-	tg   Targets
+	tg Targets
 
 	c2s, s2c *dirState
 
@@ -452,7 +451,7 @@ func Arm(plan *Plan, tg Targets) (*Injector, error) {
 	if err := plan.Validate(tg); err != nil {
 		return nil, err
 	}
-	inj := &Injector{plan: plan, tg: tg}
+	inj := &Injector{tg: tg}
 	root := sim.NewRNG(plan.Seed)
 	for i := range plan.Events {
 		ev := plan.Events[i] // copy: the closure must not alias the slice

@@ -3,6 +3,7 @@ package interconnect
 import (
 	"math"
 	"testing"
+	"time"
 
 	"ioctopus/internal/sim"
 	"ioctopus/internal/topology"
@@ -24,8 +25,9 @@ func TestFabricPipesExist(t *testing.T) {
 	if p01 == p10 {
 		t.Fatal("directions must be independent pipes")
 	}
-	if p01.Capacity() != 38.4e9 {
-		t.Fatalf("capacity = %v, want 38.4 GB/s", p01.Capacity())
+	// 38.4 MB serializes in 1 ms at the link's 38.4 GB/s.
+	if ser := p01.Latency(38_400_000) - p01.Latency(0); ser < 999*time.Microsecond || ser > 1001*time.Microsecond {
+		t.Fatalf("38.4 MB serializes in %v, want 1 ms at 38.4 GB/s", ser)
 	}
 }
 

@@ -48,7 +48,7 @@ func TestIdleCoreWakesThroughOneZeroDelayEvent(t *testing.T) {
 	var runAt, doneAt sim.Time
 	e.At(at, func() {
 		submitN = e.Executed
-		k.Core(3).Submit("w", func() time.Duration {
+		k.Core(3).Submit(func() time.Duration {
 			runN, runAt = e.Executed, e.Now()
 			return d
 		}, func() {
@@ -74,14 +74,14 @@ func TestDoneFiresInItsOwnEventAfterNextItemStarts(t *testing.T) {
 	var log []string
 	var aDoneN, bRunN uint64
 	e.At(e.Now(), func() {
-		c.Submit("a", func() time.Duration {
+		c.Submit(func() time.Duration {
 			log = append(log, "run a")
 			return time.Microsecond
 		}, func() {
 			aDoneN = e.Executed
 			log = append(log, "done a")
 		})
-		c.Submit("b", func() time.Duration {
+		c.Submit(func() time.Duration {
 			bRunN = e.Executed
 			log = append(log, "run b")
 			return time.Microsecond
@@ -107,7 +107,7 @@ func TestWorkQueuedBeforeStartRunsAtStart(t *testing.T) {
 	e, k := newKernel(t)
 	var runN uint64
 	runAt := sim.Time(-1)
-	k.Core(0).Submit("early", func() time.Duration {
+	k.Core(0).Submit(func() time.Duration {
 		runN, runAt = e.Executed, e.Now()
 		return time.Microsecond
 	}, nil)
@@ -129,7 +129,7 @@ func TestIRQPollerAndThreadItemsKeepFIFOOrder(t *testing.T) {
 	c := k.Core(0)
 	const at = sim.Time(10 * time.Microsecond)
 	var log []string
-	line := c.NewIRQLine("nic", func() time.Duration {
+	line := c.NewIRQLine(func() time.Duration {
 		log = append(log, "irq")
 		return time.Microsecond
 	})
@@ -137,7 +137,7 @@ func TestIRQPollerAndThreadItemsKeepFIFOOrder(t *testing.T) {
 	e.At(at, func() {
 		line.Raise()
 		var p *Poller
-		p = c.StartPoller("q", func() (time.Duration, bool) {
+		p = c.StartPoller(func() (time.Duration, bool) {
 			polls++
 			log = append(log, "poll")
 			if polls == 2 {
@@ -145,7 +145,7 @@ func TestIRQPollerAndThreadItemsKeepFIFOOrder(t *testing.T) {
 			}
 			return time.Microsecond, true
 		})
-		c.Submit("fixed", func() time.Duration {
+		c.Submit(func() time.Duration {
 			log = append(log, "fixed")
 			return time.Microsecond
 		}, nil)
@@ -180,26 +180,26 @@ func TestExecutedDeltasPerItem(t *testing.T) {
 		want   uint64
 	}{
 		// wake + completion
-		{"fixed item", func(e *sim.Engine, k *Kernel) { k.Core(2).SubmitFixed("w", time.Microsecond, nil) }, 2},
+		{"fixed item", func(e *sim.Engine, k *Kernel) { k.Core(2).SubmitFixed(time.Microsecond, nil) }, 2},
 		// wake + completion + done
-		{"fixed item with done", func(e *sim.Engine, k *Kernel) { k.Core(2).SubmitFixed("w", time.Microsecond, func() {}) }, 3},
+		{"fixed item with done", func(e *sim.Engine, k *Kernel) { k.Core(2).SubmitFixed(time.Microsecond, func() {}) }, 3},
 		// a zero-length item still completes in an event of its own
-		{"zero-length item", func(e *sim.Engine, k *Kernel) { k.Core(2).SubmitFixed("w", 0, func() {}) }, 3},
+		{"zero-length item", func(e *sim.Engine, k *Kernel) { k.Core(2).SubmitFixed(0, func() {}) }, 3},
 		{"irq line", func(e *sim.Engine, k *Kernel) {
-			k.Core(2).NewIRQLine("x", func() time.Duration { return time.Microsecond }).Raise()
+			k.Core(2).NewIRQLine(func() time.Duration { return time.Microsecond }).Raise()
 		}, 2},
 		{"stall", func(e *sim.Engine, k *Kernel) { k.Core(2).Stall(time.Microsecond) }, 2},
 		// one wake, then back to back: completion + done per item
 		{"two queued items", func(e *sim.Engine, k *Kernel) {
-			k.Core(2).SubmitFixed("a", time.Microsecond, func() {})
-			k.Core(2).SubmitFixed("b", time.Microsecond, func() {})
+			k.Core(2).SubmitFixed(time.Microsecond, func() {})
+			k.Core(2).SubmitFixed(time.Microsecond, func() {})
 		}, 5},
 		// three events per iteration that finds work: wake, completion,
 		// resubmitting done
 		{"poller, four iterations", func(e *sim.Engine, k *Kernel) {
 			n := 0
 			var p *Poller
-			p = k.Core(2).StartPoller("q", func() (time.Duration, bool) {
+			p = k.Core(2).StartPoller(func() (time.Duration, bool) {
 				if n++; n == 4 {
 					p.Stop()
 				}
@@ -242,7 +242,7 @@ func TestExecutedDeltasPerItem(t *testing.T) {
 // stops it after n iterations of 1µs.
 func idlePoller(n int) func(e *sim.Engine, k *Kernel) {
 	return func(e *sim.Engine, k *Kernel) {
-		p := k.Core(2).StartPoller("q", func() (time.Duration, bool) { return time.Microsecond, false })
+		p := k.Core(2).StartPoller(func() (time.Duration, bool) { return time.Microsecond, false })
 		e.At(e.Now().Add(time.Duration(n)*time.Microsecond), func() {
 			if got := p.Iterations(); got != uint64(n) {
 				panic(fmt.Sprintf("iterations = %d at the stop, want %d", got, n))
@@ -255,7 +255,7 @@ func idlePoller(n int) func(e *sim.Engine, k *Kernel) {
 func TestIdlePollerLedgerCountsIterationsAndBusyTime(t *testing.T) {
 	e, k := idleKernel(t)
 	c := k.Core(4)
-	p := c.StartPoller("q", func() (time.Duration, bool) { return 200 * time.Nanosecond, false })
+	p := c.StartPoller(func() (time.Duration, bool) { return 200 * time.Nanosecond, false })
 	base := e.Executed
 	e.Run(sim.Time(time.Millisecond))
 	// Between Run calls the iteration starting at the run's end counts:
@@ -284,10 +284,10 @@ func TestSecondPollerOnACoreKeepsBothLoopsAwake(t *testing.T) {
 	e, k := idleKernel(t)
 	c := k.Core(4)
 	empty := func() (time.Duration, bool) { return 200 * time.Nanosecond, false }
-	p1 := c.StartPoller("a", empty)
+	p1 := c.StartPoller(empty)
 	e.Run(sim.Time(time.Microsecond))
 	base := e.Executed
-	p2 := c.StartPoller("b", empty)
+	p2 := c.StartPoller(empty)
 	e.Run(sim.Time(11 * time.Microsecond))
 	// The loops take turns, so neither keeps a ledger: they alternate
 	// event by event, 200ns at a time. An iteration costs two events,

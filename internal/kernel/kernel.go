@@ -76,8 +76,8 @@ func (k *Kernel) NumCores() int { return len(k.cores) }
 
 // Alloc allocates a buffer on the given NUMA node (the first-touch /
 // local allocation policy production kernels use, §2.1).
-func (k *Kernel) Alloc(name string, node topology.NodeID, size int64) *memsys.Buffer {
-	return k.mem.NewBuffer(name, node, size)
+func (k *Kernel) Alloc(node topology.NodeID, size int64) *memsys.Buffer {
+	return k.mem.NewBuffer(node, size)
 }
 
 // OnMigrate registers a hook invoked after a thread migrates between
@@ -90,7 +90,6 @@ func (k *Kernel) OnMigrate(hook func(t *Thread, from, to topology.CoreID)) {
 // the core picks it up and returns how long the core is occupied; done
 // (optional) fires when that time has elapsed.
 type coreWork struct {
-	name string
 	run  func() time.Duration
 	done func()
 }
@@ -135,12 +134,6 @@ type Core struct {
 	dispatchFn func() // cached c.dispatch: the start and wake events
 	completeFn func() // cached c.complete: the completion event
 }
-
-// ID returns the core id.
-func (c *Core) ID() topology.CoreID { return c.id }
-
-// Node returns the core's NUMA node.
-func (c *Core) Node() topology.NodeID { return c.node }
 
 // BusyTime returns accumulated execution time, counting a dormant
 // poll loop's iterations so far.
@@ -200,13 +193,13 @@ func (c *Core) complete() {
 // Submit enqueues work whose duration is computed when it starts
 // running (so memory-system charges happen at execution time). done
 // fires when it completes.
-func (c *Core) Submit(name string, run func() time.Duration, done func()) {
-	c.enqueue(coreWork{name: name, run: run, done: done})
+func (c *Core) Submit(run func() time.Duration, done func()) {
+	c.enqueue(coreWork{run: run, done: done})
 }
 
 // SubmitFixed enqueues work of a known duration.
-func (c *Core) SubmitFixed(name string, d time.Duration, done func()) {
-	c.Submit(name, func() time.Duration { return d }, done)
+func (c *Core) SubmitFixed(d time.Duration, done func()) {
+	c.Submit(func() time.Duration { return d }, done)
 }
 
 // Stall occupies the core with non-preemptible busywork for the given
@@ -218,7 +211,7 @@ func (c *Core) Stall(d time.Duration) {
 	if d <= 0 {
 		return
 	}
-	c.SubmitFixed("fault:stall", d, nil)
+	c.SubmitFixed(d, nil)
 }
 
 // IRQLine is a prepared interrupt vector — the MSI-X table entry a
@@ -226,24 +219,23 @@ func (c *Core) Stall(d time.Duration) {
 // to its core: the handler runs, after the IRQ entry cost, in FIFO
 // order behind the core's queued work. Interrupts preempt in real
 // kernels; FIFO placement is close enough at the interrupt rates the
-// model produces (coalesced NAPI). The name string and the entry-cost
-// wrapper are built once when the driver wires its queues, so raising
-// an interrupt on the hot path allocates nothing.
+// model produces (coalesced NAPI). The entry-cost wrapper is built
+// once when the driver wires its queues, so raising an interrupt on
+// the hot path allocates nothing.
 type IRQLine struct {
 	c       *Core
-	name    string
 	handler func() time.Duration
 	run     func() time.Duration
 }
 
 // NewIRQLine prepares an interrupt vector targeting this core.
-func (c *Core) NewIRQLine(name string, handler func() time.Duration) *IRQLine {
-	l := &IRQLine{c: c, name: "irq:" + name, handler: handler}
+func (c *Core) NewIRQLine(handler func() time.Duration) *IRQLine {
+	l := &IRQLine{c: c, handler: handler}
 	l.run = func() time.Duration { return irqEntry + l.handler() }
 	return l
 }
 
 // Raise delivers the interrupt.
 func (l *IRQLine) Raise() {
-	l.c.enqueue(coreWork{name: l.name, run: l.run})
+	l.c.enqueue(coreWork{run: l.run})
 }

@@ -22,16 +22,13 @@ func newKernel(t *testing.T) (*sim.Engine, *Kernel) {
 func TestSpawnAndExec(t *testing.T) {
 	e, k := newKernel(t)
 	var end sim.Time
-	th := k.Spawn("worker", 3, func(t *Thread) {
+	k.Spawn("worker", 3, func(t *Thread) {
 		t.Exec(100 * time.Microsecond)
 		end = t.Now()
 	})
 	e.RunUntilIdle()
 	if end != sim.Time(100*time.Microsecond) {
 		t.Fatalf("end = %v, want 100us", end)
-	}
-	if th.CPUTime() != 100*time.Microsecond {
-		t.Fatalf("cpu time = %v", th.CPUTime())
 	}
 	if k.Core(3).BusyTime() != 100*time.Microsecond {
 		t.Fatalf("core busy = %v", k.Core(3).BusyTime())
@@ -89,8 +86,9 @@ func TestThreadNodeTracksCore(t *testing.T) {
 	if nodes[0] != 0 || nodes[1] != 1 {
 		t.Fatalf("nodes = %v, want [0 1]", nodes)
 	}
-	if th.Migrations() != 1 {
-		t.Fatalf("migrations = %d", th.Migrations())
+	// The migration charged the destination core one context switch.
+	if got := k.Core(20).BusyTime(); got != ContextSwitch {
+		t.Fatalf("core 20 busy = %v, want one context switch (%v)", got, ContextSwitch)
 	}
 	e.Drain()
 }
@@ -115,7 +113,7 @@ func TestSetAffinitySameCoreIsNoop(t *testing.T) {
 	th := k.Spawn("p", 5, func(t *Thread) { t.Sleep(time.Millisecond) })
 	e.After(10*time.Microsecond, func() { k.SetAffinity(th, 5) })
 	e.RunUntilIdle()
-	if fired || th.Migrations() != 0 {
+	if fired || k.Core(5).BusyTime() != 0 {
 		t.Fatal("same-core SetAffinity should be a no-op")
 	}
 	e.Drain()
@@ -141,7 +139,7 @@ func TestExecFnPricesAtRunTime(t *testing.T) {
 func TestIRQCostsEntryPlusHandler(t *testing.T) {
 	e, k := newKernel(t)
 	c := k.Core(0)
-	c.NewIRQLine("nic", func() time.Duration { return 700 * time.Nanosecond }).Raise()
+	c.NewIRQLine(func() time.Duration { return 700 * time.Nanosecond }).Raise()
 	e.RunUntilIdle()
 	want := irqEntry + 700*time.Nanosecond
 	if c.BusyTime() != want {
@@ -155,8 +153,8 @@ func TestSubmitFixed(t *testing.T) {
 	c := k.Core(1)
 	done := 0
 	e.At(0, func() {
-		c.SubmitFixed("a", time.Microsecond, func() { done++ })
-		c.SubmitFixed("b", time.Microsecond, func() { done++ })
+		c.SubmitFixed(time.Microsecond, func() { done++ })
+		c.SubmitFixed(time.Microsecond, func() { done++ })
 	})
 	e.RunUntilIdle()
 	if done != 2 {
@@ -167,7 +165,7 @@ func TestSubmitFixed(t *testing.T) {
 
 func TestAllocIsNodeHomed(t *testing.T) {
 	e, k := newKernel(t)
-	b := k.Alloc("buf", 1, 4096)
+	b := k.Alloc(1, 4096)
 	if b.Home() != 1 {
 		t.Fatalf("home = %d, want 1", b.Home())
 	}

@@ -34,7 +34,6 @@ import (
 // stretch (DESIGN.md §9).
 type Poller struct {
 	c       *Core
-	name    string
 	body    func() (time.Duration, bool)
 	run     func() time.Duration // cached dispatch wrapper
 	resub   func()               // cached self-resubmission
@@ -68,8 +67,8 @@ var sharedCore = new(Poller)
 // must have changed nothing that a later iteration reads: until Wake,
 // the loop assumes every iteration finds nothing and costs the same.
 // The loop runs until Stop.
-func (c *Core) StartPoller(name string, body func() (time.Duration, bool)) *Poller {
-	p := &Poller{c: c, name: "pmd:" + name, body: body}
+func (c *Core) StartPoller(body func() (time.Duration, bool)) *Poller {
+	p := &Poller{c: c, body: body}
 	p.run = func() time.Duration {
 		if p.stopped {
 			return 0
@@ -101,7 +100,7 @@ func (c *Core) StartPoller(name string, body func() (time.Duration, bool)) *Poll
 		if p.stopped {
 			return
 		}
-		c.enqueue(coreWork{name: p.name, run: p.run, done: p.resub})
+		c.enqueue(coreWork{run: p.run, done: p.resub})
 	}
 	if c.poller == nil {
 		c.poller = p

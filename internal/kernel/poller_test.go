@@ -95,7 +95,7 @@ func runPinnedPollLoop(t *testing.T, seed int64) string {
 	rng := sim.NewRNG(seed)
 	var log strings.Builder
 	r := &fakeRing{e: e, c: k.Core(5), log: &log}
-	r.p = r.c.StartPoller("ring", r.poll)
+	r.p = r.c.StartPoller(r.poll)
 
 	const (
 		grid    = 2000 // run length in pollCost steps
@@ -148,7 +148,7 @@ func runPinnedPollLoop(t *testing.T, seed int64) string {
 		name := fmt.Sprintf("s%d", i)
 		d := pollCost * time.Duration(1+rng.Intn(3))
 		hops(e, at(1), rng.Intn(3), func() {
-			r.c.Submit(name, func() time.Duration {
+			r.c.Submit(func() time.Duration {
 				fmt.Fprintf(&log, "run %s t=%d\n", name, e.Now())
 				return d
 			}, func() {

@@ -13,32 +13,21 @@ import (
 // thread's current core with softirq and worker activity.
 type Thread struct {
 	k    *Kernel
-	name string
 	core *Core
 	proc *sim.Proc
 
-	migrations int
-	cpuTime    time.Duration
-
-	// Exec/ExecFn scratch. A thread has at most one Exec in flight
-	// (Submit then Yield until completion), so the wrapper closures can
-	// be built once at Spawn and reused for every call instead of
+	// Exec scratch. A thread has at most one Exec in flight (Submit
+	// then Yield until completion), so the fixed-cost closure can be
+	// built once at Spawn and reused for every call instead of
 	// allocating per Exec on the hot path.
-	execRun   func() time.Duration // caller's fn for the in-flight ExecFn
-	execTook  time.Duration
 	execDur   time.Duration        // fixed duration for Exec
-	execWrap  func() time.Duration // cached: runs execRun, records execTook
 	execFixed func() time.Duration // cached: returns execDur
 }
 
 // Spawn creates a thread pinned initially to the given core and starts
 // fn on it.
 func (k *Kernel) Spawn(name string, core topology.CoreID, fn func(t *Thread)) *Thread {
-	t := &Thread{k: k, name: name, core: k.Core(core)}
-	t.execWrap = func() time.Duration {
-		t.execTook = t.execRun()
-		return t.execTook
-	}
+	t := &Thread{k: k, core: k.Core(core)}
 	t.execFixed = func() time.Duration { return t.execDur }
 	t.proc = k.eng.Go(fmt.Sprintf("thread:%s", name), func(p *sim.Proc) {
 		fn(t)
@@ -46,20 +35,11 @@ func (k *Kernel) Spawn(name string, core topology.CoreID, fn func(t *Thread)) *T
 	return t
 }
 
-// Name returns the thread name.
-func (t *Thread) Name() string { return t.name }
-
 // Core returns the thread's current core id.
 func (t *Thread) Core() topology.CoreID { return t.core.id }
 
 // Node returns the NUMA node of the thread's current core.
 func (t *Thread) Node() topology.NodeID { return t.core.node }
-
-// Migrations returns how many times the thread has moved cores.
-func (t *Thread) Migrations() int { return t.migrations }
-
-// CPUTime returns the thread's accumulated execution time.
-func (t *Thread) CPUTime() time.Duration { return t.cpuTime }
 
 // Proc exposes the underlying sim process for queue/signal waits.
 func (t *Thread) Proc() *sim.Proc { return t.proc }
@@ -78,12 +58,10 @@ func (t *Thread) Exec(d time.Duration) {
 // the cost involves memory-system charges that must be priced when the
 // core actually runs the work.
 func (t *Thread) ExecFn(run func() time.Duration) {
-	c := t.core // bind at submit: migration moves subsequent work only
-	t.execRun = run
-	c.Submit(t.name, t.execWrap, t.proc.ResumeFunc())
+	// Bound to the current core at submit: a migration moves only
+	// later work.
+	t.core.Submit(run, t.proc.ResumeFunc())
 	t.proc.Yield()
-	t.execRun = nil
-	t.cpuTime += t.execTook
 }
 
 // Sleep blocks the thread without consuming CPU.
@@ -103,8 +81,7 @@ func (k *Kernel) SetAffinity(t *Thread, core topology.CoreID) {
 	}
 	from := t.core.id
 	t.core = dst
-	t.migrations++
-	dst.SubmitFixed("migrate:"+t.name, ContextSwitch, nil)
+	dst.SubmitFixed(ContextSwitch, nil)
 	for _, h := range k.migrateHooks {
 		h(t, from, core)
 	}

@@ -107,11 +107,10 @@ func checkFinalWrites(pass *lint.Pass, fd *ast.FuncDecl) {
 		return
 	}
 	type varFacts struct {
-		lastWrite  ast.Node
-		lastRead   token.Pos
-		skip       bool
-		namedRet   bool
-		writeCount int
+		lastWrite ast.Node
+		lastRead  token.Pos
+		skip      bool
+		namedRet  bool
 	}
 	facts := map[types.Object]*varFacts{}
 	get := func(obj types.Object) *varFacts {
@@ -161,7 +160,6 @@ func checkFinalWrites(pass *lint.Pass, fd *ast.FuncDecl) {
 							f.skip = true
 						}
 						f.lastWrite = n
-						f.writeCount++
 						walk(n.Rhs[0])
 						return
 					}

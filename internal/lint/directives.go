@@ -29,10 +29,9 @@ const directivePrefix = "//octolint:allow"
 const DirectiveRule = "directive"
 
 type directive struct {
-	pos    token.Position
-	rule   string
-	reason string
-	used   bool
+	pos  token.Position
+	rule string
+	used bool
 }
 
 // parseDirectives extracts every octolint directive from a file.
@@ -63,11 +62,7 @@ func parseDirectives(fset *token.FileSet, f *ast.File, report func(Diagnostic)) 
 					Message: "octolint:allow " + fields[0] + " has no justification; write //octolint:allow " + fields[0] + " <reason>"})
 				continue
 			}
-			ds = append(ds, &directive{
-				pos:    pos,
-				rule:   fields[0],
-				reason: strings.Join(fields[1:], " "),
-			})
+			ds = append(ds, &directive{pos: pos, rule: fields[0]})
 		}
 	}
 	return ds

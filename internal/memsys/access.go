@@ -204,7 +204,7 @@ func (s *System) DeviceWrite(devNode topology.NodeID, b *Buffer, n int64) time.D
 		got := nm.llc.insert(s, devNode, b, grow, true, now)
 		if spill := grow - got; spill > 0 {
 			// DDIO ways exhausted: the remainder lands in DRAM.
-			cost += s.dramWrite(devNode, b.home, spill, s.topo.Socket(b.home).DRAM.BytesPerSec, false)
+			cost += s.dramWrite(devNode, b.home, spill, s.topo.Socket(b.home).DRAM.BytesPerSec)
 			s.node(b.home).stats.DRAMReadBytes += float64(spill)
 			s.node(b.home).memctl.Charge(spill)
 		}
@@ -216,7 +216,7 @@ func (s *System) DeviceWrite(devNode topology.NodeID, b *Buffer, n int64) time.D
 	if b.node != topology.NoNode {
 		s.invalidate(b)
 	}
-	cost := s.dramWrite(devNode, b.home, n, s.topo.Socket(b.home).DRAM.BytesPerSec, false)
+	cost := s.dramWrite(devNode, b.home, n, s.topo.Socket(b.home).DRAM.BytesPerSec)
 	// Home-agent ownership read accompanying the write: with the write
 	// itself and the consumer's later miss, the 3x memory traffic of
 	// Fig 6.

@@ -7,16 +7,13 @@ import (
 	"ioctopus/internal/topology"
 )
 
-// Buffer is a named region of memory with a DRAM home node and tracked
+// Buffer is a region of memory with a DRAM home node and tracked
 // cache residency: descriptor rings, packet buffers, user buffers,
 // completion queues. A buffer is resident in at most one LLC at a time —
 // the producer/consumer patterns of the modelled workloads never share a
 // buffer read-write between sockets for long, and migration cost is
 // charged when residency moves.
 type Buffer struct {
-	sys  *System
-	id   int
-	name string
 	home topology.NodeID
 	size int64
 
@@ -38,24 +35,17 @@ type Buffer struct {
 }
 
 // NewBuffer allocates a buffer homed on the given node, uncached.
-func (s *System) NewBuffer(name string, home topology.NodeID, size int64) *Buffer {
+func (s *System) NewBuffer(home topology.NodeID, size int64) *Buffer {
 	if size <= 0 {
-		panic(fmt.Sprintf("memsys: buffer %q needs positive size", name))
+		panic(fmt.Sprintf("memsys: buffer on node %d needs positive size, got %d", home, size))
 	}
 	s.node(home) // validate
-	s.nextID++
 	return &Buffer{
-		sys:  s,
-		id:   s.nextID,
-		name: name,
 		home: home,
 		size: size,
 		node: topology.NoNode,
 	}
 }
-
-// Name returns the buffer's name.
-func (b *Buffer) Name() string { return b.name }
 
 // Home returns the buffer's DRAM home node.
 func (b *Buffer) Home() topology.NodeID { return b.home }

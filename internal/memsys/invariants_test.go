@@ -25,10 +25,10 @@ func applyOps(ops []op) (*System, []*Buffer) {
 	fab := interconnect.New(e, srv)
 	s := New(e, srv, fab, true)
 	bufs := []*Buffer{
-		s.NewBuffer("a", 0, 4096),
-		s.NewBuffer("b", 0, 64*1024),
-		s.NewBuffer("c", 1, 4096),
-		s.NewBuffer("d", 1, 2*1024*1024),
+		s.NewBuffer(0, 4096),
+		s.NewBuffer(0, 64*1024),
+		s.NewBuffer(1, 4096),
+		s.NewBuffer(1, 2*1024*1024),
 	}
 	for _, o := range ops {
 		b := bufs[int(o.Buf)%len(bufs)]
@@ -110,7 +110,7 @@ func TestCostsAreNonNegative(t *testing.T) {
 		srv := topology.DualBroadwell()
 		fab := interconnect.New(e, srv)
 		s := New(e, srv, fab, true)
-		b := s.NewBuffer("x", 0, 64*1024)
+		b := s.NewBuffer(0, 64*1024)
 		prev := 0.0
 		for _, o := range ops {
 			node := topology.NodeID(o.Node % 2)

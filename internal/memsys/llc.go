@@ -167,7 +167,6 @@ func (l *llc) touch(b *Buffer, now sim.Time) {
 type lruList struct {
 	head, tail *Buffer
 	used       int64
-	count      int
 }
 
 func (l *lruList) pushFront(b *Buffer) {
@@ -180,7 +179,6 @@ func (l *lruList) pushFront(b *Buffer) {
 	if l.tail == nil {
 		l.tail = b
 	}
-	l.count++
 }
 
 // remove detaches b and releases its occupancy.
@@ -199,7 +197,6 @@ func (l *lruList) remove(b *Buffer) {
 	if l.used < 0 {
 		l.used = 0
 	}
-	l.count--
 	b.prev, b.next = nil, nil
 }
 

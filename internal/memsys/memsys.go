@@ -16,7 +16,7 @@
 //     (LLC, local DRAM, remote DRAM) and by current contention on the
 //     memory controllers and interconnect.
 //
-// Residency is tracked per Buffer (a named region: a ring, a packet
+// Residency is tracked per Buffer (a region: a ring, a packet
 // buffer, a user buffer) rather than per cache line; the workloads the
 // paper runs touch buffers as units, so this granularity reproduces the
 // measured effects with tractable event counts.
@@ -77,8 +77,7 @@ type System struct {
 	nodes  []*nodeMem
 	// ddio enables Data Direct I/O (§2.2); Figure 9's llnd
 	// configuration turns it off.
-	ddio   bool
-	nextID int
+	ddio bool
 }
 
 // New builds the memory system for a server over its interconnect
@@ -105,9 +104,6 @@ func New(e *sim.Engine, srv *topology.Server, fabric *interconnect.Fabric, ddio 
 // Fabric returns the interconnect the system charges remote traffic to.
 func (s *System) Fabric() *interconnect.Fabric { return s.fabric }
 
-// Topology returns the hardware description.
-func (s *System) Topology() *topology.Server { return s.topo }
-
 // MemCtl returns the memory-controller pipe of a node, letting bulk
 // workloads (STREAM, PageRank) register fluid flows against it.
 func (s *System) MemCtl(n topology.NodeID) *sim.Pipe { return s.node(n).memctl }
@@ -127,9 +123,6 @@ func (s *System) AddLLCPressure(n topology.NodeID, bps float64) (release func())
 	l.pollutionBps += bps
 	return func() { l.pollutionBps -= bps }
 }
-
-// Stats returns a node's counters.
-func (s *System) Stats(n topology.NodeID) NodeStats { return s.node(n).stats }
 
 // TotalDRAMBytes returns DRAM read+write bytes across all nodes.
 func (s *System) TotalDRAMBytes() float64 {
@@ -185,35 +178,22 @@ func (s *System) dramRead(reqNode, home topology.NodeID, n int64, baseBW float64
 	return lat + time.Duration(float64(n)/rate*1e9)
 }
 
-// dramWrite charges a DRAM write of n bytes at home, issued from
+// dramWrite charges a DMA write of n bytes at home, issued from
 // reqNode. Writes are posted: the returned latency is the controller's
-// (inflated) accept latency plus serialization at the effective rate.
-func (s *System) dramWrite(reqNode, home topology.NodeID, n int64, baseBW float64, cpu bool) time.Duration {
+// (inflated) accept latency plus serialization at the discrete
+// bandwidth share of the resources the write traverses.
+func (s *System) dramWrite(reqNode, home topology.NodeID, n int64, baseBW float64) time.Duration {
 	nm := s.node(home)
 	nm.stats.DRAMWriteBytes += float64(n)
 	rate := baseBW
-	infl := nm.memctl.Inflation()
-	if !cpu {
-		if a := nm.memctl.Available(); a < rate {
-			rate = a
-		}
+	if a := nm.memctl.Available(); a < rate {
+		rate = a
 	}
 	lat := nm.memctl.Latency(0)
 	nm.memctl.Charge(n)
 	if reqNode != home {
-		fp := s.fabric.Pipe(reqNode, home)
-		if !cpu {
-			fin := fp.Transfer(n, nil)
-			lat += fin.Sub(s.eng.Now())
-		} else {
-			if fi := fp.Inflation(); fi > infl {
-				infl = fi
-			}
-			lat += s.fabric.Charge(reqNode, home, n)
-		}
-	}
-	if cpu {
-		rate = s.derate(rate, infl)
+		fin := s.fabric.Pipe(reqNode, home).Transfer(n, nil)
+		lat += fin.Sub(s.eng.Now())
 	}
 	return lat + time.Duration(float64(n)/rate*1e9)
 }

@@ -20,9 +20,9 @@ func newSys(t *testing.T) (*sim.Engine, *System) {
 
 func TestLocalDDIOWriteStaysOutOfDRAM(t *testing.T) {
 	_, s := newSys(t)
-	b := s.NewBuffer("pkt", 0, 1500)
+	b := s.NewBuffer(0, 1500)
 	s.DeviceWrite(0, b, 1500) // NIC on node 0, memory homed on node 0
-	if got := s.Stats(0).DRAMWriteBytes; got != 0 {
+	if got := s.node(0).stats.DRAMWriteBytes; got != 0 {
 		t.Fatalf("local DDIO write moved %v DRAM bytes, want 0", got)
 	}
 	if b.CachedAt() != 0 || !b.InDDIO() || !b.Dirty() {
@@ -32,9 +32,9 @@ func TestLocalDDIOWriteStaysOutOfDRAM(t *testing.T) {
 
 func TestRemoteDMAWriteCostsDRAMAndRFO(t *testing.T) {
 	_, s := newSys(t)
-	b := s.NewBuffer("pkt", 1, 1500) // memory on node 1
-	s.DeviceWrite(0, b, 1500)        // NIC on node 0: remote DMA
-	st := s.Stats(1)
+	b := s.NewBuffer(1, 1500) // memory on node 1
+	s.DeviceWrite(0, b, 1500) // NIC on node 0: remote DMA
+	st := s.node(1).stats
 	if st.DRAMWriteBytes != 1500 {
 		t.Fatalf("DRAM writes = %v, want 1500", st.DRAMWriteBytes)
 	}
@@ -52,12 +52,12 @@ func TestRemoteDMAWriteCostsDRAMAndRFO(t *testing.T) {
 
 func TestRemoteDMAWriteInvalidatesCachedCopy(t *testing.T) {
 	_, s := newSys(t)
-	b := s.NewBuffer("ring-entry", 1, 64)
+	b := s.NewBuffer(1, 64)
 	s.CPURead(1, b, 64) // CPU on node 1 caches it
 	if b.CachedAt() != 1 {
 		t.Fatal("setup: buffer should be cached on node 1")
 	}
-	before := s.Stats(1)
+	before := s.node(1).stats
 	s.DeviceWrite(0, b, 64) // remote NIC writes it
 	if b.CachedAt() != topology.NoNode {
 		t.Fatal("DMA write did not invalidate the cached copy")
@@ -67,18 +67,18 @@ func TestRemoteDMAWriteInvalidatesCachedCopy(t *testing.T) {
 	if lat < 80*time.Nanosecond {
 		t.Fatalf("post-invalidation read latency = %v, want >= ~85ns DRAM", lat)
 	}
-	if s.Stats(1).DRAMReadBytes-before.DRAMReadBytes < 64 {
+	if s.node(1).stats.DRAMReadBytes-before.DRAMReadBytes < 64 {
 		t.Fatal("post-invalidation read should hit DRAM")
 	}
 }
 
 func TestDDIOWriteUpdateHitsExistingLines(t *testing.T) {
 	_, s := newSys(t)
-	b := s.NewBuffer("ring", 0, 4096)
+	b := s.NewBuffer(0, 4096)
 	s.CPURead(0, b, 4096) // resident in node 0 main ways
-	before := s.Stats(0)
+	before := s.node(0).stats
 	lat := s.DeviceWrite(0, b, 4096)
-	if s.Stats(0).DRAMWriteBytes != before.DRAMWriteBytes {
+	if s.node(0).stats.DRAMWriteBytes != before.DRAMWriteBytes {
 		t.Fatal("write-update should not touch DRAM")
 	}
 	if lat > 100*time.Nanosecond {
@@ -93,10 +93,10 @@ func TestDDIODisabledWritesGoToDRAM(t *testing.T) {
 	e := sim.NewEngine()
 	srv := topology.DualBroadwell()
 	s := New(e, srv, interconnect.New(e, srv), false)
-	b := s.NewBuffer("pkt", 0, 1500)
+	b := s.NewBuffer(0, 1500)
 	s.DeviceWrite(0, b, 1500) // local, but DDIO off (llnd config)
-	if s.Stats(0).DRAMWriteBytes != 1500 {
-		t.Fatalf("DRAM writes = %v, want 1500 with DDIO off", s.Stats(0).DRAMWriteBytes)
+	if s.node(0).stats.DRAMWriteBytes != 1500 {
+		t.Fatalf("DRAM writes = %v, want 1500 with DDIO off", s.node(0).stats.DRAMWriteBytes)
 	}
 }
 
@@ -106,11 +106,11 @@ func TestDDIOSpillsWhenPartitionFull(t *testing.T) {
 	// buffers; a good part must spill to DRAM.
 	var total int64
 	for i := 0; i < 64; i++ {
-		b := s.NewBuffer("blk", 0, 128*1024)
+		b := s.NewBuffer(0, 128*1024)
 		s.DeviceWrite(0, b, 128*1024)
 		total += 128 * 1024
 	}
-	spilled := s.Stats(0).DRAMWriteBytes
+	spilled := s.node(0).stats.DRAMWriteBytes
 	if spilled == 0 {
 		t.Fatal("expected DDIO spill to DRAM")
 	}
@@ -121,11 +121,11 @@ func TestDDIOSpillsWhenPartitionFull(t *testing.T) {
 
 func TestLocalDeviceReadFromLLCIsFree(t *testing.T) {
 	_, s := newSys(t)
-	b := s.NewBuffer("txbuf", 0, 1500)
+	b := s.NewBuffer(0, 1500)
 	s.CPUWrite(0, b, 1500) // producer dirties it in LLC 0
-	before := s.Stats(0)
+	before := s.node(0).stats
 	s.DeviceRead(0, b, 1500) // local NIC DMA read
-	if got := s.Stats(0).DRAMReadBytes - before.DRAMReadBytes; got != 0 {
+	if got := s.node(0).stats.DRAMReadBytes - before.DRAMReadBytes; got != 0 {
 		t.Fatalf("local cached DMA read moved %v DRAM bytes, want 0", got)
 	}
 	if b.CachedAt() != 0 || !b.Dirty() {
@@ -137,11 +137,11 @@ func TestRemoteDeviceReadConsumesDRAMEvenWhenCached(t *testing.T) {
 	// The Figure 7 observation: remote DMA reads probe LLC and DRAM in
 	// parallel, so memory bandwidth equals throughput even on LLC hits.
 	_, s := newSys(t)
-	b := s.NewBuffer("txbuf", 1, 1500)
+	b := s.NewBuffer(1, 1500)
 	s.CPUWrite(1, b, 1500) // hot in LLC 1
-	before := s.Stats(1)
+	before := s.node(1).stats
 	s.DeviceRead(0, b, 1500) // remote NIC reads it
-	if got := s.Stats(1).DRAMReadBytes - before.DRAMReadBytes; got != 1500 {
+	if got := s.node(1).stats.DRAMReadBytes - before.DRAMReadBytes; got != 1500 {
 		t.Fatalf("parallel-probe DRAM reads = %v, want 1500", got)
 	}
 	if b.CachedAt() != 1 {
@@ -154,10 +154,10 @@ func TestRemoteDeviceReadConsumesDRAMEvenWhenCached(t *testing.T) {
 
 func TestUncachedDeviceReadFromDRAM(t *testing.T) {
 	_, s := newSys(t)
-	b := s.NewBuffer("cold", 1, 4096)
+	b := s.NewBuffer(1, 4096)
 	lat := s.DeviceRead(1, b, 4096)
-	if s.Stats(1).DRAMReadBytes != 4096 {
-		t.Fatalf("DRAM reads = %v, want 4096", s.Stats(1).DRAMReadBytes)
+	if s.node(1).stats.DRAMReadBytes != 4096 {
+		t.Fatalf("DRAM reads = %v, want 4096", s.node(1).stats.DRAMReadBytes)
 	}
 	if lat < 85*time.Nanosecond {
 		t.Fatalf("cold read latency = %v, want >= DRAM latency", lat)
@@ -166,7 +166,7 @@ func TestUncachedDeviceReadFromDRAM(t *testing.T) {
 
 func TestCPUReadHitVsMissLatency(t *testing.T) {
 	_, s := newSys(t)
-	b := s.NewBuffer("data", 0, 4096)
+	b := s.NewBuffer(0, 4096)
 	miss := s.CPURead(0, b, 4096)
 	hit := s.CPURead(0, b, 4096)
 	if hit >= miss {
@@ -176,8 +176,8 @@ func TestCPUReadHitVsMissLatency(t *testing.T) {
 
 func TestCPUReadRemoteDRAMSlowerThanLocal(t *testing.T) {
 	_, s := newSys(t)
-	local := s.NewBuffer("l", 0, 64*1024)
-	remote := s.NewBuffer("r", 1, 64*1024)
+	local := s.NewBuffer(0, 64*1024)
+	remote := s.NewBuffer(1, 64*1024)
 	lLocal := s.CPURead(0, local, 64*1024)
 	lRemote := s.CPURead(0, remote, 64*1024)
 	if lRemote <= lLocal {
@@ -187,7 +187,7 @@ func TestCPUReadRemoteDRAMSlowerThanLocal(t *testing.T) {
 
 func TestCPUWriteInvalidatesOtherSocket(t *testing.T) {
 	_, s := newSys(t)
-	b := s.NewBuffer("shared", 0, 4096)
+	b := s.NewBuffer(0, 4096)
 	s.CPURead(1, b, 4096) // cached on node 1
 	if b.CachedAt() != 1 {
 		t.Fatal("setup failed")
@@ -203,18 +203,18 @@ func TestCPUWriteInvalidatesOtherSocket(t *testing.T) {
 
 func TestDirtyRemoteInvalidationWritesBack(t *testing.T) {
 	_, s := newSys(t)
-	b := s.NewBuffer("shared", 1, 4096)
+	b := s.NewBuffer(1, 4096)
 	s.CPUWrite(1, b, 4096) // dirty on node 1
-	before := s.Stats(1)
+	before := s.node(1).stats
 	s.CPUWrite(0, b, 4096) // node 0 takes ownership: node 1 must write back
-	if got := s.Stats(1).DRAMWriteBytes - before.DRAMWriteBytes; got < 4096 {
+	if got := s.node(1).stats.DRAMWriteBytes - before.DRAMWriteBytes; got < 4096 {
 		t.Fatalf("writeback bytes = %v, want >= 4096", got)
 	}
 }
 
 func TestCacheToCacheReadMigratesResidency(t *testing.T) {
 	_, s := newSys(t)
-	b := s.NewBuffer("msg", 0, 4096)
+	b := s.NewBuffer(0, 4096)
 	s.CPUWrite(0, b, 4096)
 	lat := s.CPURead(1, b, 4096)
 	if b.CachedAt() != 1 {
@@ -235,10 +235,10 @@ func TestLLCEvictionUnderCapacity(t *testing.T) {
 	_, s := newSys(t)
 	// Fill node 0's main partition (31.5 MiB effective) with 2 MiB
 	// buffers, then verify the earliest is evicted.
-	first := s.NewBuffer("first", 0, 2*1024*1024)
+	first := s.NewBuffer(0, 2*1024*1024)
 	s.CPURead(0, first, 2*1024*1024)
 	for i := 0; i < 20; i++ {
-		b := s.NewBuffer("filler", 0, 2*1024*1024)
+		b := s.NewBuffer(0, 2*1024*1024)
 		s.CPURead(0, b, 2*1024*1024)
 	}
 	if first.CachedAt() == 0 && first.CachedBytes() > 0 {
@@ -248,24 +248,24 @@ func TestLLCEvictionUnderCapacity(t *testing.T) {
 
 func TestDirtyEvictionChargesWriteback(t *testing.T) {
 	_, s := newSys(t)
-	dirty := s.NewBuffer("dirty", 0, 2*1024*1024)
+	dirty := s.NewBuffer(0, 2*1024*1024)
 	s.CPUWrite(0, dirty, 2*1024*1024)
-	before := s.Stats(0)
+	before := s.node(0).stats
 	for i := 0; i < 20; i++ {
-		b := s.NewBuffer("filler", 0, 2*1024*1024)
+		b := s.NewBuffer(0, 2*1024*1024)
 		s.CPURead(0, b, 2*1024*1024)
 	}
 	if dirty.CachedAt() == 0 {
 		t.Skip("dirty buffer not evicted under this capacity; adjust fillers")
 	}
-	if got := s.Stats(0).DRAMWriteBytes - before.DRAMWriteBytes; got < 2*1024*1024 {
+	if got := s.node(0).stats.DRAMWriteBytes - before.DRAMWriteBytes; got < 2*1024*1024 {
 		t.Fatalf("writeback bytes = %v, want >= 2MiB", got)
 	}
 }
 
 func TestBigBufferCannotMonopolizeLLC(t *testing.T) {
 	_, s := newSys(t)
-	huge := s.NewBuffer("huge", 0, 256*1024*1024)
+	huge := s.NewBuffer(0, 256*1024*1024)
 	s.CPURead(0, huge, 256*1024*1024)
 	capMain := int64(float64(35*topology.MiB) * 0.9) // minus DDIO ways
 	if huge.CachedBytes() > capMain/2+4096 {
@@ -275,13 +275,13 @@ func TestBigBufferCannotMonopolizeLLC(t *testing.T) {
 
 func TestLLCPressureShrinksCapacity(t *testing.T) {
 	_, s := newSys(t)
-	b := s.NewBuffer("ws", 0, 8*1024*1024)
+	b := s.NewBuffer(0, 8*1024*1024)
 	s.CPURead(0, b, 8*1024*1024)
 	noPressure := b.CachedBytes()
 
 	_, s2 := newSys(t)
 	release := s2.AddLLCPressure(0, 400e9)
-	b2 := s2.NewBuffer("ws", 0, 8*1024*1024)
+	b2 := s2.NewBuffer(0, 8*1024*1024)
 	s2.CPURead(0, b2, 8*1024*1024)
 	underPressure := b2.CachedBytes()
 	if underPressure >= noPressure {
@@ -294,7 +294,7 @@ func TestPressureReleaseRestores(t *testing.T) {
 	_, s := newSys(t)
 	release := s.AddLLCPressure(0, 60e9)
 	release()
-	b := s.NewBuffer("ws", 0, 8*1024*1024)
+	b := s.NewBuffer(0, 8*1024*1024)
 	s.CPURead(0, b, 8*1024*1024)
 	if b.CachedBytes() < 4*1024*1024 {
 		t.Fatalf("capacity not restored after release: %v", b.CachedBytes())
@@ -303,7 +303,7 @@ func TestPressureReleaseRestores(t *testing.T) {
 
 func TestStatsAndReset(t *testing.T) {
 	_, s := newSys(t)
-	b := s.NewBuffer("x", 0, 4096)
+	b := s.NewBuffer(0, 4096)
 	s.CPURead(0, b, 4096)
 	if s.TotalDRAMBytes() == 0 {
 		t.Fatal("miss should move DRAM bytes")
@@ -312,13 +312,13 @@ func TestStatsAndReset(t *testing.T) {
 
 func TestInterconnectCongestionSlowsRemoteCopies(t *testing.T) {
 	_, s := newSys(t)
-	b := s.NewBuffer("r", 1, 64*1024)
+	b := s.NewBuffer(1, 64*1024)
 	idle := s.CPURead(0, b, 64*1024)
 	s.invalidate(b)
 
 	// Saturate the 1->0 direction with a fluid antagonist.
 	s.Fabric().AddFlow("stream", 1, 0, 38e9)
-	b2 := s.NewBuffer("r2", 1, 64*1024)
+	b2 := s.NewBuffer(1, 64*1024)
 	loaded := s.CPURead(0, b2, 64*1024)
 	if loaded < 2*idle {
 		t.Fatalf("congested remote read %v, want >= 2x idle %v", loaded, idle)
@@ -327,12 +327,12 @@ func TestInterconnectCongestionSlowsRemoteCopies(t *testing.T) {
 
 func TestMemCtlContentionSlowsLocalMisses(t *testing.T) {
 	_, s := newSys(t)
-	b := s.NewBuffer("l", 0, 64*1024)
+	b := s.NewBuffer(0, 64*1024)
 	idle := s.CPURead(0, b, 64*1024)
 	s.invalidate(b)
 
 	s.MemCtl(0).AddFlow("stream", 59e9) // nearly saturate 60 GB/s
-	b2 := s.NewBuffer("l2", 0, 64*1024)
+	b2 := s.NewBuffer(0, 64*1024)
 	loaded := s.CPURead(0, b2, 64*1024)
 	if loaded <= idle {
 		t.Fatalf("contended local read %v, want > idle %v", loaded, idle)
@@ -341,7 +341,7 @@ func TestMemCtlContentionSlowsLocalMisses(t *testing.T) {
 
 func TestZeroAndOversizedAccesses(t *testing.T) {
 	_, s := newSys(t)
-	b := s.NewBuffer("b", 0, 100)
+	b := s.NewBuffer(0, 100)
 	if s.CPURead(0, b, 0) != 0 {
 		t.Fatal("zero-byte read should cost nothing")
 	}
@@ -351,11 +351,11 @@ func TestZeroAndOversizedAccesses(t *testing.T) {
 	// n > size clamps rather than corrupting occupancy accounting: the
 	// read costs and counts exactly what a read of the whole buffer does.
 	_, whole := newSys(t)
-	want := whole.CPURead(0, whole.NewBuffer("b", 0, 100), 100)
+	want := whole.CPURead(0, whole.NewBuffer(0, 100), 100)
 	if got := s.CPURead(0, b, 1000); got != want {
 		t.Fatalf("1000-byte read of a 100-byte buffer cost %v, a whole-buffer read %v", got, want)
 	}
-	if got, want := s.Stats(0), whole.Stats(0); got != want {
+	if got, want := s.node(0).stats, whole.node(0).stats; got != want {
 		t.Fatalf("oversized read counted %+v, a whole-buffer read %+v", got, want)
 	}
 	if b.CachedBytes() > 100 {
@@ -370,7 +370,7 @@ func TestNewBufferValidation(t *testing.T) {
 			t.Error("zero-size buffer should panic")
 		}
 	}()
-	s.NewBuffer("bad", 0, 0)
+	s.NewBuffer(0, 0)
 }
 
 // TestTinyLLCKeepsAPageOfEachBuffer: one buffer may fill at most half a
@@ -383,7 +383,7 @@ func TestTinyLLCKeepsAPageOfEachBuffer(t *testing.T) {
 	llc.Size = 8 * topology.KiB // main partition: 7,373 bytes
 	srv := topology.Build("tiny-llc", 1, 1, 2.0, llc, ref.DRAM, topology.InterconnectSpec{})
 	s := New(e, srv, interconnect.New(e, srv), true)
-	b := s.NewBuffer("page", 0, 4096)
+	b := s.NewBuffer(0, 4096)
 	s.CPURead(0, b, 4096)
 	if b.CachedBytes() != 4096 {
 		t.Fatalf("cached %d bytes of a 4096-byte buffer, want all of them", b.CachedBytes())
@@ -395,13 +395,13 @@ func TestTinyLLCKeepsAPageOfEachBuffer(t *testing.T) {
 // bytes read.
 func TestLongIdleBufferKeepsAFloorOfHits(t *testing.T) {
 	e, s := newSys(t)
-	b := s.NewBuffer("idle", 0, 64*1024)
+	b := s.NewBuffer(0, 64*1024)
 	s.CPURead(0, b, 64*1024)
 	s.AddLLCPressure(0, 60e9)       // turns the 35 MiB cache over every 0.6 ms
 	e.RunFor(10 * time.Millisecond) // exp(-16) of the lines survive
-	before := s.Stats(0)
+	before := s.node(0).stats
 	s.CPURead(0, b, 64*1024)
-	if got, want := s.Stats(0).LLCHitBytes-before.LLCHitBytes, float64(int64(0.05*float64(b.Size()))); got != want {
+	if got, want := s.node(0).stats.LLCHitBytes-before.LLCHitBytes, float64(int64(0.05*float64(b.Size()))); got != want {
 		t.Fatalf("hit bytes after 10 ms idle = %v, want the 5%% floor %v", got, want)
 	}
 }

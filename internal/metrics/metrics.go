@@ -152,9 +152,6 @@ func (t *Table) AddRow(cells ...any) {
 	t.rows = append(t.rows, row)
 }
 
-// Rows returns the formatted row count.
-func (t *Table) Rows() int { return len(t.rows) }
-
 // Render returns the aligned table text. Rows wider than the header
 // get extra unlabeled columns rather than panicking; rows narrower than
 // the header simply end early.

@@ -170,8 +170,8 @@ func TestTableRender(t *testing.T) {
 	if len(lines) != 5 { // title, header, separator, 2 rows
 		t.Fatalf("lines = %d:\n%s", len(lines), out)
 	}
-	if tb.Rows() != 2 {
-		t.Fatalf("rows = %d", tb.Rows())
+	if len(tb.rows) != 2 {
+		t.Fatalf("rows = %d", len(tb.rows))
 	}
 }
 

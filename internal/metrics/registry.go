@@ -169,13 +169,6 @@ func (r *Registry) Scope(name string) Registrar {
 	return scope{reg: r, prefix: name + "/"}
 }
 
-// Len returns the number of registered metrics.
-func (r *Registry) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.entries)
-}
-
 // Value reads one metric by full name.
 func (r *Registry) Value(name string) (float64, bool) {
 	e, ok := r.entry(name)

@@ -17,8 +17,8 @@ func TestRegistryScopesAndSnapshot(t *testing.T) {
 	nic.Counter("rx_bytes", func() float64 { return 1500 })
 	nic.Gauge("queue_depth", func() float64 { return 3 })
 
-	if r.Len() != 3 {
-		t.Fatalf("len = %d", r.Len())
+	if len(r.entries) != 3 {
+		t.Fatalf("len = %d", len(r.entries))
 	}
 	frames++
 	snap := r.Snapshot()
@@ -132,8 +132,8 @@ func TestRegistryConcurrentRegistration(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	if r.Len() != 8*50 {
-		t.Fatalf("len = %d", r.Len())
+	if len(r.entries) != 8*50 {
+		t.Fatalf("len = %d", len(r.entries))
 	}
 	if got := len(r.Snapshot()); got != 8*50 {
 		t.Fatalf("snapshot = %d", got)

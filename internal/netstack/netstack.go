@@ -89,16 +89,12 @@ type Packet struct {
 	// Descriptors the driver posts for the segment (default 1).
 	Descriptors int
 	Frags       []Frag
-	Proto       uint8
 	// Seq is the segment's per-flow sequence number, carried through the
 	// device to the receiver (retransmission dedup).
 	Seq  uint64
 	Meta any
 	// OnSent fires when the driver reaps the Tx completion.
 	OnSent func()
-	// OOOOkay reports the old queue drained, allowing an XPS queue
-	// switch without reordering (§2.3, §4.2).
-	OOOOkay bool
 }
 
 // NetDevice is the driver-facing netdevice interface (the slice of
@@ -108,8 +104,6 @@ type NetDevice interface {
 	Name() string
 	// HWAddr is the interface MAC.
 	HWAddr() eth.MAC
-	// NumTxQueues returns the transmit queue count.
-	NumTxQueues() int
 	// TxQueueForCore is the driver's XPS mapping.
 	TxQueueForCore(c topology.CoreID) int
 	// TxInFlight returns descriptors outstanding on a queue (drives the
@@ -180,12 +174,6 @@ func NewStack(k *kernel.Kernel, name string, net *Network, params Params) *Stack
 	return st
 }
 
-// Name returns the host name.
-func (st *Stack) Name() string { return st.name }
-
-// Kernel returns the owning kernel.
-func (st *Stack) Kernel() *kernel.Kernel { return st.k }
-
 // AddDevice registers a netdevice with an IP address.
 func (st *Stack) AddDevice(dev NetDevice, ip uint32) {
 	st.devs = append(st.devs, dev)
@@ -196,9 +184,6 @@ func (st *Stack) AddDevice(dev NetDevice, ip uint32) {
 
 // Devices returns the registered netdevices.
 func (st *Stack) Devices() []NetDevice { return st.devs }
-
-// RxDrops returns segments dropped at full socket queues.
-func (st *Stack) RxDrops() uint64 { return st.rxDrops }
 
 // Listen registers an accept callback for a local port.
 func (st *Stack) Listen(port uint16, accept func(s *Socket)) {

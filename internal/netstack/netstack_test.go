@@ -1,6 +1,7 @@
 package netstack
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -20,6 +21,7 @@ type fakeDev struct {
 	mac     eth.MAC
 	net     *Network
 	sent    []*Packet
+	txqs    []int // the queue each Xmit used
 	steered map[eth.FiveTuple]topology.CoreID
 	// inFlight simulates a busy queue for the ooo_okay test.
 	inFlight map[int]int
@@ -39,7 +41,6 @@ func newFakeDev(name string, id uint64, net *Network, mem *memsys.System, eng *s
 
 func (d *fakeDev) Name() string                                  { return d.name }
 func (d *fakeDev) HWAddr() eth.MAC                               { return d.mac }
-func (d *fakeDev) NumTxQueues() int                              { return 28 }
 func (d *fakeDev) TxQueueForCore(c topology.CoreID) int          { return int(c) }
 func (d *fakeDev) TxInFlight(q int) int                          { return d.inFlight[q] }
 func (d *fakeDev) SteerFlow(ft eth.FiveTuple, c topology.CoreID) { d.steered[ft] = c }
@@ -53,11 +54,12 @@ func (d *fakeDev) Xmit(t *kernel.Thread, pkt *Packet, txq int) {
 	cp.Frags = append([]Frag(nil), pkt.Frags...)
 	pkt = &cp
 	d.sent = append(d.sent, pkt)
+	d.txqs = append(d.txqs, txq)
 	st, _ := d.net.lookup(pkt.Flow.DstIP)
 	if st == nil {
 		return
 	}
-	buf := d.mem.NewBuffer("loop", 0, maxInt64(pkt.Payload, 1))
+	buf := d.mem.NewBuffer(0, maxInt64(pkt.Payload, 1))
 	rxp := &nic.RxPacket{
 		Buf:     buf,
 		Payload: pkt.Payload,
@@ -211,14 +213,10 @@ func TestXPSFollowsCoreWithOOOGuard(t *testing.T) {
 	if len(r.da.sent) != 3 {
 		t.Fatalf("sent = %d", len(r.da.sent))
 	}
-	if !r.da.sent[0].OOOOkay {
-		t.Error("first send has no previous queue; switch is safe")
-	}
-	if r.da.sent[1].OOOOkay {
-		t.Error("second send should be pinned to the busy old queue")
-	}
-	if !r.da.sent[2].OOOOkay {
-		t.Error("third send should switch after drain")
+	// The first send takes core 3's queue, the second stays on it while
+	// it is busy, and the third switches to core 7's once it drained.
+	if want := []int{3, 3, 7}; !reflect.DeepEqual(r.da.txqs, want) {
+		t.Errorf("queues used = %v, want %v", r.da.txqs, want)
 	}
 	r.eng.Drain()
 }
@@ -280,7 +278,7 @@ func TestUDPDropsWhenReceiveBufferFull(t *testing.T) {
 		}
 	})
 	r.eng.RunFor(200 * time.Millisecond)
-	if r.sb.RxDrops() == 0 {
+	if r.sb.rxDrops == 0 {
 		t.Fatal("expected UDP drops at the full receive buffer")
 	}
 	r.eng.Drain()
@@ -309,8 +307,8 @@ func TestTCPWindowThrottlesToConsumer(t *testing.T) {
 		}
 	})
 	r.eng.RunFor(50 * time.Millisecond)
-	if r.sb.RxDrops() != 0 {
-		t.Fatalf("TCP must not drop at a slow consumer: %d drops", r.sb.RxDrops())
+	if r.sb.rxDrops != 0 {
+		t.Fatalf("TCP must not drop at a slow consumer: %d drops", r.sb.rxDrops)
 	}
 	// Sender must be throttled: in-flight bounded by window+buffer,
 	// so sent can't run away from consumed.

@@ -40,8 +40,6 @@ type Socket struct {
 	userBufs map[topology.NodeID]*memsys.Buffer
 	txBufs   map[topology.NodeID]*memsys.Buffer
 
-	sentBytes int64
-
 	// Zero-alloc scratch state. A socket has at most one sending and
 	// one receiving thread at a time (every workload in the suite obeys
 	// this; it mirrors the lock a real socket would take), and a thread
@@ -191,19 +189,12 @@ func (s *Socket) SteerTo(core topology.CoreID) {
 	s.dev.SteerFlow(s.ft.Reverse(), core)
 }
 
-// SentBytes returns payload bytes sent.
-func (s *Socket) SentBytes() int64 { return s.sentBytes }
-
-// Pending returns undelivered received segments.
-func (s *Socket) Pending() int { return s.rxq.len() }
-
-// bufOn returns the per-node buffer, formatting the (tuple-derived)
-// name only on the miss path: lookups are on the per-message hot path.
-func (s *Socket) bufOn(m map[topology.NodeID]*memsys.Buffer, kind string, node topology.NodeID) *memsys.Buffer {
+// bufOn returns the per-node buffer, allocating it on first use.
+func (s *Socket) bufOn(m map[topology.NodeID]*memsys.Buffer, node topology.NodeID) *memsys.Buffer {
 	if b, ok := m[node]; ok {
 		return b
 	}
-	b := s.stack.k.Alloc(kind+s.ft.String(), node, userBufBytes)
+	b := s.stack.k.Alloc(node, userBufBytes)
 	m[node] = b
 	return b
 }
@@ -212,14 +203,14 @@ func (s *Socket) userBuf(node topology.NodeID) *memsys.Buffer {
 	if s.userBufs == nil {
 		s.userBufs = make(map[topology.NodeID]*memsys.Buffer)
 	}
-	return s.bufOn(s.userBufs, "userbuf:", node)
+	return s.bufOn(s.userBufs, node)
 }
 
 func (s *Socket) txBuf(node topology.NodeID) *memsys.Buffer {
 	if s.txBufs == nil {
 		s.txBufs = make(map[topology.NodeID]*memsys.Buffer)
 	}
-	return s.bufOn(s.txBufs, "txbuf:", node)
+	return s.bufOn(s.txBufs, node)
 }
 
 // Send transmits n payload bytes, blocking on the send window. It
@@ -265,19 +256,15 @@ func (s *Socket) sendFrom(t *kernel.Thread, srcBuf *memsys.Buffer, n int64, meta
 		first = false
 
 		// XPS: pick the queue for the current core; switch away from a
-		// previous queue only once it has drained (ooo_okay).
+		// previous queue only once it has drained (ooo_okay, §2.3 and
+		// §4.2), so the switch cannot reorder the flow.
 		desired := s.dev.TxQueueForCore(t.Core())
-		oooOK := true
-		if s.txq >= 0 && desired != s.txq {
-			if s.dev.TxInFlight(s.txq) > 0 {
-				desired = s.txq
-				oooOK = false
-			}
+		if s.txq >= 0 && desired != s.txq && s.dev.TxInFlight(s.txq) > 0 {
+			desired = s.txq
 		}
 		s.txq = desired
 
 		s.seq++
-		s.sentBytes += seg
 		// The skb is the socket's scratch Packet: Xmit must not retain
 		// it (see NetDevice), so it is reusable next iteration.
 		pkt := &s.sendPkt
@@ -291,10 +278,8 @@ func (s *Socket) sendFrom(t *kernel.Thread, srcBuf *memsys.Buffer, n int64, meta
 			Payload: seg,
 			Packets: pkts,
 			Frags:   s.sendFrag[:1],
-			Proto:   s.ft.Proto,
 			Seq:     s.seq,
 			Meta:    meta,
-			OOOOkay: oooOK,
 		}
 		s.dev.Xmit(t, pkt, desired)
 	}
@@ -324,7 +309,6 @@ func (s *Socket) SendFrags(t *kernel.Thread, frags []Frag, meta any) {
 	desired := s.dev.TxQueueForCore(t.Core())
 	s.txq = desired
 	s.seq++
-	s.sentBytes += total
 	if s.ft.Proto == eth.ProtoTCP && s.stack.params.RetxTimeout > 0 {
 		s.trackUnacked(s.seq, total, pkts, meta, frags)
 	}
@@ -335,7 +319,6 @@ func (s *Socket) SendFrags(t *kernel.Thread, frags []Frag, meta any) {
 		Payload: total,
 		Packets: pkts,
 		Frags:   frags,
-		Proto:   s.ft.Proto,
 		Seq:     s.seq,
 		Meta:    meta,
 	}
@@ -615,7 +598,6 @@ func (s *Socket) retransmit(t *kernel.Thread, seq uint64, bytes int64, pkts int,
 		Payload: bytes,
 		Packets: pkts,
 		Frags:   frags,
-		Proto:   s.ft.Proto,
 		Seq:     seq,
 		Meta:    meta,
 	}
@@ -650,7 +632,6 @@ func (s *Socket) waitWindow(t *kernel.Thread) {
 // get. Consumed entries advance a head index and the backing array is
 // reused once drained (the engine-queue compaction scheme).
 type segQueue struct {
-	eng      *sim.Engine
 	items    []*nic.RxPacket
 	head     int
 	capBytes int64
@@ -660,7 +641,7 @@ type segQueue struct {
 }
 
 func newSegQueue(e *sim.Engine, capBytes int64) *segQueue {
-	return &segQueue{eng: e, capBytes: capBytes, sig: sim.NewSignal(e)}
+	return &segQueue{capBytes: capBytes, sig: sim.NewSignal(e)}
 }
 
 func (q *segQueue) len() int { return len(q.items) - q.head }

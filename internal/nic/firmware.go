@@ -10,8 +10,6 @@ import (
 // StandardFirmware decomposes the device into per-PF logical NICs,
 // OctoFirmware unifies the PFs behind one MAC with 5-tuple steering.
 type Firmware interface {
-	// Name identifies the firmware build.
-	Name() string
 	// SteerRx maps an arriving frame to (pf, rxQueue).
 	SteerRx(f *eth.Frame) (pf, queue int)
 	// ProgramFlow installs or updates a flow-steering rule. Under
@@ -53,9 +51,6 @@ func NewStandardFirmware(n *NIC) *StandardFirmware {
 	}
 	return fw
 }
-
-// Name implements Firmware.
-func (fw *StandardFirmware) Name() string { return "standard" }
 
 // SingleMAC implements Firmware: each PF has its own MAC.
 func (fw *StandardFirmware) SingleMAC() bool { return false }
@@ -142,9 +137,6 @@ type OctoFirmware struct {
 func NewOctoFirmware(n *NIC, enableSG bool) *OctoFirmware {
 	return &OctoFirmware{nic: n, table: make(map[eth.FiveTuple]pfQueue), sg: enableSG}
 }
-
-// Name implements Firmware.
-func (fw *OctoFirmware) Name() string { return "ioctopus" }
 
 // SingleMAC implements Firmware: the octoNIC is one logical entity.
 func (fw *OctoFirmware) SingleMAC() bool { return true }

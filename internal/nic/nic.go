@@ -22,7 +22,6 @@ import (
 	"time"
 
 	"ioctopus/internal/eth"
-	"ioctopus/internal/memsys"
 	"ioctopus/internal/pcie"
 	"ioctopus/internal/sim"
 	"ioctopus/internal/topology"
@@ -51,7 +50,6 @@ const DefaultCoalesceDelay = 8 * time.Microsecond
 // NIC is the adapter: one physical port, one or more PFs.
 type NIC struct {
 	eng  *sim.Engine
-	mem  *memsys.System
 	name string
 	mac  eth.MAC // the port's primary (octo: only) MAC
 	pfs  []*PF
@@ -77,20 +75,18 @@ type NIC struct {
 	// fwResetHooks fire after a firmware reset wipes the steering
 	// tables (driver rule replay).
 	fwResetHooks []func()
-	fwResets     uint64
 }
 
 // New builds a NIC over the given PCIe endpoints (one per PF, in PF
 // order), moderating interrupts with coalesceDelay. The firmware is
 // installed separately with LoadFirmware.
-func New(e *sim.Engine, mem *memsys.System, name string, eps []*pcie.Endpoint, coalesceDelay time.Duration) *NIC {
+func New(e *sim.Engine, name string, eps []*pcie.Endpoint, coalesceDelay time.Duration) *NIC {
 	if len(eps) == 0 {
 		panic("nic: need at least one PF endpoint")
 	}
 	pooled := PoolingEnabled()
 	n := &NIC{
 		eng:           e,
-		mem:           mem,
 		name:          name,
 		mac:           eth.MACFromInt(hashName(name)),
 		coalesceDelay: coalesceDelay,
@@ -122,9 +118,6 @@ func hashName(s string) uint64 {
 // Name returns the device name.
 func (n *NIC) Name() string { return n.name }
 
-// PortMAC implements eth.Port: the port's primary address.
-func (n *NIC) PortMAC() eth.MAC { return n.mac }
-
 // MAC returns the port's primary address.
 func (n *NIC) MAC() eth.MAC { return n.mac }
 
@@ -149,12 +142,6 @@ func (n *NIC) Firmware() Firmware { return n.fw }
 // AttachWire connects the port to a cable. The NIC transmits with
 // wire.Send(n, f) and receives via Receive.
 func (n *NIC) AttachWire(w *eth.Wire) { n.wire = w }
-
-// Wire returns the attached cable.
-func (n *NIC) Wire() *eth.Wire { return n.wire }
-
-// RxDrops returns frames dropped for lack of ring space.
-func (n *NIC) RxDrops() uint64 { return n.rxDrops }
 
 // OnLinkChange registers a hook invoked after a PF's link state flips;
 // the octo team driver uses it to fail flows over to surviving PFs.
@@ -192,7 +179,6 @@ func (n *NIC) OnFirmwareReset(hook func()) {
 // DMA survive. Hooks run synchronously, so observed recovery latency is
 // purely the drivers' own replay cost.
 func (n *NIC) ResetFirmware() {
-	n.fwResets++
 	if n.fw != nil {
 		n.fw.Reset()
 	}
@@ -200,9 +186,6 @@ func (n *NIC) ResetFirmware() {
 		h()
 	}
 }
-
-// FwResets returns firmware resets suffered.
-func (n *NIC) FwResets() uint64 { return n.fwResets }
 
 // SetQueueStall freezes (or releases) completion delivery on one queue
 // pair (fault injection): both directions of PF pf's queue index q hold
@@ -294,9 +277,6 @@ func (p *PF) LinkUp() bool { return p.linkUp }
 // RxBytes returns payload bytes DMA'd to the host through this PF —
 // the per-PF throughput series of Figure 14.
 func (p *PF) RxBytes() float64 { return p.rxBytes }
-
-// TxBytes returns payload bytes transmitted through this PF.
-func (p *PF) TxBytes() float64 { return p.txBytes }
 
 // receive runs the Rx datapath for a steered frame.
 func (p *PF) receive(queue int, f *eth.Frame) {

@@ -31,7 +31,6 @@ type farEnd struct {
 }
 
 func (f *farEnd) Receive(fr *eth.Frame) { f.got = append(f.got, fr) }
-func (f *farEnd) PortMAC() eth.MAC      { return f.mac }
 
 func newRig(t *testing.T) *rig {
 	t.Helper()
@@ -44,7 +43,7 @@ func newRig(t *testing.T) *rig {
 		Name: "cx5", Gen: pcie.Gen3, TotalLanes: 16,
 		Wiring: pcie.WiringBifurcated, Nodes: []topology.NodeID{0, 1},
 	})
-	n := New(e, mem, "cx5", eps, DefaultCoalesceDelay)
+	n := New(e, "cx5", eps, DefaultCoalesceDelay)
 	far := &farEnd{mac: eth.MACFromInt(0xC11E)}
 	w := eth.NewWire(e, "cable", n, far)
 	n.AttachWire(w)
@@ -56,18 +55,18 @@ func newRig(t *testing.T) *rig {
 // the PF's node.
 func (r *rig) addRxQueue(pf int, irqNode topology.NodeID, onIRQ func()) *RxQueue {
 	p := r.nic.PF(pf)
-	ring := device.NewRing(r.mem, "rxc", p.Node(), 1024, 64)
+	ring := device.NewRing(r.mem, p.Node(), 1024, 64)
 	var bufs []*memsys.Buffer
 	for i := 0; i < 8; i++ {
-		bufs = append(bufs, r.mem.NewBuffer("rxbuf", irqNode, 64*1024))
+		bufs = append(bufs, r.mem.NewBuffer(irqNode, 64*1024))
 	}
 	return p.AddRxQueue(ring, bufs, irqNode, onIRQ)
 }
 
 func (r *rig) addTxQueue(pf int, irqNode topology.NodeID, onIRQ func()) *TxQueue {
 	p := r.nic.PF(pf)
-	desc := device.NewRing(r.mem, "txd", p.Node(), 1024, 64)
-	comp := device.NewRing(r.mem, "txc", p.Node(), 1024, 64)
+	desc := device.NewRing(r.mem, p.Node(), 1024, 64)
+	comp := device.NewRing(r.mem, p.Node(), 1024, 64)
 	return p.AddTxQueue(desc, comp, irqNode, onIRQ)
 }
 
@@ -238,15 +237,15 @@ func TestRxDropWhenRingFull(t *testing.T) {
 	fw := NewOctoFirmware(r.nic, false)
 	r.nic.LoadFirmware(fw)
 	p := r.nic.PF(0)
-	ring := device.NewRing(r.mem, "rxc", 0, 2, 64) // tiny ring
-	bufs := []*memsys.Buffer{r.mem.NewBuffer("b", 0, 64*1024)}
+	ring := device.NewRing(r.mem, 0, 2, 64) // tiny ring
+	bufs := []*memsys.Buffer{r.mem.NewBuffer(0, 64*1024)}
 	q := p.AddRxQueue(ring, bufs, 0, nil)
 	fw.ProgramFlow(flow(1), 0, 0)
 	for i := 0; i < 5; i++ {
 		r.nic.Receive(&eth.Frame{Dst: r.nic.MAC(), Flow: flow(1), Payload: 1500, Packets: 1})
 		r.eng.RunUntilIdle()
 	}
-	if q.Drops() == 0 || r.nic.RxDrops() == 0 {
+	if q.drops == 0 || r.nic.rxDrops == 0 {
 		t.Fatal("expected drops with a 2-entry ring")
 	}
 }
@@ -256,7 +255,7 @@ func TestTxDatapathSendsFrame(t *testing.T) {
 	fw := NewOctoFirmware(r.nic, false)
 	r.nic.LoadFirmware(fw)
 	q := r.addTxQueue(0, 0, nil)
-	buf := r.mem.NewBuffer("payload", 0, 64*1024)
+	buf := r.mem.NewBuffer(0, 64*1024)
 	r.mem.CPUWrite(0, buf, 64*1024)
 	sent := false
 	q.Post(&TxPacket{
@@ -286,8 +285,8 @@ func TestTxDatapathSendsFrame(t *testing.T) {
 	if sent {
 		t.Fatal("OnSent is the driver's to call after reaping")
 	}
-	if r.nic.PF(0).TxBytes() != 64*1024 {
-		t.Fatalf("pf0 tx bytes = %v", r.nic.PF(0).TxBytes())
+	if r.nic.PF(0).txBytes != 64*1024 {
+		t.Fatalf("pf0 tx bytes = %v", r.nic.PF(0).txBytes)
 	}
 }
 
@@ -296,7 +295,7 @@ func TestTxStandardFirmwareStampsPFMAC(t *testing.T) {
 	fw := NewStandardFirmware(r.nic)
 	r.nic.LoadFirmware(fw)
 	q := r.addTxQueue(1, 1, nil)
-	buf := r.mem.NewBuffer("p", 1, 1500)
+	buf := r.mem.NewBuffer(1, 1500)
 	q.Post(&TxPacket{
 		Frags: []TxFrag{{Buf: buf, Bytes: 1500}}, Payload: 1500, Packets: 1,
 		Flow: flow(1), Dst: r.far.mac,
@@ -313,8 +312,8 @@ func TestIOctoSGReadsFragmentsLocally(t *testing.T) {
 	r.nic.LoadFirmware(fw)
 	q := r.addTxQueue(0, 0, nil)
 	// A packet spanning both nodes (the sendfile case of §3.3).
-	b0 := r.mem.NewBuffer("frag0", 0, 4096)
-	b1 := r.mem.NewBuffer("frag1", 1, 4096)
+	b0 := r.mem.NewBuffer(0, 4096)
+	b1 := r.mem.NewBuffer(1, 4096)
 	q.Post(&TxPacket{
 		Frags:   []TxFrag{{Buf: b0, Bytes: 4096}, {Buf: b1, Bytes: 4096}},
 		Payload: 8192, Packets: 6, Flow: flow(1), Dst: r.far.mac,
@@ -334,7 +333,7 @@ func TestWithoutSGFragmentsCrossInterconnect(t *testing.T) {
 	fw := NewOctoFirmware(r.nic, false) // SG disabled, like the prototype
 	r.nic.LoadFirmware(fw)
 	q := r.addTxQueue(0, 0, nil)
-	b1 := r.mem.NewBuffer("frag1", 1, 4096)
+	b1 := r.mem.NewBuffer(1, 4096)
 	q.Post(&TxPacket{
 		Frags:   []TxFrag{{Buf: b1, Bytes: 4096}},
 		Payload: 4096, Packets: 3, Flow: flow(1), Dst: r.far.mac,
@@ -352,14 +351,14 @@ func TestZeroCoalesceDelayInterruptsImmediately(t *testing.T) {
 	mem := memsys.New(e, srv, ic, true)
 	pcf := pcie.New(e, mem)
 	eps := pcf.AttachCard(pcie.CardConfig{Name: "cx5", Gen: pcie.Gen3, TotalLanes: 16, Wiring: pcie.WiringBifurcated, Nodes: []topology.NodeID{0, 1}})
-	n := New(e, mem, "cx5", eps, 0)
+	n := New(e, "cx5", eps, 0)
 	fw := NewOctoFirmware(n, false)
 	n.LoadFirmware(fw)
 	far := &farEnd{mac: eth.MACFromInt(0xC11E)}
 	n.AttachWire(eth.NewWire(e, "w", n, far))
 	var irqAt sim.Time
-	ring := device.NewRing(mem, "rxc", 0, 1024, 64)
-	bufs := []*memsys.Buffer{mem.NewBuffer("b", 0, 64*1024)}
+	ring := device.NewRing(mem, 0, 1024, 64)
+	bufs := []*memsys.Buffer{mem.NewBuffer(0, 64*1024)}
 	n.PF(0).AddRxQueue(ring, bufs, 0, func() { irqAt = e.Now() })
 	fw.ProgramFlow(flow(1), 0, 0)
 	n.Receive(&eth.Frame{Dst: n.MAC(), Flow: flow(1), Payload: 64, Packets: 1})
@@ -488,7 +487,7 @@ func TestPolledTxSuppressesAndRefiresOnce(t *testing.T) {
 	r.nic.LoadFirmware(fw)
 	interrupted := 0
 	q := r.addTxQueue(0, 0, func() { interrupted++ })
-	buf := r.mem.NewBuffer("payload", 0, 64*1024)
+	buf := r.mem.NewBuffer(0, 64*1024)
 	r.mem.CPUWrite(0, buf, 64*1024)
 
 	q.SetPolled(true)
@@ -523,14 +522,14 @@ func TestPolledModeLeavesZeroCoalesceUntouched(t *testing.T) {
 	mem := memsys.New(e, srv, ic, true)
 	pcf := pcie.New(e, mem)
 	eps := pcf.AttachCard(pcie.CardConfig{Name: "cx5", Gen: pcie.Gen3, TotalLanes: 16, Wiring: pcie.WiringBifurcated, Nodes: []topology.NodeID{0, 1}})
-	n := New(e, mem, "cx5", eps, 0)
+	n := New(e, "cx5", eps, 0)
 	fw := NewOctoFirmware(n, false)
 	n.LoadFirmware(fw)
 	far := &farEnd{mac: eth.MACFromInt(0xC11E)}
 	n.AttachWire(eth.NewWire(e, "w", n, far))
 	var irqAt sim.Time
-	ring := device.NewRing(mem, "rxc", 0, 1024, 64)
-	bufs := []*memsys.Buffer{mem.NewBuffer("b", 0, 64*1024)}
+	ring := device.NewRing(mem, 0, 1024, 64)
+	bufs := []*memsys.Buffer{mem.NewBuffer(0, 64*1024)}
 	q := n.PF(0).AddRxQueue(ring, bufs, 0, func() { irqAt = e.Now() })
 	fw.ProgramFlow(flow(1), 0, 0)
 

@@ -95,9 +95,3 @@ func (pkt *TxPacket) Recycle() { pkt.Release() }
 // on the xmit path instead of allocating). Its Frags slice is empty,
 // with the capacity of earlier leases.
 func (n *NIC) LeaseTxPacket() *TxPacket { return n.txPool.Get() }
-
-// RxPoolStats returns the receive packet pool counters.
-func (n *NIC) RxPoolStats() sim.PoolStats { return n.rxPool.Stats() }
-
-// TxPoolStats returns the transmit packet pool counters.
-func (n *NIC) TxPoolStats() sim.PoolStats { return n.txPool.Stats() }

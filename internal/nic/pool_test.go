@@ -13,7 +13,7 @@ import (
 // returns it at the driver's recycle point (after Reap).
 func postAndReap(t *testing.T, r *rig, q *TxQueue) *TxPacket {
 	t.Helper()
-	buf := r.mem.NewBuffer("payload", 0, 64*1024)
+	buf := r.mem.NewBuffer(0, 64*1024)
 	pkt := r.nic.LeaseTxPacket()
 	pkt.Frags = append(pkt.Frags, TxFrag{Buf: buf, Bytes: 64 * 1024})
 	pkt.Payload = 64 * 1024
@@ -39,7 +39,7 @@ func TestTxPoolRecyclesThroughDatapath(t *testing.T) {
 	gen := first.Generation()
 	fragPtr := &first.Frags[0]
 	first.Recycle()
-	if st := r.nic.TxPoolStats(); st.Misses != 1 || st.Recycled != 1 || st.Live != 0 {
+	if st := r.nic.txPool.Stats(); st.Misses != 1 || st.Recycled != 1 || st.Live != 0 {
 		t.Fatalf("stats after first recycle = %+v", st)
 	}
 
@@ -53,7 +53,7 @@ func TestTxPoolRecyclesThroughDatapath(t *testing.T) {
 	if &second.Frags[0] != fragPtr {
 		t.Fatal("fragment backing array should survive the recycle")
 	}
-	if st := r.nic.TxPoolStats(); st.Hits != 1 || st.Live != 1 {
+	if st := r.nic.txPool.Stats(); st.Hits != 1 || st.Live != 1 {
 		t.Fatalf("stats after reuse = %+v", st)
 	}
 }
@@ -79,7 +79,7 @@ func TestRxPoolRecyclesThroughDatapath(t *testing.T) {
 	first := deliver()
 	gen := first.Generation()
 	first.Recycle()
-	if st := r.nic.RxPoolStats(); st.Misses != 1 || st.Recycled != 1 || st.Live != 0 {
+	if st := r.nic.rxPool.Stats(); st.Misses != 1 || st.Recycled != 1 || st.Live != 0 {
 		t.Fatalf("stats after first recycle = %+v", st)
 	}
 
@@ -90,7 +90,7 @@ func TestRxPoolRecyclesThroughDatapath(t *testing.T) {
 	if second.Generation() != gen+1 {
 		t.Fatalf("generation = %d, want %d", second.Generation(), gen+1)
 	}
-	if st := r.nic.RxPoolStats(); st.Hits != 1 || st.Live != 1 {
+	if st := r.nic.rxPool.Stats(); st.Hits != 1 || st.Live != 1 {
 		t.Fatalf("stats after reuse = %+v", st)
 	}
 }
@@ -153,7 +153,7 @@ func TestSetPoolingDisablesReuse(t *testing.T) {
 	if second == first {
 		t.Fatal("unpooled leases must be fresh objects")
 	}
-	if st := r.nic.TxPoolStats(); st != (sim.PoolStats{}) {
+	if st := r.nic.txPool.Stats(); st != (sim.PoolStats{}) {
 		t.Fatalf("unpooled stats should stay zero, got %+v", st)
 	}
 }
@@ -168,18 +168,18 @@ func TestRxRingFullDropsLeaveNoLiveLeases(t *testing.T) {
 	fw := NewOctoFirmware(r.nic, false)
 	r.nic.LoadFirmware(fw)
 	p := r.nic.PF(0)
-	ring := device.NewRing(r.mem, "rxc", 0, 2, 64) // tiny ring
-	bufs := []*memsys.Buffer{r.mem.NewBuffer("b", 0, 64*1024)}
+	ring := device.NewRing(r.mem, 0, 2, 64) // tiny ring
+	bufs := []*memsys.Buffer{r.mem.NewBuffer(0, 64*1024)}
 	q := p.AddRxQueue(ring, bufs, 0, nil)
 	fw.ProgramFlow(flow(1), 0, 0)
 	for i := 0; i < 6; i++ {
 		r.nic.Receive(&eth.Frame{Dst: r.nic.MAC(), Flow: flow(1), Payload: 1500, Packets: 1})
 		r.eng.RunUntilIdle()
 	}
-	if q.Drops() == 0 {
+	if q.drops == 0 {
 		t.Fatal("expected ring-full drops")
 	}
-	st := r.nic.RxPoolStats()
+	st := r.nic.rxPool.Stats()
 	if st.Live != q.Pending() {
 		t.Fatalf("live leases = %d, want one per pending packet (%d): dropped frames must not lease", st.Live, q.Pending())
 	}
@@ -188,7 +188,7 @@ func TestRxRingFullDropsLeaveNoLiveLeases(t *testing.T) {
 	for _, rxp := range batch {
 		rxp.Recycle()
 	}
-	st = r.nic.RxPoolStats()
+	st = r.nic.rxPool.Stats()
 	if st.Live != 0 {
 		t.Fatalf("live leases = %d after recycle, want 0", st.Live)
 	}

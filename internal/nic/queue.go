@@ -63,8 +63,7 @@ func rxVisible(rxp *RxPacket) {
 type RxQueue struct {
 	device.Completions[*RxPacket]
 
-	pf    *PF
-	index int
+	pf *PF
 
 	compRing *device.Ring
 	bufs     []*memsys.Buffer
@@ -83,7 +82,6 @@ func (p *PF) AddRxQueue(compRing *device.Ring, bufs []*memsys.Buffer, irqNode to
 	}
 	q := &RxQueue{
 		pf:       p,
-		index:    len(p.rxQueues),
 		compRing: compRing,
 		bufs:     bufs,
 	}
@@ -92,18 +90,9 @@ func (p *PF) AddRxQueue(compRing *device.Ring, bufs []*memsys.Buffer, irqNode to
 	return q
 }
 
-// Index returns the queue number within its PF.
-func (q *RxQueue) Index() int { return q.index }
-
-// PF returns the owning physical function.
-func (q *RxQueue) PF() *PF { return q.pf }
-
 // CompletionRing returns the queue's completion ring (for driver-side
 // entry reads).
 func (q *RxQueue) CompletionRing() *device.Ring { return q.compRing }
-
-// Drops returns frames dropped by this queue.
-func (q *RxQueue) Drops() uint64 { return q.drops }
 
 // receive runs the hardware Rx datapath for one steered frame. The
 // RxPacket is leased and filled here, before the DMA stages run, so
@@ -240,8 +229,7 @@ func txVisible(pkt *TxPacket) { pkt.q.sent++ }
 type TxQueue struct {
 	device.Completions[*TxPacket]
 
-	pf    *PF
-	index int
+	pf *PF
 
 	descRing *device.Ring
 	compRing *device.Ring
@@ -254,7 +242,6 @@ type TxQueue struct {
 func (p *PF) AddTxQueue(descRing, compRing *device.Ring, irqNode topology.NodeID, onIRQ func()) *TxQueue {
 	q := &TxQueue{
 		pf:       p,
-		index:    len(p.txQueues),
 		descRing: descRing,
 		compRing: compRing,
 	}
@@ -262,9 +249,6 @@ func (p *PF) AddTxQueue(descRing, compRing *device.Ring, irqNode topology.NodeID
 	p.txQueues = append(p.txQueues, q)
 	return q
 }
-
-// Index returns the queue number within its PF.
-func (q *TxQueue) Index() int { return q.index }
 
 // PF returns the owning physical function.
 func (q *TxQueue) PF() *PF { return q.pf }

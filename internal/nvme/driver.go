@@ -21,14 +21,6 @@ const (
 	OctoSSD
 )
 
-// String names the policy.
-func (p Policy) String() string {
-	if p == OctoSSD {
-		return "octossd"
-	}
-	return "single-path"
-}
-
 // Host-side driver costs.
 const (
 	// doorbellCPU is the submission doorbell cost.
@@ -60,12 +52,6 @@ func NewDriver(k *kernel.Kernel, ctrl *Controller, policy Policy) *Driver {
 	}
 }
 
-// Controller returns the managed drive.
-func (d *Driver) Controller() *Controller { return d.ctrl }
-
-// Policy returns the routing policy.
-func (d *Driver) Policy() Policy { return d.policy }
-
 // pickPort routes a request per the policy.
 func (d *Driver) pickPort(req *Request) *Port {
 	if d.policy == OctoSSD {
@@ -88,7 +74,7 @@ func (d *Driver) qpFor(p *Port, node topology.NodeID) *QueuePair {
 	// Completion interrupts reap on the first core of the node.
 	core := d.k.Topology().CoresOn(node)[0].ID
 	var qp *QueuePair
-	line := d.k.Core(core).NewIRQLine(d.ctrl.name, func() time.Duration { return d.reap(qp, node) })
+	line := d.k.Core(core).NewIRQLine(func() time.Duration { return d.reap(qp, node) })
 	qp = p.NewQueuePair(node, node, line.Raise)
 	d.qps[key] = qp
 	return qp
@@ -115,7 +101,7 @@ func (d *Driver) SubmitAsync(core topology.CoreID, req *Request) {
 	req.drv = d
 	req.node = d.k.Topology().NodeOf(core)
 	req.qp = d.qpFor(d.pickPort(req), req.node)
-	d.k.Core(core).Submit("nvme-submit", req.submitRun, req.submitDone)
+	d.k.Core(core).Submit(req.submitRun, req.submitDone)
 }
 
 // submitCost is the host side of a submission: block-layer work, the

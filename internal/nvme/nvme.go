@@ -11,7 +11,6 @@
 package nvme
 
 import (
-	"fmt"
 	"time"
 
 	"ioctopus/internal/device"
@@ -40,14 +39,11 @@ const (
 type Controller struct {
 	eng   *sim.Engine
 	mem   *memsys.System
-	name  string
 	ports []*Port
 	// flash serializes media access: reads and writes share the media
 	// with their respective bandwidths approximated by a shared pipe at
 	// read bandwidth and a write-cost scale factor.
 	flash *sim.Pipe
-
-	reads, writes uint64
 }
 
 // Port is one PCIe physical function of the drive.
@@ -63,9 +59,8 @@ func New(e *sim.Engine, mem *memsys.System, name string, eps []*pcie.Endpoint) *
 		panic("nvme: need at least one port endpoint")
 	}
 	c := &Controller{
-		eng:  e,
-		mem:  mem,
-		name: name,
+		eng: e,
+		mem: mem,
 		flash: sim.NewPipe(e, sim.PipeConfig{
 			Name:        name + ":flash",
 			BytesPerSec: flashReadBW,
@@ -81,26 +76,8 @@ func New(e *sim.Engine, mem *memsys.System, name string, eps []*pcie.Endpoint) *
 	return c
 }
 
-// Name returns the drive name.
-func (c *Controller) Name() string { return c.name }
-
-// Port returns one port.
-func (c *Controller) Port(i int) *Port {
-	if i < 0 || i >= len(c.ports) {
-		panic(fmt.Sprintf("nvme %s: no port %d", c.name, i))
-	}
-	return c.ports[i]
-}
-
-// Reads and Writes return completed op counts.
-func (c *Controller) Reads() uint64  { return c.reads }
-func (c *Controller) Writes() uint64 { return c.writes }
-
 // Node returns the socket a port attaches to.
 func (p *Port) Node() topology.NodeID { return p.ep.Node() }
-
-// Endpoint returns the port's PCIe endpoint.
-func (p *Port) Endpoint() *pcie.Endpoint { return p.ep }
 
 // Request is one block I/O.
 type Request struct {
@@ -112,9 +89,6 @@ type Request struct {
 	// OnComplete fires after the driver reaps the CQE. It may resubmit
 	// the request.
 	OnComplete func(*Request)
-
-	SubmittedAt sim.Time
-	CompletedAt sim.Time
 
 	qp   *QueuePair      // set by Submit (and SubmitAsync)
 	drv  *Driver         // set by SubmitAsync
@@ -146,9 +120,6 @@ func (r *Request) bind() {
 	r.cqeDone = r.complete
 }
 
-// Latency returns the request's completion latency.
-func (r *Request) Latency() time.Duration { return r.CompletedAt.Sub(r.SubmittedAt) }
-
 // QueuePair is an SQ/CQ pair bound to one port. Its completion side
 // (interrupt moderation and NAPI-style re-arm) is the embedded
 // device.Completions, the same as a NIC queue's.
@@ -158,8 +129,6 @@ type QueuePair struct {
 	port *Port
 	sq   *device.Ring
 	cq   *device.Ring
-
-	inFlight int
 }
 
 // NewQueuePair creates an SQ/CQ pair in memory homed on `home`, with
@@ -168,15 +137,12 @@ func (p *Port) NewQueuePair(home topology.NodeID, irqNode topology.NodeID, onIRQ
 	c := p.ctrl
 	qp := &QueuePair{
 		port: p,
-		sq:   device.NewRing(c.mem, fmt.Sprintf("%s:sq%d", c.name, p.index), home, queueEntries, descBytes),
-		cq:   device.NewRing(c.mem, fmt.Sprintf("%s:cq%d", c.name, p.index), home, queueEntries, descBytes),
+		sq:   device.NewRing(c.mem, home, queueEntries, descBytes),
+		cq:   device.NewRing(c.mem, home, queueEntries, descBytes),
 	}
-	qp.Init(c.eng, p.ep, irqNode, onIRQ, coalesceDelay, cqeVisible)
+	qp.Init(c.eng, p.ep, irqNode, onIRQ, coalesceDelay, nil)
 	return qp
 }
-
-// Port returns the owning port.
-func (qp *QueuePair) Port() *Port { return qp.port }
 
 // SQ returns the submission ring (the driver writes SQEs into it).
 func (qp *QueuePair) SQ() *device.Ring { return qp.sq }
@@ -184,17 +150,12 @@ func (qp *QueuePair) SQ() *device.Ring { return qp.sq }
 // CQ returns the completion ring.
 func (qp *QueuePair) CQ() *device.Ring { return qp.cq }
 
-// InFlight returns submitted, uncompleted requests.
-func (qp *QueuePair) InFlight() int { return qp.inFlight }
-
 // Submit starts the hardware side of a request: SQE fetch, media
 // access, data DMA, CQE writeback, interrupt. The driver has already
 // charged SQE write + doorbell CPU costs.
 func (qp *QueuePair) Submit(req *Request) {
 	req.bind()
-	req.SubmittedAt = qp.port.ctrl.eng.Now()
 	req.qp = qp
-	qp.inFlight++
 	qp.sq.DeviceRead(qp.port.ep, 1, req.fetchDone)
 }
 
@@ -233,23 +194,3 @@ func (r *Request) writeCQE() {
 
 // complete hands the written CQE to the queue pair's completion side.
 func (r *Request) complete() { r.qp.Complete(r) }
-
-// cqeVisible is the accounting as a request's CQE becomes visible to
-// the driver.
-func cqeVisible(req *Request) {
-	c := req.qp.port.ctrl
-	req.CompletedAt = c.eng.Now()
-	if req.Write {
-		c.writes++
-	} else {
-		c.reads++
-	}
-}
-
-// Reap removes up to budget completed requests, in completion order,
-// for driver cleanup.
-func (qp *QueuePair) Reap(budget int) []*Request {
-	batch := qp.Completions.Reap(budget)
-	qp.inFlight -= len(batch)
-	return batch
-}

@@ -54,10 +54,7 @@ func LinkBandwidth(g Gen, lanes int) float64 {
 // one socket's I/O controller.
 type Endpoint struct {
 	fabric *Fabric
-	name   string
 	node   topology.NodeID
-	gen    Gen
-	lanes  int
 
 	toHost   *sim.Pipe // DMA writes (device -> memory)
 	toDevice *sim.Pipe // DMA reads (memory -> device)
@@ -160,9 +157,6 @@ func New(e *sim.Engine, mem *memsys.System) *Fabric {
 	return &Fabric{eng: e, mem: mem}
 }
 
-// Memory returns the memory system DMA lands in.
-func (f *Fabric) Memory() *memsys.System { return f.mem }
-
 // NewEndpoint attaches a PF with the given link to a socket.
 func (f *Fabric) NewEndpoint(name string, node topology.NodeID, g Gen, lanes int) *Endpoint {
 	return f.newEndpoint(name, node, g, lanes, 0)
@@ -172,10 +166,7 @@ func (f *Fabric) newEndpoint(name string, node topology.NodeID, g Gen, lanes int
 	bw := LinkBandwidth(g, lanes)
 	ep := &Endpoint{
 		fabric:       f,
-		name:         name,
 		node:         node,
-		gen:          g,
-		lanes:        lanes,
 		extraLatency: extra,
 		toHost: sim.NewPipe(f.eng, sim.PipeConfig{
 			Name: name + ":up", BytesPerSec: bw, BaseLatency: linkLatency,
@@ -191,14 +182,8 @@ func (f *Fabric) newEndpoint(name string, node topology.NodeID, g Gen, lanes int
 // Endpoints returns all attached endpoints.
 func (f *Fabric) Endpoints() []*Endpoint { return f.endpoints }
 
-// Name returns the endpoint's name.
-func (ep *Endpoint) Name() string { return ep.name }
-
 // Node returns the socket the endpoint is attached to.
 func (ep *Endpoint) Node() topology.NodeID { return ep.node }
-
-// Lanes returns the link width.
-func (ep *Endpoint) Lanes() int { return ep.lanes }
 
 // DMAWrite moves n bytes from the device into the buffer (packet
 // reception, completion writeback): the data serializes on the uplink,

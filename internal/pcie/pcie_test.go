@@ -1,11 +1,14 @@
 package pcie
 
 import (
+	"fmt"
+	"math"
 	"testing"
 	"time"
 
 	"ioctopus/internal/interconnect"
 	"ioctopus/internal/memsys"
+	"ioctopus/internal/metrics"
 	"ioctopus/internal/sim"
 	"ioctopus/internal/topology"
 )
@@ -17,6 +20,27 @@ func newFabric(t *testing.T) (*sim.Engine, *Fabric) {
 	ic := interconnect.New(e, srv)
 	mem := memsys.New(e, srv, ic, true)
 	return e, New(e, mem)
+}
+
+// dramBytes reads one of a node's DRAM byte counters ("read" or
+// "write") through the memory system's metrics.
+func dramBytes(t *testing.T, mem *memsys.System, node int, dir string) float64 {
+	t.Helper()
+	r := metrics.NewRegistry()
+	mem.RegisterMetrics(r)
+	v, ok := r.Value(fmt.Sprintf("node%d/dram_%s_bytes", node, dir))
+	if !ok {
+		t.Fatalf("no node%d DRAM %s counter", node, dir)
+	}
+	return v
+}
+
+// lanes infers a Gen3 endpoint's link width from how long its uplink
+// takes to serialize 1 GB.
+func lanes(ep *Endpoint) int {
+	const n = 1e9
+	ser := ep.toHost.Latency(n) - ep.toHost.Latency(0)
+	return int(math.Round(n / ser.Seconds() / perLaneBandwidth(Gen3)))
 }
 
 func TestLinkBandwidth(t *testing.T) {
@@ -45,7 +69,7 @@ func TestLinkBandwidthPanics(t *testing.T) {
 func TestDMAWriteLandsViaDDIO(t *testing.T) {
 	e, f := newFabric(t)
 	ep := f.NewEndpoint("nic", 0, Gen3, 8)
-	b := f.Memory().NewBuffer("pkt", 0, 1500)
+	b := f.mem.NewBuffer(0, 1500)
 	var done sim.Time
 	ep.DMAWrite(b, 1500, func() { done = e.Now() })
 	e.RunUntilIdle()
@@ -63,8 +87,8 @@ func TestDMAWriteLandsViaDDIO(t *testing.T) {
 func TestDMAWriteSerializesOnLink(t *testing.T) {
 	e, f := newFabric(t)
 	ep := f.NewEndpoint("nic", 0, Gen3, 8)
-	b1 := f.Memory().NewBuffer("a", 0, 64*1024)
-	b2 := f.Memory().NewBuffer("b", 0, 64*1024)
+	b1 := f.mem.NewBuffer(0, 64*1024)
+	b2 := f.mem.NewBuffer(0, 64*1024)
 	var t1, t2 sim.Time
 	ep.DMAWrite(b1, 64*1024, func() { t1 = e.Now() })
 	ep.DMAWrite(b2, 64*1024, func() { t2 = e.Now() })
@@ -78,13 +102,13 @@ func TestDMAWriteSerializesOnLink(t *testing.T) {
 func TestRemoteDMAWriteCrossesInterconnect(t *testing.T) {
 	e, f := newFabric(t)
 	ep := f.NewEndpoint("nic", 0, Gen3, 8)
-	b := f.Memory().NewBuffer("pkt", 1, 1500) // homed on node 1
+	b := f.mem.NewBuffer(1, 1500) // homed on node 1
 	ep.DMAWrite(b, 1500, nil)
 	e.RunUntilIdle()
-	if f.Memory().Fabric().Pipe(0, 1).DiscreteBytes() != 1500 {
+	if f.mem.Fabric().Pipe(0, 1).DiscreteBytes() != 1500 {
 		t.Fatal("remote DMA write should cross QPI")
 	}
-	if f.Memory().Stats(1).DRAMWriteBytes != 1500 {
+	if dramBytes(t, f.mem, 1, "write") != 1500 {
 		t.Fatal("remote DMA write should land in DRAM")
 	}
 }
@@ -92,16 +116,16 @@ func TestRemoteDMAWriteCrossesInterconnect(t *testing.T) {
 func TestDMAReadServesFromLLC(t *testing.T) {
 	e, f := newFabric(t)
 	ep := f.NewEndpoint("nic", 0, Gen3, 8)
-	b := f.Memory().NewBuffer("txbuf", 0, 1500)
-	f.Memory().CPUWrite(0, b, 1500)
-	before := f.Memory().Stats(0)
+	b := f.mem.NewBuffer(0, 1500)
+	f.mem.CPUWrite(0, b, 1500)
+	before := dramBytes(t, f.mem, 0, "read")
 	var done sim.Time
 	ep.DMARead(b, 1500, func() { done = e.Now() })
 	e.RunUntilIdle()
 	if done == 0 {
 		t.Fatal("DMA read never completed")
 	}
-	if f.Memory().Stats(0).DRAMReadBytes != before.DRAMReadBytes {
+	if dramBytes(t, f.mem, 0, "read") != before {
 		t.Fatal("local cached DMA read should not touch DRAM")
 	}
 	if ep.DMAReadBytes() != 1500 {
@@ -140,7 +164,7 @@ func TestInterruptDelivery(t *testing.T) {
 func TestAttachCardDirect(t *testing.T) {
 	_, f := newFabric(t)
 	eps := f.AttachCard(CardConfig{Name: "nic", Gen: Gen3, TotalLanes: 16, Wiring: WiringDirect, Nodes: []topology.NodeID{0}})
-	if len(eps) != 1 || eps[0].Lanes() != 16 || eps[0].Node() != 0 {
+	if len(eps) != 1 || lanes(eps[0]) != 16 || eps[0].Node() != 0 {
 		t.Fatalf("direct wiring wrong: %+v", eps)
 	}
 }
@@ -152,8 +176,8 @@ func TestAttachCardBifurcated(t *testing.T) {
 		t.Fatalf("endpoints = %d, want 2", len(eps))
 	}
 	for i, ep := range eps {
-		if ep.Lanes() != 8 {
-			t.Fatalf("pf%d lanes = %d, want 8", i, ep.Lanes())
+		if lanes(ep) != 8 {
+			t.Fatalf("pf%d lanes = %d, want 8", i, lanes(ep))
 		}
 		if ep.Node() != topology.NodeID(i) {
 			t.Fatalf("pf%d on node %d", i, ep.Node())
@@ -165,8 +189,8 @@ func TestAttachCardExtenderKeepsFullWidth(t *testing.T) {
 	_, f := newFabric(t)
 	eps := f.AttachCard(CardConfig{Name: "ext", Gen: Gen3, TotalLanes: 16, Wiring: WiringExtender, Nodes: []topology.NodeID{0, 1}})
 	for _, ep := range eps {
-		if ep.Lanes() != 16 {
-			t.Fatalf("extender endpoint lanes = %d, want 16", ep.Lanes())
+		if lanes(ep) != 16 {
+			t.Fatalf("extender endpoint lanes = %d, want 16", lanes(ep))
 		}
 	}
 }
@@ -175,8 +199,8 @@ func TestAttachCardSwitchAddsLatency(t *testing.T) {
 	e, f := newFabric(t)
 	direct := f.AttachCard(CardConfig{Name: "d", Gen: Gen3, TotalLanes: 16, Wiring: WiringDirect, Nodes: []topology.NodeID{0}})[0]
 	switched := f.AttachCard(CardConfig{Name: "s", Gen: Gen3, TotalLanes: 16, Wiring: WiringSwitch, Nodes: []topology.NodeID{0, 1}})[0]
-	b1 := f.Memory().NewBuffer("a", 0, 64)
-	b2 := f.Memory().NewBuffer("b", 0, 64)
+	b1 := f.mem.NewBuffer(0, 64)
+	b2 := f.mem.NewBuffer(0, 64)
 	var tDirect, tSwitch sim.Time
 	direct.DMAWrite(b1, 64, func() { tDirect = e.Now() })
 	e.RunUntilIdle()

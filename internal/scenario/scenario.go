@@ -418,14 +418,12 @@ func (sim *SimSpec) build(seed int64, T time.Duration) (*core.Cluster, error) {
 		stackParams.RetxTimeout = r.Timeout
 		stackParams.RetxMaxTries = r.MaxTries
 	}
-	var drvParams *driver.Params
+	var drvParams driver.Params
 	if sim.Watchdog != nil {
 		if sim.Watchdog.Interval <= 0 {
 			return nil, fmt.Errorf("watchdog needs a positive interval")
 		}
-		dp := driver.DefaultParams()
-		dp.WatchdogInterval = sim.Watchdog.Interval
-		drvParams = &dp
+		drvParams.WatchdogInterval = sim.Watchdog.Interval
 	}
 	if err := sim.checkWorkloads(server, client); err != nil {
 		return nil, err
@@ -704,12 +702,6 @@ func (sim *SimSpec) checkObservations(serverPFs int) error {
 		}
 	}
 	return nil
-}
-
-// Marshal renders the spec as indented JSON (the on-disk form
-// -scenario loads).
-func (sp *Spec) Marshal() ([]byte, error) {
-	return json.MarshalIndent(sp, "", "  ")
 }
 
 // Parse decodes and validates a JSON spec. Unknown fields are errors:

@@ -2,6 +2,7 @@ package scenario_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
@@ -36,7 +37,7 @@ func TestJSONRoundTrip(t *testing.T) {
 		{"generated", scenario.Generate(7), experiments.FuzzDurations()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			data, err := tc.sp.Marshal()
+			data, err := json.MarshalIndent(tc.sp, "", "  ")
 			if err != nil {
 				t.Fatalf("marshal: %v", err)
 			}
@@ -72,7 +73,7 @@ func FuzzParse(f *testing.F) {
 		seeds = append(seeds, scenario.Generate(seed))
 	}
 	for _, sp := range seeds {
-		data, err := sp.Marshal()
+		data, err := json.MarshalIndent(sp, "", "  ")
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -83,7 +84,7 @@ func FuzzParse(f *testing.F) {
 		if err != nil {
 			return
 		}
-		once, err := sp.Marshal()
+		once, err := json.MarshalIndent(sp, "", "  ")
 		if err != nil {
 			t.Fatalf("marshal of an accepted spec: %v", err)
 		}
@@ -91,7 +92,7 @@ func FuzzParse(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-parse of a marshaled spec: %v\n%s", err, once)
 		}
-		if twice, err := back.Marshal(); err != nil || !bytes.Equal(once, twice) {
+		if twice, err := json.MarshalIndent(back, "", "  "); err != nil || !bytes.Equal(once, twice) {
 			t.Fatalf("marshal is not a fixed point (err %v):\n--- once ---\n%s\n--- twice ---\n%s", err, once, twice)
 		}
 	})
@@ -216,7 +217,7 @@ func TestDatapathRoundTrips(t *testing.T) {
 	for _, dp := range []string{"", "interrupt", "busypoll", "hybrid"} {
 		sp := scenario.Chaos()
 		sp.Sim.Datapath = dp
-		data, err := sp.Marshal()
+		data, err := json.MarshalIndent(sp, "", "  ")
 		if err != nil {
 			t.Fatalf("datapath %q: marshal: %v", dp, err)
 		}

@@ -100,7 +100,6 @@ type Engine struct {
 	freeHead int32 // head of the slot free list, -1 when empty
 	live     int   // scheduled and not cancelled
 	running  bool
-	stopped  bool
 	// hop is the running event's hop (see Hop); hopEnd is the last seq
 	// scheduled before the first event of that hop ran, so a larger seq
 	// at the same instant starts the next hop.
@@ -308,24 +307,22 @@ func (e *Engine) step() bool {
 }
 
 // Run dispatches events until the clock would pass `until` or no events
-// remain. The clock is left at `until` (or at the last event if the queue
-// drained earlier and Stop was not called).
+// remain. The clock is left at `until`.
 func (e *Engine) Run(until Time) {
 	if e.running {
 		panic("sim: Run called reentrantly")
 	}
 	e.running = true
-	e.stopped = false
 	e.hopEnd = e.seq
 	defer e.endRun()
-	for !e.stopped {
+	for {
 		e.purge()
 		if len(e.events) == 0 || e.events[0].at > until {
 			break
 		}
 		e.step()
 	}
-	if !e.stopped && until > e.now {
+	if until > e.now {
 		e.now = until
 	}
 }
@@ -341,12 +338,11 @@ func (e *Engine) RunUntilIdle() {
 		panic("sim: Run called reentrantly")
 	}
 	e.running = true
-	e.stopped = false
 	e.hopEnd = e.seq
 	defer e.endRun()
-	for !e.stopped && e.step() {
+	for e.step() {
 	}
-	if !e.stopped && e.idleAt > e.now {
+	if e.idleAt > e.now {
 		e.now = e.idleAt
 	}
 }
@@ -374,10 +370,6 @@ func (e *Engine) endRun() {
 // Run calls it returns a value larger than any hop an event reaches.
 func (e *Engine) Hop() int { return e.hop }
 
-// Stop makes the current Run/RunUntilIdle return after the event being
-// dispatched completes.
-func (e *Engine) Stop() { e.stopped = true }
-
 // Pending returns the number of events waiting in the queue.
 func (e *Engine) Pending() int { return e.live }
 
@@ -395,19 +387,4 @@ func (e *Engine) Drain() {
 	for _, p := range procs {
 		p.stop()
 	}
-}
-
-// ArenaSlots returns the total size of the event slot arena, and
-// FreeSlots the length of its free list. live == ArenaSlots-FreeSlots
-// is the number of scheduled, uncancelled events; regression tests use
-// the pair to prove that lazily-cancelled timers do not leak slots.
-func (e *Engine) ArenaSlots() int { return len(e.slots) }
-
-// FreeSlots returns the current length of the slot free list.
-func (e *Engine) FreeSlots() int {
-	n := 0
-	for s := e.freeHead; s >= 0; s = e.slots[s].next {
-		n++
-	}
-	return n
 }

@@ -123,12 +123,6 @@ func (pp *Pipe) SetDegradation(bwFactor, latFactor float64) {
 	pp.reallocate()
 }
 
-// Name returns the pipe's name.
-func (pp *Pipe) Name() string { return pp.name }
-
-// Capacity returns the configured capacity in bytes/sec.
-func (pp *Pipe) Capacity() float64 { return pp.capacity }
-
 // decayDiscRate brings the discrete-rate estimate forward to now.
 func (pp *Pipe) decayDiscRate(now Time) {
 	dt := now.Sub(pp.discRateAt).Seconds()
@@ -276,7 +270,6 @@ func (pp *Pipe) MeanLatency() time.Duration {
 // is the water-filled share of the pipe's fluid capacity.
 type FluidFlow struct {
 	pipe   *Pipe
-	name   string
 	demand float64 // bytes/sec requested; math.Inf(1) = elastic
 	alloc  float64 // bytes/sec granted
 	bytes  float64 // integrated
@@ -288,7 +281,7 @@ type FluidFlow struct {
 // Use math.Inf(1) for an elastic flow that takes any spare bandwidth.
 func (pp *Pipe) AddFlow(name string, demand float64) *FluidFlow {
 	pp.integrateFluid()
-	f := &FluidFlow{pipe: pp, name: name, demand: demand}
+	f := &FluidFlow{pipe: pp, demand: demand}
 	pp.flows = append(pp.flows, f)
 	pp.reallocate()
 	pp.eng.traceFlow(pp.name, name, demand)
@@ -328,12 +321,6 @@ func (f *FluidFlow) Bytes() float64 {
 	f.pipe.integrateFluid()
 	return f.bytes
 }
-
-// Demand returns the flow's demand.
-func (f *FluidFlow) Demand() float64 { return f.demand }
-
-// Name returns the flow's name.
-func (f *FluidFlow) Name() string { return f.name }
 
 // integrateFluid advances each flow's byte counter to now at its current
 // allocation, and refreshes allocations (the discrete-rate estimate that

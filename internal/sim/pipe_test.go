@@ -206,7 +206,7 @@ func TestPipeFluidConservation(t *testing.T) {
 			}
 			p.AddFlow("f", float64(d%2_000_000_000))
 		}
-		return p.FluidRate() <= p.Capacity()*1.0001
+		return p.FluidRate() <= p.capacity*1.0001
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -226,7 +226,7 @@ func TestPipeFluidDemandCap(t *testing.T) {
 			flows = append(flows, p.AddFlow("f", float64(d%2_000_000_000)))
 		}
 		for _, fl := range flows {
-			if fl.Rate() > fl.Demand()+1e-6 {
+			if fl.Rate() > fl.demand+1e-6 {
 				return false
 			}
 		}

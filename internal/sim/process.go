@@ -70,15 +70,6 @@ func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
 	return p
 }
 
-// Engine returns the engine this process runs on.
-func (p *Proc) Engine() *Engine { return p.eng }
-
-// Name returns the process name (diagnostics only).
-func (p *Proc) Name() string { return p.name }
-
-// Now returns the current simulation time.
-func (p *Proc) Now() Time { return p.eng.Now() }
-
 // resume switches into the process coroutine and returns when the
 // process yields or finishes; a finished or killed process ignores it.
 // Must run in engine context.
@@ -158,6 +149,3 @@ func (s *Signal) Broadcast() {
 	clear(s.waiters)
 	s.waiters = s.waiters[:0]
 }
-
-// Waiters returns the number of processes currently waiting.
-func (s *Signal) Waiters() int { return len(s.waiters) }

@@ -11,7 +11,7 @@ func TestProcSleep(t *testing.T) {
 	e.Go("sleeper", func(p *Proc) {
 		for i := 0; i < 3; i++ {
 			p.Sleep(10 * Nanosecond)
-			wakeups = append(wakeups, p.Now())
+			wakeups = append(wakeups, p.eng.Now())
 		}
 	})
 	e.RunUntilIdle()
@@ -65,8 +65,8 @@ func TestSignalBroadcast(t *testing.T) {
 	}
 	e.Go("b", func(p *Proc) {
 		p.Sleep(10 * Nanosecond)
-		if s.Waiters() != 3 {
-			t.Errorf("waiters = %d, want 3", s.Waiters())
+		if len(s.waiters) != 3 {
+			t.Errorf("waiters = %d, want 3", len(s.waiters))
 		}
 		s.Broadcast()
 	})
@@ -87,8 +87,8 @@ func TestDrainKillsParkedProcs(t *testing.T) {
 		reached = true
 	})
 	e.Run(Time(1000))
-	if s.Waiters() != 1 || unwound {
-		t.Fatalf("waiters = %d, unwound = %v: process should be parked in Wait", s.Waiters(), unwound)
+	if len(s.waiters) != 1 || unwound {
+		t.Fatalf("waiters = %d, unwound = %v: process should be parked in Wait", len(s.waiters), unwound)
 	}
 	e.Drain()
 	if !unwound {

@@ -89,15 +89,6 @@ func (t *Tracer) record(rec TraceRecord) {
 	t.start = (t.start + 1) % t.limit
 }
 
-// Records returns a copy of the retained observations, oldest first.
-func (t *Tracer) Records() []TraceRecord {
-	out := make([]TraceRecord, t.count)
-	for i := range out {
-		out[i] = t.buf[(t.start+i)%t.limit]
-	}
-	return out
-}
-
 // chromeEvent is one entry of the Chrome trace-event JSON format
 // (loadable in chrome://tracing and Perfetto). Timestamps are
 // microseconds; instant events use phase "i" with thread scope.

@@ -206,13 +206,13 @@ func FuzzWaterFill(f *testing.F) {
 			}
 			want := make([]*oracleFlow, len(live))
 			for i, fl := range live {
-				want[i] = &oracleFlow{demand: fl.Demand()}
+				want[i] = &oracleFlow{demand: fl.demand}
 			}
-			wantRate := oracleWaterFill(p.Capacity(), p.minShare, disc, want)
+			wantRate := oracleWaterFill(p.capacity, p.minShare, disc, want)
 			for i, fl := range live {
 				if got := fl.Rate(); got != want[i].alloc {
 					t.Fatalf("step %d: flow %d of %d (demand %v) rate %v, oracle %v",
-						step, i, len(live), fl.Demand(), got, want[i].alloc)
+						step, i, len(live), fl.demand, got, want[i].alloc)
 				}
 			}
 			if got := p.FluidRate(); got != wantRate {

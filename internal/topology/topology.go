@@ -72,9 +72,6 @@ type Socket struct {
 	Cores []*Core
 	LLC   LLCSpec
 	DRAM  DRAMSpec
-	// IOLanes is the number of PCIe lanes the socket's I/O controller
-	// exposes (for fabric validation).
-	IOLanes int
 }
 
 // Server is a complete machine description.
@@ -167,7 +164,7 @@ func Build(name string, sockets, coresPerSocket int, freqGHz float64, llc LLCSpe
 	srv := &Server{Name: name, Interconnect: ic}
 	id := CoreID(0)
 	for s := 0; s < sockets; s++ {
-		sk := &Socket{ID: NodeID(s), LLC: llc, DRAM: dram, IOLanes: 48}
+		sk := &Socket{ID: NodeID(s), LLC: llc, DRAM: dram}
 		for c := 0; c < coresPerSocket; c++ {
 			sk.Cores = append(sk.Cores, &Core{ID: id, Node: NodeID(s), FreqGHz: freqGHz})
 			id++
@@ -235,15 +232,6 @@ func DualSkylake() *Server {
 			BytesPerSecPerLink: 20.8 * GB,
 			BaseLatency:        70 * time.Nanosecond,
 		})
-}
-
-// SingleSocket returns a uniform-memory machine, useful as a NUDMA-free
-// control in tests.
-func SingleSocket(cores int) *Server {
-	return Build("single-socket", 1, cores, 2.0,
-		LLCSpec{Size: 35 * MiB, DDIOFraction: 0.10, HitLatency: 18 * time.Nanosecond},
-		DRAMSpec{Capacity: 64 * GiB, BytesPerSec: 60 * GB, Latency: 85 * time.Nanosecond},
-		InterconnectSpec{})
 }
 
 // QuadSocket returns a four-socket server (fully connected interconnect),

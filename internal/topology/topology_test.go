@@ -40,10 +40,7 @@ func TestDualSkylakeShape(t *testing.T) {
 	}
 }
 
-func TestSingleAndQuad(t *testing.T) {
-	if s := SingleSocket(8); s.NumCores() != 8 || s.NumNodes() != 1 {
-		t.Fatal("single-socket shape wrong")
-	}
+func TestQuadSocketShape(t *testing.T) {
 	q := QuadSocket(12)
 	if q.NumCores() != 48 || q.NumNodes() != 4 {
 		t.Fatal("quad-socket shape wrong")

@@ -41,7 +41,7 @@ func StartFio(rig *core.StorageRig, cores []topology.CoreID) *Fio {
 			// I/O into user memory).
 			bufs := make([]*memsys.Buffer, fioQueueDepth)
 			for i := range bufs {
-				bufs[i] = rig.Host.Mem.NewBuffer(fmt.Sprintf("fio%d.%d", ti, i), node, fioBlockSize)
+				bufs[i] = rig.Host.Mem.NewBuffer(node, fioBlockSize)
 			}
 			// Prime the queue depth; completions keep it full. The
 			// thread itself then idles (the async engine does the work

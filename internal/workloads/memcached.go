@@ -31,9 +31,9 @@ type MemcachedConfig struct {
 	// (hashing, slab/LRU bookkeeping, locking, the many small syscalls
 	// a 512 KB value takes).
 	OpCost time.Duration
-	// Pipeline is how many requests each memslap keeps in flight
-	// (memslap's concurrency), so the server, not the request-response
-	// round trip, sets the pace.
+	// Pipeline is how many requests each memslap keeps in flight, at
+	// least 1 (memslap's concurrency), so the server, not the
+	// request-response round trip, sets the pace.
 	Pipeline int
 }
 
@@ -68,14 +68,8 @@ type mcReq struct {
 	total int64 // request payload bytes (key, + value for SET)
 }
 
-// mcResp is the response header.
-type mcResp struct {
-	total int64
-}
-
 // Memcached is a running memcached+memslap workload.
 type Memcached struct {
-	cfg      MemcachedConfig
 	txns     uint64
 	baseline uint64
 	slab     *memsys.Buffer
@@ -84,15 +78,9 @@ type Memcached struct {
 
 // StartMemcached launches server and clients.
 func StartMemcached(cl *core.Cluster, cfg MemcachedConfig) *Memcached {
-	if cfg.Port == 0 {
-		cfg.Port = 11211
-	}
-	if cfg.Pipeline <= 0 {
-		cfg.Pipeline = 1
-	}
-	w := &Memcached{cfg: cfg}
+	w := &Memcached{}
 	serverNode := cl.Server.Topo.NodeOf(cfg.ServerCores[0])
-	w.slab = cl.Server.Mem.NewBuffer("mc-slab", serverNode, mcSlabBytes).SetRandomAccess(true)
+	w.slab = cl.Server.Mem.NewBuffer(serverNode, mcSlabBytes).SetRandomAccess(true)
 
 	// Server: one worker thread per accepted connection, round-robin
 	// over the configured cores.
@@ -128,10 +116,10 @@ func StartMemcached(cl *core.Cluster, cfg MemcachedConfig) *Memcached {
 					th.ExecFn(func() time.Duration {
 						return cl.Server.Mem.CPUWrite(th.Node(), w.slab, cfg.ValueSize)
 					})
-					s.SendMsg(th, 64, &mcResp{total: 64})
+					s.Send(th, 64)
 				} else {
 					// Serve the value from the slab.
-					s.SendMsgFrom(th, w.slab, cfg.ValueSize, &mcResp{total: cfg.ValueSize})
+					s.SendMsgFrom(th, w.slab, cfg.ValueSize, nil)
 				}
 			}
 		})

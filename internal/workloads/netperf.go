@@ -89,7 +89,6 @@ type StreamConfig struct {
 
 // Stream is a running TCP_STREAM workload.
 type Stream struct {
-	cfg      StreamConfig
 	received []int64 // per instance, measured at the receiving app
 	baseline []int64
 	servers  []*kernel.Thread // per instance, the server-side thread
@@ -113,7 +112,6 @@ func StartStream(cl *core.Cluster, cfg StreamConfig) *Stream {
 		}
 	}
 	w := &Stream{
-		cfg:      cfg,
 		received: make([]int64, len(cfg.ServerCores)),
 		baseline: make([]int64, len(cfg.ServerCores)),
 		servers:  make([]*kernel.Thread, len(cfg.ServerCores)),

@@ -48,7 +48,7 @@ func StartPktgen(cl *core.Cluster, dev RawTxDevice, coreID topology.CoreID, pktS
 	node := cl.Server.Topo.NodeOf(coreID)
 	// The payload region pktgen clones from: written once, then reused
 	// (hot in the sender's LLC — the Figure 8 setup).
-	payload := cl.Server.Mem.NewBuffer("pktgen-payload", node, pktSize*pktgenBatch)
+	payload := cl.Server.Mem.NewBuffer(node, pktSize*pktgenBatch)
 
 	cl.Server.Kernel.Spawn("pktgen", coreID, func(th *kernel.Thread) {
 		// Initialize the payload (allocates it into the LLC).
@@ -69,7 +69,6 @@ func StartPktgen(cl *core.Cluster, dev RawTxDevice, coreID topology.CoreID, pktS
 			Packets:     pktgenBatch,
 			Descriptors: pktgenBatch,
 			Frags:       []netstack.Frag{{Buf: payload, Bytes: pktSize * pktgenBatch}},
-			Proto:       eth.ProtoUDP,
 		}
 		pkt.OnSent = func() {
 			outstanding--

@@ -34,13 +34,6 @@ func DefaultAntagonistConfig(pairs int) AntagonistConfig {
 type streamInstance struct {
 	fabricFlow *sim.FluidFlow
 	memFlow    *sim.FluidFlow
-	release    func()
-}
-
-// rate is the instance's achieved bandwidth: the minimum over the
-// resources it traverses.
-func (si *streamInstance) rate() float64 {
-	return math.Min(si.fabricFlow.Rate(), si.memFlow.Rate())
 }
 
 func (si *streamInstance) bytes() float64 {
@@ -52,7 +45,6 @@ type Antagonist struct {
 	host      *core.Host
 	instances []*streamInstance
 	baseline  float64
-	stopped   bool
 }
 
 // StartAntagonist launches the STREAM pairs on the host. Pair i places
@@ -90,17 +82,8 @@ func (a *Antagonist) addInstance(name string, cpuNode, memNode topology.NodeID, 
 		si.fabricFlow = h.Fabric.AddFlow(name, cpuNode, memNode, cfg.DemandPerInstance)
 	}
 	si.memFlow = h.Mem.MemCtl(memNode).AddFlow(name, cfg.DemandPerInstance)
-	si.release = h.Mem.AddLLCPressure(cpuNode, cfg.DemandPerInstance*llcPollutionFactor)
+	h.Mem.AddLLCPressure(cpuNode, cfg.DemandPerInstance*llcPollutionFactor)
 	return si
-}
-
-// Rate returns the aggregate achieved STREAM bandwidth (bytes/sec).
-func (a *Antagonist) Rate() float64 {
-	var r float64
-	for _, si := range a.instances {
-		r += si.rate()
-	}
-	return r
 }
 
 // MeasureStart marks the measurement window start.
@@ -118,19 +101,3 @@ func (a *Antagonist) Bytes() float64 {
 
 // WindowBytes returns bytes moved since MeasureStart.
 func (a *Antagonist) WindowBytes() float64 { return a.Bytes() - a.baseline }
-
-// Instances returns the instance count (2 per pair).
-func (a *Antagonist) Instances() int { return len(a.instances) }
-
-// Stop removes all flows and LLC pressure.
-func (a *Antagonist) Stop() {
-	if a.stopped {
-		return
-	}
-	a.stopped = true
-	for _, si := range a.instances {
-		si.fabricFlow.Remove()
-		si.memFlow.Remove()
-		si.release()
-	}
-}
