@@ -135,11 +135,11 @@ func BenchmarkAllFiguresQuickSerial(b *testing.B) { benchAllQuick(b, 1) }
 func BenchmarkAllFiguresQuickParallel(b *testing.B) { benchAllQuick(b, runtime.GOMAXPROCS(0)) }
 
 // steadyStateCluster builds a single-core Rx streaming cluster with
-// the given firmware and server core and runs it past warm-up: pools
-// populated, rings and buffers allocated, TCP window in regulation.
-// Packet-path measurements start from here.
-func steadyStateCluster(mode ioctopus.NICMode, serverCore topology.CoreID) *core.Cluster {
-	cl := ioctopus.NewCluster(ioctopus.Config{Mode: mode})
+// the given configuration and server core and runs it past warm-up:
+// pools populated, rings and buffers allocated, TCP window in
+// regulation. Packet-path measurements start from here.
+func steadyStateCluster(cfg ioctopus.Config, serverCore topology.CoreID) *core.Cluster {
+	cl := ioctopus.NewCluster(cfg)
 	workloads.StartStream(cl, workloads.StreamConfig{
 		MsgSize: 65536, Direction: workloads.Rx,
 		ServerCores: []topology.CoreID{serverCore}, ServerIP: core.IPServerPF0,
@@ -158,20 +158,26 @@ const remoteRxCore topology.CoreID = 14
 // DMA ops and ACK flights all come from free lists. The window is one
 // simulated millisecond (~1300 events of full Rx segment round trips);
 // the bound leaves room only for incidental runtime noise, not for any
-// per-packet cost. Two runs are guarded: IOctopus Rx on a NIC-local
-// core, whose completion reads all hit, and standard-firmware Rx on a
-// socket-1 core, whose completion reads miss one by one (§5.1.1).
+// per-packet cost. Three runs are guarded: IOctopus Rx on a NIC-local
+// core, whose completion reads all hit; the same with the TCP
+// retransmission timer armed, which tracks every segment in flight;
+// and standard-firmware Rx on a socket-1 core, whose completion reads
+// miss one by one (§5.1.1).
 func TestPacketPathAllocFree(t *testing.T) {
 	for _, tc := range []struct {
 		name string
-		mode ioctopus.NICMode
+		cfg  ioctopus.Config
 		core topology.CoreID
 	}{
-		{"ioctopus-local", ioctopus.ModeIOctopus, 0},
-		{"standard-remote", ioctopus.ModeStandard, remoteRxCore},
+		{"ioctopus-local", ioctopus.Config{Mode: ioctopus.ModeIOctopus}, 0},
+		{"ioctopus-local-retx", ioctopus.Config{
+			Mode:        ioctopus.ModeIOctopus,
+			StackParams: ioctopus.StackParams{RetxTimeout: 2 * time.Millisecond},
+		}, 0},
+		{"standard-remote", ioctopus.Config{Mode: ioctopus.ModeStandard}, remoteRxCore},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cl := steadyStateCluster(tc.mode, tc.core)
+			cl := steadyStateCluster(tc.cfg, tc.core)
 			defer cl.Drain()
 			allocs := testing.AllocsPerRun(5, func() {
 				cl.Run(time.Millisecond)
@@ -188,15 +194,26 @@ func TestPacketPathAllocFree(t *testing.T) {
 // cluster construction excluded. Contrast with
 // BenchmarkSimulatorEventRate, which includes construction per op.
 func benchPacketPath(b *testing.B, mode ioctopus.NICMode, serverCore topology.CoreID) {
-	cl := steadyStateCluster(mode, serverCore)
+	cl := steadyStateCluster(ioctopus.Config{Mode: mode}, serverCore)
 	defer cl.Drain()
+	runSteady(b, cl)
+}
+
+// runSteady runs one simulated millisecond per iteration and reports
+// the events dispatched and the thread wakes (process resumes) per
+// iteration. Both are pure functions of the simulation at a fixed
+// -benchtime Nx, and scripts/check.sh gates them: a socket call costs
+// its thread one wake, so a kernel-side step that goes back to waking
+// the thread shows as more wakes/op with the same events/op.
+func runSteady(b *testing.B, cl *core.Cluster) {
 	b.ReportAllocs()
 	b.ResetTimer()
-	events := cl.Eng.Executed
+	events, wakes := cl.Eng.Executed, cl.Eng.Wakes
 	for i := 0; i < b.N; i++ {
 		cl.Run(time.Millisecond)
 	}
 	b.ReportMetric(float64(cl.Eng.Executed-events)/float64(b.N), "events/op")
+	b.ReportMetric(float64(cl.Eng.Wakes-wakes)/float64(b.N), "wakes/op")
 }
 
 // BenchmarkPacketPath is IOctopus Rx on a NIC-local core: every

@@ -55,6 +55,53 @@ func TestEndToEndStreamDelivers(t *testing.T) {
 	}
 }
 
+// TestSocketCallWakesThreadOnce pins the continuation rule (DESIGN.md
+// §2, "Execution model"): a socket call parks its thread once and
+// wakes it once, however many kernel-side steps it takes. On a
+// standard-mode TCP_RR pair a transaction is four calls (the client's
+// send and receive, the server's receive and send), so the run resumes
+// its threads four times per transaction, plus once per thread start
+// and once for the dial's handshake.
+func TestSocketCallWakesThreadOnce(t *testing.T) {
+	const txns = 40
+	cl := NewCluster(Config{Mode: ModeStandard})
+	defer cl.Drain()
+	cl.Server.Stack.Listen(7, func(s *netstack.Socket) {
+		cl.Server.Kernel.Spawn("rr-echo", 1, func(th *kernel.Thread) {
+			s.SetOwner(th)
+			for i := 0; i < txns; i++ {
+				n, _, ok := s.Recv(th)
+				if !ok {
+					return
+				}
+				s.Send(th, n)
+			}
+		})
+	})
+	done := 0
+	cl.Client.Kernel.Spawn("rr-client", 0, func(th *kernel.Thread) {
+		sock, err := cl.Client.Stack.Dial(th, IPServerPF0, 7, eth.ProtoTCP)
+		if err != nil {
+			t.Errorf("dial: %v", err)
+			return
+		}
+		for i := 0; i < txns; i++ {
+			sock.Send(th, 64)
+			if _, _, ok := sock.Recv(th); !ok {
+				return
+			}
+			done++
+		}
+	})
+	cl.Run(10 * time.Millisecond)
+	if done != txns {
+		t.Fatalf("completed %d transactions, want %d", done, txns)
+	}
+	if want := uint64(2 + 1 + 4*txns); cl.Eng.Wakes != want {
+		t.Fatalf("threads woke %d times, want %d: 2 starts, the dial and 4 per transaction", cl.Eng.Wakes, want)
+	}
+}
+
 func TestLocalThroughputNearPaper(t *testing.T) {
 	// Paper Fig 6: single-core TCP Rx at 64KB messages, local: ~22 Gb/s.
 	got, _ := runStream(t, Config{Mode: ModeStandard}, 0, IPServerPF0, 64*1024, 20*time.Millisecond)

@@ -56,8 +56,8 @@ func (d *Bond) TxInFlight(q int) int {
 
 // Xmit implements netstack.NetDevice: the flow's hash — not the
 // sender's location — picks the member.
-func (d *Bond) Xmit(t *kernel.Thread, pkt *netstack.Packet, txq int) {
-	d.member(pkt.Flow).Xmit(t, pkt, txq)
+func (d *Bond) Xmit(t *kernel.Thread, pkt *netstack.Packet, txq int, then func()) {
+	d.member(pkt.Flow).Xmit(t, pkt, txq, then)
 }
 
 // SteerFlow implements netstack.NetDevice: the best a bond can do is

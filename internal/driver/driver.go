@@ -91,8 +91,9 @@ type base struct {
 	pairs    []*queuePair // indexed by core id
 
 	// scratch holds each thread's reusable xmit state. A thread has at
-	// most one ExecFn in flight, so its scratch record is stable from
-	// submission until the cost callback runs.
+	// most one Xmit in flight (its caller's chain continues only from
+	// then), so its scratch record is stable from submission until the
+	// post step runs.
 	scratch map[*kernel.Thread]*xmitScratch
 
 	// repost, when set (octo failover), is offered Tx completions that
@@ -117,14 +118,18 @@ type base struct {
 	rulesReplayed uint64
 }
 
-// xmitScratch is one thread's cached transmit-cost state: the cost
-// callback is built once per (driver, thread) pair and reads the
-// per-call fields, replacing a closure per transmitted segment.
+// xmitScratch is one thread's cached transmit state: the cost and post
+// callbacks are built once per (driver, thread) pair and read the
+// per-call fields, replacing closures per transmitted segment.
 type xmitScratch struct {
+	b     *base
 	t     *kernel.Thread
 	qp    *queuePair
 	descs int
-	cost  func() time.Duration
+	pkt   *netstack.Packet
+	then  func()
+	cost  func() time.Duration // cached sc.run
+	postF func()               // cached sc.post
 }
 
 // run prices the descriptor write + doorbell on the thread's current
@@ -137,6 +142,32 @@ func (sc *xmitScratch) run() time.Duration {
 	return cost
 }
 
+// post runs at the done event of the descriptor write: the doorbell
+// flies to the device, which takes a leased copy of the packet, and
+// then the caller's chain continues. It reads every per-call field
+// before then runs, since then may start the thread's next Xmit.
+func (sc *xmitScratch) post() {
+	qp, pkt, then := sc.qp, sc.pkt, sc.then
+	sc.pkt, sc.then = nil, nil
+	flight := qp.tx.PF().Endpoint().MMIOWrite(sc.t.Node())
+	txPkt := qp.tx.PF().NIC().LeaseTxPacket()
+	txPkt.Payload = pkt.Payload
+	txPkt.Packets = pkt.Packets
+	txPkt.Descriptors = sc.descs
+	txPkt.Flow = pkt.Flow
+	txPkt.Dst = pkt.DstMAC
+	txPkt.Seq = pkt.Seq
+	txPkt.Meta = pkt.Meta
+	txPkt.OnSent = pkt.OnSent
+	// The leased packet keeps its fragment backing array across
+	// recycles; append re-fills it without reallocating.
+	for _, f := range pkt.Frags {
+		txPkt.Frags = append(txPkt.Frags, nic.TxFrag{Buf: f.Buf, Bytes: f.Bytes})
+	}
+	sc.b.k.Engine().After(flight, txPkt.DeferPost(qp.tx))
+	then()
+}
+
 // scratchFor returns (lazily creating) the thread's xmit scratch.
 func (b *base) scratchFor(t *kernel.Thread) *xmitScratch {
 	if b.scratch == nil {
@@ -144,8 +175,9 @@ func (b *base) scratchFor(t *kernel.Thread) *xmitScratch {
 	}
 	sc := b.scratch[t]
 	if sc == nil {
-		sc = &xmitScratch{t: t}
+		sc = &xmitScratch{b: b, t: t}
 		sc.cost = sc.run
+		sc.postF = sc.post
 		b.scratch[t] = sc
 	}
 	return sc
@@ -307,39 +339,25 @@ func (b *base) replayJournal() {
 }
 
 // xmit runs the common transmit path: descriptor write + doorbell on
-// the caller's core, then the hardware takes over.
-func (b *base) xmit(t *kernel.Thread, pkt *netstack.Packet, txq int) {
+// the caller's core, then (at its done event) the hardware takes over
+// and then runs.
+func (b *base) xmit(t *kernel.Thread, pkt *netstack.Packet, txq int, then func()) {
 	if txq < 0 || txq >= len(b.pairs) {
 		panic(fmt.Sprintf("driver %s: bad txq %d", b.name, txq))
 	}
-	qp := b.pairs[txq]
 	descs := pkt.Descriptors
 	if descs <= 0 {
 		descs = 1
 	}
 	sc := b.scratchFor(t)
-	sc.qp, sc.descs = qp, descs
-	t.ExecFn(sc.cost)
-	flight := qp.tx.PF().Endpoint().MMIOWrite(t.Node())
-	txPkt := qp.tx.PF().NIC().LeaseTxPacket()
-	txPkt.Payload = pkt.Payload
-	txPkt.Packets = pkt.Packets
-	txPkt.Descriptors = descs
-	txPkt.Flow = pkt.Flow
-	txPkt.Dst = pkt.DstMAC
-	txPkt.Seq = pkt.Seq
-	txPkt.Meta = pkt.Meta
-	txPkt.OnSent = pkt.OnSent
-	// The leased packet keeps its fragment backing array across
-	// recycles; append re-fills it without reallocating.
-	for _, f := range pkt.Frags {
-		txPkt.Frags = append(txPkt.Frags, nic.TxFrag{Buf: f.Buf, Bytes: f.Bytes})
-	}
-	b.k.Engine().After(flight, txPkt.DeferPost(qp.tx))
+	sc.qp, sc.descs, sc.pkt, sc.then = b.pairs[txq], descs, pkt, then
+	t.Submit(sc.cost, sc.postF)
 }
 
 // RawTx exposes the queue-level transmit path for in-kernel packet
-// generators (pktgen) that bypass the socket layer.
+// generators (pktgen) that bypass the socket layer: Xmit with the
+// thread's wake, parked until the driver has posted the packet.
 func (b *base) RawTx(t *kernel.Thread, pkt *netstack.Packet, txq int) {
-	b.xmit(t, pkt, txq)
+	b.xmit(t, pkt, txq, t.WakeFunc())
+	t.Park()
 }

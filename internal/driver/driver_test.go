@@ -253,7 +253,8 @@ func TestBondXmitDelegates(t *testing.T) {
 				DstMAC:  r.far.mac,
 				Payload: 1500, Packets: 1,
 				Frags: []netstack.Frag{{Buf: buf, Bytes: 1500}},
-			}, bond.TxQueueForCore(0))
+			}, bond.TxQueueForCore(0), th.WakeFunc())
+			th.Park()
 			done++
 		}
 	})
@@ -283,7 +284,7 @@ func TestDriverTxInFlightTracksPostedWork(t *testing.T) {
 	d.Bind(r.st)
 	buf := r.mem.NewBuffer(0, 64*1024)
 	r.k.Spawn("tx", 0, func(th *kernel.Thread) {
-		d.Xmit(th, &netstack.Packet{
+		d.RawTx(th, &netstack.Packet{
 			Flow:    eth.FiveTuple{SrcIP: 1, DstIP: 2, SrcPort: 1, DstPort: 80, Proto: eth.ProtoTCP},
 			DstMAC:  r.far.mac,
 			Payload: 64 * 1024, Packets: 44,

@@ -164,8 +164,8 @@ func (d *Octo) HWAddr() eth.MAC { return d.nic.MAC() }
 // Xmit implements netstack.NetDevice. Because queue txq belongs to core
 // txq and that core's queue pair sits on its local PF, transmission is
 // always through the PCIe endpoint local to the sending CPU.
-func (d *Octo) Xmit(t *kernel.Thread, pkt *netstack.Packet, txq int) {
-	d.xmit(t, pkt, txq)
+func (d *Octo) Xmit(t *kernel.Thread, pkt *netstack.Packet, txq int, then func()) {
+	d.xmit(t, pkt, txq, then)
 }
 
 // SteerFlow implements netstack.NetDevice: the IOctoRFS update. The

@@ -72,8 +72,8 @@ func (d *Standard) HWAddr() eth.MAC { return d.pf.MAC() }
 // Xmit implements netstack.NetDevice. The standard driver can only
 // transmit through its own PF — if the sender's CPU is remote to it,
 // every descriptor, doorbell and payload read crosses the interconnect.
-func (d *Standard) Xmit(t *kernel.Thread, pkt *netstack.Packet, txq int) {
-	d.xmit(t, pkt, txq)
+func (d *Standard) Xmit(t *kernel.Thread, pkt *netstack.Packet, txq int, then func()) {
+	d.xmit(t, pkt, txq, then)
 }
 
 // SteerFlow implements netstack.NetDevice: the ARFS path. The rule can

@@ -178,22 +178,23 @@ func TestExecutedDeltasPerItem(t *testing.T) {
 		name   string
 		submit func(e *sim.Engine, k *Kernel)
 		want   uint64
+		wakes  uint64 // process resumes
 	}{
 		// wake + completion
-		{"fixed item", func(e *sim.Engine, k *Kernel) { k.Core(2).SubmitFixed(time.Microsecond, nil) }, 2},
+		{"fixed item", func(e *sim.Engine, k *Kernel) { k.Core(2).SubmitFixed(time.Microsecond, nil) }, 2, 0},
 		// wake + completion + done
-		{"fixed item with done", func(e *sim.Engine, k *Kernel) { k.Core(2).SubmitFixed(time.Microsecond, func() {}) }, 3},
+		{"fixed item with done", func(e *sim.Engine, k *Kernel) { k.Core(2).SubmitFixed(time.Microsecond, func() {}) }, 3, 0},
 		// a zero-length item still completes in an event of its own
-		{"zero-length item", func(e *sim.Engine, k *Kernel) { k.Core(2).SubmitFixed(0, func() {}) }, 3},
+		{"zero-length item", func(e *sim.Engine, k *Kernel) { k.Core(2).SubmitFixed(0, func() {}) }, 3, 0},
 		{"irq line", func(e *sim.Engine, k *Kernel) {
 			k.Core(2).NewIRQLine(func() time.Duration { return time.Microsecond }).Raise()
-		}, 2},
-		{"stall", func(e *sim.Engine, k *Kernel) { k.Core(2).Stall(time.Microsecond) }, 2},
+		}, 2, 0},
+		{"stall", func(e *sim.Engine, k *Kernel) { k.Core(2).Stall(time.Microsecond) }, 2, 0},
 		// one wake, then back to back: completion + done per item
 		{"two queued items", func(e *sim.Engine, k *Kernel) {
 			k.Core(2).SubmitFixed(time.Microsecond, func() {})
 			k.Core(2).SubmitFixed(time.Microsecond, func() {})
-		}, 5},
+		}, 5, 0},
 		// three events per iteration that finds work: wake, completion,
 		// resubmitting done
 		{"poller, four iterations", func(e *sim.Engine, k *Kernel) {
@@ -205,12 +206,12 @@ func TestExecutedDeltasPerItem(t *testing.T) {
 				}
 				return time.Microsecond, true
 			})
-		}, 12},
+		}, 12, 0},
 		// an idle loop's first iteration is a wake with no completion;
 		// a Stop n iterations later costs its event, the completion it
 		// restores and that completion's done, whatever n is
-		{"idle poller, four iterations", idlePoller(4), 1 + 3},
-		{"idle poller, 4000 iterations", idlePoller(4000), 1 + 3},
+		{"idle poller, four iterations", idlePoller(4), 1 + 3, 0},
+		{"idle poller, 4000 iterations", idlePoller(4000), 1 + 3, 0},
 		// the thread's start and its wake from s, then wake + completion
 		// + resume per Exec
 		{"thread, two Execs", func(e *sim.Engine, k *Kernel) {
@@ -222,7 +223,21 @@ func TestExecutedDeltasPerItem(t *testing.T) {
 			})
 			e.RunUntilIdle() // the thread starts and parks on s
 			s.Broadcast()
-		}, 1 + 1 + 3 + 3},
+		}, 1 + 1 + 3 + 3, 1 + 3},
+		// the same two items chained with Submit: the second is queued
+		// from the first's done event, where the thread resumed above,
+		// so the schedule is the same and only the last step wakes it
+		{"thread, two chained Submits", func(e *sim.Engine, k *Kernel) {
+			s := sim.NewSignal(e)
+			k.Spawn("t", 2, func(th *Thread) {
+				th.Wait(s)
+				us := func() time.Duration { return time.Microsecond }
+				th.Submit(us, func() { th.Submit(us, th.WakeFunc()) })
+				th.Park()
+			})
+			e.RunUntilIdle()
+			s.Broadcast()
+		}, 1 + 1 + 3 + 3, 1 + 2},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -232,6 +247,9 @@ func TestExecutedDeltasPerItem(t *testing.T) {
 			e.RunUntilIdle()
 			if got := e.Executed - base; got != tc.want {
 				t.Fatalf("executed %d events, want %d", got, tc.want)
+			}
+			if e.Wakes != tc.wakes {
+				t.Fatalf("woke processes %d times, want %d", e.Wakes, tc.wakes)
 			}
 			e.Drain()
 		})

@@ -46,10 +46,12 @@ func (d *fakeDev) TxInFlight(q int) int                          { return d.inFl
 func (d *fakeDev) SteerFlow(ft eth.FiveTuple, c topology.CoreID) { d.steered[ft] = c }
 
 // Xmit loops the segment back into whatever stack owns the destination
-// flow, via a small delay (so in-order delivery holds). Per the
-// NetDevice contract the incoming Packet may be caller-owned scratch,
+// flow, via a small delay (so in-order delivery holds). It charges no
+// CPU, so it runs then at once. Per the NetDevice contract the
+// incoming Packet is caller-owned scratch, valid only until then runs,
 // so the fake copies it before retaining.
-func (d *fakeDev) Xmit(t *kernel.Thread, pkt *Packet, txq int) {
+func (d *fakeDev) Xmit(t *kernel.Thread, pkt *Packet, txq int, then func()) {
+	defer then()
 	cp := *pkt
 	cp.Frags = append([]Frag(nil), pkt.Frags...)
 	pkt = &cp
@@ -192,33 +194,50 @@ func TestTSOSegmentation(t *testing.T) {
 	r.eng.Drain()
 }
 
+// TestXPSFollowsCoreWithOOOGuard: after a migration a sender keeps its
+// old Tx queue until that queue drains (ooo_okay, §2.3 and §4.2), on
+// the copying path and the sendfile path alike.
 func TestXPSFollowsCoreWithOOOGuard(t *testing.T) {
-	r := newStackRig(t)
-	r.sb.Listen(80, func(s *Socket) {})
-	var sock *Socket
-	var th1 *kernel.Thread
-	th1 = r.ka.Spawn("cli", 3, func(th *kernel.Thread) {
-		sock, _ = r.sa.Dial(th, 0x0A000002, 80, eth.ProtoTCP)
-		sock.Send(th, 1000)
-		// Simulate queue 3 still busy, then migrate to core 7 and send:
-		// the stack must stick to queue 3 (ooo_okay false).
-		r.da.inFlight[3] = 2
-		r.ka.SetAffinity(th1, 7)
-		sock.Send(th, 1000)
-		// Queue drained: next send switches to core 7's queue.
-		r.da.inFlight[3] = 0
-		sock.Send(th, 1000)
-	})
-	r.eng.RunFor(10 * time.Millisecond)
-	if len(r.da.sent) != 3 {
-		t.Fatalf("sent = %d", len(r.da.sent))
+	for _, tc := range []struct {
+		name string
+		send func(s *Socket, th *kernel.Thread, buf *memsys.Buffer)
+	}{
+		{"Send", func(s *Socket, th *kernel.Thread, _ *memsys.Buffer) { s.Send(th, 1000) }},
+		{"SendFrags", func(s *Socket, th *kernel.Thread, buf *memsys.Buffer) {
+			s.SendFrags(th, []Frag{{Buf: buf, Bytes: 600}, {Buf: buf, Bytes: 400}}, nil)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newStackRig(t)
+			r.sb.Listen(80, func(s *Socket) {})
+			buf := r.ka.Alloc(1, 1000)
+			var th1 *kernel.Thread
+			th1 = r.ka.Spawn("cli", 3, func(th *kernel.Thread) {
+				sock, _ := r.sa.Dial(th, 0x0A000002, 80, eth.ProtoTCP)
+				tc.send(sock, th, buf)
+				// Simulate queue 3 still busy, then migrate to core 7
+				// and send: the stack must stick to queue 3 (ooo_okay
+				// false).
+				r.da.inFlight[3] = 2
+				r.ka.SetAffinity(th1, 7)
+				tc.send(sock, th, buf)
+				// Queue drained: next send switches to core 7's queue.
+				r.da.inFlight[3] = 0
+				tc.send(sock, th, buf)
+			})
+			r.eng.RunFor(10 * time.Millisecond)
+			if len(r.da.sent) != 3 {
+				t.Fatalf("sent = %d", len(r.da.sent))
+			}
+			// The first send takes core 3's queue, the second stays on
+			// it while it is busy, and the third switches to core 7's
+			// once it drained.
+			if want := []int{3, 3, 7}; !reflect.DeepEqual(r.da.txqs, want) {
+				t.Errorf("queues used = %v, want %v", r.da.txqs, want)
+			}
+			r.eng.Drain()
+		})
 	}
-	// The first send takes core 3's queue, the second stays on it while
-	// it is busy, and the third switches to core 7's once it drained.
-	if want := []int{3, 3, 7}; !reflect.DeepEqual(r.da.txqs, want) {
-		t.Errorf("queues used = %v, want %v", r.da.txqs, want)
-	}
-	r.eng.Drain()
 }
 
 func TestMigrationFiresARFSCallback(t *testing.T) {
@@ -378,6 +397,36 @@ func TestSegQueueDequeueAccounting(t *testing.T) {
 	q.close()
 	if q.tryPut(a) {
 		t.Fatal("closed queue must refuse puts")
+	}
+	eng.Drain()
+}
+
+// TestSegQueueStaysBoundedWhileNeverEmpty: a receive queue that always
+// holds a segment never drains, so only compaction recycles its
+// backing array. Thousands of puts and gets with one or two segments
+// live must keep it within a small bound, in FIFO order.
+func TestSegQueueStaysBoundedWhileNeverEmpty(t *testing.T) {
+	eng := sim.NewEngine()
+	q := newSegQueue(eng, 1<<20)
+	next := &nic.RxPacket{Payload: 1}
+	if !q.tryPut(next) {
+		t.Fatal("put within capacity must succeed")
+	}
+	for i := 0; i < 10000; i++ {
+		p := &nic.RxPacket{Payload: 1}
+		if !q.tryPut(p) {
+			t.Fatalf("put %d refused", i)
+		}
+		if got := q.dequeue(); got != next {
+			t.Fatalf("dequeue %d out of FIFO order", i)
+		}
+		next = p
+		if q.len() != 1 || q.bytes != 1 {
+			t.Fatalf("after %d rounds: len = %d, bytes = %d, want 1 and 1", i, q.len(), q.bytes)
+		}
+	}
+	if c := cap(q.items); c > 128 {
+		t.Fatalf("backing array grew to %d slots for 2 live segments", c)
 	}
 	eng.Drain()
 }

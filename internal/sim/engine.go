@@ -123,6 +123,9 @@ type Engine struct {
 
 	// Executed counts dispatched events, for diagnostics and loop guards.
 	Executed uint64
+	// Wakes counts process resumes: the switches into a coroutine, its
+	// start included. A diagnostic beside Executed; it moves no event.
+	Wakes uint64
 	// MaxEvents aborts the run (panic) if more than this many events are
 	// dispatched; a guard against accidental event storms. Zero disables.
 	MaxEvents uint64

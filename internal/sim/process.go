@@ -73,7 +73,10 @@ func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
 // resume switches into the process coroutine and returns when the
 // process yields or finishes; a finished or killed process ignores it.
 // Must run in engine context.
-func (p *Proc) resume() { p.next() }
+func (p *Proc) resume() {
+	p.eng.Wakes++
+	p.next()
+}
 
 // yield returns control to the engine. The process must have arranged to
 // be resumed (scheduled a wakeup or registered on a signal/queue) before
@@ -120,31 +123,38 @@ func (p *Proc) Sleep(d time.Duration) {
 	p.yield()
 }
 
-// Signal is a broadcast condition: processes Wait on it and a Broadcast
-// (or Pulse) wakes them. There is no stored state; a Broadcast with no
-// waiters is a no-op, like sync.Cond.
+// Signal is a broadcast condition: callbacks registered with Notify,
+// and processes that Wait, run on the next Broadcast. There is no
+// stored state; a Broadcast with no waiters is a no-op, like
+// sync.Cond.
 type Signal struct {
 	eng     *Engine
-	waiters []*Proc
+	waiters []func()
 }
 
 // NewSignal returns a Signal bound to the engine.
 func NewSignal(e *Engine) *Signal { return &Signal{eng: e} }
 
-// Wait suspends the process until the next Broadcast.
+// Notify registers fn to run, as its own event, at the next Broadcast.
+// It fires once; a callback that must keep waiting registers again.
+func (s *Signal) Notify(fn func()) { s.waiters = append(s.waiters, fn) }
+
+// Wait suspends the process until the next Broadcast: Notify of its
+// resume, then a yield.
 func (s *Signal) Wait(p *Proc) {
-	s.waiters = append(s.waiters, p)
+	s.Notify(p.resumeFn)
 	p.yield()
 }
 
-// Broadcast wakes all current waiters, in FIFO order, at the current time.
+// Broadcast schedules every current waiter, in FIFO order, as a
+// zero-delay event at the current time.
 func (s *Signal) Broadcast() {
-	// After only schedules the resume events; no process code runs here,
-	// so nothing can re-enter Wait while we iterate. That makes it safe
-	// to keep the backing array for reuse (cleared so it doesn't pin
-	// the woken processes) instead of allocating a fresh one per cycle.
-	for _, p := range s.waiters {
-		s.eng.After(0, p.resumeFn)
+	// After only schedules the events; no waiter runs here, so nothing
+	// can re-enter Notify while we iterate. That makes it safe to keep
+	// the backing array for reuse (cleared so it doesn't pin the
+	// callbacks) instead of allocating a fresh one per cycle.
+	for _, fn := range s.waiters {
+		s.eng.After(0, fn)
 	}
 	clear(s.waiters)
 	s.waiters = s.waiters[:0]

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"runtime"
 	"testing"
 )
@@ -73,6 +74,41 @@ func TestSignalBroadcast(t *testing.T) {
 	e.RunUntilIdle()
 	if woken != 3 {
 		t.Fatalf("woken = %d, want 3", woken)
+	}
+}
+
+// TestSignalNotify: a Notify callback and a Wait are the same kind of
+// waiter. Each fires once, as its own zero-delay event, in the order
+// registered; only the process's resume counts as a wake.
+func TestSignalNotify(t *testing.T) {
+	e := NewEngine()
+	s := NewSignal(e)
+	var log []string
+	s.Notify(func() { log = append(log, "first") })
+	e.Go("w", func(p *Proc) {
+		s.Wait(p)
+		log = append(log, "proc")
+	})
+	e.RunUntilIdle() // the process starts and waits behind the callback
+	s.Notify(func() { log = append(log, "last") })
+	if e.Wakes != 1 {
+		t.Fatalf("wakes = %d after the start, want 1", e.Wakes)
+	}
+	base := e.Executed
+	e.At(e.Now().Add(Microsecond), s.Broadcast)
+	e.RunUntilIdle()
+	if want := []string{"first", "proc", "last"}; !reflect.DeepEqual(log, want) {
+		t.Fatalf("log = %v, want %v", log, want)
+	}
+	if got := e.Executed - base; got != 1+3 {
+		t.Fatalf("executed %d events, want the broadcast and one per waiter", got)
+	}
+	if e.Wakes != 2 {
+		t.Fatalf("wakes = %d, want 2: the start and the resume", e.Wakes)
+	}
+	s.Broadcast() // one-shot: nothing is registered any more
+	if e.Pending() != 0 {
+		t.Fatalf("pending = %d after a broadcast with no waiters", e.Pending())
 	}
 }
 

@@ -52,15 +52,10 @@ func TestBusyPollPathAllocFree(t *testing.T) {
 // goes dormant and a ledger counts them (DESIGN.md §9), so events per
 // op are the polls that find work plus the datapath's own events.
 // scripts/check.sh caps them (BENCH_sim.json's gate) so idle polls
-// cannot drift back onto the event heap.
+// cannot drift back onto the event heap, and caps wakes/op as for the
+// interrupt path.
 func BenchmarkBusyPollPath(b *testing.B) {
 	cl := busyPollCluster()
 	defer cl.Drain()
-	b.ReportAllocs()
-	b.ResetTimer()
-	events := cl.Eng.Executed
-	for i := 0; i < b.N; i++ {
-		cl.Run(time.Millisecond)
-	}
-	b.ReportMetric(float64(cl.Eng.Executed-events)/float64(b.N), "events/op")
+	runSteady(b, cl)
 }

@@ -13,7 +13,7 @@
 #     replays byte-identically in a second process, and tracing it
 #     changes nothing it prints;
 #   - the packet, remote Rx, busy-poll and event-rate benchmarks stay
-#     within BENCH_sim.json's allocs/op and events/op gates.
+#     within BENCH_sim.json's allocs/op, events/op and wakes/op gates.
 set -eux
 
 cd "$(dirname "$0")/.."
@@ -74,35 +74,53 @@ test -s "$tmp/fuzz.trace.json"
 # thresholds recorded in BENCH_sim.json (the "gate" section), and the
 # busy-poll path within its events/op ceiling: at -benchtime 10x that
 # count is a pure function of the simulation, and idle poll iterations
-# put back on the event heap would multiply it. The remote Rx path is
-# the run whose completion reads miss one at a time (§5.1.1).
+# put back on the event heap would multiply it. The three steady-state
+# paths also stay within their wakes/op ceilings, likewise pure: a
+# socket call wakes its thread once (DESIGN.md §2), and a kernel-side
+# step that went back to waking it would double them. The remote Rx
+# path is the run whose completion reads miss one at a time (§5.1.1).
 evr_max="$(sed -n 's/.*"BenchmarkSimulatorEventRate_max_allocs_per_op": *\([0-9]*\).*/\1/p' BENCH_sim.json)"
 pp_max="$(sed -n 's/.*"BenchmarkPacketPath_max_allocs_per_op": *\([0-9]*\).*/\1/p' BENCH_sim.json)"
 rr_max="$(sed -n 's/.*"BenchmarkRemoteRxPath_max_allocs_per_op": *\([0-9]*\).*/\1/p' BENCH_sim.json)"
 bp_max="$(sed -n 's/.*"BenchmarkBusyPollPath_max_allocs_per_op": *\([0-9]*\).*/\1/p' BENCH_sim.json)"
 bp_ev_max="$(sed -n 's/.*"BenchmarkBusyPollPath_max_events_per_op": *\([0-9]*\).*/\1/p' BENCH_sim.json)"
-if test -z "$evr_max" || test -z "$pp_max" || test -z "$rr_max" || test -z "$bp_max" || test -z "$bp_ev_max"; then
+pp_wk_max="$(sed -n 's/.*"BenchmarkPacketPath_max_wakes_per_op": *\([0-9]*\).*/\1/p' BENCH_sim.json)"
+rr_wk_max="$(sed -n 's/.*"BenchmarkRemoteRxPath_max_wakes_per_op": *\([0-9]*\).*/\1/p' BENCH_sim.json)"
+bp_wk_max="$(sed -n 's/.*"BenchmarkBusyPollPath_max_wakes_per_op": *\([0-9]*\).*/\1/p' BENCH_sim.json)"
+if test -z "$evr_max" || test -z "$pp_max" || test -z "$rr_max" || test -z "$bp_max" || test -z "$bp_ev_max" ||
+    test -z "$pp_wk_max" || test -z "$rr_wk_max" || test -z "$bp_wk_max"; then
     echo "check.sh: BENCH_sim.json is missing its gate keys" \
         "(BenchmarkSimulatorEventRate_max_allocs_per_op," \
         "BenchmarkPacketPath_max_allocs_per_op," \
         "BenchmarkRemoteRxPath_max_allocs_per_op," \
         "BenchmarkBusyPollPath_max_allocs_per_op," \
-        "BenchmarkBusyPollPath_max_events_per_op); regenerate with" \
+        "BenchmarkBusyPollPath_max_events_per_op and the three" \
+        "*_max_wakes_per_op keys); regenerate with" \
         "'make bench' and restore the gate section" >&2
     exit 1
 fi
 go test -run '^$' -bench 'BenchmarkPacketPath$|BenchmarkRemoteRxPath$|BenchmarkBusyPollPath$|BenchmarkSimulatorEventRate$' -benchtime 10x -benchmem . | tee "$tmp/bench.txt"
-awk -v evr_max="$evr_max" -v pp_max="$pp_max" -v rr_max="$rr_max" -v bp_max="$bp_max" -v bp_ev_max="$bp_ev_max" '
+awk -v evr_max="$evr_max" -v pp_max="$pp_max" -v rr_max="$rr_max" -v bp_max="$bp_max" -v bp_ev_max="$bp_ev_max" \
+    -v pp_wk_max="$pp_wk_max" -v rr_wk_max="$rr_wk_max" -v bp_wk_max="$bp_wk_max" '
+  # metric returns the value reported before the named unit, or -1.
+  function metric(unit,   i) { for (i = 2; i <= NF; i++) if ($i == unit) return $(i-1) + 0; return -1 }
+  # wakes checks the wakes/op of the line against its ceiling.
+  function wakes(name, max,   w) { w = metric("wakes/op")
+    if (w < 0) { printf "bench gate: %s reports no wakes/op\n", name; bad = 1 }
+    else if (w > max) { printf "bench gate: %s %.1f wakes/op > %d\n", name, w, max; bad = 1 } }
   /^BenchmarkSimulatorEventRate(-|[ \t])/ { seen_evr = 1; a = $(NF-1) + 0
     if (a > evr_max) { printf "bench gate: SimulatorEventRate %d allocs/op > %d\n", a, evr_max; bad = 1 } }
   /^BenchmarkPacketPath/ { seen_pp = 1; a = $(NF-1) + 0
-    if (a > pp_max) { printf "bench gate: PacketPath %d allocs/op > %d\n", a, pp_max; bad = 1 } }
+    if (a > pp_max) { printf "bench gate: PacketPath %d allocs/op > %d\n", a, pp_max; bad = 1 }
+    wakes("PacketPath", pp_wk_max) }
   /^BenchmarkRemoteRxPath/ { seen_rr = 1; a = $(NF-1) + 0
-    if (a > rr_max) { printf "bench gate: RemoteRxPath %d allocs/op > %d\n", a, rr_max; bad = 1 } }
+    if (a > rr_max) { printf "bench gate: RemoteRxPath %d allocs/op > %d\n", a, rr_max; bad = 1 }
+    wakes("RemoteRxPath", rr_wk_max) }
   /^BenchmarkBusyPollPath/ { seen_bp = 1; a = $(NF-1) + 0
     if (a > bp_max) { printf "bench gate: BusyPollPath %d allocs/op > %d\n", a, bp_max; bad = 1 }
-    for (i = 2; i <= NF; i++) if ($i == "events/op") { seen_bp_ev = 1; ev = $(i-1) + 0 }
-    if (ev > bp_ev_max) { printf "bench gate: BusyPollPath %d events/op > %d\n", ev, bp_ev_max; bad = 1 } }
+    ev = metric("events/op"); if (ev >= 0) seen_bp_ev = 1
+    if (ev > bp_ev_max) { printf "bench gate: BusyPollPath %d events/op > %d\n", ev, bp_ev_max; bad = 1 }
+    wakes("BusyPollPath", bp_wk_max) }
   END {
     if (!seen_evr || !seen_pp || !seen_rr || !seen_bp || !seen_bp_ev) { print "bench gate: benchmark output missing"; bad = 1 }
     exit bad
