@@ -189,6 +189,37 @@ func TestPacketPathAllocFree(t *testing.T) {
 	}
 }
 
+// TestMemcachedAllocFree guards the memcached workload's steady state
+// the same way: memslap clients against one IOctopus server, GET-only,
+// half SETs and SET-only, allocate nothing per simulated millisecond
+// once warm. The 120 ms warm-up outlasts the free lists' growth, which
+// tracks the pipelines filling with 512 KB values.
+func TestMemcachedAllocFree(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		setRatio float64
+	}{{"get", 0}, {"set-50", 0.5}, {"set", 1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			cl := ioctopus.NewCluster(ioctopus.Config{Mode: ioctopus.ModeIOctopus, Seed: 11})
+			defer cl.Drain()
+			cfg := workloads.DefaultMemcachedConfig(0, cl)
+			cfg.SetRatio = tc.setRatio
+			w := workloads.StartMemcached(cl, cfg)
+			cl.Run(120 * time.Millisecond)
+			w.MeasureStart()
+			allocs := testing.AllocsPerRun(5, func() {
+				cl.Run(time.Millisecond)
+			})
+			if allocs > 2 {
+				t.Fatalf("steady-state memcached allocates %.0f allocs/ms, want 0", allocs)
+			}
+			if w.Transactions() == 0 {
+				t.Fatal("no transaction completed in the measured windows")
+			}
+		})
+	}
+}
+
 // benchPacketPath measures a steady-state packet path alone: one
 // simulated millisecond of single-core Rx streaming per iteration, with
 // cluster construction excluded. Contrast with

@@ -22,10 +22,8 @@ import (
 // NapiComplete. In poll mode (SetPolled) no interrupt ever fires and a
 // poll loop drains the queue with Reap.
 type Completions[T any] struct {
-	// ready[head:] are the visible entries; the backing array is reused
-	// from the top once drained, so reaping does not reallocate.
-	ready []T
-	head  int
+	// ready are the visible entries, oldest first.
+	ready sim.Queue[T]
 	// held are writebacks frozen device-side by a stall, in order.
 	held []T
 
@@ -71,7 +69,7 @@ func (c *Completions[T]) IRQNode() topology.NodeID { return c.irqNode }
 func (c *Completions[T]) Interrupts() uint64 { return c.interrupts }
 
 // Pending returns how many visible entries await the driver.
-func (c *Completions[T]) Pending() int { return len(c.ready) - c.head }
+func (c *Completions[T]) Pending() int { return c.ready.Len() }
 
 // Complete is a completion writeback landing: the entry becomes visible
 // to the driver and may raise the interrupt. A stalled queue holds the
@@ -91,7 +89,7 @@ func (c *Completions[T]) deliver(e T) {
 	if c.visible != nil {
 		c.visible(e)
 	}
-	c.ready = append(c.ready, e)
+	c.ready.Put(e)
 	if c.onDeliver != nil {
 		c.onDeliver()
 	}
@@ -99,22 +97,10 @@ func (c *Completions[T]) deliver(e T) {
 }
 
 // Reap removes up to budget visible entries, oldest first. The batch
-// aliases the queue's backing array and is valid until the next event
-// that completes an entry on this queue — i.e. for the synchronous
-// driver loop consuming it.
-func (c *Completions[T]) Reap(budget int) []T {
-	n := c.Pending()
-	if n > budget {
-		n = budget
-	}
-	batch := c.ready[c.head : c.head+n]
-	c.head += n
-	if c.head == len(c.ready) {
-		c.ready = c.ready[:0]
-		c.head = 0
-	}
-	return batch
-}
+// aliases the queue's storage (sim.Queue.PopN) and is valid until the
+// next event that completes an entry on this queue or reaps it — i.e.
+// for the synchronous driver loop consuming it.
+func (c *Completions[T]) Reap(budget int) []T { return c.ready.PopN(budget) }
 
 // NapiComplete ends the handler's ownership and re-enables the
 // interrupt; if entries became visible meanwhile, it refires (the NAPI

@@ -161,9 +161,7 @@ func (sc *xmitScratch) post() {
 	txPkt.OnSent = pkt.OnSent
 	// The leased packet keeps its fragment backing array across
 	// recycles; append re-fills it without reallocating.
-	for _, f := range pkt.Frags {
-		txPkt.Frags = append(txPkt.Frags, nic.TxFrag{Buf: f.Buf, Bytes: f.Bytes})
-	}
+	txPkt.Frags = append(txPkt.Frags, pkt.Frags...)
 	sc.b.k.Engine().After(flight, txPkt.DeferPost(qp.tx))
 	then()
 }
@@ -183,9 +181,9 @@ func (b *base) scratchFor(t *kernel.Thread) *xmitScratch {
 	return sc
 }
 
-// Bind attaches the driver to a stack; must be called before traffic
-// flows (drivers deliver received segments into the stack).
-func (b *base) bind(st *netstack.Stack) { b.stack = st }
+// Bind attaches the driver to its host stack; must be called before
+// traffic flows (drivers deliver received segments into the stack).
+func (b *base) Bind(st *netstack.Stack) { b.stack = st }
 
 // Name implements netstack.NetDevice.
 func (b *base) Name() string { return b.name }
@@ -262,7 +260,7 @@ func (b *base) napiRx(qp *queuePair) time.Duration {
 		return b.hybridEnter(qp)
 	}
 	var cost time.Duration
-	batch := qp.rx.Poll(napiBudget)
+	batch := qp.rx.Reap(napiBudget)
 	pkts := 0
 	for _, rxp := range batch {
 		// Read the completion entries the device wrote (the per-packet
@@ -338,10 +336,10 @@ func (b *base) replayJournal() {
 	b.rulesReplayed += uint64(b.journal())
 }
 
-// xmit runs the common transmit path: descriptor write + doorbell on
+// Xmit implements netstack.NetDevice: descriptor write + doorbell on
 // the caller's core, then (at its done event) the hardware takes over
-// and then runs.
-func (b *base) xmit(t *kernel.Thread, pkt *netstack.Packet, txq int, then func()) {
+// and then runs. Sockets and pktgen alike transmit through it.
+func (b *base) Xmit(t *kernel.Thread, pkt *netstack.Packet, txq int, then func()) {
 	if txq < 0 || txq >= len(b.pairs) {
 		panic(fmt.Sprintf("driver %s: bad txq %d", b.name, txq))
 	}
@@ -352,12 +350,4 @@ func (b *base) xmit(t *kernel.Thread, pkt *netstack.Packet, txq int, then func()
 	sc := b.scratchFor(t)
 	sc.qp, sc.descs, sc.pkt, sc.then = b.pairs[txq], descs, pkt, then
 	t.Submit(sc.cost, sc.postF)
-}
-
-// RawTx exposes the queue-level transmit path for in-kernel packet
-// generators (pktgen) that bypass the socket layer: Xmit with the
-// thread's wake, parked until the driver has posted the packet.
-func (b *base) RawTx(t *kernel.Thread, pkt *netstack.Packet, txq int) {
-	b.xmit(t, pkt, txq, t.WakeFunc())
-	t.Park()
 }

@@ -277,6 +277,13 @@ func TestBondXmitDelegates(t *testing.T) {
 	r.eng.Drain()
 }
 
+// xmitAndPark transmits pkt on txq through d's Xmit and parks th until
+// the driver has posted it.
+func xmitAndPark(d netstack.NetDevice, th *kernel.Thread, pkt *netstack.Packet, txq int) {
+	d.Xmit(th, pkt, txq, th.WakeFunc())
+	th.Park()
+}
+
 func TestDriverTxInFlightTracksPostedWork(t *testing.T) {
 	r := newDrvRig(t)
 	r.nic.LoadFirmware(nic.NewStandardFirmware(r.nic))
@@ -284,7 +291,7 @@ func TestDriverTxInFlightTracksPostedWork(t *testing.T) {
 	d.Bind(r.st)
 	buf := r.mem.NewBuffer(0, 64*1024)
 	r.k.Spawn("tx", 0, func(th *kernel.Thread) {
-		d.RawTx(th, &netstack.Packet{
+		xmitAndPark(d, th, &netstack.Packet{
 			Flow:    eth.FiveTuple{SrcIP: 1, DstIP: 2, SrcPort: 1, DstPort: 80, Proto: eth.ProtoTCP},
 			DstMAC:  r.far.mac,
 			Payload: 64 * 1024, Packets: 44,

@@ -18,8 +18,9 @@ import (
 // one MAC and one IP. Each core's queue pair lives on the PF local to
 // that core's node, so:
 //
-//   - transmits go through the PCIe endpoint local to the sending CPU
-//     (the XPS map composed with per-core queues guarantees it);
+//   - transmits go through the PCIe endpoint local to the sending CPU:
+//     Tx queue i belongs to core i (the XPS map), and that core's
+//     queue pair sits on its local PF;
 //   - the ARFS callback becomes an IOctoRFS update: the flow's MPFS
 //     rule moves to the PF (and queue) local to the thread's new core,
 //     pushed to the device asynchronously by a kernel worker;
@@ -34,7 +35,10 @@ type Octo struct {
 	rxSlot []int
 	pfIdx  []int // per-core PF index
 
-	updates *sim.Queue[steerUpdate]
+	// updates feeds the MPFS worker, which waits on updated while it
+	// is empty.
+	updates sim.Queue[steerUpdate]
+	updated *sim.Signal
 	rules   map[eth.FiveTuple]*steerRule
 
 	// Steering counters (steer/... in the registry): updates queued
@@ -103,9 +107,10 @@ var _ netstack.NetDevice = (*Octo)(nil)
 // a PF (that is the octoNIC wiring contract).
 func NewOcto(k *kernel.Kernel, mem *memsys.System, n *nic.NIC, name string, params Params, dp Datapath) *Octo {
 	d := &Octo{
-		base:  base{k: k, name: name, params: params, datapath: dp},
-		nic:   n,
-		rules: make(map[eth.FiveTuple]*steerRule),
+		base:    base{k: k, name: name, params: params, datapath: dp},
+		nic:     n,
+		updated: sim.NewSignal(k.Engine()),
+		rules:   make(map[eth.FiveTuple]*steerRule),
 	}
 	topo := k.Topology()
 	perPFCount := make(map[int]int)
@@ -149,24 +154,13 @@ func NewOcto(k *kernel.Kernel, mem *memsys.System, n *nic.NIC, name string, para
 	if d.base.wd != nil {
 		d.base.wd.setPFUp = d.onLinkChange
 	}
-	d.updates = sim.NewQueue[steerUpdate](k.Engine())
 	d.startWorker()
 	d.startExpiryScanner()
 	return d
 }
 
-// Bind attaches the driver to the host stack.
-func (d *Octo) Bind(st *netstack.Stack) { d.bind(st) }
-
 // HWAddr implements netstack.NetDevice: the device's single MAC.
 func (d *Octo) HWAddr() eth.MAC { return d.nic.MAC() }
-
-// Xmit implements netstack.NetDevice. Because queue txq belongs to core
-// txq and that core's queue pair sits on its local PF, transmission is
-// always through the PCIe endpoint local to the sending CPU.
-func (d *Octo) Xmit(t *kernel.Thread, pkt *netstack.Packet, txq int, then func()) {
-	d.xmit(t, pkt, txq, then)
-}
 
 // SteerFlow implements netstack.NetDevice: the IOctoRFS update. The
 // mapping to (PF, queue) is computed here; the device table write is
@@ -190,7 +184,8 @@ func (d *Octo) SteerFlow(ft eth.FiveTuple, core topology.CoreID) {
 		d.rules[ft] = &steerRule{pf: pf, queue: queue, core: core, refreshed: now}
 	}
 	d.updatesPushed++
-	d.updates.ForcePut(steerUpdate{ft: ft, pf: pf, queue: queue})
+	d.updates.Put(steerUpdate{ft: ft, pf: pf, queue: queue})
+	d.updated.Broadcast()
 }
 
 // TxQueueForCore implements netstack.NetDevice: normally queue i
@@ -316,7 +311,8 @@ func (d *Octo) resteer(force bool) int {
 		}
 		d.updatesPushed++
 		n++
-		d.updates.ForcePut(steerUpdate{ft: ft, pf: pf, queue: queue})
+		d.updates.Put(steerUpdate{ft: ft, pf: pf, queue: queue})
+		d.updated.Broadcast()
 	}
 	return n
 }
@@ -351,7 +347,10 @@ func (d *Octo) repostDropped(qp *queuePair, pkt *nic.TxPacket) bool {
 func (d *Octo) startWorker() {
 	d.k.Spawn(d.name+":mpfs-worker", 0, func(t *kernel.Thread) {
 		for {
-			u := d.updates.Get(t.Proc())
+			for d.updates.Len() == 0 {
+				t.Wait(d.updated)
+			}
+			u := d.updates.Pop()
 			t.Sleep(mpfsUpdateDelay)
 			t.Exec(mpfsUpdateCPU)
 			if fw := d.nic.Firmware(); fw != nil {

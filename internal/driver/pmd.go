@@ -201,7 +201,7 @@ func (s *pmdStats) counts() (polls, empty uint64) {
 // into the queue's reused backing array; DeliverRxBurst transfers
 // ownership of every segment in it.
 func (b *base) burstRx(qp *queuePair) (time.Duration, int) {
-	batch := qp.rx.Poll(burstSize)
+	batch := qp.rx.Reap(burstSize)
 	if len(batch) == 0 {
 		return 0, 0
 	}

@@ -13,7 +13,9 @@ import (
 // function and presents it as an independent netdevice with its own MAC
 // and IP. On a bifurcated NIC the OS therefore sees two NICs (Figure
 // 5a/b) — the configuration whose NUDMA behaviour the paper measures as
-// `local`/`remote`.
+// `local`/`remote`. It can only transmit through its own PF: if the
+// sender's CPU is remote to it, every descriptor, doorbell and payload
+// read crosses the interconnect.
 type Standard struct {
 	base
 	pf *nic.PF
@@ -63,18 +65,8 @@ func (d *Standard) replayARFS() int {
 	return len(fts)
 }
 
-// Bind attaches the driver to the host stack.
-func (d *Standard) Bind(st *netstack.Stack) { d.bind(st) }
-
 // HWAddr implements netstack.NetDevice: the PF's own MAC.
 func (d *Standard) HWAddr() eth.MAC { return d.pf.MAC() }
-
-// Xmit implements netstack.NetDevice. The standard driver can only
-// transmit through its own PF — if the sender's CPU is remote to it,
-// every descriptor, doorbell and payload read crosses the interconnect.
-func (d *Standard) Xmit(t *kernel.Thread, pkt *netstack.Packet, txq int, then func()) {
-	d.xmit(t, pkt, txq, then)
-}
 
 // SteerFlow implements netstack.NetDevice: the ARFS path. The rule can
 // only choose a queue within this PF; it cannot move the flow to

@@ -39,7 +39,7 @@ func TestWatchdogStageZeroHealsStalledQueue(t *testing.T) {
 	r.nic.SetQueueStall(0, 0, true)
 	buf := r.mem.NewBuffer(0, 64*1024)
 	r.k.Spawn("tx", 0, func(th *kernel.Thread) {
-		d.RawTx(th, &netstack.Packet{
+		xmitAndPark(d, th, &netstack.Packet{
 			Flow:    eth.FiveTuple{SrcIP: 1, DstIP: 2, SrcPort: 1, DstPort: 80, Proto: eth.ProtoTCP},
 			DstMAC:  r.far.mac,
 			Payload: 64 * 1024, Packets: 44,
@@ -92,7 +92,7 @@ func TestWatchdogLadderEscalatesToFailoverAndBack(t *testing.T) {
 		}
 		sent++
 		r.k.Spawn("tx", 0, func(th *kernel.Thread) {
-			d.RawTx(th, &netstack.Packet{
+			xmitAndPark(d, th, &netstack.Packet{
 				Flow: ft, DstMAC: r.far.mac,
 				Payload: 1500, Packets: 1,
 				Frags: []netstack.Frag{{Buf: buf, Bytes: 1500}},
@@ -216,7 +216,7 @@ func TestDormantPollerWakesOnDeliveryDuringFallback(t *testing.T) {
 	bursts := d.pmd.bursts
 	buf := r.mem.NewBuffer(0, 1500)
 	r.k.Spawn("tx", qp.core, func(th *kernel.Thread) {
-		d.RawTx(th, &netstack.Packet{
+		xmitAndPark(d, th, &netstack.Packet{
 			Flow:    eth.FiveTuple{SrcIP: 1, DstIP: 2, SrcPort: 1, DstPort: 80, Proto: eth.ProtoTCP},
 			DstMAC:  r.far.mac,
 			Payload: 1500, Packets: 1,

@@ -3,7 +3,6 @@ package experiments
 import (
 	"ioctopus/internal/core"
 	"ioctopus/internal/metrics"
-	"ioctopus/internal/topology"
 	"ioctopus/internal/workloads"
 )
 
@@ -22,20 +21,9 @@ type pktgenOut struct {
 func measurePktgen(c config, pktSize int64, d Durations) pktgenOut {
 	cl := clusterFor(c, core.Config{})
 	defer cl.Drain()
-	var dev workloads.RawTxDevice
-	var coreID topology.CoreID
-	switch c {
-	case cfgIOct:
-		dev = cl.Octo
-		coreID = cl.Server.Topo.CoresOn(0)[0].ID
-	case cfgLocal:
-		dev = cl.Dev0.(workloads.RawTxDevice)
-		coreID = cl.Server.Topo.CoresOn(0)[0].ID
-	default: // remote: PF0's netdev driven from socket 1
-		dev = cl.Dev0.(workloads.RawTxDevice)
-		coreID = cl.Server.Topo.CoresOn(1)[0].ID
-	}
-	w := workloads.StartPktgen(cl, dev, coreID, pktSize)
+	// Dev0 is PF0's netdev, or the octo netdev; remote drives PF0's
+	// from socket 1.
+	w := workloads.StartPktgen(cl, cl.Dev0, serverCoreFor(c, cl), pktSize)
 	cl.Run(d.Warmup)
 	dram := openWindow(cl, patDRAM)
 	w.MeasureStart()

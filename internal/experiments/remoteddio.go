@@ -30,7 +30,7 @@ func runAblationRemoteDDIO(d Durations) *Result {
 		cl := core.NewCluster(cfg)
 		defer cl.Drain()
 		coreID := cl.Server.Topo.CoresOn(1)[0].ID // remote to PF0
-		w := workloads.StartPktgen(cl, cl.Dev0.(workloads.RawTxDevice), coreID, 64)
+		w := workloads.StartPktgen(cl, cl.Dev0, coreID, 64)
 		cl.Run(d.Warmup)
 		w.MeasureStart()
 		cl.Run(d.Measure)

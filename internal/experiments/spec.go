@@ -37,7 +37,7 @@ func FuzzDurations() Durations {
 	return Durations{
 		Warmup:      4 * time.Millisecond,
 		Measure:     16 * time.Millisecond,
-		Timeline:    120 * time.Millisecond,
+		Timeline:    scenario.ShortestTimeline,
 		SampleEvery: 5 * time.Millisecond,
 	}
 }

@@ -43,7 +43,6 @@ func New(e *sim.Engine, topo *topology.Server, mem *memsys.System) *Kernel {
 			id:   topology.CoreID(i),
 			node: topo.NodeOf(topology.CoreID(i)),
 		}
-		c.queue = sim.NewQueue[coreWork](e)
 		c.dispatchFn = c.dispatch
 		c.completeFn = c.complete
 		k.cores = append(k.cores, c)
@@ -122,7 +121,7 @@ type Core struct {
 	k      *Kernel
 	id     topology.CoreID
 	node   topology.NodeID
-	queue  *sim.Queue[coreWork]
+	queue  sim.Queue[coreWork]
 	busy   time.Duration
 	poller *Poller // the core's poll loop, or sharedCore; nil if none
 
@@ -151,7 +150,7 @@ func (c *Core) enqueue(w coreWork) {
 	if c.poller != nil {
 		c.poller.Wake() // before the put: the loop may be queued first
 	}
-	c.queue.ForcePut(w)
+	c.queue.Put(w)
 	if c.idle {
 		c.idle = false
 		c.k.eng.After(0, c.dispatchFn)

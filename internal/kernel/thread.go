@@ -10,7 +10,9 @@ import (
 
 // Thread is a schedulable kernel thread. Thread code runs as a sim
 // process and consumes CPU through Exec/ExecFn, which FIFO-share the
-// thread's current core with softirq and worker activity.
+// thread's current core with softirq and worker activity. It blocks
+// only here: every wait (Exec, Sleep, Wait, a socket call) arranges
+// the thread's wake and then Parks.
 //
 // A call that takes several kernel-side steps (a socket Send or Recv)
 // parks the thread once instead of once per step: it Submits the first
@@ -51,9 +53,6 @@ func (t *Thread) Core() topology.CoreID { return t.core.id }
 // Node returns the NUMA node of the thread's current core.
 func (t *Thread) Node() topology.NodeID { return t.core.node }
 
-// Proc exposes the underlying sim process for queue/signal waits.
-func (t *Thread) Proc() *sim.Proc { return t.proc }
-
 // Now returns the current simulation time.
 func (t *Thread) Now() sim.Time { return t.k.eng.Now() }
 
@@ -93,11 +92,19 @@ func (t *Thread) Wake() { t.wakeFn() }
 // WakeFunc returns Wake as a cached func value, for a then callback.
 func (t *Thread) WakeFunc() func() { return t.wakeFn }
 
-// Sleep blocks the thread without consuming CPU.
-func (t *Thread) Sleep(d time.Duration) { t.proc.Sleep(d) }
+// Sleep blocks the thread for d without consuming CPU: a wake event
+// d from now, then Park.
+func (t *Thread) Sleep(d time.Duration) {
+	t.k.eng.After(d, t.wakeFn)
+	t.Park()
+}
 
-// Wait blocks the thread on a signal.
-func (t *Thread) Wait(s *sim.Signal) { s.Wait(t.proc) }
+// Wait blocks the thread until s's next Broadcast: the wake registered
+// on s, then Park.
+func (t *Thread) Wait(s *sim.Signal) {
+	s.Notify(t.wakeFn)
+	t.Park()
+}
 
 // SetAffinity migrates the thread to another core (the
 // sched_setaffinity path of §5.3): charges a context switch on the

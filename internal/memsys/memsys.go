@@ -116,12 +116,10 @@ func (s *System) node(n topology.NodeID) *nodeMem {
 }
 
 // AddLLCPressure registers cache pollution on a node's LLC: bps is the
-// antagonist's streaming allocation rate in bytes/sec. Returns a
-// release function.
-func (s *System) AddLLCPressure(n topology.NodeID, bps float64) (release func()) {
-	l := s.node(n).llc
-	l.pollutionBps += bps
-	return func() { l.pollutionBps -= bps }
+// antagonist's streaming allocation rate in bytes/sec. It lasts for the
+// rest of the run.
+func (s *System) AddLLCPressure(n topology.NodeID, bps float64) {
+	s.node(n).llc.pollutionBps += bps
 }
 
 // TotalDRAMBytes returns DRAM read+write bytes across all nodes.

@@ -280,24 +280,12 @@ func TestLLCPressureShrinksCapacity(t *testing.T) {
 	noPressure := b.CachedBytes()
 
 	_, s2 := newSys(t)
-	release := s2.AddLLCPressure(0, 400e9)
+	s2.AddLLCPressure(0, 400e9)
 	b2 := s2.NewBuffer(0, 8*1024*1024)
 	s2.CPURead(0, b2, 8*1024*1024)
 	underPressure := b2.CachedBytes()
 	if underPressure >= noPressure {
 		t.Fatalf("pressure did not shrink residency: %v vs %v", underPressure, noPressure)
-	}
-	release()
-}
-
-func TestPressureReleaseRestores(t *testing.T) {
-	_, s := newSys(t)
-	release := s.AddLLCPressure(0, 60e9)
-	release()
-	b := s.NewBuffer(0, 8*1024*1024)
-	s.CPURead(0, b, 8*1024*1024)
-	if b.CachedBytes() < 4*1024*1024 {
-		t.Fatalf("capacity not restored after release: %v", b.CachedBytes())
 	}
 }
 

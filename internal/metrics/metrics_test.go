@@ -62,7 +62,8 @@ func TestSamplerRates(t *testing.T) {
 	var counter float64
 	e.Go("gen", func(p *sim.Proc) {
 		for i := 0; i < 100; i++ {
-			p.Sleep(time.Millisecond)
+			e.After(time.Millisecond, p.ResumeFunc())
+			p.Yield()
 			counter += 10 // 10 units per ms = 10000/s
 		}
 	})
@@ -124,7 +125,8 @@ func TestSamplerTrackRateFirstTick(t *testing.T) {
 	counter := 1e12 // huge pre-existing total: an unprimed delta would explode
 	e.Go("gen", func(p *sim.Proc) {
 		for i := 0; i < 30; i++ {
-			p.Sleep(time.Millisecond)
+			e.After(time.Millisecond, p.ResumeFunc())
+			p.Yield()
 			counter += 10
 		}
 	})

@@ -20,7 +20,6 @@ import (
 
 	"ioctopus/internal/eth"
 	"ioctopus/internal/kernel"
-	"ioctopus/internal/memsys"
 	"ioctopus/internal/nic"
 	"ioctopus/internal/sim"
 	"ioctopus/internal/topology"
@@ -74,11 +73,9 @@ type Params struct {
 	RetxMaxTries int
 }
 
-// Frag is one fragment of an outgoing packet.
-type Frag struct {
-	Buf   *memsys.Buffer
-	Bytes int64
-}
+// Frag is one fragment of an outgoing packet: the device's own
+// fragment type, so a driver appends a packet's list as it is.
+type Frag = nic.TxFrag
 
 // Packet is the stack's skb: an outgoing segment handed to a netdevice.
 type Packet struct {
@@ -279,45 +276,39 @@ func (st *Stack) DeliverRx(rxp *nic.RxPacket) {
 		rxp.Recycle()
 		return
 	}
-	if st.params.RetxTimeout > 0 && s.ft.Proto == eth.ProtoTCP && rxp.Seq != 0 {
-		if s.seenSeq(rxp.Seq) {
-			// A retransmitted copy of a segment that already made it.
-			// Consume it and re-acknowledge: the duplicate ACK lets the
-			// sender clear its retransmit entry when the original's ACK
-			// raced the timeout.
-			st.retxDuplicates++
-			payload, seq := rxp.Payload, rxp.Seq
-			rxp.Recycle()
-			if s.peer != nil {
-				s.sendSeqAck(payload, seq)
-			}
-			return
-		}
-		if !s.rxq.tryPut(rxp) {
-			// Receive-buffer overflow: dropped before being marked
-			// received and not acknowledged, so the sender's timer
-			// recovers the segment.
-			st.rxDrops++
-			rxp.Recycle()
-			return
-		}
-		s.markSeq(rxp.Seq)
-		if s.peer != nil {
-			s.sendSeqAck(rxp.Payload, rxp.Seq)
-		}
+	// With retransmission armed, a TCP segment carries a sequence
+	// number the receiver dedups and acknowledges by name; otherwise
+	// the ACK counts bytes (seq 0).
+	var seq uint64
+	if st.params.RetxTimeout > 0 && s.ft.Proto == eth.ProtoTCP {
+		seq = rxp.Seq
+	}
+	if seq != 0 && s.seenSeq(seq) {
+		// A retransmitted copy of a segment that already made it.
+		// Consume it and re-acknowledge: the duplicate ACK lets the
+		// sender clear its retransmit entry when the original's ACK
+		// raced the timeout.
+		st.retxDuplicates++
+		payload := rxp.Payload
+		rxp.Recycle()
+		s.sendAck(payload, seq)
 		return
 	}
 	if !s.rxq.tryPut(rxp) {
+		// Receive-buffer overflow: dropped before being marked received
+		// and not acknowledged, so a sender's timer recovers the
+		// segment.
 		st.rxDrops++
 		rxp.Recycle()
 		return
 	}
+	if seq != 0 {
+		s.markSeq(seq)
+	}
 	// TCP acknowledges on kernel receipt and advertises the remaining
 	// receive-buffer space; the sender's usable window shrinks as the
 	// buffer fills and reopens as the application consumes (Recv).
-	if s.ft.Proto == eth.ProtoTCP && s.peer != nil {
-		s.sendWindowUpdate(rxp.Payload)
-	}
+	s.sendAck(rxp.Payload, seq)
 }
 
 // RxStackCost prices the protocol receive work for a segment (charged

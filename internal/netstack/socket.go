@@ -247,7 +247,7 @@ func (s *Socket) Send(t *kernel.Thread, n int64) {
 // SendMsg is Send with metadata carried to the receiver (timestamps for
 // latency benchmarks).
 func (s *Socket) SendMsg(t *kernel.Thread, n int64, meta any) {
-	s.sendFrom(t, nil, n, meta)
+	s.send(t, nil, nil, n, meta)
 }
 
 // SendMsgFrom transmits n bytes whose application-side source is the
@@ -255,20 +255,7 @@ func (s *Socket) SendMsg(t *kernel.Thread, n int64, meta any) {
 // socket's default user buffer, so residency and locality of the real
 // data source drive the copy costs.
 func (s *Socket) SendMsgFrom(t *kernel.Thread, src *memsys.Buffer, n int64, meta any) {
-	s.sendFrom(t, src, n, meta)
-}
-
-func (s *Socket) sendFrom(t *kernel.Thread, srcBuf *memsys.Buffer, n int64, meta any) {
-	if s.owner == nil {
-		s.owner = t
-	}
-	if n <= 0 {
-		return
-	}
-	s.sendT, s.sendSrc, s.sendFrags, s.sendMeta = t, srcBuf, nil, meta
-	s.sendLeft, s.sendFirst = n, true
-	s.txNext()
-	t.Park()
+	s.send(t, src, nil, n, meta)
 }
 
 // SendFrags transmits one segment built from caller-provided, non-empty
@@ -276,15 +263,24 @@ func (s *Socket) sendFrom(t *kernel.Thread, srcBuf *memsys.Buffer, n int64, meta
 // different nodes). No user->kernel copy is charged — the page-cache
 // pages are handed to the device directly. It shares Send's steps.
 func (s *Socket) SendFrags(t *kernel.Thread, frags []Frag, meta any) {
-	if s.owner == nil {
-		s.owner = t
-	}
 	var total int64
 	for _, f := range frags {
 		total += f.Bytes
 	}
-	s.sendT, s.sendSrc, s.sendFrags, s.sendMeta = t, nil, frags, meta
-	s.sendLeft = total
+	s.send(t, nil, frags, total, meta)
+}
+
+// send is every send call's entry: it sets the call's scratch, starts
+// the first segment and parks the thread until txDone wakes it.
+func (s *Socket) send(t *kernel.Thread, src *memsys.Buffer, frags []Frag, n int64, meta any) {
+	if s.owner == nil {
+		s.owner = t
+	}
+	if n <= 0 {
+		return
+	}
+	s.sendT, s.sendSrc, s.sendFrags, s.sendMeta = t, src, frags, meta
+	s.sendLeft, s.sendFirst = n, true
 	s.txNext()
 	t.Park()
 }
@@ -386,7 +382,7 @@ func (s *Socket) Recv(t *kernel.Thread) (payload int64, meta any, ok bool) {
 // one; on a shut-down queue it ends the call.
 func (s *Socket) recvStep() {
 	q := s.rxq
-	if q.len() == 0 {
+	if q.items.Len() == 0 {
 		if q.closed {
 			s.recvPayload, s.recvMeta, s.recvOK = 0, nil, false
 			s.recvT.Wake()
@@ -407,20 +403,16 @@ func (s *Socket) recvDone() {
 	s.recvRxp = nil
 	s.recvPayload, s.recvMeta, s.recvOK = rxp.Payload, rxp.Meta, true
 	rxp.Recycle()
-	s.sendWindowUpdate(0)
+	s.sendAck(0, 0)
 	s.recvT.Wake()
 }
 
-// sendWindowUpdate acknowledges acked bytes and advertises the current
-// receive-buffer space to the peer, after the ACK flight time.
-func (s *Socket) sendWindowUpdate(acked int64) { s.sendAckEvent(acked, 0) }
-
-// sendSeqAck is the retransmission-aware acknowledgement: it names the
-// received segment so the sender can clear its retransmit entry (and
-// ignore the duplicate ACKs a raced timeout produces).
-func (s *Socket) sendSeqAck(acked int64, seq uint64) { s.sendAckEvent(acked, seq) }
-
-func (s *Socket) sendAckEvent(acked int64, seq uint64) {
+// sendAck acknowledges acked bytes and advertises the current
+// receive-buffer space to a TCP peer, after the ACK flight time. A
+// nonzero seq names the received segment (retransmission armed), so
+// the sender can clear its retransmit entry and ignore the duplicate
+// ACKs a raced timeout produces.
+func (s *Socket) sendAck(acked int64, seq uint64) {
 	if s.ft.Proto != eth.ProtoTCP || s.peer == nil {
 		return
 	}
@@ -700,14 +692,10 @@ func (s *Socket) windowOpen(seg int64) bool {
 	return s.inFlight+seg <= s.advertised
 }
 
-// segQueue is the socket receive queue: byte-bounded, its signal
-// broadcast on every put and on close. Consumed entries advance a head
-// index; the backing array is reused once drained and compacted when
-// the dead prefix dominates, as sim.Queue does, so a queue that never
-// drains stays bounded.
+// segQueue is the socket receive queue: a byte-bounded FIFO whose
+// signal is broadcast on every put and on close.
 type segQueue struct {
-	items    []*nic.RxPacket
-	head     int
+	items    sim.Queue[*nic.RxPacket]
 	capBytes int64
 	bytes    int64
 	sig      *sim.Signal
@@ -717,8 +705,6 @@ type segQueue struct {
 func newSegQueue(e *sim.Engine, capBytes int64) *segQueue {
 	return &segQueue{capBytes: capBytes, sig: sim.NewSignal(e)}
 }
-
-func (q *segQueue) len() int { return len(q.items) - q.head }
 
 // free returns remaining receive-buffer space.
 func (q *segQueue) free() int64 {
@@ -733,7 +719,7 @@ func (q *segQueue) tryPut(rxp *nic.RxPacket) bool {
 	if q.closed || q.bytes+rxp.Payload > q.capBytes {
 		return false
 	}
-	q.items = append(q.items, rxp)
+	q.items.Put(rxp)
 	q.bytes += rxp.Payload
 	q.sig.Broadcast()
 	return true
@@ -743,18 +729,7 @@ func (q *segQueue) tryPut(rxp *nic.RxPacket) bool {
 // who must Recycle the packet exactly once (the slot is cleared here so
 // the queue never aliases a recycled packet).
 func (q *segQueue) dequeue() *nic.RxPacket {
-	rxp := q.items[q.head]
-	q.items[q.head] = nil
-	q.head++
-	if q.head == len(q.items) {
-		q.items = q.items[:0]
-		q.head = 0
-	} else if q.head > 32 && q.head*2 > len(q.items) {
-		n := copy(q.items, q.items[q.head:])
-		clear(q.items[n:])
-		q.items = q.items[:n]
-		q.head = 0
-	}
+	rxp := q.items.Pop()
 	q.bytes -= rxp.Payload
 	return rxp
 }
@@ -763,7 +738,7 @@ func (q *segQueue) dequeue() *nic.RxPacket {
 // application and return to their pool here.
 func (q *segQueue) close() {
 	q.closed = true
-	for q.len() > 0 {
+	for q.items.Len() > 0 {
 		q.dequeue().Recycle()
 	}
 	q.sig.Broadcast()

@@ -173,7 +173,7 @@ func TestRxDatapathDeliversAndCounts(t *testing.T) {
 	if interrupted != 1 {
 		t.Fatalf("interrupts = %d, want 1", interrupted)
 	}
-	batch := q.Poll(64)
+	batch := q.Reap(64)
 	if len(batch) != 1 || batch[0].Payload != 3000 || batch[0].Packets != 2 {
 		t.Fatalf("batch = %+v", batch)
 	}
@@ -205,7 +205,7 @@ func TestRxNAPIGatingCoalescesInterrupts(t *testing.T) {
 		t.Fatalf("pending = %d, want 10", q.Pending())
 	}
 	// Driver polls and completes; with the queue drained no new IRQ.
-	q.Poll(64)
+	q.Reap(64)
 	q.NapiComplete()
 	r.eng.RunUntilIdle()
 	if interrupted != 1 {
@@ -223,7 +223,7 @@ func TestRxInterruptRefiresForLateArrivals(t *testing.T) {
 
 	r.nic.Receive(&eth.Frame{Dst: r.nic.MAC(), Flow: flow(1), Payload: 1500, Packets: 1})
 	r.eng.RunUntilIdle()
-	q.Poll(64)
+	q.Reap(64)
 	q.NapiComplete()
 	r.nic.Receive(&eth.Frame{Dst: r.nic.MAC(), Flow: flow(1), Payload: 1500, Packets: 1})
 	r.eng.RunUntilIdle()
@@ -413,7 +413,7 @@ func TestPolledRxSuppressesInterruptsAndCoalesce(t *testing.T) {
 	if q.Pending() != 6 {
 		t.Fatalf("pending = %d, want 6 (ring still fills under polling)", q.Pending())
 	}
-	if got := len(q.Poll(64)); got != 6 {
+	if got := len(q.Reap(64)); got != 6 {
 		t.Fatalf("Poll drained %d, want 6", got)
 	}
 }
@@ -444,7 +444,7 @@ func TestPolledRxExitFiresExactlyOnce(t *testing.T) {
 	}
 	// The normal NAPI cycle resumes: drain, complete, next arrival
 	// refires.
-	q.Poll(64)
+	q.Reap(64)
 	q.NapiComplete()
 	r.eng.RunUntilIdle()
 	if interrupted != 1 {
@@ -470,7 +470,7 @@ func TestPolledRxExitWithEmptyRingStaysQuiet(t *testing.T) {
 	q.SetPolled(true)
 	r.nic.Receive(&eth.Frame{Dst: r.nic.MAC(), Flow: flow(1), Payload: 1500, Packets: 1})
 	r.eng.RunUntilIdle()
-	q.Poll(64) // drained inside the polled window
+	q.Reap(64) // drained inside the polled window
 	q.SetPolled(false)
 	r.eng.RunUntilIdle()
 	if interrupted != 0 {
@@ -539,7 +539,7 @@ func TestPolledModeLeavesZeroCoalesceUntouched(t *testing.T) {
 	if irqAt != 0 {
 		t.Fatal("polled window interrupted on a zero-coalesce NIC")
 	}
-	q.Poll(64)
+	q.Reap(64)
 	q.SetPolled(false)
 	e.RunUntilIdle()
 

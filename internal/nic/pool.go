@@ -11,7 +11,7 @@
 //
 // Ownership contract:
 //
-//   - An RxPacket handed out by RxQueue.Poll is owned by the driver,
+//   - An RxPacket handed out by RxQueue.Reap is owned by the driver,
 //     then by the socket layer once DeliverRx accepts it. Whoever
 //     consumes it (Socket.Recv internally, a drop path) must call
 //     Recycle exactly once and must not touch the packet afterwards.

@@ -68,7 +68,7 @@ func TestRxPoolRecyclesThroughDatapath(t *testing.T) {
 	deliver := func() *RxPacket {
 		r.nic.Receive(&eth.Frame{Dst: r.nic.MAC(), Flow: flow(1), Payload: 1500, Packets: 1})
 		r.eng.RunUntilIdle()
-		batch := q.Poll(64)
+		batch := q.Reap(64)
 		q.NapiComplete()
 		if len(batch) != 1 {
 			t.Fatalf("polled = %d, want 1", len(batch))
@@ -103,7 +103,7 @@ func TestRxDoubleRecyclePanics(t *testing.T) {
 	fw.ProgramFlow(flow(1), 0, 0)
 	r.nic.Receive(&eth.Frame{Dst: r.nic.MAC(), Flow: flow(1), Payload: 1500, Packets: 1})
 	r.eng.RunUntilIdle()
-	rxp := q.Poll(64)[0]
+	rxp := q.Reap(64)[0]
 	rxp.Recycle()
 	defer func() {
 		if recover() == nil {
@@ -183,7 +183,7 @@ func TestRxRingFullDropsLeaveNoLiveLeases(t *testing.T) {
 	if st.Live != q.Pending() {
 		t.Fatalf("live leases = %d, want one per pending packet (%d): dropped frames must not lease", st.Live, q.Pending())
 	}
-	batch := q.Poll(64)
+	batch := q.Reap(64)
 	q.NapiComplete()
 	for _, rxp := range batch {
 		rxp.Recycle()

@@ -120,11 +120,6 @@ func (q *RxQueue) receive(f *eth.Frame) {
 	q.pf.ep.DMAWrite(buf, f.Payload, rxp.payloadDone)
 }
 
-// Poll removes up to budget received segments (the NAPI poll); the
-// batch is valid for the synchronous loop consuming it (see
-// device.Completions.Reap).
-func (q *RxQueue) Poll(budget int) []*RxPacket { return q.Reap(budget) }
-
 // TxFrag is one fragment of a transmitted packet; fragments may live on
 // different NUMA nodes (sendfile from the page cache, §3.3), which is
 // what IOctoSG exists for.

@@ -45,7 +45,7 @@ func TestRxQueueStallHoldsCompletions(t *testing.T) {
 	if interrupted == 0 {
 		t.Fatal("release must fire the pending interrupt")
 	}
-	batch := q.Poll(64)
+	batch := q.Reap(64)
 	for i, rxp := range batch {
 		if rxp.Seq != uint64(i+1) {
 			t.Fatalf("flush reordered completions: batch[%d].Seq = %d", i, rxp.Seq)

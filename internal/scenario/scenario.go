@@ -344,18 +344,19 @@ func ParseSource(src, prefix string) (int, bool) {
 	return -1, false
 }
 
-// nominalTimeline is the run length Validate's dry-run build resolves
-// percent offsets against: one second per percent, so every percent
-// window is exact.
-const nominalTimeline = 100 * time.Second
+// ShortestTimeline is the shortest run any runner preset builds a spec
+// over (the fuzz runs'; -quick runs 900 ms, full runs 9 s). A dur_ns
+// window keeps its length at every timeline while percent windows
+// shrink with the run, so whether two windows on one state overlap
+// either does not depend on the timeline or becomes true below some
+// timeline: a schedule that builds here builds at every preset.
+const ShortestTimeline = 120 * time.Millisecond
 
-// Validate is a dry-run Build: it assembles the spec's cluster over a
-// nominal timeline and drains it. Each error names the field or the
-// part of the machine at fault. A run builds over its own timeline,
-// where absolute dur_ns windows stand in another proportion to percent
-// ones, so faults.Arm can still reject a schedule there.
+// Validate is a dry-run Build: it assembles the spec's cluster over
+// ShortestTimeline and drains it. Each error names the field or the
+// part of the machine at fault.
 func (sp *Spec) Validate() error {
-	cl, err := sp.Build(nominalTimeline)
+	cl, err := sp.Build(ShortestTimeline)
 	if err != nil {
 		return err
 	}

@@ -159,6 +159,13 @@ func TestValidateRejects(t *testing.T) {
 		{"overlapping windows", func(sp *scenario.Spec) {
 			sp.Sim.Faults = append(sp.Sim.Faults, sp.Sim.Faults[1]) // second loss window on the same direction
 		}, "overlapping"},
+		{"dur_ns window overlapping at the shortest timeline", func(sp *scenario.Spec) {
+			// 30 ms from 10% reaches past 12% on any run shorter than
+			// 1.5 s, the fuzz and -quick timelines among them.
+			sp.Sim.Faults = append(sp.Sim.Faults,
+				scenario.FaultSpec{Kind: "corrupt", AtPct: 10, Dur: 30 * time.Millisecond, Dir: "client-to-server", Prob: 0.01},
+				scenario.FaultSpec{Kind: "corrupt", AtPct: 12, DurPct: 1, Dir: "client-to-server", Prob: 0.01})
+		}, "overlapping corrupt windows"},
 		{"sample names tx stream", func(sp *scenario.Spec) { sp.Sim.Samples[0].Source = "workload:1" }, "forward stream"},
 		{"window order", func(sp *scenario.Spec) { sp.Sim.Windows[1].FromPct = 5 }, "overlaps or precedes"},
 		{"check without window", func(sp *scenario.Spec) { sp.Sim.Checks[7].Window = 9 }, "no window 9"},

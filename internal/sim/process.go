@@ -1,13 +1,12 @@
 package sim
 
-import (
-	"iter"
-	"time"
-)
+import "iter"
 
 // Proc is a simulated process: model code written in a blocking style
-// (Sleep, Wait, queue Get) that runs as a coroutine (iter.Pull)
-// rather than a free-running goroutine. The engine resumes a process by
+// that runs as a coroutine (iter.Pull) rather than a free-running
+// goroutine. It blocks only by yielding (Yield) after arranging its
+// resume (ResumeFunc) as an event or a Signal callback; kernel.Thread
+// wraps that pattern. The engine resumes a process by
 // switching into its coroutine from an event callback and gets control
 // back when the process yields or returns, so exactly one piece of
 // model code runs at a time: process code needs no locking and runs
@@ -24,8 +23,7 @@ import (
 //     caller's goroutine, where a deferred recover can catch it. The
 //     process is dead afterwards: later resumes and Drain skip it.
 //   - Engine.Drain kills every live process before it returns: a
-//     parked process unwinds from its blocking call (deferred calls
-//     run), and one whose start event never ran is freed without
+//     parked process unwinds from its Yield (deferred calls run), and one whose start event never ran is freed without
 //     running its body.
 type Proc struct {
 	eng  *Engine
@@ -38,7 +36,7 @@ type Proc struct {
 	// reports false once stop has been called.
 	yieldFn func(struct{}) bool
 	// resumeFn caches the resume method value so the (very frequent)
-	// Sleep/Wait/Broadcast paths don't allocate a closure per call.
+	// waits don't allocate a closure per call.
 	resumeFn func()
 }
 
@@ -78,16 +76,6 @@ func (p *Proc) resume() {
 	p.next()
 }
 
-// yield returns control to the engine. The process must have arranged to
-// be resumed (scheduled a wakeup or registered on a signal/queue) before
-// calling yield, or it will sleep forever. A false return means Drain
-// stopped the coroutine: unwind with killedError.
-func (p *Proc) yield() {
-	if !p.yieldFn(struct{}{}) {
-		panic(killedError{p.name})
-	}
-}
-
 // finish removes a completed process from the engine's registry. It
 // runs inside the coroutine, in engine context.
 func (p *Proc) finish() {
@@ -108,25 +96,21 @@ func (p *Proc) finish() {
 // event callback, or a component that fires it from one).
 func (p *Proc) ResumeFunc() func() { return p.resumeFn }
 
-// Yield parks the process until its ResumeFunc callback runs. The
-// caller must have arranged for that before yielding (passed the
-// callback to a component, scheduled an event) or the process sleeps
-// forever.
-func (p *Proc) Yield() { p.yield() }
-
-// Sleep suspends the process for d of simulated time.
-func (p *Proc) Sleep(d time.Duration) {
-	if d < 0 {
-		d = 0
+// Yield returns control to the engine until the process's ResumeFunc
+// callback runs. The caller must have arranged for that before
+// yielding (passed the callback to a component, scheduled an event,
+// registered it on a Signal) or the process sleeps forever. If Drain
+// stops the coroutine instead, Yield unwinds it with killedError.
+func (p *Proc) Yield() {
+	if !p.yieldFn(struct{}{}) {
+		panic(killedError{p.name})
 	}
-	p.eng.After(d, p.resumeFn)
-	p.yield()
 }
 
-// Signal is a broadcast condition: callbacks registered with Notify,
-// and processes that Wait, run on the next Broadcast. There is no
-// stored state; a Broadcast with no waiters is a no-op, like
-// sync.Cond.
+// Signal is a broadcast condition: callbacks registered with Notify
+// run on the next Broadcast. A process waits by registering its
+// ResumeFunc and yielding. There is no stored state; a Broadcast with
+// no waiters is a no-op, like sync.Cond.
 type Signal struct {
 	eng     *Engine
 	waiters []func()
@@ -138,13 +122,6 @@ func NewSignal(e *Engine) *Signal { return &Signal{eng: e} }
 // Notify registers fn to run, as its own event, at the next Broadcast.
 // It fires once; a callback that must keep waiting registers again.
 func (s *Signal) Notify(fn func()) { s.waiters = append(s.waiters, fn) }
-
-// Wait suspends the process until the next Broadcast: Notify of its
-// resume, then a yield.
-func (s *Signal) Wait(p *Proc) {
-	s.Notify(p.resumeFn)
-	p.yield()
-}
 
 // Broadcast schedules every current waiter, in FIFO order, as a
 // zero-delay event at the current time.

@@ -4,14 +4,27 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+	"time"
 )
+
+// sleep blocks p for d: a resume event d from now, then a yield.
+func sleep(p *Proc, d time.Duration) {
+	p.eng.After(d, p.ResumeFunc())
+	p.Yield()
+}
+
+// wait blocks p until s's next Broadcast.
+func wait(p *Proc, s *Signal) {
+	s.Notify(p.ResumeFunc())
+	p.Yield()
+}
 
 func TestProcSleep(t *testing.T) {
 	e := NewEngine()
 	var wakeups []Time
 	e.Go("sleeper", func(p *Proc) {
 		for i := 0; i < 3; i++ {
-			p.Sleep(10 * Nanosecond)
+			sleep(p, 10*Nanosecond)
 			wakeups = append(wakeups, p.eng.Now())
 		}
 	})
@@ -32,14 +45,14 @@ func TestProcInterleaving(t *testing.T) {
 	var log []string
 	e.Go("a", func(p *Proc) {
 		log = append(log, "a0")
-		p.Sleep(10 * Nanosecond)
+		sleep(p, 10*Nanosecond)
 		log = append(log, "a1")
-		p.Sleep(20 * Nanosecond)
+		sleep(p, 20*Nanosecond)
 		log = append(log, "a2")
 	})
 	e.Go("b", func(p *Proc) {
 		log = append(log, "b0")
-		p.Sleep(15 * Nanosecond)
+		sleep(p, 15*Nanosecond)
 		log = append(log, "b1")
 	})
 	e.RunUntilIdle()
@@ -60,12 +73,12 @@ func TestSignalBroadcast(t *testing.T) {
 	woken := 0
 	for i := 0; i < 3; i++ {
 		e.Go("w", func(p *Proc) {
-			s.Wait(p)
+			wait(p, s)
 			woken++
 		})
 	}
 	e.Go("b", func(p *Proc) {
-		p.Sleep(10 * Nanosecond)
+		sleep(p, 10*Nanosecond)
 		if len(s.waiters) != 3 {
 			t.Errorf("waiters = %d, want 3", len(s.waiters))
 		}
@@ -77,16 +90,16 @@ func TestSignalBroadcast(t *testing.T) {
 	}
 }
 
-// TestSignalNotify: a Notify callback and a Wait are the same kind of
-// waiter. Each fires once, as its own zero-delay event, in the order
-// registered; only the process's resume counts as a wake.
+// TestSignalNotify: a plain callback and a process's resume are the
+// same kind of waiter. Each fires once, as its own zero-delay event, in
+// the order registered; only the process's resume counts as a wake.
 func TestSignalNotify(t *testing.T) {
 	e := NewEngine()
 	s := NewSignal(e)
 	var log []string
 	s.Notify(func() { log = append(log, "first") })
 	e.Go("w", func(p *Proc) {
-		s.Wait(p)
+		wait(p, s)
 		log = append(log, "proc")
 	})
 	e.RunUntilIdle() // the process starts and waits behind the callback
@@ -119,38 +132,46 @@ func TestDrainKillsParkedProcs(t *testing.T) {
 	unwound, reached := false, false
 	e.Go("stuck", func(p *Proc) {
 		defer func() { unwound = true }()
-		s.Wait(p) // never broadcast
+		wait(p, s) // never broadcast
 		reached = true
 	})
 	e.Run(Time(1000))
 	if len(s.waiters) != 1 || unwound {
-		t.Fatalf("waiters = %d, unwound = %v: process should be parked in Wait", len(s.waiters), unwound)
+		t.Fatalf("waiters = %d, unwound = %v: process should be parked on the signal", len(s.waiters), unwound)
 	}
 	e.Drain()
 	if !unwound {
 		t.Fatal("Drain returned before the parked process unwound")
 	}
 	if reached {
-		t.Fatal("killed process continued past Wait")
+		t.Fatal("killed process continued past its wait")
 	}
 	if n := runtime.NumGoroutine(); n > before {
 		t.Fatalf("goroutines = %d after Drain, want at most %d", n, before)
 	}
 }
 
+// TestQueuePutGet: a producer process and a consumer that waits on the
+// producer's signal while the queue is empty, the way the octo driver's
+// MPFS worker consumes its updates.
 func TestQueuePutGet(t *testing.T) {
 	e := NewEngine()
-	q := NewQueue[int](e)
+	var q Queue[int]
+	put := NewSignal(e)
 	var got []int
 	e.Go("producer", func(p *Proc) {
 		for i := 0; i < 5; i++ {
-			p.Sleep(10 * Nanosecond)
-			q.ForcePut(i)
+			sleep(p, 10*Nanosecond)
+			q.Put(i)
+			put.Broadcast()
 		}
 	})
 	e.Go("consumer", func(p *Proc) {
 		for i := 0; i < 5; i++ {
-			got = append(got, q.Get(p))
+			for q.Len() == 0 {
+				wait(p, put)
+			}
+			got = append(got, q.Pop())
 		}
 	})
 	e.RunUntilIdle()
@@ -165,13 +186,12 @@ func TestQueuePutGet(t *testing.T) {
 }
 
 func TestQueueTryOps(t *testing.T) {
-	e := NewEngine()
-	q := NewQueue[string](e)
+	var q Queue[string]
 	if _, ok := q.TryGet(); ok {
 		t.Fatal("TryGet on empty queue should fail")
 	}
-	q.ForcePut("a")
-	q.ForcePut("b")
+	q.Put("a")
+	q.Put("b")
 	if q.Len() != 2 {
 		t.Fatalf("len = %d, want 2", q.Len())
 	}
@@ -180,6 +200,59 @@ func TestQueueTryOps(t *testing.T) {
 	}
 	if v, ok := q.TryGet(); !ok || v != "b" || q.Len() != 0 {
 		t.Fatalf("got %q/%v len %d, want b and an empty queue", v, ok, q.Len())
+	}
+}
+
+// TestQueueFIFO: Put, Pop, TryGet and PopN share one FIFO order, PopN
+// returns at most n items, a drained queue reuses its backing array
+// from the top, and a queue that never drains stays within a small
+// backing array whether it is consumed by Pop or by PopN.
+func TestQueueFIFO(t *testing.T) {
+	var q Queue[int]
+	for i := 1; i <= 6; i++ {
+		q.Put(i)
+	}
+	if v := q.Pop(); v != 1 {
+		t.Fatalf("Pop = %d, want 1", v)
+	}
+	if v, ok := q.TryGet(); !ok || v != 2 {
+		t.Fatalf("TryGet = %d/%v, want 2", v, ok)
+	}
+	if got := q.PopN(2); !reflect.DeepEqual(got, []int{3, 4}) {
+		t.Fatalf("PopN(2) = %v, want [3 4]", got)
+	}
+	q.Put(7)
+	if got := q.PopN(10); !reflect.DeepEqual(got, []int{5, 6, 7}) {
+		t.Fatalf("PopN(10) = %v, want the 3 queued: [5 6 7]", got)
+	}
+	if q.head != 0 || len(q.items) != 0 || q.Len() != 0 {
+		t.Fatalf("drained queue: head = %d, items = %d, len = %d, want all 0", q.head, len(q.items), q.Len())
+	}
+	if got := q.PopN(4); len(got) != 0 {
+		t.Fatalf("PopN on an empty queue = %v", got)
+	}
+	if _, ok := q.TryGet(); ok {
+		t.Fatal("TryGet on a drained queue should fail")
+	}
+
+	for _, viaPopN := range []bool{false, true} {
+		var q Queue[int]
+		q.Put(0)
+		for i := 0; i < 10000; i++ {
+			q.Put(i + 1)
+			var got int
+			if viaPopN {
+				got = q.PopN(1)[0]
+			} else {
+				got = q.Pop()
+			}
+			if got != i || q.Len() != 1 {
+				t.Fatalf("PopN %v, round %d: got %d with %d left, want %d with 1", viaPopN, i, got, q.Len(), i)
+			}
+		}
+		if c := cap(q.items); c > 128 {
+			t.Fatalf("PopN %v: backing array grew to %d slots for 2 live items", viaPopN, c)
+		}
 	}
 }
 
@@ -203,7 +276,7 @@ func TestProcPanicReraisesFromRun(t *testing.T) {
 	e := NewEngine()
 	steps := 0
 	p := e.Go("faulty", func(p *Proc) {
-		p.Sleep(10 * Nanosecond)
+		sleep(p, 10*Nanosecond)
 		steps++
 		panic("model bug")
 	})

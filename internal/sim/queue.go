@@ -1,37 +1,28 @@
 package sim
 
-// Queue is an unbounded FIFO queue of items connecting simulated
-// processes and event callbacks.
+// Queue is an unbounded FIFO. The zero value is an empty queue ready to
+// use; it holds no engine and wakes no one, so its owner signals
+// whoever waits on it.
 //
 // Storage is items[head:]: pops advance head and the backing array is
 // reused once the queue drains (or compacted when the dead prefix
-// dominates), so steady-state put/get traffic does not reallocate.
+// dominates), so steady-state put/pop traffic does not reallocate.
 type Queue[T any] struct {
-	items    []T
-	head     int
-	notEmpty *Signal
-}
-
-// NewQueue returns an empty queue bound to the engine.
-func NewQueue[T any](e *Engine) *Queue[T] {
-	return &Queue[T]{notEmpty: NewSignal(e)}
+	items []T
+	head  int
 }
 
 // Len returns the number of queued items.
 func (q *Queue[T]) Len() int { return len(q.items) - q.head }
 
-// ForcePut appends an item and wakes a process blocked in Get. It never
-// blocks, so event callbacks (a core's submit path, a driver's steering
-// hook) can call it.
-func (q *Queue[T]) ForcePut(item T) {
-	q.items = append(q.items, item)
-	q.notEmpty.Broadcast()
-}
+// Put appends an item.
+func (q *Queue[T]) Put(item T) { q.items = append(q.items, item) }
 
-// pop removes the head item. The slot is zeroed so popped items do not
-// pin garbage; the backing array is recycled when the queue drains and
-// compacted when more than half of it is dead prefix.
-func (q *Queue[T]) pop() T {
+// Pop removes and returns the oldest item; the queue must not be empty.
+// The slot is zeroed so popped items do not pin garbage; the backing
+// array is recycled when the queue drains and compacted when more than
+// half of it is dead prefix.
+func (q *Queue[T]) Pop() T {
 	item := q.items[q.head]
 	var zero T
 	q.items[q.head] = zero
@@ -40,28 +31,43 @@ func (q *Queue[T]) pop() T {
 		q.items = q.items[:0]
 		q.head = 0
 	} else if q.head > 32 && q.head*2 > len(q.items) {
-		n := copy(q.items, q.items[q.head:])
-		clear(q.items[n:])
-		q.items = q.items[:n]
-		q.head = 0
+		q.compact()
 	}
 	return item
 }
 
-// Get removes and returns the oldest item, blocking the process while the
-// queue is empty.
-func (q *Queue[T]) Get(p *Proc) T {
-	for q.Len() == 0 {
-		q.notEmpty.Wait(p)
-	}
-	return q.pop()
-}
-
-// TryGet removes the oldest item without blocking; ok reports success.
+// TryGet removes the oldest item if there is one; ok reports success.
 func (q *Queue[T]) TryGet() (item T, ok bool) {
 	if q.Len() == 0 {
-		var zero T
-		return zero, false
+		return item, false
 	}
-	return q.pop(), true
+	return q.Pop(), true
+}
+
+// PopN removes up to n of the oldest items and returns them, oldest
+// first, as a view of the queue's backing array: it is valid until the
+// next Put or PopN, which may write over it. The view's slots are not
+// zeroed. The dead prefix is compacted away before the view is taken,
+// never after, so compaction cannot clobber a view still in use.
+func (q *Queue[T]) PopN(n int) []T {
+	n = min(n, q.Len())
+	if q.head > 0 {
+		q.compact()
+	}
+	batch := q.items[:n]
+	q.head = n
+	if q.head == len(q.items) {
+		q.items = q.items[:0]
+		q.head = 0
+	}
+	return batch
+}
+
+// compact moves the live items to the front of the backing array and
+// clears the slots they leave.
+func (q *Queue[T]) compact() {
+	n := copy(q.items, q.items[q.head:])
+	clear(q.items[n:])
+	q.items = q.items[:n]
+	q.head = 0
 }

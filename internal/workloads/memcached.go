@@ -90,6 +90,7 @@ func StartMemcached(cl *core.Cluster, cfg MemcachedConfig) *Memcached {
 		next++
 		cl.Server.Kernel.Spawn("memcached", coreID, func(th *kernel.Thread) {
 			s.SetOwner(th)
+			slabWrite := func() time.Duration { return cl.Server.Mem.CPUWrite(th.Node(), w.slab, cfg.ValueSize) }
 			var acc int64
 			var cur *mcReq
 			for {
@@ -113,9 +114,7 @@ func StartMemcached(cl *core.Cluster, cfg MemcachedConfig) *Memcached {
 				th.Exec(cfg.OpCost)
 				if req.set {
 					// Store the value into the slab.
-					th.ExecFn(func() time.Duration {
-						return cl.Server.Mem.CPUWrite(th.Node(), w.slab, cfg.ValueSize)
-					})
+					th.ExecFn(slabWrite)
 					s.Send(th, 64)
 				} else {
 					// Serve the value from the slab.
@@ -136,15 +135,18 @@ func StartMemcached(cl *core.Cluster, cfg MemcachedConfig) *Memcached {
 			}
 			rng := cl.RNG.Fork(int64(i))
 			// Pipelined request issue: keep cfg.Pipeline requests in
-			// flight; responses reassemble in order on the socket.
+			// flight; responses reassemble in order on the socket. The
+			// server only reads a header, so every request shares one.
 			pendingWant := make([]int64, 0, cfg.Pipeline)
+			setReq := &mcReq{set: true, total: cfg.KeySize + cfg.ValueSize}
+			getReq := &mcReq{set: false, total: cfg.KeySize}
 			issue := func() {
 				set := rng.Bernoulli(cfg.SetRatio)
 				if set {
-					sock.SendMsg(th, cfg.KeySize+cfg.ValueSize, &mcReq{set: true, total: cfg.KeySize + cfg.ValueSize})
+					sock.SendMsg(th, setReq.total, setReq)
 					pendingWant = append(pendingWant, 64)
 				} else {
-					sock.SendMsg(th, cfg.KeySize, &mcReq{set: false, total: cfg.KeySize})
+					sock.SendMsg(th, getReq.total, getReq)
 					pendingWant = append(pendingWant, cfg.ValueSize)
 				}
 			}
@@ -153,7 +155,7 @@ func StartMemcached(cl *core.Cluster, cfg MemcachedConfig) *Memcached {
 					issue()
 				}
 				want := pendingWant[0]
-				pendingWant = pendingWant[1:]
+				pendingWant = pendingWant[:copy(pendingWant, pendingWant[1:])]
 				var got int64
 				for got < want {
 					n, _, ok := sock.Recv(th)

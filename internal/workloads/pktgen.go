@@ -11,13 +11,6 @@ import (
 	"ioctopus/internal/topology"
 )
 
-// RawTxDevice is the driver surface pktgen needs: the socket-bypassing
-// transmit path plus the XPS queue map. Both drivers provide it.
-type RawTxDevice interface {
-	netstack.NetDevice
-	RawTx(t *kernel.Thread, pkt *netstack.Packet, txq int)
-}
-
 // Pktgen's fixed shape (§5.1.1, Figure 8).
 const (
 	// pktgenBatch is packets per burst (pktgen's burst/clone_skb
@@ -43,7 +36,7 @@ type Pktgen struct {
 // 8) on server core coreID: one kernel thread blasting identical
 // pktSize-byte packets through dev toward the client NIC, in batches,
 // reusing the same payload buffer.
-func StartPktgen(cl *core.Cluster, dev RawTxDevice, coreID topology.CoreID, pktSize int64) *Pktgen {
+func StartPktgen(cl *core.Cluster, dev netstack.NetDevice, coreID topology.CoreID, pktSize int64) *Pktgen {
 	w := &Pktgen{pktSize: pktSize}
 	node := cl.Server.Topo.NodeOf(coreID)
 	// The payload region pktgen clones from: written once, then reused
@@ -60,8 +53,8 @@ func StartPktgen(cl *core.Cluster, dev RawTxDevice, coreID topology.CoreID, pktS
 		flow := eth.FiveTuple{SrcIP: core.IPServerPF0, DstIP: core.IPClient, SrcPort: 9, DstPort: 9, Proto: eth.ProtoUDP}
 		txq := dev.TxQueueForCore(coreID)
 		// pktgen clones the same skb every burst: build the packet and
-		// its completion callback once and hand the driver the same
-		// scratch object (RawTx copies before returning).
+		// its callbacks once and hand the driver the same scratch
+		// object (Xmit copies it before then runs).
 		pkt := &netstack.Packet{
 			Flow:        flow,
 			DstMAC:      cl.ClientDev.HWAddr(),
@@ -75,13 +68,17 @@ func StartPktgen(cl *core.Cluster, dev RawTxDevice, coreID topology.CoreID, pktS
 			w.sent += pktgenBatch
 			sig.Broadcast()
 		}
+		// A burst parks the thread once: its CPU, then at that item's
+		// done event the driver's doorbell, whose post wakes the thread.
+		burstCost := func() time.Duration { return pktgenBatch * pktgenPerPacketCost }
+		xmit := func() { dev.Xmit(th, pkt, txq, th.WakeFunc()) }
 		for {
 			for outstanding >= pktgenMaxOutstanding {
 				th.Wait(sig)
 			}
 			outstanding++
-			th.Exec(pktgenBatch * pktgenPerPacketCost)
-			dev.RawTx(th, pkt, txq)
+			th.Submit(burstCost, xmit)
+			th.Park()
 		}
 	})
 	return w

@@ -129,6 +129,30 @@ func TestPktgenLocalBeatsRemote(t *testing.T) {
 	}
 }
 
+// TestPktgenWakesOncePerBurst: a warm generator parks its thread once
+// per 64-packet burst. The burst's CPU cost runs with the driver's
+// Xmit as its then step, and only the post wakes the thread; a wake
+// for the cost and another for the doorbell would double the count.
+// Bursts in flight at the window's edges, at most
+// pktgenMaxOutstanding, are the slack.
+func TestPktgenWakesOncePerBurst(t *testing.T) {
+	cl := core.NewCluster(core.Config{Mode: core.ModeStandard})
+	defer cl.Drain()
+	w := StartPktgen(cl, cl.Dev0, 0, 64)
+	cl.Run(2 * time.Millisecond)
+	w.MeasureStart()
+	wakes := cl.Eng.Wakes
+	cl.Run(2 * time.Millisecond)
+	bursts := w.Packets() / pktgenBatch
+	got := cl.Eng.Wakes - wakes
+	if bursts < 50 {
+		t.Fatalf("only %d bursts sent in 2 ms", bursts)
+	}
+	if got > bursts+pktgenMaxOutstanding || got+pktgenMaxOutstanding < bursts {
+		t.Fatalf("%d wakes for %d bursts, want one per burst", got, bursts)
+	}
+}
+
 func TestAntagonistDegradesRemoteStream(t *testing.T) {
 	run := func(pairs int) float64 {
 		cl := core.NewCluster(core.Config{Mode: core.ModeStandard})
