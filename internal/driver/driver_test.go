@@ -236,6 +236,13 @@ func TestBondHashesFlowsAcrossMembers(t *testing.T) {
 	r.eng.Drain()
 }
 
+// xmitAndPark transmits pkt on txq through d's Xmit and parks th until
+// the driver has posted it.
+func xmitAndPark(d netstack.NetDevice, th *kernel.Thread, pkt *netstack.Packet, txq int) {
+	d.Xmit(th, pkt, txq, th.WakeFunc())
+	th.Park()
+}
+
 func TestBondXmitDelegates(t *testing.T) {
 	r := newDrvRig(t)
 	r.nic.LoadFirmware(nic.NewStandardFirmware(r.nic))
@@ -248,13 +255,12 @@ func TestBondXmitDelegates(t *testing.T) {
 	done := 0
 	r.k.Spawn("tx", 0, func(th *kernel.Thread) {
 		for p := uint16(0); p < 8; p++ {
-			bond.Xmit(th, &netstack.Packet{
+			xmitAndPark(bond, th, &netstack.Packet{
 				Flow:    eth.FiveTuple{SrcIP: 1, DstIP: 2, SrcPort: p, DstPort: 80, Proto: eth.ProtoTCP},
 				DstMAC:  r.far.mac,
 				Payload: 1500, Packets: 1,
 				Frags: []netstack.Frag{{Buf: buf, Bytes: 1500}},
-			}, bond.TxQueueForCore(0), th.WakeFunc())
-			th.Park()
+			}, bond.TxQueueForCore(0))
 			done++
 		}
 	})
@@ -275,13 +281,6 @@ func TestBondXmitDelegates(t *testing.T) {
 		t.Fatalf("frames per source MAC = %v", from)
 	}
 	r.eng.Drain()
-}
-
-// xmitAndPark transmits pkt on txq through d's Xmit and parks th until
-// the driver has posted it.
-func xmitAndPark(d netstack.NetDevice, th *kernel.Thread, pkt *netstack.Packet, txq int) {
-	d.Xmit(th, pkt, txq, th.WakeFunc())
-	th.Park()
 }
 
 func TestDriverTxInFlightTracksPostedWork(t *testing.T) {

@@ -10,9 +10,9 @@ import (
 
 // Thread is a schedulable kernel thread. Thread code runs as a sim
 // process and consumes CPU through Exec/ExecFn, which FIFO-share the
-// thread's current core with softirq and worker activity. It blocks
-// only here: every wait (Exec, Sleep, Wait, a socket call) arranges
-// the thread's wake and then Parks.
+// thread's current core with softirq and worker activity. Thread code
+// blocks only through its thread: every wait (Exec, Sleep, Wait, a
+// socket call) arranges the thread's wake and then Parks.
 //
 // A call that takes several kernel-side steps (a socket Send or Recv)
 // parks the thread once instead of once per step: it Submits the first
